@@ -1,11 +1,17 @@
 """Numerical certification / refutation of comparison and order hypotheses.
 
-Each checker maximizes an inequality residual over the constrained domain
-the hypothesis quantifies over (ordered pairs with one tied coordinate,
-nonnegative directions, and so on).  Because the true quantifier ranges over
-all of R^n, the search runs on a declared box with multi-start pattern-search
-refinement: a reported violation is a genuine counterexample (the witness
-re-evaluates exactly), while "satisfied-on-domain" is evidence, not proof.
+Each checker maximizes a violation (a signed inequality residual) over the
+constrained domain of its hypothesis, restricted to a declared box, with one
+engine, ``_search``: keep the best of the seeded samples, then refine by
+coordinate pattern search from each record-holder of the sample stream (its
+strict running maxima) and from ``n_refine`` seeded restarts.  A checker
+supplies only its draw, the map from the search vector to a feasible point
+(constraints hold by construction, never by penalty), its witness and its
+tolerance.  Records of a stream prefix are records of the whole stream, so
+max_violation never decreases in n_samples or n_refine.  Because the true
+quantifier ranges over all of R^n, a reported violation is a genuine
+counterexample (the witness re-evaluates exactly), while
+"satisfied-on-domain" is evidence, not proof.
 
 Residual conventions (cX carries b, h; cY carries b_bar, h_bar; G is the
 worst-case half-trace of the covariance set):
@@ -17,16 +23,9 @@ worst-case half-trace of the covariance set):
     direction residual r(t, x, K) = <K, b_bar - b>(t,x)
                                     + G([<K, Hsym_bar_lk - Hsym_lk>](t,x))
 
-Condition ids and their constraint/sign conventions:
+The pair and direction conditions are listed in ``_CONVENTIONS``.  The
+dependency conditions are:
 
-    B1   r_i <= 0 over x <= y with x_i = y_i          (violation = r_i)
-    C2   same as B1 with cY = cX
-    C2'  r_i >= 0 over x >= y with x_i = y_i          (violation = -r_i)
-    D2, D4   r_i >= 0 over x >= y with x_i = y_i      (violation = -r_i)
-    D4'  r_i <= 0 over x <= y with x_i = y_i, roles of the two coefficient
-         sets swapped inside the residual               (violation = r_i)
-    D2'  direction residual with (b - b_bar, h - h_bar) >= 0 for K >= 0
-    D5   direction residual with (b_bar - b, h_bar - h) <= 0 for K >= 0
     B2   sigma shared between the systems and (sigma_l)_k depending only
          on x_k (equality audit + dependency search)
     C1/D3  every product (sigma_l)_i (sigma_k)_j depends only on {x_i, x_j}
@@ -36,7 +35,8 @@ Condition ids and their constraint/sign conventions:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import itertools
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -48,6 +48,24 @@ PAIR_CONDITIONS = ("B1", "C2", "C2'", "D2", "D4", "D4'")
 DIRECTION_CONDITIONS = ("D2'", "D5")
 DEPENDENCY_CONDITIONS = ("B2", "C1", "D1", "D3")
 ALL_CONDITIONS = PAIR_CONDITIONS + DIRECTION_CONDITIONS + DEPENDENCY_CONDITIONS
+
+# condition -> (sign, swap), with violation = sign * residual.  The pair
+# conditions range over x_i = y_i with x <= y when sign is +1, x >= y when -1.
+# swap exchanges the two coefficient sets inside the residual.
+_CONVENTIONS = {
+    "B1": (+1.0, False),   # r_i <= 0
+    "C2": (+1.0, False),   # B1 with cY = cX
+    "D4'": (+1.0, True),   # B1 with the roles of cX and cY swapped
+    "C2'": (-1.0, False),  # r_i >= 0 with cY = cX
+    "D2": (-1.0, False),   # r_i >= 0
+    "D4": (-1.0, False),   # r_i >= 0
+    "D5": (+1.0, False),   # direction residual <= 0 for K >= 0
+    "D2'": (-1.0, True),   # (b - b_bar, h - h_bar) direction residual >= 0 for K >= 0
+}
+_RESIDUAL_TOL = 1e-8   # relative tolerance of the pair and direction searches
+_EXACT_TOL = 1e-9      # relative tolerance of dependency searches and audits
+_N_ITERS = 60          # pattern-search iterations per start
+_N_DIRECTIONS = 128    # random unit directions sampled besides the axes
 
 
 @dataclass(frozen=True)
@@ -68,9 +86,14 @@ class SearchDomain:
             raise DimensionMismatchError("box rows must satisfy lo < hi")
         if self.n_samples < 1:
             raise DimensionMismatchError("n_samples must be positive")
+        if self.n_refine < 0:
+            raise DimensionMismatchError("n_refine must be nonnegative")
+        t_grid = tuple(float(t) for t in self.t_grid)
+        if not t_grid or not np.all(np.isfinite(t_grid)):
+            raise DimensionMismatchError("t_grid must hold at least one finite time")
         box.setflags(write=False)
         object.__setattr__(self, "box", box)
-        object.__setattr__(self, "t_grid", tuple(float(t) for t in self.t_grid))
+        object.__setattr__(self, "t_grid", t_grid)
 
     @property
     def dim(self) -> int:
@@ -98,19 +121,23 @@ class CheckReport:
         return "violated" if self.max_violation > self.tolerance else "satisfied-on-domain"
 
     def to_dict(self) -> dict:
-        return {
-            "condition": self.condition,
-            "verdict": self.verdict,
-            "max_violation": self.max_violation,
-            "witness": self.witness,
-            "tolerance": self.tolerance,
-            "samples_evaluated": self.samples_evaluated,
-            "box": self.box,
-        }
+        return {"verdict": self.verdict, **asdict(self)}
 
 
 def _rng(seed, *tags) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence((int(seed),) + tags)))
+
+
+def _uniform(rng: np.random.Generator, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    return lo + (hi - lo) * rng.uniform(size=lo.size)
+
+
+def _draws(dom: SearchDomain, tag: int, count: int, draw):
+    """(t, z) for z = draw(rng) with rng seeded by (tag, j), j < count, at every t."""
+    for j in range(count):
+        z = draw(_rng(dom.seed, tag, j))
+        for t in dom.t_grid:
+            yield t, z
 
 
 def _sym_h_component(c: CoefficientSet, i: int, t: float, x: np.ndarray) -> np.ndarray:
@@ -164,23 +191,30 @@ def direction_residual(cX: CoefficientSet, cY: CoefficientSet, theta: Covariance
     return drift + eval_G(m, theta)
 
 
-def _pattern_search(objective, z0: np.ndarray, lo: np.ndarray, hi: np.ndarray,
-                    project, n_iters: int = 60) -> tuple[float, np.ndarray]:
-    """Deterministic coordinate pattern search maximizing ``objective``.
+def _violation(condition: str, cX: CoefficientSet, cY: CoefficientSet,
+               theta: CovarianceSet, *point) -> float:
+    """sign * residual at a pair point (i, t, x, y) or a direction point (t, x, K)."""
+    sign, swap = _CONVENTIONS[condition]
+    if condition in DIRECTION_CONDITIONS:
+        return sign * direction_residual(cX, cY, theta, *point, flip=swap)
+    if swap:
+        cX, cY = cY, cX
+    return sign * pair_residual(cX, cY, theta, *point)
 
-    ``project`` restores feasibility exactly after every trial move, so
-    constraint structure (ties, ordering) is never merely penalized.
-    """
-    z = project(np.clip(z0, lo, hi))
+
+def _pattern_search(objective, z0: np.ndarray, lo: np.ndarray,
+                    hi: np.ndarray) -> tuple[float, np.ndarray]:
+    """Deterministic coordinate pattern search maximizing ``objective`` on [lo, hi]."""
+    z = np.clip(z0, lo, hi)
     best = objective(z)
     step = 0.25 * (hi - lo)
-    for _ in range(n_iters):
+    for _ in range(_N_ITERS):
         improved = False
         for c in range(z.size):
             for direction in (+1.0, -1.0):
                 trial = z.copy()
                 trial[c] = trial[c] + direction * step[c]
-                trial = project(np.clip(trial, lo, hi))
+                trial = np.clip(trial, lo, hi)
                 val = objective(trial)
                 if val > best:
                     best, z, improved = val, trial, True
@@ -192,13 +226,7 @@ def _pattern_search(objective, z0: np.ndarray, lo: np.ndarray, hi: np.ndarray,
 
 
 def _record_indices(values: list[float]) -> list[int]:
-    """Indices of strict running maxima, in stream order.
-
-    Records of a stream prefix are records of the full stream, which makes
-    the refinement pool grow monotonically with the sample budget; combined
-    with seeded extra restarts this keeps max_violation nondecreasing in
-    both n_samples and n_refine.
-    """
+    """Indices of strict running maxima, in stream order."""
     out, best = [], -np.inf
     for idx, v in enumerate(values):
         if v > best:
@@ -207,98 +235,68 @@ def _record_indices(values: list[float]) -> list[int]:
     return out
 
 
-def _search_pair_condition(condition: str, cX: CoefficientSet, cY: CoefficientSet,
-                           theta: CovarianceSet, dom: SearchDomain,
-                           tol_factor: float = 1e-8) -> CheckReport:
-    """Shared search engine for B1 / C2 / C2' / D2 / D4 / D4'.
+def _search(samples: list, restarts, objective, z_lo: np.ndarray, z_hi: np.ndarray):
+    """The violation search of every checker (see module docstring).
 
-    Samples constrained pairs by drawing the free endpoint in the box and a
-    dominated point tied at coordinate i, then refines the best candidates
-    with pattern search over both endpoints.
+    ``samples`` holds (value, context, z) in stream order and ``restarts``
+    yields seeded (context, z).  Pattern search maximizes
+    ``objective(context, z)`` on [z_lo, z_hi]; ``objective`` is None when
+    nothing is free to refine.  Returns (value, context, z, refined).
+    """
+    values = [s[0] for s in samples]
+    best_v, context, z = samples[int(np.argmax(values))]
+    refined = False
+    if objective is None:
+        return best_v, context, z, refined
+    records = (samples[r][1:] for r in _record_indices(values))
+    for ctx, z0 in itertools.chain(records, restarts):
+        v, z_ref = _pattern_search(lambda z, ctx=ctx: objective(ctx, z), z0, z_lo, z_hi)
+        if v > best_v:
+            best_v, context, z, refined = v, ctx, z_ref, True
+    return best_v, context, z, refined
+
+
+def _search_pair_condition(condition: str, cX: CoefficientSet, cY: CoefficientSet,
+                           theta: CovarianceSet, dom: SearchDomain) -> CheckReport:
+    """B1 / C2 / C2' / D2 / D4 / D4' over ordered pairs tied at coordinate i.
+
+    z = (y, u) holds the free endpoint and mixing weights in [0, 1]^n; the
+    dominated endpoint x = lo + u * (y - lo), or y + u * (hi - y) for x >= y,
+    has x_i = y_i exactly, so every pair satisfies its constraint.
     """
     n = cX.n
     if dom.dim != n:
         raise DimensionMismatchError(f"domain dim {dom.dim} != state dim {n}")
     lo, hi = dom.box[:, 0], dom.box[:, 1]
+    sign, _ = _CONVENTIONS[condition]
 
-    # direction: +1 means the tied pair satisfies x <= y (B1-style);
-    # sign: +1 means violation = residual (<= 0 required), -1 the reverse.
-    direction = +1.0 if condition in ("B1", "C2", "D4'") else -1.0
-    sign = +1.0 if condition in ("B1", "C2", "D4'") else -1.0
-    swap_roles = condition == "D4'"
+    def pair(i, z):
+        y, u = z[:n], z[n:]
+        x = lo + u * (y - lo) if sign > 0 else y + u * (hi - y)
+        x[i] = y[i]
+        return x, y
 
-    def residual(i, t, x, y):
-        if swap_roles:
-            return pair_residual(cY, cX, theta, i, t, x, y)
-        return pair_residual(cX, cY, theta, i, t, x, y)
+    def objective(context, z):
+        i, t = context
+        return _violation(condition, cX, cY, theta, i, t, *pair(i, z))
 
-    def violation(i, t, x, y):
-        return sign * residual(i, t, x, y)
+    def draw(rng):
+        return np.concatenate([_uniform(rng, lo, hi), rng.uniform(size=n)])
 
-    def assemble(y_free, u, i):
-        """Tied constrained pair from the free endpoint and mixing weights.
+    def draws(tag, count):
+        return (((i, t), z) for t, z in _draws(dom, tag, count, draw) for i in range(n))
 
-        The dominated point is x = lo + u * (y - lo) (or the mirror image for
-        the x >= y orientation) with coordinate i tied exactly, so every
-        sampled pair satisfies its constraint by construction.
-        """
-        if direction > 0:
-            x = lo + u * (y_free - lo)
-        else:
-            x = y_free + u * (hi - y_free)
-        x[i] = y_free[i]
-        assert x[i] == y_free[i]
-        assert np.all(x <= y_free) if direction > 0 else np.all(x >= y_free)
-        return x, y_free
-
-    def draw_pair(rng):
-        return lo + (hi - lo) * rng.uniform(size=n), rng.uniform(size=n)
-
-    candidates = []
-    evaluated = 0
-    for j in range(dom.n_samples):
-        y_free, u = draw_pair(_rng(dom.seed, 1, j))
-        for t in dom.t_grid:
-            for i in range(n):
-                x, y = assemble(y_free, u, i)
-                v = violation(i, t, x, y)
-                evaluated += 1
-                candidates.append((v, i, t, x, y, y_free.copy(), u.copy()))
-
-    starts = [candidates[r] for r in _record_indices([c[0] for c in candidates])]
-    for r in range(dom.n_refine):
-        y_free, u = draw_pair(_rng(dom.seed, 9, r))
-        for t in dom.t_grid:
-            for i in range(n):
-                x, y = assemble(y_free, u, i)
-                starts.append((violation(i, t, x, y), i, t, x, y, y_free, u))
-
-    z_lo = np.concatenate([lo, np.zeros(n)])
-    z_hi = np.concatenate([hi, np.ones(n)])
-
-    best_idx = int(np.argmax([c[0] for c in candidates]))
-    best_v, best = candidates[best_idx][0], candidates[best_idx]
-    for v0, i, t, _, _, y_free, u in starts:
-        z0 = np.concatenate([y_free, u])
-
-        def objective(z, i=i, t=t):
-            x, y = assemble(z[:n], z[n:], i)
-            return violation(i, t, x, y)
-
-        v_ref, z_ref = _pattern_search(objective, z0, z_lo, z_hi, lambda z: z)
-        if v_ref > best_v:
-            x, y = assemble(z_ref[:n], z_ref[n:], i)
-            best_v, best = v_ref, (v_ref, i, t, x, y, None, None)
-
-    _, i, t, x, y, _, _ = best
-    scale = max(abs(c[0]) for c in candidates) + abs(best_v)
-    tolerance = tol_factor * (1.0 + scale)
-    witness = {"i": int(i), "t": float(t), "x": np.asarray(x).tolist(),
-               "y": np.asarray(y).tolist(),
-               "residual": float(residual(i, t, x, y))}
+    samples = [(objective(context, z), context, z) for context, z in draws(1, dom.n_samples)]
+    best_v, (i, t), z, _ = _search(samples, draws(9, dom.n_refine), objective,
+                                   np.concatenate([lo, np.zeros(n)]),
+                                   np.concatenate([hi, np.ones(n)]))
+    x, y = pair(i, z)
+    scale = max(abs(s[0]) for s in samples) + abs(best_v)
+    witness = {"i": int(i), "t": float(t), "x": x.tolist(), "y": y.tolist(),
+               "residual": float(sign * best_v)}
     return CheckReport(condition=condition, max_violation=float(best_v),
-                       witness=witness, tolerance=tolerance,
-                       samples_evaluated=evaluated, box=dom.box.tolist())
+                       witness=witness, tolerance=_RESIDUAL_TOL * (1.0 + scale),
+                       samples_evaluated=len(samples), box=dom.box.tolist())
 
 
 def check_B1(cX: CoefficientSet, cY: CoefficientSet, theta: CovarianceSet,
@@ -314,105 +312,102 @@ def dependency_violation(func, coords, t: float, x, x_prime) -> float:
 
 
 def check_dependency(func, allowed_coords, dom: SearchDomain,
-                     condition: str = "dependency", tol_factor: float = 1e-9
-                     ) -> CheckReport:
+                     condition: str = "dependency") -> CheckReport:
     """Does ``func(t, x)`` depend only on the coordinates in ``allowed_coords``?
 
-    Maximizes |func(t, x + delta) - func(t, x)| over perturbations supported
-    off the allowed set.  ``allowed_coords`` uses 0-based indices.
+    Maximizes |func(t, x') - func(t, x)| over x' = x on the allowed set; the
+    search vector z = (x, x_alt) takes x' from x_alt off it.  0-based indices.
     """
     n = dom.dim
     allowed = sorted(set(int(c) for c in allowed_coords))
     free = [c for c in range(n) if c not in allowed]
     lo, hi = dom.box[:, 0], dom.box[:, 1]
 
-    def assemble(x, x_alt):
-        x_prime = x_alt.copy()
-        x_prime[allowed] = x[allowed]
+    def perturbed(z):
+        x_prime = z[n:].copy()
+        x_prime[allowed] = z[:n][allowed]
         return x_prime
 
+    def objective(t, z):
+        return dependency_violation(func, allowed, t, z[:n], perturbed(z))
+
     def draw(rng):
-        x = lo + (hi - lo) * rng.uniform(size=n)
-        x_alt = lo + (hi - lo) * rng.uniform(size=n)
-        return x, x_alt
+        return np.concatenate([_uniform(rng, lo, hi), _uniform(rng, lo, hi)])
 
-    candidates = []
-    evaluated = 0
-    scale = 0.0
-    for j in range(dom.n_samples):
-        x, x_alt = draw(_rng(dom.seed, 2, j))
-        x_prime = assemble(x, x_alt)
-        for t in dom.t_grid:
-            fx = float(func(t, x))
-            v = abs(float(func(t, x_prime)) - fx)
-            evaluated += 1
-            scale = max(scale, abs(fx))
-            candidates.append((v, t, x.copy(), x_alt.copy()))
-
-    best_idx = int(np.argmax([c[0] for c in candidates]))
-    best_v, best_t, best_x, best_alt = candidates[best_idx]
-    if free:
-        starts = [candidates[r] for r in _record_indices([c[0] for c in candidates])]
-        for r in range(dom.n_refine):
-            x, x_alt = draw(_rng(dom.seed, 10, r))
-            for t in dom.t_grid:
-                starts.append((dependency_violation(func, allowed, t, x, assemble(x, x_alt)),
-                               t, x, x_alt))
-        z_lo = np.concatenate([lo, lo])
-        z_hi = np.concatenate([hi, hi])
-        for v0, t, x0, alt0 in starts:
-            z0 = np.concatenate([x0, alt0])
-
-            def objective(z, t=t):
-                x, x_alt = z[:n], z[n:]
-                return dependency_violation(func, allowed, t, x, assemble(x, x_alt))
-
-            v_ref, z_ref = _pattern_search(objective, z0, z_lo, z_hi, lambda z: z)
-            if v_ref > best_v:
-                best_v, best_t, best_x, best_alt = v_ref, t, z_ref[:n], z_ref[n:]
-
-    x_prime = assemble(np.asarray(best_x), np.asarray(best_alt))
-    witness = {"t": float(best_t), "x": np.asarray(best_x).tolist(),
-               "x_prime": x_prime.tolist(), "allowed_coords": allowed}
+    samples, scale = [], 0.0
+    for t, z in _draws(dom, 2, dom.n_samples, draw):
+        fx = float(func(t, z[:n]))
+        scale = max(scale, abs(fx))
+        samples.append((abs(float(func(t, perturbed(z))) - fx), t, z))
+    restarts = _draws(dom, 10, dom.n_refine, draw)
+    best_v, t, z, _ = _search(samples, restarts, objective if free else None,
+                              np.concatenate([lo, lo]), np.concatenate([hi, hi]))
+    witness = {"t": float(t), "x": z[:n].tolist(), "x_prime": perturbed(z).tolist(),
+               "allowed_coords": allowed}
     return CheckReport(condition=condition, max_violation=float(best_v),
-                       witness=witness, tolerance=tol_factor * (1.0 + scale),
-                       samples_evaluated=evaluated, box=dom.box.tolist())
+                       witness=witness, tolerance=_EXACT_TOL * (1.0 + scale),
+                       samples_evaluated=len(samples), box=dom.box.tolist())
 
 
-def _merge_reports(condition: str, parts: list[tuple[dict, CheckReport]],
-                   evaluated_extra: int = 0) -> CheckReport:
+def _merge_reports(condition: str, parts: list[tuple[dict, CheckReport]]) -> CheckReport:
     worst_tag, worst = max(parts, key=lambda p: p[1].max_violation)
-    witness = dict(worst.witness)
-    witness.update(worst_tag)
-    return CheckReport(
-        condition=condition,
-        max_violation=worst.max_violation,
-        witness=witness,
-        tolerance=worst.tolerance,
-        samples_evaluated=sum(p[1].samples_evaluated for p in parts) + evaluated_extra,
-        box=worst.box,
-    )
+    return CheckReport(condition=condition, max_violation=worst.max_violation,
+                       witness={**worst.witness, **worst_tag}, tolerance=worst.tolerance,
+                       samples_evaluated=sum(p[1].samples_evaluated for p in parts),
+                       box=worst.box)
+
+
+def sigma_component(c: CoefficientSet, l: int, k: int):
+    """The scalar map x -> (sigma_l)_k(x)."""
+    return lambda t, x: float(c.eval_sigma(l, t, x)[..., k])
 
 
 def sigma_product(c: CoefficientSet, l: int, k: int, i: int, j: int):
     """The scalar map x -> (sigma_l)_i(x) * (sigma_k)_j(x)."""
+    return lambda t, x: float(c.eval_sigma(l, t, x)[..., i] * c.eval_sigma(k, t, x)[..., j])
 
-    def func(t, x):
-        return float(c.eval_sigma(l, t, x)[..., i] * c.eval_sigma(k, t, x)[..., j])
 
-    return func
+def _sigma_products(c: CoefficientSet, t: float, x: np.ndarray) -> np.ndarray:
+    """All products (sigma_l)_i (sigma_k)_j at one point, indexed [i, l, j, k]."""
+    s = c.sigma_matrix(t, x)
+    return np.einsum("il,jk->iljk", s, s)
+
+
+# audit kind -> (condition, rng tag, witness index names, values(c, t, x))
+_AUDITS = {
+    "sigma-shared": ("B2", 3, ("k", "l"), lambda c, t, x: c.sigma_matrix(t, x)),
+    "product-equality": ("D1", 6, ("i", "l", "j", "k"), _sigma_products),
+}
+
+
+def _equality_audit(kind: str, cX: CoefficientSet, cY: CoefficientSet,
+                    dom: SearchDomain) -> CheckReport:
+    """Audit values(cX) == values(cY) on seeded points.  The witness is the
+    first point of largest gap: the first point when every gap is 0."""
+    condition, tag, names, values = _AUDITS[kind]
+    lo, hi = dom.box[:, 0], dom.box[:, 1]
+    worst, witness, scale, evaluated = 0.0, None, 0.0, 0
+    for t, x in _draws(dom, tag, min(dom.n_samples, 256), lambda rng: _uniform(rng, lo, hi)):
+        vx, vy = values(cX, t, x), values(cY, t, x)
+        evaluated += 1
+        scale = max(scale, float(np.max(np.abs(vx))))
+        gap = np.abs(vx - vy)
+        if witness is None or float(np.max(gap)) > worst:
+            worst = float(np.max(gap))
+            idx = np.unravel_index(int(np.argmax(gap)), gap.shape)
+            witness = {"t": float(t), "x": x.tolist(), "kind": kind,
+                       **{name: int(v) for name, v in zip(names, idx)}}
+    return CheckReport(condition=condition, max_violation=worst, witness=witness,
+                       tolerance=_EXACT_TOL * (1.0 + scale),
+                       samples_evaluated=evaluated, box=dom.box.tolist())
 
 
 def check_C1(c: CoefficientSet, dom: SearchDomain, condition: str = "C1") -> CheckReport:
     """Every product (sigma_l)_i (sigma_k)_j depends only on {x_i, x_j}."""
     parts = []
-    for l in range(c.d):
-        for k in range(c.d):
-            for i in range(c.n):
-                for j in range(c.n):
-                    rep = check_dependency(sigma_product(c, l, k, i, j), {i, j}, dom,
-                                           condition=condition)
-                    parts.append(({"l": l, "k": k, "i": i, "j": j}, rep))
+    for l, k, i, j in itertools.product(range(c.d), range(c.d), range(c.n), range(c.n)):
+        rep = check_dependency(sigma_product(c, l, k, i, j), {i, j}, dom, condition=condition)
+        parts.append(({"l": l, "k": k, "i": i, "j": j}, rep))
     return _merge_reports(condition, parts)
 
 
@@ -420,11 +415,9 @@ def check_C_family(c: CoefficientSet, theta: CovarianceSet, dom: SearchDomain,
                    variant: str) -> CheckReport:
     """Monotonicity conditions: C1 (diffusion structure), C2 / C2' (drift and
     loadings against themselves over tied ordered pairs)."""
-    if variant == "C1":
-        return check_C1(c, dom)
-    if variant in ("C2", "C2'"):
-        return _search_pair_condition(variant, c, c, theta, dom)
-    raise DimensionMismatchError(f"unknown C-variant {variant!r}")
+    if variant not in ("C1", "C2", "C2'"):
+        raise DimensionMismatchError(f"unknown C-variant {variant!r}")
+    return run_check(variant, c, c, theta, dom)
 
 
 def check_B2(cX: CoefficientSet, cY: CoefficientSet, dom: SearchDomain) -> CheckReport:
@@ -433,164 +426,72 @@ def check_B2(cX: CoefficientSet, cY: CoefficientSet, dom: SearchDomain) -> Check
     Audits (sigma_l)_k(x) == (sigma_bar_l)_k(x) on samples and searches for
     dependence of (sigma_l)_k on coordinates other than x_k.
     """
-    parts = []
-    n, d = cX.n, cX.d
-    lo, hi = dom.box[:, 0], dom.box[:, 1]
-    eq_violation, eq_witness, eq_scale = 0.0, None, 0.0
-    evaluated = 0
-    for j in range(min(dom.n_samples, 256)):
-        rng = _rng(dom.seed, 3, j)
-        x = lo + (hi - lo) * rng.uniform(size=n)
-        for t in dom.t_grid:
-            sx = cX.sigma_matrix(t, x)
-            sy = cY.sigma_matrix(t, x)
-            evaluated += 1
-            eq_scale = max(eq_scale, float(np.max(np.abs(sx))))
-            diff = float(np.max(np.abs(sx - sy)))
-            if diff > eq_violation:
-                flat = int(np.argmax(np.abs(sx - sy)))
-                k, l = divmod(flat, d)
-                eq_violation = diff
-                eq_witness = {"t": float(t), "x": x.tolist(), "k": k, "l": l,
-                              "kind": "sigma-shared"}
-    eq_report = CheckReport(condition="B2", max_violation=eq_violation,
-                            witness=eq_witness or {"kind": "sigma-shared"},
-                            tolerance=1e-9 * (1.0 + eq_scale),
-                            samples_evaluated=evaluated, box=dom.box.tolist())
-    parts.append(({"kind": "sigma-shared"}, eq_report))
-
-    for l in range(d):
-        for k in range(n):
-            def comp(t, x, l=l, k=k):
-                return float(cX.eval_sigma(l, t, x)[..., k])
-
-            rep = check_dependency(comp, {k}, dom, condition="B2")
-            parts.append(({"l": l, "k": k, "kind": "sigma-dependency"}, rep))
+    parts = [({"kind": "sigma-shared"}, _equality_audit("sigma-shared", cX, cY, dom))]
+    for l, k in itertools.product(range(cX.d), range(cX.n)):
+        rep = check_dependency(sigma_component(cX, l, k), {k}, dom, condition="B2")
+        parts.append(({"l": l, "k": k, "kind": "sigma-dependency"}, rep))
     return _merge_reports("B2", parts)
 
 
 def _search_direction_condition(condition: str, cX: CoefficientSet, cY: CoefficientSet,
-                                theta: CovarianceSet, dom: SearchDomain,
-                                n_directions: int = 128,
-                                tol_factor: float = 1e-8) -> CheckReport:
-    """D5 / D2': maximize the direction residual over x in the box and K on
-    the nonnegative unit sphere.
+                                theta: CovarianceSet, dom: SearchDomain) -> CheckReport:
+    """D5 / D2' over x in the box and K on the nonnegative unit sphere.
 
-    The residual is positively homogeneous in K, so unit directions suffice;
-    the top candidates are refined jointly over (x, K).
+    The residual is positively homogeneous in K, so z = (x, K) maps to
+    (x, K / |K|).  Samples keep their stored unit directions as they are:
+    renormalizing would move their last bits.
     """
     n = cX.n
-    flip = condition == "D2'"
-    sign = -1.0 if condition == "D2'" else +1.0  # D2' requires residual >= 0
     lo, hi = dom.box[:, 0], dom.box[:, 1]
+    sign, _ = _CONVENTIONS[condition]
+    directions = np.abs(_rng(dom.seed, 4).standard_normal((_N_DIRECTIONS, n)))
+    directions /= np.linalg.norm(directions, axis=1, keepdims=True)
+    # include the coordinate axes so componentwise violations are never missed
+    directions = np.concatenate([np.eye(n), directions])
 
     def unit(K):
         norm = float(np.linalg.norm(K))
         return K / norm if norm > 1e-12 else None
 
-    dir_rng = _rng(dom.seed, 4)
-    directions = np.abs(dir_rng.standard_normal((n_directions, n)))
-    directions /= np.linalg.norm(directions, axis=1, keepdims=True)
-    # include the coordinate axes so componentwise violations are never missed
-    directions = np.concatenate([np.eye(n), directions])
+    def objective(t, z):
+        K = unit(z[n:])
+        return -np.inf if K is None else _violation(condition, cX, cY, theta, t, z[:n], K)
 
-    def violation(t, x, K):
-        return sign * direction_residual(cX, cY, theta, t, x, K, flip=flip)
+    def restart(rng):
+        return np.concatenate([_uniform(rng, lo, hi), unit(np.abs(rng.standard_normal(n)))])
 
-    candidates = []
-    evaluated = 0
-    for j in range(dom.n_samples):
-        rng = _rng(dom.seed, 5, j)
-        x = lo + (hi - lo) * rng.uniform(size=n)
-        for t in dom.t_grid:
-            for K in directions:
-                v = violation(t, x, K)
-                evaluated += 1
-                candidates.append((v, t, x.copy(), K.copy()))
-
-    best_idx = int(np.argmax([c[0] for c in candidates]))
-    best_v, best_t, best_x, best_K = candidates[best_idx]
-    starts = [candidates[r] for r in _record_indices([c[0] for c in candidates])]
-    for r in range(dom.n_refine):
-        rng = _rng(dom.seed, 11, r)
-        x = lo + (hi - lo) * rng.uniform(size=n)
-        K = unit(np.abs(rng.standard_normal(n)))
-        for t in dom.t_grid:
-            starts.append((violation(t, x, K), t, x, K))
-
-    z_lo = np.concatenate([lo, np.zeros(n)])
-    z_hi = np.concatenate([hi, np.ones(n)])
-    for v0, t, x0, K0 in starts:
-        z0 = np.concatenate([x0, K0])
-
-        def objective(z, t=t):
-            K = unit(z[n:])
-            if K is None:
-                return -np.inf
-            return violation(t, z[:n], K)
-
-        v_ref, z_ref = _pattern_search(objective, z0, z_lo, z_hi, lambda z: z)
-        K_ref = unit(z_ref[n:])
-        if K_ref is not None and v_ref > best_v:
-            best_v, best_t, best_x, best_K = v_ref, t, z_ref[:n], K_ref
-
-    scale = max(abs(c[0]) for c in candidates) + abs(best_v)
-    witness = {"t": float(best_t), "x": np.asarray(best_x).tolist(),
-               "K": np.asarray(best_K).tolist(),
-               "residual": float(direction_residual(cX, cY, theta, best_t, best_x,
-                                                    best_K, flip=flip))}
+    samples = []
+    for t, x in _draws(dom, 5, dom.n_samples, lambda rng: _uniform(rng, lo, hi)):
+        for K in directions:
+            v = _violation(condition, cX, cY, theta, t, x, K)
+            samples.append((v, t, np.concatenate([x, K])))
+    best_v, t, z, refined = _search(samples, _draws(dom, 11, dom.n_refine, restart), objective,
+                                    np.concatenate([lo, np.zeros(n)]),
+                                    np.concatenate([hi, np.ones(n)]))
+    K = unit(z[n:]) if refined else z[n:]
+    scale = max(abs(s[0]) for s in samples) + abs(best_v)
+    witness = {"t": float(t), "x": z[:n].tolist(), "K": K.tolist(),
+               "residual": float(sign * best_v)}
     return CheckReport(condition=condition, max_violation=float(best_v),
-                       witness=witness, tolerance=tol_factor * (1.0 + scale),
-                       samples_evaluated=evaluated, box=dom.box.tolist())
+                       witness=witness, tolerance=_RESIDUAL_TOL * (1.0 + scale),
+                       samples_evaluated=len(samples), box=dom.box.tolist())
 
 
 def check_D1(cX: CoefficientSet, cY: CoefficientSet, dom: SearchDomain) -> CheckReport:
     """Product equality sigma_il sigma_jk == sigma_bar_il sigma_bar_jk plus
     the C1-style dependency requirement on the products."""
-    parts = []
-    n, d = cX.n, cX.d
-    lo, hi = dom.box[:, 0], dom.box[:, 1]
-    eq_violation, eq_witness, eq_scale, evaluated = 0.0, None, 0.0, 0
-    for j in range(min(dom.n_samples, 256)):
-        rng = _rng(dom.seed, 6, j)
-        x = lo + (hi - lo) * rng.uniform(size=n)
-        for t in dom.t_grid:
-            sx = cX.sigma_matrix(t, x)  # (n, d)
-            sy = cY.sigma_matrix(t, x)
-            px = np.einsum("il,jk->iljk", sx, sx)
-            py = np.einsum("il,jk->iljk", sy, sy)
-            evaluated += 1
-            eq_scale = max(eq_scale, float(np.max(np.abs(px))))
-            diff = float(np.max(np.abs(px - py)))
-            if diff > eq_violation:
-                flat = int(np.argmax(np.abs(px - py)))
-                idx = np.unravel_index(flat, px.shape)
-                eq_violation = diff
-                eq_witness = {"t": float(t), "x": x.tolist(),
-                              "i": int(idx[0]), "l": int(idx[1]),
-                              "j": int(idx[2]), "k": int(idx[3]),
-                              "kind": "product-equality"}
-    eq_report = CheckReport(condition="D1", max_violation=eq_violation,
-                            witness=eq_witness or {"kind": "product-equality"},
-                            tolerance=1e-9 * (1.0 + eq_scale),
-                            samples_evaluated=evaluated, box=dom.box.tolist())
-    parts.append(({"kind": "product-equality"}, eq_report))
-    parts.append(({"kind": "product-dependency"}, check_C1(cX, dom, condition="D1")))
-    return _merge_reports("D1", parts)
+    return _merge_reports("D1", [
+        ({"kind": "product-equality"}, _equality_audit("product-equality", cX, cY, dom)),
+        ({"kind": "product-dependency"}, check_C1(cX, dom, condition="D1")),
+    ])
 
 
 def check_D_family(cX: CoefficientSet, cY: CoefficientSet, theta: CovarianceSet,
                    dom: SearchDomain, variant: str) -> CheckReport:
     """Order-preservation conditions D1 .. D5 (see module docstring)."""
-    if variant == "D1":
-        return check_D1(cX, cY, dom)
-    if variant == "D3":
-        return check_C1(cX, dom, condition="D3")
-    if variant in ("D2", "D4", "D4'"):
-        return _search_pair_condition(variant, cX, cY, theta, dom)
-    if variant in ("D2'", "D5"):
-        return _search_direction_condition(variant, cX, cY, theta, dom)
-    raise DimensionMismatchError(f"unknown D-variant {variant!r}")
+    if variant not in ("D1", "D2", "D2'", "D3", "D4", "D4'", "D5"):
+        raise DimensionMismatchError(f"unknown D-variant {variant!r}")
+    return run_check(variant, cX, cY, theta, dom)
 
 
 def re_evaluate(report: CheckReport, cX: CoefficientSet, cY: CoefficientSet | None,
@@ -602,46 +503,37 @@ def re_evaluate(report: CheckReport, cX: CoefficientSet, cY: CoefficientSet | No
     """
     cY = cX if cY is None else cY
     w = report.witness
-    cond = report.condition
-    if cond in PAIR_CONDITIONS:
-        sign = +1.0 if cond in ("B1", "C2", "D4'") else -1.0
-        if cond == "D4'":
-            return sign * pair_residual(cY, cX, theta, w["i"], w["t"], w["x"], w["y"])
-        return sign * pair_residual(cX, cY, theta, w["i"], w["t"], w["x"], w["y"])
-    if cond in DIRECTION_CONDITIONS:
-        sign = -1.0 if cond == "D2'" else +1.0
-        return sign * direction_residual(cX, cY, theta, w["t"], w["x"], w["K"],
-                                         flip=(cond == "D2'"))
+    if report.condition in PAIR_CONDITIONS:
+        return _violation(report.condition, cX, cY, theta, w["i"], w["t"], w["x"], w["y"])
+    if report.condition in DIRECTION_CONDITIONS:
+        return _violation(report.condition, cX, cY, theta, w["t"], w["x"], w["K"])
     kind = w.get("kind", "")
-    if kind == "sigma-shared":
+    if kind in _AUDITS:
+        _, _, names, values = _AUDITS[kind]
+        idx = tuple(w[name] for name in names)
         x = np.asarray(w["x"], dtype=float)
-        sx = cX.sigma_matrix(w["t"], x)
-        sy = cY.sigma_matrix(w["t"], x)
-        return abs(float(sx[w["k"], w["l"]] - sy[w["k"], w["l"]]))
+        return abs(float(values(cX, w["t"], x)[idx] - values(cY, w["t"], x)[idx]))
     if kind == "sigma-dependency":
-        def comp(t, x, l=w["l"], k=w["k"]):
-            return float(cX.eval_sigma(l, t, x)[..., k])
-        return dependency_violation(comp, w["allowed_coords"], w["t"], w["x"], w["x_prime"])
-    if kind == "product-equality":
-        x = np.asarray(w["x"], dtype=float)
-        px = sigma_product(cX, w["l"], w["k"], w["i"], w["j"])(w["t"], x)
-        py = sigma_product(cY, w["l"], w["k"], w["i"], w["j"])(w["t"], x)
-        return abs(px - py)
-    # product dependency (C1 / D1 / D3)
-    func = sigma_product(cX, w["l"], w["k"], w["i"], w["j"])
+        func = sigma_component(cX, w["l"], w["k"])
+    else:  # product dependency (C1 / D1 / D3)
+        func = sigma_product(cX, w["l"], w["k"], w["i"], w["j"])
     return dependency_violation(func, w["allowed_coords"], w["t"], w["x"], w["x_prime"])
 
 
 def run_check(condition: str, cX: CoefficientSet, cY: CoefficientSet | None,
               theta: CovarianceSet, dom: SearchDomain) -> CheckReport:
-    """Dispatch a named condition check; cY defaults to cX."""
-    cY = cX if cY is None else cY
-    if condition == "B1":
-        return check_B1(cX, cY, theta, dom)
+    """Dispatch a named condition check; cY defaults to cX, and C1, C2 and C2'
+    always check cX against itself."""
+    if cY is None or condition in ("C1", "C2", "C2'"):
+        cY = cX
+    if condition in PAIR_CONDITIONS:
+        return _search_pair_condition(condition, cX, cY, theta, dom)
+    if condition in DIRECTION_CONDITIONS:
+        return _search_direction_condition(condition, cX, cY, theta, dom)
+    if condition in ("C1", "D3"):
+        return check_C1(cX, dom, condition=condition)
     if condition == "B2":
         return check_B2(cX, cY, dom)
-    if condition in ("C1", "C2", "C2'"):
-        return check_C_family(cX, theta, dom, condition)
-    if condition in ("D1", "D2", "D2'", "D3", "D4", "D4'", "D5"):
-        return check_D_family(cX, cY, theta, dom, condition)
+    if condition == "D1":
+        return check_D1(cX, cY, dom)
     raise DimensionMismatchError(f"unknown condition {condition!r}")

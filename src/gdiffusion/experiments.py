@@ -39,7 +39,7 @@ from .scenario import (
     noise_block,
     sample_noise,
 )
-from .sde import euler_march, integrate, lipschitz_audit
+from .sde import SDETerminalFunctional, euler_march, integrate, lipschitz_audit
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -83,22 +83,6 @@ def _output_path(cfg: dict, key: str) -> str | None:
     path = os.path.join(output.get("dir", "."), name)
     os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
     return path
-
-
-class _SDETerminalFunctional:
-    """f(X_T) along one scenario, integrating the state system; batch-capable."""
-
-    def __init__(self, coeffs, f, x0):
-        self.coeffs = coeffs
-        self.f = f
-        self.x0 = np.asarray(x0, dtype=float)
-
-    def __call__(self, path) -> float:
-        return float(self.f.value(integrate(self.coeffs, self.x0, path).terminal))
-
-    def evaluate_batch(self, times, db, dqv) -> np.ndarray:
-        states = euler_march(self.coeffs, self.x0, times, db, dqv)
-        return self.f.value(states[..., -1, :])
 
 
 def run_verify_comparison(cfg: dict) -> tuple[dict, int]:
@@ -387,7 +371,7 @@ def run_feynman_crosscheck(cfg: dict) -> tuple[dict, int]:
     pde_value = semigroup_value(sol, t_query, x_query)
 
     controls = cfgmod.controls_from_config(scen.get("controls"), theta, n_steps, cfg["seed"])
-    functional = _SDETerminalFunctional(coeffs, f, x_query)
+    functional = SDETerminalFunctional(coeffs, f, x_query)
     mc_value, mc_se, best = estimate_sublinear_expectation(
         functional, theta, controls, n_paths, cfg["seed"], horizon, n_steps)
 

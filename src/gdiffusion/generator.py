@@ -23,7 +23,7 @@ from .errors import NonFiniteError
 from .functions import TestFunction
 from .gfunction import CovarianceSet, eval_G
 from .pde import Grid, semigroup_value, solve, stability_bound
-from .sde import CoefficientSet
+from .sde import CoefficientSet, SDETerminalFunctional
 
 
 def _fd_gradient(f: TestFunction, x: np.ndarray, step: float) -> np.ndarray:
@@ -171,27 +171,18 @@ def _mc_semigroup_values(coeffs: CoefficientSet, theta: CovarianceSet,
                          f: TestFunction, x: np.ndarray, t_list, options: dict
                          ) -> list[float]:
     from .scenario import VolatilityControl, estimate_sublinear_expectation
-    from .sde import euler_march
 
     n_paths = int(options.get("n_paths", 20000))
     steps_per_t = int(options.get("n_steps", 64))
     seed = int(options.get("seed", 0))
 
-    class Terminal:
-        def __call__(self, path):
-            states = euler_march(coeffs, x, path.times, path.dB, path.dQV)
-            return float(f.value(states[-1]))
-
-        def evaluate_batch(self, times, db, dqv):
-            states = euler_march(coeffs, x, times, db, dqv)
-            return f.value(states[..., -1, :])
-
+    functional = SDETerminalFunctional(coeffs, f, x)
     out = []
     for t in t_list:
         controls = [VolatilityControl.constant(m, steps_per_t)
                     for m in range(theta.n_generators)]
         est, _, _ = estimate_sublinear_expectation(
-            Terminal(), theta, controls, n_paths, seed, t, steps_per_t)
+            functional, theta, controls, n_paths, seed, t, steps_per_t)
         out.append(est)
     return out
 

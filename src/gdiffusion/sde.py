@@ -222,6 +222,23 @@ def integrate(coeffs: CoefficientSet, x0, path: GBrownianPath) -> StatePath:
     )
 
 
+@dataclass(frozen=True)
+class SDETerminalFunctional:
+    """f(X_T) for the system started at x0, one value per scenario path.
+
+    ``f`` is a :class:`~gdiffusion.functions.TestFunction`.  Only the batched
+    form exists: estimate_sublinear_expectation marches all paths at once.
+    """
+
+    coeffs: CoefficientSet
+    f: object
+    x0: np.ndarray
+
+    def evaluate_batch(self, times, db, dqv) -> np.ndarray:
+        states = euler_march(self.coeffs, self.x0, times, db, dqv)
+        return self.f.value(states[..., -1, :])
+
+
 def integrate_coupled(coeffs_x: CoefficientSet, coeffs_y: CoefficientSet,
                       x0, y0, path: GBrownianPath) -> tuple[StatePath, StatePath]:
     """Step two systems on the identical scenario, aligned on one grid.

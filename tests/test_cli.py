@@ -224,6 +224,21 @@ def test_check_subcommand_exit_codes(tmp_path, capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("override", [{"t_grid": []}, {"t_grid": [0.0, float("inf")]},
+                                      {"n_refine": -1}])
+def test_check_rejects_invalid_search_domain(override):
+    cfg = {
+        "seed": 1,
+        "theta": {"interval": [0.25, 1.0]},
+        "coefficients": {"n": 2, "d": 1, "b": {"family": "offdiag-monotone"}},
+        "condition": "C2",
+        "domain": {"box": [[-1.0, 1.0], [-1.0, 1.0]], "n_samples": 8, **override},
+    }
+    report, code = dispatch("check", cfg)
+    assert code == 2
+    assert report["status"] == "config-error"
+
+
 def test_simulate_zero_coefficients_constant_csv(tmp_path, capsys):
     cfg = {
         "seed": 4,

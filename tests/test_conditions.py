@@ -82,12 +82,28 @@ def test_b1_constraints_hold_exactly():
     assert np.all(x <= y)
 
 
-def test_b1_monotone_in_samples_and_refine():
-    cx, cy = offdiag_pair(-0.2)
+def cross_sigma_instance():
+    return build_coefficients({"n": 2, "d": 2,
+                               "sigma": [["expr:x_1 + 0.1*x_2", 0.0], [0.0, 1.0]]})
+
+
+def monotone_case(condition):
+    """One instance per user of the shared search: pair, direction, dependency."""
+    if condition == "B1":
+        return (*offdiag_pair(-0.2), INTERVAL)
+    if condition == "D5":
+        c = c1_instance()
+        return c, CoefficientSet(n=2, d=2, b=shifted(c.b, 0.25), sigma=c.sigma), INTERVAL2D
+    return cross_sigma_instance(), None, INTERVAL2D
+
+
+@pytest.mark.parametrize("condition", ["B1", "D5", "C1"])
+def test_b1_monotone_in_samples_and_refine(condition):
+    cx, cy, theta = monotone_case(condition)
     values = []
     for n_samples, n_refine in ((40, 0), (80, 0), (80, 4), (160, 6)):
         dom = SearchDomain(box=DOM2.box, n_samples=n_samples, n_refine=n_refine, seed=11)
-        values.append(check_B1(cx, cy, INTERVAL, dom).max_violation)
+        values.append(run_check(condition, cx, cy, theta, dom).max_violation)
     assert values == sorted(values)
 
 
@@ -135,10 +151,7 @@ def test_c1_satisfied_for_diagonal_per_coordinate_sigma():
 
 
 def test_c1_violated_for_cross_coordinate_sigma():
-    c = build_coefficients({
-        "n": 2, "d": 2,
-        "sigma": [["expr:x_1 + 0.1*x_2", 0.0], [0.0, 1.0]],
-    })
+    c = cross_sigma_instance()
     rep = check_C_family(c, INTERVAL2D, DOM2, "C1")
     assert rep.verdict == "violated"
     assert re_evaluate(rep, c, None, INTERVAL2D) == pytest.approx(rep.max_violation, abs=1e-12)
@@ -182,6 +195,17 @@ def test_b2_satisfied_shared_per_coordinate():
     c = c1_instance()
     rep = check_B2(c, c, DOM2)
     assert rep.verdict == "satisfied-on-domain"
+
+
+@pytest.mark.parametrize("condition", ["B2", "D1"])
+def test_satisfied_equality_audit_witness_re_evaluates(condition):
+    # every part is exactly 0, so the equality audit is the worst part; its
+    # witness must still carry a point that re-evaluates
+    c = c1_instance()
+    rep = run_check(condition, c, c, INTERVAL2D, DOM2)
+    assert rep.verdict == "satisfied-on-domain"
+    assert rep.witness["kind"] in ("sigma-shared", "product-equality")
+    assert re_evaluate(rep, c, c, INTERVAL2D) == rep.max_violation == 0.0
 
 
 def test_b2_violated_cross_dependence():
