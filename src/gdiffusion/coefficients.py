@@ -23,17 +23,18 @@ def _const_vector(values: np.ndarray):
     return func
 
 
+def _scalar(entry, arity: int):
+    """A number, or an expression string with an optional 'expr:' prefix."""
+    if isinstance(entry, str):
+        return parse_expression(entry[5:] if entry.startswith("expr:") else entry, arity)
+    return float(entry)
+
+
 def _expr_vector(entries, n: int):
     """Vector map from a list of n scalar entries (numbers or 'expr:' strings)."""
     if len(entries) != n:
         raise ConfigError(f"expected {n} entries, got {len(entries)}")
-    parts = []
-    for e in entries:
-        if isinstance(e, str):
-            text = e[5:] if e.startswith("expr:") else e
-            parts.append(parse_expression(text, n))
-        else:
-            parts.append(float(e))
+    parts = [_scalar(e, n) for e in entries]
     if all(isinstance(p, float) for p in parts):
         return _const_vector(np.array(parts))
 
@@ -103,21 +104,11 @@ def diag_sigma(n: int, d: int, values) -> tuple:
         raise ConfigError(f"diag-sigma expects {d} values, got {len(values)}")
     columns = []
     for l, v in enumerate(values):
-        if isinstance(v, str):
-            text = v[5:] if v.startswith("expr:") else v
-            expr = parse_expression(text, 1)
-
-            def column(t, x, l=l, expr=expr):
-                x = np.asarray(x, dtype=float)
-                out = np.zeros(x.shape)
-                out[..., l] = expr(t, x[..., l:l + 1])
-                return out
-        else:
-            def column(t, x, l=l, v=float(v)):
-                x = np.asarray(x, dtype=float)
-                out = np.zeros(x.shape)
-                out[..., l] = v
-                return out
+        def column(t, x, l=l, v=_scalar(v, 1)):
+            x = np.asarray(x, dtype=float)
+            out = np.zeros(x.shape)
+            out[..., l] = v if isinstance(v, float) else v(t, x[..., l:l + 1])
+            return out
         columns.append(column)
     return tuple(columns)
 
@@ -126,16 +117,7 @@ def per_coordinate_sigma(n: int, d: int, exprs) -> tuple:
     """Columns (sigma_l)_k = s_lk(x_k); exprs is a d x n table over x_1."""
     columns = []
     for l in range(d):
-        entries = exprs[l]
-        parts = []
-        for e in entries:
-            if isinstance(e, str):
-                text = e[5:] if e.startswith("expr:") else e
-                parts.append(parse_expression(text, 1))
-            else:
-                parts.append(float(e))
-
-        def column(t, x, parts=parts):
+        def column(t, x, parts=tuple(_scalar(e, 1) for e in exprs[l])):
             x = np.asarray(x, dtype=float)
             out = np.empty(x.shape)
             for k, p in enumerate(parts):

@@ -140,30 +140,19 @@ def _draws(dom: SearchDomain, tag: int, count: int, draw):
             yield t, z
 
 
-def _sym_h_component(c: CoefficientSet, i: int, t: float, x: np.ndarray) -> np.ndarray:
-    """(h_lk + h_kl)_i as a d x d matrix at one point."""
-    d = c.d
-    m = np.empty((d, d))
-    x = np.asarray(x, dtype=float)
-    for l in range(d):
-        for k in range(d):
-            m[l, k] = c.eval_h(l, k, t, x)[..., i] + c.eval_h(k, l, t, x)[..., i]
-    return m
-
-
 def pair_residual(cX: CoefficientSet, cY: CoefficientSet, theta: CovarianceSet,
                   i: int, t: float, x, y) -> float:
     """r_i(t,x,y) = b_i(t,x) - b_bar_i(t,y) + G(Hsym_i(t,x) - Hsym_bar_i(t,y))."""
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     try:
-        bx = float(cX.eval_b(t, x)[..., i])
-        by = float(cY.eval_b(t, y)[..., i])
-        m = _sym_h_component(cX, i, t, x) - _sym_h_component(cY, i, t, y)
+        bx, hx = cX.eval_b(t, x), cX.h_table(t, x)
+        by, hy = cY.eval_b(t, y), cY.h_table(t, y)
     except Exception as exc:  # noqa: BLE001 - surfaced with the sample point
         raise EvaluationError(f"coefficient evaluation failed at t={t}, x={x.tolist()}, "
                               f"y={y.tolist()}: {exc}") from exc
-    return bx - by + eval_G(m, theta)
+    hx, hy = hx[..., i], hy[..., i]
+    return float(bx[i]) - float(by[i]) + eval_G((hx + hx.T) - (hy + hy.T), theta)
 
 
 def direction_residual(cX: CoefficientSet, cY: CoefficientSet, theta: CovarianceSet,
@@ -177,18 +166,13 @@ def direction_residual(cX: CoefficientSet, cY: CoefficientSet, theta: Covariance
     K = np.asarray(K, dtype=float)
     lo, hi = (cX, cY) if not flip else (cY, cX)
     try:
-        drift = float(np.dot(K, hi.eval_b(t, x) - lo.eval_b(t, x)))
-        d = cX.d
-        m = np.empty((d, d))
-        for l in range(d):
-            for k in range(d):
-                diff = (hi.eval_h(l, k, t, x) + hi.eval_h(k, l, t, x)
-                        - lo.eval_h(l, k, t, x) - lo.eval_h(k, l, t, x))
-                m[l, k] = float(np.dot(K, diff))
+        b_lo, h_lo = lo.eval_b(t, x), lo.h_table(t, x)
+        b_hi, h_hi = hi.eval_b(t, x), hi.h_table(t, x)
     except Exception as exc:  # noqa: BLE001
         raise EvaluationError(f"coefficient evaluation failed at t={t}, "
                               f"x={x.tolist()}: {exc}") from exc
-    return drift + eval_G(m, theta)
+    diff = h_hi + np.swapaxes(h_hi, 0, 1) - h_lo - np.swapaxes(h_lo, 0, 1)
+    return float(np.dot(K, b_hi - b_lo)) + eval_G(diff @ K, theta)
 
 
 def _violation(condition: str, cX: CoefficientSet, cY: CoefficientSet,
@@ -359,12 +343,15 @@ def _merge_reports(condition: str, parts: list[tuple[dict, CheckReport]]) -> Che
 
 def sigma_component(c: CoefficientSet, l: int, k: int):
     """The scalar map x -> (sigma_l)_k(x)."""
-    return lambda t, x: float(c.eval_sigma(l, t, x)[..., k])
+    return lambda t, x: float(c.sigma_matrix(t, x)[..., k, l])
 
 
 def sigma_product(c: CoefficientSet, l: int, k: int, i: int, j: int):
     """The scalar map x -> (sigma_l)_i(x) * (sigma_k)_j(x)."""
-    return lambda t, x: float(c.eval_sigma(l, t, x)[..., i] * c.eval_sigma(k, t, x)[..., j])
+    def product(t, x):
+        s = c.sigma_matrix(t, x)
+        return float(s[..., i, l] * s[..., j, k])
+    return product
 
 
 def _sigma_products(c: CoefficientSet, t: float, x: np.ndarray) -> np.ndarray:

@@ -22,6 +22,7 @@ Validation reports the first offending key by dotted path.
 
 from __future__ import annotations
 
+import functools
 import json
 import os
 
@@ -100,6 +101,17 @@ def require(cfg: dict, key: str, kind=None):
     return value
 
 
+_float_array = functools.partial(np.asarray, dtype=float)
+
+
+def _convert(value, convert, key: str):
+    """convert(value), or a ConfigError naming the dotted key."""
+    try:
+        return convert(value)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ConfigError(f"{key}: cannot read {value!r} ({exc})") from exc
+
+
 def theta_from_config(section) -> CovarianceSet:
     if not isinstance(section, dict):
         raise ConfigError("theta: expected an object")
@@ -139,25 +151,27 @@ def coefficients_from_config(cfg: dict) -> tuple[CoefficientSet, CoefficientSet 
 def domain_from_config(section, n: int, default_seed: int) -> SearchDomain:
     if not isinstance(section, dict):
         raise ConfigError("domain: expected an object")
-    box = np.asarray(require(section, "box", list), dtype=float)
+    box = _convert(require(section, "box", list), _float_array, "domain.box")
     if box.shape != (n, 2):
         raise ConfigError(f"domain.box: expected {n} rows of [lo, hi]")
     return SearchDomain(
         box=box,
-        t_grid=tuple(section.get("t_grid", [0.0])),
-        n_samples=int(section.get("n_samples", 512)),
-        n_refine=int(section.get("n_refine", 8)),
-        seed=int(section.get("seed", default_seed)),
+        t_grid=_convert(section.get("t_grid", [0.0]), lambda v: tuple(map(float, v)),
+                        "domain.t_grid"),
+        n_samples=_convert(section.get("n_samples", 512), int, "domain.n_samples"),
+        n_refine=_convert(section.get("n_refine", 8), int, "domain.n_refine"),
+        seed=_convert(section.get("seed", default_seed), int, "domain.seed"),
     )
 
 
 def grid_from_config(section) -> Grid:
     if not isinstance(section, dict):
         raise ConfigError("grid: expected an object")
-    bounds = require(section, "bounds", list)
-    counts = require(section, "counts", list)
-    horizon = float(require(section, "T"))
-    n_levels = int(require(section, "n_levels"))
+    bounds = _convert(require(section, "bounds", list), _float_array, "grid.bounds")
+    counts = _convert(require(section, "counts", list), lambda v: [int(c) for c in v],
+                      "grid.counts")
+    horizon = _convert(require(section, "T"), float, "grid.T")
+    n_levels = _convert(require(section, "n_levels"), int, "grid.n_levels")
     return Grid.regular(bounds, counts, horizon, n_levels)
 
 

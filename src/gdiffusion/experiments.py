@@ -39,7 +39,8 @@ from .scenario import (
     noise_block,
     sample_noise,
 )
-from .sde import SDETerminalFunctional, euler_march, integrate, lipschitz_audit
+from .sde import (SDETerminalFunctional, euler_march, frame_eigenvalues, integrate,
+                  lipschitz_audit)
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -271,9 +272,7 @@ def run_verify_order(cfg: dict) -> tuple[dict, int]:
     results: dict = {}
     probe = dom.box[:, 0] + (dom.box[:, 1] - dom.box[:, 0]) \
         * rng.uniform(size=(256, coeffs_x.n))
-    s = side.sigma_matrix(0.0, probe)
-    gram = np.einsum("...id,...jd->...ij", s, s)
-    beta = float(np.min(np.linalg.eigvalsh(gram)))
+    beta = float(np.min(frame_eigenvalues(side.sigma_matrix(0.0, probe))))
     h3 = nondegeneracy_bound(theta)
     results["uniform_pd_beta"] = beta
     results["nondegeneracy_bound"] = h3

@@ -10,8 +10,10 @@ Grammar (operator precedence, right-associative power):
 
 Names: ``t`` and ``x_1`` .. ``x_n``.  Functions: ``exp``, ``tanh``,
 ``arctan`` (unary) and ``min``, ``max`` (binary).  No conditionals, no
-loops; every expression is total on finite inputs.  Evaluation is
-vectorized: ``x`` may carry leading batch dimensions.
+loops; every expression is total on finite inputs.  An expression is
+parsed and compiled to one Python function once, when it is built; each
+call then runs that function.  Evaluation is vectorized: ``x`` may carry
+leading batch dimensions.
 """
 
 from __future__ import annotations
@@ -141,30 +143,35 @@ class _Parser:
         self.fail(f"unexpected token {val!r}", pos)
 
 
-def _eval(node, t, x):
-    tag = node[0]
-    if tag == "const":
-        return node[1]
-    if tag == "t":
-        return t
-    if tag == "x":
-        return x[..., node[1]]
-    func = tag
-    args = [_eval(child, t, x) for child in node[1:]]
-    return func(*args)
+def _compile(ast):
+    """One Python function for a parsed tree, calling the same numpy
+    functions in the same order as the tree walk would.  Its source holds
+    only generated names (constants and functions live in its namespace),
+    never text of the expression."""
+    namespace = {}
+
+    def emit(node):
+        tag = node[0]
+        if tag in ("t", "x"):
+            return "t" if tag == "t" else f"x[..., {node[1]}]"
+        name = f"_{len(namespace)}"
+        namespace[name] = node[1] if tag == "const" else tag
+        return name if tag == "const" else f"{name}({', '.join(map(emit, node[1:]))})"
+
+    return eval(compile(f"lambda t, x: {emit(ast)}", "<expression>", "eval"), namespace)
 
 
 class Expression:
-    """A compiled scalar expression over (t, x_1..x_n)."""
+    """A scalar expression over (t, x_1..x_n), compiled once at construction."""
 
     def __init__(self, text: str, arity: int):
         self.text = text
         self.arity = arity
-        self._ast = _Parser(text, arity).parse()
+        self._func = _compile(_Parser(text, arity).parse())
 
     def __call__(self, t, x):
         x = np.asarray(x, dtype=float)
-        out = np.asarray(_eval(self._ast, t, x), dtype=float)
+        out = np.asarray(self._func(t, x), dtype=float)
         target = x.shape[:-1]
         if out.shape != target:
             out = np.broadcast_to(out, target).copy()

@@ -23,7 +23,7 @@ from .errors import NonFiniteError
 from .functions import TestFunction
 from .gfunction import CovarianceSet, eval_G
 from .pde import Grid, semigroup_value, solve, stability_bound
-from .sde import CoefficientSet, SDETerminalFunctional
+from .sde import CoefficientSet, SDETerminalFunctional, frame_eigenvalues
 
 
 def _fd_gradient(f: TestFunction, x: np.ndarray, step: float) -> np.ndarray:
@@ -81,31 +81,8 @@ def generator_matrix(coeffs: CoefficientSet, t: float, x, grad: np.ndarray,
                      hess: np.ndarray) -> np.ndarray:
     """The d x d argument of G: <grad, h_lk + h_kl> + <hess sigma_l, sigma_k>."""
     x = np.atleast_1d(np.asarray(x, dtype=float))
-    d = coeffs.d
-    m = np.empty((d, d))
-    sig = [coeffs.eval_sigma(l, t, x) for l in range(d)]
-    for l in range(d):
-        for k in range(d):
-            h_sym = coeffs.eval_h(l, k, t, x) + coeffs.eval_h(k, l, t, x)
-            m[l, k] = float(grad @ h_sym) + float(sig[l] @ hess @ sig[k])
-    return (m + m.T) / 2.0
-
-
-def generator_matrix_coordinate_form(coeffs: CoefficientSet, t: float, x,
-                                     grad: np.ndarray, hess: np.ndarray) -> np.ndarray:
-    """Same matrix assembled entrywise from coordinates, as a self-check:
-    sum_i (h_lk + h_kl)_i d_i f + sum_{i,j} sigma_il sigma_jk d2_ij f."""
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    d = coeffs.d
-    s = coeffs.sigma_matrix(t, x)  # (n, d)
-    m = np.empty((d, d))
-    for l in range(d):
-        for k in range(d):
-            h_sym = coeffs.eval_h(l, k, t, x) + coeffs.eval_h(k, l, t, x)
-            first = sum(h_sym[i] * grad[i] for i in range(coeffs.n))
-            second = sum(s[i, l] * s[j, k] * hess[i, j]
-                         for i in range(coeffs.n) for j in range(coeffs.n))
-            m[l, k] = first + second
+    h, s = coeffs.h_table(t, x), coeffs.sigma_matrix(t, x)
+    m = (h + np.swapaxes(h, 0, 1)) @ grad + s.T @ hess @ s
     return (m + m.T) / 2.0
 
 
@@ -203,14 +180,10 @@ def _default_limit_grid(coeffs: CoefficientSet, theta: CovarianceSet,
     n = coeffs.n
     bounds = np.column_stack([x - probe_half, x + probe_half])
     probe = Grid.regular(bounds, [9] * n, horizon=t_max, n_levels=16)
-    nodes = probe.nodes()
-    s2 = 0.0
-    if coeffs.has_sigma:
-        s_arr = coeffs.sigma_matrix(0.0, nodes)
-        gram = np.einsum("...id,...jd->...ij", s_arr, s_arr)
-        s2 = float(np.max(np.linalg.eigvalsh(gram)))
+    b, _, s = coeffs.fields(0.0, probe.nodes())
+    s2 = 0.0 if s is None else float(np.max(frame_eigenvalues(s)))
     sigma2 = theta.sigma_upper_sq * max(1.0, s2)
-    b_inf = float(np.max(np.abs(coeffs.eval_b(0.0, nodes)))) if coeffs.b is not None else 0.0
+    b_inf = 0.0 if b is None else float(np.max(np.abs(b)))
     half = 3.0 * np.sqrt(sigma2 * t_max) + b_inf * t_max + 1.0
     bounds = np.column_stack([x - half, x + half])
     counts = [321] * n if n == 1 else [81] * n

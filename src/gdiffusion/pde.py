@@ -38,7 +38,7 @@ import numpy as np
 from .errors import DimensionMismatchError, GridError, NonFiniteError, StabilityError
 from .functions import TestFunction
 from .gfunction import CovarianceSet
-from .sde import CoefficientSet
+from .sde import CoefficientSet, frame_eigenvalues
 
 STABILITY_SLACK = 1.0 + 1e-12
 DOMINANCE_TOL = 1e-12
@@ -189,17 +189,9 @@ def _evaluate_fields(coeffs: CoefficientSet, theta: CovarianceSet, t: float,
                      nodes: np.ndarray):
     """Per-node drift, per-generator diffusion matrices and loading drifts."""
     shape = nodes.shape[:-1]
-    n, d = coeffs.n, coeffs.d
-    b_arr = coeffs.eval_b(t, nodes) if coeffs.b is not None else None
-    s_arr = coeffs.sigma_matrix(t, nodes) if coeffs.has_sigma else None  # (..., n, d)
-    if coeffs.has_h:
-        h_sym = np.zeros(shape + (d, d, n))
-        for l in range(d):
-            for k in range(d):
-                h_sym[..., l, k, :] = (coeffs.eval_h(l, k, t, nodes)
-                                       + coeffs.eval_h(k, l, t, nodes))
-    else:
-        h_sym = None
+    n = coeffs.n
+    b_arr, h, s_arr = coeffs.fields(t, nodes)  # s_arr: (..., n, d)
+    h_sym = None if h is None else h + np.swapaxes(h, -3, -2)
     covs = np.stack(theta.covariances)  # (M, d, d)
     if s_arr is not None:
         # a_m = 1/2 S Sigma_m S^T, shape (M,) + shape + (n, n)
@@ -221,20 +213,12 @@ def stability_bound(coeffs: CoefficientSet, theta: CovarianceSet, grid: Grid) ->
     diffusion frame norm on the grid.  Coefficients are sampled at the
     initial time; time-dependent runs re-validate the stencil per level.
     """
-    nodes = grid.nodes()
     n, d = coeffs.n, coeffs.d
-    s2_frame = 0.0
-    if coeffs.has_sigma:
-        s_arr = coeffs.sigma_matrix(0.0, nodes)
-        gram = np.einsum("...id,...jd->...ij", s_arr, s_arr)
-        s2_frame = float(np.max(np.linalg.eigvalsh(gram)))
+    b_arr, h, s_arr = coeffs.fields(0.0, grid.nodes())
+    s2_frame = 0.0 if s_arr is None else float(np.max(frame_eigenvalues(s_arr)))
     sigma2_max = theta.sigma_upper_sq * max(1.0, s2_frame)
-    b_inf = float(np.max(np.abs(coeffs.eval_b(0.0, nodes)))) if coeffs.b is not None else 0.0
-    h_inf = 0.0
-    if coeffs.has_h:
-        for l in range(d):
-            for k in range(d):
-                h_inf = max(h_inf, float(np.max(np.abs(coeffs.eval_h(l, k, 0.0, nodes)))))
+    b_inf = 0.0 if b_arr is None else float(np.max(np.abs(b_arr)))
+    h_inf = 0.0 if h is None else float(np.max(np.abs(h)))
     dx_min = float(np.min(grid.dx))
     denom = 2.0 * n * sigma2_max + dx_min * (b_inf + 2.0 * d * d * h_inf * sigma2_max)
     return np.inf if denom == 0.0 else dx_min * dx_min / denom
@@ -299,6 +283,10 @@ def solve(coeffs: CoefficientSet, theta: CovarianceSet, f: TestFunction,
 
     fields = _evaluate_fields(coeffs, theta, 0.0, nodes)
     _validate_monotone_stencil(fields[2], fields[3], grid)
+    # worst eigenvalue of the state covariance S Sigma S^T over grid and family
+    s_arr = fields[1]
+    sigma2_max = 0.0 if s_arr is None else \
+        theta.sigma_upper_sq * float(np.max(frame_eigenvalues(s_arr)))
 
     for m in range(n_levels):
         t = m * grid.dt
@@ -347,7 +335,6 @@ def solve(coeffs: CoefficientSet, theta: CovarianceSet, f: TestFunction,
                 f"non-finite value at level {m + 1} (t={t + grid.dt:.6g}), node {tuple(bad)}"
             )
 
-    sigma2_max = _state_diffusion_scale(coeffs, theta, nodes)
     margin = 3.0 * np.sqrt(sigma2_max * grid.horizon)
     trust = np.column_stack([grid.bounds[:, 0] + margin, grid.bounds[:, 1] - margin])
     return PDESolution(
@@ -366,16 +353,6 @@ def solve(coeffs: CoefficientSet, theta: CovarianceSet, f: TestFunction,
             "trust_margin": margin,
         },
     )
-
-
-def _state_diffusion_scale(coeffs: CoefficientSet, theta: CovarianceSet,
-                           nodes: np.ndarray) -> float:
-    """Worst eigenvalue of the state covariance S Sigma S^T over grid and family."""
-    if not coeffs.has_sigma:
-        return 0.0
-    s_arr = coeffs.sigma_matrix(0.0, nodes)
-    gram = np.einsum("...id,...jd->...ij", s_arr, s_arr)
-    return theta.sigma_upper_sq * float(np.max(np.linalg.eigvalsh(gram)))
 
 
 def semigroup_value(sol: PDESolution, t: float, x, allow_untrusted: bool = False) -> float:

@@ -34,6 +34,15 @@ class CoefficientSet:
     lipschitz / bound : declared constants, audited by spot checks only
     h_symmetric : when set, h_ij == h_ji is verified on sample points at
         construction and violations are a construction error
+
+    ``fields(t, x)`` evaluates all three at points x of shape (..., n) and
+    is how the rest of the package reads them: b (..., n), the raw table
+    h (..., d, d, n) with h[..., l, k, :] = h_lk (not h_lk + h_kl) and the
+    columns S (..., n, d) with S[..., :, l] = sigma_l.  A part that is
+    absent (b None, every h entry None, every sigma entry None) is None;
+    a None entry inside a present part is a zero block.  ``eval_b``,
+    ``h_table`` and ``sigma_matrix`` are its three parts on their own, with
+    zeros instead of None.
     """
 
     n: int
@@ -67,16 +76,17 @@ class CoefficientSet:
         pts = rng.uniform(-1.5, 1.5, size=(8, self.n))
         pts.setflags(write=False)
         object.__setattr__(self, "_audit_points", pts)
-        if self.h_symmetric and h is not None:
-            for l in range(self.d):
-                for k in range(l + 1, self.d):
-                    a = self.eval_h(l, k, 0.0, pts)
-                    b_ = self.eval_h(k, l, 0.0, pts)
-                    if np.max(np.abs(a - b_)) > H_SYMMETRY_TOL * (1.0 + np.max(np.abs(a))):
-                        raise DimensionMismatchError(
-                            f"h[{l}][{k}] != h[{k}][{l}] on sampled points "
-                            "but h_symmetric is declared"
-                        )
+        if self.h_symmetric and self.has_h:
+            table = self.h_table(0.0, pts)  # (8, d, d, n)
+            gap = np.max(np.abs(table - np.swapaxes(table, 1, 2)), axis=(0, 3))
+            scale = np.max(np.abs(table), axis=(0, 3))
+            bad = np.argwhere(np.triu(gap > H_SYMMETRY_TOL * (1.0 + scale), 1))
+            if bad.size:
+                l, k = bad[0]
+                raise DimensionMismatchError(
+                    f"h[{l}][{k}] != h[{k}][{l}] on sampled points "
+                    "but h_symmetric is declared"
+                )
 
     def _eval_vector(self, func, t, x) -> np.ndarray:
         x = np.asarray(x, dtype=float)
@@ -97,9 +107,29 @@ class CoefficientSet:
         return self._eval_vector(self.sigma[l] if self.sigma is not None else None, t, x)
 
     def sigma_matrix(self, t, x) -> np.ndarray:
-        """Diffusion columns stacked as (..., n, d)."""
-        cols = [self.eval_sigma(l, t, x) for l in range(self.d)]
-        return np.stack(cols, axis=-1)
+        """Diffusion columns stacked as (..., n, d), zero where absent."""
+        x = np.asarray(x, dtype=float)
+        out = np.empty(x.shape + (self.d,))
+        for l in range(self.d):
+            out[..., l] = self.eval_sigma(l, t, x)
+        return out
+
+    def h_table(self, t, x) -> np.ndarray:
+        """Loadings stacked as (..., d, d, n), zero where absent."""
+        x = np.asarray(x, dtype=float)
+        out = np.zeros(x.shape[:-1] + (self.d, self.d, self.n))
+        for l, row in enumerate(self.h or ()):
+            for k, func in enumerate(row):
+                if func is not None:
+                    out[..., l, k, :] = self.eval_h(l, k, t, x)
+        return out
+
+    def fields(self, t, x) -> tuple:
+        """(b, h, S) at x; see the class docstring for shapes and None."""
+        x = np.asarray(x, dtype=float)
+        return (self.eval_b(t, x) if self.b is not None else None,
+                self.h_table(t, x) if self.has_h else None,
+                self.sigma_matrix(t, x) if self.has_sigma else None)
 
     @property
     def has_h(self) -> bool:
@@ -108,6 +138,11 @@ class CoefficientSet:
     @property
     def has_sigma(self) -> bool:
         return self.sigma is not None and any(e is not None for e in self.sigma)
+
+
+def frame_eigenvalues(s: np.ndarray) -> np.ndarray:
+    """Eigenvalues of the state frame S S^T for diffusion columns S (..., n, d)."""
+    return np.linalg.eigvalsh(np.einsum("...id,...jd->...ij", s, s))
 
 
 def lipschitz_audit(coeffs: CoefficientSet, box: np.ndarray, n_samples: int = 64,
@@ -124,16 +159,15 @@ def lipschitz_audit(coeffs: CoefficientSet, box: np.ndarray, n_samples: int = 64
     dist = np.linalg.norm(x - y, axis=-1)
     keep = dist > 1e-9
     x, y, dist = x[keep], y[keep], dist[keep]
-    worst = 0.0
 
-    def quot(fx, fy):
-        return float(np.max(np.linalg.norm(fx - fy, axis=-1) / dist))
+    def vectors(z):
+        """Every coefficient vector at z, as (len(z), count, n)."""
+        h, s = coeffs.h_table(0.0, z), coeffs.sigma_matrix(0.0, z)
+        return np.concatenate([coeffs.eval_b(0.0, z)[:, None], h.reshape(len(z), -1, coeffs.n),
+                               np.swapaxes(s, 1, 2)], axis=1)
 
-    worst = max(worst, quot(coeffs.eval_b(0.0, x), coeffs.eval_b(0.0, y)))
-    for l in range(coeffs.d):
-        worst = max(worst, quot(coeffs.eval_sigma(l, 0.0, x), coeffs.eval_sigma(l, 0.0, y)))
-        for k in range(coeffs.d):
-            worst = max(worst, quot(coeffs.eval_h(l, k, 0.0, x), coeffs.eval_h(l, k, 0.0, y)))
+    quotients = np.linalg.norm(vectors(x) - vectors(y), axis=-1) / dist[:, None]
+    worst = float(np.max(quotients))
     if warn and coeffs.lipschitz > 0 and worst > 1.05 * coeffs.lipschitz:
         warnings.warn(
             f"sampled Lipschitz quotient {worst:.4g} exceeds 1.05 * declared "
@@ -188,19 +222,14 @@ def euler_march(coeffs: CoefficientSet, x0: np.ndarray, times: np.ndarray,
     for m in range(n_steps):
         t = float(times[m])
         dt = float(times[m + 1] - times[m])
-        incr = coeffs.eval_b(t, x) * dt
-        if coeffs.has_h:
-            for l in range(coeffs.d):
-                for k in range(coeffs.d):
-                    w = float(dqv[m, l, k])
-                    if w != 0.0 and coeffs.h[l][k] is not None:
-                        incr += coeffs.eval_h(l, k, t, x) * w
-        if coeffs.has_sigma:
-            for l in range(coeffs.d):
-                if coeffs.sigma[l] is not None:
-                    incr += coeffs.eval_sigma(l, t, x) * db[..., m, l, None]
+        b, h, s = coeffs.fields(t, x)
+        incr = b * dt if b is not None else np.zeros(x.shape)
+        if h is not None:
+            incr += np.einsum("...lki,lk->...i", h, dqv[m])
+        if s is not None:
+            incr += np.einsum("...il,...l->...i", s, db[..., m, :])
         x = x + incr
-        if not np.all(np.isfinite(x)):
+        if not np.isfinite(x).all():
             bad = np.argwhere(~np.isfinite(x))[0]
             raise NonFiniteError(
                 f"non-finite state at step {m + 1} (t={times[m + 1]:.6g}), "

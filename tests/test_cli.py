@@ -225,7 +225,9 @@ def test_check_subcommand_exit_codes(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("override", [{"t_grid": []}, {"t_grid": [0.0, float("inf")]},
-                                      {"n_refine": -1}])
+                                      {"n_refine": -1}, {"t_grid": ["soon"]}, {"t_grid": 0.5},
+                                      {"n_samples": "many"}, {"seed": "x"},
+                                      {"box": [["a", 1.0], [-1.0, 1.0]]}])
 def test_check_rejects_invalid_search_domain(override):
     cfg = {
         "seed": 1,
@@ -237,6 +239,23 @@ def test_check_rejects_invalid_search_domain(override):
     report, code = dispatch("check", cfg)
     assert code == 2
     assert report["status"] == "config-error"
+
+
+@pytest.mark.parametrize("override", [{"T": "soon"}, {"n_levels": "many"}, {"counts": ["x"]}])
+def test_solve_pde_rejects_non_numeric_grid(override):
+    cfg = {
+        "seed": 4,
+        "theta": {"interval": [0.25, 1.0]},
+        "coefficients": {"n": 1, "d": 1,
+                         "sigma": {"family": "constant", "matrix": [[1.0]]}},
+        "grid": {"bounds": [[-4.0, 4.0]], "counts": [41], "T": 0.25, "n_levels": 100,
+                 **override},
+        "functions": [{"expr": "x_1", "name": "id"}],
+    }
+    report, code = dispatch("solve-pde", cfg)
+    assert code == 2
+    assert report["status"] == "config-error"
+    assert report["results"]["error"].startswith(f"grid.{next(iter(override))}:")
 
 
 def test_simulate_zero_coefficients_constant_csv(tmp_path, capsys):

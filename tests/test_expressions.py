@@ -54,3 +54,26 @@ def test_rejects_bad_input_with_position(text):
     with pytest.raises(ConfigError) as err:
         parse_expression(text, arity=2)
     assert "position" in str(err.value)
+
+
+X = np.array([[0.3, -1.2], [1.7, 0.4], [-0.6, 2.5]])
+POS = np.array([[0.3, 1.2], [1.7, 0.4], [0.6, 2.5]])
+
+
+@pytest.mark.parametrize("text, formula, x", [
+    ("x_1 + x_2", lambda t, x: x[:, 0] + x[:, 1], X),
+    ("x_1 - x_2 - 0.5", lambda t, x: (x[:, 0] - x[:, 1]) - 0.5, X),
+    ("x_1 * x_2 / 3", lambda t, x: (x[:, 0] * x[:, 1]) / 3.0, X),
+    ("-x_1 + -(-x_2)", lambda t, x: -x[:, 0] + -(-x[:, 1]), X),
+    ("x_1 ^ x_2", lambda t, x: np.power(x[:, 0], x[:, 1]), POS),
+    ("x_1 ^ x_2 ^ 0.5", lambda t, x: np.power(x[:, 0], np.power(x[:, 1], 0.5)), POS),
+    ("-x_1 ^ 2", lambda t, x: -np.power(x[:, 0], 2.0), X),
+    ("exp(x_1) + tanh(x_2) * arctan(x_1)",
+     lambda t, x: np.exp(x[:, 0]) + np.tanh(x[:, 1]) * np.arctan(x[:, 0]), X),
+    ("min(x_1, x_2) - max(x_1, 0.25)",
+     lambda t, x: np.minimum(x[:, 0], x[:, 1]) - np.maximum(x[:, 0], 0.25), X),
+    ("t * x_1 + t ^ 2", lambda t, x: t * x[:, 0] + np.power(t, 2.0), X),
+])
+def test_compiled_expression_is_the_numpy_formula_exactly(text, formula, x):
+    out = parse_expression(text, arity=2)(0.7, x)
+    assert np.array_equal(out, formula(0.7, x))

@@ -10,7 +10,6 @@ from gdiffusion.generator import (
     eval_generator,
     generator_limit_check,
     generator_matrix,
-    generator_matrix_coordinate_form,
 )
 from gdiffusion.sde import CoefficientSet
 
@@ -101,6 +100,24 @@ def test_singleton_theta_generator_is_additive():
     assert eval_generator(UNIT_DIFF_1D, singleton, fg, x) == pytest.approx(
         eval_generator(UNIT_DIFF_1D, singleton, f, x)
         + eval_generator(UNIT_DIFF_1D, singleton, g, x), abs=1e-10)
+
+
+def generator_matrix_coordinate_form(coeffs: CoefficientSet, t: float, x,
+                                     grad: np.ndarray, hess: np.ndarray) -> np.ndarray:
+    """Reference for generator_matrix, assembled entrywise from coordinates:
+    sum_i (h_lk + h_kl)_i d_i f + sum_{i,j} sigma_il sigma_jk d2_ij f."""
+    x = np.atleast_1d(np.asarray(x, dtype=float))
+    d = coeffs.d
+    s = coeffs.sigma_matrix(t, x)  # (n, d)
+    m = np.empty((d, d))
+    for l in range(d):
+        for k in range(d):
+            h_sym = coeffs.eval_h(l, k, t, x) + coeffs.eval_h(k, l, t, x)
+            first = sum(h_sym[i] * grad[i] for i in range(coeffs.n))
+            second = sum(s[i, l] * s[j, k] * hess[i, j]
+                         for i in range(coeffs.n) for j in range(coeffs.n))
+            m[l, k] = first + second
+    return (m + m.T) / 2.0
 
 
 def test_matrix_assemblies_agree():

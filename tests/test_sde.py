@@ -172,22 +172,109 @@ def test_lipschitz_audit_warns():
     assert worst > 2.0
 
 
-def test_batched_march_matches_single_paths():
-    coeffs = build_coefficients({
-        "n": 2, "d": 1,
-        "b": {"family": "offdiag-monotone"},
-        "sigma": {"family": "constant", "matrix": [[0.5], [1.0]]},
-    })
+THETA2 = CovarianceSet(generators=(np.array([[1.0, 0.0], [0.4, 0.6]]),
+                                   np.array([[0.5, 0.2], [0.0, 1.0]])))
+
+BATCH_CASES = {
+    "d1": ({"n": 2, "d": 1,
+            "b": {"family": "offdiag-monotone"},
+            "sigma": {"family": "constant", "matrix": [[0.5], [1.0]]}}, INTERVAL),
+    "d2-h-cross-sigma": ({"n": 2, "d": 2,
+                          "b": {"family": "arctan-coupling"},
+                          "sigma": [["expr:0.5 + 0.1*tanh(x_2)", 0.3],
+                                    [0.2, "expr:0.8 + 0.1*arctan(x_1)"]],
+                          "h": [[["expr:0.1*tanh(x_1)", 0.05], ["expr:0.02*x_2", 0.1]],
+                                [["expr:0.02*x_2", 0.1], [0.0, "expr:0.1*arctan(x_2)"]]]},
+                         THETA2),
+}
+
+
+@pytest.mark.parametrize("case", BATCH_CASES)
+def test_batched_march_matches_single_paths(case):
+    section, theta = BATCH_CASES[case]
+    coeffs = build_coefficients(section)
     n_steps = 16
     times = np.linspace(0.0, 1.0, n_steps + 1)
     control = VolatilityControl.bang_bang_cycle(0, 1, n_steps)
-    paths = [build_gbm_path(sample_noise(5, 1.0, n_steps, 1, path_index=p), control, INTERVAL)
+    paths = [build_gbm_path(sample_noise(5, 1.0, n_steps, theta.dim, path_index=p),
+                            control, theta)
              for p in range(3)]
     db = np.stack([p.dB for p in paths])
     batch = euler_march(coeffs, np.array([0.1, 0.2]), times, db, paths[0].dQV)
     for p, path in enumerate(paths):
         single = integrate(coeffs, [0.1, 0.2], path)
         assert np.array_equal(batch[p], single.states)
+
+
+def test_euler_step_is_the_per_entry_sum():
+    section, theta = BATCH_CASES["d2-h-cross-sigma"]
+    coeffs = build_coefficients(section)
+    rng = np.random.default_rng(4)
+    x0 = rng.uniform(-1.0, 1.0, (5, 2))
+    db = rng.standard_normal((5, 1, 2))
+    dqv = np.array([[[0.3, 0.1], [0.1, 0.2]]])
+    step = euler_march(coeffs, x0, np.array([0.0, 0.25]), db, dqv)[:, 1]
+    expected = x0 + 0.25 * coeffs.b(0.0, x0)
+    for l in range(2):
+        expected += coeffs.sigma[l](0.0, x0) * db[:, 0, l, None]
+        for k in range(2):
+            expected += coeffs.h[l][k](0.0, x0) * dqv[0, l, k]
+    assert np.allclose(step, expected, rtol=1e-14, atol=1e-14)
+
+
+# family config -> which of (b, h, S) fields() must return (the rest are None)
+FIELD_CASES = {
+    "zero": ({"n": 2, "d": 1, "b": {"family": "zero"}}, ""),
+    "constant": ({"n": 2, "d": 1, "b": {"family": "constant-drift", "c": [0.5, -1.0]}}, "b"),
+    "linear": ({"n": 2, "d": 1,
+                "b": {"family": "linear-drift", "A": [[0.0, 1.0], [0.5, -0.2]]}}, "b"),
+    "offdiag": ({"n": 3, "d": 1, "b": {"family": "offdiag-monotone", "scale": 0.5}}, "b"),
+    "arctan": ({"n": 3, "d": 1, "b": {"family": "arctan-coupling"}}, "b"),
+    "expr-lists": ({"n": 2, "d": 2, "b": ["expr:x_2 + 0.1*t", 0.3],
+                    "sigma": [["expr:1 + 0.1*x_1", 0.2], None]}, "bS"),
+    "diag-sigma": ({"n": 2, "d": 2, "sigma": {"family": "diag-sigma",
+                                              "values": ["expr:1 + 0.25*tanh(x_1)", 0.75]}},
+                   "S"),
+    "per-coordinate": ({"n": 2, "d": 1, "sigma": {
+        "family": "per-coordinate", "entries": [["expr:0.8 + 0.2*tanh(x_1)", 0.5]]}}, "S"),
+    "constant-sigma": ({"n": 2, "d": 2, "sigma": {"family": "constant",
+                                                  "matrix": [[1.0, 0.3], [0.0, 0.8]]}}, "S"),
+    "constant-h": ({"n": 2, "d": 2, "h": {"family": "constant", "table": [
+        [[0.1, 0.2], [0.3, 0.0]], [[0.3, 0.0], [0.0, -0.1]]]}}, "h"),
+    "expr-h": ({"n": 2, "d": 2, "h": [[["expr:0.1*tanh(x_1)", 0.0], None],
+                                      [None, [0.0, "expr:0.2*x_2*t"]]]}, "h"),
+}
+
+
+def _entry(func, t, x):
+    """One per-entry callable evaluated on its own; None is the zero map."""
+    return np.zeros(x.shape) if func is None else np.broadcast_to(func(t, x), x.shape)
+
+
+@pytest.mark.parametrize("case", [*FIELD_CASES, "remark-x", "remark-y"])
+def test_fields_match_per_entry_callables(case):
+    if case.startswith("remark"):
+        coeffs = remark_counterexample_pair(0.25, 1.0)[case == "remark-y"]
+        present = "h" if case == "remark-y" else "b"
+    else:
+        section, present = FIELD_CASES[case]
+        coeffs = build_coefficients(section)
+    n, d, t = coeffs.n, coeffs.d, 0.3
+    x = np.random.default_rng(2).uniform(-2.0, 2.0, (4, 3, n))
+    b, h, s = coeffs.fields(t, x)
+    assert (b is not None, h is not None, s is not None) == \
+        ("b" in present, "h" in present, "S" in present)
+    if b is not None:
+        assert b.shape == (4, 3, n) and np.array_equal(b, _entry(coeffs.b, t, x))
+    if h is not None:
+        assert h.shape == (4, 3, d, d, n)
+        for l in range(d):
+            for k in range(d):
+                assert np.array_equal(h[..., l, k, :], _entry(coeffs.h[l][k], t, x))
+    if s is not None:
+        assert s.shape == (4, 3, n, d)
+        for l in range(d):
+            assert np.array_equal(s[..., :, l], _entry(coeffs.sigma[l], t, x))
 
 
 def test_provenance_records_noise_seed():
