@@ -6,15 +6,8 @@ from .functions import TestFunction
 from .gfunction import CovarianceSet, SymMatrix, argmax_sigma, eval_G, nondegeneracy_bound
 from .generator import eval_generator, generator_limit_check
 from .pde import Grid, PDESolution, dominance_check, monotonicity_check, semigroup_value, solve
-from .scenario import (
-    GBrownianPath,
-    NoisePath,
-    VolatilityControl,
-    build_gbm_path,
-    estimate_sublinear_expectation,
-    sample_noise,
-)
-from .sde import CoefficientSet, StatePath, integrate, integrate_coupled, pathwise_min_gap
+from .scenario import VolatilityControl, apply_control, estimate_sublinear_expectation, noise_block
+from .sde import CoefficientSet, SDETerminalFunctional, euler_march, pathwise_min_gap
 
 __version__ = "0.1.0"
 
@@ -23,28 +16,25 @@ __all__ = [
     "SearchDomain",
     "CoefficientSet",
     "CovarianceSet",
-    "GBrownianPath",
     "Grid",
-    "NoisePath",
     "PDESolution",
-    "StatePath",
+    "SDETerminalFunctional",
     "SymMatrix",
     "TestFunction",
     "VolatilityControl",
+    "apply_control",
     "argmax_sigma",
-    "build_gbm_path",
     "dominance_check",
     "estimate_sublinear_expectation",
+    "euler_march",
     "eval_G",
     "eval_generator",
     "generator_limit_check",
-    "integrate",
-    "integrate_coupled",
     "monotonicity_check",
+    "noise_block",
     "nondegeneracy_bound",
     "pathwise_min_gap",
     "run_check",
-    "sample_noise",
     "semigroup_value",
     "solve",
 ]

@@ -160,7 +160,7 @@ def build_coefficients(section: dict) -> CoefficientSet:
     """Assemble a coefficient set from a config section.
 
     Keys: n, d (required); b, h, sigma (each optional: a family dict, an
-    entry list, or null for zero); lipschitz, bound, label.
+    entry list, or null for zero); lipschitz, label.
     """
     if not isinstance(section, dict):
         raise ConfigError(f"coefficient section must be a mapping, got {type(section).__name__}")
@@ -183,7 +183,6 @@ def build_coefficients(section: dict) -> CoefficientSet:
     return CoefficientSet(
         n=n, d=d, b=b, h=h, sigma=sigma,
         lipschitz=float(section.get("lipschitz", 0.0)),
-        bound=float(section.get("bound", np.inf)),
         time_homogeneous=bool(section.get("time_homogeneous", True)),
         h_symmetric=bool(section.get("h_symmetric", True)),
         label=str(section.get("label", section.get("family", "custom"))),

@@ -31,16 +31,9 @@ from .pde import (
     semigroup_value,
     solve,
 )
-from .scenario import (
-    VolatilityControl,
-    apply_control,
-    build_gbm_path,
-    estimate_sublinear_expectation,
-    noise_block,
-    sample_noise,
-)
-from .sde import (SDETerminalFunctional, euler_march, frame_eigenvalues, integrate,
-                  lipschitz_audit)
+from .scenario import VolatilityControl, apply_control, estimate_sublinear_expectation, noise_block
+from .sde import (SDETerminalFunctional, euler_march, frame_eigenvalues, lipschitz_audit,
+                  pathwise_min_gap)
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -133,19 +126,11 @@ def run_verify_comparison(cfg: dict) -> tuple[dict, int]:
         db, dqv = apply_control(dw, control, theta, dt)
         xs = euler_march(coeffs_x, x0, times, db, dqv)
         ys = euler_march(coeffs_y, y0, times, db, dqv)
-        gap = ys - xs  # (n_paths, n_steps + 1, n)
-        flat = int(np.argmin(gap))
-        idx = np.unravel_index(flat, gap.shape)
-        local = float(gap[idx])
+        local, (path, comp, t_at) = pathwise_min_gap(xs, ys, times)
         if local < min_gap:
             min_gap = local
-            witness = {
-                "control": control.label,
-                "control_index": c_idx,
-                "path_index": int(idx[0]),
-                "component": int(idx[2]) + 1,
-                "t": float(times[idx[1]]),
-            }
+            witness = {"control": control.label, "control_index": c_idx,
+                       "path_index": path, "component": comp, "t": t_at}
     results["ensemble"] = {"n_controls": len(controls), "n_paths": n_paths,
                            "n_steps": n_steps, "T": horizon}
     results["min_gap"] = min_gap
@@ -178,14 +163,15 @@ def run_counterexample_remark(cfg: dict) -> tuple[dict, int]:
     horizon = float(scen.get("T", 1.0))
     n_steps = int(scen.get("n_steps", 256))
 
-    noise = sample_noise(cfg["seed"], horizon, n_steps, 1)
+    dw = noise_block(cfg["seed"], horizon, n_steps, 1, 1)
     low_index = int(np.argmin([float(np.min(np.linalg.eigvalsh(s)))
                                for s in theta.covariances]))
     control = VolatilityControl.constant(low_index, n_steps)
-    path = build_gbm_path(noise, control, theta)
-    xs = integrate(coeffs_x, [0.0, 0.0], path)
-    ys = integrate(coeffs_y, [0.0, 0.0], path)
-    gap_path = xs.states[:, 1] - ys.states[:, 1]
+    times = np.linspace(0.0, horizon, n_steps + 1)
+    db, dqv = apply_control(dw, control, theta, horizon / n_steps)
+    xs = euler_march(coeffs_x, np.zeros(2), times, db, dqv)[0]
+    ys = euler_march(coeffs_y, np.zeros(2), times, db, dqv)[0]
+    gap_path = xs[:, 1] - ys[:, 1]
     expected_rate = 0.5 * (upper + lower) - lower
     gap_at_horizon = float(gap_path[-1])
 
@@ -201,7 +187,7 @@ def run_counterexample_remark(cfg: dict) -> tuple[dict, int]:
         "gap_at_horizon": gap_at_horizon,
         "expected_gap": expected_rate * horizon,
         "gap_is_linear_in_t": bool(np.allclose(
-            gap_path, expected_rate * path.times, atol=1e-10 * (1 + horizon))),
+            gap_path, expected_rate * times, atol=1e-10 * (1 + horizon))),
         "b1_check": rep_b1.to_dict(),
     }
     ok = (abs(gap_at_horizon - expected_rate * horizon) <= 1e-12 * (1.0 + horizon)
@@ -471,19 +457,20 @@ def run_simulate(cfg: dict) -> tuple[dict, int]:
     else:
         raise ConfigError(f"scenario.control.policy: unknown policy {policy!r}")
 
-    noise = sample_noise(cfg["seed"], horizon, n_steps, theta.dim,
-                         path_index=int(scen.get("path_index", 0)))
-    path = build_gbm_path(noise, control, theta)
-    out = integrate(coeffs, x0, path)
+    dw = noise_block(cfg["seed"], horizon, n_steps, theta.dim, 1,
+                     first=int(scen.get("path_index", 0)))
+    db, dqv = apply_control(dw, control, theta, horizon / n_steps)
+    times = np.linspace(0.0, horizon, n_steps + 1)
+    states = euler_march(coeffs, x0, times, db, dqv)[0]
     csv_path = _output_path(cfg, "csv")
     if csv_path:
         with open(csv_path, "w", encoding="utf-8") as fh:
             fh.write("t," + ",".join(f"X_{i + 1}" for i in range(coeffs.n)) + "\n")
-            for t, state in zip(out.times, out.states):
+            for t, state in zip(times, states):
                 fh.write(",".join(repr(float(v)) for v in (t, *state)) + "\n")
     results = {
         "control": control.label,
-        "terminal_state": out.terminal.tolist(),
+        "terminal_state": states[-1].tolist(),
         "csv": csv_path,
     }
     return _report("simulate", cfg, results, "ok", EXIT_OK), EXIT_OK

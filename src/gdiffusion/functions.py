@@ -25,7 +25,6 @@ class TestFunction:
     grad: object = None
     hess: object = None
     monotone: bool = False
-    smoothness: str = "C2"
     name: str = "f"
 
     def __post_init__(self) -> None:

@@ -8,9 +8,8 @@ For a smooth test function f,
 which is also the limit of (E_t f(x) - f(x)) / t as t -> 0+.  Derivatives
 come from the function's analytic callables when present, otherwise from
 Richardson-extrapolated central differences.  The semigroup values for the
-limit check are produced by the worst-case PDE solver by default; the Monte
-Carlo route is available but its supremum bias is divided by small t, so it
-is not the default.
+limit check are produced by the worst-case PDE solver: the bias of a Monte
+Carlo supremum over controls would be divided by small t in the quotient.
 """
 
 from __future__ import annotations
@@ -23,7 +22,7 @@ from .errors import NonFiniteError
 from .functions import TestFunction
 from .gfunction import CovarianceSet, eval_G
 from .pde import Grid, semigroup_value, solve, stability_bound
-from .sde import CoefficientSet, SDETerminalFunctional, frame_eigenvalues
+from .sde import CoefficientSet, frame_eigenvalues
 
 
 def _fd_gradient(f: TestFunction, x: np.ndarray, step: float) -> np.ndarray:
@@ -109,16 +108,13 @@ class LimitRow:
 
 def generator_limit_check(coeffs: CoefficientSet, theta: CovarianceSet,
                           f: TestFunction, x, t_list, grid: Grid | None = None,
-                          fd_step: float | None = None, method: str = "pde",
-                          mc_options: dict | None = None) -> list[LimitRow]:
+                          fd_step: float | None = None) -> list[LimitRow]:
     """Table of ((E_t f(x) - f(x)) / t, Lf(x)) for each t in t_list.
 
-    With method="pde" (default), E_t comes from one PDE solve up to
-    max(t_list); the residual is expected to shrink as t decreases.  When no
-    grid is given, a box around x wide enough to keep the trust region clear
-    of the queries is used, with the time step snapped to divide every
-    queried t.  method="mc" estimates E_t by the scenario supremum instead;
-    its bias divided by small t makes it the non-default diagnostic route.
+    E_t comes from one PDE solve up to max(t_list); the residual is
+    expected to shrink as t decreases.  When no grid is given, a box around
+    x wide enough to keep the trust region clear of the queries is used,
+    with the time step snapped to divide every queried t.
     """
     x = np.atleast_1d(np.asarray(x, dtype=float))
     t_list = sorted(float(t) for t in t_list)
@@ -126,13 +122,6 @@ def generator_limit_check(coeffs: CoefficientSet, theta: CovarianceSet,
         raise NonFiniteError("t_list must contain positive times")
     lf = eval_generator(coeffs, theta, f, x, fd_step)
     fx = float(f.value(x))
-
-    if method == "mc":
-        values = _mc_semigroup_values(coeffs, theta, f, x, t_list, mc_options or {})
-        return [LimitRow(t=t, quotient=(v - fx) / t, generator_value=lf)
-                for t, v in zip(t_list, values)]
-    if method != "pde":
-        raise NonFiniteError(f"unknown limit-check method {method!r}")
 
     if grid is None:
         grid = _default_limit_grid(coeffs, theta, x, t_list)
@@ -142,26 +131,6 @@ def generator_limit_check(coeffs: CoefficientSet, theta: CovarianceSet,
         quotient = (semigroup_value(sol, t, x) - fx) / t
         rows.append(LimitRow(t=t, quotient=quotient, generator_value=lf))
     return rows
-
-
-def _mc_semigroup_values(coeffs: CoefficientSet, theta: CovarianceSet,
-                         f: TestFunction, x: np.ndarray, t_list, options: dict
-                         ) -> list[float]:
-    from .scenario import VolatilityControl, estimate_sublinear_expectation
-
-    n_paths = int(options.get("n_paths", 20000))
-    steps_per_t = int(options.get("n_steps", 64))
-    seed = int(options.get("seed", 0))
-
-    functional = SDETerminalFunctional(coeffs, f, x)
-    out = []
-    for t in t_list:
-        controls = [VolatilityControl.constant(m, steps_per_t)
-                    for m in range(theta.n_generators)]
-        est, _, _ = estimate_sublinear_expectation(
-            functional, theta, controls, n_paths, seed, t, steps_per_t)
-        out.append(est)
-    return out
 
 
 def _gcd_float(values, quantum: float = 1e-9) -> float:

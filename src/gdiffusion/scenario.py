@@ -1,11 +1,14 @@
-"""Reference noise, volatility controls, and scenario-wise Brownian paths.
+"""Reference noise, volatility controls and scenario arrays with a batch axis.
 
 A scenario is a pair (reference Wiener path, volatility control).  The
 control selects one covariance generator per time step; the driven path has
 increments ``dB_k = gamma_{m(k)} dW_k`` and accumulates quadratic covariation
-``d<B^i,B^j>_k = (gamma gamma^T)_{ij} dt``.  Worst-case (sublinear)
-expectations are estimated from below by maximizing Monte Carlo means over a
-finite family of controls.
+``d<B^i,B^j>_k = (gamma gamma^T)_{ij} dt``.  Scenarios are plain arrays:
+``noise_block`` gives the reference increments ``dW (n_paths, n_steps, d)``
+and ``apply_control`` maps them to ``dB`` of the same shape and the shared
+``dQV (n_steps, d, d)``; a single path is a batch of one.  Worst-case
+(sublinear) expectations are estimated from below by maximizing Monte Carlo
+means over a finite family of controls.
 
 Noise streams follow a stream-split contract: the draw at (seed, path index,
 step) is fixed, so regeneration is bit-identical and ensembles can be built
@@ -14,11 +17,11 @@ in any order or in parallel.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatchError, EvaluationError, NonFiniteError
+from .errors import DimensionMismatchError, EvaluationError
 from .gfunction import CovarianceSet
 
 POLICY_TAGS = ("constant", "random-switching", "bang-bang-cycle", "explicit")
@@ -28,56 +31,23 @@ def _rng_for_path(seed: int, path_index: int) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence((int(seed), int(path_index)))))
 
 
-@dataclass(frozen=True)
-class NoisePath:
-    """Increments of a reference Wiener path on a uniform grid.
+def noise_block(seed: int, T: float, n_steps: int, d: int, n_paths: int,
+                first: int = 0) -> np.ndarray:
+    """Reference increments of paths first .. first + n_paths - 1, (n_paths, n_steps, d).
 
-    Fully determined by (seed, T, n_steps, dim, path_index); increments are
-    i.i.d. N(0, dt) with dt = T / n_steps.
+    Row p holds the i.i.d. N(0, dt) draws (dt = T / n_steps) of the stream
+    (seed, first + p), so a block and any sub-block regenerate bit for bit;
+    a single path is ``noise_block(..., n_paths=1, first=p)[0]``.
     """
-
-    seed: int
-    horizon: float
-    n_steps: int
-    dim: int
-    path_index: int = 0
-    increments: np.ndarray = field(init=False, repr=False)
-
-    def __post_init__(self) -> None:
-        if self.horizon <= 0 or self.n_steps < 1 or self.dim < 1:
-            raise DimensionMismatchError(
-                f"invalid noise shape: T={self.horizon}, n_steps={self.n_steps}, d={self.dim}"
-            )
-        rng = _rng_for_path(self.seed, self.path_index)
-        dw = rng.standard_normal((self.n_steps, self.dim)) * np.sqrt(self.dt)
-        dw.setflags(write=False)
-        object.__setattr__(self, "increments", dw)
-
-    @property
-    def dt(self) -> float:
-        return self.horizon / self.n_steps
-
-    @property
-    def times(self) -> np.ndarray:
-        return np.linspace(0.0, self.horizon, self.n_steps + 1)
-
-
-def sample_noise(seed: int, T: float, n_steps: int, d: int, path_index: int = 0) -> NoisePath:
-    """Deterministic reference noise; distinct (seed, path_index) give independent streams."""
-    return NoisePath(seed=seed, horizon=float(T), n_steps=int(n_steps), dim=int(d),
-                     path_index=int(path_index))
-
-
-def noise_block(seed: int, T: float, n_steps: int, d: int, n_paths: int) -> np.ndarray:
-    """Stack of reference increments, shape (n_paths, n_steps, d).
-
-    Row p is bit-identical to ``sample_noise(seed, T, n_steps, d, p).increments``,
-    so ensembles are reproducible path by path.
-    """
+    if not (T > 0 and n_steps >= 1 and d >= 1):
+        raise DimensionMismatchError(
+            f"invalid noise shape: T={float(T)}, n_steps={n_steps}, d={d}")
+    if n_paths < 1 or first < 0:
+        raise DimensionMismatchError(f"invalid noise shape: n_paths={n_paths}, first={first}")
     dt = float(T) / int(n_steps)
     out = np.empty((n_paths, n_steps, d))
     for p in range(n_paths):
-        out[p] = _rng_for_path(seed, p).standard_normal((n_steps, d))
+        out[p] = _rng_for_path(seed, first + p).standard_normal((n_steps, d))
     out *= np.sqrt(dt)
     return out
 
@@ -127,17 +97,6 @@ class VolatilityControl:
         return cls(sched.astype(np.int64), "bang-bang-cycle", f"bangbang[{lo_index},{hi_index}]")
 
 
-def default_control_family(theta: CovarianceSet, n_steps: int, n_switching: int = 64,
-                           seed: int = 0) -> list[VolatilityControl]:
-    """Constant control per generator plus seeded random-switching schedules."""
-    controls = [VolatilityControl.constant(m, n_steps) for m in range(theta.n_generators)]
-    for j in range(n_switching):
-        controls.append(
-            VolatilityControl.random_switching(theta.n_generators, n_steps, seed * 1000003 + j)
-        )
-    return controls
-
-
 def apply_control(dw: np.ndarray, control: VolatilityControl,
                   theta: CovarianceSet, dt: float) -> tuple[np.ndarray, np.ndarray]:
     """Map reference increments to (dB, dQV) under one control.
@@ -167,63 +126,6 @@ def apply_control(dw: np.ndarray, control: VolatilityControl,
     return db, dqv
 
 
-@dataclass(frozen=True)
-class GBrownianPath:
-    """One scenario of the uncertain-volatility Brownian motion.
-
-    dB : (n_steps, d) increments; dQV : (n_steps, d, d) quadratic covariation
-    increments, each symmetric PSD.  Cumulative values are available at grid
-    times through :meth:`B` and :meth:`QV`.  ``noise_id`` records the
-    (seed, path_index) provenance when built from a :class:`NoisePath`.
-    """
-
-    times: np.ndarray
-    dB: np.ndarray
-    dQV: np.ndarray
-    control: VolatilityControl
-    noise_id: tuple = ()
-
-    @property
-    def n_steps(self) -> int:
-        return self.dB.shape[0]
-
-    @property
-    def dim(self) -> int:
-        return self.dB.shape[1]
-
-    @property
-    def cum_B(self) -> np.ndarray:
-        out = np.zeros((self.n_steps + 1, self.dim))
-        np.cumsum(self.dB, axis=0, out=out[1:])
-        return out
-
-    @property
-    def cum_QV(self) -> np.ndarray:
-        out = np.zeros((self.n_steps + 1, self.dim, self.dim))
-        np.cumsum(self.dQV, axis=0, out=out[1:])
-        return out
-
-    def _level(self, t: float) -> int:
-        k = int(round(t / (self.times[1] - self.times[0])))
-        if not (0 <= k <= self.n_steps) or abs(self.times[k] - t) > 1e-9 * (1 + abs(t)):
-            raise DimensionMismatchError(f"time {t} is not on the scenario grid")
-        return k
-
-    def B(self, t: float) -> np.ndarray:
-        return self.cum_B[self._level(t)]
-
-    def QV(self, t: float) -> np.ndarray:
-        return self.cum_QV[self._level(t)]
-
-
-def build_gbm_path(noise: NoisePath, control: VolatilityControl,
-                   theta: CovarianceSet) -> GBrownianPath:
-    """Realize one scenario: dB = gamma dW, dQV = gamma gamma^T dt."""
-    db, dqv = apply_control(noise.increments, control, theta, noise.dt)
-    return GBrownianPath(times=noise.times, dB=db, dQV=dqv, control=control,
-                         noise_id=(noise.seed, noise.path_index))
-
-
 def estimate_sublinear_expectation(functional, theta: CovarianceSet,
                                    controls: list[VolatilityControl],
                                    n_paths: int, seed: int, T: float, n_steps: int
@@ -237,9 +139,8 @@ def estimate_sublinear_expectation(functional, theta: CovarianceSet,
     (seed, path index) only), so enlarging the family can never decrease the
     estimate.
 
-    ``functional`` maps a :class:`GBrownianPath` to a float; objects exposing
-    ``evaluate_batch(times, dB, dQV)`` (dB batched over paths) are used
-    vectorized instead.
+    ``functional.evaluate_batch(times, dB, dQV)`` returns one value per
+    path for dB of shape (n_paths, n_steps, d) and the shared dQV.
     """
     if n_paths < 2:
         raise DimensionMismatchError("n_paths must be at least 2")
@@ -251,13 +152,7 @@ def estimate_sublinear_expectation(functional, theta: CovarianceSet,
     best = None
     for c_idx, control in enumerate(controls):
         db, dqv = apply_control(dw, control, theta, dt)
-        if hasattr(functional, "evaluate_batch"):
-            values = np.asarray(functional.evaluate_batch(times, db, dqv), dtype=float)
-        else:
-            values = np.empty(n_paths)
-            for p in range(n_paths):
-                path = GBrownianPath(times=times, dB=db[p], dQV=dqv, control=control)
-                values[p] = functional(path)
+        values = np.asarray(functional.evaluate_batch(times, db, dqv), dtype=float)
         if not np.all(np.isfinite(values)):
             p_bad = int(np.argmin(np.isfinite(values)))
             raise EvaluationError(
@@ -269,28 +164,3 @@ def estimate_sublinear_expectation(functional, theta: CovarianceSet,
             se = float(np.std(values, ddof=1) / np.sqrt(n_paths))
             best = (mean, se, control)
     return best
-
-
-class TerminalFunctional:
-    """phi(B_T) for driver-level functionals, with a vectorized batch path."""
-
-    def __init__(self, phi):
-        self.phi = phi
-
-    def __call__(self, path: GBrownianPath) -> float:
-        return float(self.phi(path.cum_B[-1]))
-
-    def evaluate_batch(self, times, db, dqv) -> np.ndarray:
-        terminal = np.sum(db, axis=-2)  # (n_paths, d)
-        return np.asarray([self.phi(b) for b in terminal], dtype=float)
-
-
-class ScalarTerminalFunctional(TerminalFunctional):
-    """phi applied elementwise to the terminal value of a 1-d driver."""
-
-    def evaluate_batch(self, times, db, dqv) -> np.ndarray:
-        terminal = np.sum(db, axis=-2)[..., 0]
-        out = np.asarray(self.phi(terminal), dtype=float)
-        if not np.all(np.isfinite(out)):
-            raise NonFiniteError("functional produced non-finite values")
-        return out

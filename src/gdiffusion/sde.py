@@ -7,8 +7,10 @@ State dynamics on a scenario (dB, dQV):
                   + sum_i sigma_i(t_m, X_m) dB[m, i]
 
 Coefficients are evaluated at the left endpoint (non-anticipative), matching
-the Ito integrals being discretized.  Two systems can be stepped on one
-shared scenario for coupled comparison experiments.
+the Ito integrals being discretized.  ``euler_march`` steps a whole batch of
+scenarios at once and returns the states as one array (..., n_steps + 1, n);
+two systems marched on the same dB are coupled, and ``pathwise_min_gap``
+reads the first place where their states come closest.
 """
 
 from __future__ import annotations
@@ -19,7 +21,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DimensionMismatchError, NonFiniteError
-from .scenario import GBrownianPath
 
 H_SYMMETRY_TOL = 1e-12
 
@@ -31,7 +32,7 @@ class CoefficientSet:
     b : callable (t, x) -> R^n or None for zero
     h : d x d nested sequence of callables (t, x) -> R^n (None entries are zero)
     sigma : length-d sequence of callables (t, x) -> R^n (None entries are zero)
-    lipschitz / bound : declared constants, audited by spot checks only
+    lipschitz : declared constant, audited by spot checks only
     h_symmetric : when set, h_ij == h_ji is verified on sample points at
         construction and violations are a construction error
 
@@ -51,7 +52,6 @@ class CoefficientSet:
     h: tuple = None
     sigma: tuple = None
     lipschitz: float = 0.0
-    bound: float = float("inf")
     time_homogeneous: bool = True
     h_symmetric: bool = True
     label: str = ""
@@ -177,27 +177,6 @@ def lipschitz_audit(coeffs: CoefficientSet, box: np.ndarray, n_samples: int = 64
     return worst
 
 
-@dataclass(frozen=True)
-class StatePath:
-    """Grid-sampled solution path with provenance for reproducibility."""
-
-    times: np.ndarray
-    states: np.ndarray  # (n_steps + 1, n)
-    provenance: dict
-
-    @property
-    def n_steps(self) -> int:
-        return self.states.shape[0] - 1
-
-    @property
-    def dim(self) -> int:
-        return self.states.shape[1]
-
-    @property
-    def terminal(self) -> np.ndarray:
-        return self.states[-1]
-
-
 def euler_march(coeffs: CoefficientSet, x0: np.ndarray, times: np.ndarray,
                 db: np.ndarray, dqv: np.ndarray) -> np.ndarray:
     """Explicit Euler on one or many scenarios.
@@ -227,7 +206,8 @@ def euler_march(coeffs: CoefficientSet, x0: np.ndarray, times: np.ndarray,
         if h is not None:
             incr += np.einsum("...lki,lk->...i", h, dqv[m])
         if s is not None:
-            incr += np.einsum("...il,...l->...i", s, db[..., m, :])
+            for l in range(coeffs.d):
+                incr += s[..., l] * db[..., m, l:l + 1]
         x = x + incr
         if not np.isfinite(x).all():
             bad = np.argwhere(~np.isfinite(x))[0]
@@ -237,18 +217,6 @@ def euler_march(coeffs: CoefficientSet, x0: np.ndarray, times: np.ndarray,
             )
         states[..., m + 1, :] = x
     return states
-
-
-def integrate(coeffs: CoefficientSet, x0, path: GBrownianPath) -> StatePath:
-    """Integrate one system on one scenario."""
-    states = euler_march(coeffs, np.asarray(x0, dtype=float), path.times, path.dB, path.dQV)
-    return StatePath(
-        times=path.times,
-        states=states,
-        provenance={"coefficients": coeffs.label, "control": path.control.label,
-                    "noise_id": list(path.noise_id),
-                    "x0": np.asarray(x0, dtype=float).tolist()},
-    )
 
 
 @dataclass(frozen=True)
@@ -268,33 +236,17 @@ class SDETerminalFunctional:
         return self.f.value(states[..., -1, :])
 
 
-def integrate_coupled(coeffs_x: CoefficientSet, coeffs_y: CoefficientSet,
-                      x0, y0, path: GBrownianPath) -> tuple[StatePath, StatePath]:
-    """Step two systems on the identical scenario, aligned on one grid.
+def pathwise_min_gap(lower: np.ndarray, upper: np.ndarray,
+                     times: np.ndarray) -> tuple[float, tuple]:
+    """Exact minimum of upper - lower over batch, grid times and components.
 
-    Warns (but proceeds, for counterexample hunting) when the initial states
-    are not ordered componentwise.
+    lower, upper : states (..., n_steps + 1, n) marched on the same scenarios.
+    Returns (min gap, (*batch index, component starting at 1, time)) with the
+    first witness in scan order (batch index, then time, then component).
     """
-    if (coeffs_x.n, coeffs_x.d) != (coeffs_y.n, coeffs_y.d):
-        raise DimensionMismatchError("coupled systems must share state and noise dimensions")
-    x0 = np.asarray(x0, dtype=float)
-    y0 = np.asarray(y0, dtype=float)
-    if np.any(x0 > y0):
-        warnings.warn("x0 <= y0 fails componentwise; running in counterexample mode",
-                      stacklevel=2)
-    return integrate(coeffs_x, x0, path), integrate(coeffs_y, y0, path)
-
-
-def pathwise_min_gap(pair: tuple[StatePath, StatePath]) -> tuple[float, tuple[int, float]]:
-    """Exact minimum of Y_k(t) - X_k(t) over components and grid times.
-
-    Returns (min gap, (component index starting at 1, time)) with the first
-    witness in scan order (time-major, then component).
-    """
-    lower, upper = pair
-    if lower.states.shape != upper.states.shape:
+    if lower.shape != upper.shape or lower.shape[-2] != len(times):
         raise DimensionMismatchError("paths must be aligned on one grid")
-    gap = upper.states - lower.states
-    flat = int(np.argmin(gap))
-    level, comp = divmod(flat, gap.shape[1])
-    return float(gap[level, comp]), (comp + 1, float(lower.times[level]))
+    gap = upper - lower
+    idx = np.unravel_index(int(np.argmin(gap)), gap.shape)
+    *batch, level, comp = (int(i) for i in idx)
+    return float(gap[idx]), (*batch, comp + 1, float(times[level]))

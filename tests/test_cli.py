@@ -2,12 +2,14 @@ import json
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from gdiffusion.cli import main
 from gdiffusion.config import load_config
 from gdiffusion.errors import ConfigError
 from gdiffusion.experiments import dispatch
+from gdiffusion.scenario import noise_block
 
 
 def run_cli(args, capsys):
@@ -277,6 +279,38 @@ def test_simulate_zero_coefficients_constant_csv(tmp_path, capsys):
     for line in lines[1:]:
         _, x1, x2 = line.split(",")
         assert float(x1) == 1.5 and float(x2) == -2.0
+
+
+def test_simulate_path_index_selects_the_noise_stream():
+    cfg = {
+        "seed": 9,
+        "theta": {"interval": [0.25, 1.0]},
+        "coefficients": {"n": 1, "d": 1, "sigma": {"family": "constant", "matrix": [[1.0]]}},
+        "x0": [0.0],
+        "scenario": {"T": 1.0, "n_steps": 8, "path_index": 2,
+                     "control": {"policy": "constant", "index": 1}},
+    }
+    report, code = dispatch("simulate", cfg)
+    assert code == 0
+    # unit diffusion under the unit-volatility constant control: X_T = W_T of path 2
+    (terminal,) = report["results"]["terminal_state"]
+    assert terminal == pytest.approx(float(np.sum(noise_block(9, 1.0, 8, 1, 3)[2])), abs=1e-12)
+    assert terminal != pytest.approx(float(np.sum(noise_block(9, 1.0, 8, 1, 1)[0])), abs=1e-6)
+    cfg["scenario"]["path_index"] = -1
+    report, code = dispatch("simulate", cfg)
+    assert code == 2 and report["status"] == "config-error"
+
+
+@pytest.mark.parametrize("shape", [{"n_paths": 0}, {"n_paths": -3}, {"T": -1.0}, {"T": 0.0}],
+                         ids=["n_paths=0", "n_paths=-3", "T=-1", "T=0"])
+def test_verify_comparison_rejects_invalid_scenario_shape(tmp_path, shape):
+    with open(comparison_config(tmp_path), encoding="utf-8") as fh:
+        cfg = json.load(fh)
+    cfg["scenario"].update(shape)
+    report, code = dispatch("verify-comparison", cfg)
+    assert code == 2
+    assert report["status"] == "config-error"
+    assert report["results"]["error"].startswith("invalid noise shape")
 
 
 def test_solve_pde_exports_and_query(tmp_path, capsys):

@@ -166,19 +166,10 @@ def test_limit_check_square_converges_to_g():
         assert later <= earlier + 1e-9
 
 
-def test_limit_check_mc_route_agrees_at_moderate_t():
-    rows = generator_limit_check(
-        UNIT_DIFF_1D, INTERVAL, SQUARE, [0.0], [0.5], method="mc",
-        mc_options={"n_paths": 8000, "n_steps": 32, "seed": 12})
-    # E[B_t^2]/t = 1 for the worst constant scenario; MC noise only
-    assert rows[0].quotient == pytest.approx(1.0, abs=0.05)
-    assert rows[0].generator_value == pytest.approx(1.0, abs=1e-12)
-
-
 def test_limit_check_rejects_bad_method_and_times():
     from gdiffusion.errors import NonFiniteError
 
     with pytest.raises(NonFiniteError):
-        generator_limit_check(UNIT_DIFF_1D, INTERVAL, SQUARE, [0.0], [0.1], method="nope")
-    with pytest.raises(NonFiniteError):
         generator_limit_check(UNIT_DIFF_1D, INTERVAL, SQUARE, [0.0], [])
+    with pytest.raises(NonFiniteError):
+        generator_limit_check(UNIT_DIFF_1D, INTERVAL, SQUARE, [0.0], [0.1, 0.0])

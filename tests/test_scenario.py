@@ -3,37 +3,67 @@ import pytest
 
 from gdiffusion.errors import DimensionMismatchError, EvaluationError
 from gdiffusion.gfunction import CovarianceSet
+from gdiffusion.config import controls_from_config
 from gdiffusion.scenario import (
-    GBrownianPath,
-    ScalarTerminalFunctional,
     VolatilityControl,
-    build_gbm_path,
-    default_control_family,
+    apply_control,
     estimate_sublinear_expectation,
     noise_block,
-    sample_noise,
 )
 
 INTERVAL = CovarianceSet.from_interval(0.25, 1.0)
 
 
+def one_path(seed, T, n_steps, d, path_index=0):
+    """Reference increments (n_steps, d) of the single path (seed, path_index)."""
+    return noise_block(seed, T, n_steps, d, 1, first=path_index)[0]
+
+
+def scenario(seed, T, n_steps, control, theta=INTERVAL):
+    """(dB, dQV) of path 0 of seed under one control."""
+    return apply_control(one_path(seed, T, n_steps, theta.dim), control, theta, T / n_steps)
+
+
+def cum_qv(dqv):
+    """Running quadratic covariation at the grid times, (n_steps + 1, d, d)."""
+    return np.concatenate([np.zeros((1,) + dqv.shape[1:]), np.cumsum(dqv, axis=0)])
+
+
+class ScalarTerminal:
+    """phi applied elementwise to the terminal value of a 1-d driver."""
+
+    def __init__(self, phi):
+        self.phi = phi
+
+    def evaluate_batch(self, times, db, dqv):
+        return self.phi(np.sum(db, axis=-2)[..., 0])
+
+
+def control_family(n_steps, n_switching, seed):
+    """The constant controls plus n_switching seeded switching schedules."""
+    return controls_from_config({"constants": True, "random_switching": n_switching,
+                                 "seed": seed}, INTERVAL, n_steps, seed)
+
+
 def test_noise_regeneration_bit_identical():
-    a = sample_noise(1, 1.0, 4, 1)
-    b = sample_noise(1, 1.0, 4, 1)
-    assert np.array_equal(a.increments, b.increments)
+    a = one_path(1, 1.0, 4, 1)
+    b = one_path(1, 1.0, 4, 1)
+    assert np.array_equal(a, b)
 
 
 def test_noise_block_matches_per_path_streams():
     block = noise_block(9, 1.0, 16, 2, n_paths=5)
     for p in range(5):
-        assert np.array_equal(block[p], sample_noise(9, 1.0, 16, 2, path_index=p).increments)
+        assert np.array_equal(block[p], one_path(9, 1.0, 16, 2, path_index=p))
+    assert np.array_equal(block[2:], noise_block(9, 1.0, 16, 2, n_paths=3, first=2))
 
 
 def test_noise_invalid_sizes():
-    with pytest.raises(DimensionMismatchError):
-        sample_noise(1, -1.0, 4, 1)
-    with pytest.raises(DimensionMismatchError):
-        sample_noise(1, 1.0, 0, 1)
+    for shape in ({"T": -1.0}, {"T": 0.0}, {"n_steps": 0}, {"d": 0}, {"n_paths": 0},
+                  {"n_paths": -3}, {"first": -1}):
+        args = {"seed": 1, "T": 1.0, "n_steps": 4, "d": 1, "n_paths": 2, **shape}
+        with pytest.raises(DimensionMismatchError, match="invalid noise shape"):
+            noise_block(**args)
 
 
 def test_increment_moments_within_4_sigma():
@@ -46,8 +76,8 @@ def test_increment_moments_within_4_sigma():
 
 
 def test_distinct_seeds_uncorrelated():
-    a = sample_noise(1, 1.0, 100_000, 1).increments.ravel()
-    b = sample_noise(2, 1.0, 100_000, 1).increments.ravel()
+    a = one_path(1, 1.0, 100_000, 1).ravel()
+    b = one_path(2, 1.0, 100_000, 1).ravel()
     corr = np.corrcoef(a, b)[0, 1]
     assert abs(corr) < 4.0 / np.sqrt(a.size)
 
@@ -63,56 +93,53 @@ def test_control_validation():
 
 def test_build_constant_unit_volatility_qv_is_time():
     theta = CovarianceSet.from_interval(1.0, 1.0)
-    noise = sample_noise(5, 2.0, 64, 1)
-    path = build_gbm_path(noise, VolatilityControl.constant(0, 64), theta)
-    assert path.QV(2.0)[0, 0] == pytest.approx(2.0)
-    assert path.QV(1.0)[0, 0] == pytest.approx(1.0)
+    _, dqv = scenario(5, 2.0, 64, VolatilityControl.constant(0, 64), theta)
+    qv = cum_qv(dqv)
+    assert qv[64, 0, 0] == pytest.approx(2.0)
+    assert qv[32, 0, 0] == pytest.approx(1.0)
 
 
 def test_build_low_volatility_qv():
-    noise = sample_noise(5, 1.0, 40, 1)
-    path = build_gbm_path(noise, VolatilityControl.constant(0, 40), INTERVAL)
-    assert path.QV(1.0)[0, 0] == pytest.approx(0.25)
+    _, dqv = scenario(5, 1.0, 40, VolatilityControl.constant(0, 40))
+    assert cum_qv(dqv)[-1, 0, 0] == pytest.approx(0.25)
 
 
 def test_bang_bang_half_half_qv():
-    noise = sample_noise(5, 1.0, 64, 1)
     control = VolatilityControl.bang_bang_cycle(0, 1, 64)
-    path = build_gbm_path(noise, control, INTERVAL)
-    assert path.QV(1.0)[0, 0] == pytest.approx(0.5 * 0.25 + 0.5 * 1.0)
+    _, dqv = scenario(5, 1.0, 64, control)
+    assert cum_qv(dqv)[-1, 0, 0] == pytest.approx(0.5 * 0.25 + 0.5 * 1.0)
 
 
 def test_qv_psd_and_nondecreasing():
     rng = np.random.default_rng(0)
     theta = CovarianceSet(generators=tuple(rng.uniform(-1, 1, size=(3, 2, 2))))
-    noise = sample_noise(11, 1.0, 32, 2)
     control = VolatilityControl.random_switching(3, 32, seed=4)
-    path = build_gbm_path(noise, control, theta)
+    _, dqv = scenario(11, 1.0, 32, control, theta)
     for k in range(32):
-        w = np.linalg.eigvalsh(path.dQV[k])
+        w = np.linalg.eigvalsh(dqv[k])
         assert np.min(w) >= -1e-12
 
 
 def test_path_construction_is_pure():
-    noise = sample_noise(5, 1.0, 16, 1)
+    dw = one_path(5, 1.0, 16, 1)
     control = VolatilityControl.bang_bang_cycle(0, 1, 16)
-    p1 = build_gbm_path(noise, control, INTERVAL)
-    p2 = build_gbm_path(noise, control, INTERVAL)
-    assert np.array_equal(p1.dB, p2.dB) and np.array_equal(p1.dQV, p2.dQV)
+    db1, dqv1 = apply_control(dw, control, INTERVAL, 1.0 / 16)
+    db2, dqv2 = apply_control(dw, control, INTERVAL, 1.0 / 16)
+    assert np.array_equal(db1, db2) and np.array_equal(dqv1, dqv2)
 
 
 def test_control_coverage_mismatch():
-    noise = sample_noise(5, 1.0, 16, 1)
+    dw = one_path(5, 1.0, 16, 1)
     with pytest.raises(DimensionMismatchError):
-        build_gbm_path(noise, VolatilityControl.constant(0, 8), INTERVAL)
+        apply_control(dw, VolatilityControl.constant(0, 8), INTERVAL, 1.0 / 16)
     with pytest.raises(DimensionMismatchError):
-        build_gbm_path(noise, VolatilityControl.constant(5, 16), INTERVAL)
+        apply_control(dw, VolatilityControl.constant(5, 16), INTERVAL, 1.0 / 16)
 
 
 def test_estimate_martingale_near_zero():
-    controls = default_control_family(INTERVAL, n_steps=50, n_switching=6, seed=1)
+    controls = control_family(50, n_switching=6, seed=1)
     est, se, _ = estimate_sublinear_expectation(
-        ScalarTerminalFunctional(lambda b: b), INTERVAL, controls,
+        ScalarTerminal(lambda b: b), INTERVAL, controls,
         n_paths=4000, seed=77, T=1.0, n_steps=50)
     assert abs(est) <= 3 * se
 
@@ -120,7 +147,7 @@ def test_estimate_martingale_near_zero():
 def test_estimate_square_attains_upper_variance():
     controls = [VolatilityControl.constant(m, 50) for m in range(2)]
     est, se, best = estimate_sublinear_expectation(
-        ScalarTerminalFunctional(lambda b: b ** 2), INTERVAL, controls,
+        ScalarTerminal(lambda b: b ** 2), INTERVAL, controls,
         n_paths=6000, seed=101, T=1.0, n_steps=50)
     assert abs(est - 1.0) <= 3 * se
     assert best.label == "constant[1]"
@@ -129,15 +156,15 @@ def test_estimate_square_attains_upper_variance():
 def test_estimate_negative_square_attains_lower_variance():
     controls = [VolatilityControl.constant(m, 50) for m in range(2)]
     est, se, best = estimate_sublinear_expectation(
-        ScalarTerminalFunctional(lambda b: -(b ** 2)), INTERVAL, controls,
+        ScalarTerminal(lambda b: -(b ** 2)), INTERVAL, controls,
         n_paths=6000, seed=101, T=1.0, n_steps=50)
     assert abs(est - (-0.25)) <= 3 * se
     assert best.label == "constant[0]"
 
 
 def test_estimate_monotone_in_control_family():
-    functional = ScalarTerminalFunctional(lambda b: np.tanh(b))
-    fam_small = default_control_family(INTERVAL, 40, n_switching=4, seed=2)
+    functional = ScalarTerminal(lambda b: np.tanh(b))
+    fam_small = control_family(40, n_switching=4, seed=2)
     fam_large = fam_small + [VolatilityControl.bang_bang_cycle(0, 1, 40)]
     small, _, _ = estimate_sublinear_expectation(functional, INTERVAL, fam_small,
                                                  n_paths=500, seed=3, T=1.0, n_steps=40)
@@ -151,15 +178,13 @@ def test_convex_functionals_maximized_at_upper_constant(phi):
     # For these convex payoffs the domination holds per sample, hence exactly.
     constants = [VolatilityControl.constant(m, 30) for m in range(2)]
     _, _, best = estimate_sublinear_expectation(
-        ScalarTerminalFunctional(phi), INTERVAL, constants,
+        ScalarTerminal(phi), INTERVAL, constants,
         n_paths=400, seed=5, T=1.0, n_steps=30)
     assert best.label == "constant[1]"
 
 
 def test_nonfinite_functional_diagnostic():
-    def bad(path):
-        return np.nan
-
+    bad = ScalarTerminal(lambda b: np.where(np.arange(b.size) == 0, np.nan, b))
     controls = [VolatilityControl.constant(0, 4)]
     with pytest.raises(EvaluationError) as err:
         estimate_sublinear_expectation(bad, INTERVAL, controls,
@@ -167,31 +192,28 @@ def test_nonfinite_functional_diagnostic():
     assert "control 0" in str(err.value) and "path 0" in str(err.value)
 
 
-def test_per_path_and_batch_agree():
-    class Batchless:
-        def __call__(self, path: GBrownianPath) -> float:
-            return float(path.cum_B[-1][0] ** 2)
-
-    batched = ScalarTerminalFunctional(lambda b: b ** 2)
-    controls = [VolatilityControl.constant(1, 20)]
-    a = estimate_sublinear_expectation(Batchless(), INTERVAL, controls, 50, 9, 1.0, 20)
-    b = estimate_sublinear_expectation(batched, INTERVAL, controls, 50, 9, 1.0, 20)
-    assert a[0] == pytest.approx(b[0], abs=1e-12)
-
-
 def test_interval_qv_envelope_exact():
     # Dyadic step count and exact endpoint covariances: the running quadratic
     # variation stays inside [lower * t, upper * t] with exact arithmetic.
-    noise = sample_noise(21, 1.0, 256, 1)
     control = VolatilityControl.random_switching(2, 256, seed=8)
-    path = build_gbm_path(noise, control, INTERVAL)
-    qv = path.cum_QV[:, 0, 0]
-    t = path.times
+    _, dqv = scenario(21, 1.0, 256, control)
+    qv = cum_qv(dqv)[:, 0, 0]
+    t = np.linspace(0.0, 1.0, 257)
     assert np.all(qv >= 0.25 * t)
     assert np.all(qv <= 1.0 * t)
 
 
 def test_path_records_noise_provenance():
-    noise = sample_noise(3, 1.0, 8, 1, path_index=5)
-    path = build_gbm_path(noise, VolatilityControl.constant(0, 8), INTERVAL)
-    assert path.noise_id == (3, 5)
+    # A path is identified by (seed, path index) alone: path 5 of seed 3 is
+    # the same stream inside any block that covers it.
+    alone = one_path(3, 1.0, 8, 1, path_index=5)
+    assert np.array_equal(alone, noise_block(3, 1.0, 8, 1, 8)[5])
+    assert np.array_equal(alone, noise_block(3, 1.0, 8, 1, 2, first=4)[1])
+    assert not np.array_equal(alone, one_path(4, 1.0, 8, 1, path_index=5))
+
+
+def test_public_names_resolve():
+    import gdiffusion
+
+    for name in gdiffusion.__all__:
+        assert getattr(gdiffusion, name, None) is not None, name

@@ -4,52 +4,53 @@ import pytest
 from gdiffusion.coefficients import build_coefficients, remark_counterexample_pair, shifted
 from gdiffusion.errors import DimensionMismatchError, NonFiniteError
 from gdiffusion.gfunction import CovarianceSet
-from gdiffusion.scenario import VolatilityControl, build_gbm_path, sample_noise
-from gdiffusion.sde import (
-    CoefficientSet,
-    euler_march,
-    integrate,
-    integrate_coupled,
-    lipschitz_audit,
-    pathwise_min_gap,
-)
+from gdiffusion.scenario import VolatilityControl, apply_control, noise_block
+from gdiffusion.sde import CoefficientSet, euler_march, lipschitz_audit, pathwise_min_gap
 
 INTERVAL = CovarianceSet.from_interval(0.25, 1.0)
 UNIT = CovarianceSet.from_interval(1.0, 1.0)
 
 
 def unit_path(T=1.0, n_steps=64, seed=3, theta=UNIT, generator=0):
-    noise = sample_noise(seed, T, n_steps, theta.dim)
-    return build_gbm_path(noise, VolatilityControl.constant(generator, n_steps), theta)
+    """(times, dB, dQV) of path 0 of seed under a constant control; dB is (1, n_steps, d)."""
+    dw = noise_block(seed, T, n_steps, theta.dim, 1)
+    db, dqv = apply_control(dw, VolatilityControl.constant(generator, n_steps), theta,
+                            T / n_steps)
+    return np.linspace(0.0, T, n_steps + 1), db, dqv
+
+
+def march(coeffs, x0, path):
+    """States (n_steps + 1, n) of the single scenario path."""
+    return euler_march(coeffs, x0, *path)[0]
 
 
 def test_zero_coefficients_constant_path():
     coeffs = CoefficientSet(n=2, d=1)
-    path = unit_path()
-    out = integrate(coeffs, [1.5, -0.5], path)
-    assert np.all(out.states == np.array([1.5, -0.5]))
+    states = march(coeffs, [1.5, -0.5], unit_path())
+    assert np.all(states == np.array([1.5, -0.5]))
 
 
 def test_pure_drift_is_linear_in_time():
     coeffs = CoefficientSet(n=1, d=1, b=lambda t, x: np.ones(x.shape))
     path = unit_path(T=2.0, n_steps=128)
-    out = integrate(coeffs, [0.25], path)
-    assert np.allclose(out.states[:, 0], 0.25 + out.times, atol=1e-12)
+    states = march(coeffs, [0.25], path)
+    assert np.allclose(states[:, 0], 0.25 + path[0], atol=1e-12)
 
 
 def test_h_only_accumulates_quadratic_variation():
     coeffs = CoefficientSet(n=1, d=1, h=((lambda t, x: np.ones(x.shape),),))
     path = unit_path(theta=INTERVAL, generator=1, n_steps=50)
-    out = integrate(coeffs, [2.0], path)
-    qv = np.concatenate([[0.0], np.cumsum(path.dQV[:, 0, 0])])
-    assert np.allclose(out.states[:, 0], 2.0 + qv, atol=1e-14)
+    states = march(coeffs, [2.0], path)
+    qv = np.concatenate([[0.0], np.cumsum(path[2][:, 0, 0])])
+    assert np.allclose(states[:, 0], 2.0 + qv, atol=1e-14)
 
 
 def test_sigma_only_reproduces_driver():
     coeffs = CoefficientSet(n=1, d=1, sigma=(lambda t, x: np.ones(x.shape),))
     path = unit_path(n_steps=40)
-    out = integrate(coeffs, [0.0], path)
-    assert np.allclose(out.states[:, 0], path.cum_B[:, 0], atol=1e-14)
+    states = march(coeffs, [0.0], path)
+    cum_b = np.concatenate([[0.0], np.cumsum(path[1][0, :, 0])])
+    assert np.allclose(states[:, 0], cum_b, atol=1e-14)
 
 
 @pytest.mark.filterwarnings("ignore:overflow")
@@ -57,7 +58,7 @@ def test_nonfinite_abort_reports_step():
     coeffs = CoefficientSet(n=1, d=1, b=lambda t, x: x * 1e300)
     path = unit_path(n_steps=8)
     with pytest.raises(NonFiniteError) as err:
-        integrate(coeffs, [1.0], path)
+        march(coeffs, [1.0], path)
     assert "step" in str(err.value)
 
 
@@ -65,7 +66,12 @@ def test_dimension_mismatch():
     coeffs = CoefficientSet(n=2, d=1)
     path = unit_path()
     with pytest.raises(DimensionMismatchError):
-        integrate(coeffs, [0.0], path)
+        march(coeffs, [0.0], path)
+    states = euler_march(coeffs, np.zeros(2), *path)
+    with pytest.raises(DimensionMismatchError):
+        pathwise_min_gap(states, states[..., :1], path[0])
+    with pytest.raises(DimensionMismatchError):
+        pathwise_min_gap(states, states, path[0][1:])
 
 
 def test_coupled_identical_systems_bitwise():
@@ -74,36 +80,44 @@ def test_coupled_identical_systems_bitwise():
         "b": {"family": "offdiag-monotone"},
         "sigma": {"family": "constant", "matrix": [[1.0], [1.0]]},
     })
-    path = unit_path()
-    xs, ys = integrate_coupled(coeffs, coeffs, [0.1, 0.2], [0.1, 0.2], path)
-    assert np.array_equal(xs.states, ys.states)
-    gap, witness = pathwise_min_gap((xs, ys))
+    times, db, dqv = unit_path()
+    xs = euler_march(coeffs, np.array([0.1, 0.2]), times, db, dqv)
+    ys = euler_march(coeffs, np.array([0.1, 0.2]), times, db, dqv)
+    assert np.array_equal(xs, ys)
+    gap, witness = pathwise_min_gap(xs, ys, times)
     assert gap == 0.0
-    assert witness == (1, 0.0)
+    assert witness == (0, 1, 0.0)
 
 
 def test_coupled_shifted_drift_gap_is_time():
     base = CoefficientSet(n=2, d=1)
     up = CoefficientSet(n=2, d=1, b=shifted(None, 1.0))
-    path = unit_path(T=1.0, n_steps=100)
-    xs, ys = integrate_coupled(base, up, [0.0, 0.0], [0.0, 0.0], path)
-    assert np.allclose(ys.states - xs.states, path.times[:, None], atol=1e-12)
-    gap, witness = pathwise_min_gap((xs, ys))
-    assert gap == 0.0 and witness == (1, 0.0)
+    times, db, dqv = unit_path(T=1.0, n_steps=100)
+    xs = euler_march(base, np.zeros(2), times, db, dqv)
+    ys = euler_march(up, np.zeros(2), times, db, dqv)
+    assert np.allclose(ys - xs, times[:, None], atol=1e-12)
+    gap, witness = pathwise_min_gap(xs, ys, times)
+    assert gap == 0.0 and witness == (0, 1, 0.0)
 
 
-def test_coupled_warns_on_unordered_start():
-    coeffs = CoefficientSet(n=1, d=1)
-    path = unit_path()
-    with pytest.warns(UserWarning, match="counterexample"):
-        integrate_coupled(coeffs, coeffs, [1.0], [0.0], path)
+def test_pathwise_min_gap_first_witness_in_scan_order():
+    # Three ties at -1: batch index comes first, then time, then component.
+    times = np.array([0.0, 0.5, 1.0])
+    lower = np.zeros((2, 3, 2))
+    upper = np.zeros((2, 3, 2))
+    upper[1, 0, 0] = upper[0, 2, 1] = upper[0, 2, 0] = -1.0
+    assert pathwise_min_gap(lower, upper, times) == (-1.0, (0, 1, 1.0))
+    assert pathwise_min_gap(lower[0], upper[0], times) == (-1.0, (1, 1.0))
+    upper[0, 1, 1] = -1.0
+    assert pathwise_min_gap(lower, upper, times) == (-1.0, (0, 2, 0.5))
 
 
 def test_remark_counterexample_low_volatility_gap():
     coeffs_x, coeffs_y = remark_counterexample_pair(0.25, 1.0)
-    path = unit_path(T=1.0, n_steps=256, theta=INTERVAL, generator=0)
-    xs, ys = integrate_coupled(coeffs_x, coeffs_y, [0.0, 0.0], [0.0, 0.0], path)
-    gap, (comp, t_at) = pathwise_min_gap((xs, ys))
+    times, db, dqv = unit_path(T=1.0, n_steps=256, theta=INTERVAL, generator=0)
+    xs = euler_march(coeffs_x, np.zeros(2), times, db, dqv)
+    ys = euler_march(coeffs_y, np.zeros(2), times, db, dqv)
+    gap, (path, comp, t_at) = pathwise_min_gap(xs, ys, times)
     # X_2 - Y_2 = ((1+0.25)/2 - 0.25) t = 0.375 t, so the min of Y - X is at T.
     assert comp == 2 and t_at == 1.0
     assert gap == pytest.approx(-0.375, abs=1e-12)
@@ -120,14 +134,13 @@ def test_strong_order_at_least_half():
         factor = n_fine // n_coarse
         gaps = []
         for seed in range(40):
-            fine = sample_noise(seed, 1.0, n_fine, 1)
-            ref_path = build_gbm_path(fine, VolatilityControl.constant(0, n_fine), UNIT)
-            ref = integrate(coeffs, [1.0], ref_path)
-            dw = fine.increments.reshape(n_coarse, factor, 1).sum(axis=1)
+            ref = march(coeffs, [1.0], unit_path(n_steps=n_fine, seed=seed))
+            fine = noise_block(seed, 1.0, n_fine, 1, 1)[0]
+            dw = fine.reshape(n_coarse, factor, 1).sum(axis=1)
             times = np.linspace(0.0, 1.0, n_coarse + 1)
             dqv = np.ones((n_coarse, 1, 1)) / n_coarse
             states = euler_march(coeffs, np.array([1.0]), times, dw, dqv)
-            gaps.append((states[-1, 0] - ref.states[-1, 0]) ** 2)
+            gaps.append((states[-1, 0] - ref[-1, 0]) ** 2)
         errors.append(np.sqrt(np.mean(gaps)))
     order = np.log2(errors[0] / errors[1])
     assert order >= 0.4
@@ -148,9 +161,9 @@ def test_permutation_equivariance_exact():
     c2 = CoefficientSet(n=3, d=1, b=drift_permuted, sigma=sigma)
     path = unit_path(n_steps=32, seed=11)
     x0 = np.array([0.3, -0.2, 0.9])
-    out1 = integrate(c1, x0, path)
-    out2 = integrate(c2, x0[perm], path)
-    assert np.array_equal(out2.states, out1.states[:, perm])
+    out1 = march(c1, x0, path)
+    out2 = march(c2, x0[perm], path)
+    assert np.array_equal(out2, out1[:, perm])
 
 
 def test_h_symmetry_audit_raises():
@@ -196,14 +209,14 @@ def test_batched_march_matches_single_paths(case):
     n_steps = 16
     times = np.linspace(0.0, 1.0, n_steps + 1)
     control = VolatilityControl.bang_bang_cycle(0, 1, n_steps)
-    paths = [build_gbm_path(sample_noise(5, 1.0, n_steps, theta.dim, path_index=p),
-                            control, theta)
-             for p in range(3)]
-    db = np.stack([p.dB for p in paths])
-    batch = euler_march(coeffs, np.array([0.1, 0.2]), times, db, paths[0].dQV)
-    for p, path in enumerate(paths):
-        single = integrate(coeffs, [0.1, 0.2], path)
-        assert np.array_equal(batch[p], single.states)
+    x0 = np.array([0.1, 0.2])
+    db, dqv = apply_control(noise_block(5, 1.0, n_steps, theta.dim, 3), control, theta,
+                            1.0 / n_steps)
+    batch = euler_march(coeffs, x0, times, db, dqv)
+    for p in range(3):
+        dw = noise_block(5, 1.0, n_steps, theta.dim, n_paths=1, first=p)
+        single = euler_march(coeffs, x0, times, *apply_control(dw, control, theta, 1.0 / n_steps))
+        assert np.array_equal(batch[p], single[0])
 
 
 def test_euler_step_is_the_per_entry_sum():
@@ -276,11 +289,3 @@ def test_fields_match_per_entry_callables(case):
         for l in range(d):
             assert np.array_equal(s[..., :, l], _entry(coeffs.sigma[l], t, x))
 
-
-def test_provenance_records_noise_seed():
-    coeffs = CoefficientSet(n=1, d=1)
-    noise = sample_noise(9, 1.0, 4, 1, path_index=2)
-    path = build_gbm_path(noise, VolatilityControl.constant(0, 4), UNIT)
-    out = integrate(coeffs, [0.0], path)
-    assert out.provenance["noise_id"] == [9, 2]
-    assert out.provenance["x0"] == [0.0]
