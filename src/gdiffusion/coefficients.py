@@ -14,35 +14,53 @@ from .expressions import parse_expression
 from .sde import CoefficientSet
 
 
-def _const_vector(values: np.ndarray):
-    values = np.asarray(values, dtype=float)
-
-    def func(t, x):
-        return np.broadcast_to(values, x.shape).copy()
-
-    return func
+def _constant(values):
+    """The map (t, x) -> values, broadcast over the batch of x."""
+    values = np.array(values, dtype=float)
+    values.setflags(write=False)  # CoefficientSet returns a writable copy
+    return lambda t, x: values
 
 
 def _scalar(entry, arity: int):
     """A number, or an expression string with an optional 'expr:' prefix."""
     if isinstance(entry, str):
         return parse_expression(entry[5:] if entry.startswith("expr:") else entry, arity)
-    return float(entry)
+    try:
+        return float(entry)
+    except (TypeError, ValueError):
+        raise ConfigError(f"an entry must be a number or an expression, got {entry!r}") from None
 
 
-def _expr_vector(entries, n: int):
-    """Vector map from a list of n scalar entries (numbers or 'expr:' strings)."""
-    if len(entries) != n:
-        raise ConfigError(f"expected {n} entries, got {len(entries)}")
-    parts = [_scalar(e, n) for e in entries]
-    if all(isinstance(p, float) for p in parts):
-        return _const_vector(np.array(parts))
+def _checked(entries, count: int):
+    if len(entries) != count:
+        raise ConfigError(f"expected {count} entries, got {len(entries)}")
+    return entries
+
+
+def _table(tail: tuple, cells: dict, n: int):
+    """One map (t, x) -> (..., *tail) from {index: (entry, coord)}, or None if empty.
+
+    Each entry is a number or an expression.  With coord None it reads all of
+    x (variables x_1..x_n); with coord k it reads only x[..., k:k+1], as its
+    variable x_1.  Cells not listed are zero.
+    """
+    if not cells:
+        return None
+    parts = [((..., *index), _scalar(entry, n if coord is None else 1), coord)
+             for index, (entry, coord) in cells.items()]
+    if all(isinstance(part, float) for _, part, _ in parts):
+        table = np.zeros(tail)
+        for index, part, _ in parts:
+            table[index] = part
+        return _constant(table)
 
     def func(t, x):
-        x = np.asarray(x, dtype=float)
-        out = np.empty(x.shape)
-        for i, p in enumerate(parts):
-            out[..., i] = p(t, x) if not isinstance(p, float) else p
+        out = np.zeros(x.shape[:-1] + tail)
+        for index, part, coord in parts:
+            if isinstance(part, float):
+                out[index] = part
+            else:
+                out[index] = part(t, x if coord is None else x[..., coord:coord + 1])
         return out
 
     return func
@@ -91,42 +109,6 @@ def shifted(func, delta):
     return shifted_func
 
 
-def diag_sigma(n: int, d: int, values) -> tuple:
-    """Diagonal diffusion columns: (sigma_l)_k = delta_{lk} * s_l(x_l).
-
-    ``values`` lists d entries, each a number or an expression in the single
-    variable x_1 (evaluated at coordinate l), so each loading depends only on
-    its own coordinate.
-    """
-    if d > n:
-        raise ConfigError("diagonal diffusion requires d <= n")
-    if len(values) != d:
-        raise ConfigError(f"diag-sigma expects {d} values, got {len(values)}")
-    columns = []
-    for l, v in enumerate(values):
-        def column(t, x, l=l, v=_scalar(v, 1)):
-            x = np.asarray(x, dtype=float)
-            out = np.zeros(x.shape)
-            out[..., l] = v if isinstance(v, float) else v(t, x[..., l:l + 1])
-            return out
-        columns.append(column)
-    return tuple(columns)
-
-
-def per_coordinate_sigma(n: int, d: int, exprs) -> tuple:
-    """Columns (sigma_l)_k = s_lk(x_k); exprs is a d x n table over x_1."""
-    columns = []
-    for l in range(d):
-        def column(t, x, parts=tuple(_scalar(e, 1) for e in exprs[l])):
-            x = np.asarray(x, dtype=float)
-            out = np.empty(x.shape)
-            for k, p in enumerate(parts):
-                out[..., k] = p if isinstance(p, float) else p(t, x[..., k:k + 1])
-            return out
-        columns.append(column)
-    return tuple(columns)
-
-
 def remark_counterexample_pair(theta_lower_sq: float, theta_upper_sq: float
                                ) -> tuple[CoefficientSet, CoefficientSet]:
     """Two-component systems showing that the reversed drift/loading
@@ -137,22 +119,9 @@ def remark_counterexample_pair(theta_lower_sq: float, theta_upper_sq: float
     Under the constant lowest-volatility scenario, X_2 - Y_2 grows linearly.
     """
     mid = 0.5 * (theta_upper_sq + theta_lower_sq)
-    coeffs_x = CoefficientSet(
-        n=2, d=1,
-        b=_const_vector(np.array([0.0, mid])),
-        label=f"remark-drift[{mid}]",
-    )
-
-    def h_loading(t, x):
-        out = np.zeros(np.asarray(x, dtype=float).shape)
-        out[..., 1] = 1.0
-        return out
-
-    coeffs_y = CoefficientSet(
-        n=2, d=1,
-        h=((h_loading,),),
-        label="remark-qv",
-    )
+    coeffs_x = CoefficientSet(n=2, d=1, b=_constant([0.0, mid]),
+                              label=f"remark-drift[{mid}]")
+    coeffs_y = CoefficientSet(n=2, d=1, h=_constant([[[0.0, 1.0]]]), label="remark-qv")
     return coeffs_x, coeffs_y
 
 
@@ -193,7 +162,7 @@ def _build_drift(section, n: int):
     if section is None:
         return None
     if isinstance(section, list):
-        return _expr_vector(section, n)
+        return _table((n,), {(i,): (e, None) for i, e in enumerate(_checked(section, n))}, n)
     if isinstance(section, dict):
         family = section.get("family")
         if family == "zero":
@@ -203,7 +172,7 @@ def _build_drift(section, n: int):
             vec = np.full(n, float(c)) if np.isscalar(c) else np.asarray(c, dtype=float)
             if vec.shape != (n,):
                 raise ConfigError(f"constant-drift c must be scalar or length {n}")
-            return _const_vector(vec)
+            return _constant(vec)
         if family == "linear-drift":
             a = np.asarray(section["A"], dtype=float)
             if a.shape != (n, n):
@@ -218,30 +187,43 @@ def _build_drift(section, n: int):
 
 
 def _build_sigma(section, n: int, d: int):
+    """Columns sigma_l as one (..., n, d) map: column lists (a null column is
+    zero), or the families diag-sigma ((sigma_l)_k = delta_lk s_l(x_l)),
+    per-coordinate ((sigma_l)_k = s_lk(x_k), a d x n table over x_1) and
+    constant (an n x d matrix)."""
     if section is None:
         return None
     if isinstance(section, list):
         if len(section) != d:
             raise ConfigError(f"sigma must list {d} columns")
-        return tuple(None if row is None else _expr_vector(row, n) for row in section)
+        return _table((n, d), {(k, l): (e, None) for l, column in enumerate(section)
+                               if column is not None
+                               for k, e in enumerate(_checked(column, n))}, n)
     if isinstance(section, dict):
         family = section.get("family")
         if family == "zero":
             return None
         if family == "diag-sigma":
-            return diag_sigma(n, d, section.get("values", [1.0] * d))
+            if d > n:
+                raise ConfigError("diagonal diffusion requires d <= n")
+            values = _checked(section.get("values", [1.0] * d), d)
+            return _table((n, d), {(l, l): (v, l) for l, v in enumerate(values)}, n)
         if family == "per-coordinate":
-            return per_coordinate_sigma(n, d, section["entries"])
+            return _table((n, d), {(k, l): (e, k)
+                                   for l, row in enumerate(_checked(section["entries"], d))
+                                   for k, e in enumerate(_checked(row, n))}, n)
         if family == "constant":
             matrix = np.asarray(section["matrix"], dtype=float)  # n x d columns
             if matrix.shape != (n, d):
                 raise ConfigError(f"constant sigma matrix must be {n}x{d}")
-            return tuple(_const_vector(matrix[:, l]) for l in range(d))
+            return _constant(matrix)
         raise ConfigError(f"unknown sigma family {family!r}")
     raise ConfigError("sigma section must be null, a nested list, or a family mapping")
 
 
 def _build_h(section, n: int, d: int):
+    """Loadings h_lk as one (..., d, d, n) map: a d x d table of entry lists
+    (a null cell is zero), or the constant family (a d x d x n table)."""
     if section is None:
         return None
     if isinstance(section, dict):
@@ -252,13 +234,12 @@ def _build_h(section, n: int, d: int):
             table = np.asarray(section["table"], dtype=float)  # d x d x n
             if table.shape != (d, d, n):
                 raise ConfigError(f"constant h table must be {d}x{d}x{n}")
-            return tuple(tuple(_const_vector(table[l, k]) for k in range(d)) for l in range(d))
+            return _constant(table)
         raise ConfigError(f"unknown h family {family!r}")
     if isinstance(section, list):
         if len(section) != d or any(len(row) != d for row in section):
             raise ConfigError(f"h must be a {d}x{d} table")
-        return tuple(
-            tuple(None if cell is None else _expr_vector(cell, n) for cell in row)
-            for row in section
-        )
+        return _table((d, d, n), {(l, k, i): (e, None) for l, row in enumerate(section)
+                                  for k, cell in enumerate(row) if cell is not None
+                                  for i, e in enumerate(_checked(cell, n))}, n)
     raise ConfigError("h section must be null, a nested list, or a family mapping")

@@ -112,6 +112,14 @@ def _convert(value, convert, key: str):
         raise ConfigError(f"{key}: cannot read {value!r} ({exc})") from exc
 
 
+def seed_from_config(value, key: str) -> int:
+    """A seed as numpy's SeedSequence takes it: a non-negative integer."""
+    seed = _convert(value, int, key)
+    if seed != value or seed < 0:
+        raise ConfigError(f"{key}: expected a non-negative integer seed, got {value!r}")
+    return seed
+
+
 def theta_from_config(section) -> CovarianceSet:
     if not isinstance(section, dict):
         raise ConfigError("theta: expected an object")
@@ -160,7 +168,7 @@ def domain_from_config(section, n: int, default_seed: int) -> SearchDomain:
                         "domain.t_grid"),
         n_samples=_convert(section.get("n_samples", 512), int, "domain.n_samples"),
         n_refine=_convert(section.get("n_refine", 8), int, "domain.n_refine"),
-        seed=_convert(section.get("seed", default_seed), int, "domain.seed"),
+        seed=seed_from_config(section.get("seed", default_seed), "domain.seed"),
     )
 
 
@@ -202,8 +210,8 @@ def controls_from_config(section, theta: CovarianceSet, n_steps: int,
     if section.get("constants", True):
         controls.extend(VolatilityControl.constant(m, n_steps)
                         for m in range(theta.n_generators))
-    k = int(section.get("random_switching", 64))
-    seed = int(section.get("seed", default_seed))
+    k = _convert(section.get("random_switching", 64), int, "scenario.controls.random_switching")
+    seed = seed_from_config(section.get("seed", default_seed), "scenario.controls.seed")
     for j in range(k):
         controls.append(VolatilityControl.random_switching(
             theta.n_generators, n_steps, seed * 1000003 + j))

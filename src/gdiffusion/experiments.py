@@ -57,18 +57,6 @@ def report_json(report: dict) -> str:
     return json.dumps(report, sort_keys=True, indent=2) + "\n"
 
 
-def write_report(report: dict, cfg: dict) -> str | None:
-    output = cfg.get("output", {})
-    name = output.get("report")
-    if not name:
-        return None
-    path = os.path.join(output.get("dir", "."), name)
-    os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(report_json(report))
-    return path
-
-
 def _output_path(cfg: dict, key: str) -> str | None:
     output = cfg.get("output", {})
     name = output.get(key)
@@ -79,20 +67,42 @@ def _output_path(cfg: dict, key: str) -> str | None:
     return path
 
 
+def write_report(report: dict, cfg: dict) -> str | None:
+    path = _output_path(cfg, "report")
+    if path:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(report_json(report))
+    return path
+
+
+def _seed(cfg: dict) -> int:
+    return cfgmod.seed_from_config(cfgmod.require(cfg, "seed"), "seed")
+
+
+def _read(section: dict, key: str, convert, where: str, *default):
+    """section[key] (required unless a default is given) through convert;
+    a value it cannot read is a ConfigError naming ``where.key``."""
+    value = section.get(key, *default) if default else cfgmod.require(section, key)
+    return cfgmod._convert(value, convert, f"{where}.{key}")
+
+
 def run_verify_comparison(cfg: dict) -> tuple[dict, int]:
-    """Hypothesis checks, then the coupled pathwise ordering over an ensemble."""
+    """Scenario, hypothesis checks, then the coupled pathwise ordering over an ensemble."""
+    seed = _seed(cfg)
     theta = cfgmod.theta_from_config(cfgmod.require(cfg, "theta", dict))
     coeffs_x, coeffs_y = cfgmod.coefficients_from_config(cfg)
     if coeffs_y is None:
         raise ConfigError("verify-comparison needs coefficients_bar or a pair family")
     x0 = np.asarray(cfgmod.require(cfg, "x0", list), dtype=float)
     y0 = np.asarray(cfgmod.require(cfg, "y0", list), dtype=float)
-    dom = cfgmod.domain_from_config(cfgmod.require(cfg, "domain", dict),
-                                    coeffs_x.n, cfg["seed"])
+    dom = cfgmod.domain_from_config(cfgmod.require(cfg, "domain", dict), coeffs_x.n, seed)
     scen = cfgmod.require(cfg, "scenario", dict)
-    horizon = float(cfgmod.require(scen, "T"))
-    n_steps = int(cfgmod.require(scen, "n_steps"))
-    n_paths = int(cfgmod.require(scen, "n_paths"))
+    horizon = _read(scen, "T", float, "scenario")
+    n_steps = _read(scen, "n_steps", int, "scenario")
+    n_paths = _read(scen, "n_paths", int, "scenario")
+    # an invalid scenario is a config error before any search runs
+    controls = cfgmod.controls_from_config(scen.get("controls"), theta, n_steps, seed)
+    dw = noise_block(seed, horizon, n_steps, theta.dim, n_paths)
 
     counterexample_mode = bool(np.any(x0 > y0))
     if counterexample_mode:
@@ -105,7 +115,7 @@ def run_verify_comparison(cfg: dict) -> tuple[dict, int]:
     if coeffs_x.lipschitz > 0:  # declared constant: spot-audited, warning only
         results["lipschitz_audit"] = {
             "declared": coeffs_x.lipschitz,
-            "worst_sampled_quotient": lipschitz_audit(coeffs_x, dom.box, seed=cfg["seed"]),
+            "worst_sampled_quotient": lipschitz_audit(coeffs_x, dom.box, seed=seed),
         }
     if rep_b1.verdict == "violated" or rep_b2.verdict == "violated":
         results["violated"] = [name for name, rep in (("B1", rep_b1), ("B2", rep_b2))
@@ -113,8 +123,6 @@ def run_verify_comparison(cfg: dict) -> tuple[dict, int]:
         return (_report("verify-comparison", cfg, results, "hypothesis-violated",
                         EXIT_HYPOTHESIS), EXIT_HYPOTHESIS)
 
-    controls = cfgmod.controls_from_config(scen.get("controls"), theta, n_steps, cfg["seed"])
-    dw = noise_block(cfg["seed"], horizon, n_steps, theta.dim, n_paths)
     times = np.linspace(0.0, horizon, n_steps + 1)
     dt = horizon / n_steps
     tol_path = float(cfg.get("tolerances", {}).get(
@@ -150,6 +158,7 @@ def run_counterexample_remark(cfg: dict) -> tuple[dict, int]:
     reports the deterministic positive gap X_2 - Y_2 = (mid - lower) t
     together with the violated ordering hypothesis.
     """
+    seed = _seed(cfg)
     theta_cfg = cfg.get("theta", {"interval": [0.5, 1.0]})
     theta = cfgmod.theta_from_config(theta_cfg)
     if theta.dim != 1:
@@ -160,10 +169,10 @@ def run_counterexample_remark(cfg: dict) -> tuple[dict, int]:
             "degenerate theta (lower == upper): no counterexample exists there")
     coeffs_x, coeffs_y = remark_counterexample_pair(lower, upper)
     scen = cfg.get("scenario", {})
-    horizon = float(scen.get("T", 1.0))
-    n_steps = int(scen.get("n_steps", 256))
+    horizon = _read(scen, "T", float, "scenario", 1.0)
+    n_steps = _read(scen, "n_steps", int, "scenario", 256)
 
-    dw = noise_block(cfg["seed"], horizon, n_steps, 1, 1)
+    dw = noise_block(seed, horizon, n_steps, 1, 1)
     low_index = int(np.argmin([float(np.min(np.linalg.eigvalsh(s)))
                                for s in theta.covariances]))
     control = VolatilityControl.constant(low_index, n_steps)
@@ -176,7 +185,7 @@ def run_counterexample_remark(cfg: dict) -> tuple[dict, int]:
     gap_at_horizon = float(gap_path[-1])
 
     dom = cfgmod.domain_from_config(
-        cfg.get("domain", {"box": [[-1.0, 1.0], [-1.0, 1.0]]}), 2, cfg["seed"])
+        cfg.get("domain", {"box": [[-1.0, 1.0], [-1.0, 1.0]]}), 2, seed)
     rep_b1 = run_check("B1", coeffs_x, coeffs_y, theta, dom)
 
     results = {
@@ -199,10 +208,10 @@ def run_counterexample_remark(cfg: dict) -> tuple[dict, int]:
 
 def run_verify_monotone(cfg: dict) -> tuple[dict, int]:
     """C1 + C2, then monotonicity of the semigroup on grid solutions."""
+    seed = _seed(cfg)
     theta = cfgmod.theta_from_config(cfgmod.require(cfg, "theta", dict))
     coeffs, _ = cfgmod.coefficients_from_config(cfg)
-    dom = cfgmod.domain_from_config(cfgmod.require(cfg, "domain", dict),
-                                    coeffs.n, cfg["seed"])
+    dom = cfgmod.domain_from_config(cfgmod.require(cfg, "domain", dict), coeffs.n, seed)
     grid = cfgmod.grid_from_config(cfgmod.require(cfg, "grid", dict))
     functions = cfgmod.functions_from_config(cfgmod.require(cfg, "functions", list),
                                              coeffs.n)
@@ -241,12 +250,12 @@ def run_verify_monotone(cfg: dict) -> tuple[dict, int]:
 
 def run_verify_order(cfg: dict) -> tuple[dict, int]:
     """D1 + D5 plus side conditions, then semigroup dominance on the grid."""
+    seed = _seed(cfg)
     theta = cfgmod.theta_from_config(cfgmod.require(cfg, "theta", dict))
     coeffs_x, coeffs_y = cfgmod.coefficients_from_config(cfg)
     if coeffs_y is None:
         raise ConfigError("verify-order needs coefficients_bar")
-    dom = cfgmod.domain_from_config(cfgmod.require(cfg, "domain", dict),
-                                    coeffs_x.n, cfg["seed"])
+    dom = cfgmod.domain_from_config(cfgmod.require(cfg, "domain", dict), coeffs_x.n, seed)
     grid = cfgmod.grid_from_config(cfgmod.require(cfg, "grid", dict))
     functions = cfgmod.functions_from_config(cfgmod.require(cfg, "functions", list),
                                              coeffs_x.n)
@@ -254,7 +263,7 @@ def run_verify_order(cfg: dict) -> tuple[dict, int]:
     side = coeffs_y if monotone_side == "bar" else coeffs_x
 
     # uniform positive definiteness of the state covariance frame
-    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence((cfg["seed"], 0xBD))))
+    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence((seed, 0xBD))))
     results: dict = {}
     probe = dom.box[:, 0] + (dom.box[:, 1] - dom.box[:, 0]) \
         * rng.uniform(size=(256, coeffs_x.n))
@@ -336,6 +345,7 @@ def run_generator_limit(cfg: dict) -> tuple[dict, int]:
 
 def run_feynman_crosscheck(cfg: dict) -> tuple[dict, int]:
     """Two independent routes to E_t f(x): PDE grid value vs Monte Carlo sup."""
+    seed = _seed(cfg)
     theta = cfgmod.theta_from_config(cfgmod.require(cfg, "theta", dict))
     coeffs, _ = cfgmod.coefficients_from_config(cfg)
     grid = cfgmod.grid_from_config(cfgmod.require(cfg, "grid", dict))
@@ -345,20 +355,20 @@ def run_feynman_crosscheck(cfg: dict) -> tuple[dict, int]:
     t_query = float(cfgmod.require(query, "t"))
     x_query = np.asarray(cfgmod.require(query, "x", list), dtype=float)
     scen = cfgmod.require(cfg, "scenario", dict)
-    horizon = float(scen.get("T", t_query))
+    horizon = _read(scen, "T", float, "scenario", t_query)
     if abs(horizon - t_query) > 1e-12:
         raise ConfigError("scenario.T must equal query.t for the cross-check")
-    n_steps = int(cfgmod.require(scen, "n_steps"))
-    n_paths = int(cfgmod.require(scen, "n_paths"))
+    n_steps = _read(scen, "n_steps", int, "scenario")
+    n_paths = _read(scen, "n_paths", int, "scenario")
 
     f = functions[0]
     sol = solve(coeffs, theta, f, grid)
     pde_value = semigroup_value(sol, t_query, x_query)
 
-    controls = cfgmod.controls_from_config(scen.get("controls"), theta, n_steps, cfg["seed"])
+    controls = cfgmod.controls_from_config(scen.get("controls"), theta, n_steps, seed)
     functional = SDETerminalFunctional(coeffs, f, x_query)
     mc_value, mc_se, best = estimate_sublinear_expectation(
-        functional, theta, controls, n_paths, cfg["seed"], horizon, n_steps)
+        functional, theta, controls, n_paths, seed, horizon, n_steps)
 
     tolerance = float(cfg.get("tolerances", {}).get("crosscheck",
                                                     max(2e-2, 3.0 * mc_se)))
@@ -383,13 +393,13 @@ def run_feynman_crosscheck(cfg: dict) -> tuple[dict, int]:
 
 def run_checks(cfg: dict) -> tuple[dict, int]:
     """Run named condition checks; exit 0 satisfied, 1 violated, 2 error."""
+    seed = _seed(cfg)
     theta = cfgmod.theta_from_config(cfgmod.require(cfg, "theta", dict))
     coeffs_x, coeffs_y = cfgmod.coefficients_from_config(cfg)
     names = cfg.get("conditions") or ([cfg["condition"]] if cfg.get("condition") else None)
     if not names:
         raise ConfigError("check: provide 'condition' or 'conditions'")
-    dom = cfgmod.domain_from_config(cfgmod.require(cfg, "domain", dict),
-                                    coeffs_x.n, cfg["seed"])
+    dom = cfgmod.domain_from_config(cfgmod.require(cfg, "domain", dict), coeffs_x.n, seed)
     reports = {}
     any_violated = False
     for name in names:
@@ -435,30 +445,33 @@ def run_solve(cfg: dict) -> tuple[dict, int]:
 
 def run_simulate(cfg: dict) -> tuple[dict, int]:
     """Integrate one system on one scenario and export the path as CSV."""
+    seed = _seed(cfg)
     theta = cfgmod.theta_from_config(cfgmod.require(cfg, "theta", dict))
     coeffs, _ = cfgmod.coefficients_from_config(cfg)
     scen = cfgmod.require(cfg, "scenario", dict)
-    horizon = float(cfgmod.require(scen, "T"))
-    n_steps = int(cfgmod.require(scen, "n_steps"))
+    horizon = _read(scen, "T", float, "scenario")
+    n_steps = _read(scen, "n_steps", int, "scenario")
     x0 = np.asarray(cfgmod.require(cfg, "x0", list), dtype=float)
     control_cfg = scen.get("control", {"policy": "constant", "index": 0})
     policy = control_cfg.get("policy", "constant")
+    where = "scenario.control"
     if policy == "constant":
-        control = VolatilityControl.constant(int(control_cfg.get("index", 0)), n_steps)
+        control = VolatilityControl.constant(_read(control_cfg, "index", int, where, 0), n_steps)
     elif policy == "random-switching":
-        control = VolatilityControl.random_switching(
-            theta.n_generators, n_steps, int(control_cfg.get("seed", cfg["seed"])))
+        switch_seed = cfgmod.seed_from_config(control_cfg.get("seed", seed), f"{where}.seed")
+        control = VolatilityControl.random_switching(theta.n_generators, n_steps, switch_seed)
     elif policy == "bang-bang-cycle":
         control = VolatilityControl.bang_bang_cycle(
-            int(control_cfg.get("lo", 0)), int(control_cfg.get("hi", theta.n_generators - 1)),
+            _read(control_cfg, "lo", int, where, 0),
+            _read(control_cfg, "hi", int, where, theta.n_generators - 1),
             n_steps, control_cfg.get("period"))
     elif policy == "explicit":
         control = VolatilityControl(np.asarray(control_cfg["schedule"], dtype=np.int64))
     else:
         raise ConfigError(f"scenario.control.policy: unknown policy {policy!r}")
 
-    dw = noise_block(cfg["seed"], horizon, n_steps, theta.dim, 1,
-                     first=int(scen.get("path_index", 0)))
+    dw = noise_block(seed, horizon, n_steps, theta.dim, 1,
+                     first=_read(scen, "path_index", int, "scenario", 0))
     db, dqv = apply_control(dw, control, theta, horizon / n_steps)
     times = np.linspace(0.0, horizon, n_steps + 1)
     states = euler_march(coeffs, x0, times, db, dqv)[0]

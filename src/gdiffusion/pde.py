@@ -31,7 +31,7 @@ boundary error cannot reach at more than roundoff size.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -402,13 +402,7 @@ class MonotonicityReport:
     nondecreasing: bool
 
     def to_dict(self) -> dict:
-        return {
-            "min_forward_difference": self.min_forward_difference,
-            "per_axis": self.per_axis,
-            "witness": self.witness,
-            "tolerance": self.tolerance,
-            "nondecreasing": self.nondecreasing,
-        }
+        return asdict(self)
 
 
 def monotonicity_check(sol: PDESolution, tol: float | None = None) -> MonotonicityReport:
@@ -462,13 +456,7 @@ class DominanceReport:
     mode: str
 
     def to_dict(self) -> dict:
-        return {
-            "min_gap": self.min_gap,
-            "witness": self.witness,
-            "tolerance": self.tolerance,
-            "dominates": self.dominates,
-            "mode": self.mode,
-        }
+        return asdict(self)
 
 
 def dominance_check(sol_upper: PDESolution, sol_lower: PDESolution,

@@ -27,30 +27,29 @@ H_SYMMETRY_TOL = 1e-12
 
 @dataclass(frozen=True)
 class CoefficientSet:
-    """Drift b, covariation loadings h_ij, and diffusion columns sigma_i.
+    """Drift b, covariation loadings h_lk, and diffusion columns sigma_l.
 
-    b : callable (t, x) -> R^n or None for zero
-    h : d x d nested sequence of callables (t, x) -> R^n (None entries are zero)
-    sigma : length-d sequence of callables (t, x) -> R^n (None entries are zero)
+    Each part is one map of (t, x), x of shape (..., n), or None for zero:
+
+    b : (t, x) -> (..., n)
+    h : (t, x) -> (..., d, d, n), the raw table with [..., l, k, :] = h_lk
+        (not h_lk + h_kl)
+    sigma : (t, x) -> (..., n, d), the columns with [..., :, l] = sigma_l
     lipschitz : declared constant, audited by spot checks only
-    h_symmetric : when set, h_ij == h_ji is verified on sample points at
+    h_symmetric : when set, h_lk == h_kl is verified on sample points at
         construction and violations are a construction error
 
-    ``fields(t, x)`` evaluates all three at points x of shape (..., n) and
-    is how the rest of the package reads them: b (..., n), the raw table
-    h (..., d, d, n) with h[..., l, k, :] = h_lk (not h_lk + h_kl) and the
-    columns S (..., n, d) with S[..., :, l] = sigma_l.  A part that is
-    absent (b None, every h entry None, every sigma entry None) is None;
-    a None entry inside a present part is a zero block.  ``eval_b``,
-    ``h_table`` and ``sigma_matrix`` are its three parts on their own, with
-    zeros instead of None.
+    A map may return any array that broadcasts to its shape.  ``fields(t, x)``
+    evaluates all three and is how the rest of the package reads them, with
+    None for an absent part; ``eval_b``, ``h_table`` and ``sigma_matrix`` are
+    its three parts on their own, with zeros instead of None.
     """
 
     n: int
     d: int
     b: object = None
-    h: tuple = None
-    sigma: tuple = None
+    h: object = None
+    sigma: object = None
     lipschitz: float = 0.0
     time_homogeneous: bool = True
     h_symmetric: bool = True
@@ -60,18 +59,6 @@ class CoefficientSet:
     def __post_init__(self) -> None:
         if self.n < 1 or self.d < 1:
             raise DimensionMismatchError(f"invalid dimensions n={self.n}, d={self.d}")
-        h = self.h
-        if h is not None:
-            h = tuple(tuple(row) for row in h)
-            if len(h) != self.d or any(len(row) != self.d for row in h):
-                raise DimensionMismatchError(f"h must be a {self.d}x{self.d} table of maps")
-        sigma = self.sigma
-        if sigma is not None:
-            sigma = tuple(sigma)
-            if len(sigma) != self.d:
-                raise DimensionMismatchError(f"sigma must list {self.d} maps")
-        object.__setattr__(self, "h", h)
-        object.__setattr__(self, "sigma", sigma)
         rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(0xA0D17)))
         pts = rng.uniform(-1.5, 1.5, size=(8, self.n))
         pts.setflags(write=False)
@@ -88,41 +75,38 @@ class CoefficientSet:
                     "but h_symmetric is declared"
                 )
 
-    def _eval_vector(self, func, t, x) -> np.ndarray:
+    @staticmethod
+    def _field(func, t, x, tail: tuple) -> np.ndarray:
+        """func(t, x) as a writable float array of shape x.shape[:-1] + tail."""
         x = np.asarray(x, dtype=float)
+        shape = x.shape[:-1] + tail
         if func is None:
-            return np.zeros(x.shape)
+            return np.zeros(shape)
         out = np.asarray(func(t, x), dtype=float)
-        if out.shape != x.shape:
-            out = np.broadcast_to(out, x.shape).copy()
-        return out
+        if out.shape == shape and out.flags.writeable:
+            return out
+        full = np.empty(shape)
+        try:
+            full[...] = out
+        except ValueError:
+            raise DimensionMismatchError(
+                f"coefficient map returned shape {out.shape}, expected {shape}") from None
+        return full
 
     def eval_b(self, t, x) -> np.ndarray:
-        return self._eval_vector(self.b, t, x)
-
-    def eval_h(self, l: int, k: int, t, x) -> np.ndarray:
-        return self._eval_vector(self.h[l][k] if self.h is not None else None, t, x)
-
-    def eval_sigma(self, l: int, t, x) -> np.ndarray:
-        return self._eval_vector(self.sigma[l] if self.sigma is not None else None, t, x)
-
-    def sigma_matrix(self, t, x) -> np.ndarray:
-        """Diffusion columns stacked as (..., n, d), zero where absent."""
-        x = np.asarray(x, dtype=float)
-        out = np.empty(x.shape + (self.d,))
-        for l in range(self.d):
-            out[..., l] = self.eval_sigma(l, t, x)
-        return out
+        return self._field(self.b, t, x, (self.n,))
 
     def h_table(self, t, x) -> np.ndarray:
-        """Loadings stacked as (..., d, d, n), zero where absent."""
-        x = np.asarray(x, dtype=float)
-        out = np.zeros(x.shape[:-1] + (self.d, self.d, self.n))
-        for l, row in enumerate(self.h or ()):
-            for k, func in enumerate(row):
-                if func is not None:
-                    out[..., l, k, :] = self.eval_h(l, k, t, x)
-        return out
+        return self._field(self.h, t, x, (self.d, self.d, self.n))
+
+    def sigma_matrix(self, t, x) -> np.ndarray:
+        return self._field(self.sigma, t, x, (self.n, self.d))
+
+    def eval_h(self, l: int, k: int, t, x) -> np.ndarray:
+        return self.h_table(t, x)[..., l, k, :]
+
+    def eval_sigma(self, l: int, t, x) -> np.ndarray:
+        return self.sigma_matrix(t, x)[..., l]
 
     def fields(self, t, x) -> tuple:
         """(b, h, S) at x; see the class docstring for shapes and None."""
@@ -133,11 +117,11 @@ class CoefficientSet:
 
     @property
     def has_h(self) -> bool:
-        return self.h is not None and any(e is not None for row in self.h for e in row)
+        return self.h is not None
 
     @property
     def has_sigma(self) -> bool:
-        return self.sigma is not None and any(e is not None for e in self.sigma)
+        return self.sigma is not None
 
 
 def frame_eigenvalues(s: np.ndarray) -> np.ndarray:

@@ -5,6 +5,7 @@ import sys
 import numpy as np
 import pytest
 
+from gdiffusion import experiments
 from gdiffusion.cli import main
 from gdiffusion.config import load_config
 from gdiffusion.errors import ConfigError
@@ -281,8 +282,8 @@ def test_simulate_zero_coefficients_constant_csv(tmp_path, capsys):
         assert float(x1) == 1.5 and float(x2) == -2.0
 
 
-def test_simulate_path_index_selects_the_noise_stream():
-    cfg = {
+def simulate_config():
+    return {
         "seed": 9,
         "theta": {"interval": [0.25, 1.0]},
         "coefficients": {"n": 1, "d": 1, "sigma": {"family": "constant", "matrix": [[1.0]]}},
@@ -290,6 +291,10 @@ def test_simulate_path_index_selects_the_noise_stream():
         "scenario": {"T": 1.0, "n_steps": 8, "path_index": 2,
                      "control": {"policy": "constant", "index": 1}},
     }
+
+
+def test_simulate_path_index_selects_the_noise_stream():
+    cfg = simulate_config()
     report, code = dispatch("simulate", cfg)
     assert code == 0
     # unit diffusion under the unit-volatility constant control: X_T = W_T of path 2
@@ -311,6 +316,49 @@ def test_verify_comparison_rejects_invalid_scenario_shape(tmp_path, shape):
     assert code == 2
     assert report["status"] == "config-error"
     assert report["results"]["error"].startswith("invalid noise shape")
+
+
+UNREADABLE = [
+    ("simulate", "seed", -1),
+    ("simulate", "scenario.path_index", "two"),
+    ("simulate", "scenario.T", "x"),
+    ("simulate", "scenario.n_steps", "many"),
+    ("simulate", "scenario.control.index", "a"),
+    ("verify-comparison", "scenario.controls.random_switching", "lots"),
+    ("verify-comparison", "scenario.controls.seed", -2),
+]
+
+
+@pytest.mark.parametrize("experiment, key, value", UNREADABLE,
+                         ids=[f"{e}-{k}={v}" for e, k, v in UNREADABLE])
+def test_unreadable_run_values_are_config_errors(tmp_path, experiment, key, value):
+    if experiment == "simulate":
+        cfg = simulate_config()
+    else:
+        with open(comparison_config(tmp_path), encoding="utf-8") as fh:
+            cfg = json.load(fh)
+    *parents, last = key.split(".")
+    node = cfg
+    for part in parents:
+        node = node[part]
+    node[last] = value
+    report, code = dispatch(experiment, cfg)
+    assert code == 2
+    assert report["status"] == "config-error"
+    assert report["results"]["error"].startswith(f"{key}:")
+
+
+def test_verify_comparison_checks_the_scenario_before_searching(tmp_path, monkeypatch):
+    def search(*args):
+        raise AssertionError("a hypothesis search ran before the scenario was read")
+
+    monkeypatch.setattr(experiments, "run_check", search)
+    with open(comparison_config(tmp_path), encoding="utf-8") as fh:
+        cfg = json.load(fh)
+    cfg["scenario"]["n_paths"] = 0
+    report, code = dispatch("verify-comparison", cfg)
+    assert code == 2
+    assert report["status"] == "config-error"
 
 
 def test_solve_pde_exports_and_query(tmp_path, capsys):

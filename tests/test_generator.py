@@ -139,7 +139,7 @@ def test_matrix_assemblies_agree():
 
 
 def test_limit_check_martingale_and_drift():
-    zero = CoefficientSet(n=1, d=1, sigma=(lambda t, x: np.ones(x.shape),))
+    zero = CoefficientSet(n=1, d=1, sigma=lambda t, x: np.ones(x.shape + (1,)))
     ident = TestFunction(f=lambda x: x[..., 0], dim=1,
                          grad=lambda x: np.array([1.0]),
                          hess=lambda x: np.array([[0.0]]), monotone=True, name="id")
@@ -149,7 +149,7 @@ def test_limit_check_martingale_and_drift():
         assert abs(row.quotient) < 1e-8
 
     drifted = CoefficientSet(n=1, d=1, b=lambda t, x: np.ones(x.shape),
-                             sigma=(lambda t, x: np.ones(x.shape),))
+                             sigma=lambda t, x: np.ones(x.shape + (1,)))
     rows = generator_limit_check(drifted, INTERVAL, ident, [0.0], [0.2, 0.1, 0.05])
     for row in rows:
         assert row.generator_value == pytest.approx(1.0, abs=1e-12)

@@ -323,8 +323,8 @@ def test_loading_term_drift_oracle():
     # top variance, u(t, x) = x + 0.3 * upper * t, exact for linear data.
     coeffs = CoefficientSet(
         n=1, d=1,
-        h=((lambda t, x: 0.3 * np.ones(x.shape),),),
-        sigma=(lambda t, x: np.ones(x.shape),),
+        h=lambda t, x: 0.3 * np.ones(x.shape[:-1] + (1, 1, 1)),
+        sigma=lambda t, x: np.ones(x.shape + (1,)),
         label="loading-drift")
     grid = Grid.regular([[-4, 4]], [161], horizon=0.25, n_levels=1000)
     sol = solve(coeffs, INTERVAL, f=IDENTITY, grid=grid)
@@ -338,7 +338,7 @@ def test_loading_term_drift_oracle():
 
 
 def test_loading_without_diffusion_rejected():
-    coeffs = CoefficientSet(n=1, d=1, h=((lambda t, x: 0.3 * np.ones(x.shape),),))
+    coeffs = CoefficientSet(n=1, d=1, h=lambda t, x: 0.3 * np.ones(x.shape[:-1] + (1, 1, 1)))
     grid = Grid.regular([[-4, 4]], [161], horizon=0.25, n_levels=4000)
     with pytest.raises(StabilityError, match="monotone stencil"):
         solve(coeffs, INTERVAL, f=IDENTITY, grid=grid)

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from gdiffusion.coefficients import build_coefficients, remark_counterexample_pair, shifted
-from gdiffusion.errors import DimensionMismatchError, NonFiniteError
+from gdiffusion.errors import ConfigError, DimensionMismatchError, NonFiniteError
+from gdiffusion.expressions import parse_expression
 from gdiffusion.gfunction import CovarianceSet
 from gdiffusion.scenario import VolatilityControl, apply_control, noise_block
 from gdiffusion.sde import CoefficientSet, euler_march, lipschitz_audit, pathwise_min_gap
@@ -38,7 +39,7 @@ def test_pure_drift_is_linear_in_time():
 
 
 def test_h_only_accumulates_quadratic_variation():
-    coeffs = CoefficientSet(n=1, d=1, h=((lambda t, x: np.ones(x.shape),),))
+    coeffs = CoefficientSet(n=1, d=1, h=lambda t, x: np.ones(x.shape[:-1] + (1, 1, 1)))
     path = unit_path(theta=INTERVAL, generator=1, n_steps=50)
     states = march(coeffs, [2.0], path)
     qv = np.concatenate([[0.0], np.cumsum(path[2][:, 0, 0])])
@@ -46,7 +47,7 @@ def test_h_only_accumulates_quadratic_variation():
 
 
 def test_sigma_only_reproduces_driver():
-    coeffs = CoefficientSet(n=1, d=1, sigma=(lambda t, x: np.ones(x.shape),))
+    coeffs = CoefficientSet(n=1, d=1, sigma=lambda t, x: np.ones(x.shape + (1,)))
     path = unit_path(n_steps=40)
     states = march(coeffs, [0.0], path)
     cum_b = np.concatenate([[0.0], np.cumsum(path[1][0, :, 0])])
@@ -127,7 +128,7 @@ def test_strong_order_at_least_half():
     # Linear test system against the same Brownian path aggregated to
     # coarser grids; reference at 4x resolution.
     coeffs = CoefficientSet(n=1, d=1, b=lambda t, x: -x,
-                            sigma=(lambda t, x: np.ones(x.shape),))
+                            sigma=lambda t, x: np.ones(x.shape + (1,)))
     n_fine = 512
     errors = []
     for n_coarse in (128, 256):
@@ -156,7 +157,9 @@ def test_permutation_equivariance_exact():
     def drift_permuted(t, x):
         return drift(t, x[..., inv])[..., perm]
 
-    sigma = (lambda t, x: np.ones(x.shape),)
+    def sigma(t, x):
+        return np.ones(x.shape + (1,))
+
     c1 = CoefficientSet(n=3, d=1, b=drift, sigma=sigma)
     c2 = CoefficientSet(n=3, d=1, b=drift_permuted, sigma=sigma)
     path = unit_path(n_steps=32, seed=11)
@@ -167,14 +170,27 @@ def test_permutation_equivariance_exact():
 
 
 def test_h_symmetry_audit_raises():
-    def one(t, x):
-        return np.ones(x.shape)
-
-    def two(t, x):
-        return 2.0 * np.ones(x.shape)
+    def table(t, x):  # h_01 = 1, h_10 = 2
+        out = np.zeros(x.shape[:-1] + (2, 2, 1))
+        out[..., 0, 1, :] = 1.0
+        out[..., 1, 0, :] = 2.0
+        return out
 
     with pytest.raises(DimensionMismatchError, match="h_symmetric"):
-        CoefficientSet(n=1, d=2, h=((None, one), (two, None)))
+        CoefficientSet(n=1, d=2, h=table)
+
+
+def test_map_of_the_wrong_shape_is_a_dimension_error():
+    x = np.zeros((4, 2))
+    wrong_b = CoefficientSet(n=2, d=1, b=lambda t, x: np.ones(x.shape[:-1] + (3,)))
+    with pytest.raises(DimensionMismatchError, match=r"expected \(4, 2\)"):
+        wrong_b.eval_b(0.0, x)
+    wrong_sigma = CoefficientSet(n=2, d=1, sigma=lambda t, x: np.ones(x.shape))
+    with pytest.raises(DimensionMismatchError, match=r"expected \(4, 2, 1\)"):
+        wrong_sigma.fields(0.0, x)
+    # the h-symmetry audit evaluates h at 8 points when the set is built
+    with pytest.raises(DimensionMismatchError, match=r"expected \(8, 1, 1, 2\)"):
+        CoefficientSet(n=2, d=1, h=lambda t, x: np.ones((2, 2)))
 
 
 def test_lipschitz_audit_warns():
@@ -229,9 +245,9 @@ def test_euler_step_is_the_per_entry_sum():
     step = euler_march(coeffs, x0, np.array([0.0, 0.25]), db, dqv)[:, 1]
     expected = x0 + 0.25 * coeffs.b(0.0, x0)
     for l in range(2):
-        expected += coeffs.sigma[l](0.0, x0) * db[:, 0, l, None]
+        expected += coeffs.eval_sigma(l, 0.0, x0) * db[:, 0, l, None]
         for k in range(2):
-            expected += coeffs.h[l][k](0.0, x0) * dqv[0, l, k]
+            expected += coeffs.eval_h(l, k, 0.0, x0) * dqv[0, l, k]
     assert np.allclose(step, expected, rtol=1e-14, atol=1e-14)
 
 
@@ -259,16 +275,72 @@ FIELD_CASES = {
 }
 
 
-def _entry(func, t, x):
-    """One per-entry callable evaluated on its own; None is the zero map."""
-    return np.zeros(x.shape) if func is None else np.broadcast_to(func(t, x), x.shape)
+def _value(entry, t, x):
+    """One config entry evaluated on its own at x (..., arity)."""
+    if isinstance(entry, str):
+        return parse_expression(entry.removeprefix("expr:"), x.shape[-1])(t, x)
+    return float(entry)
+
+
+def _reference(section, t, x):
+    """(b, h, S) of a FIELD_CASES section, zero-filled, entry by entry.
+
+    Entries of lists read all of x; diag-sigma and per-coordinate entries
+    read the one coordinate x[..., k:k+1] of their family.
+    """
+    n, d = section["n"], section["d"]
+    b = np.zeros(x.shape)
+    h = np.zeros(x.shape[:-1] + (d, d, n))
+    s = np.zeros(x.shape[:-1] + (n, d))
+    drift, sigma, loading = section.get("b"), section.get("sigma"), section.get("h")
+    if isinstance(drift, list):
+        for i, e in enumerate(drift):
+            b[..., i] = _value(e, t, x)
+    elif drift is not None:
+        family, scale = drift["family"], drift.get("scale", 1.0)
+        if family == "constant-drift":
+            b[...] = drift["c"]
+        elif family == "linear-drift":
+            b = np.einsum("ij,...j->...i", np.asarray(drift["A"], dtype=float), x)
+        elif family == "offdiag-monotone":
+            b = scale * (np.sum(x, axis=-1, keepdims=True) - x)
+        elif family == "arctan-coupling":
+            b = scale * (np.sum(np.arctan(x), axis=-1, keepdims=True) - np.arctan(x))
+    if isinstance(sigma, list):
+        for l, column in enumerate(sigma):
+            for k, e in enumerate(column or ()):
+                s[..., k, l] = _value(e, t, x)
+    elif sigma is not None and sigma["family"] == "diag-sigma":
+        for l, e in enumerate(sigma["values"]):
+            s[..., l, l] = _value(e, t, x[..., l:l + 1])
+    elif sigma is not None and sigma["family"] == "per-coordinate":
+        for l, row in enumerate(sigma["entries"]):
+            for k, e in enumerate(row):
+                s[..., k, l] = _value(e, t, x[..., k:k + 1])
+    elif sigma is not None:
+        s[...] = sigma["matrix"]
+    if isinstance(loading, list):
+        for l, row in enumerate(loading):
+            for k, cell in enumerate(row):
+                for i, e in enumerate(cell or ()):
+                    h[..., l, k, i] = _value(e, t, x)
+    elif loading is not None:
+        h[...] = loading["table"]
+    return b, h, s
+
+
+# the remark pair at theta = [0.25, 1]: X has b = (0, 0.625), Y has h_11 = (0, 1)
+REMARK_SECTIONS = {
+    "remark-x": {"n": 2, "d": 1, "b": {"family": "constant-drift", "c": [0.0, 0.625]}},
+    "remark-y": {"n": 2, "d": 1, "h": {"family": "constant", "table": [[[0.0, 1.0]]]}},
+}
 
 
 @pytest.mark.parametrize("case", [*FIELD_CASES, "remark-x", "remark-y"])
 def test_fields_match_per_entry_callables(case):
     if case.startswith("remark"):
         coeffs = remark_counterexample_pair(0.25, 1.0)[case == "remark-y"]
-        present = "h" if case == "remark-y" else "b"
+        section, present = REMARK_SECTIONS[case], "h" if case == "remark-y" else "b"
     else:
         section, present = FIELD_CASES[case]
         coeffs = build_coefficients(section)
@@ -277,15 +349,29 @@ def test_fields_match_per_entry_callables(case):
     b, h, s = coeffs.fields(t, x)
     assert (b is not None, h is not None, s is not None) == \
         ("b" in present, "h" in present, "S" in present)
+    ref_b, ref_h, ref_s = _reference(section, t, x)
     if b is not None:
-        assert b.shape == (4, 3, n) and np.array_equal(b, _entry(coeffs.b, t, x))
+        assert b.shape == (4, 3, n) and np.array_equal(b, ref_b)
     if h is not None:
-        assert h.shape == (4, 3, d, d, n)
-        for l in range(d):
-            for k in range(d):
-                assert np.array_equal(h[..., l, k, :], _entry(coeffs.h[l][k], t, x))
+        assert h.shape == (4, 3, d, d, n) and np.array_equal(h, ref_h)
     if s is not None:
-        assert s.shape == (4, 3, n, d)
-        for l in range(d):
-            assert np.array_equal(s[..., :, l], _entry(coeffs.sigma[l], t, x))
+        assert s.shape == (4, 3, n, d) and np.array_equal(s, ref_s)
 
+
+def test_single_coordinate_families_read_their_own_coordinate():
+    x = np.random.default_rng(3).uniform(-2.0, 2.0, (5, 2))
+    per_coordinate = build_coefficients({"n": 2, "d": 1, "sigma": {
+        "family": "per-coordinate", "entries": [["expr:x_1", "expr:2*x_1"]]}})
+    assert np.array_equal(per_coordinate.sigma_matrix(0.0, x)[..., 0], x * [1.0, 2.0])
+    diag = build_coefficients({"n": 2, "d": 2, "sigma": {
+        "family": "diag-sigma", "values": ["expr:x_1", "expr:3*x_1"]}})
+    expected = np.zeros((5, 2, 2))
+    expected[:, 0, 0], expected[:, 1, 1] = x[:, 0], 3.0 * x[:, 1]
+    assert np.array_equal(diag.sigma_matrix(0.0, x), expected)
+
+
+@pytest.mark.parametrize("section", [{"b": [None, 0.0]}, {"sigma": [[[1.0], 0.0]]},
+                                     {"h": [[[0.0, {}]]]}], ids=["b", "sigma", "h"])
+def test_entry_that_is_not_a_number_or_expression_is_a_config_error(section):
+    with pytest.raises(ConfigError, match="an entry must be a number or an expression"):
+        build_coefficients({"n": 2, "d": 1, **section})
