@@ -283,12 +283,6 @@ def _search_pair_condition(condition: str, cX: CoefficientSet, cY: CoefficientSe
                        samples_evaluated=len(samples), box=dom.box.tolist())
 
 
-def check_B1(cX: CoefficientSet, cY: CoefficientSet, theta: CovarianceSet,
-             dom: SearchDomain) -> CheckReport:
-    """Drift/loading ordering over tied pairs x <= y with x_i = y_i."""
-    return _search_pair_condition("B1", cX, cY, theta, dom)
-
-
 def dependency_violation(func, coords, t: float, x, x_prime) -> float:
     """|func(t, x') - func(t, x)| for x' differing from x off ``coords`` only."""
     return abs(float(func(t, np.asarray(x_prime, dtype=float)))
@@ -398,15 +392,6 @@ def check_C1(c: CoefficientSet, dom: SearchDomain, condition: str = "C1") -> Che
     return _merge_reports(condition, parts)
 
 
-def check_C_family(c: CoefficientSet, theta: CovarianceSet, dom: SearchDomain,
-                   variant: str) -> CheckReport:
-    """Monotonicity conditions: C1 (diffusion structure), C2 / C2' (drift and
-    loadings against themselves over tied ordered pairs)."""
-    if variant not in ("C1", "C2", "C2'"):
-        raise DimensionMismatchError(f"unknown C-variant {variant!r}")
-    return run_check(variant, c, c, theta, dom)
-
-
 def check_B2(cX: CoefficientSet, cY: CoefficientSet, dom: SearchDomain) -> CheckReport:
     """Shared diffusion with per-coordinate loadings.
 
@@ -471,14 +456,6 @@ def check_D1(cX: CoefficientSet, cY: CoefficientSet, dom: SearchDomain) -> Check
         ({"kind": "product-equality"}, _equality_audit("product-equality", cX, cY, dom)),
         ({"kind": "product-dependency"}, check_C1(cX, dom, condition="D1")),
     ])
-
-
-def check_D_family(cX: CoefficientSet, cY: CoefficientSet, theta: CovarianceSet,
-                   dom: SearchDomain, variant: str) -> CheckReport:
-    """Order-preservation conditions D1 .. D5 (see module docstring)."""
-    if variant not in ("D1", "D2", "D2'", "D3", "D4", "D4'", "D5"):
-        raise DimensionMismatchError(f"unknown D-variant {variant!r}")
-    return run_check(variant, cX, cY, theta, dom)
 
 
 def re_evaluate(report: CheckReport, cX: CoefficientSet, cY: CoefficientSet | None,

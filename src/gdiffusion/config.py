@@ -15,6 +15,9 @@ Sections (all optional unless an experiment requires them):
     query           {"t", "x"}
     t_list          times for the generator limit table
     condition(s)    names for the check subcommand
+    monotone_side   "bar" (default) or "x": the system whose C1/C2 hypotheses
+                    verify-order checks; any other value is a config error
+    tolerances      {"pathwise", "crosscheck"}
     output          {"dir", "report", "csv", "dump", "csv_stride"}
 
 Validation reports the first offending key by dotted path.
@@ -127,10 +130,12 @@ def theta_from_config(section) -> CovarianceSet:
         interval = section["interval"]
         if not (isinstance(interval, (list, tuple)) and len(interval) == 2):
             raise ConfigError("theta.interval: expected [lo_sq, hi_sq]")
-        return CovarianceSet.from_interval(float(interval[0]), float(interval[1]))
+        lo, hi = _convert(interval, lambda v: [float(c) for c in v], "theta.interval")
+        return CovarianceSet.from_interval(lo, hi)
     if "generators" in section:
-        gens = [np.asarray(g, dtype=float) for g in section["generators"]]
-        return CovarianceSet(generators=tuple(gens))
+        gens = _convert(section["generators"], lambda v: tuple(map(_float_array, v)),
+                        "theta.generators")
+        return CovarianceSet(generators=gens)
     raise ConfigError("theta: expected 'interval' or 'generators'")
 
 

@@ -86,6 +86,13 @@ def _read(section: dict, key: str, convert, where: str, *default):
     return cfgmod._convert(value, convert, f"{where}.{key}")
 
 
+def _floats(section: dict, key: str, where: str | None = None) -> np.ndarray:
+    """section[key], a required list of numbers, as a float array; a value it
+    cannot read is a ConfigError naming the dotted key."""
+    name = f"{where}.{key}" if where else key
+    return cfgmod._convert(cfgmod.require(section, key, list), cfgmod._float_array, name)
+
+
 def run_verify_comparison(cfg: dict) -> tuple[dict, int]:
     """Scenario, hypothesis checks, then the coupled pathwise ordering over an ensemble."""
     seed = _seed(cfg)
@@ -93,8 +100,8 @@ def run_verify_comparison(cfg: dict) -> tuple[dict, int]:
     coeffs_x, coeffs_y = cfgmod.coefficients_from_config(cfg)
     if coeffs_y is None:
         raise ConfigError("verify-comparison needs coefficients_bar or a pair family")
-    x0 = np.asarray(cfgmod.require(cfg, "x0", list), dtype=float)
-    y0 = np.asarray(cfgmod.require(cfg, "y0", list), dtype=float)
+    x0 = _floats(cfg, "x0")
+    y0 = _floats(cfg, "y0")
     dom = cfgmod.domain_from_config(cfgmod.require(cfg, "domain", dict), coeffs_x.n, seed)
     scen = cfgmod.require(cfg, "scenario", dict)
     horizon = _read(scen, "T", float, "scenario")
@@ -103,6 +110,8 @@ def run_verify_comparison(cfg: dict) -> tuple[dict, int]:
     # an invalid scenario is a config error before any search runs
     controls = cfgmod.controls_from_config(scen.get("controls"), theta, n_steps, seed)
     dw = noise_block(seed, horizon, n_steps, theta.dim, n_paths)
+    tol_path = _read(cfg.get("tolerances", {}), "pathwise", float, "tolerances",
+                     1e-8 * (1.0 + float(np.linalg.norm(y0))))
 
     counterexample_mode = bool(np.any(x0 > y0))
     if counterexample_mode:
@@ -125,8 +134,6 @@ def run_verify_comparison(cfg: dict) -> tuple[dict, int]:
 
     times = np.linspace(0.0, horizon, n_steps + 1)
     dt = horizon / n_steps
-    tol_path = float(cfg.get("tolerances", {}).get(
-        "pathwise", 1e-8 * (1.0 + float(np.linalg.norm(y0)))))
 
     min_gap = np.inf
     witness = {}
@@ -260,6 +267,8 @@ def run_verify_order(cfg: dict) -> tuple[dict, int]:
     functions = cfgmod.functions_from_config(cfgmod.require(cfg, "functions", list),
                                              coeffs_x.n)
     monotone_side = cfg.get("monotone_side", "bar")
+    if monotone_side not in ("bar", "x"):
+        raise ConfigError(f"monotone_side: expected 'bar' or 'x', got {monotone_side!r}")
     side = coeffs_y if monotone_side == "bar" else coeffs_x
 
     # uniform positive definiteness of the state covariance frame
@@ -319,9 +328,8 @@ def run_generator_limit(cfg: dict) -> tuple[dict, int]:
     coeffs, _ = cfgmod.coefficients_from_config(cfg)
     functions = cfgmod.functions_from_config(cfgmod.require(cfg, "functions", list),
                                              coeffs.n)
-    query = cfgmod.require(cfg, "query", dict)
-    x = np.asarray(cfgmod.require(query, "x", list), dtype=float)
-    t_list = [float(t) for t in cfgmod.require(cfg, "t_list", list)]
+    x = _floats(cfgmod.require(cfg, "query", dict), "x", "query")
+    t_list = _floats(cfg, "t_list").tolist()
     grid = cfgmod.grid_from_config(cfg["grid"]) if cfg.get("grid") else None
 
     f = functions[0]
@@ -352,8 +360,8 @@ def run_feynman_crosscheck(cfg: dict) -> tuple[dict, int]:
     functions = cfgmod.functions_from_config(cfgmod.require(cfg, "functions", list),
                                              coeffs.n)
     query = cfgmod.require(cfg, "query", dict)
-    t_query = float(cfgmod.require(query, "t"))
-    x_query = np.asarray(cfgmod.require(query, "x", list), dtype=float)
+    t_query = _read(query, "t", float, "query")
+    x_query = _floats(query, "x", "query")
     scen = cfgmod.require(cfg, "scenario", dict)
     horizon = _read(scen, "T", float, "scenario", t_query)
     if abs(horizon - t_query) > 1e-12:
@@ -370,8 +378,8 @@ def run_feynman_crosscheck(cfg: dict) -> tuple[dict, int]:
     mc_value, mc_se, best = estimate_sublinear_expectation(
         functional, theta, controls, n_paths, seed, horizon, n_steps)
 
-    tolerance = float(cfg.get("tolerances", {}).get("crosscheck",
-                                                    max(2e-2, 3.0 * mc_se)))
+    tolerance = _read(cfg.get("tolerances", {}), "crosscheck", float, "tolerances",
+                      max(2e-2, 3.0 * mc_se))
     gap = pde_value - mc_value
     ok = abs(gap) <= tolerance and gap >= -3.0 * mc_se
     results = {
@@ -421,8 +429,8 @@ def run_solve(cfg: dict) -> tuple[dict, int]:
     f = functions[0]
     sol = solve(coeffs, theta, f, grid)
     csv_path = _output_path(cfg, "csv")
-    stride = int(cfg.get("output", {}).get("csv_stride",
-                                           max(1, grid.n_levels // 100)))
+    stride = _read(cfg.get("output", {}), "csv_stride", int, "output",
+                   max(1, grid.n_levels // 100))
     if csv_path:
         export_solution_csv(sol, csv_path, level_stride=stride)
     dump_path = _output_path(cfg, "dump")
@@ -436,8 +444,9 @@ def run_solve(cfg: dict) -> tuple[dict, int]:
         "dump": dump_path,
     }
     if cfg.get("query"):
-        t_query = float(cfg["query"].get("t", grid.horizon))
-        x_query = np.asarray(cfgmod.require(cfg["query"], "x", list), dtype=float)
+        query = cfgmod.require(cfg, "query", dict)
+        t_query = _read(query, "t", float, "query", grid.horizon)
+        x_query = _floats(query, "x", "query")
         results["query"] = {"t": t_query, "x": x_query.tolist(),
                             "value": semigroup_value(sol, t_query, x_query)}
     return _report("solve-pde", cfg, results, "ok", EXIT_OK), EXIT_OK
@@ -451,7 +460,7 @@ def run_simulate(cfg: dict) -> tuple[dict, int]:
     scen = cfgmod.require(cfg, "scenario", dict)
     horizon = _read(scen, "T", float, "scenario")
     n_steps = _read(scen, "n_steps", int, "scenario")
-    x0 = np.asarray(cfgmod.require(cfg, "x0", list), dtype=float)
+    x0 = _floats(cfg, "x0")
     control_cfg = scen.get("control", {"policy": "constant", "index": 0})
     policy = control_cfg.get("policy", "constant")
     where = "scenario.control"
@@ -464,9 +473,10 @@ def run_simulate(cfg: dict) -> tuple[dict, int]:
         control = VolatilityControl.bang_bang_cycle(
             _read(control_cfg, "lo", int, where, 0),
             _read(control_cfg, "hi", int, where, theta.n_generators - 1),
-            n_steps, control_cfg.get("period"))
+            n_steps, _read(control_cfg, "period", int, where, n_steps))
     elif policy == "explicit":
-        control = VolatilityControl(np.asarray(control_cfg["schedule"], dtype=np.int64))
+        control = VolatilityControl(_read(control_cfg, "schedule",
+                                          lambda v: np.asarray(v, dtype=np.int64), where))
     else:
         raise ConfigError(f"scenario.control.policy: unknown policy {policy!r}")
 

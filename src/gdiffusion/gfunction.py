@@ -134,14 +134,6 @@ class CovarianceSet:
     def n_generators(self) -> int:
         return len(self.generators)
 
-    def describe(self) -> dict:
-        return {
-            "dim": self.dim,
-            "n_generators": self.n_generators,
-            "sigma_lower_sq": self.sigma_lower_sq,
-            "sigma_upper_sq": self.sigma_upper_sq,
-        }
-
 
 def _check_compatible(a: np.ndarray, theta: CovarianceSet) -> None:
     if a.shape[0] != theta.dim:

@@ -195,6 +195,19 @@ def test_verify_order_ok(tmp_path, capsys):
     assert entry["dominates"] is True and entry["mode"] == "nodewise-reduction"
 
 
+def test_verify_order_monotone_side(tmp_path):
+    with open(order_config(tmp_path), encoding="utf-8") as fh:
+        cfg = json.load(fh)
+    cfg["monotone_side"] = "x"
+    report, code = dispatch("verify-order", cfg)
+    assert code == 0
+    cfg["monotone_side"] = "Bar"
+    report, code = dispatch("verify-order", cfg)
+    assert code == 2
+    assert report["status"] == "config-error"
+    assert report["results"]["error"].startswith("monotone_side:")
+
+
 def test_verify_order_reversed_pair_violates_d5(tmp_path, capsys):
     code, report = run_cli(["verify-order", "--config", order_config(tmp_path, shift=0.5)],
                            capsys)
@@ -326,7 +339,54 @@ UNREADABLE = [
     ("simulate", "scenario.control.index", "a"),
     ("verify-comparison", "scenario.controls.random_switching", "lots"),
     ("verify-comparison", "scenario.controls.seed", -2),
+    ("verify-comparison", "x0", ["a"]),
+    ("verify-comparison", "y0", ["a"]),
+    ("verify-comparison", "tolerances.pathwise", "tight"),
+    ("simulate", "x0", ["a"]),
+    ("simulate", "scenario.control.period", "x"),
+    ("simulate", "scenario.control.schedule", ["a"]),
+    ("simulate", "theta.interval", ["a", 1]),
+    ("simulate", "theta.generators", [[["a"]]]),
+    ("simulate", "theta.generators", 5),
+    ("feynman-crosscheck", "query.t", "soon"),
+    ("feynman-crosscheck", "query.x", ["a"]),
+    ("feynman-crosscheck", "tolerances.crosscheck", "loose"),
+    ("generator", "query.x", ["a"]),
+    ("generator", "t_list", ["a"]),
+    ("solve-pde", "query.t", "soon"),
+    ("solve-pde", "query.x", ["a"]),
+    ("solve-pde", "output.csv_stride", "x"),
 ]
+
+# keys set before the unreadable one, so that the run reaches it
+UNREADABLE_SETUP = {
+    "scenario.control.period": {"scenario.control.policy": "bang-bang-cycle"},
+    "scenario.control.schedule": {"scenario.control.policy": "explicit"},
+    "theta.generators": {"theta": {}},
+}
+
+
+def pde_config():
+    """One small config that generator, solve-pde and feynman-crosscheck all run."""
+    return {
+        "seed": 4,
+        "theta": {"interval": [0.25, 1.0]},
+        "coefficients": {"n": 1, "d": 1,
+                         "sigma": {"family": "constant", "matrix": [[1.0]]}},
+        "grid": {"bounds": [[-4.0, 4.0]], "counts": [41], "T": 0.25, "n_levels": 100},
+        "functions": [{"expr": "x_1^2", "name": "square"}],
+        "query": {"t": 0.25, "x": [0.0]},
+        "t_list": [0.2, 0.1],
+        "scenario": {"T": 0.25, "n_steps": 8, "n_paths": 16},
+    }
+
+
+def set_dotted(cfg, key, value):
+    *parents, last = key.split(".")
+    node = cfg
+    for part in parents:
+        node = node.setdefault(part, {})
+    node[last] = value
 
 
 @pytest.mark.parametrize("experiment, key, value", UNREADABLE,
@@ -334,18 +394,27 @@ UNREADABLE = [
 def test_unreadable_run_values_are_config_errors(tmp_path, experiment, key, value):
     if experiment == "simulate":
         cfg = simulate_config()
-    else:
+    elif experiment == "verify-comparison":
         with open(comparison_config(tmp_path), encoding="utf-8") as fh:
             cfg = json.load(fh)
-    *parents, last = key.split(".")
-    node = cfg
-    for part in parents:
-        node = node[part]
-    node[last] = value
+    else:
+        cfg = pde_config()
+    for setup_key, setup_value in UNREADABLE_SETUP.get(key, {}).items():
+        set_dotted(cfg, setup_key, setup_value)
+    set_dotted(cfg, key, value)
     report, code = dispatch(experiment, cfg)
     assert code == 2
     assert report["status"] == "config-error"
     assert report["results"]["error"].startswith(f"{key}:")
+
+
+def test_explicit_control_without_schedule_is_a_config_error():
+    cfg = simulate_config()
+    cfg["scenario"]["control"] = {"policy": "explicit"}
+    report, code = dispatch("simulate", cfg)
+    assert code == 2
+    assert report["status"] == "config-error"
+    assert "'schedule'" in report["results"]["error"]
 
 
 def test_verify_comparison_checks_the_scenario_before_searching(tmp_path, monkeypatch):

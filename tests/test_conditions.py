@@ -8,10 +8,7 @@ from gdiffusion.coefficients import (
 )
 from gdiffusion.conditions import (
     SearchDomain,
-    check_B1,
     check_B2,
-    check_C_family,
-    check_D_family,
     check_dependency,
     pair_residual,
     re_evaluate,
@@ -36,7 +33,7 @@ def offdiag_pair(delta):
 
 def test_b1_satisfied_offdiag_monotone_identical():
     cx, _ = offdiag_pair(0.0)
-    rep = check_B1(cx, cx, INTERVAL, DOM2)
+    rep = run_check("B1", cx, cx, INTERVAL, DOM2)
     assert rep.verdict == "satisfied-on-domain"
     # residual = sum_{j != i}(x_j - y_j) <= 0 on the constrained pairs
     assert rep.max_violation <= 1e-12
@@ -44,7 +41,7 @@ def test_b1_satisfied_offdiag_monotone_identical():
 
 def test_b1_satisfied_with_drift_margin():
     cx, cy = offdiag_pair(1.0)
-    rep = check_B1(cx, cy, INTERVAL, DOM2)
+    rep = run_check("B1", cx, cy, INTERVAL, DOM2)
     assert rep.verdict == "satisfied-on-domain"
     assert rep.max_violation == pytest.approx(-1.0, abs=1e-6)
 
@@ -57,7 +54,7 @@ def test_b1_violated_with_witness():
 
     cx = CoefficientSet(n=2, d=1, b=b)
     cy = CoefficientSet(n=2, d=1)
-    rep = check_B1(cx, cy, INTERVAL, DOM2)
+    rep = run_check("B1", cx, cy, INTERVAL, DOM2)
     assert rep.verdict == "violated"
     # sup of x_2 over the box is 2; the search must get close
     assert rep.max_violation >= 2.0 - 1e-6
@@ -66,7 +63,7 @@ def test_b1_violated_with_witness():
 
 def test_b1_witness_reproduces_violation():
     cx, cy = offdiag_pair(-0.5)
-    rep = check_B1(cx, cy, INTERVAL, DOM2)
+    rep = run_check("B1", cx, cy, INTERVAL, DOM2)
     assert rep.verdict == "violated"
     again = re_evaluate(rep, cx, cy, INTERVAL)
     assert again == pytest.approx(rep.max_violation, abs=1e-12)
@@ -74,7 +71,7 @@ def test_b1_witness_reproduces_violation():
 
 def test_b1_constraints_hold_exactly():
     cx, cy = offdiag_pair(0.3)
-    rep = check_B1(cx, cy, INTERVAL, DOM2)
+    rep = run_check("B1", cx, cy, INTERVAL, DOM2)
     x = np.array(rep.witness["x"])
     y = np.array(rep.witness["y"])
     i = rep.witness["i"]
@@ -109,8 +106,8 @@ def test_b1_monotone_in_samples_and_refine(condition):
 
 def test_b1_equals_c2_on_identical_systems():
     cx, _ = offdiag_pair(0.0)
-    rep_b1 = check_B1(cx, cx, INTERVAL, DOM2)
-    rep_c2 = check_C_family(cx, INTERVAL, DOM2, "C2")
+    rep_b1 = run_check("B1", cx, cx, INTERVAL, DOM2)
+    rep_c2 = run_check("C2", cx, None, INTERVAL, DOM2)
     assert rep_b1.max_violation == rep_c2.max_violation
     assert rep_b1.witness["x"] == rep_c2.witness["x"]
 
@@ -146,20 +143,20 @@ def c1_instance(diag_value="expr:1 + 0.5*tanh(x_1)"):
 
 
 def test_c1_satisfied_for_diagonal_per_coordinate_sigma():
-    rep = check_C_family(c1_instance(), INTERVAL2D, INTERVAL2D_DOM, "C1")
+    rep = run_check("C1", c1_instance(), None, INTERVAL2D, INTERVAL2D_DOM)
     assert rep.verdict == "satisfied-on-domain"
 
 
 def test_c1_violated_for_cross_coordinate_sigma():
     c = cross_sigma_instance()
-    rep = check_C_family(c, INTERVAL2D, DOM2, "C1")
+    rep = run_check("C1", c, None, INTERVAL2D, DOM2)
     assert rep.verdict == "violated"
     assert re_evaluate(rep, c, None, INTERVAL2D) == pytest.approx(rep.max_violation, abs=1e-12)
 
 
 def test_c2_satisfied_arctan_coupling():
     c = c1_instance()
-    rep = check_C_family(c, INTERVAL2D, INTERVAL2D_DOM, "C2")
+    rep = run_check("C2", c, None, INTERVAL2D, INTERVAL2D_DOM)
     assert rep.verdict == "satisfied-on-domain"
 
 
@@ -170,14 +167,14 @@ def test_c2_violated_sign_flip():
         return out
 
     c = CoefficientSet(n=2, d=1, b=b)
-    rep = check_C_family(c, INTERVAL, DOM2, "C2")
+    rep = run_check("C2", c, None, INTERVAL, DOM2)
     assert rep.verdict == "violated"
     assert rep.max_violation >= 2.0 - 1e-6
 
 
 def test_c2_prime_satisfied_and_violated():
     good = c1_instance()
-    rep = check_C_family(good, INTERVAL2D, INTERVAL2D_DOM, "C2'")
+    rep = run_check("C2'", good, None, INTERVAL2D, INTERVAL2D_DOM)
     assert rep.verdict == "satisfied-on-domain"
 
     def b(t, x):
@@ -186,7 +183,7 @@ def test_c2_prime_satisfied_and_violated():
         return out
 
     bad = CoefficientSet(n=2, d=1, b=b)
-    rep = check_C_family(bad, INTERVAL, DOM2, "C2'")
+    rep = run_check("C2'", bad, None, INTERVAL, DOM2)
     assert rep.verdict == "violated"
     assert re_evaluate(rep, bad, None, INTERVAL) == pytest.approx(rep.max_violation, abs=1e-12)
 
@@ -231,26 +228,26 @@ def test_b2_violated_not_shared():
 
 def test_d1_identical_passes_and_scaled_fails():
     c = c1_instance()
-    rep = check_D_family(c, c, INTERVAL2D, DOM2, "D1")
+    rep = run_check("D1", c, c, INTERVAL2D, DOM2)
     assert rep.verdict == "satisfied-on-domain"
     assert rep.max_violation <= 1e-12
 
     cx = build_coefficients({"n": 1, "d": 1, "sigma": {"family": "constant", "matrix": [[1.0]]}})
     cy = build_coefficients({"n": 1, "d": 1, "sigma": {"family": "constant", "matrix": [[2.0]]}})
     dom1 = SearchDomain(box=np.array([[-1.0, 1.0]]), n_samples=32, seed=5)
-    rep = check_D_family(cx, cy, INTERVAL, dom1, "D1")
+    rep = run_check("D1", cx, cy, INTERVAL, dom1)
     assert rep.verdict == "violated"
     assert rep.max_violation == pytest.approx(3.0, abs=1e-12)  # |1*1 - 2*2|
 
 
 def test_d5_zero_difference_and_lowered_drift():
     c = c1_instance()
-    rep = check_D_family(c, c, INTERVAL2D, INTERVAL2D_DOM, "D5")
+    rep = run_check("D5", c, c, INTERVAL2D, INTERVAL2D_DOM)
     assert rep.verdict == "satisfied-on-domain"
     assert abs(rep.max_violation) <= 1e-12
 
     lowered = CoefficientSet(n=2, d=2, b=shifted(c.b, -0.5), sigma=c.sigma)
-    rep = check_D_family(c, lowered, INTERVAL2D, INTERVAL2D_DOM, "D5")
+    rep = run_check("D5", c, lowered, INTERVAL2D, INTERVAL2D_DOM)
     assert rep.verdict == "satisfied-on-domain"
     # residual = <K, -0.5 * ones> minimized at coordinate directions: -0.5
     assert rep.max_violation == pytest.approx(-0.5, abs=1e-9)
@@ -259,7 +256,7 @@ def test_d5_zero_difference_and_lowered_drift():
 def test_d5_violated_with_raised_drift():
     c = c1_instance()
     raised = CoefficientSet(n=2, d=2, b=shifted(c.b, 0.25), sigma=c.sigma)
-    rep = check_D_family(c, raised, INTERVAL2D, INTERVAL2D_DOM, "D5")
+    rep = run_check("D5", c, raised, INTERVAL2D, INTERVAL2D_DOM)
     assert rep.verdict == "violated"
     assert re_evaluate(rep, c, raised, INTERVAL2D) == pytest.approx(rep.max_violation, abs=1e-12)
 
@@ -268,20 +265,20 @@ def test_d2_prime_orientation():
     c = c1_instance()
     raised = CoefficientSet(n=2, d=2, b=shifted(c.b, 0.25), sigma=c.sigma)
     # E_t(raised) >= E_t(c) style necessary direction: b - b_bar = -0.25 -> violated
-    rep = check_D_family(c, raised, INTERVAL2D, INTERVAL2D_DOM, "D2'")
+    rep = run_check("D2'", c, raised, INTERVAL2D, INTERVAL2D_DOM)
     assert rep.verdict == "violated"
     lowered = CoefficientSet(n=2, d=2, b=shifted(c.b, -0.25), sigma=c.sigma)
-    rep = check_D_family(c, lowered, INTERVAL2D, INTERVAL2D_DOM, "D2'")
+    rep = run_check("D2'", c, lowered, INTERVAL2D, INTERVAL2D_DOM)
     assert rep.verdict == "satisfied-on-domain"
 
 
 def test_d2_and_d4_direction():
     cx, cy = offdiag_pair(-0.1)  # b_bar = b - 0.1, so b(x) - b_bar(y) >= 0.1 > 0 on x >= y
     for variant in ("D2", "D4"):
-        rep = check_D_family(cx, cy, INTERVAL, DOM2, variant)
+        rep = run_check(variant, cx, cy, INTERVAL, DOM2)
         assert rep.verdict == "satisfied-on-domain"
     cx, cy = offdiag_pair(0.1)
-    rep = check_D_family(cx, cy, INTERVAL, DOM2, "D2")
+    rep = run_check("D2", cx, cy, INTERVAL, DOM2)
     assert rep.verdict == "violated"
     assert re_evaluate(rep, cx, cy, INTERVAL) == pytest.approx(rep.max_violation, abs=1e-12)
 
@@ -289,17 +286,17 @@ def test_d2_and_d4_direction():
 def test_d4_prime_matches_b1_style():
     cx, cy = offdiag_pair(1.0)
     # D4' swaps roles: b_bar(x) - b(y) + ... <= 0 over x <= y fails for raised drift
-    rep = check_D_family(cx, cy, INTERVAL, DOM2, "D4'")
+    rep = run_check("D4'", cx, cy, INTERVAL, DOM2)
     assert rep.verdict == "violated"
-    rep = check_D_family(cx, CoefficientSet(n=2, d=1, b=shifted(cx.b, -1.0), sigma=cx.sigma),
-                         INTERVAL, DOM2, "D4'")
+    rep = run_check("D4'", cx, CoefficientSet(n=2, d=1, b=shifted(cx.b, -1.0), sigma=cx.sigma),
+                    INTERVAL, DOM2)
     assert rep.verdict == "satisfied-on-domain"
 
 
 def test_remark_pair_b1_violated_by_half_spread():
     cx, cy = remark_counterexample_pair(0.5, 1.0)
     dom = SearchDomain(box=np.array([[-1.0, 1.0], [-1.0, 1.0]]), n_samples=64, seed=3)
-    rep = check_B1(cx, cy, INTERVAL05, dom)
+    rep = run_check("B1", cx, cy, INTERVAL05, dom)
     assert rep.verdict == "violated"
     assert rep.max_violation == pytest.approx(0.25, abs=1e-9)
     assert rep.witness["i"] == 1
@@ -330,4 +327,4 @@ def test_coefficient_failure_surfaces_sample_point():
 
     c = CoefficientSet(n=2, d=1, b=exploding)
     with pytest.raises(EvaluationError, match="x="):
-        check_B1(c, c, INTERVAL, DOM2)
+        run_check("B1", c, c, INTERVAL, DOM2)

@@ -222,13 +222,48 @@ def test_dominance_equal_solutions():
     assert report.dominates and report.min_gap == 0.0
 
 
-def test_dominance_sampled_mode_for_nonmonotone_lower():
-    bump = TestFunction(f=lambda x: np.exp(-x[..., 0] ** 2), dim=1, name="bump")
-    grid = Grid.regular([[-6, 6]], [121], horizon=0.25, n_levels=120)
-    sol_b = solve(UNIT_DIFFUSION, INTERVAL, bump, grid)
-    report = dominance_check(sol_b, sol_b)
-    assert report.mode == "sampled-pairs"
-    assert not report.dominates  # a bump is not ordered against its own shifts
+def brute_force_min_gap(sol_upper, sol_lower):
+    """min of u(t, x) - u_bar(t, x_bar) over all trusted node pairs x_bar <= x."""
+    slices = sol_upper.trust_slices()
+    n_levels = sol_upper.u.shape[0]
+    upper = sol_upper.u[(slice(None),) + slices].reshape(n_levels, -1)
+    lower = sol_lower.u[(slice(None),) + slices].reshape(n_levels, -1)
+    idx = np.indices(tuple(s.stop - s.start for s in slices)).reshape(len(slices), -1)
+    ordered = np.all(idx[:, None, :] <= idx[:, :, None], axis=0)  # [x, x_bar]
+    return min(float(np.min((u[:, None] - u_bar[None, :])[ordered]))
+               for u, u_bar in zip(upper, lower))
+
+
+DOMINANCE_ORACLE_CASES = {
+    "bump": (UNIT_DIFFUSION, INTERVAL,
+             TestFunction(f=lambda x: np.exp(-x[..., 0] ** 2), dim=1, name="bump"),
+             Grid.regular([[-6, 6]], [121], horizon=0.25, n_levels=120)),
+    "sin3x": (UNIT_DIFFUSION, INTERVAL,
+              TestFunction(f=lambda x: np.sin(3.0 * x[..., 0]), dim=1, name="sin3x"),
+              Grid.regular([[-6, 6]], [121], horizon=0.25, n_levels=120)),
+    "sin-cos-2d": (build_coefficients({"n": 2, "d": 2, "sigma": {"family": "diag-sigma",
+                                                                "values": [1.0, 1.0]}}),
+                   THETA2,
+                   TestFunction(f=lambda x: np.sin(2.0 * x[..., 0]) * np.cos(x[..., 1]),
+                                dim=2, name="sin-cos"),
+                   Grid.regular([[-4, 4], [-4, 4]], [33, 33], horizon=0.25, n_levels=40)),
+}
+
+
+@pytest.mark.parametrize("case", list(DOMINANCE_ORACLE_CASES))
+def test_dominance_matches_brute_force_over_ordered_pairs(case):
+    coeffs, theta, f, grid = DOMINANCE_ORACLE_CASES[case]
+    sol = solve(coeffs, theta, f, grid)
+    report = dominance_check(sol, sol)
+    assert report.mode == "prefix-max-reduction"
+    assert report.min_gap == brute_force_min_gap(sol, sol)
+    assert not report.dominates  # non-monotone data is not ordered against its shifts
+    w = report.witness
+    assert all(xb <= x for x, xb in zip(w["x"], w["x_bar"]))
+    level = int(round(w["t"] / grid.dt))
+    node = tuple(int(np.flatnonzero(ax == v)[0]) for ax, v in zip(grid.axes, w["x"]))
+    node_bar = tuple(int(np.flatnonzero(ax == v)[0]) for ax, v in zip(grid.axes, w["x_bar"]))
+    assert sol.u[(level,) + node] - sol.u[(level,) + node_bar] == report.min_gap
 
 
 def test_dominance_grid_mismatch():

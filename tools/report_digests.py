@@ -3,10 +3,15 @@
 Run the tests with the plugin loaded, once on each tree to compare:
 
     PYTHONPATH=src:tools python -m pytest -q -p report_digests \
-        --report-digests digests.txt tests/test_acceptance.py tests/test_cli.py
+        --report-digests digests.txt tests/test_acceptance.py tests/test_cli.py \
+        tests/test_conditions.py tests/test_pde.py
 
-It wraps ``experiments.dispatch``, ``cli.dispatch`` and
-``CheckReport.to_dict``.  Each report they return adds one line
+It wraps ``experiments.dispatch``, ``cli.dispatch``, ``CheckReport.to_dict``
+and the grid checks ``pde.dominance_check`` and ``pde.monotonicity_check``,
+rebound in ``pde`` and ``experiments`` so that direct calls from test modules
+are recorded too; a grid check records ``asdict(report)``, and only when no
+other grid check is running, so a check that another one calls adds no
+line.  Each report they return adds one line
 ``<node id> TAB <call index> TAB <sha256>`` to the file, where the call index
 counts the reports of that test from 0 and the digest is taken over
 ``json.dumps(report, sort_keys=True)`` with the ``timestamp`` key removed
@@ -16,6 +21,7 @@ make the same reports exactly when ``diff`` finds the two files equal.
 
 from __future__ import annotations
 
+import dataclasses
 import functools
 import hashlib
 import json
@@ -35,6 +41,7 @@ class _Recorder:
         self.lines: list[str] = []
         self.node = "<collection>"
         self.index = 0
+        self.depth = 0
 
     def record(self, report) -> None:
         if isinstance(report, dict):
@@ -53,6 +60,20 @@ class _Recorder:
             return out
         return wrapper
 
+    def wrap_outermost(self, func):
+        """Like ``wrap`` with ``asdict``, but silent inside another such call."""
+        @functools.wraps(func)
+        def wrapper(*args, **kwargs):
+            self.depth += 1
+            try:
+                out = func(*args, **kwargs)
+            finally:
+                self.depth -= 1
+            if self.depth == 0:
+                self.record(dataclasses.asdict(out))
+            return out
+        return wrapper
+
     @pytest.hookimpl(tryfirst=True)
     def pytest_runtest_setup(self, item):
         self.node = item.nodeid
@@ -67,11 +88,15 @@ def pytest_configure(config):
     path = config.getoption("--report-digests")
     if not path:
         return
-    from gdiffusion import cli, experiments
+    from gdiffusion import cli, experiments, pde
     from gdiffusion.conditions import CheckReport
 
     recorder = _Recorder(config, path)
     experiments.dispatch = recorder.wrap(experiments.dispatch, lambda out: out[0])
     cli.dispatch = recorder.wrap(cli.dispatch, lambda out: out[0])
     CheckReport.to_dict = recorder.wrap(CheckReport.to_dict, lambda out: out)
+    for name in ("dominance_check", "monotonicity_check"):
+        wrapped = recorder.wrap_outermost(getattr(pde, name))
+        setattr(pde, name, wrapped)
+        setattr(experiments, name, wrapped)
     config.pluginmanager.register(recorder, "report-digests-recorder")
