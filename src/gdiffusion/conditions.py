@@ -384,9 +384,15 @@ def _equality_audit(kind: str, cX: CoefficientSet, cY: CoefficientSet,
 
 
 def check_C1(c: CoefficientSet, dom: SearchDomain, condition: str = "C1") -> CheckReport:
-    """Every product (sigma_l)_i (sigma_k)_j depends only on {x_i, x_j}."""
+    """Every product (sigma_l)_i (sigma_k)_j depends only on {x_i, x_j}.
+
+    A product with i != j whose {i, j} is every coordinate (n = 2) depends on
+    nothing else, so its violation is exactly 0 and it is not searched.
+    """
     parts = []
     for l, k, i, j in itertools.product(range(c.d), range(c.d), range(c.n), range(c.n)):
+        if i != j and c.n == 2:
+            continue
         rep = check_dependency(sigma_product(c, l, k, i, j), {i, j}, dom, condition=condition)
         parts.append(({"l": l, "k": k, "i": i, "j": j}, rep))
     return _merge_reports(condition, parts)

@@ -104,6 +104,18 @@ def require(cfg: dict, key: str, kind=None):
     return value
 
 
+def get_section(parent: dict, key: str, where: str | None = None,
+                default: dict | None = None) -> dict:
+    """parent[key], an object; ``default`` (or {}) when it is absent or null.
+    Any other value is a ConfigError naming ``where`` (default: key)."""
+    value = parent.get(key)
+    if value is None:
+        return {} if default is None else default
+    if not isinstance(value, dict):
+        raise ConfigError(f"{where or key}: expected an object, got {type(value).__name__}")
+    return value
+
+
 _float_array = functools.partial(np.asarray, dtype=float)
 
 
@@ -196,6 +208,9 @@ def functions_from_config(section, dim: int) -> list[TestFunction]:
         if not isinstance(item, dict) or "expr" not in item:
             raise ConfigError(f"functions[{idx}]: expected an object with 'expr'")
         text = item["expr"]
+        if not isinstance(text, str):
+            raise ConfigError(f"functions[{idx}].expr: expected a string, "
+                              f"got {type(text).__name__}")
         text = text[5:] if text.startswith("expr:") else text
         expr = parse_expression(text, dim)
         name = item.get("name", f"f{idx}")
@@ -210,7 +225,6 @@ def functions_from_config(section, dim: int) -> list[TestFunction]:
 
 def controls_from_config(section, theta: CovarianceSet, n_steps: int,
                          default_seed: int) -> list[VolatilityControl]:
-    section = section or {}
     controls: list[VolatilityControl] = []
     if section.get("constants", True):
         controls.extend(VolatilityControl.constant(m, n_steps)

@@ -58,20 +58,12 @@ def report_json(report: dict) -> str:
 
 
 def _output_path(cfg: dict, key: str) -> str | None:
-    output = cfg.get("output", {})
+    output = cfgmod.get_section(cfg, "output")
     name = output.get(key)
     if not name:
         return None
     path = os.path.join(output.get("dir", "."), name)
     os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
-    return path
-
-
-def write_report(report: dict, cfg: dict) -> str | None:
-    path = _output_path(cfg, "report")
-    if path:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(report_json(report))
     return path
 
 
@@ -108,9 +100,10 @@ def run_verify_comparison(cfg: dict) -> tuple[dict, int]:
     n_steps = _read(scen, "n_steps", int, "scenario")
     n_paths = _read(scen, "n_paths", int, "scenario")
     # an invalid scenario is a config error before any search runs
-    controls = cfgmod.controls_from_config(scen.get("controls"), theta, n_steps, seed)
+    controls = cfgmod.controls_from_config(
+        cfgmod.get_section(scen, "controls", "scenario.controls"), theta, n_steps, seed)
     dw = noise_block(seed, horizon, n_steps, theta.dim, n_paths)
-    tol_path = _read(cfg.get("tolerances", {}), "pathwise", float, "tolerances",
+    tol_path = _read(cfgmod.get_section(cfg, "tolerances"), "pathwise", float, "tolerances",
                      1e-8 * (1.0 + float(np.linalg.norm(y0))))
 
     counterexample_mode = bool(np.any(x0 > y0))
@@ -175,7 +168,7 @@ def run_counterexample_remark(cfg: dict) -> tuple[dict, int]:
         raise ConfigError(
             "degenerate theta (lower == upper): no counterexample exists there")
     coeffs_x, coeffs_y = remark_counterexample_pair(lower, upper)
-    scen = cfg.get("scenario", {})
+    scen = cfgmod.get_section(cfg, "scenario")
     horizon = _read(scen, "T", float, "scenario", 1.0)
     n_steps = _read(scen, "n_steps", int, "scenario", 256)
 
@@ -373,12 +366,13 @@ def run_feynman_crosscheck(cfg: dict) -> tuple[dict, int]:
     sol = solve(coeffs, theta, f, grid)
     pde_value = semigroup_value(sol, t_query, x_query)
 
-    controls = cfgmod.controls_from_config(scen.get("controls"), theta, n_steps, seed)
+    controls = cfgmod.controls_from_config(
+        cfgmod.get_section(scen, "controls", "scenario.controls"), theta, n_steps, seed)
     functional = SDETerminalFunctional(coeffs, f, x_query)
     mc_value, mc_se, best = estimate_sublinear_expectation(
         functional, theta, controls, n_paths, seed, horizon, n_steps)
 
-    tolerance = _read(cfg.get("tolerances", {}), "crosscheck", float, "tolerances",
+    tolerance = _read(cfgmod.get_section(cfg, "tolerances"), "crosscheck", float, "tolerances",
                       max(2e-2, 3.0 * mc_se))
     gap = pde_value - mc_value
     ok = abs(gap) <= tolerance and gap >= -3.0 * mc_se
@@ -429,7 +423,7 @@ def run_solve(cfg: dict) -> tuple[dict, int]:
     f = functions[0]
     sol = solve(coeffs, theta, f, grid)
     csv_path = _output_path(cfg, "csv")
-    stride = _read(cfg.get("output", {}), "csv_stride", int, "output",
+    stride = _read(cfgmod.get_section(cfg, "output"), "csv_stride", int, "output",
                    max(1, grid.n_levels // 100))
     if csv_path:
         export_solution_csv(sol, csv_path, level_stride=stride)
@@ -461,19 +455,21 @@ def run_simulate(cfg: dict) -> tuple[dict, int]:
     horizon = _read(scen, "T", float, "scenario")
     n_steps = _read(scen, "n_steps", int, "scenario")
     x0 = _floats(cfg, "x0")
-    control_cfg = scen.get("control", {"policy": "constant", "index": 0})
-    policy = control_cfg.get("policy", "constant")
     where = "scenario.control"
+    control_cfg = cfgmod.get_section(scen, "control", where, {"policy": "constant", "index": 0})
+    policy = control_cfg.get("policy", "constant")
     if policy == "constant":
         control = VolatilityControl.constant(_read(control_cfg, "index", int, where, 0), n_steps)
     elif policy == "random-switching":
         switch_seed = cfgmod.seed_from_config(control_cfg.get("seed", seed), f"{where}.seed")
         control = VolatilityControl.random_switching(theta.n_generators, n_steps, switch_seed)
     elif policy == "bang-bang-cycle":
+        period = _read(control_cfg, "period", int, where, n_steps)
+        if period < 1:
+            raise ConfigError(f"{where}.period: expected a positive integer, got {period}")
         control = VolatilityControl.bang_bang_cycle(
             _read(control_cfg, "lo", int, where, 0),
-            _read(control_cfg, "hi", int, where, theta.n_generators - 1),
-            n_steps, _read(control_cfg, "period", int, where, n_steps))
+            _read(control_cfg, "hi", int, where, theta.n_generators - 1), n_steps, period)
     elif policy == "explicit":
         control = VolatilityControl(_read(control_cfg, "schedule",
                                           lambda v: np.asarray(v, dtype=np.int64), where))
@@ -515,7 +511,9 @@ EXPERIMENTS = {
 def dispatch(name: str, cfg: dict) -> tuple[dict, int]:
     """Run one experiment, mapping raised errors to reports and exit codes."""
     runner = EXPERIMENTS[name]
+    path = None
     try:
+        path = _output_path(cfg, "report")
         report, code = runner(cfg)
     except ConfigError as exc:
         report = _report(name, cfg, {"error": str(exc)}, "config-error", EXIT_CONFIG)
@@ -529,5 +527,7 @@ def dispatch(name: str, cfg: dict) -> tuple[dict, int]:
     except GDiffusionError as exc:
         report = _report(name, cfg, {"error": str(exc)}, "config-error", EXIT_CONFIG)
         code = EXIT_CONFIG
-    write_report(report, cfg)
+    if path:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(report_json(report))
     return report, code

@@ -21,8 +21,9 @@ import numpy as np
 from .errors import NonFiniteError
 from .functions import TestFunction
 from .gfunction import CovarianceSet, eval_G
-from .pde import Grid, semigroup_value, solve, stability_bound
-from .sde import CoefficientSet, frame_eigenvalues
+from .pde import (Grid, coefficient_fields, semigroup_value, solve, stability_bound,
+                  trust_margin)
+from .sde import CoefficientSet
 
 
 def _fd_gradient(f: TestFunction, x: np.ndarray, step: float) -> np.ndarray:
@@ -144,16 +145,12 @@ def _gcd_float(values, quantum: float = 1e-9) -> float:
 def _default_limit_grid(coeffs: CoefficientSet, theta: CovarianceSet,
                         x: np.ndarray, t_list) -> Grid:
     t_max = max(t_list)
-    # margin: trust radius plus room for the worst drift sweep
-    probe_half = 1.0
     n = coeffs.n
-    bounds = np.column_stack([x - probe_half, x + probe_half])
-    probe = Grid.regular(bounds, [9] * n, horizon=t_max, n_levels=16)
-    b, _, s = coeffs.fields(0.0, probe.nodes())
-    s2 = 0.0 if s is None else float(np.max(frame_eigenvalues(s)))
-    sigma2 = theta.sigma_upper_sq * max(1.0, s2)
-    b_inf = 0.0 if b is None else float(np.max(np.abs(b)))
-    half = 3.0 * np.sqrt(sigma2 * t_max) + b_inf * t_max + 1.0
+    # half-width: the solver's trust margin over a probe box around x, plus room
+    probe = Grid.regular(np.column_stack([x - 1.0, x + 1.0]), [9] * n, horizon=t_max,
+                         n_levels=16)
+    fields = coefficient_fields(coeffs, theta, 0.0, probe.nodes())
+    half = trust_margin(theta, fields, t_max) + 1.0
     bounds = np.column_stack([x - half, x + half])
     counts = [321] * n if n == 1 else [81] * n
     grid0 = Grid.regular(bounds, counts, horizon=t_max, n_levels=16)

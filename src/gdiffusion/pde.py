@@ -11,27 +11,38 @@ reversal u_hat(t, x) = u(T - t, x) of this one.)
 
 Scheme
 ------
-Explicit Euler in time.  Drift uses first-order upwind differences by the
-sign of b_i; second derivatives use central differences; the h-loading term
-is folded into H through central first differences; in two dimensions the
-mixed derivative uses the seven-point stencil oriented by the sign of the
+Explicit Euler in time on a table of rates.  For each covariance generator
+g the update is a weighted sum of differences to the 3**n - 1 neighbour
+offsets e_k,
+
+    u_{m+1} = u_m + dt * max_g sum_k r[g, k] * (u_m(. + e_k) - u_m),
+
+a Markov chain when every rate r[g, k] >= 0 and every centre weight
+1 - dt * sum_k r[g, k] >= 0 (Kushner & Dupuis, 2001).  The rates collect the
+upwind drift (the same in every branch), central second differences, the
+h-loading term through central first differences, and in two dimensions the
+seven-point mixed-derivative stencil oriented by the sign of the
 off-diagonal diffusion entry.  The worst case over the covariance family is
-an exact max over per-generator branches, so the update is a maximum of
-monotone linear schemes and keeps the discrete comparison property.  A time
-step above the declared stability bound is refused, as are loading/diffusion
-configurations that break diagonal dominance of the stencil.
+an exact max over the branches, so the update is a maximum of monotone
+linear schemes and keeps the discrete comparison property.  The guards read
+the same table: the stability bound is 1 / max_g sum_k r[g, k] (exact
+centre-weight positivity), and a negative rate refuses the stencil.  Both
+are checked at t = 0 and, for time-dependent coefficients, at every level.
 
 Boundary rule: couplings that would reach outside the grid are dropped
-(outward drift, face curvature, cross terms at faces).  This keeps the
-scheme map monotone everywhere at the cost of consistency in a collar near
-the faces; all checks and queries are therefore restricted to the interior
-trust region, at distance 3 * sigma_max * sqrt(T) from each face, which the
-boundary error cannot reach at more than roundoff size.
+(outward drift, face curvature, cross terms at faces): their rates are 0.
+This keeps the scheme map monotone everywhere at the cost of consistency in
+a collar near the faces; all checks and queries are therefore restricted to
+the interior trust region, at distance 3 * sigma_max * sqrt(T) +
+(|b|_inf + |c|_inf) * T from each face (c the loading drift), which the
+diffusion's three-sigma band and the worst drift sweep from the faces do
+not cross.
 """
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field
+import itertools
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -137,123 +148,124 @@ class PDESolution:
         return tuple(out)
 
 
-def _first_diffs(u: np.ndarray, axis: int, dx: float):
-    """(forward, backward, central) differences; entries needing a missing
-    neighbor are zero."""
-    fwd = np.zeros_like(u)
-    bwd = np.zeros_like(u)
-    cen = np.zeros_like(u)
-    lo = [slice(None)] * u.ndim
-    hi = [slice(None)] * u.ndim
-    lo[axis], hi[axis] = slice(None, -1), slice(1, None)
-    diff = (u[tuple(hi)] - u[tuple(lo)]) / dx
-    fwd[tuple(lo)] = diff
-    bwd[tuple(hi)] = diff
-    mid = [slice(None)] * u.ndim
-    mid[axis] = slice(1, -1)
-    cen[tuple(mid)] = 0.5 * (fwd[tuple(mid)] + bwd[tuple(mid)])
-    return fwd, bwd, cen
+def _offsets(n: int) -> list:
+    """The 3**n - 1 neighbour offsets e_k, in C order of {-1, 0, 1}**n."""
+    return [e for e in itertools.product((-1, 0, 1), repeat=n) if any(e)]
 
 
-def _second_diff(u: np.ndarray, axis: int, dx: float) -> np.ndarray:
-    out = np.zeros_like(u)
-    mid = [slice(None)] * u.ndim
-    up = [slice(None)] * u.ndim
-    dn = [slice(None)] * u.ndim
-    mid[axis], up[axis], dn[axis] = slice(1, -1), slice(2, None), slice(None, -2)
-    out[tuple(mid)] = (u[tuple(up)] - 2.0 * u[tuple(mid)] + u[tuple(dn)]) / (dx * dx)
-    return out
+# per offset component: (nodes whose neighbour exists, those neighbours)
+_SIDES = {1: (slice(None, -1), slice(1, None)), -1: (slice(1, None), slice(None, -1)),
+          0: (slice(None), slice(None))}
 
 
-def _cross_diffs(u: np.ndarray, dx0: float, dx1: float):
-    """Seven-point mixed-derivative stencils for both off-diagonal signs.
-
-    Returns (positive-orientation, negative-orientation) arrays, zero on all
-    faces.  Each is monotone when combined with diagonally dominant second
-    differences.
-    """
-    pos = np.zeros_like(u)
-    neg = np.zeros_like(u)
-    c = u[1:-1, 1:-1]
-    pp, mm = u[2:, 2:], u[:-2, :-2]
-    pm, mp = u[2:, :-2], u[:-2, 2:]
-    p0, m0 = u[2:, 1:-1], u[:-2, 1:-1]
-    zp, zm = u[1:-1, 2:], u[1:-1, :-2]
-    scale = 2.0 * dx0 * dx1
-    pos[1:-1, 1:-1] = (2.0 * c + pp + mm - p0 - m0 - zp - zm) / scale
-    neg[1:-1, 1:-1] = -(2.0 * c + pm + mp - p0 - m0 - zp - zm) / scale
-    return pos, neg
+def _neighbours(e) -> tuple:
+    """(target, source) slices: u[source] is u(. + e) at the nodes u[target]."""
+    return tuple(_SIDES[c][0] for c in e), tuple(_SIDES[c][1] for c in e)
 
 
-def _evaluate_fields(coeffs: CoefficientSet, theta: CovarianceSet, t: float,
-                     nodes: np.ndarray):
-    """Per-node drift, per-generator diffusion matrices and loading drifts."""
-    shape = nodes.shape[:-1]
-    n = coeffs.n
-    b_arr, h, s_arr = coeffs.fields(t, nodes)  # s_arr: (..., n, d)
-    h_sym = None if h is None else h + np.swapaxes(h, -3, -2)
+def coefficient_fields(coeffs: CoefficientSet, theta: CovarianceSet, t: float,
+                       nodes: np.ndarray) -> tuple:
+    """(b, S, a, c) at the nodes: drift, diffusion columns, per-generator
+    diffusion matrices a_g = 1/2 S Sigma_g S^T of shape (M,) + nodes + (n, n),
+    and loading drifts c_g = 1/2 <Sigma_g, h + h^T> of shape (M,) + nodes + (n,).
+    b, S and c are None when the part is absent."""
+    b, h, s = coeffs.fields(t, nodes)
     covs = np.stack(theta.covariances)  # (M, d, d)
-    if s_arr is not None:
-        # a_m = 1/2 S Sigma_m S^T, shape (M,) + shape + (n, n)
-        a_all = 0.5 * np.einsum("...id,mde,...je->m...ij", s_arr, covs, s_arr)
+    if s is not None:
+        a = 0.5 * np.einsum("...id,mde,...je->m...ij", s, covs, s)
     else:
-        a_all = np.zeros((covs.shape[0],) + shape + (n, n))
-    if h_sym is not None:
-        c_all = 0.5 * np.einsum("mlk,...lki->m...i", covs, h_sym)
-    else:
-        c_all = None
-    return b_arr, s_arr, a_all, c_all
+        a = np.zeros((covs.shape[0],) + nodes.shape[:-1] + (coeffs.n, coeffs.n))
+    c = None if h is None else \
+        0.5 * np.einsum("mlk,...lki->m...i", covs, h + np.swapaxes(h, -3, -2))
+    return b, s, a, c
+
+
+def _rate_table(fields: tuple, grid: Grid) -> np.ndarray:
+    """Rates r[g, k] of shape (M, 3**n - 1) + counts: the weight of
+    u(. + e_k) - u in branch g of the update.
+
+    Upwind drift (in every branch), central diffusion and loading terms along
+    each axis, and in two dimensions the seven-point cross stencil matched to
+    the sign of a_01.  A coupling that would reach outside the grid is
+    dropped: its rate is 0.
+    """
+    b, _, a, c = fields
+    n, dx = grid.n, grid.dx
+    offsets = _offsets(n)
+    rates = np.zeros((a.shape[0], len(offsets)) + tuple(grid.counts))
+
+    def add(e, region, value):
+        rates[(slice(None), offsets.index(e)) + region] += value[(Ellipsis,) + region]
+
+    for i in range(n):
+        inner = tuple(slice(1, -1) if j == i else slice(None) for j in range(n))
+        for sign in (1, -1):
+            e = tuple(sign if j == i else 0 for j in range(n))
+            if b is not None:
+                add(e, _neighbours(e)[0], np.maximum(sign * b[..., i], 0.0) / dx[i])
+            add(e, inner, a[..., i, i] / dx[i] ** 2)
+            if c is not None:
+                add(e, inner, sign * c[..., i] / (2.0 * dx[i]))
+    if n == 2:
+        w = a[..., 0, 1] / (dx[0] * dx[1])
+        for e in offsets:
+            add(e, (slice(1, -1), slice(1, -1)),
+                np.maximum(e[0] * e[1] * w, 0.0) if all(e) else -np.abs(w))
+    return rates
+
+
+def _dt_bound(rates: np.ndarray) -> float:
+    """1 / max_g sum_k r[g, k]: the largest dt keeping every centre weight
+    1 - dt * sum_k r[g, k] non-negative."""
+    total = float(np.max(rates.sum(axis=1)))
+    return np.inf if total <= 0.0 else 1.0 / total
 
 
 def stability_bound(coeffs: CoefficientSet, theta: CovarianceSet, grid: Grid) -> float:
-    """Largest admissible dt for the explicit scheme on this problem.
-
-    dt <= dx_min^2 / (2 n sigma2_max + dx_min (|b|_inf + 2 d^2 |h|_inf sigma2_max))
-    with sigma2_max the worst covariance eigenvalue scaled by the largest
-    diffusion frame norm on the grid.  Coefficients are sampled at the
-    initial time; time-dependent runs re-validate the stencil per level.
-    """
-    n, d = coeffs.n, coeffs.d
-    b_arr, h, s_arr = coeffs.fields(0.0, grid.nodes())
-    s2_frame = 0.0 if s_arr is None else float(np.max(frame_eigenvalues(s_arr)))
-    sigma2_max = theta.sigma_upper_sq * max(1.0, s2_frame)
-    b_inf = 0.0 if b_arr is None else float(np.max(np.abs(b_arr)))
-    h_inf = 0.0 if h is None else float(np.max(np.abs(h)))
-    dx_min = float(np.min(grid.dx))
-    denom = 2.0 * n * sigma2_max + dx_min * (b_inf + 2.0 * d * d * h_inf * sigma2_max)
-    return np.inf if denom == 0.0 else dx_min * dx_min / denom
+    """Largest admissible dt for the explicit scheme, read from the rate
+    table at t = 0 (time-dependent runs re-check every level)."""
+    fields = coefficient_fields(coeffs, theta, 0.0, grid.nodes())
+    return _dt_bound(_rate_table(fields, grid))
 
 
-def _validate_monotone_stencil(a_all: np.ndarray, c_all, grid: Grid) -> None:
-    """Diagonal dominance of diffusion over cross terms and central loadings.
+def _guard(rates: np.ndarray, bound: float, grid: Grid, level: int) -> None:
+    """Refuse a level whose update is not a monotone scheme: dt above the
+    bound (a negative centre weight) or a negative rate."""
+    where = f"level {level} (t={level * grid.dt:.6g})"
+    if grid.dt > bound * STABILITY_SLACK:
+        raise StabilityError(
+            f"dt={grid.dt:.6g} exceeds the stability bound {bound:.6g} at {where}; "
+            f"use at least {int(np.ceil(grid.horizon / bound))} levels"
+        )
+    worst = float(np.min(rates))
+    if worst < -DOMINANCE_TOL * (1.0 + float(np.max(np.abs(rates)))):
+        g, k, *node = np.unravel_index(int(np.argmin(rates)), rates.shape)
+        raise StabilityError(
+            f"monotone stencil violated at {where}: rate {worst:.3e} of generator {g} "
+            f"toward offset {_offsets(grid.n)[k]} at node {tuple(int(j) for j in node)}; "
+            "diffusion cannot dominate the cross/loading terms there; refine the grid "
+            "or reduce the loadings"
+        )
 
-    Required for every covariance branch so that the pointwise max over
-    branches stays a monotone scheme; violating configurations are rejected.
-    """
-    dx = grid.dx
-    n = grid.n
-    for i in range(n):
-        margin = a_all[..., i, i] / dx[i] ** 2
-        if n == 2:
-            margin = margin - np.abs(a_all[..., 0, 1]) / (dx[0] * dx[1])
-        if c_all is not None:
-            margin = margin - np.abs(c_all[..., i]) / (2.0 * dx[i])
-        worst = float(np.min(margin))
-        if worst < -DOMINANCE_TOL * (1.0 + float(np.max(np.abs(a_all)))):
-            raise StabilityError(
-                f"monotone stencil violated on axis {i}: diffusion diagonal cannot "
-                f"dominate cross/loading terms (worst margin {worst:.3e}); refine the "
-                "grid or reduce the loadings"
-            )
+
+def trust_margin(theta: CovarianceSet, fields: tuple, horizon: float) -> float:
+    """3 sigma_max sqrt(T) + (|b|_inf + |c|_inf) T for coefficient_fields
+    output: how far the diffusion's three-sigma band and the worst drift
+    sweep carry the effect of the dropped boundary couplings in time T."""
+    b, s, _, c = fields
+    sigma2 = 0.0 if s is None else theta.sigma_upper_sq * float(np.max(frame_eigenvalues(s)))
+    speed = sum(0.0 if v is None else float(np.max(np.abs(v))) for v in (b, c))
+    return 3.0 * np.sqrt(sigma2 * horizon) + speed * horizon
 
 
 def solve(coeffs: CoefficientSet, theta: CovarianceSet, f: TestFunction,
           grid: Grid) -> PDESolution:
     """March the explicit scheme from u(0, .) = f to the horizon.
 
-    Records the per-node worst-case generator index at every level.  Refuses
-    to run when dt exceeds the stability bound or the stencil would lose
-    monotonicity.
+    Each level is u + dt * max_g sum_k r[g, k] (u(. + e_k) - u), and records
+    the per-node worst-case generator index.  Refuses to run when dt exceeds
+    the stability bound or a rate is negative, at t = 0 and, for
+    time-dependent coefficients, at every level.
     """
     if coeffs.d != theta.dim:
         raise DimensionMismatchError(
@@ -261,18 +273,14 @@ def solve(coeffs: CoefficientSet, theta: CovarianceSet, f: TestFunction,
     if coeffs.n != grid.n:
         raise DimensionMismatchError(f"state dim {coeffs.n} != grid dim {grid.n}")
     bound = stability_bound(coeffs, theta, grid)
-    if grid.dt > bound * STABILITY_SLACK:
-        raise StabilityError(
-            f"dt={grid.dt:.6g} exceeds the stability bound {bound:.6g}; "
-            f"use at least {int(np.ceil(grid.horizon / bound))} levels"
-        )
 
     nodes = grid.nodes()
     n_levels = grid.n_levels
-    dx = grid.dx
-    n = grid.n
-    n_gen = theta.n_generators
-    index_dtype = np.uint8 if n_gen <= 255 else np.uint16
+    index_dtype = np.uint8 if theta.n_generators <= 255 else np.uint16
+    fields = coefficient_fields(coeffs, theta, 0.0, nodes)
+    rates = _rate_table(fields, grid)
+    _guard(rates, bound, grid, 0)
+    margin = trust_margin(theta, fields, grid.horizon)
 
     u0 = f.value(nodes)
     if not np.all(np.isfinite(u0)):
@@ -280,62 +288,30 @@ def solve(coeffs: CoefficientSet, theta: CovarianceSet, f: TestFunction,
     u = np.empty((n_levels + 1,) + u0.shape)
     u[0] = u0
     argmax = np.zeros((n_levels + 1,) + u0.shape, dtype=index_dtype)
-
-    fields = _evaluate_fields(coeffs, theta, 0.0, nodes)
-    _validate_monotone_stencil(fields[2], fields[3], grid)
-    # worst eigenvalue of the state covariance S Sigma S^T over grid and family
-    s_arr = fields[1]
-    sigma2_max = 0.0 if s_arr is None else \
-        theta.sigma_upper_sq * float(np.max(frame_eigenvalues(s_arr)))
+    neighbours = [_neighbours(e) for e in _offsets(grid.n)]
+    diffs = np.zeros((len(neighbours),) + u0.shape)  # u(. + e_k) - u, 0 off the grid
 
     for m in range(n_levels):
-        t = m * grid.dt
         if not coeffs.time_homogeneous and m > 0:
-            fields = _evaluate_fields(coeffs, theta, t, nodes)
-            _validate_monotone_stencil(fields[2], fields[3], grid)
-        b_arr, _, a_all, c_all = fields
-
+            rates = _rate_table(coefficient_fields(coeffs, theta, m * grid.dt, nodes), grid)
+            _guard(rates, _dt_bound(rates), grid, m)
         cur = u[m]
-        fwd, bwd, cen = [], [], []
-        d2 = []
-        for i in range(n):
-            fw, bw, ce = _first_diffs(cur, i, dx[i])
-            fwd.append(fw)
-            bwd.append(bw)
-            cen.append(ce)
-            d2.append(_second_diff(cur, i, dx[i]))
-        if n == 2:
-            cross_pos, cross_neg = _cross_diffs(cur, dx[0], dx[1])
-
-        drift = 0.0
-        if b_arr is not None:
-            for i in range(n):
-                bi = b_arr[..., i]
-                drift = drift + np.maximum(bi, 0.0) * fwd[i] + np.minimum(bi, 0.0) * bwd[i]
-
-        branches = np.empty((n_gen,) + cur.shape)
-        for g in range(n_gen):
-            val = np.zeros_like(cur)
-            for i in range(n):
-                val += a_all[g, ..., i, i] * d2[i]
-            if n == 2:
-                a01 = a_all[g, ..., 0, 1]
-                val += 2.0 * a01 * np.where(a01 >= 0.0, cross_pos, cross_neg)
-            if c_all is not None:
-                for i in range(n):
-                    val += c_all[g, ..., i] * cen[i]
-            branches[g] = val
-        g_term = branches.max(axis=0)
-        argmax[m + 1] = branches.argmax(axis=0)
-
-        u[m + 1] = cur + grid.dt * (drift + g_term)
+        for k, (target, source) in enumerate(neighbours):
+            np.subtract(cur[source], cur[target], out=diffs[k][target])
+        branches = np.einsum("gk...,k...->g...", rates, diffs)
+        top = branches[0]
+        for g in range(1, len(branches)):  # max and first argmax in one pass
+            higher = branches[g] > top
+            top = np.where(higher, branches[g], top)
+            np.copyto(argmax[m + 1], g, where=higher)
+        u[m + 1] = cur + grid.dt * top
         if not np.all(np.isfinite(u[m + 1])):
             bad = np.argwhere(~np.isfinite(u[m + 1]))[0]
             raise NonFiniteError(
-                f"non-finite value at level {m + 1} (t={t + grid.dt:.6g}), node {tuple(bad)}"
+                f"non-finite value at level {m + 1} (t={(m + 1) * grid.dt:.6g}), "
+                f"node {tuple(bad)}"
             )
 
-    margin = 3.0 * np.sqrt(sigma2_max * grid.horizon)
     trust = np.column_stack([grid.bounds[:, 0] + margin, grid.bounds[:, 1] - margin])
     return PDESolution(
         grid=grid, u=u, argmax_index=argmax, trust_bounds=trust,
@@ -347,7 +323,8 @@ def solve(coeffs: CoefficientSet, theta: CovarianceSet, f: TestFunction,
             "drift": "upwind",
             "second_order": "central",
             "cross": "seven-point-sign-matched",
-            "boundary": "dropped-couplings (monotone), trust margin 3*sigma*sqrt(T)",
+            "boundary": "dropped-couplings (monotone), trust margin "
+                        "3*sigma*sqrt(T) + (|b|+|c|)*T",
             "dt": grid.dt,
             "stability_bound": bound,
             "trust_margin": margin,

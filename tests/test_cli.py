@@ -356,6 +356,15 @@ UNREADABLE = [
     ("solve-pde", "query.t", "soon"),
     ("solve-pde", "query.x", ["a"]),
     ("solve-pde", "output.csv_stride", "x"),
+    ("simulate", "scenario.control.period", 0),
+    ("simulate", "scenario.control.period", -3),
+    ("simulate", "scenario.control", "x"),
+    ("solve-pde", "output", 5),
+    ("verify-comparison", "output", 5),
+    ("verify-comparison", "tolerances", 5),
+    ("verify-comparison", "scenario.controls", 5),
+    ("feynman-crosscheck", "tolerances", 5),
+    ("counterexample-remark", "scenario", 5),
 ]
 
 # keys set before the unreadable one, so that the run reaches it
@@ -367,7 +376,8 @@ UNREADABLE_SETUP = {
 
 
 def pde_config():
-    """One small config that generator, solve-pde and feynman-crosscheck all run."""
+    """One small config that generator, solve-pde, feynman-crosscheck and
+    counterexample-remark all run."""
     return {
         "seed": 4,
         "theta": {"interval": [0.25, 1.0]},
@@ -406,6 +416,35 @@ def test_unreadable_run_values_are_config_errors(tmp_path, experiment, key, valu
     assert code == 2
     assert report["status"] == "config-error"
     assert report["results"]["error"].startswith(f"{key}:")
+
+
+@pytest.mark.parametrize("expr", [5, None, ["x_1"]])
+def test_non_string_function_expression_is_a_config_error(expr):
+    cfg = pde_config()
+    cfg["functions"] = [{"expr": expr, "name": "f"}]
+    report, code = dispatch("solve-pde", cfg)
+    assert code == 2
+    assert report["status"] == "config-error"
+    assert report["results"]["error"].startswith("functions[0].expr:")
+
+
+def test_report_is_written_where_the_output_section_names(tmp_path):
+    cfg = pde_config()
+    cfg["output"] = {"dir": str(tmp_path), "report": "report.json"}
+    report, code = dispatch("solve-pde", cfg)
+    assert code == 0
+    assert json.loads((tmp_path / "report.json").read_text()) == report
+    cfg["output"] = [str(tmp_path), "report.json"]
+    report, code = dispatch("solve-pde", cfg)
+    assert code == 2
+    assert report["results"]["error"] == "output: expected an object, got list"
+
+
+def test_out_dir_needs_an_object_output_section(tmp_path, capsys):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({**pde_config(), "output": 5}))
+    assert main(["solve-pde", "--config", str(path), "--out-dir", str(tmp_path)]) == 2
+    assert "output: expected an object" in capsys.readouterr().err
 
 
 def test_explicit_control_without_schedule_is_a_config_error():

@@ -13,6 +13,7 @@ from gdiffusion.conditions import (
     pair_residual,
     re_evaluate,
     run_check,
+    sigma_product,
 )
 from gdiffusion.gfunction import CovarianceSet
 from gdiffusion.sde import CoefficientSet
@@ -152,6 +153,17 @@ def test_c1_violated_for_cross_coordinate_sigma():
     rep = run_check("C1", c, None, INTERVAL2D, DOM2)
     assert rep.verdict == "violated"
     assert re_evaluate(rep, c, None, INTERVAL2D) == pytest.approx(rep.max_violation, abs=1e-12)
+
+
+def test_c1_searches_only_products_that_can_violate():
+    # With n = 2 a product (sigma_l)_i (sigma_k)_j with i != j may depend on
+    # both coordinates, so only the d * d * n products with i == j are searched.
+    c = cross_sigma_instance()
+    rep = run_check("C1", c, None, INTERVAL2D, DOM2)
+    assert rep.samples_evaluated == c.d * c.d * c.n * DOM2.n_samples
+    for l, k in ((0, 0), (0, 1), (1, 0), (1, 1)):
+        skipped = check_dependency(sigma_product(c, l, k, 0, 1), {0, 1}, DOM2)
+        assert skipped.max_violation == 0.0
 
 
 def test_c2_satisfied_arctan_coupling():

@@ -377,3 +377,106 @@ def test_loading_without_diffusion_rejected():
     grid = Grid.regular([[-4, 4]], [161], horizon=0.25, n_levels=4000)
     with pytest.raises(StabilityError, match="monotone stencil"):
         solve(coeffs, INTERVAL, f=IDENTITY, grid=grid)
+
+
+UNIT_DRIFT = build_coefficients({"n": 1, "d": 1, "b": {"family": "constant-drift", "c": [1.0]}})
+
+
+def test_drift_only_solves_at_the_upwind_cfl_limit():
+    # b = 1, no diffusion, dx = 0.05: the rates are 1/dx toward +e, so 20
+    # levels over T = 1 put every centre weight at exactly 0 and each level
+    # shifts the data by one node.
+    f = TestFunction(f=lambda x: np.sin(3.0 * x[..., 0]), dim=1, name="sin3x")
+    grid = Grid.regular([[-2, 2]], [81], horizon=1.0, n_levels=20)
+    assert stability_bound(UNIT_DRIFT, INTERVAL, grid) == pytest.approx(0.05, rel=1e-12)
+    sol = solve(UNIT_DRIFT, INTERVAL, f, grid)
+    sl = sol.trust_slices()
+    ax = grid.axes[0][sl[0]]
+    assert np.max(np.abs(sol.u[-1][sl[0]] - np.sin(3.0 * (ax + 1.0)))) < 1e-12
+
+
+def test_stability_bound_is_exact_centre_weight_positivity():
+    # 1-D: sum_k r = sigma^2 upper / dx^2 + |b| / dx at interior nodes.
+    coeffs = build_coefficients({"n": 1, "d": 1,
+                                 "b": {"family": "constant-drift", "c": [-0.5]},
+                                 "sigma": {"family": "constant", "matrix": [[1.0]]}})
+    grid = Grid.regular([[-2, 2]], [41], horizon=0.5, n_levels=10)
+    assert stability_bound(coeffs, INTERVAL, grid) == pytest.approx(
+        1.0 / (1.0 / 0.1 ** 2 + 0.5 / 0.1), rel=1e-12)
+    # dt at the bound is admitted, dt just above it is refused
+    for coeffs, theta, f, bounds, counts in (
+            (UNIT_DRIFT, INTERVAL, IDENTITY, [[-2, 2]], (81,)),
+            (coeffs, INTERVAL, SQUARE, [[-2, 2]], (41,)),
+            (build_coefficients({"n": 2, "d": 2, "b": {"family": "arctan-coupling"},
+                                 "sigma": {"family": "diag-sigma", "values": [1.0, 1.0]}}),
+             CovarianceSet(generators=(np.linalg.cholesky([[1.0, 0.5], [0.5, 1.0]]),)),
+             TestFunction(f=lambda x: x[..., 0] * x[..., 1], dim=2, name="bilinear"),
+             [[-3, 3], [-3, 3]], (31, 31))):
+        probe = Grid(bounds=np.array(bounds, dtype=float), counts=counts, dt=1.0, horizon=1.0)
+        bound = stability_bound(coeffs, theta, probe)
+        at = Grid(bounds=probe.bounds, counts=counts, dt=bound, horizon=4 * bound)
+        assert np.all(np.isfinite(solve(coeffs, theta, f, at).u))
+        above = Grid(bounds=probe.bounds, counts=counts, dt=bound * (1 + 1e-9),
+                     horizon=4 * bound * (1 + 1e-9))
+        with pytest.raises(StabilityError, match="stability bound"):
+            solve(coeffs, theta, f, above)
+
+
+def test_trust_margin_counts_the_drift_sweep():
+    # b = 2, sigma = 0.3: the outward-drift coupling dropped at the upper face
+    # is felt 2 * T deep, far beyond 3 * sigma * sqrt(T) = 0.9.
+    coeffs = build_coefficients({"n": 1, "d": 1,
+                                 "b": {"family": "constant-drift", "c": [2.0]},
+                                 "sigma": {"family": "constant", "matrix": [[0.3]]}})
+    grid = Grid.regular([[-3, 3]], [121], horizon=1.0, n_levels=840)
+    sol = solve(coeffs, INTERVAL, SQUARE, grid)
+    assert sol.scheme["trust_margin"] == pytest.approx(0.9 + 2.0, rel=1e-12)
+    exact = (1.4 + 2.0) ** 2 + 0.09  # E (x + 2 t + 0.3 W_t)^2 under the top variance
+    assert semigroup_value(sol, 1.0, [1.4], allow_untrusted=True) < exact - 2.0
+    with pytest.raises(GridError, match="trust region"):
+        semigroup_value(sol, 1.0, [1.4])
+
+
+def test_trust_region_without_diffusion_shrinks_by_the_drift_sweep():
+    grid = Grid.regular([[-2, 2]], [81], horizon=1.0, n_levels=1000)
+    sol = solve(UNIT_DRIFT, INTERVAL, IDENTITY, grid)
+    assert sol.trust_bounds.tolist() == [[-1.0, 1.0]]
+    # u = x + t, but the frozen upper face has been carried a sweep of 1 deep
+    assert semigroup_value(sol, 1.0, [1.5], allow_untrusted=True) < 2.5 - 0.4
+
+
+def time_dependent(sigma=None, b=None, h=None):
+    return CoefficientSet(n=1, d=1, sigma=sigma, b=b, h=h, time_homogeneous=False)
+
+
+def test_time_dependent_rates_are_rechecked_at_every_level():
+    # sum_k r = sigma(t)^2 / dx^2 passes 1 / dt = 125 once sigma(t) > 1.118,
+    # first at level 3 (t = 0.024, sigma = 1.12).
+    growing = time_dependent(sigma=lambda t, x: (1.0 + 5.0 * t) * np.ones(x.shape + (1,)))
+    grid = Grid.regular([[-2, 2]], [41], horizon=0.08, n_levels=10)
+    assert grid.dt <= stability_bound(growing, UNIT, grid)
+    with pytest.raises(StabilityError, match=r"stability bound .* at level 3 "):
+        solve(growing, UNIT, SQUARE, grid)
+    # a loading h(t) = 100 t outweighs the diffusion rate 0.5 / dx^2 once
+    # |h| > 1 / dx = 10, first at level 13 (t = 0.104)
+    loading = time_dependent(sigma=lambda t, x: np.ones(x.shape + (1,)),
+                             h=lambda t, x: 100.0 * t * np.ones(x.shape[:-1] + (1, 1, 1)))
+    grid = Grid.regular([[-2, 2]], [41], horizon=0.16, n_levels=20)
+    with pytest.raises(StabilityError, match="monotone stencil violated at level 13 "):
+        solve(loading, UNIT, SQUARE, grid)
+
+
+def test_time_dependent_drift_on_linear_data():
+    # b(t) = 1 + t: u(t, x) = x + t + t^2 / 2; explicit Euler in time sums
+    # b at the left end of each level, which is exact up to T * dt / 2.
+    coeffs = time_dependent(sigma=lambda t, x: np.ones(x.shape + (1,)),
+                            b=lambda t, x: (1.0 + t) * np.ones(x.shape))
+    grid = Grid.regular([[-4, 4]], [161], horizon=0.5, n_levels=500)
+    sol = solve(coeffs, INTERVAL, IDENTITY, grid)
+    sl = sol.trust_slices()
+    ax = grid.axes[0][sl[0]]
+    err = sol.u[-1][sl[0]] - (ax + np.sum(grid.dt * (1.0 + grid.times[:-1])))
+    # the boundary collar decays diffusively into the trust region
+    assert np.max(np.abs(err)) < 1e-7
+    assert np.max(np.abs(err[np.abs(ax) <= 0.5])) < 1e-12
+    assert np.max(np.abs(sol.u[-1][sl[0]] - (ax + 0.5 + 0.125))) <= 0.5 * grid.dt / 2 + 1e-7

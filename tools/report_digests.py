@@ -12,11 +12,13 @@ rebound in ``pde`` and ``experiments`` so that direct calls from test modules
 are recorded too; a grid check records ``asdict(report)``, and only when no
 other grid check is running, so a check that another one calls adds no
 line.  Each report they return adds one line
-``<node id> TAB <call index> TAB <sha256>`` to the file, where the call index
-counts the reports of that test from 0 and the digest is taken over
-``json.dumps(report, sort_keys=True)`` with the ``timestamp`` key removed
-and the pytest base temporary directory replaced by ``<tmp>``.  Two trees
-make the same reports exactly when ``diff`` finds the two files equal.
+``<node id> TAB <call index> TAB <sha256> TAB <canonical JSON>`` to the file,
+where the call index counts the reports of that test from 0, the canonical
+JSON is ``json.dumps(report, sort_keys=True)`` with the ``timestamp`` key
+removed and the pytest base temporary directory replaced by ``<tmp>``, and
+the digest is taken over that JSON.  Two trees make the same reports exactly
+when ``diff`` finds the two files equal; ``tools/compare_reports.py`` lists
+the leaves that differ.
 """
 
 from __future__ import annotations
@@ -47,9 +49,9 @@ class _Recorder:
         if isinstance(report, dict):
             report = {k: v for k, v in report.items() if k != "timestamp"}
         text = json.dumps(report, sort_keys=True, default=repr)
-        base = str(self.config._tmp_path_factory.getbasetemp())
-        digest = hashlib.sha256(text.replace(base, "<tmp>").encode()).hexdigest()
-        self.lines.append(f"{self.node}\t{self.index}\t{digest}")
+        text = text.replace(str(self.config._tmp_path_factory.getbasetemp()), "<tmp>")
+        digest = hashlib.sha256(text.encode()).hexdigest()
+        self.lines.append(f"{self.node}\t{self.index}\t{digest}\t{text}")
         self.index += 1
 
     def wrap(self, func, pick):
