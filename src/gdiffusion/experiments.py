@@ -32,14 +32,17 @@ from .pde import (
     solve,
 )
 from .scenario import VolatilityControl, apply_control, estimate_sublinear_expectation, noise_block
-from .sde import (SDETerminalFunctional, euler_march, frame_eigenvalues, lipschitz_audit,
-                  pathwise_min_gap)
+from .sde import (MinGapObserver, SDETerminalFunctional, euler_march, frame_eigenvalues,
+                  lipschitz_audit)
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_HYPOTHESIS = 3
 EXIT_ASSERTION = 4
 EXIT_NUMERICAL = 5
+
+# bytes of dB per chunk of controls that verify-comparison marches together
+_CHUNK_BYTES = 5 * 2**19
 
 
 def _report(experiment: str, cfg: dict, results: dict, status: str, exit_code: int) -> dict:
@@ -128,16 +131,29 @@ def run_verify_comparison(cfg: dict) -> tuple[dict, int]:
     times = np.linspace(0.0, horizon, n_steps + 1)
     dt = horizon / n_steps
 
+    # X and Y step in lockstep on chunks of controls stacked on a batch axis
+    chunk = max(1, min(len(controls), _CHUNK_BYTES // dw.nbytes))
+    db = np.empty((chunk,) + dw.shape)
+    dqv = np.empty((chunk, 1, n_steps, theta.dim, theta.dim))
     min_gap = np.inf
     witness = {}
-    for c_idx, control in enumerate(controls):
-        db, dqv = apply_control(dw, control, theta, dt)
-        xs = euler_march(coeffs_x, x0, times, db, dqv)
-        ys = euler_march(coeffs_y, y0, times, db, dqv)
-        local, (path, comp, t_at) = pathwise_min_gap(xs, ys, times)
+    for first in range(0, len(controls), chunk):
+        k = min(chunk, len(controls) - first)
+        for j in range(k):
+            db[j], dqv[j, 0] = apply_control(dw, controls[first + j], theta, dt)
+        gaps = MinGapObserver()
+        try:
+            euler_march((coeffs_x, coeffs_y), (x0, y0), times, db[:k], dqv[:k], observe=gaps)
+        except NonFiniteError:
+            # raise what marching each control and system alone, in order, raises
+            for j in range(k):
+                for coeffs, start in ((coeffs_x, x0), (coeffs_y, y0)):
+                    euler_march(coeffs, start, times, db[j], dqv[j, 0])
+            raise
+        local, (j, path, comp, t_at) = gaps.result(times)
         if local < min_gap:
             min_gap = local
-            witness = {"control": control.label, "control_index": c_idx,
+            witness = {"control": controls[first + j].label, "control_index": first + j,
                        "path_index": path, "component": comp, "t": t_at}
     results["ensemble"] = {"n_controls": len(controls), "n_paths": n_paths,
                            "n_steps": n_steps, "T": horizon}

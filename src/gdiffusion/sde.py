@@ -8,9 +8,14 @@ State dynamics on a scenario (dB, dQV):
 
 Coefficients are evaluated at the left endpoint (non-anticipative), matching
 the Ito integrals being discretized.  ``euler_march`` steps a whole batch of
-scenarios at once and returns the states as one array (..., n_steps + 1, n);
-two systems marched on the same dB are coupled, and ``pathwise_min_gap``
-reads the first place where their states come closest.
+scenarios at once; dQV is per batch (..., n_steps, d, d) or shared
+(n_steps, d, d), so controls can be stacked on a batch axis.  It returns the
+states at the levels kept: every level, (..., n_steps + 1, n), or, when an
+``observe(m, x)`` callback reduces each level as it is made, only the last.
+Two systems marched on the same dB are coupled; they can be stepped in
+lockstep in one march, and ``MinGapObserver`` then streams what
+``pathwise_min_gap`` reads from stored states: the first place where their
+states come closest.
 """
 
 from __future__ import annotations
@@ -161,46 +166,112 @@ def lipschitz_audit(coeffs: CoefficientSet, box: np.ndarray, n_samples: int = 64
     return worst
 
 
-def euler_march(coeffs: CoefficientSet, x0: np.ndarray, times: np.ndarray,
-                db: np.ndarray, dqv: np.ndarray) -> np.ndarray:
-    """Explicit Euler on one or many scenarios.
+def euler_march(coeffs, x0, times: np.ndarray, db: np.ndarray, dqv: np.ndarray,
+                observe=None) -> np.ndarray:
+    """Explicit Euler on one or many scenarios, for one system or several in lockstep.
 
-    x0 : (..., n); db : (..., n_steps, d); dqv : (n_steps, d, d) shared.
-    Returns states of shape (..., n_steps + 1, n).  Aborts on the first
+    coeffs : a CoefficientSet, or a sequence of S of them sharing n, stepped
+        in lockstep on the same noise; the system axis is then the leading
+        batch axis of the states, and x0 is one initial state per system.
+    x0 : (..., n); db : (..., n_steps, d); dqv : (..., n_steps, d, d) per
+        batch, or (n_steps, d, d) shared by every scenario.
+    observe : optional ``observe(m, x)``, called with the states x (..., n)
+        at every level m = 0 .. n_steps; x must not be written to.
+
+    Returns the states at the levels kept: every level, (..., n_steps + 1, n),
+    or with an observer only the last, (..., 1, n).  Aborts on the first
     non-finite state rather than clamping: with bounded coefficients a
     blow-up indicates a bug, not a model feature.
     """
-    x0 = np.asarray(x0, dtype=float)
-    if x0.shape[-1] != coeffs.n:
-        raise DimensionMismatchError(f"x0 has dim {x0.shape[-1]}, coefficients expect {coeffs.n}")
-    if not np.all(np.isfinite(x0)):
-        raise NonFiniteError("initial state must be finite")
-    if db.shape[-1] != coeffs.d:
-        raise DimensionMismatchError(f"noise dim {db.shape[-1]} != coefficient d {coeffs.d}")
+    single = isinstance(coeffs, CoefficientSet)
+    systems = (coeffs,) if single else tuple(coeffs)
+    starts = [np.asarray(start, dtype=float) for start in ((x0,) if single else x0)]
+    if len(starts) != len(systems):
+        raise DimensionMismatchError(f"{len(starts)} initial states for {len(systems)} systems")
+    for system, start in zip(systems, starts):
+        if start.shape[-1] != system.n:
+            raise DimensionMismatchError(
+                f"x0 has dim {start.shape[-1]}, coefficients expect {system.n}")
+        if not np.all(np.isfinite(start)):
+            raise NonFiniteError("initial state must be finite")
+        if db.shape[-1] != system.d:
+            raise DimensionMismatchError(f"noise dim {db.shape[-1]} != coefficient d {system.d}")
+    n = systems[0].n
+    if any(system.n != n for system in systems):
+        raise DimensionMismatchError("systems marched together must share the state dimension")
     n_steps = db.shape[-2]
-    batch = np.broadcast_shapes(x0.shape[:-1], db.shape[:-2])
-    states = np.empty(batch + (n_steps + 1, coeffs.n))
-    states[..., 0, :] = x0
-    x = np.broadcast_to(x0, batch + (coeffs.n,)).copy()
+    batch = np.broadcast_shapes(*(start.shape[:-1] for start in starts), db.shape[:-2],
+                                dqv.shape[:-3])
+    x = np.empty((len(systems),) + batch + (n,))
+    for x_s, start in zip(x, starts):
+        x_s[...] = start
+    # the system axis is dropped again for a single system
+    view = (lambda a: a[0]) if single else (lambda a: a)
+    if observe is None:
+        states = np.empty(x.shape[:-1] + (n_steps + 1, n))
+        states[..., 0, :] = x
+    else:
+        observe(0, view(x))
     for m in range(n_steps):
         t = float(times[m])
         dt = float(times[m + 1] - times[m])
-        b, h, s = coeffs.fields(t, x)
-        incr = b * dt if b is not None else np.zeros(x.shape)
-        if h is not None:
-            incr += np.einsum("...lki,lk->...i", h, dqv[m])
-        if s is not None:
-            for l in range(coeffs.d):
-                incr += s[..., l] * db[..., m, l:l + 1]
-        x = x + incr
+        dqv_m = dqv[..., m, :, :]
+        nxt = np.empty_like(x)
+        for system, x_s, nxt_s in zip(systems, x, nxt):
+            b, h, s = system.fields(t, x_s)
+            incr = b * dt if b is not None else np.zeros(x_s.shape)
+            if h is not None:
+                incr += np.einsum("...lki,...lk->...i", h, dqv_m)
+            if s is not None:
+                for l in range(system.d):
+                    incr += s[..., l] * db[..., m, l:l + 1]
+            np.add(x_s, incr, out=nxt_s)
+        x = nxt
         if not np.isfinite(x).all():
-            bad = np.argwhere(~np.isfinite(x))[0]
+            bad = np.argwhere(~np.isfinite(view(x)))[0]
             raise NonFiniteError(
                 f"non-finite state at step {m + 1} (t={times[m + 1]:.6g}), "
                 f"batch index {tuple(bad[:-1])}, component {bad[-1]}"
             )
-        states[..., m + 1, :] = x
-    return states
+        if observe is None:
+            states[..., m + 1, :] = x
+        else:
+            observe(m + 1, view(x))
+    return view(states if observe is None else x[..., None, :])
+
+
+class MinGapObserver:
+    """Streaming ``pathwise_min_gap`` for two systems marched in lockstep.
+
+    As the ``observe`` of ``euler_march`` on the systems (lower, upper), it
+    keeps per batch index and component the running minimum of upper - lower
+    over levels, with the first level where it occurs.
+    """
+
+    def __init__(self):
+        self.best = self.level = None
+
+    def __call__(self, m: int, x: np.ndarray) -> None:
+        gap = x[1] - x[0]
+        if self.best is None:
+            self.best = np.full(gap.shape, np.inf)
+            self.level = np.zeros(gap.shape, dtype=np.int64)
+        better = gap < self.best  # strict: the first level stays the witness
+        np.copyto(self.best, gap, where=better)
+        np.copyto(self.level, m, where=better)
+
+    def result(self, times: np.ndarray) -> tuple[float, tuple]:
+        """(min gap, witness) exactly as ``pathwise_min_gap`` on the stored states."""
+        idx = np.unravel_index(int(np.argmin(self.best.min(axis=-1))), self.best.shape[:-1])
+        best, level = self.best[idx], self.level[idx]
+        # of the components at the minimum, the first level, then the first component
+        ties = np.flatnonzero(best == best.min())
+        comp = int(ties[np.argmin(level[ties])])
+        return float(best[comp]), (*(int(i) for i in idx), comp + 1, float(times[level[comp]]))
+
+
+def _keep_last(m: int, x: np.ndarray) -> None:
+    """An observer that reduces nothing: the march then keeps only X_T."""
 
 
 @dataclass(frozen=True)
@@ -208,7 +279,8 @@ class SDETerminalFunctional:
     """f(X_T) for the system started at x0, one value per scenario path.
 
     ``f`` is a :class:`~gdiffusion.functions.TestFunction`.  Only the batched
-    form exists: estimate_sublinear_expectation marches all paths at once.
+    form exists: estimate_sublinear_expectation marches all paths at once,
+    and the march keeps only X_T.
     """
 
     coeffs: CoefficientSet
@@ -216,8 +288,8 @@ class SDETerminalFunctional:
     x0: np.ndarray
 
     def evaluate_batch(self, times, db, dqv) -> np.ndarray:
-        states = euler_march(self.coeffs, self.x0, times, db, dqv)
-        return self.f.value(states[..., -1, :])
+        terminal = euler_march(self.coeffs, self.x0, times, db, dqv, observe=_keep_last)
+        return self.f.value(terminal[..., -1, :])
 
 
 def pathwise_min_gap(lower: np.ndarray, upper: np.ndarray,

@@ -5,12 +5,13 @@ import sys
 import numpy as np
 import pytest
 
-from gdiffusion import experiments
+from gdiffusion import config, experiments
 from gdiffusion.cli import main
 from gdiffusion.config import load_config
-from gdiffusion.errors import ConfigError
+from gdiffusion.errors import ConfigError, NonFiniteError
 from gdiffusion.experiments import dispatch
-from gdiffusion.scenario import noise_block
+from gdiffusion.scenario import apply_control, noise_block
+from gdiffusion.sde import euler_march
 
 
 def run_cli(args, capsys):
@@ -454,6 +455,36 @@ def test_explicit_control_without_schedule_is_a_config_error():
     assert code == 2
     assert report["status"] == "config-error"
     assert "'schedule'" in report["results"]["error"]
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_verify_comparison_blow_up_names_the_first_failing_march(tmp_path):
+    # x' = x^3 from 1.2 blows up at a step that depends on the control, so the
+    # controls marched together fail first somewhere else than control 0 does
+    with open(comparison_config(tmp_path), encoding="utf-8") as fh:
+        cfg = json.load(fh)
+    for key in ("coefficients", "coefficients_bar"):
+        cfg[key]["b"] = ["expr:x_1^3", "expr:x_2^3"]
+    cfg["x0"] = cfg["y0"] = [1.2, 1.0]
+    report, code = dispatch("verify-comparison", cfg)
+    assert code == 5 and report["status"] == "numerical-error"
+
+    theta = config.theta_from_config(cfg["theta"])
+    coeffs_x, coeffs_y = config.coefficients_from_config(cfg)
+    n_steps, n_paths = cfg["scenario"]["n_steps"], cfg["scenario"]["n_paths"]
+    dw = noise_block(cfg["seed"], 1.0, n_steps, 1, n_paths)
+    times = np.linspace(0.0, 1.0, n_steps + 1)
+    errors = []
+    for control in config.controls_from_config(cfg["scenario"]["controls"], theta, n_steps,
+                                               cfg["seed"]):
+        db, dqv = apply_control(dw, control, theta, 1.0 / n_steps)
+        for coeffs, start in ((coeffs_x, cfg["x0"]), (coeffs_y, cfg["y0"])):
+            with pytest.raises(NonFiniteError) as err:
+                euler_march(coeffs, start, times, db, dqv)
+            errors.append(str(err.value))
+    assert report["results"]["error"] == errors[0]
+    steps = [int(e.split()[4]) for e in errors]  # "non-finite state at step <m> ..."
+    assert min(steps) < steps[0]  # another control fails at an earlier step
 
 
 def test_verify_comparison_checks_the_scenario_before_searching(tmp_path, monkeypatch):

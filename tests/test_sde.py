@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -6,7 +8,9 @@ from gdiffusion.errors import ConfigError, DimensionMismatchError, NonFiniteErro
 from gdiffusion.expressions import parse_expression
 from gdiffusion.gfunction import CovarianceSet
 from gdiffusion.scenario import VolatilityControl, apply_control, noise_block
-from gdiffusion.sde import CoefficientSet, euler_march, lipschitz_audit, pathwise_min_gap
+from gdiffusion.functions import TestFunction
+from gdiffusion.sde import (CoefficientSet, MinGapObserver, SDETerminalFunctional, euler_march,
+                            lipschitz_audit, pathwise_min_gap)
 
 INTERVAL = CovarianceSet.from_interval(0.25, 1.0)
 UNIT = CovarianceSet.from_interval(1.0, 1.0)
@@ -233,6 +237,128 @@ def test_batched_march_matches_single_paths(case):
         dw = noise_block(5, 1.0, n_steps, theta.dim, n_paths=1, first=p)
         single = euler_march(coeffs, x0, times, *apply_control(dw, control, theta, 1.0 / n_steps))
         assert np.array_equal(batch[p], single[0])
+
+
+CHUNK_CONTROLS = (VolatilityControl.bang_bang_cycle(0, 1, 16),
+                  VolatilityControl.constant(0, 16),
+                  VolatilityControl.random_switching(2, 16, seed=8))
+
+
+def stacked_scenarios(theta, n_paths=3, n_steps=16):
+    """dB (K, n_paths, n_steps, d) and per-control dQV (K, 1, n_steps, d, d) of CHUNK_CONTROLS."""
+    dw = noise_block(5, 1.0, n_steps, theta.dim, n_paths)
+    db = np.empty((len(CHUNK_CONTROLS),) + dw.shape)
+    dqv = np.empty((len(CHUNK_CONTROLS), 1, n_steps, theta.dim, theta.dim))
+    for j, control in enumerate(CHUNK_CONTROLS):
+        db[j], dqv[j, 0] = apply_control(dw, control, theta, 1.0 / n_steps)
+    return np.linspace(0.0, 1.0, n_steps + 1), db, dqv
+
+
+@pytest.mark.parametrize("case", BATCH_CASES)
+def test_stacked_controls_match_per_control_marches(case):
+    section, theta = BATCH_CASES[case]
+    coeffs = build_coefficients(section)
+    x0 = np.array([0.1, 0.2])
+    times, db, dqv = stacked_scenarios(theta)
+    stacked = euler_march(coeffs, x0, times, db, dqv)
+    per_path = euler_march(coeffs, x0, times, db, np.broadcast_to(dqv, db.shape[:2] + dqv.shape[2:]))
+    assert stacked.shape == db.shape[:2] + (17, 2)
+    for j in range(len(CHUNK_CONTROLS)):
+        single = euler_march(coeffs, x0, times, db[j], dqv[j, 0])
+        assert np.array_equal(stacked[j], single)
+        assert np.array_equal(per_path[j], single)
+
+
+@pytest.mark.parametrize("case", BATCH_CASES)
+def test_lockstep_systems_match_separate_marches(case):
+    section, theta = BATCH_CASES[case]
+    lower = build_coefficients(section)
+    upper = build_coefficients({**section, "label": "raised", "b": ["expr:0.1 + tanh(x_2)", 0.2]})
+    x0, y0 = np.array([0.1, 0.2]), np.array([[0.3, 0.2]])
+    times, db, dqv = stacked_scenarios(theta)
+    both = euler_march((lower, upper), (x0, y0), times, db, dqv)
+    assert np.array_equal(both[0], euler_march(lower, x0, times, db, dqv))
+    assert np.array_equal(both[1], euler_march(upper, y0, times, db, dqv))
+    gaps = MinGapObserver()
+    last = euler_march((lower, upper), (x0, y0), times, db, dqv, observe=gaps)
+    assert np.array_equal(last, both[..., -1:, :])
+    assert gaps.result(times) == pathwise_min_gap(both[0], both[1], times)
+
+
+def observe_stored(lower, upper):
+    """A MinGapObserver fed the stored states (..., levels, n) level by level."""
+    gaps = MinGapObserver()
+    for m in range(lower.shape[-2]):
+        gaps(m, np.stack([lower[..., m, :], upper[..., m, :]]))
+    return gaps
+
+
+@pytest.mark.parametrize("shape", [(3, 4, 5, 2), (2, 6, 3), (7, 4, 3), (2, 2, 3, 3, 2)])
+def test_streamed_min_gap_matches_stored_states(shape):
+    # gaps drawn from a few values, signed zeros included, plant ties across
+    # control, path, level and component; the first witness must still match
+    rng = np.random.default_rng(len(shape) * 10 + shape[-1])
+    times = np.linspace(0.0, 1.0, shape[-2])
+    lower = np.zeros(shape)
+    for _ in range(50):
+        upper = rng.choice([-1.0, -0.0, 0.0, 1.0, 2.0], size=shape)
+        expected = pathwise_min_gap(lower, upper, times)
+        assert repr(observe_stored(lower, upper).result(times)) == repr(expected)
+
+
+def test_streamed_min_gap_first_witness_in_scan_order():
+    # ties at -1: control 0 path 1 level 2 component 0 (the first in scan
+    # order), control 0 path 1 level 2 component 1, control 0 path 2 level 0,
+    # control 1 path 0 level 0; an earlier level wins over a lower component
+    times = np.array([0.0, 0.5, 1.0])
+    lower = np.zeros((2, 3, 3, 2))
+    upper = np.zeros((2, 3, 3, 2))
+    upper[0, 1, 2, :] = upper[0, 2, 0, 1] = upper[1, 0, 0, 0] = -1.0
+    assert observe_stored(lower, upper).result(times) == (-1.0, (0, 1, 1, 1.0))
+    upper[0, 1, 1, 1] = -1.0
+    assert observe_stored(lower, upper).result(times) == (-1.0, (0, 1, 2, 0.5))
+    assert pathwise_min_gap(lower, upper, times) == (-1.0, (0, 1, 2, 0.5))
+
+
+@pytest.mark.parametrize("case", BATCH_CASES)
+def test_streamed_terminal_state_is_the_last_stored_level(case):
+    section, theta = BATCH_CASES[case]
+    coeffs = build_coefficients(section)
+    x0 = np.array([0.1, 0.2])
+    times, db, dqv = stacked_scenarios(theta)
+    states = euler_march(coeffs, x0, times, db, dqv)
+    seen = []
+    last = euler_march(coeffs, x0, times, db, dqv, observe=lambda m, x: seen.append((m, x)))
+    assert last.shape == db.shape[:2] + (1, 2)
+    assert np.array_equal(last[..., 0, :], states[..., -1, :])
+    assert [m for m, _ in seen] == list(range(len(times)))
+    assert all(np.array_equal(x, states[..., m, :]) for m, x in seen)
+    square = TestFunction(f=lambda x: x[..., 0] ** 2 + x[..., 1], dim=2)
+    functional = SDETerminalFunctional(coeffs, square, x0)
+    assert np.array_equal(functional.evaluate_batch(times, db[0], dqv[0, 0]),
+                          square.value(states[0, :, -1, :]))
+
+
+@pytest.mark.filterwarnings("ignore:overflow")
+@pytest.mark.parametrize("systems", [1, 2])
+def test_streaming_nonfinite_abort_matches_stored(systems):
+    # path (1, 2) component 1 starts large and overflows one step before the rest
+    coeffs = CoefficientSet(n=2, d=1, b=lambda t, x: x * 1e150)
+    times, db, dqv = unit_path(n_steps=8)
+    x0 = np.ones((2, 3, 2))
+    x0[1, 2, 1] = 1e10
+    marches = (coeffs, x0) if systems == 1 else ((coeffs, coeffs), (np.ones(2), x0))
+    messages = []
+    for observe in (None, MinGapObserver() if systems == 2 else lambda m, x: None):
+        with pytest.raises(NonFiniteError) as err:
+            euler_march(*marches, times, db, dqv, observe=observe)
+        messages.append(str(err.value))
+    assert messages[0] == messages[1]
+    assert messages[0].startswith("non-finite state at step 2 (t=0.25), batch index (")
+    assert messages[0].endswith(", component 1")
+    index = messages[0].split("batch index ")[1].split(", component")[0]
+    digits = re.findall(r"\d+", index.replace("int64", ""))
+    assert digits == (["1", "2"] if systems == 1 else ["1", "1", "2"])
 
 
 def test_euler_step_is_the_per_entry_sum():
