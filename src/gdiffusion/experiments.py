@@ -97,6 +97,9 @@ def run_verify_comparison(cfg: dict) -> tuple[dict, int]:
         raise ConfigError("verify-comparison needs coefficients_bar or a pair family")
     x0 = _floats(cfg, "x0")
     y0 = _floats(cfg, "y0")
+    for key, start in (("x0", x0), ("y0", y0)):
+        if start.shape != (coeffs_x.n,):
+            raise ConfigError(f"{key}: expected {coeffs_x.n} numbers, got shape {start.shape}")
     dom = cfgmod.domain_from_config(cfgmod.require(cfg, "domain", dict), coeffs_x.n, seed)
     scen = cfgmod.require(cfg, "scenario", dict)
     horizon = _read(scen, "T", float, "scenario")
@@ -189,8 +192,7 @@ def run_counterexample_remark(cfg: dict) -> tuple[dict, int]:
     n_steps = _read(scen, "n_steps", int, "scenario", 256)
 
     dw = noise_block(seed, horizon, n_steps, 1, 1)
-    low_index = int(np.argmin([float(np.min(np.linalg.eigvalsh(s)))
-                               for s in theta.covariances]))
+    low_index = int(np.argmin(np.linalg.eigvalsh(theta.covariances).min(axis=-1)))
     control = VolatilityControl.constant(low_index, n_steps)
     times = np.linspace(0.0, horizon, n_steps + 1)
     db, dqv = apply_control(dw, control, theta, horizon / n_steps)

@@ -59,11 +59,10 @@ def _richardson(eval_at, step: float):
     return (4.0 * eval_at(step / 2.0) - eval_at(step)) / 3.0
 
 
-def derivatives(f: TestFunction, x, fd_step: float | None = None
-                ) -> tuple[np.ndarray, np.ndarray]:
+def derivatives(f: TestFunction, x) -> tuple[np.ndarray, np.ndarray]:
     """Gradient and Hessian, analytic when supplied, else extrapolated FD."""
     x = np.atleast_1d(np.asarray(x, dtype=float))
-    step = fd_step if fd_step is not None else 1e-4 * (1.0 + float(np.linalg.norm(x)))
+    step = 1e-4 * (1.0 + float(np.linalg.norm(x)))
     if f.grad is not None:
         grad = np.asarray(f.grad(x), dtype=float)
     else:
@@ -87,10 +86,10 @@ def generator_matrix(coeffs: CoefficientSet, t: float, x, grad: np.ndarray,
 
 
 def eval_generator(coeffs: CoefficientSet, theta: CovarianceSet, f: TestFunction,
-                   x, fd_step: float | None = None, t: float = 0.0) -> float:
+                   x, t: float = 0.0) -> float:
     """Lf(x) = <grad f, b> + G(generator matrix)."""
     x = np.atleast_1d(np.asarray(x, dtype=float))
-    grad, hess = derivatives(f, x, fd_step)
+    grad, hess = derivatives(f, x)
     m = generator_matrix(coeffs, t, x, grad, hess)
     drift = float(grad @ coeffs.eval_b(t, x))
     return drift + eval_G(m, theta)
@@ -108,8 +107,8 @@ class LimitRow:
 
 
 def generator_limit_check(coeffs: CoefficientSet, theta: CovarianceSet,
-                          f: TestFunction, x, t_list, grid: Grid | None = None,
-                          fd_step: float | None = None) -> list[LimitRow]:
+                          f: TestFunction, x, t_list, grid: Grid | None = None
+                          ) -> list[LimitRow]:
     """Table of ((E_t f(x) - f(x)) / t, Lf(x)) for each t in t_list.
 
     E_t comes from one PDE solve up to max(t_list); the residual is
@@ -121,7 +120,7 @@ def generator_limit_check(coeffs: CoefficientSet, theta: CovarianceSet,
     t_list = sorted(float(t) for t in t_list)
     if not t_list or t_list[0] <= 0:
         raise NonFiniteError("t_list must contain positive times")
-    lf = eval_generator(coeffs, theta, f, x, fd_step)
+    lf = eval_generator(coeffs, theta, f, x)
     fx = float(f.value(x))
 
     if grid is None:

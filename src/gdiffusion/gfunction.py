@@ -10,6 +10,11 @@ is sublinear, positively homogeneous and monotone in the semidefinite order.
 A continuous covariance interval in one dimension is represented exactly by
 its two endpoint generators, because the maximum of a linear function of
 Sigma is attained at extreme points.
+
+The family is stored once, as read-only (M, d, d) stacks.  ``eval_G`` and
+``argmax_sigma`` take one matrix or a (..., d, d) stack and share one
+contraction and one tie rule, ``_first_max`` (the lowest index wins), which
+the PDE scheme's branch maximum also uses.
 """
 
 from __future__ import annotations
@@ -25,20 +30,27 @@ from .errors import DimensionMismatchError, NonFiniteError
 PSD_TOLERANCE = 1e-10
 
 
+def _symmetric(a) -> np.ndarray:
+    """A matrix or a (..., d, d) stack, checked square and finite, then
+    symmetrized via (A + A.T) / 2."""
+    a = np.asarray(a, dtype=float)
+    a = a.reshape(1, 1) if a.ndim == 0 else a
+    if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
+        raise DimensionMismatchError(f"expected a square matrix, got shape {a.shape}")
+    if not np.all(np.isfinite(a)):
+        raise NonFiniteError("symmetric matrix entries must be finite")
+    return (a + np.swapaxes(a, -1, -2)) / 2.0
+
+
 class SymMatrix:
     """A real symmetric matrix; construction symmetrizes via (A + A.T) / 2."""
 
     __slots__ = ("entries",)
 
     def __init__(self, entries) -> None:
-        a = np.asarray(entries, dtype=float)
-        if a.ndim == 0:
-            a = a.reshape(1, 1)
-        if a.ndim != 2 or a.shape[0] != a.shape[1]:
-            raise DimensionMismatchError(f"expected a square matrix, got shape {a.shape}")
-        if not np.all(np.isfinite(a)):
-            raise NonFiniteError("symmetric matrix entries must be finite")
-        self.entries = (a + a.T) / 2.0
+        if np.ndim(entries) > 2:
+            raise DimensionMismatchError(f"expected a square matrix, got shape {np.shape(entries)}")
+        self.entries = _symmetric(entries)
 
     @property
     def dim(self) -> int:
@@ -48,43 +60,38 @@ class SymMatrix:
         return f"SymMatrix({self.entries.tolist()})"
 
 
-def _as_sym_entries(a) -> np.ndarray:
-    if isinstance(a, SymMatrix):
-        return a.entries
-    return SymMatrix(a).entries
-
-
 @dataclass(frozen=True)
 class CovarianceSet:
     """Finite family of volatility generators and their covariances.
 
-    generators : tuple of d x d arrays gamma_m
-    covariances : Sigma_m = gamma_m @ gamma_m.T, eigenvalue-clamped; may be
-        supplied explicitly when the product would round (interval sets pin
-        the exact endpoint variances)
+    generators : the d x d matrices gamma_m, given as any sequence and stored
+        as one read-only (M, d, d) array
+    covariances : Sigma_m = gamma_m @ gamma_m.T, eigenvalue-clamped, stored
+        as one read-only (M, d, d) array; may be supplied explicitly when the
+        product would round (interval sets pin the exact endpoint variances)
     sigma_lower_sq / sigma_upper_sq : min/max of the eigenvalue range over
         the covariances (the variance envelope of the one-dimensional
         projections).
     """
 
-    generators: tuple
-    covariances: tuple = None
+    generators: np.ndarray
+    covariances: np.ndarray = None
     sigma_lower_sq: float = field(init=False)
     sigma_upper_sq: float = field(init=False)
 
     def __post_init__(self) -> None:
-        gens = tuple(np.asarray(g, dtype=float) for g in self.generators)
+        gens = [np.asarray(g, dtype=float) for g in self.generators]
         if not gens:
             raise DimensionMismatchError("at least one volatility generator is required")
-        d = gens[0].shape[0] if gens[0].ndim else 1
-        gens = tuple(g.reshape(1, 1) if g.ndim == 0 else g for g in gens)
+        gens = [g.reshape(1, 1) if g.ndim == 0 else g for g in gens]
+        d = gens[0].shape[0]
         given = self.covariances
         if given is not None and len(given) != len(gens):
             raise DimensionMismatchError("covariances must pair up with the generators")
         covs = []
         lo, hi = np.inf, -np.inf
         for m, g in enumerate(gens):
-            if g.ndim != 2 or g.shape != (d, d):
+            if g.shape != (d, d):
                 raise DimensionMismatchError(
                     f"every generator must be {d}x{d}, got shape {g.shape}"
                 )
@@ -101,14 +108,12 @@ class CovarianceSet:
                 w = np.clip(w, 0.0, None)
                 sigma = (v * w) @ v.T
                 sigma = (sigma + sigma.T) / 2.0
-            sigma.setflags(write=False)
             covs.append(sigma)
             lo = min(lo, float(np.min(w)))
             hi = max(hi, float(np.max(w)))
-        for g in gens:
-            g.setflags(write=False)
-        object.__setattr__(self, "generators", gens)
-        object.__setattr__(self, "covariances", tuple(covs))
+        for name, stack in (("generators", np.stack(gens)), ("covariances", np.stack(covs))):
+            stack.setflags(write=False)
+            object.__setattr__(self, name, stack)
         object.__setattr__(self, "sigma_lower_sq", max(lo, 0.0))
         object.__setattr__(self, "sigma_upper_sq", hi)
 
@@ -128,43 +133,48 @@ class CovarianceSet:
 
     @property
     def dim(self) -> int:
-        return self.generators[0].shape[0]
+        return self.generators.shape[1]
 
     @property
     def n_generators(self) -> int:
         return len(self.generators)
 
 
-def _check_compatible(a: np.ndarray, theta: CovarianceSet) -> None:
-    if a.shape[0] != theta.dim:
+def _first_max(values: np.ndarray, index: np.ndarray) -> np.ndarray:
+    """Max over the leading generator axis; writes its first argmax into the zeroed ``index``."""
+    top = values[0]
+    for g in range(1, len(values)):  # one pass; strict >: ties keep the lowest index
+        higher = values[g] > top
+        top = np.where(higher, values[g], top)
+        np.copyto(index, g, where=higher)
+    return top
+
+
+def _worst_case(a, theta: CovarianceSet) -> tuple:
+    """(G, first maximizing index) for a matrix or a (..., d, d) stack A."""
+    a = a.entries if isinstance(a, SymMatrix) else _symmetric(a)
+    if a.shape[-1] != theta.dim:
         raise DimensionMismatchError(
-            f"matrix dim {a.shape[0]} does not match covariance set dim {theta.dim}"
-        )
+            f"matrix dim {a.shape[-1]} does not match covariance set dim {theta.dim}")
+    index = np.zeros(a.shape[:-2], dtype=np.intp)
+    return _first_max(0.5 * np.einsum("mij,...ij->m...", theta.covariances, a), index), index
 
 
-def eval_G(a, theta: CovarianceSet) -> float:
-    """Worst-case half-trace: G(A) = 1/2 * max_m tr(A @ Sigma_m).
-
-    Deterministic: the maximum over the finite covariance family is taken
-    with ties broken at the lowest index.
-    """
-    e = _as_sym_entries(a)
-    _check_compatible(e, theta)
-    values = [0.5 * float(np.tensordot(e, s, axes=2)) for s in theta.covariances]
-    return max(values)
+def eval_G(a, theta: CovarianceSet):
+    """Worst-case half-trace G(A) = 1/2 * max_m tr(A @ Sigma_m) of the
+    symmetrized A: a float for one matrix, an array (...) for a (..., d, d)
+    stack."""
+    top = _worst_case(a, theta)[0]
+    return float(top) if np.ndim(top) == 0 else top
 
 
-def argmax_sigma(a, theta: CovarianceSet) -> tuple[int, np.ndarray]:
-    """Index and covariance attaining the maximum in :func:`eval_G`.
-
-    Ties are broken at the lowest index, so the result is reproducible
-    across runs and platforms.
-    """
-    e = _as_sym_entries(a)
-    _check_compatible(e, theta)
-    values = np.array([0.5 * np.tensordot(e, s, axes=2) for s in theta.covariances])
-    idx = int(np.argmax(values))
-    return idx, theta.covariances[idx]
+def argmax_sigma(a, theta: CovarianceSet) -> tuple:
+    """(index, covariance) attaining :func:`eval_G`, the lowest index on ties:
+    (int, (d, d) array) for one matrix, arrays (...) and (..., d, d) for a
+    (..., d, d) stack."""
+    index = _worst_case(a, theta)[1]
+    index = int(index) if index.ndim == 0 else index
+    return index, theta.covariances[index]
 
 
 def nondegeneracy_bound(theta: CovarianceSet) -> float:
@@ -175,5 +185,5 @@ def nondegeneracy_bound(theta: CovarianceSet) -> float:
     for the maximizer Sigma* of B and A - B positive semidefinite.
     Returns 0 when some covariance is singular.
     """
-    lam = min(float(np.min(np.linalg.eigvalsh(s))) for s in theta.covariances)
+    lam = float(np.min(np.linalg.eigvalsh(theta.covariances)))
     return 0.5 * max(lam, 0.0)

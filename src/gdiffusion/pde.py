@@ -48,7 +48,7 @@ import numpy as np
 
 from .errors import DimensionMismatchError, GridError, NonFiniteError, StabilityError
 from .functions import TestFunction
-from .gfunction import CovarianceSet
+from .gfunction import CovarianceSet, _first_max
 from .sde import CoefficientSet, frame_eigenvalues
 
 STABILITY_SLACK = 1.0 + 1e-12
@@ -170,13 +170,12 @@ def coefficient_fields(coeffs: CoefficientSet, theta: CovarianceSet, t: float,
     and loading drifts c_g = 1/2 <Sigma_g, h + h^T> of shape (M,) + nodes + (n,).
     b, S and c are None when the part is absent."""
     b, h, s = coeffs.fields(t, nodes)
-    covs = np.stack(theta.covariances)  # (M, d, d)
     if s is not None:
-        a = 0.5 * np.einsum("...id,mde,...je->m...ij", s, covs, s)
+        a = 0.5 * np.einsum("...id,mde,...je->m...ij", s, theta.covariances, s)
     else:
-        a = np.zeros((covs.shape[0],) + nodes.shape[:-1] + (coeffs.n, coeffs.n))
+        a = np.zeros((theta.n_generators,) + nodes.shape[:-1] + (coeffs.n, coeffs.n))
     c = None if h is None else \
-        0.5 * np.einsum("mlk,...lki->m...i", covs, h + np.swapaxes(h, -3, -2))
+        0.5 * np.einsum("mlk,...lki->m...i", theta.covariances, h + np.swapaxes(h, -3, -2))
     return b, s, a, c
 
 
@@ -265,7 +264,8 @@ def solve(coeffs: CoefficientSet, theta: CovarianceSet, f: TestFunction,
     Each level is u + dt * max_g sum_k r[g, k] (u(. + e_k) - u), and records
     the per-node worst-case generator index.  Refuses to run when dt exceeds
     the stability bound or a rate is negative, at t = 0 and, for
-    time-dependent coefficients, at every level.
+    time-dependent coefficients, at every level; their trust margin is the
+    largest over the levels.
     """
     if coeffs.d != theta.dim:
         raise DimensionMismatchError(
@@ -277,11 +277,6 @@ def solve(coeffs: CoefficientSet, theta: CovarianceSet, f: TestFunction,
     nodes = grid.nodes()
     n_levels = grid.n_levels
     index_dtype = np.uint8 if theta.n_generators <= 255 else np.uint16
-    fields = coefficient_fields(coeffs, theta, 0.0, nodes)
-    rates = _rate_table(fields, grid)
-    _guard(rates, bound, grid, 0)
-    margin = trust_margin(theta, fields, grid.horizon)
-
     u0 = f.value(nodes)
     if not np.all(np.isfinite(u0)):
         raise NonFiniteError("initial data is not finite on the grid")
@@ -291,25 +286,23 @@ def solve(coeffs: CoefficientSet, theta: CovarianceSet, f: TestFunction,
     neighbours = [_neighbours(e) for e in _offsets(grid.n)]
     diffs = np.zeros((len(neighbours),) + u0.shape)  # u(. + e_k) - u, 0 off the grid
 
+    margin = 0.0
     for m in range(n_levels):
-        if not coeffs.time_homogeneous and m > 0:
-            rates = _rate_table(coefficient_fields(coeffs, theta, m * grid.dt, nodes), grid)
+        if m == 0 or not coeffs.time_homogeneous:
+            fields = coefficient_fields(coeffs, theta, m * grid.dt, nodes)
+            rates = _rate_table(fields, grid)
             _guard(rates, _dt_bound(rates), grid, m)
+            margin = max(margin, trust_margin(theta, fields, grid.horizon))
         cur = u[m]
         for k, (target, source) in enumerate(neighbours):
             np.subtract(cur[source], cur[target], out=diffs[k][target])
-        branches = np.einsum("gk...,k...->g...", rates, diffs)
-        top = branches[0]
-        for g in range(1, len(branches)):  # max and first argmax in one pass
-            higher = branches[g] > top
-            top = np.where(higher, branches[g], top)
-            np.copyto(argmax[m + 1], g, where=higher)
+        top = _first_max(np.einsum("gk...,k...->g...", rates, diffs), argmax[m + 1])
         u[m + 1] = cur + grid.dt * top
         if not np.all(np.isfinite(u[m + 1])):
             bad = np.argwhere(~np.isfinite(u[m + 1]))[0]
             raise NonFiniteError(
                 f"non-finite value at level {m + 1} (t={(m + 1) * grid.dt:.6g}), "
-                f"node {tuple(bad)}"
+                f"node {tuple(int(j) for j in bad)}"
             )
 
     trust = np.column_stack([grid.bounds[:, 0] + margin, grid.bounds[:, 1] - margin])
@@ -382,11 +375,10 @@ class MonotonicityReport:
         return asdict(self)
 
 
-def monotonicity_check(sol: PDESolution, tol: float | None = None) -> MonotonicityReport:
+def monotonicity_check(sol: PDESolution) -> MonotonicityReport:
     """Minimum forward difference over trust-region nodes, axes, and levels."""
     slices = sol.trust_slices()
-    if tol is None:
-        tol = 1e-8 * (1.0 + float(np.max(np.abs(sol.u))))
+    tol = 1e-8 * (1.0 + float(np.max(np.abs(sol.u))))
     best = np.inf
     witness = {}
     per_axis = []
@@ -436,8 +428,7 @@ class DominanceReport:
         return asdict(self)
 
 
-def dominance_check(sol_upper: PDESolution, sol_lower: PDESolution,
-                    tol: float | None = None) -> DominanceReport:
+def dominance_check(sol_upper: PDESolution, sol_lower: PDESolution) -> DominanceReport:
     """Check u(t, x) >= u_bar(t, x_bar) for every ordered pair x >= x_bar of
     trusted nodes, at every level, exactly.
 
@@ -453,9 +444,8 @@ def dominance_check(sol_upper: PDESolution, sol_lower: PDESolution,
             not np.array_equal(sol_upper.grid.bounds, sol_lower.grid.bounds) or \
             sol_upper.grid.dt != sol_lower.grid.dt:
         raise GridError("dominance check requires identical grids")
-    if tol is None:
-        scale = max(float(np.max(np.abs(sol_upper.u))), float(np.max(np.abs(sol_lower.u))))
-        tol = 1e-8 * (1.0 + scale)
+    scale = max(float(np.max(np.abs(sol_upper.u))), float(np.max(np.abs(sol_lower.u))))
+    tol = 1e-8 * (1.0 + scale)
     slices = sol_upper.trust_slices()
     grid = sol_upper.grid
     lower = sol_lower.u[(slice(None),) + slices]

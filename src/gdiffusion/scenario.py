@@ -118,11 +118,9 @@ def apply_control(dw: np.ndarray, control: VolatilityControl,
             f"schedule references generator {int(np.max(sched))} "
             f"but the set has only {theta.n_generators}"
         )
-    gammas = np.stack(theta.generators)          # (M, d, d)
-    covs = np.stack(theta.covariances)           # (M, d, d)
-    gamma_per_step = gammas[sched]               # (n_steps, d, d)
+    gamma_per_step = theta.generators[sched]     # (n_steps, d, d)
     db = np.einsum("kij,...kj->...ki", gamma_per_step, dw)
-    dqv = covs[sched] * dt                       # (n_steps, d, d)
+    dqv = theta.covariances[sched] * dt          # (n_steps, d, d)
     return db, dqv
 
 

@@ -500,6 +500,21 @@ def test_verify_comparison_checks_the_scenario_before_searching(tmp_path, monkey
     assert report["status"] == "config-error"
 
 
+@pytest.mark.parametrize("key", ["x0", "y0"])
+def test_verify_comparison_rejects_a_start_of_the_wrong_length(tmp_path, monkeypatch, key):
+    def search(*args):
+        raise AssertionError("a hypothesis search ran before the starts were checked")
+
+    monkeypatch.setattr(experiments, "run_check", search)
+    with open(comparison_config(tmp_path), encoding="utf-8") as fh:
+        cfg = json.load(fh)
+    cfg[key] = [0.0, 0.0, 0.0]
+    report, code = dispatch("verify-comparison", cfg)
+    assert code == 2
+    assert report["status"] == "config-error"
+    assert report["results"]["error"].startswith(f"{key}: expected 2 numbers")
+
+
 def test_solve_pde_exports_and_query(tmp_path, capsys):
     cfg = {
         "seed": 4,

@@ -128,3 +128,73 @@ def test_explicit_covariance_psd_validation():
     # within clamping tolerance: accepted and clamped to zero
     theta = CovarianceSet(generators=(np.eye(1),), covariances=(np.array([[-5e-11]]),))
     assert theta.sigma_lower_sq == 0.0
+
+
+THREE_GEN_2D = CovarianceSet(generators=(np.array([[1.0, 0.0], [0.4, 0.6]]),
+                                         np.array([[0.5, 0.2], [-0.3, 0.9]]), 0.5 * np.eye(2)))
+
+
+@pytest.mark.parametrize("theta", [INTERVAL, THREE_GEN_2D], ids=["interval", "three-gen-2d"])
+def test_stack_equals_per_matrix_calls_bitwise(theta):
+    rng = np.random.default_rng(17)
+    d = theta.dim
+    stack = rng.uniform(-5.0, 5.0, size=(4, 3, d, d))
+    values = eval_G(stack, theta)
+    index, covs = argmax_sigma(stack, theta)
+    assert values.shape == index.shape == (4, 3) and covs.shape == (4, 3, d, d)
+    for k in np.ndindex(4, 3):
+        assert values[k] == eval_G(stack[k], theta)
+        idx, cov = argmax_sigma(stack[k], theta)
+        assert type(idx) is int and index[k] == idx
+        assert np.array_equal(covs[k], cov)
+
+
+@pytest.mark.parametrize("theta, exact", [
+    (INTERVAL, True), (CovarianceSet(generators=(0.5 * np.eye(2), np.eye(2))), True),
+    (THREE_GEN_2D, False)], ids=["interval", "half-and-identity", "three-gen-2d"])
+def test_kernel_matches_the_tensordot_loop(theta, exact):
+    # the loop eval_G and argmax_sigma used to run: one tensordot per covariance
+    rng = np.random.default_rng(23)
+    for a in rng.uniform(-5.0, 5.0, size=(200, theta.dim, theta.dim)):
+        a = (a + a.T) / 2.0
+        values = [0.5 * float(np.tensordot(a, s, axes=2)) for s in theta.covariances]
+        g = eval_G(a, theta)
+        assert g == max(values) if exact else g == pytest.approx(max(values), rel=1e-14)
+        assert argmax_sigma(a, theta)[0] == int(np.argmax(values))
+
+
+def test_ties_resolve_to_the_lowest_index():
+    # all branches tie: tr(0 Sigma_m) = 0 for every m
+    tied = CovarianceSet(generators=(np.eye(2), 2.0 * np.eye(2), np.diag([1.0, 3.0])))
+    assert argmax_sigma(np.zeros((2, 2)), tied)[0] == 0
+    assert argmax_sigma(np.zeros((5, 2, 2)), tied)[0].tolist() == [0] * 5
+    # only generators 1 and 2 tie at the top, on A = diag(1, 0): 1 < 4 = 4
+    pair = CovarianceSet(generators=(np.eye(2), np.diag([2.0, 1.0]), np.diag([2.0, 3.0])))
+    a = np.diag([1.0, 0.0])
+    assert eval_G(a, pair) == 2.0
+    assert argmax_sigma(a, pair)[0] == 1
+    assert argmax_sigma(np.stack([a, -a, a]), pair)[0].tolist() == [1, 0, 1]
+
+
+def test_covariances_are_one_read_only_stack():
+    for theta in (INTERVAL, THREE_GEN_2D):
+        m, d = theta.n_generators, theta.dim
+        for stack in (theta.covariances, theta.generators):
+            assert isinstance(stack, np.ndarray) and stack.shape == (m, d, d)
+            assert not stack.flags.writeable
+            with pytest.raises(ValueError):
+                stack[0, 0, 0] = 1.0
+        assert len(theta.covariances) == m
+        assert [c.shape for c in theta.covariances] == [(d, d)] * m
+    assert np.array_equal(THREE_GEN_2D.covariances[2], 0.25 * np.eye(2))
+
+
+def test_stack_validation_matches_single_matrices():
+    with pytest.raises(DimensionMismatchError):
+        eval_G(np.zeros((3, 2, 2)), INTERVAL)
+    with pytest.raises(DimensionMismatchError):
+        argmax_sigma(np.zeros((3, 2, 1)), INTERVAL)
+    bad = np.zeros((3, 1, 1))
+    bad[1, 0, 0] = np.inf
+    with pytest.raises(NonFiniteError):
+        eval_G(bad, INTERVAL)

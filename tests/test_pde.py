@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from gdiffusion.coefficients import build_coefficients, shifted
-from gdiffusion.errors import GridError, StabilityError
+from gdiffusion.errors import GridError, NonFiniteError, StabilityError
 from gdiffusion.functions import TestFunction
 from gdiffusion.gfunction import CovarianceSet
 from gdiffusion.pde import (
@@ -480,3 +480,24 @@ def test_time_dependent_drift_on_linear_data():
     assert np.max(np.abs(err)) < 1e-7
     assert np.max(np.abs(err[np.abs(ax) <= 0.5])) < 1e-12
     assert np.max(np.abs(sol.u[-1][sl[0]] - (ax + 0.5 + 0.125))) <= 0.5 * grid.dt / 2 + 1e-7
+
+
+@pytest.mark.filterwarnings("ignore:overflow")
+def test_nonfinite_message_prints_a_plain_node():
+    # the jump across x = 0 overflows u(. + e) - u at the nodes beside it
+    jump = TestFunction(f=lambda x: 1.7e308 * np.sign(x[..., 0]), dim=1, name="jump")
+    grid = Grid.regular([[-1, 1]], [4], horizon=0.1, n_levels=10)
+    with pytest.raises(NonFiniteError) as err:
+        solve(UNIT_DIFFUSION, INTERVAL, jump, grid)
+    assert str(err.value) == "non-finite value at level 1 (t=0.01), node (1,)"
+
+
+def test_time_dependent_trust_margin_is_the_largest_over_the_levels():
+    # b(t) = 10 t sweeps 5 units by T = 1; the t = 0 margin would be 0
+    ramp = CoefficientSet(n=1, d=1, b=lambda t, x: np.full(x.shape, 10.0 * t),
+                          time_homogeneous=False)
+    grid = Grid.regular([[-8, 8]], [161], horizon=1.0, n_levels=200)
+    sol = solve(ramp, UNIT, IDENTITY, grid)
+    assert sol.scheme["trust_margin"] == pytest.approx(10.0 * 199 / 200, rel=1e-12)
+    with pytest.raises(GridError):
+        semigroup_value(sol, 1.0, [7.0])

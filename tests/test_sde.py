@@ -361,6 +361,17 @@ def test_streaming_nonfinite_abort_matches_stored(systems):
     assert digits == (["1", "2"] if systems == 1 else ["1", "1", "2"])
 
 
+@pytest.mark.filterwarnings("ignore:overflow")
+def test_nonfinite_message_prints_plain_batch_indices():
+    coeffs = CoefficientSet(n=2, d=1, b=lambda t, x: x * 1e150)
+    times, db, dqv = unit_path(n_steps=8)
+    x0 = np.ones((2, 3, 2))
+    x0[1, 2, 1] = 1e10
+    with pytest.raises(NonFiniteError) as err:
+        euler_march(coeffs, x0, times, db, dqv)
+    assert str(err.value) == "non-finite state at step 2 (t=0.25), batch index (1, 2), component 1"
+
+
 def test_euler_step_is_the_per_entry_sum():
     section, theta = BATCH_CASES["d2-h-cross-sigma"]
     coeffs = build_coefficients(section)
