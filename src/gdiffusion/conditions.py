@@ -2,15 +2,17 @@
 
 Each checker maximizes a violation (a signed inequality residual) over the
 constrained domain of its hypothesis, restricted to a declared box, with one
-engine, ``_search``: keep the best of the seeded samples, then refine by
-coordinate pattern search from each record-holder of the sample stream (its
-strict running maxima) and from ``n_refine`` seeded restarts.  A checker
-supplies only its draw, the map from the search vector to a feasible point
-(constraints hold by construction, never by penalty), its witness and its
-tolerance.  Records of a stream prefix are records of the whole stream, so
-max_violation never decreases in n_samples or n_refine.  Because the true
-quantifier ranges over all of R^n, a reported violation is a genuine
-counterexample (the witness re-evaluates exactly), while
+batched engine, ``_search``: score the seeded sample stream, then refine by
+coordinate pattern search from each record-holder of the stream (its strict
+running maxima) and from ``n_refine`` seeded restarts, all starts in
+lockstep.  The residual kernels take a (..., n) stack of points like
+``eval_G``, and each engine step is one kernel call per distinct time.  A
+checker supplies only its draw, the map from the search vector to a
+feasible point (constraints hold by construction, never by penalty), its
+witness and its tolerance.  Records of a stream prefix are records of the
+whole stream, so max_violation never decreases in n_samples or n_refine.
+Because the true quantifier ranges over all of R^n, a reported violation is
+a genuine counterexample (the witness re-evaluates exactly), while
 "satisfied-on-domain" is evidence, not proof.
 
 Residual conventions (cX carries b, h; cY carries b_bar, h_bar; G is the
@@ -46,8 +48,6 @@ from .sde import CoefficientSet
 
 PAIR_CONDITIONS = ("B1", "C2", "C2'", "D2", "D4", "D4'")
 DIRECTION_CONDITIONS = ("D2'", "D5")
-DEPENDENCY_CONDITIONS = ("B2", "C1", "D1", "D3")
-ALL_CONDITIONS = PAIR_CONDITIONS + DIRECTION_CONDITIONS + DEPENDENCY_CONDITIONS
 
 # condition -> (sign, swap), with violation = sign * residual.  The pair
 # conditions range over x_i = y_i with x <= y when sign is +1, x >= y when -1.
@@ -132,52 +132,84 @@ def _uniform(rng: np.random.Generator, lo: np.ndarray, hi: np.ndarray) -> np.nda
     return lo + (hi - lo) * rng.uniform(size=lo.size)
 
 
-def _draws(dom: SearchDomain, tag: int, count: int, draw):
-    """(t, z) for z = draw(rng) with rng seeded by (tag, j), j < count, at every t."""
-    for j in range(count):
-        z = draw(_rng(dom.seed, tag, j))
-        for t in dom.t_grid:
-            yield t, z
+def _draws(dom: SearchDomain, tag: int, count: int, draw) -> tuple:
+    """((t,), z), one row per sample in stream order: z_j = draw(rng) with
+    rng seeded by (tag, j), j < count, at every t of the grid."""
+    z = np.array([draw(_rng(dom.seed, tag, j)) for j in range(count)])
+    return (np.tile(dom.t_grid, count),), np.repeat(z, len(dom.t_grid), axis=0)
+
+
+def _at_times(kernel, t: np.ndarray, *rows) -> np.ndarray:
+    """kernel(time, *rows) on the rows at each distinct time: one call per time."""
+    out = None
+    for time in dict.fromkeys(t.tolist()):
+        at = t == time
+        value = np.asarray(kernel(time, *(r[at] for r in rows)))
+        if out is None:
+            out = np.empty(t.shape + value.shape[1:])
+        out[at] = value
+    return np.empty(t.shape) if out is None else out
+
+
+def _dot(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """<u, v> over the last axis.  matmul equals np.dot on every row, bit for
+    bit; einsum and a product sum can differ from it in the last bit."""
+    return (u[..., None, :] @ v[..., :, None])[..., 0, 0]
+
+
+def _evaluation_error(exc: Exception, t: float, *points) -> EvaluationError:
+    """Name t and the first point (x, or x and y) of the failing batch."""
+    rows = [p.reshape(-1, p.shape[-1]) for p in points]
+    where = ", ".join(f"{name}={r[0].tolist()}" for name, r in zip("xy", rows))
+    return EvaluationError(f"coefficient evaluation failed at t={t}, {where} "
+                           f"(first of a batch of {len(rows[0])}): {exc}")
 
 
 def pair_residual(cX: CoefficientSet, cY: CoefficientSet, theta: CovarianceSet,
-                  i: int, t: float, x, y) -> float:
-    """r_i(t,x,y) = b_i(t,x) - b_bar_i(t,y) + G(Hsym_i(t,x) - Hsym_bar_i(t,y))."""
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
+                  i, t: float, x, y):
+    """r_i(t,x,y) = b_i(t,x) - b_bar_i(t,y) + G(Hsym_i(t,x) - Hsym_bar_i(t,y))
+    at points x, y of shape (..., n), with i an int or per-row (...) array: a
+    float for one point, an array (...) for a stack."""
+    x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
     try:
         bx, hx = cX.eval_b(t, x), cX.h_table(t, x)
         by, hy = cY.eval_b(t, y), cY.h_table(t, y)
     except Exception as exc:  # noqa: BLE001 - surfaced with the sample point
-        raise EvaluationError(f"coefficient evaluation failed at t={t}, x={x.tolist()}, "
-                              f"y={y.tolist()}: {exc}") from exc
-    hx, hy = hx[..., i], hy[..., i]
-    return float(bx[i]) - float(by[i]) + eval_G((hx + hx.T) - (hy + hy.T), theta)
+        raise _evaluation_error(exc, t, x, y) from exc
+    i = np.broadcast_to(np.asarray(i), x.shape[:-1])[..., None]
+    b = np.take_along_axis(bx, i, -1) - np.take_along_axis(by, i, -1)
+    hx, hy = (np.take_along_axis(h, i[..., None, None], -1)[..., 0] for h in (hx, hy))
+    return b[..., 0] + eval_G((hx + np.swapaxes(hx, -1, -2)) - (hy + np.swapaxes(hy, -1, -2)),
+                              theta)
 
 
 def direction_residual(cX: CoefficientSet, cY: CoefficientSet, theta: CovarianceSet,
-                       t: float, x, K, flip: bool) -> float:
-    """<K, b_bar - b> + G([<K, Hsym_bar - Hsym>]) at x; flip swaps the roles.
-
-    flip=False is the D5 orientation (cY minus cX); flip=True gives the D2'
-    orientation (cX minus cY).
-    """
-    x = np.asarray(x, dtype=float)
-    K = np.asarray(K, dtype=float)
+                       t: float, x, K, flip: bool):
+    """<K, b_bar - b> + G([<K, Hsym_bar - Hsym>]) at points x and directions K
+    of shape (..., n): a float for one point, an array (...) for a stack.
+    flip=False is the D5 orientation (cY minus cX), flip=True the D2' one."""
+    x, K = np.asarray(x, dtype=float), np.asarray(K, dtype=float)
     lo, hi = (cX, cY) if not flip else (cY, cX)
     try:
         b_lo, h_lo = lo.eval_b(t, x), lo.h_table(t, x)
         b_hi, h_hi = hi.eval_b(t, x), hi.h_table(t, x)
     except Exception as exc:  # noqa: BLE001
-        raise EvaluationError(f"coefficient evaluation failed at t={t}, "
-                              f"x={x.tolist()}: {exc}") from exc
-    diff = h_hi + np.swapaxes(h_hi, 0, 1) - h_lo - np.swapaxes(h_lo, 0, 1)
-    return float(np.dot(K, b_hi - b_lo)) + eval_G(diff @ K, theta)
+        raise _evaluation_error(exc, t, x) from exc
+    diff = h_hi + np.swapaxes(h_hi, -3, -2) - h_lo - np.swapaxes(h_lo, -3, -2)
+    return _dot(K, b_hi - b_lo) + eval_G((diff @ K[..., None, :, None])[..., 0], theta)
+
+
+def dependency_violation(func, coords, t: float, x, x_prime):
+    """|func(t, x') - func(t, x)| for x' differing from x off ``coords`` only,
+    at points (..., n): a float for one point, an array (...) for a stack."""
+    x = np.asarray(x, dtype=float)
+    gap = np.subtract(func(t, np.asarray(x_prime, dtype=float)), func(t, x), dtype=float)
+    return np.abs(gap) + np.zeros(x.shape[:-1])  # a func constant in x broadcasts
 
 
 def _violation(condition: str, cX: CoefficientSet, cY: CoefficientSet,
-               theta: CovarianceSet, *point) -> float:
-    """sign * residual at a pair point (i, t, x, y) or a direction point (t, x, K)."""
+               theta: CovarianceSet, *point):
+    """sign * residual at pair points (i, t, x, y) or direction points (t, x, K)."""
     sign, swap = _CONVENTIONS[condition]
     if condition in DIRECTION_CONDITIONS:
         return sign * direction_residual(cX, cY, theta, *point, flip=swap)
@@ -186,58 +218,58 @@ def _violation(condition: str, cX: CoefficientSet, cY: CoefficientSet,
     return sign * pair_residual(cX, cY, theta, *point)
 
 
-def _pattern_search(objective, z0: np.ndarray, lo: np.ndarray,
-                    hi: np.ndarray) -> tuple[float, np.ndarray]:
-    """Deterministic coordinate pattern search maximizing ``objective`` on [lo, hi]."""
+def _pattern_search(objective, z0: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> tuple:
+    """Coordinate pattern search maximizing ``objective(rows, z)`` on [lo, hi]
+    from every row of z0 in lockstep: (best values, best points).  A start
+    halves its own step after an iteration without a move, and is frozen (no
+    longer evaluated) once the step falls below the stop size."""
     z = np.clip(z0, lo, hi)
-    best = objective(z)
-    step = 0.25 * (hi - lo)
+    best = objective(np.arange(len(z)), z)
+    step = np.tile(0.25 * (hi - lo), (len(z), 1))
+    active = np.ones(len(z), dtype=bool)
     for _ in range(_N_ITERS):
-        improved = False
-        for c in range(z.size):
+        rows = np.flatnonzero(active)
+        if rows.size == 0:
+            break
+        improved = np.zeros(len(z), dtype=bool)
+        for c in range(z.shape[1]):
             for direction in (+1.0, -1.0):
-                trial = z.copy()
-                trial[c] = trial[c] + direction * step[c]
+                trial = z[rows]
+                trial[:, c] = trial[:, c] + direction * step[rows, c]
                 trial = np.clip(trial, lo, hi)
-                val = objective(trial)
-                if val > best:
-                    best, z, improved = val, trial, True
-        if not improved:
-            step *= 0.5
-            if np.max(step) < 1e-9 * np.max(hi - lo):
-                break
+                val = objective(rows, trial)
+                up = val > best[rows]
+                best[rows[up]], z[rows[up]], improved[rows[up]] = val[up], trial[up], True
+        still = rows[~improved[rows]]
+        step[still] *= 0.5
+        active[still[np.max(step[still], axis=1) < 1e-9 * np.max(hi - lo)]] = False
     return best, z
 
 
-def _record_indices(values: list[float]) -> list[int]:
-    """Indices of strict running maxima, in stream order."""
-    out, best = [], -np.inf
-    for idx, v in enumerate(values):
-        if v > best:
-            out.append(idx)
-            best = v
-    return out
-
-
-def _search(samples: list, restarts, objective, z_lo: np.ndarray, z_hi: np.ndarray):
+def _search(samples: tuple, restarts: tuple, objective, z_lo: np.ndarray,
+            z_hi: np.ndarray, score=None) -> tuple:
     """The violation search of every checker (see module docstring).
 
-    ``samples`` holds (value, context, z) in stream order and ``restarts``
-    yields seeded (context, z).  Pattern search maximizes
-    ``objective(context, z)`` on [z_lo, z_hi]; ``objective`` is None when
-    nothing is free to refine.  Returns (value, context, z, refined).
-    """
-    values = [s[0] for s in samples]
-    best_v, context, z = samples[int(np.argmax(values))]
-    refined = False
+    ``samples`` and ``restarts`` are seeded streams (ctx, z): search vectors
+    z with per-row contexts ctx = (t, ...).  ``score`` rates the samples
+    (``objective`` by default) and pattern search maximizes ``objective``
+    (None: nothing is free) on [z_lo, z_hi], each as f(time, *rest, z) once
+    per distinct time.  Returns (sample values, value, context, z, refined)."""
+    ctx, z = samples
+    values = _at_times(score or objective, *ctx, z)
+    top = int(np.argmax(values))
+    best = (values, values[top], tuple(a[top] for a in ctx), z[top], False)
     if objective is None:
-        return best_v, context, z, refined
-    records = (samples[r][1:] for r in _record_indices(values))
-    for ctx, z0 in itertools.chain(records, restarts):
-        v, z_ref = _pattern_search(lambda z, ctx=ctx: objective(ctx, z), z0, z_lo, z_hi)
-        if v > best_v:
-            best_v, context, z, refined = v, ctx, z_ref, True
-    return best_v, context, z, refined
+        return best
+    records = np.flatnonzero(values > np.fmax.accumulate(np.r_[-np.inf, values[:-1]]))
+    starts = tuple(np.concatenate([a[records], b]) for a, b in zip(ctx, restarts[0]))
+    refined, z_ref = _pattern_search(
+        lambda rows, trial: _at_times(objective, *(a[rows] for a in starts), trial),
+        np.concatenate([z[records], restarts[1].reshape(-1, z.shape[1])]), z_lo, z_hi)
+    s = int(np.argmax(refined))
+    if refined[s] > values[top]:
+        return values, refined[s], tuple(a[s] for a in starts), z_ref[s], True
+    return best
 
 
 def _search_pair_condition(condition: str, cX: CoefficientSet, cY: CoefficientSet,
@@ -254,77 +286,66 @@ def _search_pair_condition(condition: str, cX: CoefficientSet, cY: CoefficientSe
     lo, hi = dom.box[:, 0], dom.box[:, 1]
     sign, _ = _CONVENTIONS[condition]
 
-    def pair(i, z):
-        y, u = z[:n], z[n:]
+    def pairs(i, z):
+        y, u = z[:, :n], z[:, n:]
         x = lo + u * (y - lo) if sign > 0 else y + u * (hi - y)
-        x[i] = y[i]
+        x[np.arange(len(z)), i] = y[np.arange(len(z)), i]
         return x, y
 
-    def objective(context, z):
-        i, t = context
-        return _violation(condition, cX, cY, theta, i, t, *pair(i, z))
+    def objective(time, i, z):
+        return _violation(condition, cX, cY, theta, i, time, *pairs(i, z))
 
-    def draw(rng):
-        return np.concatenate([_uniform(rng, lo, hi), rng.uniform(size=n)])
+    def stream(tag, count):  # each draw at each t, tied at each coordinate i
+        (t,), z = _draws(dom, tag, count, lambda rng: np.concatenate(
+            [_uniform(rng, lo, hi), rng.uniform(size=n)]))
+        return (np.repeat(t, n), np.tile(np.arange(n), len(t))), np.repeat(z, n, axis=0)
 
-    def draws(tag, count):
-        return (((i, t), z) for t, z in _draws(dom, tag, count, draw) for i in range(n))
+    values, best_v, (t, i), z, _ = _search(stream(1, dom.n_samples), stream(9, dom.n_refine),
+                                           objective, np.r_[lo, np.zeros(n)], np.r_[hi, np.ones(n)])
+    (x,), (y,) = pairs(np.array([i]), z[None])
+    witness = {"i": int(i), "t": float(t), "x": x.tolist(), "y": y.tolist()}
+    return _residual_report(condition, best_v, witness, values, dom)
 
-    samples = [(objective(context, z), context, z) for context, z in draws(1, dom.n_samples)]
-    best_v, (i, t), z, _ = _search(samples, draws(9, dom.n_refine), objective,
-                                   np.concatenate([lo, np.zeros(n)]),
-                                   np.concatenate([hi, np.ones(n)]))
-    x, y = pair(i, z)
-    scale = max(abs(s[0]) for s in samples) + abs(best_v)
-    witness = {"i": int(i), "t": float(t), "x": x.tolist(), "y": y.tolist(),
-               "residual": float(sign * best_v)}
+
+def _residual_report(condition: str, best_v, witness: dict, values, dom) -> CheckReport:
+    """A pair or direction report; the tolerance scales with the largest residual."""
+    scale = float(np.max(np.abs(values))) + abs(best_v)
     return CheckReport(condition=condition, max_violation=float(best_v),
-                       witness=witness, tolerance=_RESIDUAL_TOL * (1.0 + scale),
-                       samples_evaluated=len(samples), box=dom.box.tolist())
-
-
-def dependency_violation(func, coords, t: float, x, x_prime) -> float:
-    """|func(t, x') - func(t, x)| for x' differing from x off ``coords`` only."""
-    return abs(float(func(t, np.asarray(x_prime, dtype=float)))
-               - float(func(t, np.asarray(x, dtype=float))))
+                       witness={**witness, "residual": float(_CONVENTIONS[condition][0] * best_v)},
+                       tolerance=_RESIDUAL_TOL * (1.0 + scale),
+                       samples_evaluated=len(values), box=dom.box.tolist())
 
 
 def check_dependency(func, allowed_coords, dom: SearchDomain,
                      condition: str = "dependency") -> CheckReport:
-    """Does ``func(t, x)`` depend only on the coordinates in ``allowed_coords``?
-
-    Maximizes |func(t, x') - func(t, x)| over x' = x on the allowed set; the
-    search vector z = (x, x_alt) takes x' from x_alt off it.  0-based indices.
-    """
+    """Does ``func(t, x)``, x of shape (..., n), depend only on the 0-based
+    coordinates ``allowed_coords``?  Maximizes |func(t, x') - func(t, x)| over
+    x' = x on the allowed set; z = (x, x_alt) takes x' from x_alt off it."""
     n = dom.dim
     allowed = sorted(set(int(c) for c in allowed_coords))
-    free = [c for c in range(n) if c not in allowed]
     lo, hi = dom.box[:, 0], dom.box[:, 1]
 
     def perturbed(z):
-        x_prime = z[n:].copy()
-        x_prime[allowed] = z[:n][allowed]
+        x_prime = z[..., n:].copy()
+        x_prime[..., allowed] = z[..., :n][..., allowed]
         return x_prime
 
-    def objective(t, z):
-        return dependency_violation(func, allowed, t, z[:n], perturbed(z))
+    def objective(time, z):
+        return dependency_violation(func, allowed, time, z[:, :n], perturbed(z))
 
     def draw(rng):
         return np.concatenate([_uniform(rng, lo, hi), _uniform(rng, lo, hi)])
 
-    samples, scale = [], 0.0
-    for t, z in _draws(dom, 2, dom.n_samples, draw):
-        fx = float(func(t, z[:n]))
-        scale = max(scale, abs(fx))
-        samples.append((abs(float(func(t, perturbed(z))) - fx), t, z))
-    restarts = _draws(dom, 10, dom.n_refine, draw)
-    best_v, t, z, _ = _search(samples, restarts, objective if free else None,
-                              np.concatenate([lo, lo]), np.concatenate([hi, hi]))
+    (t,), z = samples = _draws(dom, 2, dom.n_samples, draw)
+    scale = float(np.max(np.abs(_at_times(func, t, z[:, :n]))))
+    values, best_v, (t,), z, _ = _search(samples, _draws(dom, 10, dom.n_refine, draw),
+                                         objective if len(allowed) < n else None,
+                                         np.r_[lo, lo], np.r_[hi, hi], score=objective)
     witness = {"t": float(t), "x": z[:n].tolist(), "x_prime": perturbed(z).tolist(),
                "allowed_coords": allowed}
     return CheckReport(condition=condition, max_violation=float(best_v),
                        witness=witness, tolerance=_EXACT_TOL * (1.0 + scale),
-                       samples_evaluated=len(samples), box=dom.box.tolist())
+                       samples_evaluated=len(values), box=dom.box.tolist())
 
 
 def _merge_reports(condition: str, parts: list[tuple[dict, CheckReport]]) -> CheckReport:
@@ -336,22 +357,22 @@ def _merge_reports(condition: str, parts: list[tuple[dict, CheckReport]]) -> Che
 
 
 def sigma_component(c: CoefficientSet, l: int, k: int):
-    """The scalar map x -> (sigma_l)_k(x)."""
-    return lambda t, x: float(c.sigma_matrix(t, x)[..., k, l])
+    """The map x -> (sigma_l)_k(x) on points (..., n)."""
+    return lambda t, x: c.sigma_matrix(t, x)[..., k, l]
 
 
 def sigma_product(c: CoefficientSet, l: int, k: int, i: int, j: int):
-    """The scalar map x -> (sigma_l)_i(x) * (sigma_k)_j(x)."""
+    """The map x -> (sigma_l)_i(x) * (sigma_k)_j(x) on points (..., n)."""
     def product(t, x):
         s = c.sigma_matrix(t, x)
-        return float(s[..., i, l] * s[..., j, k])
+        return s[..., i, l] * s[..., j, k]
     return product
 
 
 def _sigma_products(c: CoefficientSet, t: float, x: np.ndarray) -> np.ndarray:
-    """All products (sigma_l)_i (sigma_k)_j at one point, indexed [i, l, j, k]."""
+    """All products (sigma_l)_i (sigma_k)_j at points (..., n), indexed [..., i, l, j, k]."""
     s = c.sigma_matrix(t, x)
-    return np.einsum("il,jk->iljk", s, s)
+    return np.einsum("...il,...jk->...iljk", s, s)
 
 
 # audit kind -> (condition, rng tag, witness index names, values(c, t, x))
@@ -367,101 +388,74 @@ def _equality_audit(kind: str, cX: CoefficientSet, cY: CoefficientSet,
     first point of largest gap: the first point when every gap is 0."""
     condition, tag, names, values = _AUDITS[kind]
     lo, hi = dom.box[:, 0], dom.box[:, 1]
-    worst, witness, scale, evaluated = 0.0, None, 0.0, 0
-    for t, x in _draws(dom, tag, min(dom.n_samples, 256), lambda rng: _uniform(rng, lo, hi)):
-        vx, vy = values(cX, t, x), values(cY, t, x)
-        evaluated += 1
-        scale = max(scale, float(np.max(np.abs(vx))))
-        gap = np.abs(vx - vy)
-        if witness is None or float(np.max(gap)) > worst:
-            worst = float(np.max(gap))
-            idx = np.unravel_index(int(np.argmax(gap)), gap.shape)
-            witness = {"t": float(t), "x": x.tolist(), "kind": kind,
-                       **{name: int(v) for name, v in zip(names, idx)}}
-    return CheckReport(condition=condition, max_violation=worst, witness=witness,
-                       tolerance=_EXACT_TOL * (1.0 + scale),
-                       samples_evaluated=evaluated, box=dom.box.tolist())
+    (t,), x = _draws(dom, tag, min(dom.n_samples, 256), lambda rng: _uniform(rng, lo, hi))
+    vx, vy = (_at_times(lambda time, x: values(c, time, x), t, x) for c in (cX, cY))
+    gap = np.abs(vx - vy)
+    p = int(np.argmax(gap.reshape(len(t), -1).max(axis=1)))
+    witness = {"t": float(t[p]), "x": x[p].tolist(), "kind": kind,
+               **dict(zip(names, map(int, np.unravel_index(int(np.argmax(gap[p])), gap[p].shape))))}
+    return CheckReport(condition=condition, max_violation=float(np.max(gap[p])),
+                       witness=witness, tolerance=_EXACT_TOL * (1.0 + float(np.max(np.abs(vx)))),
+                       samples_evaluated=len(t), box=dom.box.tolist())
 
 
 def check_C1(c: CoefficientSet, dom: SearchDomain, condition: str = "C1") -> CheckReport:
-    """Every product (sigma_l)_i (sigma_k)_j depends only on {x_i, x_j}.
-
-    A product with i != j whose {i, j} is every coordinate (n = 2) depends on
-    nothing else, so its violation is exactly 0 and it is not searched.
-    """
-    parts = []
-    for l, k, i, j in itertools.product(range(c.d), range(c.d), range(c.n), range(c.n)):
-        if i != j and c.n == 2:
-            continue
-        rep = check_dependency(sigma_product(c, l, k, i, j), {i, j}, dom, condition=condition)
-        parts.append(({"l": l, "k": k, "i": i, "j": j}, rep))
-    return _merge_reports(condition, parts)
+    """Every product (sigma_l)_i (sigma_k)_j depends only on {x_i, x_j}.  A
+    product with i != j whose {i, j} is every coordinate (n = 2) depends on
+    nothing else, so its violation is exactly 0 and it is not searched."""
+    return _merge_reports(condition, [
+        ({"l": l, "k": k, "i": i, "j": j},
+         check_dependency(sigma_product(c, l, k, i, j), {i, j}, dom, condition=condition))
+        for l, k, i, j in itertools.product(range(c.d), range(c.d), range(c.n), range(c.n))
+        if i == j or c.n != 2])
 
 
 def check_B2(cX: CoefficientSet, cY: CoefficientSet, dom: SearchDomain) -> CheckReport:
-    """Shared diffusion with per-coordinate loadings.
-
-    Audits (sigma_l)_k(x) == (sigma_bar_l)_k(x) on samples and searches for
-    dependence of (sigma_l)_k on coordinates other than x_k.
-    """
-    parts = [({"kind": "sigma-shared"}, _equality_audit("sigma-shared", cX, cY, dom))]
-    for l, k in itertools.product(range(cX.d), range(cX.n)):
-        rep = check_dependency(sigma_component(cX, l, k), {k}, dom, condition="B2")
-        parts.append(({"l": l, "k": k, "kind": "sigma-dependency"}, rep))
-    return _merge_reports("B2", parts)
+    """Shared diffusion with per-coordinate loadings: audits (sigma_l)_k(x) ==
+    (sigma_bar_l)_k(x) on samples and searches for dependence of (sigma_l)_k
+    on coordinates other than x_k."""
+    return _merge_reports("B2", [
+        ({"kind": "sigma-shared"}, _equality_audit("sigma-shared", cX, cY, dom)),
+        *(({"l": l, "k": k, "kind": "sigma-dependency"},
+           check_dependency(sigma_component(cX, l, k), {k}, dom, condition="B2"))
+          for l, k in itertools.product(range(cX.d), range(cX.n)))])
 
 
 def _search_direction_condition(condition: str, cX: CoefficientSet, cY: CoefficientSet,
                                 theta: CovarianceSet, dom: SearchDomain) -> CheckReport:
-    """D5 / D2' over x in the box and K on the nonnegative unit sphere.
-
-    The residual is positively homogeneous in K, so z = (x, K) maps to
-    (x, K / |K|).  Samples keep their stored unit directions as they are:
-    renormalizing would move their last bits.
-    """
+    """D5 / D2' over x in the box and K on the nonnegative unit sphere.  The
+    residual is positively homogeneous in K, so z = (x, K) maps to (x, K / |K|).
+    Samples keep their stored unit directions: renormalizing would move bits."""
     n = cX.n
     lo, hi = dom.box[:, 0], dom.box[:, 1]
-    sign, _ = _CONVENTIONS[condition]
     directions = np.abs(_rng(dom.seed, 4).standard_normal((_N_DIRECTIONS, n)))
     directions /= np.linalg.norm(directions, axis=1, keepdims=True)
     # include the coordinate axes so componentwise violations are never missed
     directions = np.concatenate([np.eye(n), directions])
 
-    def unit(K):
-        norm = float(np.linalg.norm(K))
-        return K / norm if norm > 1e-12 else None
+    def score(time, z):
+        return _violation(condition, cX, cY, theta, time, z[:, :n], z[:, n:])
 
-    def objective(t, z):
-        K = unit(z[n:])
-        return -np.inf if K is None else _violation(condition, cX, cY, theta, t, z[:n], K)
+    def objective(time, z):  # -inf where K is too short to normalize
+        norm = np.sqrt(_dot(z[:, n:], z[:, n:]))[:, None]
+        out, ok = np.full(len(z), -np.inf), norm[:, 0] > 1e-12
+        if ok.any():
+            out[ok] = score(time, np.concatenate([z[ok, :n], z[ok, n:] / norm[ok]], 1))
+        return out
 
     def restart(rng):
-        return np.concatenate([_uniform(rng, lo, hi), unit(np.abs(rng.standard_normal(n)))])
+        x, K = _uniform(rng, lo, hi), np.abs(rng.standard_normal(n))
+        return np.concatenate([x, K / np.sqrt(_dot(K, K))])
 
-    samples = []
-    for t, x in _draws(dom, 5, dom.n_samples, lambda rng: _uniform(rng, lo, hi)):
-        for K in directions:
-            v = _violation(condition, cX, cY, theta, t, x, K)
-            samples.append((v, t, np.concatenate([x, K])))
-    best_v, t, z, refined = _search(samples, _draws(dom, 11, dom.n_refine, restart), objective,
-                                    np.concatenate([lo, np.zeros(n)]),
-                                    np.concatenate([hi, np.ones(n)]))
-    K = unit(z[n:]) if refined else z[n:]
-    scale = max(abs(s[0]) for s in samples) + abs(best_v)
-    witness = {"t": float(t), "x": z[:n].tolist(), "K": K.tolist(),
-               "residual": float(sign * best_v)}
-    return CheckReport(condition=condition, max_violation=float(best_v),
-                       witness=witness, tolerance=_RESIDUAL_TOL * (1.0 + scale),
-                       samples_evaluated=len(samples), box=dom.box.tolist())
-
-
-def check_D1(cX: CoefficientSet, cY: CoefficientSet, dom: SearchDomain) -> CheckReport:
-    """Product equality sigma_il sigma_jk == sigma_bar_il sigma_bar_jk plus
-    the C1-style dependency requirement on the products."""
-    return _merge_reports("D1", [
-        ({"kind": "product-equality"}, _equality_audit("product-equality", cX, cY, dom)),
-        ({"kind": "product-dependency"}, check_C1(cX, dom, condition="D1")),
-    ])
+    (t,), x = _draws(dom, 5, dom.n_samples, lambda rng: _uniform(rng, lo, hi))
+    samples = (np.repeat(t, len(directions)),), np.concatenate(
+        [np.repeat(x, len(directions), axis=0), np.tile(directions, (len(x), 1))], axis=1)
+    values, best_v, (t,), z, refined = _search(
+        samples, _draws(dom, 11, dom.n_refine, restart), objective,
+        np.r_[lo, np.zeros(n)], np.r_[hi, np.ones(n)], score)
+    K = z[n:] / np.sqrt(_dot(z[n:], z[n:])) if refined else z[n:]
+    return _residual_report(condition, best_v, {"t": float(t), "x": z[:n].tolist(),
+                                                "K": K.tolist()}, values, dom)
 
 
 def re_evaluate(report: CheckReport, cX: CoefficientSet, cY: CoefficientSet | None,
@@ -483,10 +477,8 @@ def re_evaluate(report: CheckReport, cX: CoefficientSet, cY: CoefficientSet | No
         idx = tuple(w[name] for name in names)
         x = np.asarray(w["x"], dtype=float)
         return abs(float(values(cX, w["t"], x)[idx] - values(cY, w["t"], x)[idx]))
-    if kind == "sigma-dependency":
-        func = sigma_component(cX, w["l"], w["k"])
-    else:  # product dependency (C1 / D1 / D3)
-        func = sigma_product(cX, w["l"], w["k"], w["i"], w["j"])
+    func = (sigma_component(cX, w["l"], w["k"]) if kind == "sigma-dependency"
+            else sigma_product(cX, w["l"], w["k"], w["i"], w["j"]))  # C1 / D1 / D3
     return dependency_violation(func, w["allowed_coords"], w["t"], w["x"], w["x_prime"])
 
 
@@ -504,6 +496,8 @@ def run_check(condition: str, cX: CoefficientSet, cY: CoefficientSet | None,
         return check_C1(cX, dom, condition=condition)
     if condition == "B2":
         return check_B2(cX, cY, dom)
-    if condition == "D1":
-        return check_D1(cX, cY, dom)
+    if condition == "D1":  # the product equality audit plus C1 on the products
+        return _merge_reports("D1", [
+            ({"kind": "product-equality"}, _equality_audit("product-equality", cX, cY, dom)),
+            ({"kind": "product-dependency"}, check_C1(cX, dom, condition="D1"))])
     raise DimensionMismatchError(f"unknown condition {condition!r}")

@@ -26,8 +26,9 @@ off-diagonal diffusion entry.  The worst case over the covariance family is
 an exact max over the branches, so the update is a maximum of monotone
 linear schemes and keeps the discrete comparison property.  The guards read
 the same table: the stability bound is 1 / max_g sum_k r[g, k] (exact
-centre-weight positivity), and a negative rate refuses the stencil.  Both
-are checked at t = 0 and, for time-dependent coefficients, at every level.
+centre-weight positivity), and a negative or non-finite rate refuses the
+stencil.  All are checked at t = 0 and, for time-dependent coefficients, at
+every level.
 
 Boundary rule: couplings that would reach outside the grid are dropped
 (outward drift, face curvature, cross terms at faces): their rates are 0.
@@ -228,9 +229,13 @@ def stability_bound(coeffs: CoefficientSet, theta: CovarianceSet, grid: Grid) ->
 
 
 def _guard(rates: np.ndarray, bound: float, grid: Grid, level: int) -> None:
-    """Refuse a level whose update is not a monotone scheme: dt above the
-    bound (a negative centre weight) or a negative rate."""
+    """Refuse a level whose update is not a monotone scheme: a non-finite
+    rate, dt above the bound (a negative centre weight) or a negative rate."""
     where = f"level {level} (t={level * grid.dt:.6g})"
+    if not np.all(np.isfinite(rates)):
+        g, k, *node = np.argwhere(~np.isfinite(rates))[0]
+        raise NonFiniteError(f"non-finite coefficients at {where}: the rate of generator {g} "
+                             f"toward offset {_offsets(grid.n)[k]} at node {tuple(map(int, node))}")
     if grid.dt > bound * STABILITY_SLACK:
         raise StabilityError(
             f"dt={grid.dt:.6g} exceeds the stability bound {bound:.6g} at {where}; "

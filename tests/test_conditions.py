@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -7,15 +9,31 @@ from gdiffusion.coefficients import (
     shifted,
 )
 from gdiffusion.conditions import (
+    _AUDITS,
+    _CONVENTIONS,
+    _EXACT_TOL,
+    _N_DIRECTIONS,
+    _N_ITERS,
+    _RESIDUAL_TOL,
+    DIRECTION_CONDITIONS,
+    PAIR_CONDITIONS,
+    CheckReport,
     SearchDomain,
+    _dot,
+    _merge_reports,
+    _rng,
+    _uniform,
     check_B2,
     check_dependency,
+    dependency_violation,
+    direction_residual,
     pair_residual,
     re_evaluate,
     run_check,
+    sigma_component,
     sigma_product,
 )
-from gdiffusion.gfunction import CovarianceSet
+from gdiffusion.gfunction import CovarianceSet, eval_G
 from gdiffusion.sde import CoefficientSet
 
 INTERVAL = CovarianceSet.from_interval(0.25, 1.0)
@@ -114,13 +132,13 @@ def test_b1_equals_c2_on_identical_systems():
 
 
 def test_dependency_satisfied_single_coordinate():
-    rep = check_dependency(lambda t, x: float(x[0] ** 2), {0}, DOM2)
+    rep = check_dependency(lambda t, x: x[..., 0] ** 2, {0}, DOM2)
     assert rep.verdict == "satisfied-on-domain"
     assert rep.max_violation == 0.0
 
 
 def test_dependency_violated_linear_leak():
-    rep = check_dependency(lambda t, x: float(x[0] + 0.1 * x[1]), {0}, DOM2)
+    rep = check_dependency(lambda t, x: x[..., 0] + 0.1 * x[..., 1], {0}, DOM2)
     assert rep.verdict == "violated"
     # perturbation span of x_2 is 4, so the max violation approaches 0.4
     assert rep.max_violation >= 0.1 * 4.0 - 1e-6
@@ -340,3 +358,416 @@ def test_coefficient_failure_surfaces_sample_point():
     c = CoefficientSet(n=2, d=1, b=exploding)
     with pytest.raises(EvaluationError, match="x="):
         run_check("B1", c, c, INTERVAL, DOM2)
+
+
+# --- sequential reference engine --------------------------------------------
+# The engine as it was before the search was batched: scalar residuals, one
+# residual call per sample point, one pattern search per start, the starts
+# one after another.  run_check must equal it bit for bit.
+
+def ref_pair_residual(cX, cY, theta, i, t, x, y):
+    x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
+    bx, hx = cX.eval_b(t, x), cX.h_table(t, x)
+    by, hy = cY.eval_b(t, y), cY.h_table(t, y)
+    hx, hy = hx[..., i], hy[..., i]
+    return float(bx[i]) - float(by[i]) + eval_G((hx + hx.T) - (hy + hy.T), theta)
+
+
+def ref_direction_residual(cX, cY, theta, t, x, K, flip):
+    x, K = np.asarray(x, dtype=float), np.asarray(K, dtype=float)
+    lo, hi = (cX, cY) if not flip else (cY, cX)
+    b_lo, h_lo = lo.eval_b(t, x), lo.h_table(t, x)
+    b_hi, h_hi = hi.eval_b(t, x), hi.h_table(t, x)
+    diff = h_hi + np.swapaxes(h_hi, 0, 1) - h_lo - np.swapaxes(h_lo, 0, 1)
+    return float(np.dot(K, b_hi - b_lo)) + eval_G(diff @ K, theta)
+
+
+def ref_violation(condition, cX, cY, theta, *point):
+    sign, swap = _CONVENTIONS[condition]
+    if condition in DIRECTION_CONDITIONS:
+        return sign * ref_direction_residual(cX, cY, theta, *point, flip=swap)
+    if swap:
+        cX, cY = cY, cX
+    return sign * ref_pair_residual(cX, cY, theta, *point)
+
+
+def ref_dependency_violation(func, t, x, x_prime):
+    return abs(float(func(t, np.asarray(x_prime, dtype=float)))
+               - float(func(t, np.asarray(x, dtype=float))))
+
+
+def ref_draws(dom, tag, count, draw):
+    for j in range(count):
+        z = draw(_rng(dom.seed, tag, j))
+        for t in dom.t_grid:
+            yield t, z
+
+
+def ref_pattern_search(objective, z0, lo, hi):
+    z = np.clip(z0, lo, hi)
+    best = objective(z)
+    step = 0.25 * (hi - lo)
+    for _ in range(_N_ITERS):
+        improved = False
+        for c in range(z.size):
+            for direction in (+1.0, -1.0):
+                trial = z.copy()
+                trial[c] = trial[c] + direction * step[c]
+                trial = np.clip(trial, lo, hi)
+                val = objective(trial)
+                if val > best:
+                    best, z, improved = val, trial, True
+        if not improved:
+            step *= 0.5
+            if np.max(step) < 1e-9 * np.max(hi - lo):
+                break
+    return best, z
+
+
+def ref_search(samples, restarts, objective, z_lo, z_hi):
+    values = [s[0] for s in samples]
+    best_v, context, z = samples[int(np.argmax(values))]
+    refined = False
+    if objective is None:
+        return best_v, context, z, refined
+    records, top = [], -np.inf
+    for idx, v in enumerate(values):
+        if v > top:
+            records.append(samples[idx][1:])
+            top = v
+    for ctx, z0 in itertools.chain(records, restarts):
+        v, z_ref = ref_pattern_search(lambda z, ctx=ctx: objective(ctx, z), z0, z_lo, z_hi)
+        if v > best_v:
+            best_v, context, z, refined = v, ctx, z_ref, True
+    return best_v, context, z, refined
+
+
+def ref_pair_condition(condition, cX, cY, theta, dom):
+    n = cX.n
+    lo, hi = dom.box[:, 0], dom.box[:, 1]
+    sign, _ = _CONVENTIONS[condition]
+
+    def pair(i, z):
+        y, u = z[:n], z[n:]
+        x = lo + u * (y - lo) if sign > 0 else y + u * (hi - y)
+        x[i] = y[i]
+        return x, y
+
+    def objective(context, z):
+        i, t = context
+        return ref_violation(condition, cX, cY, theta, i, t, *pair(i, z))
+
+    def draw(rng):
+        return np.concatenate([_uniform(rng, lo, hi), rng.uniform(size=n)])
+
+    def draws(tag, count):
+        return (((i, t), z) for t, z in ref_draws(dom, tag, count, draw) for i in range(n))
+
+    samples = [(objective(context, z), context, z) for context, z in draws(1, dom.n_samples)]
+    best_v, (i, t), z, _ = ref_search(samples, draws(9, dom.n_refine), objective,
+                                      np.concatenate([lo, np.zeros(n)]),
+                                      np.concatenate([hi, np.ones(n)]))
+    x, y = pair(i, z)
+    scale = max(abs(s[0]) for s in samples) + abs(best_v)
+    witness = {"i": int(i), "t": float(t), "x": x.tolist(), "y": y.tolist(),
+               "residual": float(sign * best_v)}
+    return CheckReport(condition=condition, max_violation=float(best_v), witness=witness,
+                       tolerance=_RESIDUAL_TOL * (1.0 + scale),
+                       samples_evaluated=len(samples), box=dom.box.tolist())
+
+
+def ref_direction_condition(condition, cX, cY, theta, dom):
+    n = cX.n
+    lo, hi = dom.box[:, 0], dom.box[:, 1]
+    sign, _ = _CONVENTIONS[condition]
+    directions = np.abs(_rng(dom.seed, 4).standard_normal((_N_DIRECTIONS, n)))
+    directions /= np.linalg.norm(directions, axis=1, keepdims=True)
+    directions = np.concatenate([np.eye(n), directions])
+
+    def unit(K):
+        norm = float(np.linalg.norm(K))
+        return K / norm if norm > 1e-12 else None
+
+    def objective(t, z):
+        K = unit(z[n:])
+        return -np.inf if K is None else ref_violation(condition, cX, cY, theta, t, z[:n], K)
+
+    def restart(rng):
+        return np.concatenate([_uniform(rng, lo, hi), unit(np.abs(rng.standard_normal(n)))])
+
+    samples = []
+    for t, x in ref_draws(dom, 5, dom.n_samples, lambda rng: _uniform(rng, lo, hi)):
+        for K in directions:
+            v = ref_violation(condition, cX, cY, theta, t, x, K)
+            samples.append((v, t, np.concatenate([x, K])))
+    best_v, t, z, refined = ref_search(samples, ref_draws(dom, 11, dom.n_refine, restart),
+                                       objective, np.concatenate([lo, np.zeros(n)]),
+                                       np.concatenate([hi, np.ones(n)]))
+    K = unit(z[n:]) if refined else z[n:]
+    scale = max(abs(s[0]) for s in samples) + abs(best_v)
+    witness = {"t": float(t), "x": z[:n].tolist(), "K": K.tolist(),
+               "residual": float(sign * best_v)}
+    return CheckReport(condition=condition, max_violation=float(best_v), witness=witness,
+                       tolerance=_RESIDUAL_TOL * (1.0 + scale),
+                       samples_evaluated=len(samples), box=dom.box.tolist())
+
+
+def ref_dependency(func, allowed_coords, dom, condition):
+    n = dom.dim
+    allowed = sorted(set(int(c) for c in allowed_coords))
+    free = [c for c in range(n) if c not in allowed]
+    lo, hi = dom.box[:, 0], dom.box[:, 1]
+
+    def perturbed(z):
+        x_prime = z[n:].copy()
+        x_prime[allowed] = z[:n][allowed]
+        return x_prime
+
+    def objective(t, z):
+        return ref_dependency_violation(func, t, z[:n], perturbed(z))
+
+    def draw(rng):
+        return np.concatenate([_uniform(rng, lo, hi), _uniform(rng, lo, hi)])
+
+    samples, scale = [], 0.0
+    for t, z in ref_draws(dom, 2, dom.n_samples, draw):
+        fx = float(func(t, z[:n]))
+        scale = max(scale, abs(fx))
+        samples.append((abs(float(func(t, perturbed(z))) - fx), t, z))
+    best_v, t, z, _ = ref_search(samples, ref_draws(dom, 10, dom.n_refine, draw),
+                                 objective if free else None,
+                                 np.concatenate([lo, lo]), np.concatenate([hi, hi]))
+    witness = {"t": float(t), "x": z[:n].tolist(), "x_prime": perturbed(z).tolist(),
+               "allowed_coords": allowed}
+    return CheckReport(condition=condition, max_violation=float(best_v), witness=witness,
+                       tolerance=_EXACT_TOL * (1.0 + scale),
+                       samples_evaluated=len(samples), box=dom.box.tolist())
+
+
+def ref_audit(kind, cX, cY, dom):
+    condition, tag, names, values = _AUDITS[kind]
+    lo, hi = dom.box[:, 0], dom.box[:, 1]
+    worst, witness, scale, evaluated = 0.0, None, 0.0, 0
+    for t, x in ref_draws(dom, tag, min(dom.n_samples, 256), lambda rng: _uniform(rng, lo, hi)):
+        vx, vy = values(cX, t, x), values(cY, t, x)
+        evaluated += 1
+        scale = max(scale, float(np.max(np.abs(vx))))
+        gap = np.abs(vx - vy)
+        if witness is None or float(np.max(gap)) > worst:
+            worst = float(np.max(gap))
+            idx = np.unravel_index(int(np.argmax(gap)), gap.shape)
+            witness = {"t": float(t), "x": x.tolist(), "kind": kind,
+                       **{name: int(v) for name, v in zip(names, idx)}}
+    return CheckReport(condition=condition, max_violation=worst, witness=witness,
+                       tolerance=_EXACT_TOL * (1.0 + scale),
+                       samples_evaluated=evaluated, box=dom.box.tolist())
+
+
+def ref_c1(c, dom, condition):
+    parts = []
+    for l, k, i, j in itertools.product(range(c.d), range(c.d), range(c.n), range(c.n)):
+        if i != j and c.n == 2:
+            continue
+        rep = ref_dependency(sigma_product(c, l, k, i, j), {i, j}, dom, condition)
+        parts.append(({"l": l, "k": k, "i": i, "j": j}, rep))
+    return _merge_reports(condition, parts)
+
+
+def reference_check(condition, cX, cY, theta, dom):
+    """run_check on the sequential reference engine."""
+    if cY is None or condition in ("C1", "C2", "C2'"):
+        cY = cX
+    if condition in PAIR_CONDITIONS:
+        return ref_pair_condition(condition, cX, cY, theta, dom)
+    if condition in DIRECTION_CONDITIONS:
+        return ref_direction_condition(condition, cX, cY, theta, dom)
+    if condition in ("C1", "D3"):
+        return ref_c1(cX, dom, condition)
+    if condition == "B2":
+        parts = [({"kind": "sigma-shared"}, ref_audit("sigma-shared", cX, cY, dom))]
+        for l, k in itertools.product(range(cX.d), range(cX.n)):
+            rep = ref_dependency(sigma_component(cX, l, k), {k}, dom, "B2")
+            parts.append(({"l": l, "k": k, "kind": "sigma-dependency"}, rep))
+        return _merge_reports("B2", parts)
+    assert condition == "D1"
+    return _merge_reports("D1", [
+        ({"kind": "product-equality"}, ref_audit("product-equality", cX, cY, dom)),
+        ({"kind": "product-dependency"}, ref_c1(cX, dom, "D1")),
+    ])
+
+
+def truth_table():
+    """The criterion-9 table of tests/test_acceptance.py: condition ->
+    (satisfied instance, violated instance), each (cX, cY, theta, domain)."""
+    theta = CovarianceSet.from_interval(0.25, 1.0)
+    theta2 = CovarianceSet(generators=(0.5 * np.eye(2), np.eye(2)))
+    dom2 = SearchDomain(box=np.array([[-2.0, 2.0], [-2.0, 2.0]]), n_samples=96,
+                        n_refine=6, seed=31)
+    shared_sigma = {"family": "per-coordinate",
+                    "entries": [["expr:0.8 + 0.2*tanh(x_1)", "expr:0.8 + 0.2*tanh(x_1)"]]}
+    offdiag = build_coefficients({"n": 2, "d": 1, "b": {"family": "offdiag-monotone"},
+                                  "sigma": shared_sigma})
+    offdiag_up = build_coefficients({"n": 2, "d": 1, "b": ["expr:x_2 + 1", "expr:x_1 + 1"],
+                                     "sigma": shared_sigma})
+    bad_drift = build_coefficients({"n": 2, "d": 1, "b": ["expr:0 - x_2", "expr:0"],
+                                    "sigma": shared_sigma})
+    cross_sigma = build_coefficients({"n": 2, "d": 1, "sigma": [["expr:x_2", "expr:1"]]})
+    diag2 = build_coefficients({"n": 2, "d": 2, "b": {"family": "arctan-coupling"},
+                                "sigma": {"family": "diag-sigma", "values": [1.0, 1.0]}})
+    diag2_lowered = CoefficientSet(n=2, d=2, b=shifted(diag2.b, -0.5), sigma=diag2.sigma)
+    diag2_raised = CoefficientSet(n=2, d=2, b=shifted(diag2.b, 0.5), sigma=diag2.sigma)
+    scaled_sigma = build_coefficients({"n": 2, "d": 2, "b": {"family": "arctan-coupling"},
+                                       "sigma": {"family": "diag-sigma", "values": [2.0, 2.0]}})
+    return {
+        "B1": ((offdiag, offdiag_up, theta, dom2), (offdiag_up, offdiag, theta, dom2)),
+        "B2": ((offdiag, offdiag, theta, dom2), (cross_sigma, cross_sigma, theta, dom2)),
+        "C1": ((diag2, None, theta2, dom2), (cross_sigma, None, theta, dom2)),
+        "C2": ((offdiag, None, theta, dom2), (bad_drift, None, theta, dom2)),
+        "C2'": ((offdiag, None, theta, dom2), (bad_drift, None, theta, dom2)),
+        "D1": ((diag2, diag2_lowered, theta2, dom2), (diag2, scaled_sigma, theta2, dom2)),
+        "D2'": ((diag2, diag2_lowered, theta2, dom2), (diag2, diag2_raised, theta2, dom2)),
+        "D5": ((diag2, diag2_lowered, theta2, dom2), (diag2, diag2_raised, theta2, dom2)),
+    }
+
+
+TRUTH_TABLE = truth_table()
+
+
+def assert_same_report(got, want):
+    assert got.max_violation == want.max_violation
+    assert got.witness == want.witness
+    assert got.tolerance == want.tolerance
+    assert got.samples_evaluated == want.samples_evaluated
+
+
+@pytest.mark.parametrize("row", [0, 1], ids=["satisfied", "violated"])
+@pytest.mark.parametrize("condition", list(TRUTH_TABLE))
+def test_batched_search_equals_sequential_reference(condition, row):
+    instance = TRUTH_TABLE[condition][row]
+    assert_same_report(run_check(condition, *instance), reference_check(condition, *instance))
+
+
+def time_dependent_pair():
+    cx = build_coefficients({"n": 2, "d": 1, "time_homogeneous": False,
+                             "b": ["expr:x_2 - t*x_1", "expr:x_1 + t"],
+                             "sigma": {"family": "constant", "matrix": [[1.0], [0.5]]}})
+    return cx, CoefficientSet(n=2, d=1, b=shifted(cx.b, 0.2), sigma=cx.sigma)
+
+
+@pytest.mark.parametrize("condition", ["B1", "D2", "D5", "D2'"])
+def test_batched_search_equals_sequential_reference_over_times(condition):
+    dom = SearchDomain(box=DOM2.box, t_grid=(0.0, 0.5), n_samples=40, n_refine=3, seed=4)
+    cx, cy = time_dependent_pair()
+    assert_same_report(run_check(condition, cx, cy, INTERVAL, dom),
+                       reference_check(condition, cx, cy, INTERVAL, dom))
+
+
+@pytest.mark.parametrize("condition", ["B1", "B2", "C1", "D5"])
+def test_batched_search_equals_sequential_reference_without_restarts(condition):
+    dom = SearchDomain(box=DOM2.box, n_samples=64, n_refine=0, seed=9)
+    cx, cy, theta = monotone_case(condition if condition != "B2" else "C1")
+    assert_same_report(run_check(condition, cx, cy, theta, dom),
+                       reference_check(condition, cx, cy, theta, dom))
+
+
+H_CROSS = build_coefficients({"n": 2, "d": 2, "b": {"family": "arctan-coupling"},
+                              "sigma": [["expr:0.5 + 0.1*tanh(x_2)", 0.3],
+                                        [0.2, "expr:0.8 + 0.1*arctan(x_1)"]],
+                              "h": [[["expr:0.1*tanh(x_1)", 0.05], ["expr:0.02*x_2", 0.1]],
+                                    [["expr:0.02*x_2", 0.1], [0.0, "expr:0.1*arctan(x_2)"]]]})
+THETA_CROSS = CovarianceSet(generators=(np.array([[1.0, 0.3], [0.0, 0.6]]),
+                                        np.array([[0.7, 0.0], [0.4, 1.1]])))
+KERNEL_CASES = {
+    "B1": TRUTH_TABLE["B1"][1][:3],
+    "D5": TRUTH_TABLE["D5"][1][:3],
+    "h-cross": (H_CROSS, CoefficientSet(n=2, d=2, b=shifted(H_CROSS.b, 0.1), sigma=H_CROSS.sigma),
+                THETA_CROSS),
+}
+
+
+def random_stack(seed, n_points=200):
+    rng = np.random.default_rng(seed)
+    x, y = rng.uniform(-2.0, 2.0, (2, n_points, 2))
+    K = np.abs(rng.standard_normal((n_points, 2)))
+    K /= np.linalg.norm(K, axis=1, keepdims=True)
+    return x, y, K, rng.integers(0, 2, n_points)
+
+
+@pytest.mark.parametrize("case", KERNEL_CASES)
+def test_residual_kernels_match_single_points(case):
+    # every row of a batched call equals the kernel called on that point alone
+    cx, cy, theta = KERNEL_CASES[case]
+    x, y, K, i = random_stack(1)
+    pair = pair_residual(cx, cy, theta, i, 0.5, x, y)
+    for flip in (False, True):
+        direction = direction_residual(cx, cy, theta, 0.5, x, K, flip)
+        assert [direction_residual(cx, cy, theta, 0.5, x[p], K[p], flip)
+                for p in range(len(x))] == direction.tolist()
+    assert [pair_residual(cx, cy, theta, i[p], 0.5, x[p], y[p])
+            for p in range(len(x))] == pair.tolist()
+    for func in (sigma_component(cx, 0, 1), sigma_product(cx, 0, 0, 1, 1)):
+        gap = dependency_violation(func, {1}, 0.5, x, y)
+        assert [dependency_violation(func, {1}, 0.5, x[p], y[p])
+                for p in range(len(x))] == gap.tolist()
+
+
+@pytest.mark.parametrize("case", KERNEL_CASES)
+def test_stacked_kernels_match_scalar_reference(case):
+    # the matmul dot products and norms equal np.dot and np.linalg.norm per row
+    cx, cy, theta = KERNEL_CASES[case]
+    x, y, K, i = random_stack(2)
+    for flip in (False, True):
+        assert direction_residual(cx, cy, theta, 0.5, x, K, flip).tolist() == \
+            [ref_direction_residual(cx, cy, theta, 0.5, x[p], K[p], flip) for p in range(len(x))]
+    assert pair_residual(cx, cy, theta, i, 0.5, x, y).tolist() == \
+        [ref_pair_residual(cx, cy, theta, i[p], 0.5, x[p], y[p]) for p in range(len(x))]
+    assert (np.sqrt(_dot(K, K)) == [np.linalg.norm(k) for k in K]).all()
+
+
+def test_map_failing_on_part_of_the_box_names_a_point_of_the_failing_batch(monkeypatch):
+    from gdiffusion import config
+    from gdiffusion.errors import EvaluationError
+    from gdiffusion.experiments import dispatch
+
+    batches = []
+
+    def b(t, x):
+        batches.append(np.array(x))
+        if np.any(x[..., 0] > 1.0):
+            raise ValueError("x_1 > 1")
+        return np.zeros(x.shape)
+
+    c = CoefficientSet(n=2, d=1, b=b)
+    with pytest.raises(EvaluationError) as err:
+        run_check("B1", c, c, INTERVAL, DOM2)
+    failing = batches[-1].reshape(-1, 2)
+    assert np.any(failing[:, 0] > 1.0)
+    assert f"at t=0.0, x={failing[0].tolist()}, y=" in str(err.value)
+    assert f"(first of a batch of {len(failing)}): x_1 > 1" in str(err.value)
+
+    monkeypatch.setattr(config, "coefficients_from_config", lambda cfg: (c, None))
+    report, code = dispatch("check", {"seed": 1, "theta": {"interval": [0.25, 1.0]},
+                                      "coefficients": {"n": 2, "d": 1}, "condition": "B1",
+                                      "domain": {"box": [[-2.0, 2.0], [-2.0, 2.0]]}})
+    assert (report["status"], code) == ("evaluation-error", 2)
+    assert "x_1 > 1" in report["results"]["error"]
+
+
+@pytest.mark.parametrize("condition", ["B1", "D5"])
+def test_batched_search_evaluates_only_the_points_of_the_sequential_search(condition):
+    # frozen starts are not evaluated: the coefficient map sees exactly the
+    # points that the start-by-start search visits
+    seen = []
+    base, _, theta = KERNEL_CASES[condition]
+
+    def b(t, x):
+        seen.extend(map(tuple, np.reshape(x, (-1, 2)).tolist()))
+        return base.b(t, x)
+
+    c = CoefficientSet(n=2, d=base.d, b=b, sigma=base.sigma)
+    cy = CoefficientSet(n=2, d=base.d, b=shifted(base.b, 0.3), sigma=base.sigma)
+    dom = SearchDomain(box=DOM2.box, n_samples=24, n_refine=2, seed=5)
+    run_check(condition, c, cy, theta, dom)
+    batched, seen[:] = set(seen), []
+    reference_check(condition, c, cy, theta, dom)
+    assert batched == set(seen)

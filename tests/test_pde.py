@@ -492,6 +492,17 @@ def test_nonfinite_message_prints_a_plain_node():
     assert str(err.value) == "non-finite value at level 1 (t=0.01), node (1,)"
 
 
+def test_nan_coefficient_is_refused_by_the_rate_guard():
+    # a NaN rate fails both guard comparisons; it must not reach the march
+    nan_edges = CoefficientSet(n=1, d=1, b=lambda t, x: np.where(np.abs(x) > 1.5, np.nan, 0.0),
+                               sigma=lambda t, x: np.ones(x.shape + (1,)))
+    grid = Grid.regular([[-2, 2]], [41], horizon=0.1, n_levels=100)
+    with pytest.raises(NonFiniteError) as err:
+        solve(nan_edges, INTERVAL, IDENTITY, grid)
+    assert str(err.value) == ("non-finite coefficients at level 0 (t=0): the rate of "
+                              "generator 0 toward offset (-1,) at node (1,)")
+
+
 def test_time_dependent_trust_margin_is_the_largest_over_the_levels():
     # b(t) = 10 t sweeps 5 units by T = 1; the t = 0 margin would be 0
     ramp = CoefficientSet(n=1, d=1, b=lambda t, x: np.full(x.shape, 10.0 * t),
