@@ -7,7 +7,7 @@ from .gfunction import CovarianceSet, SymMatrix, argmax_sigma, eval_G, nondegene
 from .generator import eval_generator, generator_limit_check
 from .pde import Grid, PDESolution, dominance_check, monotonicity_check, semigroup_value, solve
 from .scenario import VolatilityControl, apply_control, estimate_sublinear_expectation, noise_block
-from .sde import CoefficientSet, SDETerminalFunctional, euler_march, pathwise_min_gap
+from .sde import CoefficientSet, SDETerminalFunctional, euler_march
 
 __version__ = "0.1.0"
 
@@ -33,7 +33,6 @@ __all__ = [
     "monotonicity_check",
     "noise_block",
     "nondegeneracy_bound",
-    "pathwise_min_gap",
     "run_check",
     "semigroup_value",
     "solve",

@@ -7,11 +7,17 @@ the tiny arithmetic grammar of :mod:`gdiffusion.expressions`.
 
 from __future__ import annotations
 
+import functools
+import numbers
+
 import numpy as np
 
 from .errors import ConfigError
-from .expressions import parse_expression
+from .expressions import Expression
 from .sde import CoefficientSet
+
+
+_float_array = functools.partial(np.asarray, dtype=float)
 
 
 def _constant(values):
@@ -21,56 +27,50 @@ def _constant(values):
     return lambda t, x: values
 
 
-def _scalar(entry, arity: int):
-    """A number, or an expression string with an optional 'expr:' prefix."""
-    if isinstance(entry, str):
-        return parse_expression(entry[5:] if entry.startswith("expr:") else entry, arity)
+def _read(section: dict, key: str, convert, where: str = "", default=None):
+    """convert(section.get(key, default)); a value it cannot read is a
+    ConfigError naming ``where + key``."""
+    value = section.get(key, default)
     try:
-        return float(entry)
-    except (TypeError, ValueError):
-        raise ConfigError(f"an entry must be a number or an expression, got {entry!r}") from None
+        return convert(value)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{where + key}: cannot read {value!r} ({exc})") from None
 
 
-def _checked(entries, count: int):
-    if len(entries) != count:
-        raise ConfigError(f"expected {count} entries, got {len(entries)}")
-    return entries
+def _integer(value) -> int:
+    if isinstance(value, bool) or int(value) != value:
+        raise ValueError("expected an integer")
+    return int(value)
 
 
-def _table(tail: tuple, cells: dict, n: int):
-    """One map (t, x) -> (..., *tail) from {index: (entry, coord)}, or None if empty.
+def _array(section: dict, key: str, shape: tuple, where: str) -> np.ndarray:
+    """section[key], required, as a float array of the given shape."""
+    value = _read(section, key, _float_array, where)
+    if value.shape != shape:
+        raise ConfigError(f"{where + key}: expected shape {shape}, got {section.get(key)!r}")
+    return value
 
-    Each entry is a number or an expression.  With coord None it reads all of
-    x (variables x_1..x_n); with coord k it reads only x[..., k:k+1], as its
-    variable x_1.  Cells not listed are zero.
-    """
-    if not cells:
-        return None
-    parts = [((..., *index), _scalar(entry, n if coord is None else 1), coord)
-             for index, (entry, coord) in cells.items()]
-    if all(isinstance(part, float) for _, part, _ in parts):
-        table = np.zeros(tail)
-        for index, part, _ in parts:
-            table[index] = part
-        return _constant(table)
 
-    def func(t, x):
-        out = np.zeros(x.shape[:-1] + tail)
-        for index, part, coord in parts:
-            if isinstance(part, float):
-                out[index] = part
-            else:
-                out[index] = part(t, x if coord is None else x[..., coord:coord + 1])
-        return out
+def _list(value, count: int, key: str) -> list:
+    if not isinstance(value, list) or len(value) != count:
+        raise ConfigError(f"{key}: expected a list of {count}, got {value!r}")
+    return value
 
-    return func
+
+def _entries(entries, count: int, key: str) -> list:
+    """A config list of count entries, each a number or an expression text
+    (the 'expr:' prefix is optional)."""
+    for i, entry in enumerate(_list(entries, count, key)):
+        if isinstance(entry, bool) or not isinstance(entry, (str, numbers.Real)):
+            raise ConfigError(f"{key}[{i}]: an entry must be a number or an expression, "
+                              f"got {entry!r}")
+    return [e.removeprefix("expr:") if isinstance(e, str) else e for e in entries]
 
 
 def offdiag_monotone_drift(n: int, scale: float = 1.0):
     """b_i(x) = scale * sum_{j != i} x_j: monotone off-diagonal coupling."""
 
     def func(t, x):
-        x = np.asarray(x, dtype=float)
         total = np.sum(x, axis=-1, keepdims=True)
         return scale * (total - x)
 
@@ -81,7 +81,6 @@ def arctan_coupling_drift(n: int, scale: float = 1.0):
     """b_i(x) = scale * sum_{j != i} arctan(x_j): bounded monotone coupling."""
 
     def func(t, x):
-        x = np.asarray(x, dtype=float)
         a = np.arctan(x)
         total = np.sum(a, axis=-1, keepdims=True)
         return scale * (total - a)
@@ -93,7 +92,7 @@ def linear_drift(matrix):
     matrix = np.asarray(matrix, dtype=float)
 
     def func(t, x):
-        return np.einsum("ij,...j->...i", matrix, np.asarray(x, dtype=float))
+        return np.einsum("ij,...j->...i", matrix, x)
 
     return func
 
@@ -103,7 +102,7 @@ def shifted(func, delta):
     delta = np.asarray(delta, dtype=float)
 
     def shifted_func(t, x):
-        base = func(t, x) if func is not None else np.zeros(np.asarray(x, dtype=float).shape)
+        base = func(t, x) if func is not None else np.zeros(x.shape)
         return base + delta
 
     return shifted_func
@@ -128,16 +127,16 @@ def remark_counterexample_pair(theta_lower_sq: float, theta_upper_sq: float
 def build_coefficients(section: dict) -> CoefficientSet:
     """Assemble a coefficient set from a config section.
 
-    Keys: n, d (required); b, h, sigma (each optional: a family dict, an
-    entry list, or null for zero); lipschitz, label.
+    Keys: n, d (required integers); b, h, sigma (each optional: a family
+    dict, an entry list, or null for zero); family (a drift family name, with
+    its c, A or scale, fills an absent b); lipschitz (a number); h_symmetric
+    (true or false); label.  Whether the set is time-homogeneous is read from
+    the expressions: it is unless some entry reads t.
     """
     if not isinstance(section, dict):
         raise ConfigError(f"coefficient section must be a mapping, got {type(section).__name__}")
-    try:
-        n = int(section["n"])
-        d = int(section["d"])
-    except KeyError as exc:
-        raise ConfigError(f"coefficient section missing key {exc}") from exc
+    n = _read(section, "n", _integer)
+    d = _read(section, "d", _integer)
 
     # sugar: a top-level drift family name ("family": "arctan-coupling") fills b
     drift_families = ("zero", "constant-drift", "linear-drift",
@@ -149,11 +148,15 @@ def build_coefficients(section: dict) -> CoefficientSet:
     b = _build_drift(section.get("b"), n)
     sigma = _build_sigma(section.get("sigma"), n, d)
     h = _build_h(section.get("h"), n, d)
+    h_symmetric = section.get("h_symmetric", True)
+    if not isinstance(h_symmetric, bool):
+        raise ConfigError(f"h_symmetric: expected true or false, got {h_symmetric!r}")
     return CoefficientSet(
         n=n, d=d, b=b, h=h, sigma=sigma,
-        lipschitz=float(section.get("lipschitz", 0.0)),
-        time_homogeneous=bool(section.get("time_homogeneous", True)),
-        h_symmetric=bool(section.get("h_symmetric", True)),
+        lipschitz=_read(section, "lipschitz", float, "", 0.0),
+        time_homogeneous=not any(isinstance(part, Expression) and part.reads_t
+                                 for part in (b, h, sigma)),
+        h_symmetric=h_symmetric,
         label=str(section.get("label", section.get("family", "custom"))),
     )
 
@@ -162,26 +165,24 @@ def _build_drift(section, n: int):
     if section is None:
         return None
     if isinstance(section, list):
-        return _table((n,), {(i,): (e, None) for i, e in enumerate(_checked(section, n))}, n)
+        return Expression((n,), {(i,): (e, None)
+                                 for i, e in enumerate(_entries(section, n, "b"))}, n)
     if isinstance(section, dict):
         family = section.get("family")
         if family == "zero":
             return None
         if family == "constant-drift":
-            c = section.get("c", 0.0)
-            vec = np.full(n, float(c)) if np.isscalar(c) else np.asarray(c, dtype=float)
+            vec = _read(section, "c", lambda c: np.full(n, float(c)) if np.isscalar(c)
+                        else _float_array(c), "b.", 0.0)
             if vec.shape != (n,):
                 raise ConfigError(f"constant-drift c must be scalar or length {n}")
             return _constant(vec)
         if family == "linear-drift":
-            a = np.asarray(section["A"], dtype=float)
-            if a.shape != (n, n):
-                raise ConfigError(f"linear-drift A must be {n}x{n}")
-            return linear_drift(a)
+            return linear_drift(_array(section, "A", (n, n), "b."))
         if family == "offdiag-monotone":
-            return offdiag_monotone_drift(n, float(section.get("scale", 1.0)))
+            return offdiag_monotone_drift(n, _read(section, "scale", float, "b.", 1.0))
         if family == "arctan-coupling":
-            return arctan_coupling_drift(n, float(section.get("scale", 1.0)))
+            return arctan_coupling_drift(n, _read(section, "scale", float, "b.", 1.0))
         raise ConfigError(f"unknown drift family {family!r}")
     raise ConfigError("drift section must be null, a list of entries, or a family mapping")
 
@@ -194,11 +195,10 @@ def _build_sigma(section, n: int, d: int):
     if section is None:
         return None
     if isinstance(section, list):
-        if len(section) != d:
-            raise ConfigError(f"sigma must list {d} columns")
-        return _table((n, d), {(k, l): (e, None) for l, column in enumerate(section)
-                               if column is not None
-                               for k, e in enumerate(_checked(column, n))}, n)
+        cells = {(k, l): (e, None) for l, column in enumerate(_list(section, d, "sigma"))
+                 if column is not None
+                 for k, e in enumerate(_entries(column, n, f"sigma[{l}]"))}
+        return Expression((n, d), cells, n) if cells else None
     if isinstance(section, dict):
         family = section.get("family")
         if family == "zero":
@@ -206,17 +206,14 @@ def _build_sigma(section, n: int, d: int):
         if family == "diag-sigma":
             if d > n:
                 raise ConfigError("diagonal diffusion requires d <= n")
-            values = _checked(section.get("values", [1.0] * d), d)
-            return _table((n, d), {(l, l): (v, l) for l, v in enumerate(values)}, n)
+            values = _entries(section.get("values", [1.0] * d), d, "sigma.values")
+            return Expression((n, d), {(l, l): (v, l) for l, v in enumerate(values)}, n)
         if family == "per-coordinate":
-            return _table((n, d), {(k, l): (e, k)
-                                   for l, row in enumerate(_checked(section["entries"], d))
-                                   for k, e in enumerate(_checked(row, n))}, n)
+            rows = _list(section.get("entries"), d, "sigma.entries")
+            return Expression((n, d), {(k, l): (e, k) for l, row in enumerate(rows) for k, e in
+                                       enumerate(_entries(row, n, f"sigma.entries[{l}]"))}, n)
         if family == "constant":
-            matrix = np.asarray(section["matrix"], dtype=float)  # n x d columns
-            if matrix.shape != (n, d):
-                raise ConfigError(f"constant sigma matrix must be {n}x{d}")
-            return _constant(matrix)
+            return _constant(_array(section, "matrix", (n, d), "sigma."))  # n x d columns
         raise ConfigError(f"unknown sigma family {family!r}")
     raise ConfigError("sigma section must be null, a nested list, or a family mapping")
 
@@ -231,15 +228,11 @@ def _build_h(section, n: int, d: int):
         if family == "zero":
             return None
         if family == "constant":
-            table = np.asarray(section["table"], dtype=float)  # d x d x n
-            if table.shape != (d, d, n):
-                raise ConfigError(f"constant h table must be {d}x{d}x{n}")
-            return _constant(table)
+            return _constant(_array(section, "table", (d, d, n), "h."))  # d x d x n
         raise ConfigError(f"unknown h family {family!r}")
     if isinstance(section, list):
-        if len(section) != d or any(len(row) != d for row in section):
-            raise ConfigError(f"h must be a {d}x{d} table")
-        return _table((d, d, n), {(l, k, i): (e, None) for l, row in enumerate(section)
-                                  for k, cell in enumerate(row) if cell is not None
-                                  for i, e in enumerate(_checked(cell, n))}, n)
+        cells = {(l, k, i): (e, None) for l, row in enumerate(_list(section, d, "h"))
+                 for k, cell in enumerate(_list(row, d, f"h[{l}]")) if cell is not None
+                 for i, e in enumerate(_entries(cell, n, f"h[{l}][{k}]"))}
+        return Expression((d, d, n), cells, n) if cells else None
     raise ConfigError("h section must be null, a nested list, or a family mapping")

@@ -160,17 +160,15 @@ def coefficients_from_config(cfg: dict) -> tuple[CoefficientSet, CoefficientSet 
             theta = theta_from_config(require(cfg, "theta", dict))
             return remark_counterexample_pair(theta.sigma_lower_sq, theta.sigma_upper_sq)
         raise ConfigError(f"pair_family: unknown family {family!r}")
-    try:
-        main = build_coefficients(require(cfg, "coefficients", dict))
-    except ConfigError as exc:
-        raise ConfigError(f"coefficients: {exc}") from exc
-    bar = None
-    if cfg.get("coefficients_bar") is not None:
+
+    def build(key: str, kind=None) -> CoefficientSet:
         try:
-            bar = build_coefficients(cfg["coefficients_bar"])
+            return build_coefficients(require(cfg, key, kind))
         except ConfigError as exc:
-            raise ConfigError(f"coefficients_bar: {exc}") from exc
-    return main, bar
+            raise ConfigError(f"{key}: {exc}") from exc
+
+    bar = cfg.get("coefficients_bar")
+    return build("coefficients", dict), None if bar is None else build("coefficients_bar")
 
 
 def domain_from_config(section, n: int, default_seed: int) -> SearchDomain:
@@ -211,8 +209,10 @@ def functions_from_config(section, dim: int) -> list[TestFunction]:
         if not isinstance(text, str):
             raise ConfigError(f"functions[{idx}].expr: expected a string, "
                               f"got {type(text).__name__}")
-        text = text[5:] if text.startswith("expr:") else text
-        expr = parse_expression(text, dim)
+        expr = parse_expression(text.removeprefix("expr:"), dim)
+        if expr.reads_t:
+            raise ConfigError(f"functions[{idx}].expr: a test function is a function of x "
+                              "alone, but reads t")
         name = item.get("name", f"f{idx}")
         out.append(TestFunction(
             f=lambda x, expr=expr: expr(0.0, x),

@@ -10,10 +10,10 @@ Grammar (operator precedence, right-associative power):
 
 Names: ``t`` and ``x_1`` .. ``x_n``.  Functions: ``exp``, ``tanh``,
 ``arctan`` (unary) and ``min``, ``max`` (binary).  No conditionals, no
-loops; every expression is total on finite inputs.  An expression is
-parsed and compiled to one Python function once, when it is built; each
-call then runs that function.  Evaluation is vectorized: ``x`` may carry
-leading batch dimensions.
+loops; every expression is total on finite inputs.  A table of
+expressions (one coefficient part; one expression is the 0-d table) is
+compiled to one Python function when it is built, and each call runs that
+function.  ``x``, a float array, may carry leading batch dimensions.
 """
 
 from __future__ import annotations
@@ -30,8 +30,9 @@ _TOKEN_RE = re.compile(
     r"|(?P<op>[-+*/^(),]))"
 )
 
-_UNARY_FUNCS = {"exp": np.exp, "tanh": np.tanh, "arctan": np.arctan}
-_BINARY_FUNCS = {"min": np.minimum, "max": np.maximum}
+# name -> (numpy function, number of arguments)
+_FUNCS = {"exp": (np.exp, 1), "tanh": (np.tanh, 1), "arctan": (np.arctan, 1),
+          "min": (np.minimum, 2), "max": (np.maximum, 2)}
 
 
 def _tokenize(text: str) -> list[tuple[str, str, int]]:
@@ -122,15 +123,13 @@ class _Parser:
                     self.take()
                     args.append(self.expr())
                 self.expect(")")
-                if val in _UNARY_FUNCS:
-                    if len(args) != 1:
-                        self.fail(f"{val} takes 1 argument, got {len(args)}", pos)
-                    return (_UNARY_FUNCS[val], args[0])
-                if val in _BINARY_FUNCS:
-                    if len(args) != 2:
-                        self.fail(f"{val} takes 2 arguments, got {len(args)}", pos)
-                    return (_BINARY_FUNCS[val], args[0], args[1])
-                self.fail(f"unknown function {val!r}", pos)
+                if val not in _FUNCS:
+                    self.fail(f"unknown function {val!r}", pos)
+                func, count = _FUNCS[val]
+                if len(args) != count:
+                    self.fail(f"{val} takes {count} argument{'s' * (count > 1)}, "
+                              f"got {len(args)}", pos)
+                return (func, *args)
             if val == "t":
                 return ("t",)
             m = re.fullmatch(r"x_(\d+)", val)
@@ -143,44 +142,53 @@ class _Parser:
         self.fail(f"unexpected token {val!r}", pos)
 
 
-def _compile(ast):
-    """One Python function for a parsed tree, calling the same numpy
-    functions in the same order as the tree walk would.  Its source holds
-    only generated names (constants and functions live in its namespace),
-    never text of the expression."""
-    namespace = {}
-
-    def emit(node):
-        tag = node[0]
-        if tag in ("t", "x"):
-            return "t" if tag == "t" else f"x[..., {node[1]}]"
-        name = f"_{len(namespace)}"
-        namespace[name] = node[1] if tag == "const" else tag
-        return name if tag == "const" else f"{name}({', '.join(map(emit, node[1:]))})"
-
-    return eval(compile(f"lambda t, x: {emit(ast)}", "<expression>", "eval"), namespace)
-
-
 class Expression:
-    """A scalar expression over (t, x_1..x_n), compiled once at construction."""
+    """A table of scalar expressions over (t, x_1..x_n), compiled once into
+    one function (t, x) -> (..., *tail).
 
-    def __init__(self, text: str, arity: int):
-        self.text = text
-        self.arity = arity
-        self._func = _compile(_Parser(text, arity).parse())
+    ``cells`` maps an index of the table to (entry, coord).  An entry is a
+    number or an expression text; with coord None it reads all of x (as
+    x_1..x_arity), with coord k only x[..., k] (as x_1).  Cells not listed
+    are zero.  The function fills a zero table, each slot by the numpy calls
+    of its tree in tree-walk order.  Its source holds only generated names
+    (numbers, functions and the tail live in its namespace), never text of
+    an expression.  ``reads_t`` records whether any cell reads t.
+    """
+
+    def __init__(self, tail: tuple, cells: dict, arity: int):
+        namespace = {}
+        self.reads_t = False
+
+        def name(value):
+            key = f"_{len(namespace)}"
+            namespace[key] = value
+            return key
+
+        def emit(node, coord):
+            tag = node[0]
+            if tag == "t":
+                self.reads_t = True
+                return "t"
+            if tag == "x":
+                return f"x[..., {node[1] if coord is None else coord}]"
+            if tag == "const":
+                return name(node[1])
+            return f"{name(tag)}({', '.join(emit(arg, coord) for arg in node[1:])})"
+
+        lines = [f"out = {name(np.zeros)}(x.shape[:-1] + {name(tuple(tail))})"]
+        for index, (entry, coord) in cells.items():
+            tree = (_Parser(entry, arity if coord is None else 1).parse()
+                    if isinstance(entry, str) else ("const", float(entry)))
+            lines.append(f"out[{', '.join(['...', *map(str, index)])}] = {emit(tree, coord)}")
+        source = "def table(t, x):\n    " + "\n    ".join(lines) + "\n    return out\n"
+        exec(compile(source, "<expression>", "exec"), namespace)
+        self._func = namespace.pop("table")
 
     def __call__(self, t, x):
-        x = np.asarray(x, dtype=float)
-        out = np.asarray(self._func(t, x), dtype=float)
-        target = x.shape[:-1]
-        if out.shape != target:
-            out = np.broadcast_to(out, target).copy()
-        return out
-
-    def __repr__(self) -> str:  # pragma: no cover
-        return f"Expression({self.text!r}, arity={self.arity})"
+        return self._func(t, x)
 
 
 def parse_expression(text: str, arity: int) -> Expression:
-    """Compile an ``expr:`` string; raises ConfigError with the offending position."""
-    return Expression(text, arity)
+    """Compile one ``expr:`` string as the 0-d table; raises ConfigError with
+    the offending position."""
+    return Expression((), {(): (text, None)}, arity)

@@ -2,12 +2,15 @@
 
 Solves the initial-value problem
 
-    du/dt = <b(x), Du> + G(H(Du, D2u, x)),        u(0, x) = f(x),
+    du/dt = L_t u = <b(t, x), Du> + G(H(Du, D2u, t, x)),        u(0, x) = f(x),
     H_lk  = <D2u sigma_l, sigma_k> + <Du, h_lk + h_kl>,
 
-whose solution is the semigroup value E_t f(x) of the uncertain-volatility
-diffusion.  (The terminal-value formulation with data at time T is the time
-reversal u_hat(t, x) = u(T - t, x) of this one.)
+with the coefficients read at the level's own time t.  For coefficients
+that do not depend on t, u(t, x) is the semigroup value E_t f(x) of the
+uncertain-volatility diffusion (and u(T - t, x) solves the terminal-value
+problem with data at T).  For time-dependent ones, E_T f is u(T, .) for
+du/dt = L_{T-t} u instead: the two agree when the L_t commute, and when t
+and x mix, this march solves the time-reversed problem.
 
 Scheme
 ------
@@ -331,15 +334,20 @@ def solve(coeffs: CoefficientSet, theta: CovarianceSet, f: TestFunction,
 
 
 def semigroup_value(sol: PDESolution, t: float, x, allow_untrusted: bool = False) -> float:
-    """Multilinear interpolation in space at the nearest time level.
+    """Multilinear interpolation in space at the time level t.
 
-    Queries are restricted to the interior trust region unless explicitly
-    overridden; out-of-range queries raise.
+    t must be a level time m * dt (to 1e-9 of a step): there is no
+    interpolation in time.  x must lie in the interior trust region unless
+    explicitly overridden.  Other queries raise.
     """
     grid = sol.grid
-    level = int(round(t / grid.dt))
-    if not (0 <= level <= grid.n_levels) or abs(level * grid.dt - t) > 0.5 * grid.dt + 1e-12:
-        raise GridError(f"time {t} outside the solved range [0, {grid.horizon}]")
+    steps = t / grid.dt
+    level = int(round(steps))
+    if not (0 <= level <= grid.n_levels and abs(steps - level) <= 1e-9 * max(1.0, level)):
+        below = int(np.clip(np.floor(steps), 0, grid.n_levels - 1))
+        raise GridError(f"time {t} is not a level of the solve on [0, {grid.horizon}] "
+                        f"(dt={grid.dt:.6g}); the nearest levels are t={below * grid.dt:.6g} "
+                        f"and t={(below + 1) * grid.dt:.6g}")
     x = np.atleast_1d(np.asarray(x, dtype=float))
     if x.shape != (grid.n,):
         raise DimensionMismatchError(f"query point must have dim {grid.n}")

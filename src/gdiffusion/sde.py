@@ -13,9 +13,8 @@ scenarios at once; dQV is per batch (..., n_steps, d, d) or shared
 states at the levels kept: every level, (..., n_steps + 1, n), or, when an
 ``observe(m, x)`` callback reduces each level as it is made, only the last.
 Two systems marched on the same dB are coupled; they can be stepped in
-lockstep in one march, and ``MinGapObserver`` then streams what
-``pathwise_min_gap`` reads from stored states: the first place where their
-states come closest.
+lockstep in one march, and ``MinGapObserver`` then streams, level by level,
+the exact minimum gap between their states with its first witness.
 """
 
 from __future__ import annotations
@@ -41,6 +40,8 @@ class CoefficientSet:
         (not h_lk + h_kl)
     sigma : (t, x) -> (..., n, d), the columns with [..., :, l] = sigma_l
     lipschitz : declared constant, audited by spot checks only
+    time_homogeneous : the maps do not read t, so the PDE evaluates them once
+        (``build_coefficients`` reads this from the expressions)
     h_symmetric : when set, h_lk == h_kl is verified on sample points at
         construction and violations are a construction error
 
@@ -240,7 +241,8 @@ def euler_march(coeffs, x0, times: np.ndarray, db: np.ndarray, dqv: np.ndarray,
 
 
 class MinGapObserver:
-    """Streaming ``pathwise_min_gap`` for two systems marched in lockstep.
+    """The exact minimum of upper - lower over batch, levels and components,
+    streamed for two systems marched in lockstep.
 
     As the ``observe`` of ``euler_march`` on the systems (lower, upper), it
     keeps per batch index and component the running minimum of upper - lower
@@ -260,7 +262,8 @@ class MinGapObserver:
         np.copyto(self.level, m, where=better)
 
     def result(self, times: np.ndarray) -> tuple[float, tuple]:
-        """(min gap, witness) exactly as ``pathwise_min_gap`` on the stored states."""
+        """(min gap, (*batch index, component starting at 1, time)) with the
+        first witness in scan order: batch index, then level, then component."""
         idx = np.unravel_index(int(np.argmin(self.best.min(axis=-1))), self.best.shape[:-1])
         best, level = self.best[idx], self.level[idx]
         # of the components at the minimum, the first level, then the first component
@@ -289,19 +292,3 @@ class SDETerminalFunctional:
     def evaluate_batch(self, times, db, dqv) -> np.ndarray:
         terminal = euler_march(self.coeffs, self.x0, times, db, dqv, observe=_keep_last)
         return self.f.value(terminal[..., -1, :])
-
-
-def pathwise_min_gap(lower: np.ndarray, upper: np.ndarray,
-                     times: np.ndarray) -> tuple[float, tuple]:
-    """Exact minimum of upper - lower over batch, grid times and components.
-
-    lower, upper : states (..., n_steps + 1, n) marched on the same scenarios.
-    Returns (min gap, (*batch index, component starting at 1, time)) with the
-    first witness in scan order (batch index, then time, then component).
-    """
-    if lower.shape != upper.shape or lower.shape[-2] != len(times):
-        raise DimensionMismatchError("paths must be aligned on one grid")
-    gap = upper - lower
-    idx = np.unravel_index(int(np.argmin(gap)), gap.shape)
-    *batch, level, comp = (int(i) for i in idx)
-    return float(gap[idx]), (*batch, comp + 1, float(times[level]))

@@ -429,6 +429,78 @@ def test_non_string_function_expression_is_a_config_error(expr):
     assert report["results"]["error"].startswith("functions[0].expr:")
 
 
+def test_function_that_reads_t_is_a_config_error():
+    # a test function is f(x); it used to be evaluated silently at t = 0
+    cfg = pde_config()
+    cfg["functions"] = [{"expr": "x_1^2", "name": "g"}, {"expr": "t*x_1", "name": "f"}]
+    report, code = dispatch("solve-pde", cfg)
+    assert code == 2
+    assert report["status"] == "config-error"
+    assert report["results"]["error"].startswith("functions[1].expr:")
+
+
+# case -> (key the error must name, coefficient section replacing pde_config's)
+MALFORMED_COEFFICIENTS = {
+    "n-text": ("n", {"n": "two", "d": 1}),
+    "n-fraction": ("n", {"n": 1.7, "d": 1}),
+    "lipschitz-text": ("lipschitz", {"n": 1, "d": 1, "lipschitz": "abc"}),
+    "scale-text": ("b.scale", {"n": 1, "d": 1,
+                               "b": {"family": "offdiag-monotone", "scale": "x"}}),
+    "c-text": ("b.c", {"n": 1, "d": 1, "b": {"family": "constant-drift", "c": "abc"}}),
+    "A-missing": ("b.A", {"n": 1, "d": 1, "b": {"family": "linear-drift"}}),
+    "entry-true": ("b[0]", {"n": 1, "d": 1, "b": [True]}),
+    "entries-missing": ("sigma.entries", {"n": 1, "d": 1,
+                                          "sigma": {"family": "per-coordinate"}}),
+    "matrix-missing": ("sigma.matrix", {"n": 1, "d": 1, "sigma": {"family": "constant"}}),
+    "column-number": ("sigma[0]", {"n": 1, "d": 1, "sigma": [3.0]}),
+    "table-missing": ("h.table", {"n": 1, "d": 1, "h": {"family": "constant"}}),
+    "cell-number": ("h[0][0]", {"n": 1, "d": 1, "h": [[3.0]]}),
+    "h_symmetric-text": ("h_symmetric", {"n": 1, "d": 1, "h_symmetric": "false"}),
+}
+
+
+@pytest.mark.parametrize("case", MALFORMED_COEFFICIENTS)
+def test_malformed_coefficient_section_is_a_config_error_naming_the_key(case):
+    key, section = MALFORMED_COEFFICIENTS[case]
+    cfg = pde_config()
+    cfg["coefficients"] = {**section, "sigma": section.get("sigma", [[1.0]])}
+    report, code = dispatch("solve-pde", cfg)
+    assert code == 2
+    assert report["status"] == "config-error"
+    assert report["results"]["error"].startswith(f"coefficients: {key}:")
+
+
+def test_time_dependent_drift_is_read_at_every_level():
+    # b = 2t: explicit Euler gives the left Riemann sum 1 - dt of the exact
+    # u(1, 0) = 1, and the drift sweep counts the largest |b| over the levels
+    cfg = pde_config()
+    cfg["theta"] = {"interval": [1.0, 1.0]}
+    cfg["coefficients"] = {"n": 1, "d": 1, "b": ["expr:2*t"], "sigma": [[1.0]]}
+    cfg["grid"] = {"bounds": [[-8.0, 8.0]], "counts": [321], "T": 1.0, "n_levels": 500}
+    cfg["functions"] = [{"expr": "x_1", "name": "identity"}]
+    cfg["query"] = {"t": 1.0, "x": [0.0]}
+    report, code = dispatch("solve-pde", cfg)
+    assert code == 0
+    assert report["results"]["query"]["value"] == pytest.approx(0.998, abs=1e-12)
+    assert report["results"]["trust_bounds"] == [[pytest.approx(-3.004, abs=1e-12),
+                                                  pytest.approx(3.004, abs=1e-12)]]
+
+
+def test_time_dependent_sigma_is_refused_at_the_level_it_breaks_the_bound():
+    # sigma = 1 + 5t on dx = 0.1 with dt = 0.008: the bound dx^2 / sigma^2
+    # holds up to level 2 (sigma = 1.08) and fails at level 3 (sigma = 1.12)
+    cfg = pde_config()
+    cfg["theta"] = {"interval": [1.0, 1.0]}
+    cfg["coefficients"] = {"n": 1, "d": 1, "sigma": [["expr:1 + 5*t"]]}
+    cfg["grid"] = {"bounds": [[-2.0, 2.0]], "counts": [41], "T": 0.08, "n_levels": 10}
+    cfg["query"] = {"t": 0.08, "x": [0.0]}
+    report, code = dispatch("solve-pde", cfg)
+    assert code == 5
+    assert report["status"] == "numerical-error"
+    assert "stability bound" in report["results"]["error"]
+    assert "at level 3 (t=0.024)" in report["results"]["error"]
+
+
 def test_report_is_written_where_the_output_section_names(tmp_path):
     cfg = pde_config()
     cfg["output"] = {"dir": str(tmp_path), "report": "report.json"}

@@ -648,7 +648,7 @@ def test_batched_search_equals_sequential_reference(condition, row):
 
 
 def time_dependent_pair():
-    cx = build_coefficients({"n": 2, "d": 1, "time_homogeneous": False,
+    cx = build_coefficients({"n": 2, "d": 1,
                              "b": ["expr:x_2 - t*x_1", "expr:x_1 + t"],
                              "sigma": {"family": "constant", "matrix": [[1.0], [0.5]]}})
     return cx, CoefficientSet(n=2, d=1, b=shifted(cx.b, 0.2), sigma=cx.sigma)

@@ -1,8 +1,10 @@
+import re
+
 import numpy as np
 import pytest
 
 from gdiffusion.errors import ConfigError
-from gdiffusion.expressions import parse_expression
+from gdiffusion.expressions import Expression, parse_expression
 
 
 def test_arithmetic_and_precedence():
@@ -77,3 +79,19 @@ POS = np.array([[0.3, 1.2], [1.7, 0.4], [0.6, 2.5]])
 def test_compiled_expression_is_the_numpy_formula_exactly(text, formula, x):
     out = parse_expression(text, arity=2)(0.7, x)
     assert np.array_equal(out, formula(0.7, x))
+
+
+def test_table_is_one_function_of_generated_names_only():
+    text = "tanh(x_1) + exp(t) * min(x_2, 2) ^ arctan(1e-05)"
+    table = Expression((2, 2), {(0, 0): (text, None), (1, 0): ("max(x_1, -x_1)", 1),
+                                (1, 1): (float("inf"), None)}, arity=2)
+    code = table._func.__code__
+    assert code.co_names and all(name == "shape" or re.fullmatch(r"_\d+", name)
+                                 for name in code.co_names)
+    assert set(code.co_varnames) == {"t", "x", "out"}
+    assert table.reads_t and not parse_expression("x_1", arity=1).reads_t
+    out = table(0.3, POS)
+    assert out.shape == (3, 2, 2)
+    assert np.array_equal(out[:, 0, 0], parse_expression(text, arity=2)(0.3, POS))
+    assert np.array_equal(out[:, 1, 0], POS[:, 1])
+    assert np.all(out[:, 0, 1] == 0.0) and np.all(out[:, 1, 1] == np.inf)

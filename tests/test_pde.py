@@ -131,6 +131,17 @@ def test_semigroup_value_queries():
         semigroup_value(sol, 0.7, [0.0])
 
 
+def test_semigroup_value_refuses_a_time_off_the_levels():
+    # dt = 0.25: t = 0.3 used to return the value at the nearest level, 0.25
+    grid = Grid.regular([[-8, 8]], [33], horizon=0.5, n_levels=2)
+    sol = solve(UNIT_DIFFUSION, UNIT, IDENTITY, grid)
+    assert semigroup_value(sol, 0.25, [0.0]) == sol.u[1][16]
+    with pytest.raises(GridError, match=r"not a level .* nearest levels are t=0.25 and t=0.5"):
+        semigroup_value(sol, 0.3, [0.0])
+    with pytest.raises(GridError, match=r"not a level .* nearest levels are t=0.25 and t=0.5"):
+        semigroup_value(sol, 0.6, [0.0])  # past the horizon
+
+
 def test_discrete_comparison_property():
     # f <= g nodewise implies u_f <= u_g nodewise at every level, including
     # boundary nodes: the scheme map is monotone everywhere.

@@ -5,15 +5,32 @@ import pytest
 
 from gdiffusion.coefficients import build_coefficients, remark_counterexample_pair, shifted
 from gdiffusion.errors import ConfigError, DimensionMismatchError, NonFiniteError
-from gdiffusion.expressions import parse_expression
+from gdiffusion.expressions import Expression, parse_expression
 from gdiffusion.gfunction import CovarianceSet
 from gdiffusion.scenario import VolatilityControl, apply_control, noise_block
 from gdiffusion.functions import TestFunction
 from gdiffusion.sde import (CoefficientSet, MinGapObserver, SDETerminalFunctional, euler_march,
-                            lipschitz_audit, pathwise_min_gap)
+                            lipschitz_audit)
 
 INTERVAL = CovarianceSet.from_interval(0.25, 1.0)
 UNIT = CovarianceSet.from_interval(1.0, 1.0)
+
+
+def pathwise_min_gap(lower: np.ndarray, upper: np.ndarray,
+                     times: np.ndarray) -> tuple[float, tuple]:
+    """Exact minimum of upper - lower over batch, grid times and components,
+    from stored states: the oracle of ``MinGapObserver``.
+
+    lower, upper : states (..., n_steps + 1, n) marched on the same scenarios.
+    Returns (min gap, (*batch index, component starting at 1, time)) with the
+    first witness in scan order (batch index, then time, then component).
+    """
+    if lower.shape != upper.shape or lower.shape[-2] != len(times):
+        raise DimensionMismatchError("paths must be aligned on one grid")
+    gap = upper - lower
+    idx = np.unravel_index(int(np.argmin(gap)), gap.shape)
+    *batch, level, comp = (int(i) for i in idx)
+    return float(gap[idx]), (*batch, comp + 1, float(times[level]))
 
 
 def unit_path(T=1.0, n_steps=64, seed=3, theta=UNIT, generator=0):
@@ -409,7 +426,14 @@ FIELD_CASES = {
         [[0.1, 0.2], [0.3, 0.0]], [[0.3, 0.0], [0.0, -0.1]]]}}, "h"),
     "expr-h": ({"n": 2, "d": 2, "h": [[["expr:0.1*tanh(x_1)", 0.0], None],
                                       [None, [0.0, "expr:0.2*x_2*t"]]]}, "h"),
+    "per-coordinate-t": ({"n": 2, "d": 2, "sigma": {"family": "per-coordinate", "entries": [
+        ["expr:1 + t*x_1", 0.5], ["expr:0.3*t", "expr:tanh(x_1) - t^2"]]}}, "S"),
+    "expr-h-t": ({"n": 2, "d": 1, "h": [[["expr:t*x_2", "expr:0.5 - exp(-t)"]]]}, "h"),
+    "mixed-numbers": ({"n": 2, "d": 2, "b": ["expr:x_1 - t", -0.0],
+                       "sigma": [[-0.5, "expr:exp(x_2)"], [1e-05, float("inf")]]}, "bS"),
 }
+# the cases with an entry that reads t
+READS_T = {"expr-lists", "expr-h", "per-coordinate-t", "expr-h-t", "mixed-numbers"}
 
 
 def _value(entry, t, x):
@@ -487,12 +511,32 @@ def test_fields_match_per_entry_callables(case):
     assert (b is not None, h is not None, s is not None) == \
         ("b" in present, "h" in present, "S" in present)
     ref_b, ref_h, ref_s = _reference(section, t, x)
+    # bit for bit: signed zeros and infinities included
     if b is not None:
-        assert b.shape == (4, 3, n) and np.array_equal(b, ref_b)
+        assert b.shape == (4, 3, n) and b.tobytes() == ref_b.tobytes()
     if h is not None:
-        assert h.shape == (4, 3, d, d, n) and np.array_equal(h, ref_h)
+        assert h.shape == (4, 3, d, d, n) and h.tobytes() == ref_h.tobytes()
     if s is not None:
-        assert s.shape == (4, 3, n, d) and np.array_equal(s, ref_s)
+        assert s.shape == (4, 3, n, d) and s.tobytes() == ref_s.tobytes()
+
+
+@pytest.mark.parametrize("case", FIELD_CASES)
+def test_time_dependence_is_read_from_the_expressions(case):
+    assert build_coefficients(FIELD_CASES[case][0]).time_homogeneous == (case not in READS_T)
+
+
+def test_a_config_part_is_one_expression_call_per_evaluation(monkeypatch):
+    coeffs = build_coefficients({
+        "n": 2, "d": 2, "b": ["expr:x_2 + t", 0.3],
+        "sigma": {"family": "per-coordinate",
+                  "entries": [["expr:1 + 0.1*x_1", "expr:tanh(x_1)"], [0.5, "expr:exp(x_1)"]]},
+        "h": [[["expr:0.1*x_1", 0.0], None], [None, [0.0, "expr:0.2*t"]]]})
+    calls = []
+    call = Expression.__call__
+    monkeypatch.setattr(Expression, "__call__",
+                        lambda self, t, x: calls.append(self) or call(self, t, x))
+    coeffs.fields(0.5, np.zeros((7, 2)))
+    assert calls == [coeffs.b, coeffs.h, coeffs.sigma]
 
 
 def test_single_coordinate_families_read_their_own_coordinate():
