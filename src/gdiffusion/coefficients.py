@@ -7,7 +7,6 @@ the tiny arithmetic grammar of :mod:`gdiffusion.expressions`.
 
 from __future__ import annotations
 
-import functools
 import numbers
 
 import numpy as np
@@ -17,7 +16,22 @@ from .expressions import Expression
 from .sde import CoefficientSet
 
 
-_float_array = functools.partial(np.asarray, dtype=float)
+def _no_bool(value):
+    """value, unless it is or holds a boolean: JSON true is not the number 1."""
+    if isinstance(value, bool):
+        raise ValueError("a boolean is not a number")
+    if isinstance(value, list):
+        for item in value:
+            _no_bool(item)
+    return value
+
+
+def _float_array(value) -> np.ndarray:
+    return np.asarray(_no_bool(value), dtype=float)
+
+
+def _number(value) -> float:
+    return float(_no_bool(value))
 
 
 def _constant(values):
@@ -153,7 +167,7 @@ def build_coefficients(section: dict) -> CoefficientSet:
         raise ConfigError(f"h_symmetric: expected true or false, got {h_symmetric!r}")
     return CoefficientSet(
         n=n, d=d, b=b, h=h, sigma=sigma,
-        lipschitz=_read(section, "lipschitz", float, "", 0.0),
+        lipschitz=_read(section, "lipschitz", _number, "", 0.0),
         time_homogeneous=not any(isinstance(part, Expression) and part.reads_t
                                  for part in (b, h, sigma)),
         h_symmetric=h_symmetric,
@@ -172,17 +186,17 @@ def _build_drift(section, n: int):
         if family == "zero":
             return None
         if family == "constant-drift":
-            vec = _read(section, "c", lambda c: np.full(n, float(c)) if np.isscalar(c)
+            vec = _read(section, "c", lambda c: np.full(n, _number(c)) if np.isscalar(c)
                         else _float_array(c), "b.", 0.0)
             if vec.shape != (n,):
-                raise ConfigError(f"constant-drift c must be scalar or length {n}")
+                raise ConfigError(f"b.c: constant-drift c must be scalar or length {n}")
             return _constant(vec)
         if family == "linear-drift":
             return linear_drift(_array(section, "A", (n, n), "b."))
         if family == "offdiag-monotone":
-            return offdiag_monotone_drift(n, _read(section, "scale", float, "b.", 1.0))
+            return offdiag_monotone_drift(n, _read(section, "scale", _number, "b.", 1.0))
         if family == "arctan-coupling":
-            return arctan_coupling_drift(n, _read(section, "scale", float, "b.", 1.0))
+            return arctan_coupling_drift(n, _read(section, "scale", _number, "b.", 1.0))
         raise ConfigError(f"unknown drift family {family!r}")
     raise ConfigError("drift section must be null, a list of entries, or a family mapping")
 

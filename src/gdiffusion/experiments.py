@@ -136,22 +136,23 @@ def run_verify_comparison(cfg: dict) -> tuple[dict, int]:
 
     # X and Y step in lockstep on chunks of controls stacked on a batch axis
     chunk = max(1, min(len(controls), _CHUNK_BYTES // dw.nbytes))
-    db = np.empty((chunk,) + dw.shape)
-    dqv = np.empty((chunk, 1, n_steps, theta.dim, theta.dim))
+    db = np.empty((n_steps, chunk) + dw.shape[1:])
+    dqv = np.empty((n_steps, chunk, 1, theta.dim, theta.dim))
     min_gap = np.inf
     witness = {}
     for first in range(0, len(controls), chunk):
         k = min(chunk, len(controls) - first)
         for j in range(k):
-            db[j], dqv[j, 0] = apply_control(dw, controls[first + j], theta, dt)
+            db[:, j], dqv[:, j, 0] = apply_control(dw, controls[first + j], theta, dt)
         gaps = MinGapObserver()
         try:
-            euler_march((coeffs_x, coeffs_y), (x0, y0), times, db[:k], dqv[:k], observe=gaps)
+            euler_march((coeffs_x, coeffs_y), (x0, y0), times, db[:, :k], dqv[:, :k],
+                        observe=gaps)
         except NonFiniteError:
             # raise what marching each control and system alone, in order, raises
             for j in range(k):
                 for coeffs, start in ((coeffs_x, x0), (coeffs_y, y0)):
-                    euler_march(coeffs, start, times, db[j], dqv[j, 0])
+                    euler_march(coeffs, start, times, db[:, j], dqv[:, j, 0])
             raise
         local, (j, path, comp, t_at) = gaps.result(times)
         if local < min_gap:

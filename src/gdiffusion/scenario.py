@@ -3,8 +3,9 @@
 A scenario is a pair (reference Wiener path, volatility control).  The
 control selects one covariance generator per time step; the driven path has
 increments ``dB_k = gamma_{m(k)} dW_k`` and accumulates quadratic covariation
-``d<B^i,B^j>_k = (gamma gamma^T)_{ij} dt``.  Scenarios are plain arrays:
-``noise_block`` gives the reference increments ``dW (n_paths, n_steps, d)``
+``d<B^i,B^j>_k = (gamma gamma^T)_{ij} dt``.  Scenarios are plain arrays
+with time as the leading axis, so an Euler step reads one contiguous slice:
+``noise_block`` gives the reference increments ``dW (n_steps, n_paths, d)``
 and ``apply_control`` maps them to ``dB`` of the same shape and the shared
 ``dQV (n_steps, d, d)``; a single path is a batch of one.  Worst-case
 (sublinear) expectations are estimated from below by maximizing Monte Carlo
@@ -33,11 +34,11 @@ def _rng_for_path(seed: int, path_index: int) -> np.random.Generator:
 
 def noise_block(seed: int, T: float, n_steps: int, d: int, n_paths: int,
                 first: int = 0) -> np.ndarray:
-    """Reference increments of paths first .. first + n_paths - 1, (n_paths, n_steps, d).
+    """Reference increments of paths first .. first + n_paths - 1, (n_steps, n_paths, d).
 
-    Row p holds the i.i.d. N(0, dt) draws (dt = T / n_steps) of the stream
+    Column p holds the i.i.d. N(0, dt) draws (dt = T / n_steps) of the stream
     (seed, first + p), so a block and any sub-block regenerate bit for bit;
-    a single path is ``noise_block(..., n_paths=1, first=p)[0]``.
+    a single path is ``noise_block(..., n_paths=1, first=p)[:, 0]``.
     """
     if not (T > 0 and n_steps >= 1 and d >= 1):
         raise DimensionMismatchError(
@@ -45,9 +46,11 @@ def noise_block(seed: int, T: float, n_steps: int, d: int, n_paths: int,
     if n_paths < 1 or first < 0:
         raise DimensionMismatchError(f"invalid noise shape: n_paths={n_paths}, first={first}")
     dt = float(T) / int(n_steps)
-    out = np.empty((n_paths, n_steps, d))
+    # each stream fills a contiguous row; one transposed copy makes time lead
+    rows = np.empty((n_paths, n_steps, d))
     for p in range(n_paths):
-        out[p] = _rng_for_path(seed, first + p).standard_normal((n_steps, d))
+        rows[p] = _rng_for_path(seed, first + p).standard_normal((n_steps, d))
+    out = np.ascontiguousarray(rows.transpose(1, 0, 2))
     out *= np.sqrt(dt)
     return out
 
@@ -101,13 +104,14 @@ def apply_control(dw: np.ndarray, control: VolatilityControl,
                   theta: CovarianceSet, dt: float) -> tuple[np.ndarray, np.ndarray]:
     """Map reference increments to (dB, dQV) under one control.
 
-    dw may carry a leading batch dimension: (..., n_steps, d) -> dB of the
-    same shape; dQV has shape (n_steps, d, d) and is path-independent.
+    dw is time-major and may carry batch axes after time: (n_steps, ..., d)
+    -> dB of the same shape; dQV has shape (n_steps, d, d) and is
+    path-independent.
     """
     sched = control.schedule
-    if dw.shape[-2] != sched.size:
+    if dw.shape[0] != sched.size:
         raise DimensionMismatchError(
-            f"control covers {sched.size} steps but noise has {dw.shape[-2]}"
+            f"control covers {sched.size} steps but noise has {dw.shape[0]}"
         )
     if dw.shape[-1] != theta.dim:
         raise DimensionMismatchError(
@@ -119,7 +123,7 @@ def apply_control(dw: np.ndarray, control: VolatilityControl,
             f"but the set has only {theta.n_generators}"
         )
     gamma_per_step = theta.generators[sched]     # (n_steps, d, d)
-    db = np.einsum("kij,...kj->...ki", gamma_per_step, dw)
+    db = np.einsum("kij,k...j->k...i", gamma_per_step, dw)
     dqv = theta.covariances[sched] * dt          # (n_steps, d, d)
     return db, dqv
 
@@ -138,7 +142,8 @@ def estimate_sublinear_expectation(functional, theta: CovarianceSet,
     estimate.
 
     ``functional.evaluate_batch(times, dB, dQV)`` returns one value per
-    path for dB of shape (n_paths, n_steps, d) and the shared dQV.
+    path for the time-major dB of shape (n_steps, n_paths, d) and the shared
+    dQV (n_steps, d, d).
     """
     if n_paths < 2:
         raise DimensionMismatchError("n_paths must be at least 2")

@@ -8,9 +8,11 @@ State dynamics on a scenario (dB, dQV):
 
 Coefficients are evaluated at the left endpoint (non-anticipative), matching
 the Ito integrals being discretized.  ``euler_march`` steps a whole batch of
-scenarios at once; dQV is per batch (..., n_steps, d, d) or shared
-(n_steps, d, d), so controls can be stacked on a batch axis.  It returns the
-states at the levels kept: every level, (..., n_steps + 1, n), or, when an
+scenarios at once.  Scenario arrays are time-major, so step m reads the
+contiguous slices dB[m] and dQV[m]: dB is (n_steps, ..., d), and dQV is per
+batch (n_steps, ..., d, d) or shared (n_steps, d, d), so controls can be
+stacked on a batch axis.  The states it returns keep the layout
+(..., levels, n): every level, (..., n_steps + 1, n), or, when an
 ``observe(m, x)`` callback reduces each level as it is made, only the last.
 Two systems marched on the same dB are coupled; they can be stepped in
 lockstep in one march, and ``MinGapObserver`` then streams, level by level,
@@ -173,15 +175,16 @@ def euler_march(coeffs, x0, times: np.ndarray, db: np.ndarray, dqv: np.ndarray,
     coeffs : a CoefficientSet, or a sequence of S of them sharing n, stepped
         in lockstep on the same noise; the system axis is then the leading
         batch axis of the states, and x0 is one initial state per system.
-    x0 : (..., n); db : (..., n_steps, d); dqv : (..., n_steps, d, d) per
-        batch, or (n_steps, d, d) shared by every scenario.
+    x0 : (..., n); db : (n_steps, ..., d), time-major; dqv : (n_steps, ..., d, d)
+        per batch, or (n_steps, d, d) shared by every scenario.  times holds
+        the n_steps + 1 levels, and dqv the same n_steps steps as db.
     observe : optional ``observe(m, x)``, called with the states x (..., n)
         at every level m = 0 .. n_steps; x must not be written to.
 
-    Returns the states at the levels kept: every level, (..., n_steps + 1, n),
-    or with an observer only the last, (..., 1, n).  Aborts on the first
-    non-finite state rather than clamping: with bounded coefficients a
-    blow-up indicates a bug, not a model feature.
+    Returns the states at the levels kept, levels after the batch axes:
+    every level, (..., n_steps + 1, n), or with an observer only the last,
+    (..., 1, n).  Aborts on the first non-finite state rather than clamping:
+    with bounded coefficients a blow-up indicates a bug, not a model feature.
     """
     single = isinstance(coeffs, CoefficientSet)
     systems = (coeffs,) if single else tuple(coeffs)
@@ -199,9 +202,13 @@ def euler_march(coeffs, x0, times: np.ndarray, db: np.ndarray, dqv: np.ndarray,
     n = systems[0].n
     if any(system.n != n for system in systems):
         raise DimensionMismatchError("systems marched together must share the state dimension")
-    n_steps = db.shape[-2]
-    batch = np.broadcast_shapes(*(start.shape[:-1] for start in starts), db.shape[:-2],
-                                dqv.shape[:-3])
+    n_steps = db.shape[0]
+    if len(times) != n_steps + 1 or dqv.shape[0] != n_steps:
+        raise DimensionMismatchError(
+            f"db has {n_steps} steps, but times has {len(times)} levels "
+            f"and dqv {dqv.shape[0]} steps")
+    batch = np.broadcast_shapes(*(start.shape[:-1] for start in starts), db.shape[1:-1],
+                                dqv.shape[1:-2])
     x = np.empty((len(systems),) + batch + (n,))
     for x_s, start in zip(x, starts):
         x_s[...] = start
@@ -215,7 +222,7 @@ def euler_march(coeffs, x0, times: np.ndarray, db: np.ndarray, dqv: np.ndarray,
     for m in range(n_steps):
         t = float(times[m])
         dt = float(times[m + 1] - times[m])
-        dqv_m = dqv[..., m, :, :]
+        db_m, dqv_m = db[m], dqv[m]
         nxt = np.empty_like(x)
         for system, x_s, nxt_s in zip(systems, x, nxt):
             b, h, s = system.fields(t, x_s)
@@ -224,7 +231,7 @@ def euler_march(coeffs, x0, times: np.ndarray, db: np.ndarray, dqv: np.ndarray,
                 incr += np.einsum("...lki,...lk->...i", h, dqv_m)
             if s is not None:
                 for l in range(system.d):
-                    incr += s[..., l] * db[..., m, l:l + 1]
+                    incr += s[..., l] * db_m[..., l:l + 1]
             np.add(x_s, incr, out=nxt_s)
         x = nxt
         if not np.isfinite(x).all():
@@ -281,8 +288,9 @@ class SDETerminalFunctional:
     """f(X_T) for the system started at x0, one value per scenario path.
 
     ``f`` is a :class:`~gdiffusion.functions.TestFunction`.  Only the batched
-    form exists: estimate_sublinear_expectation marches all paths at once,
-    and the march keeps only X_T.
+    form exists: estimate_sublinear_expectation marches all paths at once on
+    the time-major dB (n_steps, n_paths, d), and the march keeps only X_T,
+    (n_paths, 1, n).
     """
 
     coeffs: CoefficientSet

@@ -313,8 +313,8 @@ def test_simulate_path_index_selects_the_noise_stream():
     assert code == 0
     # unit diffusion under the unit-volatility constant control: X_T = W_T of path 2
     (terminal,) = report["results"]["terminal_state"]
-    assert terminal == pytest.approx(float(np.sum(noise_block(9, 1.0, 8, 1, 3)[2])), abs=1e-12)
-    assert terminal != pytest.approx(float(np.sum(noise_block(9, 1.0, 8, 1, 1)[0])), abs=1e-6)
+    assert terminal == pytest.approx(float(np.sum(noise_block(9, 1.0, 8, 1, 3)[:, 2])), abs=1e-12)
+    assert terminal != pytest.approx(float(np.sum(noise_block(9, 1.0, 8, 1, 1)[:, 0])), abs=1e-6)
     cfg["scenario"]["path_index"] = -1
     report, code = dispatch("simulate", cfg)
     assert code == 2 and report["status"] == "config-error"
@@ -456,6 +456,16 @@ MALFORMED_COEFFICIENTS = {
     "table-missing": ("h.table", {"n": 1, "d": 1, "h": {"family": "constant"}}),
     "cell-number": ("h[0][0]", {"n": 1, "d": 1, "h": [[3.0]]}),
     "h_symmetric-text": ("h_symmetric", {"n": 1, "d": 1, "h_symmetric": "false"}),
+    "lipschitz-true": ("lipschitz", {"n": 1, "d": 1, "lipschitz": True}),
+    "offdiag-scale-true": ("b.scale", {"n": 1, "d": 1,
+                                       "b": {"family": "offdiag-monotone", "scale": True}}),
+    "arctan-scale-true": ("b.scale", {"n": 1, "d": 1,
+                                      "b": {"family": "arctan-coupling", "scale": True}}),
+    "c-true": ("b.c", {"n": 1, "d": 1, "b": {"family": "constant-drift", "c": True}}),
+    "c-holds-true": ("b.c", {"n": 2, "d": 1, "b": {"family": "constant-drift",
+                                                   "c": [0.5, True]}}),
+    "c-length": ("b.c", {"n": 1, "d": 1, "b": {"family": "constant-drift", "c": [1.0, 2.0]}}),
+    "A-holds-true": ("b.A", {"n": 1, "d": 1, "b": {"family": "linear-drift", "A": [[True]]}}),
 }
 
 

@@ -16,7 +16,7 @@ INTERVAL = CovarianceSet.from_interval(0.25, 1.0)
 
 def one_path(seed, T, n_steps, d, path_index=0):
     """Reference increments (n_steps, d) of the single path (seed, path_index)."""
-    return noise_block(seed, T, n_steps, d, 1, first=path_index)[0]
+    return noise_block(seed, T, n_steps, d, 1, first=path_index)[:, 0]
 
 
 def scenario(seed, T, n_steps, control, theta=INTERVAL):
@@ -36,7 +36,7 @@ class ScalarTerminal:
         self.phi = phi
 
     def evaluate_batch(self, times, db, dqv):
-        return self.phi(np.sum(db, axis=-2)[..., 0])
+        return self.phi(np.sum(db, axis=0)[..., 0])
 
 
 def control_family(n_steps, n_switching, seed):
@@ -53,9 +53,28 @@ def test_noise_regeneration_bit_identical():
 
 def test_noise_block_matches_per_path_streams():
     block = noise_block(9, 1.0, 16, 2, n_paths=5)
+    assert block.shape == (16, 5, 2) and block.flags.c_contiguous
     for p in range(5):
-        assert np.array_equal(block[p], one_path(9, 1.0, 16, 2, path_index=p))
-    assert np.array_equal(block[2:], noise_block(9, 1.0, 16, 2, n_paths=3, first=2))
+        assert np.array_equal(block[:, p], one_path(9, 1.0, 16, 2, path_index=p))
+    assert np.array_equal(block[:, 2:], noise_block(9, 1.0, 16, 2, n_paths=3, first=2))
+
+
+@pytest.mark.parametrize("d", [1, 2])
+def test_time_major_column_is_its_own_stream(d):
+    block = noise_block(4, 0.5, 12, d, n_paths=7, first=3)
+    for p in range(7):
+        alone = noise_block(4, 0.5, 12, d, n_paths=1, first=3 + p)
+        assert alone.shape == (12, 1, d)
+        assert block[:, p].tobytes() == alone[:, 0].tobytes()
+
+
+@pytest.mark.parametrize("d", [1, 2])
+def test_time_major_sub_block_regenerates(d):
+    block = noise_block(4, 0.5, 12, d, n_paths=9)
+    for a, b in ((0, 9), (0, 1), (2, 6), (5, 9), (8, 9)):
+        sub = noise_block(4, 0.5, 12, d, n_paths=b - a, first=a)
+        assert sub.shape == (12, b - a, d)
+        assert block[:, a:b].tobytes() == sub.tobytes()
 
 
 def test_noise_invalid_sizes():
@@ -207,8 +226,8 @@ def test_path_records_noise_provenance():
     # A path is identified by (seed, path index) alone: path 5 of seed 3 is
     # the same stream inside any block that covers it.
     alone = one_path(3, 1.0, 8, 1, path_index=5)
-    assert np.array_equal(alone, noise_block(3, 1.0, 8, 1, 8)[5])
-    assert np.array_equal(alone, noise_block(3, 1.0, 8, 1, 2, first=4)[1])
+    assert np.array_equal(alone, noise_block(3, 1.0, 8, 1, 8)[:, 5])
+    assert np.array_equal(alone, noise_block(3, 1.0, 8, 1, 2, first=4)[:, 1])
     assert not np.array_equal(alone, one_path(4, 1.0, 8, 1, path_index=5))
 
 

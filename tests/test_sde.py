@@ -34,7 +34,7 @@ def pathwise_min_gap(lower: np.ndarray, upper: np.ndarray,
 
 
 def unit_path(T=1.0, n_steps=64, seed=3, theta=UNIT, generator=0):
-    """(times, dB, dQV) of path 0 of seed under a constant control; dB is (1, n_steps, d)."""
+    """(times, dB, dQV) of path 0 of seed under a constant control; dB is (n_steps, 1, d)."""
     dw = noise_block(seed, T, n_steps, theta.dim, 1)
     db, dqv = apply_control(dw, VolatilityControl.constant(generator, n_steps), theta,
                             T / n_steps)
@@ -71,7 +71,7 @@ def test_sigma_only_reproduces_driver():
     coeffs = CoefficientSet(n=1, d=1, sigma=lambda t, x: np.ones(x.shape + (1,)))
     path = unit_path(n_steps=40)
     states = march(coeffs, [0.0], path)
-    cum_b = np.concatenate([[0.0], np.cumsum(path[1][0, :, 0])])
+    cum_b = np.concatenate([[0.0], np.cumsum(path[1][:, 0, 0])])
     assert np.allclose(states[:, 0], cum_b, atol=1e-14)
 
 
@@ -94,6 +94,27 @@ def test_dimension_mismatch():
         pathwise_min_gap(states, states[..., :1], path[0])
     with pytest.raises(DimensionMismatchError):
         pathwise_min_gap(states, states, path[0][1:])
+
+
+@pytest.mark.parametrize("n_times, dqv_steps, message", [
+    (40, 16, "db has 16 steps, but times has 40 levels and dqv 16 steps"),
+    (10, 16, "db has 16 steps, but times has 10 levels and dqv 16 steps"),
+    (16, 16, "db has 16 steps, but times has 16 levels and dqv 16 steps"),
+    (17, 8, "db has 16 steps, but times has 17 levels and dqv 8 steps"),
+    (17, 20, "db has 16 steps, but times has 17 levels and dqv 20 steps"),
+])
+@pytest.mark.parametrize("per_batch", [False, True])
+def test_step_axes_of_times_db_and_dqv_must_agree(n_times, dqv_steps, message, per_batch):
+    # db holds 16 steps of 2 paths; times and dqv must cover exactly those steps
+    coeffs = CoefficientSet(n=1, d=1, b=lambda t, x: np.ones(x.shape),
+                            sigma=lambda t, x: np.ones(x.shape + (1,)))
+    db = noise_block(2, 1.0, 16, 1, 2)
+    dqv = np.full((dqv_steps,) + ((2,) if per_batch else ()) + (1, 1), 1.0 / 16)
+    times = np.linspace(0.0, 1.0, n_times)
+    for observe in (None, lambda m, x: None):
+        with pytest.raises(DimensionMismatchError) as err:
+            euler_march(coeffs, np.zeros(1), times, db, dqv, observe=observe)
+        assert str(err.value) == message
 
 
 def test_coupled_identical_systems_bitwise():
@@ -157,7 +178,7 @@ def test_strong_order_at_least_half():
         gaps = []
         for seed in range(40):
             ref = march(coeffs, [1.0], unit_path(n_steps=n_fine, seed=seed))
-            fine = noise_block(seed, 1.0, n_fine, 1, 1)[0]
+            fine = noise_block(seed, 1.0, n_fine, 1, 1)[:, 0]
             dw = fine.reshape(n_coarse, factor, 1).sum(axis=1)
             times = np.linspace(0.0, 1.0, n_coarse + 1)
             dqv = np.ones((n_coarse, 1, 1)) / n_coarse
@@ -262,12 +283,12 @@ CHUNK_CONTROLS = (VolatilityControl.bang_bang_cycle(0, 1, 16),
 
 
 def stacked_scenarios(theta, n_paths=3, n_steps=16):
-    """dB (K, n_paths, n_steps, d) and per-control dQV (K, 1, n_steps, d, d) of CHUNK_CONTROLS."""
+    """dB (n_steps, K, n_paths, d) and per-control dQV (n_steps, K, 1, d, d) of CHUNK_CONTROLS."""
     dw = noise_block(5, 1.0, n_steps, theta.dim, n_paths)
-    db = np.empty((len(CHUNK_CONTROLS),) + dw.shape)
-    dqv = np.empty((len(CHUNK_CONTROLS), 1, n_steps, theta.dim, theta.dim))
+    db = np.empty((n_steps, len(CHUNK_CONTROLS)) + dw.shape[1:])
+    dqv = np.empty((n_steps, len(CHUNK_CONTROLS), 1, theta.dim, theta.dim))
     for j, control in enumerate(CHUNK_CONTROLS):
-        db[j], dqv[j, 0] = apply_control(dw, control, theta, 1.0 / n_steps)
+        db[:, j], dqv[:, j, 0] = apply_control(dw, control, theta, 1.0 / n_steps)
     return np.linspace(0.0, 1.0, n_steps + 1), db, dqv
 
 
@@ -278,10 +299,10 @@ def test_stacked_controls_match_per_control_marches(case):
     x0 = np.array([0.1, 0.2])
     times, db, dqv = stacked_scenarios(theta)
     stacked = euler_march(coeffs, x0, times, db, dqv)
-    per_path = euler_march(coeffs, x0, times, db, np.broadcast_to(dqv, db.shape[:2] + dqv.shape[2:]))
-    assert stacked.shape == db.shape[:2] + (17, 2)
+    per_path = euler_march(coeffs, x0, times, db, np.broadcast_to(dqv, db.shape[:3] + dqv.shape[3:]))
+    assert stacked.shape == db.shape[1:3] + (17, 2)
     for j in range(len(CHUNK_CONTROLS)):
-        single = euler_march(coeffs, x0, times, db[j], dqv[j, 0])
+        single = euler_march(coeffs, x0, times, db[:, j], dqv[:, j, 0])
         assert np.array_equal(stacked[j], single)
         assert np.array_equal(per_path[j], single)
 
@@ -346,13 +367,13 @@ def test_streamed_terminal_state_is_the_last_stored_level(case):
     states = euler_march(coeffs, x0, times, db, dqv)
     seen = []
     last = euler_march(coeffs, x0, times, db, dqv, observe=lambda m, x: seen.append((m, x)))
-    assert last.shape == db.shape[:2] + (1, 2)
+    assert last.shape == db.shape[1:3] + (1, 2)
     assert np.array_equal(last[..., 0, :], states[..., -1, :])
     assert [m for m, _ in seen] == list(range(len(times)))
     assert all(np.array_equal(x, states[..., m, :]) for m, x in seen)
     square = TestFunction(f=lambda x: x[..., 0] ** 2 + x[..., 1], dim=2)
     functional = SDETerminalFunctional(coeffs, square, x0)
-    assert np.array_equal(functional.evaluate_batch(times, db[0], dqv[0, 0]),
+    assert np.array_equal(functional.evaluate_batch(times, db[:, 0], dqv[:, 0, 0]),
                           square.value(states[0, :, -1, :]))
 
 
@@ -394,12 +415,12 @@ def test_euler_step_is_the_per_entry_sum():
     coeffs = build_coefficients(section)
     rng = np.random.default_rng(4)
     x0 = rng.uniform(-1.0, 1.0, (5, 2))
-    db = rng.standard_normal((5, 1, 2))
+    db = rng.standard_normal((1, 5, 2))
     dqv = np.array([[[0.3, 0.1], [0.1, 0.2]]])
     step = euler_march(coeffs, x0, np.array([0.0, 0.25]), db, dqv)[:, 1]
     expected = x0 + 0.25 * coeffs.b(0.0, x0)
     for l in range(2):
-        expected += coeffs.eval_sigma(l, 0.0, x0) * db[:, 0, l, None]
+        expected += coeffs.eval_sigma(l, 0.0, x0) * db[0, :, l, None]
         for k in range(2):
             expected += coeffs.eval_h(l, k, 0.0, x0) * dqv[0, l, k]
     assert np.allclose(step, expected, rtol=1e-14, atol=1e-14)
