@@ -25,14 +25,13 @@ worst-case half-trace of the covariance set):
     direction residual r(t, x, K) = <K, b_bar - b>(t,x)
                                     + G([<K, Hsym_bar_lk - Hsym_lk>](t,x))
 
-The pair and direction conditions are listed in ``_CONVENTIONS``.  The
-dependency conditions are:
+The pair and direction conditions are listed in ``_CONVENTIONS``.  A
+dependency condition is one search over the slot table of its equality
+audit, each sample row and start carrying its slot:
 
-    B2   sigma shared between the systems and (sigma_l)_k depending only
-         on x_k (equality audit + dependency search)
-    C1/D3  every product (sigma_l)_i (sigma_k)_j depends only on {x_i, x_j}
-    D1   C1-style dependency plus the product equality audit between the
-         two systems
+    B2     sigma shared, and (sigma_l)_k depends only on x_k: sigma at [k, l]
+    C1/D3  (sigma_l)_i (sigma_k)_j depends only on {x_i, x_j}: products at [i, l, j, k]
+    D1     C1 plus the product equality audit between the two systems
 """
 
 from __future__ import annotations
@@ -82,6 +81,8 @@ class SearchDomain:
         box = np.asarray(self.box, dtype=float)
         if box.ndim != 2 or box.shape[1] != 2:
             raise DimensionMismatchError("box must be an (n, 2) array of [lo, hi] rows")
+        if not np.all(np.isfinite(box)):
+            raise DimensionMismatchError(f"domain.box: expected finite rows, got {box.tolist()}")
         if np.any(box[:, 0] >= box[:, 1]):
             raise DimensionMismatchError("box rows must satisfy lo < hi")
         if self.n_samples < 1:
@@ -199,12 +200,15 @@ def direction_residual(cX: CoefficientSet, cY: CoefficientSet, theta: Covariance
     return _dot(K, b_hi - b_lo) + eval_G((diff @ K[..., None, :, None])[..., 0], theta)
 
 
-def dependency_violation(func, coords, t: float, x, x_prime):
-    """|func(t, x') - func(t, x)| for x' differing from x off ``coords`` only,
-    at points (..., n): a float for one point, an array (...) for a stack."""
+def dependency_violation(table, slot, t: float, x, x_prime):
+    """|table(t, x') - table(t, x)| at a slot, for points x, x' of shape
+    (..., n) that ``table`` maps to (..., *shape): ``slot`` is a flat index
+    into ``shape``, an int or a per-row (...) array.  A float for one point,
+    an array (...) for a stack."""
     x = np.asarray(x, dtype=float)
-    gap = np.subtract(func(t, np.asarray(x_prime, dtype=float)), func(t, x), dtype=float)
-    return np.abs(gap) + np.zeros(x.shape[:-1])  # a func constant in x broadcasts
+    gap = np.subtract(table(t, np.asarray(x_prime, dtype=float)), table(t, x), dtype=float)
+    slot = np.broadcast_to(np.asarray(slot), x.shape[:-1])[..., None]
+    return np.abs(np.take_along_axis(gap.reshape(slot.shape[:-1] + (-1,)), slot, -1)[..., 0])
 
 
 def _violation(condition: str, cX: CoefficientSet, cY: CoefficientSet,
@@ -247,29 +251,38 @@ def _pattern_search(objective, z0: np.ndarray, lo: np.ndarray, hi: np.ndarray) -
 
 
 def _search(samples: tuple, restarts: tuple, objective, z_lo: np.ndarray,
-            z_hi: np.ndarray, score=None) -> tuple:
+            z_hi: np.ndarray, score=None, n_slots: int = 1) -> tuple:
     """The violation search of every checker (see module docstring).
 
     ``samples`` and ``restarts`` are seeded streams (ctx, z): search vectors
-    z with per-row contexts ctx = (t, ...).  ``score`` rates the samples
-    (``objective`` by default) and pattern search maximizes ``objective``
-    (None: nothing is free) on [z_lo, z_hi], each as f(time, *rest, z) once
-    per distinct time.  Returns (sample values, value, context, z, refined)."""
+    z with per-row contexts ctx = (t, ...), in ``n_slots`` equal blocks of
+    rows.  ``score`` rates the samples (``objective`` by default) and pattern
+    search maximizes ``objective`` (None: nothing is free) on [z_lo, z_hi],
+    each as f(time, *rest, z) once per distinct time.  Each slot is searched
+    as if alone; returns (sample values, value, context, z, refined) of the
+    first slot of largest value, passing over NaN unless every slot is NaN."""
     ctx, z = samples
     values = _at_times(score or objective, *ctx, z)
-    top = int(np.argmax(values))
-    best = (values, values[top], tuple(a[top] for a in ctx), z[top], False)
-    if objective is None:
-        return best
-    records = np.flatnonzero(values > np.fmax.accumulate(np.r_[-np.inf, values[:-1]]))
-    starts = tuple(np.concatenate([a[records], b]) for a, b in zip(ctx, restarts[0]))
-    refined, z_ref = _pattern_search(
-        lambda rows, trial: _at_times(objective, *(a[rows] for a in starts), trial),
-        np.concatenate([z[records], restarts[1].reshape(-1, z.shape[1])]), z_lo, z_hi)
-    s = int(np.argmax(refined))
-    if refined[s] > values[top]:
-        return values, refined[s], tuple(a[s] for a in starts), z_ref[s], True
-    return best
+    by_slot = values.reshape(n_slots, -1)
+    # [slot, column]: the slot's samples, then its restarts
+    pool = [np.concatenate([v.reshape(n_slots, -1, *a.shape[1:]) for v in (a, b)], axis=1)
+            for a, b in zip((*ctx, z), (*restarts[0], restarts[1]))]
+    gain, moved = np.full(pool[0].shape, -np.inf), pool[-1].copy()
+    if objective is not None:  # start from the record holders, then the restarts
+        start = np.ones(gain.shape, dtype=bool)
+        start[:, :by_slot.shape[1]] = by_slot > np.fmax.accumulate(
+            np.c_[np.full(n_slots, -np.inf), by_slot[:, :-1]], axis=1)
+        *rest, z0 = (a[start] for a in pool)
+        gain[start], moved[start] = _pattern_search(
+            lambda rows, trial: _at_times(objective, *(a[rows] for a in rest), trial),
+            z0, z_lo, z_hi)
+    slot, top, up = np.arange(n_slots), np.argmax(by_slot, axis=1), np.argmax(gain, axis=1)
+    refined = gain[slot, up] > by_slot[slot, top]
+    best = np.where(refined, gain[slot, up], by_slot[slot, top])
+    s = int(np.argmax(np.where(np.isnan(best), -np.inf, best)))
+    col = up[s] if refined[s] else top[s]
+    return (values, best[s], tuple(a[s, col] for a in pool[:-1]),
+            (moved if refined[s] else pool[-1])[s, col], bool(refined[s]))
 
 
 def _search_pair_condition(condition: str, cX: CoefficientSet, cY: CoefficientSet,
@@ -316,35 +329,46 @@ def _residual_report(condition: str, best_v, witness: dict, values, dom) -> Chec
                        samples_evaluated=len(values), box=dom.box.tolist())
 
 
-def check_dependency(func, allowed_coords, dom: SearchDomain,
-                     condition: str = "dependency") -> CheckReport:
-    """Does ``func(t, x)``, x of shape (..., n), depend only on the 0-based
-    coordinates ``allowed_coords``?  Maximizes |func(t, x') - func(t, x)| over
-    x' = x on the allowed set; z = (x, x_alt) takes x' from x_alt off it."""
-    n = dom.dim
-    allowed = sorted(set(int(c) for c in allowed_coords))
+def check_dependency(table, allowed: dict, dom: SearchDomain, condition: str = "dependency",
+                     names: tuple = ()) -> CheckReport:
+    """Does each slot of ``table(t, x)``, (..., n) -> (..., *shape), depend
+    only on its allowed coordinates?  ``allowed`` maps the slots to search, in
+    order, to their 0-based allowed coordinates; a slot is an index into
+    ``shape``, named in the witness by ``names``.  Slot s maximizes |table(t,
+    x') - table(t, x)| at s over x' = x on allowed[s]; z = (x, x_alt) takes
+    x' from x_alt off it."""
+    n, slots = dom.dim, list(allowed)
+    n_slots = len(slots)
     lo, hi = dom.box[:, 0], dom.box[:, 1]
+    coords = [sorted(set(int(c) for c in allowed[s])) for s in slots]
+    kept = np.array([np.isin(np.arange(n), c) for c in coords])
 
-    def perturbed(z):
-        x_prime = z[..., n:].copy()
-        x_prime[..., allowed] = z[..., :n][..., allowed]
-        return x_prime
+    def perturbed(s, z):
+        return np.where(kept[s], z[..., :n], z[..., n:])
 
-    def objective(time, z):
-        return dependency_violation(func, allowed, time, z[:, :n], perturbed(z))
+    def objective(time, s, z):
+        return dependency_violation(table, flat[s], time, z[:, :n], perturbed(s, z))
 
     def draw(rng):
         return np.concatenate([_uniform(rng, lo, hi), _uniform(rng, lo, hi)])
 
-    (t,), z = samples = _draws(dom, 2, dom.n_samples, draw)
-    scale = float(np.max(np.abs(_at_times(func, t, z[:, :n]))))
-    values, best_v, (t,), z, _ = _search(samples, _draws(dom, 10, dom.n_refine, draw),
-                                         objective if len(allowed) < n else None,
-                                         np.r_[lo, lo], np.r_[hi, hi], score=objective)
-    witness = {"t": float(t), "x": z[:n].tolist(), "x_prime": perturbed(z).tolist(),
-               "allowed_coords": allowed}
+    def per_slot(stream):  # every slot searches the same draws, slot after slot
+        (t,), z = stream
+        return (np.tile(t, n_slots), np.repeat(np.arange(n_slots), len(t))), \
+            np.tile(z, (n_slots, 1))
+
+    samples = _draws(dom, 2, dom.n_samples, draw)
+    fx = _at_times(table, samples[0][0], samples[1][:, :n])
+    flat = np.array([np.arange(fx[0].size).reshape(fx.shape[1:])[s] for s in slots])
+    scale = np.max(np.abs(fx.reshape(len(fx), -1)[:, flat]), axis=0)
+    values, best_v, (t, s), z, _ = _search(
+        per_slot(samples), per_slot(_draws(dom, 10, dom.n_refine, draw)),
+        None if kept.all() else objective, np.r_[lo, lo], np.r_[hi, hi], score=objective,
+        n_slots=n_slots)
+    witness = {"t": float(t), "x": z[:n].tolist(), "x_prime": perturbed(s, z).tolist(),
+               "allowed_coords": coords[s], **dict(zip(names, map(int, slots[s])))}
     return CheckReport(condition=condition, max_violation=float(best_v),
-                       witness=witness, tolerance=_EXACT_TOL * (1.0 + scale),
+                       witness=witness, tolerance=_EXACT_TOL * (1.0 + float(scale[s])),
                        samples_evaluated=len(values), box=dom.box.tolist())
 
 
@@ -354,19 +378,6 @@ def _merge_reports(condition: str, parts: list[tuple[dict, CheckReport]]) -> Che
                        witness={**worst.witness, **worst_tag}, tolerance=worst.tolerance,
                        samples_evaluated=sum(p[1].samples_evaluated for p in parts),
                        box=worst.box)
-
-
-def sigma_component(c: CoefficientSet, l: int, k: int):
-    """The map x -> (sigma_l)_k(x) on points (..., n)."""
-    return lambda t, x: c.sigma_matrix(t, x)[..., k, l]
-
-
-def sigma_product(c: CoefficientSet, l: int, k: int, i: int, j: int):
-    """The map x -> (sigma_l)_i(x) * (sigma_k)_j(x) on points (..., n)."""
-    def product(t, x):
-        s = c.sigma_matrix(t, x)
-        return s[..., i, l] * s[..., j, k]
-    return product
 
 
 def _sigma_products(c: CoefficientSet, t: float, x: np.ndarray) -> np.ndarray:
@@ -380,6 +391,8 @@ _AUDITS = {
     "sigma-shared": ("B2", 3, ("k", "l"), lambda c, t, x: c.sigma_matrix(t, x)),
     "product-equality": ("D1", 6, ("i", "l", "j", "k"), _sigma_products),
 }
+_TABLE = {"B2": "sigma-shared", "C1": "product-equality", "D1": "product-equality",
+          "D3": "product-equality"}  # the audit whose table a dependency search reads
 
 
 def _equality_audit(kind: str, cX: CoefficientSet, cY: CoefficientSet,
@@ -399,26 +412,17 @@ def _equality_audit(kind: str, cX: CoefficientSet, cY: CoefficientSet,
                        samples_evaluated=len(t), box=dom.box.tolist())
 
 
-def check_C1(c: CoefficientSet, dom: SearchDomain, condition: str = "C1") -> CheckReport:
-    """Every product (sigma_l)_i (sigma_k)_j depends only on {x_i, x_j}.  A
+def _sigma_dependency(condition: str, c: CoefficientSet, dom: SearchDomain) -> CheckReport:
+    """The dependency search of B2, C1, D1 or D3 (see module docstring).  A
     product with i != j whose {i, j} is every coordinate (n = 2) depends on
     nothing else, so its violation is exactly 0 and it is not searched."""
-    return _merge_reports(condition, [
-        ({"l": l, "k": k, "i": i, "j": j},
-         check_dependency(sigma_product(c, l, k, i, j), {i, j}, dom, condition=condition))
-        for l, k, i, j in itertools.product(range(c.d), range(c.d), range(c.n), range(c.n))
-        if i == j or c.n != 2])
-
-
-def check_B2(cX: CoefficientSet, cY: CoefficientSet, dom: SearchDomain) -> CheckReport:
-    """Shared diffusion with per-coordinate loadings: audits (sigma_l)_k(x) ==
-    (sigma_bar_l)_k(x) on samples and searches for dependence of (sigma_l)_k
-    on coordinates other than x_k."""
-    return _merge_reports("B2", [
-        ({"kind": "sigma-shared"}, _equality_audit("sigma-shared", cX, cY, dom)),
-        *(({"l": l, "k": k, "kind": "sigma-dependency"},
-           check_dependency(sigma_component(cX, l, k), {k}, dom, condition="B2"))
-          for l, k in itertools.product(range(cX.d), range(cX.n)))])
+    if condition == "B2":
+        allowed = {(k, l): {k} for l, k in itertools.product(range(c.d), range(c.n))}
+    else:
+        allowed = {(i, l, j, k): {i, j} for l, k, i, j in itertools.product(
+            range(c.d), range(c.d), range(c.n), range(c.n)) if i == j or c.n != 2}
+    _, _, names, values = _AUDITS[_TABLE[condition]]
+    return check_dependency(lambda t, x: values(c, t, x), allowed, dom, condition, names)
 
 
 def _search_direction_condition(condition: str, cX: CoefficientSet, cY: CoefficientSet,
@@ -471,15 +475,11 @@ def re_evaluate(report: CheckReport, cX: CoefficientSet, cY: CoefficientSet | No
         return _violation(report.condition, cX, cY, theta, w["i"], w["t"], w["x"], w["y"])
     if report.condition in DIRECTION_CONDITIONS:
         return _violation(report.condition, cX, cY, theta, w["t"], w["x"], w["K"])
-    kind = w.get("kind", "")
-    if kind in _AUDITS:
-        _, _, names, values = _AUDITS[kind]
-        idx = tuple(w[name] for name in names)
-        x = np.asarray(w["x"], dtype=float)
-        return abs(float(values(cX, w["t"], x)[idx] - values(cY, w["t"], x)[idx]))
-    func = (sigma_component(cX, w["l"], w["k"]) if kind == "sigma-dependency"
-            else sigma_product(cX, w["l"], w["k"], w["i"], w["j"]))  # C1 / D1 / D3
-    return dependency_violation(func, w["allowed_coords"], w["t"], w["x"], w["x_prime"])
+    _, _, names, values = _AUDITS[_TABLE[report.condition]]
+    slot = tuple(w[name] for name in names)
+    # an audit compares cX with cY at x, a dependency search cX at x with cX at x'
+    other, x_other = (cX, w["x_prime"]) if "x_prime" in w else (cY, w["x"])
+    return abs(float(values(cX, w["t"], w["x"])[slot] - values(other, w["t"], x_other)[slot]))
 
 
 def run_check(condition: str, cX: CoefficientSet, cY: CoefficientSet | None,
@@ -493,11 +493,10 @@ def run_check(condition: str, cX: CoefficientSet, cY: CoefficientSet | None,
     if condition in DIRECTION_CONDITIONS:
         return _search_direction_condition(condition, cX, cY, theta, dom)
     if condition in ("C1", "D3"):
-        return check_C1(cX, dom, condition=condition)
-    if condition == "B2":
-        return check_B2(cX, cY, dom)
-    if condition == "D1":  # the product equality audit plus C1 on the products
-        return _merge_reports("D1", [
-            ({"kind": "product-equality"}, _equality_audit("product-equality", cX, cY, dom)),
-            ({"kind": "product-dependency"}, check_C1(cX, dom, condition="D1"))])
+        return _sigma_dependency(condition, cX, dom)
+    if condition in ("B2", "D1"):  # the equality audit between the systems, then the search
+        search = {"B2": "sigma-dependency", "D1": "product-dependency"}[condition]
+        return _merge_reports(condition, [
+            ({"kind": _TABLE[condition]}, _equality_audit(_TABLE[condition], cX, cY, dom)),
+            ({"kind": search}, _sigma_dependency(condition, cX, dom))])
     raise DimensionMismatchError(f"unknown condition {condition!r}")

@@ -420,17 +420,15 @@ def run_checks(cfg: dict) -> tuple[dict, int]:
     names = cfg.get("conditions") or ([cfg["condition"]] if cfg.get("condition") else None)
     if not names:
         raise ConfigError("check: provide 'condition' or 'conditions'")
+    if not (isinstance(names, list) and all(isinstance(name, str) for name in names)):
+        key, kind = (("conditions", "a list of condition names") if cfg.get("conditions")
+                     else ("condition", "a condition name"))
+        raise ConfigError(f"{key}: expected {kind}, got {cfg[key]!r}")
     dom = cfgmod.domain_from_config(cfgmod.require(cfg, "domain", dict), coeffs_x.n, seed)
-    reports = {}
-    any_violated = False
-    for name in names:
-        rep = run_check(name, coeffs_x, coeffs_y, theta, dom)
-        reports[name] = rep.to_dict()
-        any_violated = any_violated or rep.verdict == "violated"
-    results = {"checks": reports}
-    code = 1 if any_violated else 0
-    status = "violated" if any_violated else "ok"
-    return _report("check", cfg, results, status, code), code
+    reports = {name: run_check(name, coeffs_x, coeffs_y, theta, dom).to_dict() for name in names}
+    violated = any(rep["verdict"] == "violated" for rep in reports.values())
+    code, status = (1, "violated") if violated else (0, "ok")
+    return _report("check", cfg, {"checks": reports}, status, code), code
 
 
 def run_solve(cfg: dict) -> tuple[dict, int]:

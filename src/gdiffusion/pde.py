@@ -73,6 +73,8 @@ class Grid:
         counts = tuple(int(c) for c in self.counts)
         if bounds.ndim != 2 or bounds.shape[1] != 2:
             raise GridError("bounds must be an (n, 2) array")
+        if not np.all(np.isfinite(bounds)):
+            raise GridError(f"grid.bounds: expected finite rows, got {bounds.tolist()}")
         n = bounds.shape[0]
         if n not in (1, 2):
             raise GridError(f"only 1 or 2 spatial dimensions are supported, got {n}")

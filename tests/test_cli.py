@@ -275,6 +275,47 @@ def test_solve_pde_rejects_non_numeric_grid(override):
     assert report["results"]["error"].startswith(f"grid.{next(iter(override))}:")
 
 
+def check_config(**extra):
+    return {"seed": 1, "theta": {"interval": [0.25, 1.0]},
+            "coefficients": {"n": 2, "d": 1, "b": {"family": "offdiag-monotone"}},
+            "domain": {"box": [[-2.0, 2.0], [-2.0, 2.0]], "n_samples": 8}, **extra}
+
+
+# JSON text (json.load reads NaN and Infinity) -> (experiment, key the error names)
+NON_FINITE_BOXES = {
+    "box-nan": ('{"condition": "B1", "domain": {"box": [[NaN, 2], [-2, 2]], "n_samples": 8}}',
+                "check", "domain.box"),
+    "box-minus-infinity": ('{"condition": "B2", "domain": {"box": [[-Infinity, 2], [-2, 2]], '
+                           '"n_samples": 8}}', "check", "domain.box"),
+    "bounds-nan": ('{"grid": {"bounds": [[NaN, 4.0]], "counts": [41], "T": 0.25, '
+                   '"n_levels": 100}}', "solve-pde", "grid.bounds"),
+}
+
+
+@pytest.mark.parametrize("case", NON_FINITE_BOXES)
+def test_non_finite_box_is_a_config_error_naming_the_key(tmp_path, capsys, case):
+    text, experiment, key = NON_FINITE_BOXES[case]
+    cfg = check_config() if experiment == "check" else pde_config()
+    cfg.update(json.loads(text))
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    code, report = run_cli([experiment, "--config", str(path)], capsys)
+    assert code == 2
+    assert report["status"] == "config-error"
+    assert report["results"]["error"].startswith(f"{key}:")
+
+
+@pytest.mark.parametrize("key, value", [("conditions", 5), ("conditions", "B2"),
+                                        ("conditions", ["B2", 5]), ("condition", 5)],
+                         ids=["conditions-int", "conditions-text", "conditions-holds-int",
+                              "condition-int"])
+def test_conditions_must_be_a_list_of_names(key, value):
+    report, code = dispatch("check", check_config(**{key: value}))
+    assert code == 2
+    assert report["status"] == "config-error"
+    assert report["results"]["error"].startswith(f"{key}:")
+
+
 def test_simulate_zero_coefficients_constant_csv(tmp_path, capsys):
     cfg = {
         "seed": 4,

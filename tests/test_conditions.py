@@ -3,6 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
+from gdiffusion import conditions
 from gdiffusion.coefficients import (
     build_coefficients,
     remark_counterexample_pair,
@@ -22,16 +23,14 @@ from gdiffusion.conditions import (
     _dot,
     _merge_reports,
     _rng,
+    _sigma_products,
     _uniform,
-    check_B2,
     check_dependency,
     dependency_violation,
     direction_residual,
     pair_residual,
     re_evaluate,
     run_check,
-    sigma_component,
-    sigma_product,
 )
 from gdiffusion.gfunction import CovarianceSet, eval_G
 from gdiffusion.sde import CoefficientSet
@@ -132,13 +131,13 @@ def test_b1_equals_c2_on_identical_systems():
 
 
 def test_dependency_satisfied_single_coordinate():
-    rep = check_dependency(lambda t, x: x[..., 0] ** 2, {0}, DOM2)
+    rep = check_dependency(lambda t, x: x[..., 0] ** 2, {(): {0}}, DOM2)
     assert rep.verdict == "satisfied-on-domain"
     assert rep.max_violation == 0.0
 
 
 def test_dependency_violated_linear_leak():
-    rep = check_dependency(lambda t, x: x[..., 0] + 0.1 * x[..., 1], {0}, DOM2)
+    rep = check_dependency(lambda t, x: x[..., 0] + 0.1 * x[..., 1], {(): {0}}, DOM2)
     assert rep.verdict == "violated"
     # perturbation span of x_2 is 4, so the max violation approaches 0.4
     assert rep.max_violation >= 0.1 * 4.0 - 1e-6
@@ -148,7 +147,7 @@ def test_dependency_violated_linear_leak():
 
 
 def test_dependency_constant_empty_support():
-    rep = check_dependency(lambda t, x: 3.5, set(), DOM2)
+    rep = check_dependency(lambda t, x: np.full(x.shape[:-1], 3.5), {(): set()}, DOM2)
     assert rep.verdict == "satisfied-on-domain"
     assert rep.max_violation == 0.0
 
@@ -180,8 +179,43 @@ def test_c1_searches_only_products_that_can_violate():
     rep = run_check("C1", c, None, INTERVAL2D, DOM2)
     assert rep.samples_evaluated == c.d * c.d * c.n * DOM2.n_samples
     for l, k in ((0, 0), (0, 1), (1, 0), (1, 1)):
-        skipped = check_dependency(sigma_product(c, l, k, 0, 1), {0, 1}, DOM2)
+        skipped = check_dependency(sigma_product(c, l, k, 0, 1), {(): {0, 1}}, DOM2)
         assert skipped.max_violation == 0.0
+
+
+def test_one_search_serves_every_slot(monkeypatch):
+    # an exactly satisfied C1 check makes as many kernel calls for the 8
+    # products of d = 2 as for the 2 products of d = 1
+    calls = []
+
+    def counted(*args, _kernel=conditions.dependency_violation):
+        calls.append(args)
+        return _kernel(*args)
+
+    monkeypatch.setattr(conditions, "dependency_violation", counted)
+    d2, _, theta, dom = TRUTH_TABLE["C1"][0]
+    d1 = build_coefficients({"n": 2, "d": 1, "sigma": {"family": "diag-sigma", "values": [1.0]}})
+    counts = []
+    for c in (d2, d1):
+        calls.clear()
+        rep = run_check("C1", c, None, theta, dom)
+        assert rep.max_violation == 0.0
+        assert rep.samples_evaluated == c.d * c.d * c.n * dom.n_samples
+        counts.append(len(calls))
+    assert counts[0] == counts[1]
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_a_nan_slot_does_not_hide_the_violation_of_another_slot():
+    # the first slot, (sigma_0)_0^2 = exp(800 x_1), overflows for x_1 > 0.89
+    # and reads |inf - inf| = nan there; the slot i = j = 1 may read only
+    # x_2, but its product (sigma_0)_1^2 = x_1^2 reads x_1
+    c = build_coefficients({"n": 2, "d": 1, "sigma": [["expr:exp(400*x_1)", "expr:x_1"]]})
+    rep = run_check("C1", c, None, INTERVAL, DOM2)
+    assert rep.verdict == "violated"
+    assert (rep.witness["i"], rep.witness["j"]) == (1, 1)
+    assert rep.max_violation >= 4.0 - 1e-6
+    assert re_evaluate(rep, c, None, INTERVAL) == pytest.approx(rep.max_violation, abs=1e-12)
 
 
 def test_c2_satisfied_arctan_coupling():
@@ -220,7 +254,7 @@ def test_c2_prime_satisfied_and_violated():
 
 def test_b2_satisfied_shared_per_coordinate():
     c = c1_instance()
-    rep = check_B2(c, c, DOM2)
+    rep = run_check("B2", c, c, INTERVAL, DOM2)
     assert rep.verdict == "satisfied-on-domain"
 
 
@@ -240,7 +274,7 @@ def test_b2_violated_cross_dependence():
         "n": 2, "d": 1,
         "sigma": [["expr:x_2", 1.0]],
     })
-    rep = check_B2(c, c, DOM2)
+    rep = run_check("B2", c, c, INTERVAL, DOM2)
     assert rep.verdict == "violated"
     assert re_evaluate(rep, c, c, INTERVAL) == pytest.approx(rep.max_violation, abs=1e-12)
 
@@ -250,7 +284,7 @@ def test_b2_violated_not_shared():
                              "sigma": {"family": "constant", "matrix": [[1.0], [1.0]]}})
     cy = build_coefficients({"n": 2, "d": 1,
                              "sigma": {"family": "constant", "matrix": [[2.0], [2.0]]}})
-    rep = check_B2(cx, cy, DOM2)
+    rep = run_check("B2", cx, cy, INTERVAL, DOM2)
     assert rep.verdict == "violated"
     assert rep.witness["kind"] == "sigma-shared"
     assert rep.max_violation == pytest.approx(1.0, abs=1e-12)
@@ -389,6 +423,19 @@ def ref_violation(condition, cX, cY, theta, *point):
     if swap:
         cX, cY = cY, cX
     return sign * ref_pair_residual(cX, cY, theta, *point)
+
+
+def sigma_component(c, l, k):
+    """The map x -> (sigma_l)_k(x) on points (..., n)."""
+    return lambda t, x: c.sigma_matrix(t, x)[..., k, l]
+
+
+def sigma_product(c, l, k, i, j):
+    """The map x -> (sigma_l)_i(x) * (sigma_k)_j(x) on points (..., n)."""
+    def product(t, x):
+        s = c.sigma_matrix(t, x)
+        return s[..., i, l] * s[..., j, k]
+    return product
 
 
 def ref_dependency_violation(func, t, x, x_prime):
@@ -633,6 +680,45 @@ def truth_table():
 TRUTH_TABLE = truth_table()
 
 
+H_CROSS = build_coefficients({"n": 2, "d": 2, "b": {"family": "arctan-coupling"},
+                              "sigma": [["expr:0.5 + 0.1*tanh(x_2)", 0.3],
+                                        [0.2, "expr:0.8 + 0.1*arctan(x_1)"]],
+                              "h": [[["expr:0.1*tanh(x_1)", 0.05], ["expr:0.02*x_2", 0.1]],
+                                    [["expr:0.02*x_2", 0.1], [0.0, "expr:0.1*arctan(x_2)"]]]})
+THETA_CROSS = CovarianceSet(generators=(np.array([[1.0, 0.3], [0.0, 0.6]]),
+                                        np.array([[0.7, 0.0], [0.4, 1.1]])))
+
+
+def slot_instances():
+    """Instances of the dependency searches that the truth table does not
+    reach: name -> (cX, cY, theta, domain)."""
+    n3 = build_coefficients({"n": 3, "d": 2, "sigma": [
+        ["expr:1 + 0.3*tanh(x_1)", "expr:0.2*x_1", 0.5],
+        [0.4, "expr:0.8 + 0.1*arctan(x_2)", "expr:0.3 + 0.05*x_2*x_3"]]})
+    in_time = build_coefficients({"n": 2, "d": 1,
+                                  "sigma": [["expr:1 + t*x_2", "expr:0.5 + 0.1*t*tanh(x_2)"]]})
+    in_time_bar = build_coefficients({"n": 2, "d": 1, "sigma": [["expr:1 + t*x_2", 0.5]]})
+    h_cross_bar = CoefficientSet(n=2, d=2, b=shifted(H_CROSS.b, 0.1), sigma=H_CROSS.sigma)
+    return {
+        "n3": (n3, n3, INTERVAL, SearchDomain(box=np.array([[-1.5, 1.5]] * 3), n_samples=24,
+                                               n_refine=2, seed=7)),
+        "h-cross": (H_CROSS, h_cross_bar, THETA_CROSS,
+                    SearchDomain(box=DOM2.box, n_samples=32, n_refine=2, seed=13)),
+        "two-times": (in_time, in_time_bar, INTERVAL,
+                      SearchDomain(box=DOM2.box, t_grid=(0.0, 0.5), n_samples=32, n_refine=2,
+                                   seed=3)),
+    }
+
+
+# "<condition>-<instance>" -> (condition, instance)
+ORACLE_CASES = {
+    **{f"{condition}-{name}": (condition, instance) for condition, rows in TRUTH_TABLE.items()
+       for name, instance in zip(("satisfied", "violated"), rows)},
+    **{f"{condition}-{name}": (condition, instance) for name, instance in slot_instances().items()
+       for condition in ("B2", "C1", "D1")},
+}
+
+
 def assert_same_report(got, want):
     assert got.max_violation == want.max_violation
     assert got.witness == want.witness
@@ -640,10 +726,9 @@ def assert_same_report(got, want):
     assert got.samples_evaluated == want.samples_evaluated
 
 
-@pytest.mark.parametrize("row", [0, 1], ids=["satisfied", "violated"])
-@pytest.mark.parametrize("condition", list(TRUTH_TABLE))
-def test_batched_search_equals_sequential_reference(condition, row):
-    instance = TRUTH_TABLE[condition][row]
+@pytest.mark.parametrize("case", ORACLE_CASES)
+def test_batched_search_equals_sequential_reference(case):
+    condition, instance = ORACLE_CASES[case]
     assert_same_report(run_check(condition, *instance), reference_check(condition, *instance))
 
 
@@ -670,13 +755,6 @@ def test_batched_search_equals_sequential_reference_without_restarts(condition):
                        reference_check(condition, cx, cy, theta, dom))
 
 
-H_CROSS = build_coefficients({"n": 2, "d": 2, "b": {"family": "arctan-coupling"},
-                              "sigma": [["expr:0.5 + 0.1*tanh(x_2)", 0.3],
-                                        [0.2, "expr:0.8 + 0.1*arctan(x_1)"]],
-                              "h": [[["expr:0.1*tanh(x_1)", 0.05], ["expr:0.02*x_2", 0.1]],
-                                    [["expr:0.02*x_2", 0.1], [0.0, "expr:0.1*arctan(x_2)"]]]})
-THETA_CROSS = CovarianceSet(generators=(np.array([[1.0, 0.3], [0.0, 0.6]]),
-                                        np.array([[0.7, 0.0], [0.4, 1.1]])))
 KERNEL_CASES = {
     "B1": TRUTH_TABLE["B1"][1][:3],
     "D5": TRUTH_TABLE["D5"][1][:3],
@@ -706,9 +784,16 @@ def test_residual_kernels_match_single_points(case):
     assert [pair_residual(cx, cy, theta, i[p], 0.5, x[p], y[p])
             for p in range(len(x))] == pair.tolist()
     for func in (sigma_component(cx, 0, 1), sigma_product(cx, 0, 0, 1, 1)):
-        gap = dependency_violation(func, {1}, 0.5, x, y)
-        assert [dependency_violation(func, {1}, 0.5, x[p], y[p])
+        gap = dependency_violation(func, 0, 0.5, x, y)
+        assert [dependency_violation(func, 0, 0.5, x[p], y[p])
                 for p in range(len(x))] == gap.tolist()
+    # a table read at a per-row slot: each row equals that slot's scalar map
+    shape = (cx.n, cx.d, cx.n, cx.d)
+    slots = np.random.default_rng(3).integers(0, np.prod(shape), len(x))
+    gap = dependency_violation(lambda t, x: _sigma_products(cx, t, x), slots, 0.5, x, y)
+    assert [dependency_violation(sigma_product(cx, l, k, i, j), 0, 0.5, x[p], y[p])
+            for p, (i, l, j, k) in enumerate(zip(*np.unravel_index(slots, shape)))] == \
+        gap.tolist()
 
 
 @pytest.mark.parametrize("case", KERNEL_CASES)

@@ -36,7 +36,8 @@ def test_traced_names_exist():
 
 
 KERNELS = {"B1": "pair_residual", "B2": "dependency_violation",
-           "D5": "direction_residual", "C1": "dependency_violation"}
+           "D5": "direction_residual", "C1": "dependency_violation",
+           "D1": "dependency_violation", "D3": "dependency_violation"}
 
 
 @pytest.mark.parametrize("condition", KERNELS)
