@@ -105,9 +105,10 @@ class SearchDomain:
 class CheckReport:
     """Outcome of one hypothesis check.
 
-    verdict is "violated" exactly when max_violation > tolerance; the witness
-    carries the sample at which the maximum was attained and reproduces
-    max_violation on re-evaluation.
+    verdict is "violated" unless max_violation <= tolerance, so a NaN
+    max_violation is a violation, never a pass; the witness carries the
+    sample at which the maximum was attained and reproduces max_violation on
+    re-evaluation.
     """
 
     condition: str
@@ -119,7 +120,7 @@ class CheckReport:
 
     @property
     def verdict(self) -> str:
-        return "violated" if self.max_violation > self.tolerance else "satisfied-on-domain"
+        return "satisfied-on-domain" if self.max_violation <= self.tolerance else "violated"
 
     def to_dict(self) -> dict:
         return {"verdict": self.verdict, **asdict(self)}

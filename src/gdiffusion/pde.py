@@ -46,6 +46,8 @@ not cross.
 from __future__ import annotations
 
 import itertools
+import math
+import os
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -275,18 +277,29 @@ def solve(coeffs: CoefficientSet, theta: CovarianceSet, f: TestFunction,
     the per-node worst-case generator index.  Refuses to run when dt exceeds
     the stability bound or a rate is negative, at t = 0 and, for
     time-dependent coefficients, at every level; their trust margin is the
-    largest over the levels.
+    largest over the levels.  Refuses up front, before any grid-wide array,
+    a grid whose stored levels (u and the generator record) would not fit in
+    physical memory.
     """
     if coeffs.d != theta.dim:
         raise DimensionMismatchError(
             f"coefficient noise dim {coeffs.d} != covariance set dim {theta.dim}")
     if coeffs.n != grid.n:
         raise DimensionMismatchError(f"state dim {coeffs.n} != grid dim {grid.n}")
+    n_levels = grid.n_levels
+    index_dtype = np.uint8 if theta.n_generators <= 255 else np.uint16
+    stored = (n_levels + 1) * math.prod(grid.counts) * (8 + np.dtype(index_dtype).itemsize)
+    physical = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    if stored > physical:
+        raise GridError(
+            f"the solve would store {stored} bytes ({n_levels + 1} levels of "
+            f"{'x'.join(map(str, grid.counts))} nodes, float64 values and "
+            f"{np.dtype(index_dtype).name} generator indices), more than the {physical} "
+            "bytes of physical memory; use fewer levels or nodes"
+        )
     bound = stability_bound(coeffs, theta, grid)
 
     nodes = grid.nodes()
-    n_levels = grid.n_levels
-    index_dtype = np.uint8 if theta.n_generators <= 255 else np.uint16
     u0 = f.value(nodes)
     if not np.all(np.isfinite(u0)):
         raise NonFiniteError("initial data is not finite on the grid")
@@ -378,6 +391,27 @@ def semigroup_value(sol: PDESolution, t: float, x, allow_untrusted: bool = False
                  + w0 * (1 - w1) * patch[1, 0] + w0 * w1 * patch[1, 1])
 
 
+def _first_min(levels) -> tuple:
+    """(value, level, flat node index) of the first minimum over the arrays
+    that ``levels`` yields, one level at a time: levels in order, nodes in C
+    order within a level, and a later level replaces the record only when its
+    minimum is strictly lower.  This is ``np.argmin`` over the stacked levels
+    (for finite values) with one level in memory; each array is read before
+    the next is asked for, so a generator may refill one buffer."""
+    best = (np.inf, -1, -1)
+    for level, values in enumerate(levels):
+        k = int(np.argmin(values))
+        if level == 0 or values.flat[k] < best[0]:
+            best = (float(values.flat[k]), level, k)
+    return best
+
+
+def _max_abs(u: np.ndarray) -> float:
+    """max |u| as a running max(level.max(), -level.min()): the same number,
+    since solve stores only finite levels, without an |u| copy."""
+    return max(max(float(level.max()), -float(level.min())) for level in u)
+
+
 @dataclass
 class MonotonicityReport:
     min_forward_difference: float
@@ -391,36 +425,38 @@ class MonotonicityReport:
 
 
 def monotonicity_check(sol: PDESolution) -> MonotonicityReport:
-    """Minimum forward difference over trust-region nodes, axes, and levels."""
+    """Minimum forward difference over trust-region nodes, axes, and levels.
+
+    The reduction runs one level at a time (``_first_min``), so beyond
+    ``sol`` it holds one level of differences.  The witness is the first
+    minimum of the first axis that attains the overall minimum, and
+    min_forward_difference is the difference there.
+    """
     slices = sol.trust_slices()
-    tol = 1e-8 * (1.0 + float(np.max(np.abs(sol.u))))
+    grid = sol.grid
+    tol = 1e-8 * (1.0 + _max_abs(sol.u))
     best = np.inf
     witness = {}
     per_axis = []
-    for axis in range(sol.grid.n):
-        lo = list(slices)
-        hi = list(slices)
-        s = slices[axis]
-        lo[axis] = slice(s.start, s.stop - 1)
-        hi[axis] = slice(s.start + 1, s.stop)
-        diffs = sol.u[(slice(None),) + tuple(hi)] - sol.u[(slice(None),) + tuple(lo)]
-        if diffs.size == 0:
+    for axis in range(grid.n):
+        lo = tuple(slice(s.start, s.stop - 1) if i == axis else s for i, s in enumerate(slices))
+        hi = tuple(slice(s.start + 1, s.stop) if i == axis else s for i, s in enumerate(slices))
+        shape = tuple(s.stop - s.start for s in lo)
+        if 0 in shape:
             per_axis.append(np.inf)
             continue
-        axis_min = float(diffs.min())
+        diffs = np.empty(shape)
+        axis_min, level, k = _first_min(np.subtract(u_m[hi], u_m[lo], out=diffs)
+                                        for u_m in sol.u)
         per_axis.append(axis_min)
         if axis_min < best:
             best = axis_min
-            flat = int(np.argmin(diffs))
-            where = np.unravel_index(flat, diffs.shape)
-            level = int(where[0])
-            node = [int(where[1 + i] + slices[i].start) for i in range(sol.grid.n)]
-            node[axis] = int(where[1 + axis] + s.start)
+            node = [int(j + r.start) for j, r in zip(np.unravel_index(k, shape), lo)]
             witness = {
                 "axis": axis,
-                "t": float(level * sol.grid.dt),
+                "t": float(level * grid.dt),
                 "node_index": node,
-                "x": [float(sol.grid.axes[i][node[i]]) for i in range(sol.grid.n)],
+                "x": [float(grid.axes[i][node[i]]) for i in range(grid.n)],
             }
     return MonotonicityReport(
         min_forward_difference=best,
@@ -443,49 +479,65 @@ class DominanceReport:
         return asdict(self)
 
 
+def _prefix_max(level: np.ndarray) -> np.ndarray:
+    """P(x) = max of the level over the nodes x_bar <= x: a running maximum
+    along each axis in turn."""
+    for axis in range(level.ndim):
+        level = np.maximum.accumulate(level, axis=axis)
+    return level
+
+
 def dominance_check(sol_upper: PDESolution, sol_lower: PDESolution) -> DominanceReport:
     """Check u(t, x) >= u_bar(t, x_bar) for every ordered pair x >= x_bar of
-    trusted nodes, at every level, exactly.
+    nodes trusted by both solutions, at every level, exactly.
 
-    P(t, x) = max of u_bar(t, x_bar) over trusted x_bar <= x is the running
-    maximum of u_bar along each axis in turn, so min_gap = min(u - P) over
-    all ordered pairs.  mode is "nodewise-reduction" when P equals u_bar (a
-    nondecreasing lower solution: the gap is nodewise) and
-    "prefix-max-reduction" otherwise.  The witness x_bar is x when u_bar(t, x)
-    attains P(t, x), else the first maximizer of u_bar over the trusted
-    nodes <= x, so u(t, x) - u_bar(t, x_bar) is min_gap exactly.
+    The nodes are the intersection of the two trust regions (the larger
+    margin on each side), so neither solution is read where its boundary
+    collar reaches.  P(t, x) = max of u_bar(t, x_bar) over those x_bar <= x
+    is the running maximum of u_bar along each axis in turn, so
+    min_gap = min(u - P) over all ordered pairs.  mode is
+    "nodewise-reduction" when P equals u_bar (a nondecreasing lower solution:
+    the gap is nodewise) and "prefix-max-reduction" otherwise.  The witness
+    x_bar is x when u_bar(t, x) attains P(t, x), else the first maximizer of
+    u_bar over the trusted nodes <= x, so u(t, x) - u_bar(t, x_bar) is
+    min_gap exactly.  The reduction runs one level at a time
+    (``_first_min``): beyond the solutions it holds a few levels' arrays.
     """
     if sol_upper.grid.counts != sol_lower.grid.counts or \
             not np.array_equal(sol_upper.grid.bounds, sol_lower.grid.bounds) or \
             sol_upper.grid.dt != sol_lower.grid.dt:
         raise GridError("dominance check requires identical grids")
-    scale = max(float(np.max(np.abs(sol_upper.u))), float(np.max(np.abs(sol_lower.u))))
-    tol = 1e-8 * (1.0 + scale)
-    slices = sol_upper.trust_slices()
+    tol = 1e-8 * (1.0 + max(_max_abs(sol_upper.u), _max_abs(sol_lower.u)))
+    slices = tuple(slice(max(a.start, b.start), min(a.stop, b.stop))
+                   for a, b in zip(sol_upper.trust_slices(), sol_lower.trust_slices()))
     grid = sol_upper.grid
-    lower = sol_lower.u[(slice(None),) + slices]
-    prefix = lower
-    for axis in range(1, lower.ndim):
-        prefix = np.maximum.accumulate(prefix, axis=axis)
-    gap = sol_upper.u[(slice(None),) + slices] - prefix
-    where = np.unravel_index(int(np.argmin(gap)), gap.shape)
-    node = where[1:]
-    if lower[where] == prefix[where]:
+    nodewise = True
+
+    def gaps():
+        nonlocal nodewise
+        for upper, lower in zip(sol_upper.u, sol_lower.u):
+            prefix = _prefix_max(lower[slices])
+            nodewise = nodewise and np.array_equal(prefix, lower[slices])
+            yield upper[slices] - prefix
+
+    min_gap, level, k = _first_min(gaps())
+    lower = sol_lower.u[level][slices]
+    node = np.unravel_index(k, lower.shape)
+    if lower[node] == _prefix_max(lower)[node]:
         node_bar = node
     else:
-        rect = lower[(where[0],) + tuple(slice(0, j + 1) for j in node)]
+        rect = lower[tuple(slice(0, j + 1) for j in node)]
         node_bar = np.unravel_index(int(np.argmax(rect)), rect.shape)
 
     def coords(local):
         return [float(grid.axes[i][local[i] + slices[i].start]) for i in range(grid.n)]
 
-    min_gap = float(gap[where])
     return DominanceReport(
         min_gap=min_gap,
-        witness={"t": float(where[0] * grid.dt), "x": coords(node), "x_bar": coords(node_bar)},
+        witness={"t": float(level * grid.dt), "x": coords(node), "x_bar": coords(node_bar)},
         tolerance=tol,
         dominates=bool(min_gap >= -tol),
-        mode="nodewise-reduction" if np.array_equal(prefix, lower) else "prefix-max-reduction",
+        mode="nodewise-reduction" if nodewise else "prefix-max-reduction",
     )
 
 

@@ -552,6 +552,17 @@ def test_time_dependent_sigma_is_refused_at_the_level_it_breaks_the_bound():
     assert "at level 3 (t=0.024)" in report["results"]["error"]
 
 
+def test_a_solve_larger_than_physical_memory_is_a_config_error():
+    # 10**12 + 1 levels of 41 nodes would store 369 TB
+    cfg = pde_config()
+    cfg["grid"]["n_levels"] = 10 ** 12
+    report, code = dispatch("solve-pde", cfg)
+    assert code == 2
+    assert report["status"] == "config-error"
+    assert report["results"]["error"].startswith(
+        "the solve would store 369000000000369 bytes (1000000000001 levels of 41 nodes")
+
+
 def test_report_is_written_where_the_output_section_names(tmp_path):
     cfg = pde_config()
     cfg["output"] = {"dir": str(tmp_path), "report": "report.json"}

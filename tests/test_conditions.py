@@ -206,6 +206,26 @@ def test_one_search_serves_every_slot(monkeypatch):
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_a_nan_drift_residual_is_a_violation():
+    # exp(400 x_2) overflows for x_2 > 1.78, where b_1 reads inf - inf = nan
+    c = build_coefficients({"n": 2, "d": 1, "sigma": [[1.0, 1.0]],
+                            "b": ["expr:exp(400*x_2) - exp(400*x_2) + x_2", "expr:0"]})
+    rep = run_check("B1", c, c, INTERVAL, DOM2)
+    assert np.isnan(rep.max_violation)
+    assert rep.verdict == "violated"
+    assert rep.to_dict()["verdict"] == "violated"
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("condition", ["B2", "D1"])
+def test_a_nan_equality_audit_is_a_violation(condition):
+    c = build_coefficients({"n": 2, "d": 1, "sigma": [["expr:exp(400*x_1)", "expr:x_1"]]})
+    rep = run_check(condition, c, c, INTERVAL, DOM2)
+    assert np.isnan(rep.max_violation)
+    assert rep.verdict == "violated"
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_a_nan_slot_does_not_hide_the_violation_of_another_slot():
     # the first slot, (sigma_0)_0^2 = exp(800 x_1), overflows for x_1 > 0.89
     # and reads |inf - inf| = nan there; the slot i = j = 1 may read only

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -6,7 +8,10 @@ from gdiffusion.errors import GridError, NonFiniteError, StabilityError
 from gdiffusion.functions import TestFunction
 from gdiffusion.gfunction import CovarianceSet
 from gdiffusion.pde import (
+    DominanceReport,
     Grid,
+    MonotonicityReport,
+    PDESolution,
     dominance_check,
     export_grid_dump,
     export_solution_csv,
@@ -277,6 +282,24 @@ def test_dominance_matches_brute_force_over_ordered_pairs(case):
     assert sol.u[(level,) + node] - sol.u[(level,) + node_bar] == report.min_gap
 
 
+def test_dominance_reads_only_nodes_both_solutions_trust():
+    # the lowered solution's margin adds the drift sweep 0.5 * T: it trusts
+    # [-3.63, 3.63], the unit one [-3.88, 3.88]; the lower solution's collar
+    # must not set the gap
+    upper, lower, _, f, grid = dominance_setup()
+    sol_u = solve(upper, INTERVAL, f, grid)
+    sol_l = solve(lower, INTERVAL, f, grid)
+    assert sol_l.trust_bounds[0, 1] < sol_u.trust_bounds[0, 1]
+    report = dominance_check(sol_u, sol_l)
+    for sol in (sol_u, sol_l):
+        lo, hi = sol.trust_bounds[0]
+        assert lo <= report.witness["x"][0] <= hi and lo <= report.witness["x_bar"][0] <= hi
+    inner = sol_l.trust_slices()[0]
+    gap = sol_u.u[:, inner] - sol_l.u[:, inner]
+    assert report.mode == "nodewise-reduction"
+    assert report.min_gap == float(gap.flat[int(np.argmin(gap))])
+
+
 def test_dominance_grid_mismatch():
     upper, lower, _, f, grid = dominance_setup()
     other = Grid.regular([[-6, 6]], [121], horizon=0.5, n_levels=406)
@@ -523,3 +546,163 @@ def test_time_dependent_trust_margin_is_the_largest_over_the_levels():
     assert sol.scheme["trust_margin"] == pytest.approx(10.0 * 199 / 200, rel=1e-12)
     with pytest.raises(GridError):
         semigroup_value(sol, 1.0, [7.0])
+
+
+def test_an_oversized_solve_is_refused_before_any_grid_wide_array():
+    # 10**12 + 1 levels of 3 nodes store 2.7e13 bytes; no page is touched
+    grid = Grid.regular([[-1, 1]], [3], horizon=1.0, n_levels=10 ** 12)
+    with pytest.raises(GridError, match=r"would store 27000000000027 bytes "
+                                        r"\(1000000000001 levels of 3 nodes.*physical memory"):
+        solve(UNIT_DIFFUSION, INTERVAL, SQUARE, grid)
+
+
+def whole_array_monotonicity_check(sol):
+    """The check as one reduction over all stored levels: the oracle of the
+    level-by-level monotonicity_check.  Its minimum is the difference at the
+    first argmin: numpy's whole-array ``min`` returns a zero minimum with
+    the sign of whichever tied zero its SIMD lanes meet last."""
+    slices = sol.trust_slices()
+    tol = 1e-8 * (1.0 + float(np.max(np.abs(sol.u))))
+    best = np.inf
+    witness = {}
+    per_axis = []
+    for axis in range(sol.grid.n):
+        lo = list(slices)
+        hi = list(slices)
+        s = slices[axis]
+        lo[axis] = slice(s.start, s.stop - 1)
+        hi[axis] = slice(s.start + 1, s.stop)
+        diffs = sol.u[(slice(None),) + tuple(hi)] - sol.u[(slice(None),) + tuple(lo)]
+        if diffs.size == 0:
+            per_axis.append(np.inf)
+            continue
+        where = np.unravel_index(int(np.argmin(diffs)), diffs.shape)
+        axis_min = float(diffs[where])
+        per_axis.append(axis_min)
+        if axis_min < best:
+            best = axis_min
+            node = [int(where[1 + i] + slices[i].start) for i in range(sol.grid.n)]
+            witness = {
+                "axis": axis,
+                "t": float(where[0] * sol.grid.dt),
+                "node_index": node,
+                "x": [float(sol.grid.axes[i][node[i]]) for i in range(sol.grid.n)],
+            }
+    return MonotonicityReport(min_forward_difference=best, per_axis=per_axis,
+                              witness=witness, tolerance=tol, nondecreasing=bool(best >= -tol))
+
+
+def whole_array_dominance_check(sol_upper, sol_lower):
+    """The check as one prefix-max reduction over all stored levels, on the
+    upper solution's trust region: the oracle of dominance_check for pairs
+    with equal trust bounds."""
+    scale = max(float(np.max(np.abs(sol_upper.u))), float(np.max(np.abs(sol_lower.u))))
+    slices = sol_upper.trust_slices()
+    grid = sol_upper.grid
+    lower = sol_lower.u[(slice(None),) + slices]
+    prefix = lower
+    for axis in range(1, lower.ndim):
+        prefix = np.maximum.accumulate(prefix, axis=axis)
+    gap = sol_upper.u[(slice(None),) + slices] - prefix
+    where = np.unravel_index(int(np.argmin(gap)), gap.shape)
+    node = where[1:]
+    if lower[where] == prefix[where]:
+        node_bar = node
+    else:
+        rect = lower[(where[0],) + tuple(slice(0, j + 1) for j in node)]
+        node_bar = np.unravel_index(int(np.argmax(rect)), rect.shape)
+
+    def coords(local):
+        return [float(grid.axes[i][local[i] + slices[i].start]) for i in range(grid.n)]
+
+    min_gap = float(gap[where])
+    tol = 1e-8 * (1.0 + scale)
+    return DominanceReport(
+        min_gap=min_gap,
+        witness={"t": float(where[0] * grid.dt), "x": coords(node), "x_bar": coords(node_bar)},
+        tolerance=tol, dominates=bool(min_gap >= -tol),
+        mode="nodewise-reduction" if np.array_equal(prefix, lower) else "prefix-max-reduction")
+
+
+def stored_solution(u, trust_nodes):
+    """A solution holding the levels u on [-1, 1]^n, trusting the node index
+    ranges [first, last] of trust_nodes."""
+    grid = Grid.regular([[-1.0, 1.0]] * (u.ndim - 1), u.shape[1:], horizon=1.0,
+                        n_levels=u.shape[0] - 1)
+    trust = np.array([[ax[a], ax[b]] for ax, (a, b) in zip(grid.axes, trust_nodes)])
+    return PDESolution(grid=grid, u=u, argmax_index=np.zeros(u.shape, dtype=np.uint8),
+                       trust_bounds=trust, coefficient_id="stored", theta_id="theta[1]",
+                       function_id="f", scheme={})
+
+
+def stored_pairs(rng):
+    """(upper, lower, trusted node ranges) per case; 0/1 steps make flat
+    regions whose exact ties leave the witness to the first-minimum rule."""
+    steps_1d = rng.integers(0, 2, size=(30, 41)).astype(float)
+    steps_2d = rng.integers(0, 2, size=(12, 17, 13)).astype(float)
+    ramp_2d = np.cumsum(np.cumsum(steps_2d, axis=1), axis=2)
+    ties = rng.integers(-1, 2, size=(25, 9, 11)).astype(float)
+    signed_zero = np.where(rng.random((20, 33)) < 0.5, -0.0, 0.0)
+    wave = np.sin(np.linspace(0.0, 9.0, 41) + np.linspace(0.0, 2.0, 30)[:, None])
+    return {
+        "random-1d": (rng.normal(size=(30, 41)), rng.normal(size=(30, 41)), [(5, 35)]),
+        "random-2d": (rng.normal(size=(12, 17, 13)), rng.normal(size=(12, 17, 13)),
+                      [(2, 14), (1, 11)]),
+        "flat-ties-1d": (np.cumsum(steps_1d, axis=1), np.cumsum(steps_1d, axis=1) - 1.0,
+                         [(3, 38)]),
+        "flat-ties-2d": (ramp_2d, ramp_2d, [(0, 16), (2, 12)]),
+        "ties-non-monotone-2d": (ties, np.roll(ties, 1, axis=0), [(1, 7), (0, 10)]),
+        "negative-zero": (np.cumsum(steps_1d[:20, :33], axis=1) + signed_zero,
+                          signed_zero, [(4, 30)]),
+        "negative-zero-gaps": (signed_zero, -signed_zero, [(0, 32)]),
+        "one-node-1d": (rng.normal(size=(30, 41)), rng.normal(size=(30, 41)), [(20, 20)]),
+        "one-node-2d": (rng.normal(size=(12, 17, 13)), rng.normal(size=(12, 17, 13)),
+                        [(8, 8), (1, 11)]),
+        "non-monotone-lower": (wave + 2.5, wave, [(2, 38)]),
+    }
+
+
+PAIR_CASES = list(stored_pairs(np.random.default_rng(0)))
+
+
+@pytest.mark.parametrize("case", PAIR_CASES)
+def test_level_by_level_checks_match_the_whole_array_reductions(case):
+    upper_u, lower_u, trust_nodes = stored_pairs(np.random.default_rng(0))[case]
+    upper = stored_solution(upper_u, trust_nodes)
+    lower = stored_solution(lower_u, trust_nodes)
+    for sol in (upper, lower):
+        assert repr(monotonicity_check(sol).to_dict()) == \
+            repr(whole_array_monotonicity_check(sol).to_dict())
+    assert repr(dominance_check(upper, lower).to_dict()) == \
+        repr(whole_array_dominance_check(upper, lower).to_dict())
+
+
+def test_the_oracle_cases_cover_ties_and_the_prefix_max():
+    pairs = stored_pairs(np.random.default_rng(0))
+    modes = {case: dominance_check(stored_solution(up, t), stored_solution(lo, t)).mode
+             for case, (up, lo, t) in pairs.items()}
+    assert modes["non-monotone-lower"] == modes["random-2d"] == "prefix-max-reduction"
+    assert modes["flat-ties-1d"] == modes["flat-ties-2d"] == "nodewise-reduction"
+    flat = monotonicity_check(stored_solution(*pairs["flat-ties-2d"][::2]))
+    assert flat.min_forward_difference == 0.0 and flat.nondecreasing
+    one_node = monotonicity_check(stored_solution(*pairs["one-node-1d"][::2]))
+    assert one_node.per_axis == [np.inf] and one_node.witness == {}
+
+
+def test_each_check_holds_a_few_levels_beyond_the_solution():
+    # traced peaks: about 2.8 levels (monotonicity: the differences and
+    # numpy's iterator buffers for the strided slices) and 3.6 (dominance:
+    # the prefix max and gap of two consecutive levels); the whole-array
+    # reductions allocate one array of all 240 levels
+    rng = np.random.default_rng(3)
+    u = np.cumsum(rng.normal(size=(240, 64, 64)), axis=1)
+    sol = stored_solution(u, [(2, 61), (2, 61)])
+    level_bytes = u[0].nbytes
+    for check in (lambda: monotonicity_check(sol), lambda: dominance_check(sol, sol)):
+        tracemalloc.start()
+        try:
+            check()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * level_bytes, (peak, level_bytes)
