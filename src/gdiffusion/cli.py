@@ -16,8 +16,8 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .config import get_section, load_config
-from .errors import ConfigError
+from .config import load_config
+from .errors import ConfigError, read
 from .experiments import EXPERIMENTS, EXIT_CONFIG, dispatch, report_json
 
 
@@ -48,7 +48,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         cfg = load_config(args.config, args.overrides, args.seed)
         if args.out_dir is not None:
-            cfg["output"] = {**get_section(cfg, "output"), "dir": args.out_dir}
+            cfg["output"] = {**read(cfg, "output", "object", {}), "dir": args.out_dir}
         if getattr(args, "condition", None):
             cfg["condition"] = args.condition
         cfg["experiment"] = args.experiment

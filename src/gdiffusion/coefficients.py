@@ -11,27 +11,9 @@ import numbers
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, read
 from .expressions import Expression
 from .sde import CoefficientSet
-
-
-def _no_bool(value):
-    """value, unless it is or holds a boolean: JSON true is not the number 1."""
-    if isinstance(value, bool):
-        raise ValueError("a boolean is not a number")
-    if isinstance(value, list):
-        for item in value:
-            _no_bool(item)
-    return value
-
-
-def _float_array(value) -> np.ndarray:
-    return np.asarray(_no_bool(value), dtype=float)
-
-
-def _number(value) -> float:
-    return float(_no_bool(value))
 
 
 def _constant(values):
@@ -41,44 +23,26 @@ def _constant(values):
     return lambda t, x: values
 
 
-def _read(section: dict, key: str, convert, where: str = "", default=None):
-    """convert(section.get(key, default)); a value it cannot read is a
-    ConfigError naming ``where + key``."""
-    value = section.get(key, default)
-    try:
-        return convert(value)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"{where + key}: cannot read {value!r} ({exc})") from None
+def _shaped(array: np.ndarray, shape: tuple, key: str) -> np.ndarray:
+    if array.shape != shape:
+        raise ConfigError(f"{key}: expected shape {shape}, got {array.tolist()}")
+    return array
 
 
-def _integer(value) -> int:
-    if isinstance(value, bool) or int(value) != value:
-        raise ValueError("expected an integer")
-    return int(value)
-
-
-def _array(section: dict, key: str, shape: tuple, where: str) -> np.ndarray:
-    """section[key], required, as a float array of the given shape."""
-    value = _read(section, key, _float_array, where)
-    if value.shape != shape:
-        raise ConfigError(f"{where + key}: expected shape {shape}, got {section.get(key)!r}")
-    return value
-
-
-def _list(value, count: int, key: str) -> list:
-    if not isinstance(value, list) or len(value) != count:
-        raise ConfigError(f"{key}: expected a list of {count}, got {value!r}")
-    return value
-
-
-def _entries(entries, count: int, key: str) -> list:
-    """A config list of count entries, each a number or an expression text
-    (the 'expr:' prefix is optional)."""
-    for i, entry in enumerate(_list(entries, count, key)):
-        if isinstance(entry, bool) or not isinstance(entry, (str, numbers.Real)):
-            raise ConfigError(f"{key}[{i}]: an entry must be a number or an expression, "
-                              f"got {entry!r}")
-    return [e.removeprefix("expr:") if isinstance(e, str) else e for e in entries]
+def _cells(value, shape: tuple, key: str, nulls: bool = False) -> dict:
+    """{index: entry} of a nested config list of the given shape whose
+    entries are numbers or expression texts (the 'expr:' prefix is optional);
+    with ``nulls``, a null list of entries is zero and holds no cells."""
+    if not shape:
+        if isinstance(value, bool) or not isinstance(value, (str, numbers.Real)):
+            raise ConfigError(f"{key}: an entry must be a number or an expression, "
+                              f"got {value!r}")
+        return {(): value.removeprefix("expr:") if isinstance(value, str) else value}
+    if not isinstance(value, list) or len(value) != shape[0]:
+        raise ConfigError(f"{key}: expected a list of {shape[0]}, got {value!r}")
+    return {(i, *index): entry for i, item in enumerate(value)
+            if not (nulls and item is None and len(shape) == 2)
+            for index, entry in _cells(item, shape[1:], f"{key}[{i}]", nulls).items()}
 
 
 def offdiag_monotone_drift(n: int, scale: float = 1.0):
@@ -147,10 +111,8 @@ def build_coefficients(section: dict) -> CoefficientSet:
     (true or false); label.  Whether the set is time-homogeneous is read from
     the expressions: it is unless some entry reads t.
     """
-    if not isinstance(section, dict):
-        raise ConfigError(f"coefficient section must be a mapping, got {type(section).__name__}")
-    n = _read(section, "n", _integer)
-    d = _read(section, "d", _integer)
+    n = read(section, "n", "integer")
+    d = read(section, "d", "integer")
 
     # sugar: a top-level drift family name ("family": "arctan-coupling") fills b
     drift_families = ("zero", "constant-drift", "linear-drift",
@@ -162,15 +124,12 @@ def build_coefficients(section: dict) -> CoefficientSet:
     b = _build_drift(section.get("b"), n)
     sigma = _build_sigma(section.get("sigma"), n, d)
     h = _build_h(section.get("h"), n, d)
-    h_symmetric = section.get("h_symmetric", True)
-    if not isinstance(h_symmetric, bool):
-        raise ConfigError(f"h_symmetric: expected true or false, got {h_symmetric!r}")
     return CoefficientSet(
         n=n, d=d, b=b, h=h, sigma=sigma,
-        lipschitz=_read(section, "lipschitz", _number, "", 0.0),
+        h_symmetric=read(section, "h_symmetric", "flag", True),
+        lipschitz=read(section, "lipschitz", "number", 0.0),
         time_homogeneous=not any(isinstance(part, Expression) and part.reads_t
                                  for part in (b, h, sigma)),
-        h_symmetric=h_symmetric,
         label=str(section.get("label", section.get("family", "custom"))),
     )
 
@@ -179,24 +138,24 @@ def _build_drift(section, n: int):
     if section is None:
         return None
     if isinstance(section, list):
-        return Expression((n,), {(i,): (e, None)
-                                 for i, e in enumerate(_entries(section, n, "b"))}, n)
+        return Expression((n,), {index: (e, None)
+                                 for index, e in _cells(section, (n,), "b").items()}, n)
     if isinstance(section, dict):
         family = section.get("family")
         if family == "zero":
             return None
         if family == "constant-drift":
-            vec = _read(section, "c", lambda c: np.full(n, _number(c)) if np.isscalar(c)
-                        else _float_array(c), "b.", 0.0)
-            if vec.shape != (n,):
+            c = read(section, "b.c", "numbers" if isinstance(section.get("c"), list)
+                     else "number", 0.0)
+            if np.shape(c) not in ((), (n,)):
                 raise ConfigError(f"b.c: constant-drift c must be scalar or length {n}")
-            return _constant(vec)
+            return _constant(np.full(n, c))
         if family == "linear-drift":
-            return linear_drift(_array(section, "A", (n, n), "b."))
+            return linear_drift(_shaped(read(section, "b.A", "numbers"), (n, n), "b.A"))
         if family == "offdiag-monotone":
-            return offdiag_monotone_drift(n, _read(section, "scale", _number, "b.", 1.0))
+            return offdiag_monotone_drift(n, read(section, "b.scale", "number", 1.0))
         if family == "arctan-coupling":
-            return arctan_coupling_drift(n, _read(section, "scale", _number, "b.", 1.0))
+            return arctan_coupling_drift(n, read(section, "b.scale", "number", 1.0))
         raise ConfigError(f"unknown drift family {family!r}")
     raise ConfigError("drift section must be null, a list of entries, or a family mapping")
 
@@ -209,9 +168,8 @@ def _build_sigma(section, n: int, d: int):
     if section is None:
         return None
     if isinstance(section, list):
-        cells = {(k, l): (e, None) for l, column in enumerate(_list(section, d, "sigma"))
-                 if column is not None
-                 for k, e in enumerate(_entries(column, n, f"sigma[{l}]"))}
+        cells = {(k, l): (e, None)
+                 for (l, k), e in _cells(section, (d, n), "sigma", nulls=True).items()}
         return Expression((n, d), cells, n) if cells else None
     if isinstance(section, dict):
         family = section.get("family")
@@ -220,14 +178,14 @@ def _build_sigma(section, n: int, d: int):
         if family == "diag-sigma":
             if d > n:
                 raise ConfigError("diagonal diffusion requires d <= n")
-            values = _entries(section.get("values", [1.0] * d), d, "sigma.values")
-            return Expression((n, d), {(l, l): (v, l) for l, v in enumerate(values)}, n)
+            values = _cells(section.get("values", [1.0] * d), (d,), "sigma.values")
+            return Expression((n, d), {(l, l): (v, l) for (l,), v in values.items()}, n)
         if family == "per-coordinate":
-            rows = _list(section.get("entries"), d, "sigma.entries")
-            return Expression((n, d), {(k, l): (e, k) for l, row in enumerate(rows) for k, e in
-                                       enumerate(_entries(row, n, f"sigma.entries[{l}]"))}, n)
-        if family == "constant":
-            return _constant(_array(section, "matrix", (n, d), "sigma."))  # n x d columns
+            rows = _cells(section.get("entries"), (d, n), "sigma.entries")
+            return Expression((n, d), {(k, l): (e, k) for (l, k), e in rows.items()}, n)
+        if family == "constant":  # n x d columns
+            return _constant(_shaped(read(section, "sigma.matrix", "numbers"), (n, d),
+                                     "sigma.matrix"))
         raise ConfigError(f"unknown sigma family {family!r}")
     raise ConfigError("sigma section must be null, a nested list, or a family mapping")
 
@@ -242,11 +200,10 @@ def _build_h(section, n: int, d: int):
         if family == "zero":
             return None
         if family == "constant":
-            return _constant(_array(section, "table", (d, d, n), "h."))  # d x d x n
+            return _constant(_shaped(read(section, "h.table", "numbers"), (d, d, n), "h.table"))
         raise ConfigError(f"unknown h family {family!r}")
     if isinstance(section, list):
-        cells = {(l, k, i): (e, None) for l, row in enumerate(_list(section, d, "h"))
-                 for k, cell in enumerate(_list(row, d, f"h[{l}]")) if cell is not None
-                 for i, e in enumerate(_entries(cell, n, f"h[{l}][{k}]"))}
+        cells = {index: (e, None)
+                 for index, e in _cells(section, (d, d, n), "h", nulls=True).items()}
         return Expression((d, d, n), cells, n) if cells else None
     raise ConfigError("h section must be null, a nested list, or a family mapping")

@@ -20,20 +20,21 @@ Sections (all optional unless an experiment requires them):
     tolerances      {"pathwise", "crosscheck"}
     output          {"dir", "report", "csv", "dump", "csv_stride"}
 
-Validation reports the first offending key by dotted path.
+Every value is read by ``gdiffusion.errors.read``, under one set of rules:
+an integer must be integral (a fraction, a boolean or a text is refused), a
+number is never a boolean, a flag is JSON true or false, and a value that
+is missing or cannot be read is a ConfigError that names its dotted key
+(``grid.T: missing required key 'T'``).
 """
 
 from __future__ import annotations
 
-import functools
 import json
 import os
 
-import numpy as np
-
 from .coefficients import build_coefficients, remark_counterexample_pair
 from .conditions import SearchDomain
-from .errors import ConfigError
+from .errors import ConfigError, read
 from .expressions import parse_expression
 from .functions import TestFunction
 from .gfunction import CovarianceSet
@@ -94,112 +95,66 @@ def _set_dotted(cfg: dict, dotted: str, value) -> None:
     node[parts[-1]] = value
 
 
-def require(cfg: dict, key: str, kind=None):
-    if key not in cfg:
-        raise ConfigError(f"missing required key {key!r}")
-    value = cfg[key]
-    if kind is not None and not isinstance(value, kind):
-        raise ConfigError(f"{key}: expected {getattr(kind, '__name__', kind)}, "
-                          f"got {type(value).__name__}")
-    return value
-
-
-def get_section(parent: dict, key: str, where: str | None = None,
-                default: dict | None = None) -> dict:
-    """parent[key], an object; ``default`` (or {}) when it is absent or null.
-    Any other value is a ConfigError naming ``where`` (default: key)."""
-    value = parent.get(key)
-    if value is None:
-        return {} if default is None else default
-    if not isinstance(value, dict):
-        raise ConfigError(f"{where or key}: expected an object, got {type(value).__name__}")
-    return value
-
-
-_float_array = functools.partial(np.asarray, dtype=float)
-
-
-def _convert(value, convert, key: str):
-    """convert(value), or a ConfigError naming the dotted key."""
-    try:
-        return convert(value)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise ConfigError(f"{key}: cannot read {value!r} ({exc})") from exc
-
-
-def seed_from_config(value, key: str) -> int:
-    """A seed as numpy's SeedSequence takes it: a non-negative integer."""
-    seed = _convert(value, int, key)
-    if seed != value or seed < 0:
-        raise ConfigError(f"{key}: expected a non-negative integer seed, got {value!r}")
-    return seed
-
-
-def theta_from_config(section) -> CovarianceSet:
-    if not isinstance(section, dict):
-        raise ConfigError("theta: expected an object")
+def theta_from_config(cfg: dict) -> CovarianceSet:
+    section = read(cfg, "theta", "object")
     if "interval" in section:
-        interval = section["interval"]
-        if not (isinstance(interval, (list, tuple)) and len(interval) == 2):
+        interval = read(section, "theta.interval", "numbers")
+        if interval.shape != (2,):
             raise ConfigError("theta.interval: expected [lo_sq, hi_sq]")
-        lo, hi = _convert(interval, lambda v: [float(c) for c in v], "theta.interval")
-        return CovarianceSet.from_interval(lo, hi)
+        return CovarianceSet.from_interval(*interval.tolist())
     if "generators" in section:
-        gens = _convert(section["generators"], lambda v: tuple(map(_float_array, v)),
-                        "theta.generators")
-        return CovarianceSet(generators=gens)
+        return CovarianceSet(generators=read(section, "theta.generators", "numbers"))
     raise ConfigError("theta: expected 'interval' or 'generators'")
 
 
 def coefficients_from_config(cfg: dict) -> tuple[CoefficientSet, CoefficientSet | None]:
     """The system (and optionally the barred system) named by the config."""
-    pair = cfg.get("pair_family")
+    pair = read(cfg, "pair_family", "object", None)
     if pair is not None:
-        family = pair.get("family") if isinstance(pair, dict) else None
-        if family == "remark-counterexample":
-            theta = theta_from_config(require(cfg, "theta", dict))
+        if pair.get("family") == "remark-counterexample":
+            theta = theta_from_config(cfg)
             return remark_counterexample_pair(theta.sigma_lower_sq, theta.sigma_upper_sq)
-        raise ConfigError(f"pair_family: unknown family {family!r}")
+        raise ConfigError(f"pair_family: unknown family {pair.get('family')!r}")
 
-    def build(key: str, kind=None) -> CoefficientSet:
+    def build(key: str, section: dict) -> CoefficientSet:
         try:
-            return build_coefficients(require(cfg, key, kind))
+            return build_coefficients(section)
         except ConfigError as exc:
             raise ConfigError(f"{key}: {exc}") from exc
 
-    bar = cfg.get("coefficients_bar")
-    return build("coefficients", dict), None if bar is None else build("coefficients_bar")
+    coeffs = build("coefficients", read(cfg, "coefficients", "object"))
+    bar = read(cfg, "coefficients_bar", "object", None)
+    return coeffs, None if bar is None else build("coefficients_bar", bar)
 
 
-def domain_from_config(section, n: int, default_seed: int) -> SearchDomain:
-    if not isinstance(section, dict):
-        raise ConfigError("domain: expected an object")
-    box = _convert(require(section, "box", list), _float_array, "domain.box")
+def domain_from_config(cfg: dict, n: int, default_seed: int) -> SearchDomain:
+    section = read(cfg, "domain", "object")
+    box = read(section, "domain.box", "numbers")
     if box.shape != (n, 2):
         raise ConfigError(f"domain.box: expected {n} rows of [lo, hi]")
+    t_grid = read(section, "domain.t_grid", "numbers", [0.0])
+    if t_grid.ndim != 1:
+        raise ConfigError(f"domain.t_grid: expected a list of times, got {t_grid.tolist()}")
     return SearchDomain(
         box=box,
-        t_grid=_convert(section.get("t_grid", [0.0]), lambda v: tuple(map(float, v)),
-                        "domain.t_grid"),
-        n_samples=_convert(section.get("n_samples", 512), int, "domain.n_samples"),
-        n_refine=_convert(section.get("n_refine", 8), int, "domain.n_refine"),
-        seed=seed_from_config(section.get("seed", default_seed), "domain.seed"),
+        t_grid=tuple(t_grid.tolist()),
+        n_samples=read(section, "domain.n_samples", "integer", 512),
+        n_refine=read(section, "domain.n_refine", "integer", 8),
+        seed=read(section, "domain.seed", "seed", default_seed),
     )
 
 
-def grid_from_config(section) -> Grid:
-    if not isinstance(section, dict):
-        raise ConfigError("grid: expected an object")
-    bounds = _convert(require(section, "bounds", list), _float_array, "grid.bounds")
-    counts = _convert(require(section, "counts", list), lambda v: [int(c) for c in v],
-                      "grid.counts")
-    horizon = _convert(require(section, "T"), float, "grid.T")
-    n_levels = _convert(require(section, "n_levels"), int, "grid.n_levels")
-    return Grid.regular(bounds, counts, horizon, n_levels)
+def grid_from_config(cfg: dict) -> Grid:
+    section = read(cfg, "grid", "object")
+    return Grid.regular(read(section, "grid.bounds", "numbers"),
+                        read(section, "grid.counts", "integers"),
+                        read(section, "grid.T", "number"),
+                        read(section, "grid.n_levels", "integer"))
 
 
-def functions_from_config(section, dim: int) -> list[TestFunction]:
-    if not isinstance(section, list) or not section:
+def functions_from_config(cfg: dict, dim: int) -> list[TestFunction]:
+    section = read(cfg, "functions", "list")
+    if not section:
         raise ConfigError("functions: expected a nonempty list")
     out = []
     for idx, item in enumerate(section):
@@ -217,7 +172,7 @@ def functions_from_config(section, dim: int) -> list[TestFunction]:
         out.append(TestFunction(
             f=lambda x, expr=expr: expr(0.0, x),
             dim=dim,
-            monotone=bool(item.get("monotone", False)),
+            monotone=read(item, f"functions[{idx}].monotone", "flag", False),
             name=name,
         ))
     return out
@@ -226,15 +181,15 @@ def functions_from_config(section, dim: int) -> list[TestFunction]:
 def controls_from_config(section, theta: CovarianceSet, n_steps: int,
                          default_seed: int) -> list[VolatilityControl]:
     controls: list[VolatilityControl] = []
-    if section.get("constants", True):
+    if read(section, "scenario.controls.constants", "flag", True):
         controls.extend(VolatilityControl.constant(m, n_steps)
                         for m in range(theta.n_generators))
-    k = _convert(section.get("random_switching", 64), int, "scenario.controls.random_switching")
-    seed = seed_from_config(section.get("seed", default_seed), "scenario.controls.seed")
+    k = read(section, "scenario.controls.random_switching", "integer", 64)
+    seed = read(section, "scenario.controls.seed", "seed", default_seed)
     for j in range(k):
         controls.append(VolatilityControl.random_switching(
             theta.n_generators, n_steps, seed * 1000003 + j))
-    if section.get("bang_bang", False) and theta.n_generators >= 2:
+    if read(section, "scenario.controls.bang_bang", "flag", False) and theta.n_generators >= 2:
         controls.append(VolatilityControl.bang_bang_cycle(0, theta.n_generators - 1, n_steps))
     if not controls:
         raise ConfigError("scenario.controls: the control family is empty")

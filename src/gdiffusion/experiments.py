@@ -20,7 +20,7 @@ from . import config as cfgmod
 from .coefficients import remark_counterexample_pair
 from .conditions import run_check
 from .errors import (ConfigError, EvaluationError, GDiffusionError,
-                     NonFiniteError, StabilityError)
+                     NonFiniteError, StabilityError, read)
 from .gfunction import nondegeneracy_bound
 from .generator import generator_limit_check, limit_table_csv
 from .pde import (
@@ -61,7 +61,7 @@ def report_json(report: dict) -> str:
 
 
 def _output_path(cfg: dict, key: str) -> str | None:
-    output = cfgmod.get_section(cfg, "output")
+    output = read(cfg, "output", "object", {})
     name = output.get(key)
     if not name:
         return None
@@ -70,47 +70,29 @@ def _output_path(cfg: dict, key: str) -> str | None:
     return path
 
 
-def _seed(cfg: dict) -> int:
-    return cfgmod.seed_from_config(cfgmod.require(cfg, "seed"), "seed")
-
-
-def _read(section: dict, key: str, convert, where: str, *default):
-    """section[key] (required unless a default is given) through convert;
-    a value it cannot read is a ConfigError naming ``where.key``."""
-    value = section.get(key, *default) if default else cfgmod.require(section, key)
-    return cfgmod._convert(value, convert, f"{where}.{key}")
-
-
-def _floats(section: dict, key: str, where: str | None = None) -> np.ndarray:
-    """section[key], a required list of numbers, as a float array; a value it
-    cannot read is a ConfigError naming the dotted key."""
-    name = f"{where}.{key}" if where else key
-    return cfgmod._convert(cfgmod.require(section, key, list), cfgmod._float_array, name)
-
-
 def run_verify_comparison(cfg: dict) -> tuple[dict, int]:
     """Scenario, hypothesis checks, then the coupled pathwise ordering over an ensemble."""
-    seed = _seed(cfg)
-    theta = cfgmod.theta_from_config(cfgmod.require(cfg, "theta", dict))
+    seed = read(cfg, "seed", "seed")
+    theta = cfgmod.theta_from_config(cfg)
     coeffs_x, coeffs_y = cfgmod.coefficients_from_config(cfg)
     if coeffs_y is None:
         raise ConfigError("verify-comparison needs coefficients_bar or a pair family")
-    x0 = _floats(cfg, "x0")
-    y0 = _floats(cfg, "y0")
+    x0 = read(cfg, "x0", "numbers")
+    y0 = read(cfg, "y0", "numbers")
     for key, start in (("x0", x0), ("y0", y0)):
         if start.shape != (coeffs_x.n,):
             raise ConfigError(f"{key}: expected {coeffs_x.n} numbers, got shape {start.shape}")
-    dom = cfgmod.domain_from_config(cfgmod.require(cfg, "domain", dict), coeffs_x.n, seed)
-    scen = cfgmod.require(cfg, "scenario", dict)
-    horizon = _read(scen, "T", float, "scenario")
-    n_steps = _read(scen, "n_steps", int, "scenario")
-    n_paths = _read(scen, "n_paths", int, "scenario")
+    dom = cfgmod.domain_from_config(cfg, coeffs_x.n, seed)
+    scen = read(cfg, "scenario", "object")
+    horizon = read(scen, "scenario.T", "number")
+    n_steps = read(scen, "scenario.n_steps", "integer")
+    n_paths = read(scen, "scenario.n_paths", "integer")
     # an invalid scenario is a config error before any search runs
     controls = cfgmod.controls_from_config(
-        cfgmod.get_section(scen, "controls", "scenario.controls"), theta, n_steps, seed)
+        read(scen, "scenario.controls", "object", {}), theta, n_steps, seed)
     dw = noise_block(seed, horizon, n_steps, theta.dim, n_paths)
-    tol_path = _read(cfgmod.get_section(cfg, "tolerances"), "pathwise", float, "tolerances",
-                     1e-8 * (1.0 + float(np.linalg.norm(y0))))
+    tol_path = read(read(cfg, "tolerances", "object", {}), "tolerances.pathwise", "number",
+                    1e-8 * (1.0 + float(np.linalg.norm(y0))))
 
     counterexample_mode = bool(np.any(x0 > y0))
     if counterexample_mode:
@@ -178,9 +160,9 @@ def run_counterexample_remark(cfg: dict) -> tuple[dict, int]:
     reports the deterministic positive gap X_2 - Y_2 = (mid - lower) t
     together with the violated ordering hypothesis.
     """
-    seed = _seed(cfg)
-    theta_cfg = cfg.get("theta", {"interval": [0.5, 1.0]})
-    theta = cfgmod.theta_from_config(theta_cfg)
+    seed = read(cfg, "seed", "seed")
+    # the remark's default theta and domain stand unless the config sets its own
+    theta = cfgmod.theta_from_config({"theta": {"interval": [0.5, 1.0]}, **cfg})
     if theta.dim != 1:
         raise ConfigError("counterexample-remark expects a one-dimensional theta")
     lower, upper = theta.sigma_lower_sq, theta.sigma_upper_sq
@@ -188,9 +170,9 @@ def run_counterexample_remark(cfg: dict) -> tuple[dict, int]:
         raise ConfigError(
             "degenerate theta (lower == upper): no counterexample exists there")
     coeffs_x, coeffs_y = remark_counterexample_pair(lower, upper)
-    scen = cfgmod.get_section(cfg, "scenario")
-    horizon = _read(scen, "T", float, "scenario", 1.0)
-    n_steps = _read(scen, "n_steps", int, "scenario", 256)
+    scen = read(cfg, "scenario", "object", {})
+    horizon = read(scen, "scenario.T", "number", 1.0)
+    n_steps = read(scen, "scenario.n_steps", "integer", 256)
 
     dw = noise_block(seed, horizon, n_steps, 1, 1)
     low_index = int(np.argmin(np.linalg.eigvalsh(theta.covariances).min(axis=-1)))
@@ -204,7 +186,7 @@ def run_counterexample_remark(cfg: dict) -> tuple[dict, int]:
     gap_at_horizon = float(gap_path[-1])
 
     dom = cfgmod.domain_from_config(
-        cfg.get("domain", {"box": [[-1.0, 1.0], [-1.0, 1.0]]}), 2, seed)
+        {"domain": {"box": [[-1.0, 1.0], [-1.0, 1.0]]}, **cfg}, 2, seed)
     rep_b1 = run_check("B1", coeffs_x, coeffs_y, theta, dom)
 
     results = {
@@ -227,13 +209,12 @@ def run_counterexample_remark(cfg: dict) -> tuple[dict, int]:
 
 def run_verify_monotone(cfg: dict) -> tuple[dict, int]:
     """C1 + C2, then monotonicity of the semigroup on grid solutions."""
-    seed = _seed(cfg)
-    theta = cfgmod.theta_from_config(cfgmod.require(cfg, "theta", dict))
+    seed = read(cfg, "seed", "seed")
+    theta = cfgmod.theta_from_config(cfg)
     coeffs, _ = cfgmod.coefficients_from_config(cfg)
-    dom = cfgmod.domain_from_config(cfgmod.require(cfg, "domain", dict), coeffs.n, seed)
-    grid = cfgmod.grid_from_config(cfgmod.require(cfg, "grid", dict))
-    functions = cfgmod.functions_from_config(cfgmod.require(cfg, "functions", list),
-                                             coeffs.n)
+    dom = cfgmod.domain_from_config(cfg, coeffs.n, seed)
+    grid = cfgmod.grid_from_config(cfg)
+    functions = cfgmod.functions_from_config(cfg, coeffs.n)
 
     rep_c1 = run_check("C1", coeffs, None, theta, dom)
     rep_c2 = run_check("C2", coeffs, None, theta, dom)
@@ -269,15 +250,14 @@ def run_verify_monotone(cfg: dict) -> tuple[dict, int]:
 
 def run_verify_order(cfg: dict) -> tuple[dict, int]:
     """D1 + D5 plus side conditions, then semigroup dominance on the grid."""
-    seed = _seed(cfg)
-    theta = cfgmod.theta_from_config(cfgmod.require(cfg, "theta", dict))
+    seed = read(cfg, "seed", "seed")
+    theta = cfgmod.theta_from_config(cfg)
     coeffs_x, coeffs_y = cfgmod.coefficients_from_config(cfg)
     if coeffs_y is None:
         raise ConfigError("verify-order needs coefficients_bar")
-    dom = cfgmod.domain_from_config(cfgmod.require(cfg, "domain", dict), coeffs_x.n, seed)
-    grid = cfgmod.grid_from_config(cfgmod.require(cfg, "grid", dict))
-    functions = cfgmod.functions_from_config(cfgmod.require(cfg, "functions", list),
-                                             coeffs_x.n)
+    dom = cfgmod.domain_from_config(cfg, coeffs_x.n, seed)
+    grid = cfgmod.grid_from_config(cfg)
+    functions = cfgmod.functions_from_config(cfg, coeffs_x.n)
     monotone_side = cfg.get("monotone_side", "bar")
     if monotone_side not in ("bar", "x"):
         raise ConfigError(f"monotone_side: expected 'bar' or 'x', got {monotone_side!r}")
@@ -336,13 +316,12 @@ def run_verify_order(cfg: dict) -> tuple[dict, int]:
 
 
 def run_generator_limit(cfg: dict) -> tuple[dict, int]:
-    theta = cfgmod.theta_from_config(cfgmod.require(cfg, "theta", dict))
+    theta = cfgmod.theta_from_config(cfg)
     coeffs, _ = cfgmod.coefficients_from_config(cfg)
-    functions = cfgmod.functions_from_config(cfgmod.require(cfg, "functions", list),
-                                             coeffs.n)
-    x = _floats(cfgmod.require(cfg, "query", dict), "x", "query")
-    t_list = _floats(cfg, "t_list").tolist()
-    grid = cfgmod.grid_from_config(cfg["grid"]) if cfg.get("grid") else None
+    functions = cfgmod.functions_from_config(cfg, coeffs.n)
+    x = read(read(cfg, "query", "object"), "query.x", "numbers")
+    t_list = read(cfg, "t_list", "numbers").tolist()
+    grid = cfgmod.grid_from_config(cfg) if cfg.get("grid") else None
 
     f = functions[0]
     rows = generator_limit_check(coeffs, theta, f, x, t_list, grid=grid)
@@ -365,34 +344,33 @@ def run_generator_limit(cfg: dict) -> tuple[dict, int]:
 
 def run_feynman_crosscheck(cfg: dict) -> tuple[dict, int]:
     """Two independent routes to E_t f(x): PDE grid value vs Monte Carlo sup."""
-    seed = _seed(cfg)
-    theta = cfgmod.theta_from_config(cfgmod.require(cfg, "theta", dict))
+    seed = read(cfg, "seed", "seed")
+    theta = cfgmod.theta_from_config(cfg)
     coeffs, _ = cfgmod.coefficients_from_config(cfg)
-    grid = cfgmod.grid_from_config(cfgmod.require(cfg, "grid", dict))
-    functions = cfgmod.functions_from_config(cfgmod.require(cfg, "functions", list),
-                                             coeffs.n)
-    query = cfgmod.require(cfg, "query", dict)
-    t_query = _read(query, "t", float, "query")
-    x_query = _floats(query, "x", "query")
-    scen = cfgmod.require(cfg, "scenario", dict)
-    horizon = _read(scen, "T", float, "scenario", t_query)
+    grid = cfgmod.grid_from_config(cfg)
+    functions = cfgmod.functions_from_config(cfg, coeffs.n)
+    query = read(cfg, "query", "object")
+    t_query = read(query, "query.t", "number")
+    x_query = read(query, "query.x", "numbers")
+    scen = read(cfg, "scenario", "object")
+    horizon = read(scen, "scenario.T", "number", t_query)
     if abs(horizon - t_query) > 1e-12:
         raise ConfigError("scenario.T must equal query.t for the cross-check")
-    n_steps = _read(scen, "n_steps", int, "scenario")
-    n_paths = _read(scen, "n_paths", int, "scenario")
+    n_steps = read(scen, "scenario.n_steps", "integer")
+    n_paths = read(scen, "scenario.n_paths", "integer")
 
     f = functions[0]
     sol = solve(coeffs, theta, f, grid)
     pde_value = semigroup_value(sol, t_query, x_query)
 
     controls = cfgmod.controls_from_config(
-        cfgmod.get_section(scen, "controls", "scenario.controls"), theta, n_steps, seed)
+        read(scen, "scenario.controls", "object", {}), theta, n_steps, seed)
     functional = SDETerminalFunctional(coeffs, f, x_query)
     mc_value, mc_se, best = estimate_sublinear_expectation(
         functional, theta, controls, n_paths, seed, horizon, n_steps)
 
-    tolerance = _read(cfgmod.get_section(cfg, "tolerances"), "crosscheck", float, "tolerances",
-                      max(2e-2, 3.0 * mc_se))
+    tolerance = read(read(cfg, "tolerances", "object", {}), "tolerances.crosscheck", "number",
+                     max(2e-2, 3.0 * mc_se))
     gap = pde_value - mc_value
     ok = abs(gap) <= tolerance and gap >= -3.0 * mc_se
     results = {
@@ -414,8 +392,8 @@ def run_feynman_crosscheck(cfg: dict) -> tuple[dict, int]:
 
 def run_checks(cfg: dict) -> tuple[dict, int]:
     """Run named condition checks; exit 0 satisfied, 1 violated, 2 error."""
-    seed = _seed(cfg)
-    theta = cfgmod.theta_from_config(cfgmod.require(cfg, "theta", dict))
+    seed = read(cfg, "seed", "seed")
+    theta = cfgmod.theta_from_config(cfg)
     coeffs_x, coeffs_y = cfgmod.coefficients_from_config(cfg)
     names = cfg.get("conditions") or ([cfg["condition"]] if cfg.get("condition") else None)
     if not names:
@@ -424,7 +402,7 @@ def run_checks(cfg: dict) -> tuple[dict, int]:
         key, kind = (("conditions", "a list of condition names") if cfg.get("conditions")
                      else ("condition", "a condition name"))
         raise ConfigError(f"{key}: expected {kind}, got {cfg[key]!r}")
-    dom = cfgmod.domain_from_config(cfgmod.require(cfg, "domain", dict), coeffs_x.n, seed)
+    dom = cfgmod.domain_from_config(cfg, coeffs_x.n, seed)
     reports = {name: run_check(name, coeffs_x, coeffs_y, theta, dom).to_dict() for name in names}
     violated = any(rep["verdict"] == "violated" for rep in reports.values())
     code, status = (1, "violated") if violated else (0, "ok")
@@ -432,16 +410,15 @@ def run_checks(cfg: dict) -> tuple[dict, int]:
 
 
 def run_solve(cfg: dict) -> tuple[dict, int]:
-    theta = cfgmod.theta_from_config(cfgmod.require(cfg, "theta", dict))
+    theta = cfgmod.theta_from_config(cfg)
     coeffs, _ = cfgmod.coefficients_from_config(cfg)
-    grid = cfgmod.grid_from_config(cfgmod.require(cfg, "grid", dict))
-    functions = cfgmod.functions_from_config(cfgmod.require(cfg, "functions", list),
-                                             coeffs.n)
+    grid = cfgmod.grid_from_config(cfg)
+    functions = cfgmod.functions_from_config(cfg, coeffs.n)
     f = functions[0]
     sol = solve(coeffs, theta, f, grid)
     csv_path = _output_path(cfg, "csv")
-    stride = _read(cfgmod.get_section(cfg, "output"), "csv_stride", int, "output",
-                   max(1, grid.n_levels // 100))
+    stride = read(read(cfg, "output", "object", {}), "output.csv_stride", "integer",
+                  max(1, grid.n_levels // 100))
     if csv_path:
         export_solution_csv(sol, csv_path, level_stride=stride)
     dump_path = _output_path(cfg, "dump")
@@ -455,9 +432,9 @@ def run_solve(cfg: dict) -> tuple[dict, int]:
         "dump": dump_path,
     }
     if cfg.get("query"):
-        query = cfgmod.require(cfg, "query", dict)
-        t_query = _read(query, "t", float, "query", grid.horizon)
-        x_query = _floats(query, "x", "query")
+        query = read(cfg, "query", "object")
+        t_query = read(query, "query.t", "number", grid.horizon)
+        x_query = read(query, "query.x", "numbers")
         results["query"] = {"t": t_query, "x": x_query.tolist(),
                             "value": semigroup_value(sol, t_query, x_query)}
     return _report("solve-pde", cfg, results, "ok", EXIT_OK), EXIT_OK
@@ -465,36 +442,36 @@ def run_solve(cfg: dict) -> tuple[dict, int]:
 
 def run_simulate(cfg: dict) -> tuple[dict, int]:
     """Integrate one system on one scenario and export the path as CSV."""
-    seed = _seed(cfg)
-    theta = cfgmod.theta_from_config(cfgmod.require(cfg, "theta", dict))
+    seed = read(cfg, "seed", "seed")
+    theta = cfgmod.theta_from_config(cfg)
     coeffs, _ = cfgmod.coefficients_from_config(cfg)
-    scen = cfgmod.require(cfg, "scenario", dict)
-    horizon = _read(scen, "T", float, "scenario")
-    n_steps = _read(scen, "n_steps", int, "scenario")
-    x0 = _floats(cfg, "x0")
+    scen = read(cfg, "scenario", "object")
+    horizon = read(scen, "scenario.T", "number")
+    n_steps = read(scen, "scenario.n_steps", "integer")
+    x0 = read(cfg, "x0", "numbers")
     where = "scenario.control"
-    control_cfg = cfgmod.get_section(scen, "control", where, {"policy": "constant", "index": 0})
+    control_cfg = read(scen, where, "object", {"policy": "constant", "index": 0})
     policy = control_cfg.get("policy", "constant")
     if policy == "constant":
-        control = VolatilityControl.constant(_read(control_cfg, "index", int, where, 0), n_steps)
+        control = VolatilityControl.constant(read(control_cfg, f"{where}.index", "integer", 0),
+                                             n_steps)
     elif policy == "random-switching":
-        switch_seed = cfgmod.seed_from_config(control_cfg.get("seed", seed), f"{where}.seed")
+        switch_seed = read(control_cfg, f"{where}.seed", "seed", seed)
         control = VolatilityControl.random_switching(theta.n_generators, n_steps, switch_seed)
     elif policy == "bang-bang-cycle":
-        period = _read(control_cfg, "period", int, where, n_steps)
+        period = read(control_cfg, f"{where}.period", "integer", n_steps)
         if period < 1:
             raise ConfigError(f"{where}.period: expected a positive integer, got {period}")
         control = VolatilityControl.bang_bang_cycle(
-            _read(control_cfg, "lo", int, where, 0),
-            _read(control_cfg, "hi", int, where, theta.n_generators - 1), n_steps, period)
+            read(control_cfg, f"{where}.lo", "integer", 0),
+            read(control_cfg, f"{where}.hi", "integer", theta.n_generators - 1), n_steps, period)
     elif policy == "explicit":
-        control = VolatilityControl(_read(control_cfg, "schedule",
-                                          lambda v: np.asarray(v, dtype=np.int64), where))
+        control = VolatilityControl(read(control_cfg, f"{where}.schedule", "integers"))
     else:
         raise ConfigError(f"scenario.control.policy: unknown policy {policy!r}")
 
     dw = noise_block(seed, horizon, n_steps, theta.dim, 1,
-                     first=_read(scen, "path_index", int, "scenario", 0))
+                     first=read(scen, "scenario.path_index", "integer", 0))
     db, dqv = apply_control(dw, control, theta, horizon / n_steps)
     times = np.linspace(0.0, horizon, n_steps + 1)
     states = euler_march(coeffs, x0, times, db, dqv)[0]

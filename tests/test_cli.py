@@ -407,11 +407,46 @@ UNREADABLE = [
     ("verify-comparison", "scenario.controls", 5),
     ("feynman-crosscheck", "tolerances", 5),
     ("counterexample-remark", "scenario", 5),
+    # an integer key refuses fractions, booleans and numeric text
+    ("verify-comparison", "scenario.n_paths", 200.9),
+    ("simulate", "scenario.n_steps", True),
+    ("simulate", "scenario.n_steps", "8"),
+    ("simulate", "scenario.path_index", 2.5),
+    ("verify-comparison", "scenario.controls.random_switching", 6.5),
+    ("simulate", "scenario.control.index", 0.5),
+    ("simulate", "scenario.control.period", 2.5),
+    ("simulate", "scenario.control.lo", 0.5),
+    ("simulate", "scenario.control.hi", True),
+    ("solve-pde", "grid.counts", [41.9]),
+    ("solve-pde", "grid.n_levels", 2500.5),
+    ("verify-comparison", "domain.n_samples", 96.5),
+    ("verify-comparison", "domain.n_refine", True),
+    ("solve-pde", "output.csv_stride", 2.5),
+    # a number is never a boolean
+    ("simulate", "scenario.T", True),
+    ("solve-pde", "query.t", True),
+    ("solve-pde", "query.x", [True]),
+    ("verify-comparison", "x0", [-0.1, True]),
+    ("verify-comparison", "y0", [True, 0.0]),
+    ("generator", "t_list", [0.2, True]),
+    ("verify-comparison", "tolerances.pathwise", True),
+    ("feynman-crosscheck", "tolerances.crosscheck", True),
+    ("simulate", "theta.interval", [True, 1.0]),
+    ("simulate", "theta.generators", [[[True]]]),
+    ("solve-pde", "grid.bounds", [[-4.0, True]]),
+    ("solve-pde", "grid.T", True),
+    ("verify-comparison", "domain.box", [[-2.0, 2.0], [-2.0, True]]),
+    # nor is a seed
+    ("simulate", "seed", True),
+    ("verify-comparison", "domain.seed", True),
+    ("verify-comparison", "scenario.controls.seed", True),
 ]
 
 # keys set before the unreadable one, so that the run reaches it
 UNREADABLE_SETUP = {
     "scenario.control.period": {"scenario.control.policy": "bang-bang-cycle"},
+    "scenario.control.lo": {"scenario.control.policy": "bang-bang-cycle"},
+    "scenario.control.hi": {"scenario.control.policy": "bang-bang-cycle"},
     "scenario.control.schedule": {"scenario.control.policy": "explicit"},
     "theta.generators": {"theta": {}},
 }
@@ -458,6 +493,36 @@ def test_unreadable_run_values_are_config_errors(tmp_path, experiment, key, valu
     assert code == 2
     assert report["status"] == "config-error"
     assert report["results"]["error"].startswith(f"{key}:")
+
+
+@pytest.mark.parametrize("experiment, key, value", [
+    ("verify-comparison", "scenario.controls.constants", "false"),
+    ("verify-comparison", "scenario.controls.bang_bang", "no"),
+    ("solve-pde", "functions[0].monotone", "false"),
+])
+def test_a_flag_is_json_true_or_false(tmp_path, experiment, key, value):
+    # these were read by truthiness, so "false" added the constant controls
+    # and declared the function monotone
+    if experiment == "verify-comparison":
+        with open(comparison_config(tmp_path), encoding="utf-8") as fh:
+            cfg = json.load(fh)
+        set_dotted(cfg, key, value)
+    else:
+        cfg = pde_config()
+        cfg["functions"][0]["monotone"] = value
+    report, code = dispatch(experiment, cfg)
+    assert code == 2
+    assert report["results"]["error"] == f"{key}: expected true or false, got {value!r}"
+
+
+@pytest.mark.parametrize("key", ["query.x", "scenario.n_steps", "grid.bounds", "grid.T"])
+def test_a_missing_nested_key_names_its_dotted_path(key):
+    cfg = pde_config()
+    section, name = key.split(".")
+    del cfg[section][name]
+    report, code = dispatch("feynman-crosscheck", cfg)
+    assert code == 2
+    assert report["results"]["error"] == f"{key}: missing required key {name!r}"
 
 
 @pytest.mark.parametrize("expr", [5, None, ["x_1"]])
@@ -603,7 +668,7 @@ def test_verify_comparison_blow_up_names_the_first_failing_march(tmp_path):
     report, code = dispatch("verify-comparison", cfg)
     assert code == 5 and report["status"] == "numerical-error"
 
-    theta = config.theta_from_config(cfg["theta"])
+    theta = config.theta_from_config(cfg)
     coeffs_x, coeffs_y = config.coefficients_from_config(cfg)
     n_steps, n_paths = cfg["scenario"]["n_steps"], cfg["scenario"]["n_paths"]
     dw = noise_block(cfg["seed"], 1.0, n_steps, 1, n_paths)
