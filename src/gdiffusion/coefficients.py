@@ -45,12 +45,21 @@ def _cells(value, shape: tuple, key: str, nulls: bool = False) -> dict:
             for index, entry in _cells(item, shape[1:], f"{key}[{i}]", nulls).items()}
 
 
+def _column_sum(x: np.ndarray) -> np.ndarray:
+    """x summed over its last axis, kept as a length-1 axis, one column at a
+    time from 0.0: the bits of np.sum(x, axis=-1, keepdims=True) for a last
+    axis of up to 7, where the sum adds in that order, without its reduce."""
+    total = x[..., :1] + 0.0
+    for j in range(1, x.shape[-1]):
+        total += x[..., j:j + 1]
+    return total
+
+
 def offdiag_monotone_drift(n: int, scale: float = 1.0):
     """b_i(x) = scale * sum_{j != i} x_j: monotone off-diagonal coupling."""
 
     def func(t, x):
-        total = np.sum(x, axis=-1, keepdims=True)
-        return scale * (total - x)
+        return scale * (_column_sum(x) - x)
 
     return func
 
@@ -60,8 +69,7 @@ def arctan_coupling_drift(n: int, scale: float = 1.0):
 
     def func(t, x):
         a = np.arctan(x)
-        total = np.sum(a, axis=-1, keepdims=True)
-        return scale * (total - a)
+        return scale * (_column_sum(a) - a)
 
     return func
 
@@ -156,8 +164,8 @@ def _build_drift(section, n: int):
             return offdiag_monotone_drift(n, read(section, "b.scale", "number", 1.0))
         if family == "arctan-coupling":
             return arctan_coupling_drift(n, read(section, "b.scale", "number", 1.0))
-        raise ConfigError(f"unknown drift family {family!r}")
-    raise ConfigError("drift section must be null, a list of entries, or a family mapping")
+        raise ConfigError(f"b.family: unknown drift family {family!r}")
+    raise ConfigError("b: expected null, a list of entries or a family mapping")
 
 
 def _build_sigma(section, n: int, d: int):
@@ -177,7 +185,7 @@ def _build_sigma(section, n: int, d: int):
             return None
         if family == "diag-sigma":
             if d > n:
-                raise ConfigError("diagonal diffusion requires d <= n")
+                raise ConfigError("sigma.family: diagonal diffusion requires d <= n")
             values = _cells(section.get("values", [1.0] * d), (d,), "sigma.values")
             return Expression((n, d), {(l, l): (v, l) for (l,), v in values.items()}, n)
         if family == "per-coordinate":
@@ -186,8 +194,8 @@ def _build_sigma(section, n: int, d: int):
         if family == "constant":  # n x d columns
             return _constant(_shaped(read(section, "sigma.matrix", "numbers"), (n, d),
                                      "sigma.matrix"))
-        raise ConfigError(f"unknown sigma family {family!r}")
-    raise ConfigError("sigma section must be null, a nested list, or a family mapping")
+        raise ConfigError(f"sigma.family: unknown sigma family {family!r}")
+    raise ConfigError("sigma: expected null, a nested list or a family mapping")
 
 
 def _build_h(section, n: int, d: int):
@@ -201,9 +209,9 @@ def _build_h(section, n: int, d: int):
             return None
         if family == "constant":
             return _constant(_shaped(read(section, "h.table", "numbers"), (d, d, n), "h.table"))
-        raise ConfigError(f"unknown h family {family!r}")
+        raise ConfigError(f"h.family: unknown h family {family!r}")
     if isinstance(section, list):
         cells = {index: (e, None)
                  for index, e in _cells(section, (d, d, n), "h", nulls=True).items()}
         return Expression((d, d, n), cells, n) if cells else None
-    raise ConfigError("h section must be null, a nested list, or a family mapping")
+    raise ConfigError("h: expected null, a nested list or a family mapping")

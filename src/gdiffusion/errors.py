@@ -39,8 +39,10 @@ def read(section: dict, key: str, kind: str, default=_REQUIRED):
     (the object holding its last part) and converted to ``kind``:
 
         integer   an integral number, as an int
+        count     a positive integral number, as an int
         integers  a list of integral numbers, as a list of int
         number    a number, as a float
+        positive  a positive number, as a float
         numbers   a list of numbers, possibly nested, as a float array
         flag      JSON true or false
         seed      a non-negative integer, as an int
@@ -67,10 +69,13 @@ def read(section: dict, key: str, kind: str, default=_REQUIRED):
             raise ConfigError(f"{key}: expected true or false, got {value!r}")
         return value
     try:
-        if kind == "number":
+        if kind in ("number", "positive"):
             if isinstance(value, bool):
                 raise ValueError("a boolean is not a number")
-            return float(value)
+            number = float(value)
+            if kind == "positive" and not number > 0:
+                raise ConfigError(f"{key}: expected a positive number, got {value!r}")
+            return number
         if kind in ("numbers", "integers") and isinstance(value, (str, dict)):
             raise TypeError(f"expected a list, got {type(value).__name__}")
         if kind == "numbers":
@@ -84,6 +89,8 @@ def read(section: dict, key: str, kind: str, default=_REQUIRED):
             raise ValueError("expected an integer")
         if kind == "seed" and integers[0] < 0:
             raise ConfigError(f"{key}: expected a non-negative integer seed, got {value!r}")
+        if kind == "count" and integers[0] < 1:
+            raise ConfigError(f"{key}: expected a positive integer, got {value!r}")
         return integers if kind == "integers" else integers[0]
     except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"{key}: cannot read {value!r} ({exc})") from None

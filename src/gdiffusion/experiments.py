@@ -31,7 +31,8 @@ from .pde import (
     semigroup_value,
     solve,
 )
-from .scenario import VolatilityControl, apply_control, estimate_sublinear_expectation, noise_block
+from .scenario import (VolatilityControl, estimate_sublinear_expectation, lockstep_batch,
+                       noise_block)
 from .sde import (MinGapObserver, SDETerminalFunctional, euler_march, frame_eigenvalues,
                   lipschitz_audit)
 
@@ -40,9 +41,6 @@ EXIT_CONFIG = 2
 EXIT_HYPOTHESIS = 3
 EXIT_ASSERTION = 4
 EXIT_NUMERICAL = 5
-
-# bytes of dB per chunk of controls that verify-comparison marches together
-_CHUNK_BYTES = 5 * 2**19
 
 
 def _report(experiment: str, cfg: dict, results: dict, status: str, exit_code: int) -> dict:
@@ -84,9 +82,9 @@ def run_verify_comparison(cfg: dict) -> tuple[dict, int]:
             raise ConfigError(f"{key}: expected {coeffs_x.n} numbers, got shape {start.shape}")
     dom = cfgmod.domain_from_config(cfg, coeffs_x.n, seed)
     scen = read(cfg, "scenario", "object")
-    horizon = read(scen, "scenario.T", "number")
-    n_steps = read(scen, "scenario.n_steps", "integer")
-    n_paths = read(scen, "scenario.n_paths", "integer")
+    horizon = read(scen, "scenario.T", "positive")
+    n_steps = read(scen, "scenario.n_steps", "count")
+    n_paths = read(scen, "scenario.n_paths", "count")
     # an invalid scenario is a config error before any search runs
     controls = cfgmod.controls_from_config(
         read(scen, "scenario.controls", "object", {}), theta, n_steps, seed)
@@ -114,27 +112,21 @@ def run_verify_comparison(cfg: dict) -> tuple[dict, int]:
                         EXIT_HYPOTHESIS), EXIT_HYPOTHESIS)
 
     times = np.linspace(0.0, horizon, n_steps + 1)
-    dt = horizon / n_steps
 
-    # X and Y step in lockstep on chunks of controls stacked on a batch axis
-    chunk = max(1, min(len(controls), _CHUNK_BYTES // dw.nbytes))
-    db = np.empty((n_steps, chunk) + dw.shape[1:])
-    dqv = np.empty((n_steps, chunk, 1, theta.dim, theta.dim))
+    # X and Y step in lockstep on batches of controls stacked on a batch axis
+    k = lockstep_batch(len(controls), n_paths, coeffs_x.n)
     min_gap = np.inf
     witness = {}
-    for first in range(0, len(controls), chunk):
-        k = min(chunk, len(controls) - first)
-        for j in range(k):
-            db[:, j], dqv[:, j, 0] = apply_control(dw, controls[first + j], theta, dt)
+    for first in range(0, len(controls), k):
+        batch = controls[first:first + k]
         gaps = MinGapObserver()
         try:
-            euler_march((coeffs_x, coeffs_y), (x0, y0), times, db[:, :k], dqv[:, :k],
-                        observe=gaps)
+            euler_march((coeffs_x, coeffs_y), (x0, y0), times, dw, batch, theta, observe=gaps)
         except NonFiniteError:
             # raise what marching each control and system alone, in order, raises
-            for j in range(k):
+            for control in batch:
                 for coeffs, start in ((coeffs_x, x0), (coeffs_y, y0)):
-                    euler_march(coeffs, start, times, db[:, j], dqv[:, j, 0])
+                    euler_march(coeffs, start, times, dw, control, theta)
             raise
         local, (j, path, comp, t_at) = gaps.result(times)
         if local < min_gap:
@@ -171,16 +163,15 @@ def run_counterexample_remark(cfg: dict) -> tuple[dict, int]:
             "degenerate theta (lower == upper): no counterexample exists there")
     coeffs_x, coeffs_y = remark_counterexample_pair(lower, upper)
     scen = read(cfg, "scenario", "object", {})
-    horizon = read(scen, "scenario.T", "number", 1.0)
-    n_steps = read(scen, "scenario.n_steps", "integer", 256)
+    horizon = read(scen, "scenario.T", "positive", 1.0)
+    n_steps = read(scen, "scenario.n_steps", "count", 256)
 
     dw = noise_block(seed, horizon, n_steps, 1, 1)
     low_index = int(np.argmin(np.linalg.eigvalsh(theta.covariances).min(axis=-1)))
     control = VolatilityControl.constant(low_index, n_steps)
     times = np.linspace(0.0, horizon, n_steps + 1)
-    db, dqv = apply_control(dw, control, theta, horizon / n_steps)
-    xs = euler_march(coeffs_x, np.zeros(2), times, db, dqv)[0]
-    ys = euler_march(coeffs_y, np.zeros(2), times, db, dqv)[0]
+    xs = euler_march(coeffs_x, np.zeros(2), times, dw, control, theta)[0]
+    ys = euler_march(coeffs_y, np.zeros(2), times, dw, control, theta)[0]
     gap_path = xs[:, 1] - ys[:, 1]
     expected_rate = 0.5 * (upper + lower) - lower
     gap_at_horizon = float(gap_path[-1])
@@ -353,11 +344,11 @@ def run_feynman_crosscheck(cfg: dict) -> tuple[dict, int]:
     t_query = read(query, "query.t", "number")
     x_query = read(query, "query.x", "numbers")
     scen = read(cfg, "scenario", "object")
-    horizon = read(scen, "scenario.T", "number", t_query)
+    horizon = read(scen, "scenario.T", "positive", t_query)
     if abs(horizon - t_query) > 1e-12:
         raise ConfigError("scenario.T must equal query.t for the cross-check")
-    n_steps = read(scen, "scenario.n_steps", "integer")
-    n_paths = read(scen, "scenario.n_paths", "integer")
+    n_steps = read(scen, "scenario.n_steps", "count")
+    n_paths = read(scen, "scenario.n_paths", "count")
 
     f = functions[0]
     sol = solve(coeffs, theta, f, grid)
@@ -365,7 +356,7 @@ def run_feynman_crosscheck(cfg: dict) -> tuple[dict, int]:
 
     controls = cfgmod.controls_from_config(
         read(scen, "scenario.controls", "object", {}), theta, n_steps, seed)
-    functional = SDETerminalFunctional(coeffs, f, x_query)
+    functional = SDETerminalFunctional(coeffs, f, x_query, theta)
     mc_value, mc_se, best = estimate_sublinear_expectation(
         functional, theta, controls, n_paths, seed, horizon, n_steps)
 
@@ -446,35 +437,45 @@ def run_simulate(cfg: dict) -> tuple[dict, int]:
     theta = cfgmod.theta_from_config(cfg)
     coeffs, _ = cfgmod.coefficients_from_config(cfg)
     scen = read(cfg, "scenario", "object")
-    horizon = read(scen, "scenario.T", "number")
-    n_steps = read(scen, "scenario.n_steps", "integer")
+    horizon = read(scen, "scenario.T", "positive")
+    n_steps = read(scen, "scenario.n_steps", "count")
     x0 = read(cfg, "x0", "numbers")
     where = "scenario.control"
     control_cfg = read(scen, where, "object", {"policy": "constant", "index": 0})
+
+    def generator(key: str, default: int) -> int:
+        index = read(control_cfg, f"{where}.{key}", "integer", default)
+        if not 0 <= index < theta.n_generators:
+            raise ConfigError(f"{where}.{key}: expected a generator index in "
+                              f"0..{theta.n_generators - 1}, got {index}")
+        return index
+
     policy = control_cfg.get("policy", "constant")
     if policy == "constant":
-        control = VolatilityControl.constant(read(control_cfg, f"{where}.index", "integer", 0),
-                                             n_steps)
+        control = VolatilityControl.constant(generator("index", 0), n_steps)
     elif policy == "random-switching":
         switch_seed = read(control_cfg, f"{where}.seed", "seed", seed)
         control = VolatilityControl.random_switching(theta.n_generators, n_steps, switch_seed)
     elif policy == "bang-bang-cycle":
-        period = read(control_cfg, f"{where}.period", "integer", n_steps)
-        if period < 1:
-            raise ConfigError(f"{where}.period: expected a positive integer, got {period}")
+        period = read(control_cfg, f"{where}.period", "count", n_steps)
         control = VolatilityControl.bang_bang_cycle(
-            read(control_cfg, f"{where}.lo", "integer", 0),
-            read(control_cfg, f"{where}.hi", "integer", theta.n_generators - 1), n_steps, period)
+            generator("lo", 0), generator("hi", theta.n_generators - 1), n_steps, period)
     elif policy == "explicit":
-        control = VolatilityControl(read(control_cfg, f"{where}.schedule", "integers"))
+        schedule = read(control_cfg, f"{where}.schedule", "integers")
+        if len(schedule) != n_steps or not all(0 <= i < theta.n_generators for i in schedule):
+            raise ConfigError(f"{where}.schedule: expected {n_steps} generator indices in "
+                              f"0..{theta.n_generators - 1}, got {schedule}")
+        control = VolatilityControl(schedule)
     else:
         raise ConfigError(f"scenario.control.policy: unknown policy {policy!r}")
 
-    dw = noise_block(seed, horizon, n_steps, theta.dim, 1,
-                     first=read(scen, "scenario.path_index", "integer", 0))
-    db, dqv = apply_control(dw, control, theta, horizon / n_steps)
+    path_index = read(scen, "scenario.path_index", "integer", 0)
+    if path_index < 0:
+        raise ConfigError(
+            f"scenario.path_index: expected a non-negative integer, got {path_index}")
+    dw = noise_block(seed, horizon, n_steps, theta.dim, 1, first=path_index)
     times = np.linspace(0.0, horizon, n_steps + 1)
-    states = euler_march(coeffs, x0, times, db, dqv)[0]
+    states = euler_march(coeffs, x0, times, dw, control, theta)[0]
     csv_path = _output_path(cfg, "csv")
     if csv_path:
         with open(csv_path, "w", encoding="utf-8") as fh:

@@ -5,11 +5,18 @@ control selects one covariance generator per time step; the driven path has
 increments ``dB_k = gamma_{m(k)} dW_k`` and accumulates quadratic covariation
 ``d<B^i,B^j>_k = (gamma gamma^T)_{ij} dt``.  Scenarios are plain arrays
 with time as the leading axis, so an Euler step reads one contiguous slice:
-``noise_block`` gives the reference increments ``dW (n_steps, n_paths, d)``
-and ``apply_control`` maps them to ``dB`` of the same shape and the shared
-``dQV (n_steps, d, d)``; a single path is a batch of one.  Worst-case
-(sublinear) expectations are estimated from below by maximizing Monte Carlo
-means over a finite family of controls.
+``noise_block`` gives the reference increments ``dW (n_steps, n_paths, d)``,
+shared by every control, and ``apply_control`` maps a one-step slice of them
+to that step's ``dB`` and ``dQV`` for one control or for a batch of K
+controls stacked on a leading batch axis.  ``sde.euler_march`` makes that
+call at every step, so no whole-horizon ``dB`` is ever stored.  A batch
+marched in lockstep holds per-step arrays ``(K, n_paths, width)``, and
+``lockstep_batch`` sizes K so that one of them stays within ``STEP_BYTES``.
+
+Worst-case (sublinear) expectations are estimated by maximizing Monte Carlo
+means over a finite family of controls.  The supremum over a finite family
+is at most the supremum over all scenarios, but its sampled estimate is not
+a lower bound: the maximum of in-sample means is biased upward.
 
 Noise streams follow a stream-split contract: the draw at (seed, path index,
 step) is fixed, so regeneration is bit-identical and ensembles can be built
@@ -22,10 +29,22 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatchError, EvaluationError
+from .errors import DimensionMismatchError, EvaluationError, NonFiniteError
 from .gfunction import CovarianceSet
 
 POLICY_TAGS = ("constant", "random-switching", "bang-bang-cycle", "explicit")
+
+# bytes of one per-step array (K, n_paths, width) of K controls marched in
+# lockstep.  Smaller batches pay more per-step Python overhead, larger ones
+# more peak memory; 160 000 B holds 20 controls of 500 paths in 2-D, or one
+# control of 20 000 paths in 1-D.
+STEP_BYTES = 160_000
+
+
+def lockstep_batch(n_controls: int, n_paths: int, width: int) -> int:
+    """How many of n_controls to march in lockstep: the most whose per-step
+    array (K, n_paths, width) of doubles fits STEP_BYTES, and at least one."""
+    return max(1, min(n_controls, STEP_BYTES // (8 * n_paths * width)))
 
 
 def _rng_for_path(seed: int, path_index: int) -> np.random.Generator:
@@ -100,32 +119,53 @@ class VolatilityControl:
         return cls(sched.astype(np.int64), "bang-bang-cycle", f"bangbang[{lo_index},{hi_index}]")
 
 
-def apply_control(dw: np.ndarray, control: VolatilityControl,
-                  theta: CovarianceSet, dt: float) -> tuple[np.ndarray, np.ndarray]:
-    """Map reference increments to (dB, dQV) under one control.
-
-    dw is time-major and may carry batch axes after time: (n_steps, ..., d)
-    -> dB of the same shape; dQV has shape (n_steps, d, d) and is
-    path-independent.
-    """
-    sched = control.schedule
-    if dw.shape[0] != sched.size:
+def control_schedules(controls, theta: CovarianceSet) -> np.ndarray:
+    """Generator indices of one control, (n_steps,), or of a sequence of K
+    controls of one length, (n_steps, K), checked against the generators of
+    theta."""
+    single = isinstance(controls, VolatilityControl)
+    group = (controls,) if single else tuple(controls)
+    if not group:
+        raise DimensionMismatchError("at least one control is required")
+    if len({control.n_steps for control in group}) > 1:
+        raise DimensionMismatchError("controls marched together must cover the same steps")
+    schedules = np.stack([control.schedule for control in group], axis=-1)
+    top = int(np.max(schedules))
+    if top >= theta.n_generators:
         raise DimensionMismatchError(
-            f"control covers {sched.size} steps but noise has {dw.shape[0]}"
-        )
+            f"schedule references generator {top} but the set has only {theta.n_generators}")
+    return schedules[:, 0] if single else schedules
+
+
+def apply_control(dw: np.ndarray, control, theta: CovarianceSet,
+                  dt: float) -> tuple[np.ndarray, np.ndarray]:
+    """Map reference increments to (dB, dQV) under one control or a batch of K.
+
+    dw is time-major and may carry batch axes after time: (n_steps, ..., d).
+    control is a VolatilityControl, checked here, or generator indices from
+    ``control_schedules`` for the same steps, checked there:
+
+    * one control, (n_steps,): dB (n_steps, ..., d) and the path-independent
+      dQV (n_steps, d, d);
+    * K controls, (n_steps, K): the controls lead the batch axes, dB
+      (n_steps, K, ..., d) and dQV (n_steps, K, 1.., d, d), with one unit
+      axis per batch axis of dw.
+    """
+    if isinstance(control, VolatilityControl):
+        if dw.shape[0] != control.n_steps:
+            raise DimensionMismatchError(
+                f"control covers {control.n_steps} steps but noise has {dw.shape[0]}")
+        control = control_schedules(control, theta)
     if dw.shape[-1] != theta.dim:
         raise DimensionMismatchError(
             f"noise dim {dw.shape[-1]} does not match covariance set dim {theta.dim}"
         )
-    if np.max(sched) >= theta.n_generators:
-        raise DimensionMismatchError(
-            f"schedule references generator {int(np.max(sched))} "
-            f"but the set has only {theta.n_generators}"
-        )
-    gamma_per_step = theta.generators[sched]     # (n_steps, d, d)
-    db = np.einsum("kij,k...j->k...i", gamma_per_step, dw)
-    dqv = theta.covariances[sched] * dt          # (n_steps, d, d)
-    return db, dqv
+    gamma = theta.generators[control]            # (n_steps, [K,] d, d)
+    dqv = theta.covariances[control] * dt        # (n_steps, [K,] d, d)
+    if control.ndim == 1:
+        return np.einsum("kij,k...j->k...i", gamma, dw), dqv
+    db = np.einsum("kcij,k...j->kc...i", gamma, dw)
+    return db, dqv.reshape(dqv.shape[:2] + (1,) * (dw.ndim - 2) + dqv.shape[2:])
 
 
 def estimate_sublinear_expectation(functional, theta: CovarianceSet,
@@ -134,36 +174,50 @@ def estimate_sublinear_expectation(functional, theta: CovarianceSet,
                                    ) -> tuple[float, float, VolatilityControl]:
     """Maximize the Monte Carlo mean of a path functional over a control family.
 
-    Returns (estimate, standard error at the argmax, maximizing control).
-    The estimate is a LOWER bound estimate of the worst-case expectation:
-    the true value is a supremum over all scenarios, here restricted to the
-    supplied finite family.  Noise is shared across controls (it depends on
-    (seed, path index) only), so enlarging the family can never decrease the
-    estimate.
+    Returns (estimate, standard error at the argmax, maximizing control); of
+    equal means the first control wins.  The true worst-case expectation is
+    a supremum over all scenarios; the supremum over the supplied finite
+    family is at most that, but the estimate is not a lower bound: the
+    maximum of in-sample means is biased upward.  Noise is shared across
+    controls (it depends on (seed, path index) only), so enlarging the
+    family can never decrease the estimate.
 
-    ``functional.evaluate_batch(times, dB, dQV)`` returns one value per
-    path for the time-major dB of shape (n_steps, n_paths, d) and the shared
-    dQV (n_steps, d, d).
+    ``functional.evaluate_batch(times, dW, controls)`` returns one value per
+    control and path, (K, n_paths), for the shared time-major dW of shape
+    (n_steps, n_paths, d) and a list of K controls.  The controls go in
+    lockstep batches sized by ``lockstep_batch`` for their per-step dB
+    (K, n_paths, d).  When a batch raises NonFiniteError, its controls are
+    evaluated again one at a time, so that the error is the one the first
+    failing control raises alone.
     """
     if n_paths < 2:
         raise DimensionMismatchError("n_paths must be at least 2")
     if not controls:
         raise DimensionMismatchError("at least one control is required")
-    dt = float(T) / int(n_steps)
     dw = noise_block(seed, T, n_steps, theta.dim, n_paths)
     times = np.linspace(0.0, float(T), int(n_steps) + 1)
+
+    k = lockstep_batch(len(controls), n_paths, theta.dim)
     best = None
-    for c_idx, control in enumerate(controls):
-        db, dqv = apply_control(dw, control, theta, dt)
-        values = np.asarray(functional.evaluate_batch(times, db, dqv), dtype=float)
-        if not np.all(np.isfinite(values)):
-            p_bad = int(np.argmin(np.isfinite(values)))
-            raise EvaluationError(
-                f"functional returned a non-finite value at control {c_idx} "
-                f"({control.label}), path {p_bad}"
-            )
-        mean = float(np.mean(values))
-        if best is None or mean > best[0]:
-            se = float(np.std(values, ddof=1) / np.sqrt(n_paths))
-            best = (mean, se, control)
+    for first in range(0, len(controls), k):
+        batch = controls[first:first + k]
+        try:
+            rows = functional.evaluate_batch(times, dw, batch)
+        except NonFiniteError:
+            rows = None  # each control alone, in order, raises the error
+        for j, control in enumerate(batch):
+            c_idx = first + j
+            values = (rows[j] if rows is not None
+                      else functional.evaluate_batch(times, dw, [control])[0])
+            values = np.asarray(values, dtype=float)
+            if not np.all(np.isfinite(values)):
+                p_bad = int(np.argmin(np.isfinite(values)))
+                raise EvaluationError(
+                    f"functional returned a non-finite value at control {c_idx} "
+                    f"({control.label}), path {p_bad}"
+                )
+            mean = float(np.mean(values))
+            if best is None or mean > best[0]:
+                se = float(np.std(values, ddof=1) / np.sqrt(n_paths))
+                best = (mean, se, control)
     return best

@@ -8,15 +8,17 @@ State dynamics on a scenario (dB, dQV):
 
 Coefficients are evaluated at the left endpoint (non-anticipative), matching
 the Ito integrals being discretized.  ``euler_march`` steps a whole batch of
-scenarios at once.  Scenario arrays are time-major, so step m reads the
-contiguous slices dB[m] and dQV[m]: dB is (n_steps, ..., d), and dQV is per
-batch (n_steps, ..., d, d) or shared (n_steps, d, d), so controls can be
-stacked on a batch axis.  The states it returns keep the layout
-(..., levels, n): every level, (..., n_steps + 1, n), or, when an
-``observe(m, x)`` callback reduces each level as it is made, only the last.
-Two systems marched on the same dB are coupled; they can be stepped in
-lockstep in one march, and ``MinGapObserver`` then streams, level by level,
-the exact minimum gap between their states with its first witness.
+scenarios at once.  It takes the shared time-major reference increments
+``dW (n_steps, ..., d)`` and one volatility control, or a sequence of K
+controls that lead the batch axes, and forms each step's dB and dQV inside
+the loop with one ``scenario.apply_control`` call on the one-step slice
+dW[m] for the whole batch of controls; no whole-horizon dB is stored.  The
+states it returns keep the layout (..., levels, n): every level,
+(..., n_steps + 1, n), or, when an ``observe(m, x)`` callback reduces each
+level as it is made, only the last.  Two systems marched on the same noise
+and controls are coupled; they can be stepped in lockstep in one march, and
+``MinGapObserver`` then streams, level by level, the exact minimum gap
+between their states with its first witness.
 """
 
 from __future__ import annotations
@@ -27,6 +29,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DimensionMismatchError, NonFiniteError
+from .scenario import apply_control, control_schedules
 
 H_SYMMETRY_TOL = 1e-12
 
@@ -168,16 +171,20 @@ def lipschitz_audit(coeffs: CoefficientSet, box: np.ndarray, seed: int = 7) -> f
     return worst
 
 
-def euler_march(coeffs, x0, times: np.ndarray, db: np.ndarray, dqv: np.ndarray,
+def euler_march(coeffs, x0, times: np.ndarray, dw: np.ndarray, controls, theta,
                 observe=None) -> np.ndarray:
     """Explicit Euler on one or many scenarios, for one system or several in lockstep.
 
     coeffs : a CoefficientSet, or a sequence of S of them sharing n, stepped
         in lockstep on the same noise; the system axis is then the leading
         batch axis of the states, and x0 is one initial state per system.
-    x0 : (..., n); db : (n_steps, ..., d), time-major; dqv : (n_steps, ..., d, d)
-        per batch, or (n_steps, d, d) shared by every scenario.  times holds
-        the n_steps + 1 levels, and dqv the same n_steps steps as db.
+    x0 : (..., n); dw : the reference increments (n_steps, ..., d),
+        time-major, on the uniform steps of ``scenario.noise_block``; times
+        holds the n_steps + 1 levels.
+    controls : one VolatilityControl, or a sequence of K of them, which then
+        lead the batch axes of dw: one control per leading batch slot.
+        theta is their CovarianceSet.  Step m's dB and dQV are formed from
+        dw[m] by ``apply_control`` with dt = (times[-1] - times[0]) / n_steps.
     observe : optional ``observe(m, x)``, called with the states x (..., n)
         at every level m = 0 .. n_steps; x must not be written to.
 
@@ -197,18 +204,20 @@ def euler_march(coeffs, x0, times: np.ndarray, db: np.ndarray, dqv: np.ndarray,
                 f"x0 has dim {start.shape[-1]}, coefficients expect {system.n}")
         if not np.all(np.isfinite(start)):
             raise NonFiniteError("initial state must be finite")
-        if db.shape[-1] != system.d:
-            raise DimensionMismatchError(f"noise dim {db.shape[-1]} != coefficient d {system.d}")
+        if dw.shape[-1] != system.d:
+            raise DimensionMismatchError(f"noise dim {dw.shape[-1]} != coefficient d {system.d}")
     n = systems[0].n
     if any(system.n != n for system in systems):
         raise DimensionMismatchError("systems marched together must share the state dimension")
-    n_steps = db.shape[0]
-    if len(times) != n_steps + 1 or dqv.shape[0] != n_steps:
+    n_steps = dw.shape[0]
+    schedules = control_schedules(controls, theta)  # (n_steps,) or (n_steps, K)
+    if len(times) != n_steps + 1 or len(schedules) != n_steps:
         raise DimensionMismatchError(
             f"db has {n_steps} steps, but times has {len(times)} levels "
-            f"and dqv {dqv.shape[0]} steps")
-    batch = np.broadcast_shapes(*(start.shape[:-1] for start in starts), db.shape[1:-1],
-                                dqv.shape[1:-2])
+            f"and the controls {len(schedules)} steps")
+    qv_dt = float(times[-1] - times[0]) / n_steps
+    batch = np.broadcast_shapes(*(start.shape[:-1] for start in starts),
+                                schedules.shape[1:] + dw.shape[1:-1])
     x = np.empty((len(systems),) + batch + (n,))
     for x_s, start in zip(x, starts):
         x_s[...] = start
@@ -222,7 +231,8 @@ def euler_march(coeffs, x0, times: np.ndarray, db: np.ndarray, dqv: np.ndarray,
     for m in range(n_steps):
         t = float(times[m])
         dt = float(times[m + 1] - times[m])
-        db_m, dqv_m = db[m], dqv[m]
+        db_m, dqv_m = apply_control(dw[m:m + 1], schedules[m:m + 1], theta, qv_dt)
+        db_m, dqv_m = db_m[0], dqv_m[0]
         nxt = np.empty_like(x)
         for system, x_s, nxt_s in zip(systems, x, nxt):
             b, h, s = system.fields(t, x_s)
@@ -285,18 +295,22 @@ def _keep_last(m: int, x: np.ndarray) -> None:
 
 @dataclass(frozen=True)
 class SDETerminalFunctional:
-    """f(X_T) for the system started at x0, one value per scenario path.
+    """f(X_T) for the system started at x0, one value per scenario.
 
-    ``f`` is a :class:`~gdiffusion.functions.TestFunction`.  Only the batched
-    form exists: estimate_sublinear_expectation marches all paths at once on
-    the time-major dB (n_steps, n_paths, d), and the march keeps only X_T,
-    (n_paths, 1, n).
+    ``f`` is a :class:`~gdiffusion.functions.TestFunction` and ``theta`` the
+    CovarianceSet of the controls.  Only the batched form exists:
+    ``evaluate_batch(times, dW, controls)`` marches every path under every
+    control at once on the shared dW (n_steps, n_paths, d), keeping only
+    X_T, and returns (n_paths,) for one control or (K, n_paths) for a
+    sequence of K.
     """
 
     coeffs: CoefficientSet
     f: object
     x0: np.ndarray
+    theta: object
 
-    def evaluate_batch(self, times, db, dqv) -> np.ndarray:
-        terminal = euler_march(self.coeffs, self.x0, times, db, dqv, observe=_keep_last)
+    def evaluate_batch(self, times, dw, controls) -> np.ndarray:
+        terminal = euler_march(self.coeffs, self.x0, times, dw, controls, self.theta,
+                               observe=_keep_last)
         return self.f.value(terminal[..., -1, :])

@@ -5,12 +5,12 @@ import sys
 import numpy as np
 import pytest
 
-from gdiffusion import config, experiments
+from gdiffusion import config, experiments, scenario
 from gdiffusion.cli import main
 from gdiffusion.config import load_config
 from gdiffusion.errors import ConfigError, NonFiniteError
 from gdiffusion.experiments import dispatch
-from gdiffusion.scenario import apply_control, noise_block
+from gdiffusion.scenario import noise_block
 from gdiffusion.sde import euler_march
 
 
@@ -370,7 +370,8 @@ def test_verify_comparison_rejects_invalid_scenario_shape(tmp_path, shape):
     report, code = dispatch("verify-comparison", cfg)
     assert code == 2
     assert report["status"] == "config-error"
-    assert report["results"]["error"].startswith("invalid noise shape")
+    (key,) = shape
+    assert report["results"]["error"].startswith(f"scenario.{key}: expected a positive ")
 
 
 UNREADABLE = [
@@ -440,6 +441,25 @@ UNREADABLE = [
     ("simulate", "seed", True),
     ("verify-comparison", "domain.seed", True),
     ("verify-comparison", "scenario.controls.seed", True),
+    # values that read as integers or numbers, refused by the run they reach
+    ("simulate", "scenario.control.index", 7),
+    ("simulate", "scenario.control.index", -1),
+    ("simulate", "scenario.control.lo", 5),
+    ("simulate", "scenario.control.hi", 5),
+    ("simulate", "scenario.control.schedule", [0, 1]),
+    ("simulate", "scenario.control.schedule", [0, 1, 0, 1, 0, 1, 0, 2]),
+    ("simulate", "scenario.control.schedule", [0, 1, 0, 1, 0, 1, 0, -1]),
+    ("simulate", "scenario.n_steps", 0),
+    ("simulate", "scenario.T", 0.0),
+    ("simulate", "scenario.path_index", -1),
+    ("verify-comparison", "scenario.n_paths", 0),
+    ("verify-comparison", "scenario.n_steps", -4),
+    ("feynman-crosscheck", "scenario.n_paths", 0),
+    ("counterexample-remark", "scenario.n_steps", 0),
+    ("verify-comparison", "domain.t_grid", []),
+    ("verify-comparison", "domain.n_refine", -1),
+    ("verify-comparison", "domain.n_samples", 0),
+    ("verify-comparison", "domain.box", [[-2.0, 2.0], [2.0, -2.0]]),
 ]
 
 # keys set before the unreadable one, so that the run reaches it
@@ -572,6 +592,13 @@ MALFORMED_COEFFICIENTS = {
                                                    "c": [0.5, True]}}),
     "c-length": ("b.c", {"n": 1, "d": 1, "b": {"family": "constant-drift", "c": [1.0, 2.0]}}),
     "A-holds-true": ("b.A", {"n": 1, "d": 1, "b": {"family": "linear-drift", "A": [[True]]}}),
+    "b-family": ("b.family", {"n": 1, "d": 1, "b": {"family": "x"}}),
+    "sigma-family": ("sigma.family", {"n": 1, "d": 1, "sigma": {"family": "x"}}),
+    "h-family": ("h.family", {"n": 1, "d": 1, "h": {"family": "x"}}),
+    "diag-sigma-wide": ("sigma.family", {"n": 1, "d": 2, "sigma": {"family": "diag-sigma"}}),
+    "b-number": ("b", {"n": 1, "d": 1, "b": 5}),
+    "sigma-number": ("sigma", {"n": 1, "d": 1, "sigma": 5}),
+    "h-number": ("h", {"n": 1, "d": 1, "h": 5}),
 }
 
 
@@ -676,14 +703,36 @@ def test_verify_comparison_blow_up_names_the_first_failing_march(tmp_path):
     errors = []
     for control in config.controls_from_config(cfg["scenario"]["controls"], theta, n_steps,
                                                cfg["seed"]):
-        db, dqv = apply_control(dw, control, theta, 1.0 / n_steps)
         for coeffs, start in ((coeffs_x, cfg["x0"]), (coeffs_y, cfg["y0"])):
             with pytest.raises(NonFiniteError) as err:
-                euler_march(coeffs, start, times, db, dqv)
+                euler_march(coeffs, start, times, dw, control, theta)
             errors.append(str(err.value))
     assert report["results"]["error"] == errors[0]
     steps = [int(e.split()[4]) for e in errors]  # "non-finite state at step <m> ..."
     assert min(steps) < steps[0]  # another control fails at an earlier step
+
+
+def test_verify_comparison_report_does_not_depend_on_the_batch_size(tmp_path, monkeypatch):
+    # 8 controls of 60 paths in 2-D, marched 1, 7 (not a divisor) or 8 at a time
+    with open(comparison_config(tmp_path), encoding="utf-8") as fh:
+        cfg = json.load(fh)
+    march = experiments.euler_march
+    reports, batches = [], []
+
+    def recording_march(coeffs, x0, times, dw, controls, theta, observe=None):
+        batches[-1].append(len(controls))
+        return march(coeffs, x0, times, dw, controls, theta, observe)
+
+    monkeypatch.setattr(experiments, "euler_march", recording_march)
+    for k in (1, 7, 8):
+        monkeypatch.setattr(scenario, "STEP_BYTES", k * 60 * 2 * 8)
+        batches.append([])
+        report, code = dispatch("verify-comparison", json.loads(json.dumps(cfg)))
+        assert code == 0
+        del report["timestamp"]
+        reports.append(experiments.report_json(report))
+    assert batches == [[1] * 8, [7, 1], [8]]
+    assert reports[0] == reports[1] == reports[2]
 
 
 def test_verify_comparison_checks_the_scenario_before_searching(tmp_path, monkeypatch):

@@ -310,7 +310,7 @@ def test_dominance_grid_mismatch():
 def test_mc_cross_check_of_dominance_gap():
     # Second route to the same ordering: coupled Monte Carlo on shared
     # scenarios reproduces u >= u_bar at the queried point.
-    from gdiffusion.scenario import VolatilityControl, noise_block, apply_control
+    from gdiffusion.scenario import VolatilityControl, noise_block
     from gdiffusion.sde import euler_march
 
     upper, lower, _, f, grid = dominance_setup()
@@ -321,9 +321,8 @@ def test_mc_cross_check_of_dominance_gap():
     times = np.linspace(0.0, 0.5, n_steps + 1)
     for gen in (0, 1):
         control = VolatilityControl.constant(gen, n_steps)
-        db, dqv = apply_control(dw, control, INTERVAL, 0.5 / n_steps)
-        up = euler_march(upper, np.array([0.0]), times, db, dqv)
-        dn = euler_march(lower, np.array([0.0]), times, db, dqv)
+        up = euler_march(upper, np.array([0.0]), times, dw, control, INTERVAL)
+        dn = euler_march(lower, np.array([0.0]), times, dw, control, INTERVAL)
         mean_up = float(np.mean(np.tanh(up[:, -1, 0])))
         mean_dn = float(np.mean(np.tanh(dn[:, -1, 0])))
         se = float(np.std(np.tanh(up[:, -1, 0]) - np.tanh(dn[:, -1, 0]), ddof=1)

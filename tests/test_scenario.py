@@ -7,6 +7,7 @@ from gdiffusion.config import controls_from_config
 from gdiffusion.scenario import (
     VolatilityControl,
     apply_control,
+    control_schedules,
     estimate_sublinear_expectation,
     noise_block,
 )
@@ -35,7 +36,9 @@ class ScalarTerminal:
     def __init__(self, phi):
         self.phi = phi
 
-    def evaluate_batch(self, times, db, dqv):
+    def evaluate_batch(self, times, dw, controls):
+        db, _ = apply_control(dw, control_schedules(controls, INTERVAL), INTERVAL,
+                              times[1] - times[0])
         return self.phi(np.sum(db, axis=0)[..., 0])
 
 
@@ -145,6 +148,38 @@ def test_path_construction_is_pure():
     db1, dqv1 = apply_control(dw, control, INTERVAL, 1.0 / 16)
     db2, dqv2 = apply_control(dw, control, INTERVAL, 1.0 / 16)
     assert np.array_equal(db1, db2) and np.array_equal(dqv1, dqv2)
+
+
+@pytest.mark.parametrize("paths", [(), (3,), (2, 3)])
+def test_stacked_controls_per_step_match_whole_array_apply_control(paths):
+    # each step's dB and dQV of a batch of K controls, formed on the one-step
+    # slice, has the bits of each control's whole-horizon apply_control
+    rng = np.random.default_rng(6)
+    theta = CovarianceSet(generators=tuple(rng.uniform(-1, 1, size=(3, 2, 2))))
+    controls = [VolatilityControl.random_switching(3, 12, seed=s) for s in range(5)]
+    dw = rng.standard_normal((12,) + paths + (2,))
+    schedules = control_schedules(controls, theta)
+    assert schedules.shape == (12, 5)
+    for m in range(12):
+        db_m, dqv_m = apply_control(dw[m:m + 1], schedules[m:m + 1], theta, 0.125)
+        assert db_m.shape == (1, 5) + paths + (2,)
+        assert dqv_m.shape == (1, 5) + (1,) * len(paths) + (2, 2)
+        for j, control in enumerate(controls):
+            db, dqv = apply_control(dw, control, theta, 0.125)
+            assert db_m[0, j].tobytes() == db[m].tobytes()
+            assert dqv_m[0, j].reshape(2, 2).tobytes() == dqv[m].tobytes()
+
+
+def test_control_schedules_are_checked_once_against_theta():
+    controls = [VolatilityControl.constant(1, 8), VolatilityControl.constant(0, 8)]
+    assert control_schedules(controls[0], INTERVAL).tolist() == [1] * 8
+    assert control_schedules(controls, INTERVAL).tolist() == [[1, 0]] * 8
+    with pytest.raises(DimensionMismatchError, match="generator 2 but the set has only 2"):
+        control_schedules(controls + [VolatilityControl.constant(2, 8)], INTERVAL)
+    with pytest.raises(DimensionMismatchError, match="the same steps"):
+        control_schedules(controls + [VolatilityControl.constant(0, 4)], INTERVAL)
+    with pytest.raises(DimensionMismatchError, match="at least one control"):
+        control_schedules([], INTERVAL)
 
 
 def test_control_coverage_mismatch():

@@ -33,12 +33,43 @@ def pathwise_min_gap(lower: np.ndarray, upper: np.ndarray,
     return float(gap[idx]), (*batch, comp + 1, float(times[level]))
 
 
+def stored_driver_march(coeffs, x0, times, db, dqv):
+    """The Euler march on a stored driver: the oracle of ``euler_march``.
+
+    db : (n_steps, ..., d); dqv : (n_steps, ..., d, d) per batch, or
+    (n_steps, d, d) shared.  Returns every level, (..., n_steps + 1, n).
+    """
+    x = np.asarray(x0, dtype=float)
+    batch = np.broadcast_shapes(x.shape[:-1], db.shape[1:-1], dqv.shape[1:-2])
+    x = np.broadcast_to(x, batch + x.shape[-1:]).copy()
+    states = np.empty(batch + (len(times), coeffs.n))
+    states[..., 0, :] = x
+    for m in range(len(times) - 1):
+        dt = float(times[m + 1] - times[m])
+        b, h, s = coeffs.fields(float(times[m]), x)
+        incr = b * dt if b is not None else np.zeros(x.shape)
+        if h is not None:
+            incr += np.einsum("...lki,...lk->...i", h, dqv[m])
+        if s is not None:
+            for l in range(coeffs.d):
+                incr += s[..., l] * db[m][..., l:l + 1]
+        x = x + incr
+        states[..., m + 1, :] = x
+    return states
+
+
 def unit_path(T=1.0, n_steps=64, seed=3, theta=UNIT, generator=0):
-    """(times, dB, dQV) of path 0 of seed under a constant control; dB is (n_steps, 1, d)."""
+    """(times, dW, control, theta) of path 0 of seed under a constant control;
+    dW is (n_steps, 1, d)."""
     dw = noise_block(seed, T, n_steps, theta.dim, 1)
-    db, dqv = apply_control(dw, VolatilityControl.constant(generator, n_steps), theta,
-                            T / n_steps)
-    return np.linspace(0.0, T, n_steps + 1), db, dqv
+    return (np.linspace(0.0, T, n_steps + 1), dw,
+            VolatilityControl.constant(generator, n_steps), theta)
+
+
+def driver(path):
+    """(dB, dQV) that the control of a unit_path forms from its dW."""
+    times, dw, control, theta = path
+    return apply_control(dw, control, theta, times[-1] / control.n_steps)
 
 
 def march(coeffs, x0, path):
@@ -63,7 +94,7 @@ def test_h_only_accumulates_quadratic_variation():
     coeffs = CoefficientSet(n=1, d=1, h=lambda t, x: np.ones(x.shape[:-1] + (1, 1, 1)))
     path = unit_path(theta=INTERVAL, generator=1, n_steps=50)
     states = march(coeffs, [2.0], path)
-    qv = np.concatenate([[0.0], np.cumsum(path[2][:, 0, 0])])
+    qv = np.concatenate([[0.0], np.cumsum(driver(path)[1][:, 0, 0])])
     assert np.allclose(states[:, 0], 2.0 + qv, atol=1e-14)
 
 
@@ -71,7 +102,7 @@ def test_sigma_only_reproduces_driver():
     coeffs = CoefficientSet(n=1, d=1, sigma=lambda t, x: np.ones(x.shape + (1,)))
     path = unit_path(n_steps=40)
     states = march(coeffs, [0.0], path)
-    cum_b = np.concatenate([[0.0], np.cumsum(path[1][:, 0, 0])])
+    cum_b = np.concatenate([[0.0], np.cumsum(driver(path)[0][:, 0, 0])])
     assert np.allclose(states[:, 0], cum_b, atol=1e-14)
 
 
@@ -96,24 +127,26 @@ def test_dimension_mismatch():
         pathwise_min_gap(states, states, path[0][1:])
 
 
-@pytest.mark.parametrize("n_times, dqv_steps, message", [
-    (40, 16, "db has 16 steps, but times has 40 levels and dqv 16 steps"),
-    (10, 16, "db has 16 steps, but times has 10 levels and dqv 16 steps"),
-    (16, 16, "db has 16 steps, but times has 16 levels and dqv 16 steps"),
-    (17, 8, "db has 16 steps, but times has 17 levels and dqv 8 steps"),
-    (17, 20, "db has 16 steps, but times has 17 levels and dqv 20 steps"),
+@pytest.mark.parametrize("n_times, control_steps, message", [
+    (40, 16, "db has 16 steps, but times has 40 levels and the controls 16 steps"),
+    (10, 16, "db has 16 steps, but times has 10 levels and the controls 16 steps"),
+    (16, 16, "db has 16 steps, but times has 16 levels and the controls 16 steps"),
+    (17, 8, "db has 16 steps, but times has 17 levels and the controls 8 steps"),
+    (17, 20, "db has 16 steps, but times has 17 levels and the controls 20 steps"),
 ])
-@pytest.mark.parametrize("per_batch", [False, True])
-def test_step_axes_of_times_db_and_dqv_must_agree(n_times, dqv_steps, message, per_batch):
-    # db holds 16 steps of 2 paths; times and dqv must cover exactly those steps
+@pytest.mark.parametrize("stacked", [False, True])
+def test_step_axes_of_times_db_and_dqv_must_agree(n_times, control_steps, message, stacked):
+    # dW fixes the 16 steps of the driver db on 2 paths; times and the
+    # controls, one or a stack of two, must cover exactly those steps
     coeffs = CoefficientSet(n=1, d=1, b=lambda t, x: np.ones(x.shape),
                             sigma=lambda t, x: np.ones(x.shape + (1,)))
-    db = noise_block(2, 1.0, 16, 1, 2)
-    dqv = np.full((dqv_steps,) + ((2,) if per_batch else ()) + (1, 1), 1.0 / 16)
+    dw = noise_block(2, 1.0, 16, 1, 2)
+    control = VolatilityControl.constant(0, control_steps)
+    controls = [VolatilityControl.constant(1, control_steps), control] if stacked else control
     times = np.linspace(0.0, 1.0, n_times)
     for observe in (None, lambda m, x: None):
         with pytest.raises(DimensionMismatchError) as err:
-            euler_march(coeffs, np.zeros(1), times, db, dqv, observe=observe)
+            euler_march(coeffs, np.zeros(1), times, dw, controls, UNIT, observe=observe)
         assert str(err.value) == message
 
 
@@ -123,11 +156,11 @@ def test_coupled_identical_systems_bitwise():
         "b": {"family": "offdiag-monotone"},
         "sigma": {"family": "constant", "matrix": [[1.0], [1.0]]},
     })
-    times, db, dqv = unit_path()
-    xs = euler_march(coeffs, np.array([0.1, 0.2]), times, db, dqv)
-    ys = euler_march(coeffs, np.array([0.1, 0.2]), times, db, dqv)
+    path = unit_path()
+    xs = euler_march(coeffs, np.array([0.1, 0.2]), *path)
+    ys = euler_march(coeffs, np.array([0.1, 0.2]), *path)
     assert np.array_equal(xs, ys)
-    gap, witness = pathwise_min_gap(xs, ys, times)
+    gap, witness = pathwise_min_gap(xs, ys, path[0])
     assert gap == 0.0
     assert witness == (0, 1, 0.0)
 
@@ -135,9 +168,10 @@ def test_coupled_identical_systems_bitwise():
 def test_coupled_shifted_drift_gap_is_time():
     base = CoefficientSet(n=2, d=1)
     up = CoefficientSet(n=2, d=1, b=shifted(None, 1.0))
-    times, db, dqv = unit_path(T=1.0, n_steps=100)
-    xs = euler_march(base, np.zeros(2), times, db, dqv)
-    ys = euler_march(up, np.zeros(2), times, db, dqv)
+    path = unit_path(T=1.0, n_steps=100)
+    times = path[0]
+    xs = euler_march(base, np.zeros(2), *path)
+    ys = euler_march(up, np.zeros(2), *path)
     assert np.allclose(ys - xs, times[:, None], atol=1e-12)
     gap, witness = pathwise_min_gap(xs, ys, times)
     assert gap == 0.0 and witness == (0, 1, 0.0)
@@ -157,10 +191,10 @@ def test_pathwise_min_gap_first_witness_in_scan_order():
 
 def test_remark_counterexample_low_volatility_gap():
     coeffs_x, coeffs_y = remark_counterexample_pair(0.25, 1.0)
-    times, db, dqv = unit_path(T=1.0, n_steps=256, theta=INTERVAL, generator=0)
-    xs = euler_march(coeffs_x, np.zeros(2), times, db, dqv)
-    ys = euler_march(coeffs_y, np.zeros(2), times, db, dqv)
-    gap, (path, comp, t_at) = pathwise_min_gap(xs, ys, times)
+    scenario = unit_path(T=1.0, n_steps=256, theta=INTERVAL, generator=0)
+    xs = euler_march(coeffs_x, np.zeros(2), *scenario)
+    ys = euler_march(coeffs_y, np.zeros(2), *scenario)
+    gap, (path, comp, t_at) = pathwise_min_gap(xs, ys, scenario[0])
     # X_2 - Y_2 = ((1+0.25)/2 - 0.25) t = 0.375 t, so the min of Y - X is at T.
     assert comp == 2 and t_at == 1.0
     assert gap == pytest.approx(-0.375, abs=1e-12)
@@ -181,8 +215,9 @@ def test_strong_order_at_least_half():
             fine = noise_block(seed, 1.0, n_fine, 1, 1)[:, 0]
             dw = fine.reshape(n_coarse, factor, 1).sum(axis=1)
             times = np.linspace(0.0, 1.0, n_coarse + 1)
-            dqv = np.ones((n_coarse, 1, 1)) / n_coarse
-            states = euler_march(coeffs, np.array([1.0]), times, dw, dqv)
+            # the unit generator drives with dB = 1.0 * dW, dQV = 1 / n_coarse
+            states = euler_march(coeffs, np.array([1.0]), times, dw,
+                                 VolatilityControl.constant(0, n_coarse), UNIT)
             gaps.append((states[-1, 0] - ref[-1, 0]) ** 2)
         errors.append(np.sqrt(np.mean(gaps)))
     order = np.log2(errors[0] / errors[1])
@@ -268,12 +303,11 @@ def test_batched_march_matches_single_paths(case):
     times = np.linspace(0.0, 1.0, n_steps + 1)
     control = VolatilityControl.bang_bang_cycle(0, 1, n_steps)
     x0 = np.array([0.1, 0.2])
-    db, dqv = apply_control(noise_block(5, 1.0, n_steps, theta.dim, 3), control, theta,
-                            1.0 / n_steps)
-    batch = euler_march(coeffs, x0, times, db, dqv)
+    batch = euler_march(coeffs, x0, times, noise_block(5, 1.0, n_steps, theta.dim, 3), control,
+                        theta)
     for p in range(3):
         dw = noise_block(5, 1.0, n_steps, theta.dim, n_paths=1, first=p)
-        single = euler_march(coeffs, x0, times, *apply_control(dw, control, theta, 1.0 / n_steps))
+        single = euler_march(coeffs, x0, times, dw, control, theta)
         assert np.array_equal(batch[p], single[0])
 
 
@@ -283,13 +317,21 @@ CHUNK_CONTROLS = (VolatilityControl.bang_bang_cycle(0, 1, 16),
 
 
 def stacked_scenarios(theta, n_paths=3, n_steps=16):
-    """dB (n_steps, K, n_paths, d) and per-control dQV (n_steps, K, 1, d, d) of CHUNK_CONTROLS."""
+    """(times, dW (n_steps, n_paths, d), CHUNK_CONTROLS, theta): K = 3 controls
+    that lead the batch axes of the march."""
     dw = noise_block(5, 1.0, n_steps, theta.dim, n_paths)
-    db = np.empty((n_steps, len(CHUNK_CONTROLS)) + dw.shape[1:])
-    dqv = np.empty((n_steps, len(CHUNK_CONTROLS), 1, theta.dim, theta.dim))
-    for j, control in enumerate(CHUNK_CONTROLS):
+    return np.linspace(0.0, 1.0, n_steps + 1), dw, CHUNK_CONTROLS, theta
+
+
+def stored_drivers(times, dw, controls, theta):
+    """dB (n_steps, K, n_paths, d) and per-control dQV (n_steps, K, 1, d, d),
+    each control's whole-horizon apply_control stacked on a batch axis."""
+    n_steps = len(times) - 1
+    db = np.empty((n_steps, len(controls)) + dw.shape[1:])
+    dqv = np.empty((n_steps, len(controls), 1, theta.dim, theta.dim))
+    for j, control in enumerate(controls):
         db[:, j], dqv[:, j, 0] = apply_control(dw, control, theta, 1.0 / n_steps)
-    return np.linspace(0.0, 1.0, n_steps + 1), db, dqv
+    return db, dqv
 
 
 @pytest.mark.parametrize("case", BATCH_CASES)
@@ -297,14 +339,38 @@ def test_stacked_controls_match_per_control_marches(case):
     section, theta = BATCH_CASES[case]
     coeffs = build_coefficients(section)
     x0 = np.array([0.1, 0.2])
-    times, db, dqv = stacked_scenarios(theta)
-    stacked = euler_march(coeffs, x0, times, db, dqv)
-    per_path = euler_march(coeffs, x0, times, db, np.broadcast_to(dqv, db.shape[:3] + dqv.shape[3:]))
+    scenario = stacked_scenarios(theta)
+    times, dw = scenario[:2]
+    stacked = euler_march(coeffs, x0, *scenario)
+    db, dqv = stored_drivers(*scenario)
+    per_path = stored_driver_march(coeffs, x0, times, db,
+                                   np.broadcast_to(dqv, db.shape[:3] + dqv.shape[3:]))
     assert stacked.shape == db.shape[1:3] + (17, 2)
     for j in range(len(CHUNK_CONTROLS)):
-        single = euler_march(coeffs, x0, times, db[:, j], dqv[:, j, 0])
+        single = euler_march(coeffs, x0, times, dw, CHUNK_CONTROLS[j], theta)
         assert np.array_equal(stacked[j], single)
         assert np.array_equal(per_path[j], single)
+
+
+@pytest.mark.parametrize("k", [1, 3])
+@pytest.mark.parametrize("case", BATCH_CASES)
+def test_march_matches_the_stored_driver_oracle(case, k):
+    # forming dB and dQV step by step from dW gives the bits of the march on
+    # the whole-horizon arrays, with dQV per control, per path or shared
+    section, theta = BATCH_CASES[case]
+    coeffs = build_coefficients(section)
+    x0 = np.array([0.1, 0.2])
+    times, dw, controls, _ = stacked_scenarios(theta)
+    controls = controls[:k]
+    db, dqv = stored_drivers(times, dw, controls, theta)
+    stacked = euler_march(coeffs, x0, times, dw, controls, theta)
+    assert stacked.tobytes() == stored_driver_march(coeffs, x0, times, db, dqv).tobytes()
+    per_path = np.broadcast_to(dqv, db.shape[:3] + dqv.shape[3:])
+    assert stacked.tobytes() == stored_driver_march(coeffs, x0, times, db, per_path).tobytes()
+    for j, control in enumerate(controls):
+        single = euler_march(coeffs, x0, times, dw, control, theta)
+        assert single.tobytes() == stored_driver_march(coeffs, x0, times, db[:, j],
+                                                       dqv[:, j, 0]).tobytes()
 
 
 @pytest.mark.parametrize("case", BATCH_CASES)
@@ -313,12 +379,13 @@ def test_lockstep_systems_match_separate_marches(case):
     lower = build_coefficients(section)
     upper = build_coefficients({**section, "label": "raised", "b": ["expr:0.1 + tanh(x_2)", 0.2]})
     x0, y0 = np.array([0.1, 0.2]), np.array([[0.3, 0.2]])
-    times, db, dqv = stacked_scenarios(theta)
-    both = euler_march((lower, upper), (x0, y0), times, db, dqv)
-    assert np.array_equal(both[0], euler_march(lower, x0, times, db, dqv))
-    assert np.array_equal(both[1], euler_march(upper, y0, times, db, dqv))
+    scenario = stacked_scenarios(theta)
+    times = scenario[0]
+    both = euler_march((lower, upper), (x0, y0), *scenario)
+    assert np.array_equal(both[0], euler_march(lower, x0, *scenario))
+    assert np.array_equal(both[1], euler_march(upper, y0, *scenario))
     gaps = MinGapObserver()
-    last = euler_march((lower, upper), (x0, y0), times, db, dqv, observe=gaps)
+    last = euler_march((lower, upper), (x0, y0), *scenario, observe=gaps)
     assert np.array_equal(last, both[..., -1:, :])
     assert gaps.result(times) == pathwise_min_gap(both[0], both[1], times)
 
@@ -363,18 +430,21 @@ def test_streamed_terminal_state_is_the_last_stored_level(case):
     section, theta = BATCH_CASES[case]
     coeffs = build_coefficients(section)
     x0 = np.array([0.1, 0.2])
-    times, db, dqv = stacked_scenarios(theta)
-    states = euler_march(coeffs, x0, times, db, dqv)
+    scenario = stacked_scenarios(theta)
+    times, dw, controls, _ = scenario
+    states = euler_march(coeffs, x0, *scenario)
     seen = []
-    last = euler_march(coeffs, x0, times, db, dqv, observe=lambda m, x: seen.append((m, x)))
-    assert last.shape == db.shape[1:3] + (1, 2)
+    last = euler_march(coeffs, x0, *scenario, observe=lambda m, x: seen.append((m, x)))
+    assert last.shape == (len(controls),) + dw.shape[1:2] + (1, 2)
     assert np.array_equal(last[..., 0, :], states[..., -1, :])
     assert [m for m, _ in seen] == list(range(len(times)))
     assert all(np.array_equal(x, states[..., m, :]) for m, x in seen)
     square = TestFunction(f=lambda x: x[..., 0] ** 2 + x[..., 1], dim=2)
-    functional = SDETerminalFunctional(coeffs, square, x0)
-    assert np.array_equal(functional.evaluate_batch(times, db[:, 0], dqv[:, 0, 0]),
+    functional = SDETerminalFunctional(coeffs, square, x0, theta)
+    assert np.array_equal(functional.evaluate_batch(times, dw, controls[0]),
                           square.value(states[0, :, -1, :]))
+    assert np.array_equal(functional.evaluate_batch(times, dw, controls),
+                          square.value(states[:, :, -1, :]))
 
 
 @pytest.mark.filterwarnings("ignore:overflow")
@@ -382,14 +452,14 @@ def test_streamed_terminal_state_is_the_last_stored_level(case):
 def test_streaming_nonfinite_abort_matches_stored(systems):
     # path (1, 2) component 1 starts large and overflows one step before the rest
     coeffs = CoefficientSet(n=2, d=1, b=lambda t, x: x * 1e150)
-    times, db, dqv = unit_path(n_steps=8)
+    path = unit_path(n_steps=8)
     x0 = np.ones((2, 3, 2))
     x0[1, 2, 1] = 1e10
     marches = (coeffs, x0) if systems == 1 else ((coeffs, coeffs), (np.ones(2), x0))
     messages = []
     for observe in (None, MinGapObserver() if systems == 2 else lambda m, x: None):
         with pytest.raises(NonFiniteError) as err:
-            euler_march(*marches, times, db, dqv, observe=observe)
+            euler_march(*marches, *path, observe=observe)
         messages.append(str(err.value))
     assert messages[0] == messages[1]
     assert messages[0].startswith("non-finite state at step 2 (t=0.25), batch index (")
@@ -402,11 +472,11 @@ def test_streaming_nonfinite_abort_matches_stored(systems):
 @pytest.mark.filterwarnings("ignore:overflow")
 def test_nonfinite_message_prints_plain_batch_indices():
     coeffs = CoefficientSet(n=2, d=1, b=lambda t, x: x * 1e150)
-    times, db, dqv = unit_path(n_steps=8)
+    path = unit_path(n_steps=8)
     x0 = np.ones((2, 3, 2))
     x0[1, 2, 1] = 1e10
     with pytest.raises(NonFiniteError) as err:
-        euler_march(coeffs, x0, times, db, dqv)
+        euler_march(coeffs, x0, *path)
     assert str(err.value) == "non-finite state at step 2 (t=0.25), batch index (1, 2), component 1"
 
 
@@ -415,9 +485,10 @@ def test_euler_step_is_the_per_entry_sum():
     coeffs = build_coefficients(section)
     rng = np.random.default_rng(4)
     x0 = rng.uniform(-1.0, 1.0, (5, 2))
-    db = rng.standard_normal((1, 5, 2))
-    dqv = np.array([[[0.3, 0.1], [0.1, 0.2]]])
-    step = euler_march(coeffs, x0, np.array([0.0, 0.25]), db, dqv)[:, 1]
+    dw = rng.standard_normal((1, 5, 2))
+    control = VolatilityControl.constant(1, 1)
+    db, dqv = apply_control(dw, control, theta, 0.25)
+    step = euler_march(coeffs, x0, np.array([0.0, 0.25]), dw, control, theta)[:, 1]
     expected = x0 + 0.25 * coeffs.b(0.0, x0)
     for l in range(2):
         expected += coeffs.eval_sigma(l, 0.0, x0) * db[0, :, l, None]
@@ -539,6 +610,22 @@ def test_fields_match_per_entry_callables(case):
         assert h.shape == (4, 3, d, d, n) and h.tobytes() == ref_h.tobytes()
     if s is not None:
         assert s.shape == (4, 3, n, d) and s.tobytes() == ref_s.tobytes()
+
+
+@pytest.mark.parametrize("family", ["offdiag-monotone", "arctan-coupling"])
+def test_coupling_drifts_have_the_bits_of_the_np_sum_form(family):
+    # the drifts add the columns one at a time; for n <= 7 that is the order
+    # np.sum adds them in, signed zeros included
+    rng = np.random.default_rng(12)
+    for n in range(1, 8):
+        drift = build_coefficients({"n": n, "d": 1, "b": {"family": family, "scale": 0.5}}).b
+        for shape in [(), (1,), (5,), (3, 4), (2, 20, 7)]:
+            x = rng.standard_normal(shape + (n,)) * 10.0 ** rng.integers(-8, 9, shape + (n,))
+            x.reshape(-1, n)[0] = -0.0
+            x.reshape(-1, n)[-1, 0] = -0.0
+            y = np.arctan(x) if family == "arctan-coupling" else x
+            expected = 0.5 * (np.sum(y, axis=-1, keepdims=True) - y)
+            assert drift(0.0, x).tobytes() == expected.tobytes()
 
 
 @pytest.mark.parametrize("case", FIELD_CASES)
