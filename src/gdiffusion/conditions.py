@@ -80,22 +80,18 @@ class SearchDomain:
     def __post_init__(self) -> None:
         box = np.asarray(self.box, dtype=float)
         if box.ndim != 2 or box.shape[1] != 2:
-            raise DimensionMismatchError("domain.box: expected an (n, 2) array of [lo, hi] rows")
+            raise DimensionMismatchError("box must be an (n, 2) array of [lo, hi] rows")
         if not np.all(np.isfinite(box)):
-            raise DimensionMismatchError(f"domain.box: expected finite rows, got {box.tolist()}")
+            raise DimensionMismatchError(f"box rows must be finite, got {box.tolist()}")
         if np.any(box[:, 0] >= box[:, 1]):
-            raise DimensionMismatchError(
-                f"domain.box: expected rows with lo < hi, got {box.tolist()}")
+            raise DimensionMismatchError("box rows must satisfy lo < hi")
         if self.n_samples < 1:
-            raise DimensionMismatchError(
-                f"domain.n_samples: expected a positive integer, got {self.n_samples}")
+            raise DimensionMismatchError("n_samples must be positive")
         if self.n_refine < 0:
-            raise DimensionMismatchError(
-                f"domain.n_refine: expected a non-negative integer, got {self.n_refine}")
+            raise DimensionMismatchError("n_refine must be nonnegative")
         t_grid = tuple(float(t) for t in self.t_grid)
         if not t_grid or not np.all(np.isfinite(t_grid)):
-            raise DimensionMismatchError(
-                f"domain.t_grid: expected at least one finite time, got {list(t_grid)}")
+            raise DimensionMismatchError("t_grid must hold at least one finite time")
         box.setflags(write=False)
         object.__setattr__(self, "box", box)
         object.__setattr__(self, "t_grid", t_grid)

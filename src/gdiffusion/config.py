@@ -32,6 +32,8 @@ from __future__ import annotations
 import json
 import os
 
+import numpy as np
+
 from .coefficients import build_coefficients, remark_counterexample_pair
 from .conditions import SearchDomain
 from .errors import ConfigError, read
@@ -132,14 +134,23 @@ def domain_from_config(cfg: dict, n: int, default_seed: int) -> SearchDomain:
     box = read(section, "domain.box", "numbers")
     if box.shape != (n, 2):
         raise ConfigError(f"domain.box: expected {n} rows of [lo, hi]")
+    if not np.all(np.isfinite(box)):
+        raise ConfigError(f"domain.box: expected finite rows, got {box.tolist()}")
+    if np.any(box[:, 0] >= box[:, 1]):
+        raise ConfigError(f"domain.box: expected rows with lo < hi, got {box.tolist()}")
     t_grid = read(section, "domain.t_grid", "numbers", [0.0])
     if t_grid.ndim != 1:
         raise ConfigError(f"domain.t_grid: expected a list of times, got {t_grid.tolist()}")
+    if not t_grid.size or not np.all(np.isfinite(t_grid)):
+        raise ConfigError(f"domain.t_grid: expected at least one finite time, got {t_grid.tolist()}")
+    n_refine = read(section, "domain.n_refine", "integer", 8)
+    if n_refine < 0:
+        raise ConfigError(f"domain.n_refine: expected a non-negative integer, got {n_refine}")
     return SearchDomain(
         box=box,
         t_grid=tuple(t_grid.tolist()),
-        n_samples=read(section, "domain.n_samples", "integer", 512),
-        n_refine=read(section, "domain.n_refine", "integer", 8),
+        n_samples=read(section, "domain.n_samples", "count", 512),
+        n_refine=n_refine,
         seed=read(section, "domain.seed", "seed", default_seed),
     )
 

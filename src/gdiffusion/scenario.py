@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatchError, EvaluationError, NonFiniteError
+from .errors import DimensionMismatchError, EvaluationError
 from .gfunction import CovarianceSet
 
 POLICY_TAGS = ("constant", "random-switching", "bang-bang-cycle", "explicit")
@@ -184,11 +184,8 @@ def estimate_sublinear_expectation(functional, theta: CovarianceSet,
 
     ``functional.evaluate_batch(times, dW, controls)`` returns one value per
     control and path, (K, n_paths), for the shared time-major dW of shape
-    (n_steps, n_paths, d) and a list of K controls.  The controls go in
-    lockstep batches sized by ``lockstep_batch`` for their per-step dB
-    (K, n_paths, d).  When a batch raises NonFiniteError, its controls are
-    evaluated again one at a time, so that the error is the one the first
-    failing control raises alone.
+    (n_steps, n_paths, d) and a list of K controls; each control here goes
+    in its own call, K = 1.
     """
     if n_paths < 2:
         raise DimensionMismatchError("n_paths must be at least 2")
@@ -196,28 +193,17 @@ def estimate_sublinear_expectation(functional, theta: CovarianceSet,
         raise DimensionMismatchError("at least one control is required")
     dw = noise_block(seed, T, n_steps, theta.dim, n_paths)
     times = np.linspace(0.0, float(T), int(n_steps) + 1)
-
-    k = lockstep_batch(len(controls), n_paths, theta.dim)
     best = None
-    for first in range(0, len(controls), k):
-        batch = controls[first:first + k]
-        try:
-            rows = functional.evaluate_batch(times, dw, batch)
-        except NonFiniteError:
-            rows = None  # each control alone, in order, raises the error
-        for j, control in enumerate(batch):
-            c_idx = first + j
-            values = (rows[j] if rows is not None
-                      else functional.evaluate_batch(times, dw, [control])[0])
-            values = np.asarray(values, dtype=float)
-            if not np.all(np.isfinite(values)):
-                p_bad = int(np.argmin(np.isfinite(values)))
-                raise EvaluationError(
-                    f"functional returned a non-finite value at control {c_idx} "
-                    f"({control.label}), path {p_bad}"
-                )
-            mean = float(np.mean(values))
-            if best is None or mean > best[0]:
-                se = float(np.std(values, ddof=1) / np.sqrt(n_paths))
-                best = (mean, se, control)
+    for c_idx, control in enumerate(controls):
+        values = np.asarray(functional.evaluate_batch(times, dw, [control])[0], dtype=float)
+        if not np.all(np.isfinite(values)):
+            p_bad = int(np.argmin(np.isfinite(values)))
+            raise EvaluationError(
+                f"functional returned a non-finite value at control {c_idx} "
+                f"({control.label}), path {p_bad}"
+            )
+        mean = float(np.mean(values))
+        if best is None or mean > best[0]:
+            se = float(np.std(values, ddof=1) / np.sqrt(n_paths))
+            best = (mean, se, control)
     return best
