@@ -43,6 +43,7 @@ import numpy as np
 
 from .errors import DimensionMismatchError, EvaluationError
 from .gfunction import CovarianceSet, eval_G
+from .scenario import seeded_streams
 from .sde import CoefficientSet
 
 PAIR_CONDITIONS = ("B1", "C2", "C2'", "D2", "D4", "D4'")
@@ -136,8 +137,8 @@ def _uniform(rng: np.random.Generator, lo: np.ndarray, hi: np.ndarray) -> np.nda
 
 def _draws(dom: SearchDomain, tag: int, count: int, draw) -> tuple:
     """((t,), z), one row per sample in stream order: z_j = draw(rng) with
-    rng seeded by (tag, j), j < count, at every t of the grid."""
-    z = np.array([draw(_rng(dom.seed, tag, j)) for j in range(count)])
+    rng the stream (seed, tag, j), j < count, at every t of the grid."""
+    z = np.array([draw(rng) for rng in seeded_streams((dom.seed, tag), 0, count)])
     return (np.tile(dom.t_grid, count),), np.repeat(z, len(dom.t_grid), axis=0)
 
 

@@ -346,16 +346,19 @@ def run_feynman_crosscheck(cfg: dict) -> tuple[dict, int]:
     scen = read(cfg, "scenario", "object")
     horizon = read(scen, "scenario.T", "positive", t_query)
     if abs(horizon - t_query) > 1e-12:
-        raise ConfigError("scenario.T must equal query.t for the cross-check")
+        raise ConfigError(f"scenario.T: expected query.t ({t_query!r}), got {horizon!r}")
     n_steps = read(scen, "scenario.n_steps", "count")
     n_paths = read(scen, "scenario.n_paths", "count")
+    if n_paths < 2:
+        raise ConfigError(f"scenario.n_paths: expected at least 2 paths for a standard error, "
+                          f"got {n_paths}")
+    controls = cfgmod.controls_from_config(
+        read(scen, "scenario.controls", "object", {}), theta, n_steps, seed)
 
     f = functions[0]
     sol = solve(coeffs, theta, f, grid)
     pde_value = semigroup_value(sol, t_query, x_query)
 
-    controls = cfgmod.controls_from_config(
-        read(scen, "scenario.controls", "object", {}), theta, n_steps, seed)
     functional = SDETerminalFunctional(coeffs, f, x_query, theta)
     mc_value, mc_se, best = estimate_sublinear_expectation(
         functional, theta, controls, n_paths, seed, horizon, n_steps)

@@ -20,7 +20,12 @@ a lower bound: the maximum of in-sample means is biased upward.
 
 Noise streams follow a stream-split contract: the draw at (seed, path index,
 step) is fixed, so regeneration is bit-identical and ensembles can be built
-in any order or in parallel.
+in any order or in parallel.  Path p draws from the stream that
+``Generator(PCG64(SeedSequence((seed, p))))`` gives, bit for bit, but
+``seeded_streams`` never builds a ``SeedSequence``: it runs the
+SeedSequence hash (NEP 19 keeps it stable) for a slice of paths at once in
+numpy uint32 arithmetic, turns each hashed row into a PCG64 state as the
+PCG64 constructor does, and sets that state on one reused generator.
 """
 
 from __future__ import annotations
@@ -47,8 +52,96 @@ def lockstep_batch(n_controls: int, n_paths: int, width: int) -> int:
     return max(1, min(n_controls, STEP_BYTES // (8 * n_paths * width)))
 
 
-def _rng_for_path(seed: int, path_index: int) -> np.random.Generator:
-    return np.random.Generator(np.random.PCG64(np.random.SeedSequence((int(seed), int(path_index)))))
+# SeedSequence's hash constants, and the multiplier of PCG64's 128-bit LCG
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_XSHIFT = 16
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_MASK32, _MASK128 = 0xFFFFFFFF, (1 << 128) - 1
+# streams hashed per numpy pass; their states are held as Python ints
+_ROWS = 512
+
+
+def _words(value: int) -> list[int]:
+    """The uint32 words of a non-negative integer, low first, as SeedSequence
+    splits its entropy."""
+    value = int(value)
+    if value < 0:
+        raise ValueError(f"expected non-negative integer, got {value}")
+    words = [value & _MASK32]
+    while value > _MASK32:
+        value >>= 32
+        words.append(value & _MASK32)
+    return words
+
+
+def _hashmix(value: np.ndarray, const: int) -> tuple[np.ndarray, int]:
+    value = value ^ const
+    const = const * _MULT_A & _MASK32
+    value = value * const
+    return value ^ (value >> _XSHIFT), const
+
+
+def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    x = x * _MIX_MULT_L - y * _MIX_MULT_R
+    return x ^ (x >> _XSHIFT)
+
+
+def _seed_words(entropy: list[np.ndarray]) -> np.ndarray:
+    """SeedSequence(entropy row).generate_state(4, np.uint64) of every row:
+    entropy holds one uint32 column per entropy word, (rows, 4) out."""
+    const, pool = _INIT_A, []
+    for word in entropy[:4] + [np.zeros_like(entropy[0])] * (4 - len(entropy)):
+        word, const = _hashmix(word, const)
+        pool.append(word)
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                word, const = _hashmix(pool[src], const)
+                pool[dst] = _mix(pool[dst], word)
+    for extra in entropy[4:]:
+        for dst in range(4):
+            word, const = _hashmix(extra, const)
+            pool[dst] = _mix(pool[dst], word)
+    const, state = _INIT_B, []
+    for k in range(8):
+        word = pool[k % 4] ^ const
+        const = const * _MULT_B & _MASK32
+        word = word * const
+        state.append((word ^ (word >> _XSHIFT)).astype(np.uint64))
+    return np.stack([state[k] | state[k + 1] << np.uint64(32) for k in range(0, 8, 2)], -1)
+
+
+def seeded_streams(prefix: tuple, first: int, count: int):
+    """Yield a Generator for each j = first .. first + count - 1, at the start
+    of the stream of ``Generator(PCG64(SeedSequence(prefix + (j,))))`` bit
+    for bit.
+
+    Every step yields the same Generator, reseeded, so draw from it before
+    the next step.  Negative entropy raises ValueError, as in SeedSequence.
+    """
+    head = [word for value in prefix for word in _words(value)]
+    bitgen = np.random.PCG64()
+    rng = np.random.Generator(bitgen)
+    state = {"bit_generator": "PCG64", "state": {}, "has_uint32": 0, "uinteger": 0}
+    start, end = int(first), int(first) + int(count)
+    while start < end:
+        # j's words above the low one, and so the entropy length, stay fixed
+        # up to the next multiple of 2**32
+        high = start >> 32
+        stop = min(end, (high + 1) << 32, start + _ROWS)
+        low = np.arange(start & _MASK32, (start & _MASK32) + (stop - start), dtype=np.uint32)
+        entropy = ([np.full_like(low, word) for word in head] + [low]
+                   + [np.full_like(low, word) for word in (_words(high) if high else ())])
+        for s_hi, s_lo, q_hi, q_lo in _seed_words(entropy).tolist():
+            # pcg64_set_seed: inc from the sequence words, then two LCG steps
+            inc = (q_hi << 65 | q_lo << 1 | 1) & _MASK128
+            state["state"] = {"state": ((inc + (s_hi << 64 | s_lo)) * _PCG_MULT + inc) & _MASK128,
+                              "inc": inc}
+            bitgen.state = state
+            yield rng
+        start = stop
 
 
 def noise_block(seed: int, T: float, n_steps: int, d: int, n_paths: int,
@@ -56,8 +149,11 @@ def noise_block(seed: int, T: float, n_steps: int, d: int, n_paths: int,
     """Reference increments of paths first .. first + n_paths - 1, (n_steps, n_paths, d).
 
     Column p holds the i.i.d. N(0, dt) draws (dt = T / n_steps) of the stream
-    (seed, first + p), so a block and any sub-block regenerate bit for bit;
-    a single path is ``noise_block(..., n_paths=1, first=p)[:, 0]``.
+    (seed, first + p), the stream of ``Generator(PCG64(SeedSequence((seed,
+    first + p))))`` bit for bit, so a block and any sub-block regenerate
+    bit for bit; a single path is ``noise_block(..., n_paths=1, first=p)[:, 0]``.
+    ``seeded_streams`` seeds all the streams in numpy passes, and each path
+    draws straight into its column.  A negative seed raises ValueError.
     """
     if not (T > 0 and n_steps >= 1 and d >= 1):
         raise DimensionMismatchError(
@@ -65,11 +161,11 @@ def noise_block(seed: int, T: float, n_steps: int, d: int, n_paths: int,
     if n_paths < 1 or first < 0:
         raise DimensionMismatchError(f"invalid noise shape: n_paths={n_paths}, first={first}")
     dt = float(T) / int(n_steps)
-    # each stream fills a contiguous row; one transposed copy makes time lead
-    rows = np.empty((n_paths, n_steps, d))
-    for p in range(n_paths):
-        rows[p] = _rng_for_path(seed, first + p).standard_normal((n_steps, d))
-    out = np.ascontiguousarray(rows.transpose(1, 0, 2))
+    out = np.empty((n_steps, n_paths, d))
+    path = np.empty((n_steps, d))
+    for p, rng in enumerate(seeded_streams((seed,), first, n_paths)):
+        rng.standard_normal(out=path)
+        out[:, p] = path
     out *= np.sqrt(dt)
     return out
 

@@ -455,6 +455,8 @@ UNREADABLE = [
     ("verify-comparison", "scenario.n_paths", 0),
     ("verify-comparison", "scenario.n_steps", -4),
     ("feynman-crosscheck", "scenario.n_paths", 0),
+    ("feynman-crosscheck", "scenario.n_paths", 1),
+    ("feynman-crosscheck", "scenario.T", 0.5),
     ("counterexample-remark", "scenario.n_steps", 0),
     ("verify-comparison", "domain.t_grid", []),
     ("verify-comparison", "domain.n_refine", -1),
@@ -543,6 +545,26 @@ def test_a_missing_nested_key_names_its_dotted_path(key):
     report, code = dispatch("feynman-crosscheck", cfg)
     assert code == 2
     assert report["results"]["error"] == f"{key}: missing required key {name!r}"
+
+
+@pytest.mark.parametrize("key, value, error", [
+    ("scenario.n_paths", 1, "scenario.n_paths: expected at least 2 paths for a standard error, "
+                            "got 1"),
+    ("scenario.T", 0.5, "scenario.T: expected query.t (0.25), got 0.5"),
+    ("scenario.controls.random_switching", "lots", None),
+], ids=["n_paths=1", "T!=query.t", "controls"])
+def test_feynman_crosscheck_reads_the_scenario_before_solving(monkeypatch, key, value, error):
+    def solve(*args):
+        raise AssertionError("the PDE was solved before the scenario was read")
+
+    monkeypatch.setattr(experiments, "solve", solve)
+    cfg = pde_config()
+    set_dotted(cfg, key, value)
+    report, code = dispatch("feynman-crosscheck", cfg)
+    assert code == 2
+    assert report["status"] == "config-error"
+    assert report["results"]["error"].startswith(f"{key}:")
+    assert error is None or report["results"]["error"] == error
 
 
 @pytest.mark.parametrize("expr", [5, None, ["x_1"]])

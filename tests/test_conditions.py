@@ -21,6 +21,7 @@ from gdiffusion.conditions import (
     CheckReport,
     SearchDomain,
     _dot,
+    _draws,
     _merge_reports,
     _rng,
     _sigma_products,
@@ -468,6 +469,31 @@ def ref_draws(dom, tag, count, draw):
         z = draw(_rng(dom.seed, tag, j))
         for t in dom.t_grid:
             yield t, z
+
+
+@pytest.mark.parametrize("seed", [0, 11, 2**32 + 1, 2**130 + 5])
+def test_draws_equal_the_per_sample_seed_sequence_streams(seed):
+    # _draws seeds every sample in one pass; _rng builds the sample's own
+    # SeedSequence((seed, tag, j)), the construction it replaces
+    dom = SearchDomain(box=np.array([[-1.0, 2.0], [0.0, 1.0]]), t_grid=(0.0, 0.5), seed=seed)
+    lo, hi = dom.box[:, 0], dom.box[:, 1]
+
+    def draw(rng):
+        return np.concatenate([_uniform(rng, lo, hi), rng.standard_normal(3)])
+
+    for tag, count in ((1, 700), (11, 3), (4, 0)):
+        (t,), z = _draws(dom, tag, count, draw)
+        ref = list(ref_draws(dom, tag, count, draw))
+        assert t.tolist() == [r[0] for r in ref]
+        assert z.tobytes() == np.array([r[1] for r in ref]).reshape(z.shape).tobytes()
+
+
+def test_draws_refuse_a_negative_seed():
+    dom = SearchDomain(box=np.array([[-1.0, 2.0]]), seed=-1)
+    with pytest.raises(ValueError, match="non-negative"):
+        _rng(dom.seed, 1, 0)
+    with pytest.raises(ValueError, match="non-negative"):
+        _draws(dom, 1, 2, lambda rng: rng.uniform(size=1))
 
 
 def ref_pattern_search(objective, z0, lo, hi):

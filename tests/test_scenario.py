@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -10,6 +12,7 @@ from gdiffusion.scenario import (
     control_schedules,
     estimate_sublinear_expectation,
     noise_block,
+    seeded_streams,
 )
 
 INTERVAL = CovarianceSet.from_interval(0.25, 1.0)
@@ -78,6 +81,59 @@ def test_time_major_sub_block_regenerates(d):
         sub = noise_block(4, 0.5, 12, d, n_paths=b - a, first=a)
         assert sub.shape == (12, b - a, d)
         assert block[:, a:b].tobytes() == sub.tobytes()
+
+
+def seed_sequence_path(seed, T, n_steps, d, p):
+    """Path p of seed from its own SeedSequence: the construction noise_block
+    replaces, kept as the oracle of its streams."""
+    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence((seed, p))))
+    return rng.standard_normal((n_steps, d)) * np.sqrt(T / n_steps)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("seed, first, n_paths", [
+    (0, 0, 1100),                  # more paths than one hashing pass
+    (2**32 + 5, 3, 12),            # a seed of two words
+    (2**130 + 7, 0, 12),           # five entropy words, more than the pool of 4
+    (7, 2**32 - 6, 12),            # the path index gains a word inside the block
+    (7, 2**63 + 5, 12),
+    (2**32 - 1, 2**96 - 2, 5),     # the index's upper words carry inside the block
+], ids=["seed0", "seed-2-words", "seed-5-words", "first-straddles-2^32", "first-2^63",
+        "first-straddles-2^96"])
+def test_noise_block_equals_the_seed_sequence_streams(seed, first, n_paths, d):
+    block = noise_block(seed, 0.5, 13, d, n_paths, first=first)
+    assert block.shape == (13, n_paths, d) and block.flags.c_contiguous
+    for p in range(n_paths):
+        assert block[:, p].tobytes() == seed_sequence_path(seed, 0.5, 13, d, first + p).tobytes()
+
+
+def test_seeded_streams_equal_the_seed_sequence_streams():
+    # each stream ends on an odd count of 32-bit draws, so the reused
+    # generator holds a buffered half word that the next reseed must drop
+    prefix = (2**40 + 3, 9, 0)
+    for j, rng in enumerate(seeded_streams(prefix, 2**32 - 2, 4), start=2**32 - 2):
+        alone = np.random.Generator(np.random.PCG64(np.random.SeedSequence(prefix + (j,))))
+        assert rng.random(5).tobytes() == alone.random(5).tobytes()
+        assert (rng.integers(0, 2**31, 3, dtype=np.uint32).tolist()
+                == alone.integers(0, 2**31, 3, dtype=np.uint32).tolist())
+
+
+def test_negative_seed_is_refused():
+    # SeedSequence refuses it too; a word split of -1 would give 0xFFFFFFFF
+    with pytest.raises(ValueError, match="non-negative"):
+        np.random.SeedSequence((-1, 0))
+    with pytest.raises(ValueError, match="non-negative"):
+        noise_block(-1, 1.0, 4, 1, 2)
+
+
+def test_noise_block_allocates_little_beyond_its_output():
+    tracemalloc.start()
+    try:
+        block = noise_block(424242, 0.5, 100, 1, 20_000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.25 * block.nbytes
 
 
 def test_noise_invalid_sizes():
