@@ -77,6 +77,7 @@ def _words(value: int) -> list[int]:
 
 
 def _hashmix(value: np.ndarray, const: int) -> tuple[np.ndarray, int]:
+    """SeedSequence's hashmix of uint32 words; returns the advanced constant."""
     value = value ^ const
     const = const * _MULT_A & _MASK32
     value = value * const
@@ -84,6 +85,7 @@ def _hashmix(value: np.ndarray, const: int) -> tuple[np.ndarray, int]:
 
 
 def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """SeedSequence's mix of two uint32 words."""
     x = x * _MIX_MULT_L - y * _MIX_MULT_R
     return x ^ (x >> _XSHIFT)
 
