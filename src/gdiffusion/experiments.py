@@ -22,15 +22,8 @@ from .conditions import run_check
 from .errors import (ConfigError, EvaluationError, GDiffusionError,
                      NonFiniteError, StabilityError, read)
 from .gfunction import nondegeneracy_bound
-from .generator import generator_limit_check, limit_table_csv
-from .pde import (
-    dominance_check,
-    export_grid_dump,
-    export_solution_csv,
-    monotonicity_check,
-    semigroup_value,
-    solve,
-)
+from .generator import generator_limit_check
+from .pde import dominance_check, export_grid_dump, monotonicity_check, semigroup_value, solve
 from .scenario import (VolatilityControl, estimate_sublinear_expectation, lockstep_batch,
                        noise_block)
 from .sde import (MinGapObserver, SDETerminalFunctional, euler_march, frame_eigenvalues,
@@ -56,6 +49,51 @@ def _report(experiment: str, cfg: dict, results: dict, status: str, exit_code: i
 
 def report_json(report: dict) -> str:
     return json.dumps(report, sort_keys=True, indent=2) + "\n"
+
+
+def _verdict(experiment: str, cfg: dict, results: dict, ok: bool) -> tuple[dict, int]:
+    """The report of a run that reached its conclusion: ok, or the assertion failed."""
+    status, code = ("ok", EXIT_OK) if ok else ("assertion-failed", EXIT_ASSERTION)
+    return _report(experiment, cfg, results, status, code), code
+
+
+def _hypotheses(experiment: str, cfg: dict, results: dict, reports: dict,
+                side_conditions: list) -> tuple[dict, int] | None:
+    """Record ``reports`` (check name -> CheckReport, in check order) under
+    ``results["checks"]``.  When a check or a side condition is violated, list
+    them, checks first, under ``results["violated"]`` and return the
+    hypothesis-violated report; otherwise None."""
+    results["checks"] = {name: rep.to_dict() for name, rep in reports.items()}
+    violated = [name for name, rep in reports.items() if rep.verdict == "violated"]
+    violated += side_conditions
+    if not violated:
+        return None
+    results["violated"] = violated
+    return (_report(experiment, cfg, results, "hypothesis-violated", EXIT_HYPOTHESIS),
+            EXIT_HYPOTHESIS)
+
+
+def _per_function(experiment: str, cfg: dict, results: dict, functions, check
+                  ) -> tuple[dict, int]:
+    """One row per test function from ``check(f) -> (holds, row keys)``; the
+    run fails when a function declared monotone does not hold."""
+    rows = []
+    failed = False
+    for f in functions:
+        holds, row = check(f)
+        rows.append({"name": f.name, "declared_monotone": f.monotone, **row})
+        failed = failed or (f.monotone and not holds)
+    results["functions"] = rows
+    return _verdict(experiment, cfg, results, not failed)
+
+
+def _write_csv(path: str, header: list, rows) -> None:
+    """The one CSV format of the exports: a header line, then each row's
+    numbers as ``repr(float)`` joined by commas."""
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(",".join(header) + "\n")
+        for row in rows:
+            fh.write(",".join(repr(float(v)) for v in row) + "\n")
 
 
 def _output_path(cfg: dict, key: str) -> str | None:
@@ -96,20 +134,15 @@ def run_verify_comparison(cfg: dict) -> tuple[dict, int]:
     if counterexample_mode:
         warnings.warn("x0 <= y0 fails; running in counterexample mode", stacklevel=2)
 
-    rep_b1 = run_check("B1", coeffs_x, coeffs_y, theta, dom)
-    rep_b2 = run_check("B2", coeffs_x, coeffs_y, theta, dom)
-    checks = {"B1": rep_b1.to_dict(), "B2": rep_b2.to_dict()}
-    results = {"checks": checks, "counterexample_mode": counterexample_mode}
+    reports = {name: run_check(name, coeffs_x, coeffs_y, theta, dom) for name in ("B1", "B2")}
+    results = {"counterexample_mode": counterexample_mode}
     if coeffs_x.lipschitz > 0:  # declared constant: spot-audited, warning only
         results["lipschitz_audit"] = {
             "declared": coeffs_x.lipschitz,
             "worst_sampled_quotient": lipschitz_audit(coeffs_x, dom.box, seed=seed),
         }
-    if rep_b1.verdict == "violated" or rep_b2.verdict == "violated":
-        results["violated"] = [name for name, rep in (("B1", rep_b1), ("B2", rep_b2))
-                               if rep.verdict == "violated"]
-        return (_report("verify-comparison", cfg, results, "hypothesis-violated",
-                        EXIT_HYPOTHESIS), EXIT_HYPOTHESIS)
+    if violated := _hypotheses("verify-comparison", cfg, results, reports, []):
+        return violated
 
     times = np.linspace(0.0, horizon, n_steps + 1)
 
@@ -138,10 +171,8 @@ def run_verify_comparison(cfg: dict) -> tuple[dict, int]:
     results["min_gap"] = min_gap
     results["witness"] = witness
     results["tol_path"] = tol_path
-    if not counterexample_mode and min_gap < -tol_path:
-        return (_report("verify-comparison", cfg, results, "assertion-failed",
-                        EXIT_ASSERTION), EXIT_ASSERTION)
-    return (_report("verify-comparison", cfg, results, "ok", EXIT_OK), EXIT_OK)
+    return _verdict("verify-comparison", cfg, results,
+                    counterexample_mode or not min_gap < -tol_path)
 
 
 def run_counterexample_remark(cfg: dict) -> tuple[dict, int]:
@@ -193,9 +224,7 @@ def run_counterexample_remark(cfg: dict) -> tuple[dict, int]:
     }
     ok = (abs(gap_at_horizon - expected_rate * horizon) <= 1e-12 * (1.0 + horizon)
           and gap_at_horizon > 0 and rep_b1.verdict == "violated")
-    status = "ok" if ok else "assertion-failed"
-    code = EXIT_OK if ok else EXIT_ASSERTION
-    return _report("counterexample-remark", cfg, results, status, code), code
+    return _verdict("counterexample-remark", cfg, results, ok)
 
 
 def run_verify_monotone(cfg: dict) -> tuple[dict, int]:
@@ -207,36 +236,22 @@ def run_verify_monotone(cfg: dict) -> tuple[dict, int]:
     grid = cfgmod.grid_from_config(cfg)
     functions = cfgmod.functions_from_config(cfg, coeffs.n)
 
-    rep_c1 = run_check("C1", coeffs, None, theta, dom)
-    rep_c2 = run_check("C2", coeffs, None, theta, dom)
-    checks = {"C1": rep_c1.to_dict(), "C2": rep_c2.to_dict()}
-    results = {"checks": checks}
-    if rep_c1.verdict == "violated" or rep_c2.verdict == "violated":
-        results["violated"] = [n for n, r in (("C1", rep_c1), ("C2", rep_c2))
-                               if r.verdict == "violated"]
-        return (_report("verify-monotone", cfg, results, "hypothesis-violated",
-                        EXIT_HYPOTHESIS), EXIT_HYPOTHESIS)
+    reports = {name: run_check(name, coeffs, None, theta, dom) for name in ("C1", "C2")}
+    results: dict = {}
+    if violated := _hypotheses("verify-monotone", cfg, results, reports, []):
+        return violated
 
-    per_function = []
-    failed = False
-    for f in functions:
-        sol = solve(coeffs, theta, f, grid)
-        rep = monotonicity_check(sol)
-        per_function.append({
-            "name": f.name,
-            "declared_monotone": f.monotone,
+    def check(f):
+        rep = monotonicity_check(solve(coeffs, theta, f, grid))
+        return rep.nondecreasing, {
             "negative_control": not f.monotone,
             "nondecreasing": rep.nondecreasing,
             "min_forward_difference": rep.min_forward_difference,
             "witness": rep.witness,
             "tolerance": rep.tolerance,
-        })
-        if f.monotone and not rep.nondecreasing:
-            failed = True
-    results["functions"] = per_function
-    status = "assertion-failed" if failed else "ok"
-    code = EXIT_ASSERTION if failed else EXIT_OK
-    return _report("verify-monotone", cfg, results, status, code), code
+        }
+
+    return _per_function("verify-monotone", cfg, results, functions, check)
 
 
 def run_verify_order(cfg: dict) -> tuple[dict, int]:
@@ -264,46 +279,25 @@ def run_verify_order(cfg: dict) -> tuple[dict, int]:
     results["uniform_pd_beta"] = beta
     results["nondegeneracy_bound"] = h3
 
-    checks = {}
-    for name, rep in (
-        ("C1", run_check("C1", side, None, theta, dom)),
-        ("C2", run_check("C2", side, None, theta, dom)),
-        ("D1", run_check("D1", coeffs_x, coeffs_y, theta, dom)),
-        ("D5", run_check("D5", coeffs_x, coeffs_y, theta, dom)),
-    ):
-        checks[name] = rep.to_dict()
-    results["checks"] = checks
-    violated = [name for name, rep in checks.items() if rep["verdict"] == "violated"]
-    if beta <= 1e-10:
-        violated.append("uniform-positive-definiteness")
-    if h3 <= 0.0:
-        violated.append("nondegeneracy")
-    if violated:
-        results["violated"] = violated
-        return (_report("verify-order", cfg, results, "hypothesis-violated",
-                        EXIT_HYPOTHESIS), EXIT_HYPOTHESIS)
+    reports = {name: run_check(name, side, None, theta, dom) for name in ("C1", "C2")}
+    reports.update((name, run_check(name, coeffs_x, coeffs_y, theta, dom))
+                   for name in ("D1", "D5"))
+    side_conditions = [name for name, failed in (("uniform-positive-definiteness", beta <= 1e-10),
+                                                 ("nondegeneracy", h3 <= 0.0)) if failed]
+    if violated := _hypotheses("verify-order", cfg, results, reports, side_conditions):
+        return violated
 
-    per_function = []
-    failed = False
-    for f in functions:
-        sol_upper = solve(coeffs_x, theta, f, grid)
-        sol_lower = solve(coeffs_y, theta, f, grid)
-        rep = dominance_check(sol_upper, sol_lower)
-        per_function.append({
-            "name": f.name,
-            "declared_monotone": f.monotone,
+    def check(f):
+        rep = dominance_check(solve(coeffs_x, theta, f, grid), solve(coeffs_y, theta, f, grid))
+        return rep.dominates, {
             "dominates": rep.dominates,
             "min_gap": rep.min_gap,
             "witness": rep.witness,
             "mode": rep.mode,
             "tolerance": rep.tolerance,
-        })
-        if f.monotone and not rep.dominates:
-            failed = True
-    results["functions"] = per_function
-    status = "assertion-failed" if failed else "ok"
-    code = EXIT_ASSERTION if failed else EXIT_OK
-    return _report("verify-order", cfg, results, status, code), code
+        }
+
+    return _per_function("verify-order", cfg, results, functions, check)
 
 
 def run_generator_limit(cfg: dict) -> tuple[dict, int]:
@@ -318,7 +312,8 @@ def run_generator_limit(cfg: dict) -> tuple[dict, int]:
     rows = generator_limit_check(coeffs, theta, f, x, t_list, grid=grid)
     csv_path = _output_path(cfg, "csv")
     if csv_path:
-        limit_table_csv(rows, csv_path)
+        _write_csv(csv_path, ["t", "quotient", "generator_value", "residual"],
+                   ((r.t, r.quotient, r.generator_value, r.residual) for r in rows))
     table = [{"t": r.t, "quotient": r.quotient, "generator_value": r.generator_value,
               "residual": r.residual} for r in sorted(rows, key=lambda r: -r.t)]
     residuals = [r["residual"] for r in table]
@@ -354,6 +349,10 @@ def run_feynman_crosscheck(cfg: dict) -> tuple[dict, int]:
                           f"got {n_paths}")
     controls = cfgmod.controls_from_config(
         read(scen, "scenario.controls", "object", {}), theta, n_steps, seed)
+    # the default tolerance depends on the Monte Carlo standard error
+    tolerances = read(cfg, "tolerances", "object", {})
+    tolerance = (read(tolerances, "tolerances.crosscheck", "number")
+                 if "crosscheck" in tolerances else None)
 
     f = functions[0]
     sol = solve(coeffs, theta, f, grid)
@@ -363,8 +362,8 @@ def run_feynman_crosscheck(cfg: dict) -> tuple[dict, int]:
     mc_value, mc_se, best = estimate_sublinear_expectation(
         functional, theta, controls, n_paths, seed, horizon, n_steps)
 
-    tolerance = read(read(cfg, "tolerances", "object", {}), "tolerances.crosscheck", "number",
-                     max(2e-2, 3.0 * mc_se))
+    if tolerance is None:
+        tolerance = max(2e-2, 3.0 * mc_se)
     gap = pde_value - mc_value
     ok = abs(gap) <= tolerance and gap >= -3.0 * mc_se
     results = {
@@ -379,9 +378,7 @@ def run_feynman_crosscheck(cfg: dict) -> tuple[dict, int]:
         "tolerance": tolerance,
         "pde_dominates_mc": bool(gap >= -3.0 * mc_se),
     }
-    status = "ok" if ok else "assertion-failed"
-    code = EXIT_OK if ok else EXIT_ASSERTION
-    return _report("feynman-crosscheck", cfg, results, status, code), code
+    return _verdict("feynman-crosscheck", cfg, results, ok)
 
 
 def run_checks(cfg: dict) -> tuple[dict, int]:
@@ -414,7 +411,11 @@ def run_solve(cfg: dict) -> tuple[dict, int]:
     stride = read(read(cfg, "output", "object", {}), "output.csv_stride", "integer",
                   max(1, grid.n_levels // 100))
     if csv_path:
-        export_solution_csv(sol, csv_path, level_stride=stride)
+        nodes = grid.nodes().reshape(-1, grid.n)
+        _write_csv(csv_path, ["t", *(f"x_{i + 1}" for i in range(grid.n)), "u"],
+                   ((level * grid.dt, *node, value)
+                    for level in range(0, grid.n_levels + 1, max(1, stride))
+                    for node, value in zip(nodes, sol.u[level].reshape(-1))))
     dump_path = _output_path(cfg, "dump")
     if dump_path:
         export_grid_dump(sol, dump_path)
@@ -481,10 +482,8 @@ def run_simulate(cfg: dict) -> tuple[dict, int]:
     states = euler_march(coeffs, x0, times, dw, control, theta)[0]
     csv_path = _output_path(cfg, "csv")
     if csv_path:
-        with open(csv_path, "w", encoding="utf-8") as fh:
-            fh.write("t," + ",".join(f"X_{i + 1}" for i in range(coeffs.n)) + "\n")
-            for t, state in zip(times, states):
-                fh.write(",".join(repr(float(v)) for v in (t, *state)) + "\n")
+        _write_csv(csv_path, ["t", *(f"X_{i + 1}" for i in range(coeffs.n))],
+                   ((t, *state) for t, state in zip(times, states)))
     results = {
         "control": control.label,
         "terminal_state": states[-1].tolist(),
@@ -506,6 +505,14 @@ EXPERIMENTS = {
 }
 
 
+# raised error -> (status, exit code); the first row that matches wins
+_ERRORS = (
+    (EvaluationError, "evaluation-error", EXIT_CONFIG),
+    ((NonFiniteError, StabilityError), "numerical-error", EXIT_NUMERICAL),
+    (GDiffusionError, "config-error", EXIT_CONFIG),
+)
+
+
 def dispatch(name: str, cfg: dict) -> tuple[dict, int]:
     """Run one experiment, mapping raised errors to reports and exit codes."""
     runner = EXPERIMENTS[name]
@@ -513,18 +520,10 @@ def dispatch(name: str, cfg: dict) -> tuple[dict, int]:
     try:
         path = _output_path(cfg, "report")
         report, code = runner(cfg)
-    except ConfigError as exc:
-        report = _report(name, cfg, {"error": str(exc)}, "config-error", EXIT_CONFIG)
-        code = EXIT_CONFIG
-    except EvaluationError as exc:
-        report = _report(name, cfg, {"error": str(exc)}, "evaluation-error", EXIT_CONFIG)
-        code = EXIT_CONFIG
-    except (NonFiniteError, StabilityError) as exc:
-        report = _report(name, cfg, {"error": str(exc)}, "numerical-error", EXIT_NUMERICAL)
-        code = EXIT_NUMERICAL
     except GDiffusionError as exc:
-        report = _report(name, cfg, {"error": str(exc)}, "config-error", EXIT_CONFIG)
-        code = EXIT_CONFIG
+        status, code = next((status, code) for kind, status, code in _ERRORS
+                            if isinstance(exc, kind))
+        report = _report(name, cfg, {"error": str(exc)}, status, code)
     if path:
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(report_json(report))

@@ -160,10 +160,3 @@ def _default_limit_grid(coeffs: CoefficientSet, theta: CovarianceSet,
         dt /= 2.0
     n_levels = int(round(t_max / dt))
     return Grid.regular(bounds, counts, horizon=t_max, n_levels=n_levels)
-
-
-def limit_table_csv(rows: list[LimitRow], path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("t,quotient,generator_value,residual\n")
-        for row in rows:
-            fh.write(f"{row.t!r},{row.quotient!r},{row.generator_value!r},{row.residual!r}\n")

@@ -373,22 +373,17 @@ def semigroup_value(sol: PDESolution, t: float, x, allow_untrusted: bool = False
             f"query {x.tolist()} outside the {'grid' if allow_untrusted else 'trust region'} "
             f"{(grid.bounds if allow_untrusted else sol.trust_bounds).tolist()}"
         )
-    values = sol.u[level]
-    weights = []
-    idx0 = []
-    for i in range(grid.n):
-        pos = (x[i] - grid.bounds[i, 0]) / grid.dx[i]
-        j = int(np.clip(np.floor(pos), 0, grid.counts[i] - 2))
-        idx0.append(j)
-        weights.append(pos - j)
-    if grid.n == 1:
-        j, w = idx0[0], weights[0]
-        return float((1 - w) * values[j] + w * values[j + 1])
-    j0, j1 = idx0
-    w0, w1 = weights
-    patch = values[j0:j0 + 2, j1:j1 + 2]
-    return float((1 - w0) * (1 - w1) * patch[0, 0] + (1 - w0) * w1 * patch[0, 1]
-                 + w0 * (1 - w1) * patch[1, 0] + w0 * w1 * patch[1, 1])
+    pos = (x - grid.bounds[:, 0]) / grid.dx
+    idx0 = np.clip(np.floor(pos), 0, np.array(grid.counts) - 2).astype(int)
+    weights = pos - idx0
+    # the 2^n cell corners in C order, each weighted by a product over the axes
+    total = 0.0
+    for corner in itertools.product((0, 1), repeat=grid.n):
+        weight = 1.0
+        for w, bit in zip(weights, corner):
+            weight *= w if bit else 1.0 - w
+        total += weight * sol.u[level][tuple(idx0 + corner)]
+    return float(total)
 
 
 def _first_min(levels) -> tuple:
@@ -539,20 +534,6 @@ def dominance_check(sol_upper: PDESolution, sol_lower: PDESolution) -> Dominance
         dominates=bool(min_gap >= -tol),
         mode="nodewise-reduction" if nodewise else "prefix-max-reduction",
     )
-
-
-def export_solution_csv(sol: PDESolution, path: str, level_stride: int = 1) -> None:
-    """Rows (t, x..., u) for every stored level that survives the stride."""
-    grid = sol.grid
-    nodes = grid.nodes().reshape(-1, grid.n)
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("t," + ",".join(f"x_{i + 1}" for i in range(grid.n)) + ",u\n")
-        for level in range(0, grid.n_levels + 1, max(1, level_stride)):
-            t = level * grid.dt
-            flat = sol.u[level].reshape(-1)
-            for point, value in zip(nodes, flat):
-                coords = ",".join(repr(float(c)) for c in point)
-                fh.write(f"{float(t)!r},{coords},{float(value)!r}\n")
 
 
 GRID_DUMP_MAGIC = b"GDIF"

@@ -8,7 +8,8 @@ import pytest
 from gdiffusion import config, experiments, scenario
 from gdiffusion.cli import main
 from gdiffusion.config import load_config
-from gdiffusion.errors import ConfigError, NonFiniteError
+from gdiffusion.errors import (ConfigError, DimensionMismatchError, EvaluationError, GridError,
+                               NonFiniteError, StabilityError)
 from gdiffusion.experiments import dispatch
 from gdiffusion.scenario import noise_block
 from gdiffusion.sde import euler_march
@@ -215,6 +216,25 @@ def test_verify_order_reversed_pair_violates_d5(tmp_path, capsys):
     assert code == 3
     assert "D5" in report["results"]["violated"]
     assert report["results"]["checks"]["D5"]["witness"]["K"]
+
+
+@pytest.mark.parametrize("change, side_condition", [
+    ({"coefficients_bar.sigma.matrix": [[0.0]]}, "uniform-positive-definiteness"),
+    ({"theta.interval": [0.0, 1.0]}, "nondegeneracy"),
+], ids=["zero-sigma-on-the-monotone-side", "theta-reaches-zero"])
+def test_verify_order_lists_a_failed_side_condition_after_the_checks(tmp_path, change,
+                                                                     side_condition):
+    with open(order_config(tmp_path), encoding="utf-8") as fh:
+        cfg = json.load(fh)
+    for key, value in change.items():
+        set_dotted(cfg, key, value)
+    report, code = dispatch("verify-order", cfg)
+    assert code == 3
+    assert report["status"] == "hypothesis-violated"
+    checks = report["results"]["checks"]
+    assert list(checks) == ["C1", "C2", "D1", "D5"]
+    violated_checks = [name for name, rep in checks.items() if rep["verdict"] == "violated"]
+    assert report["results"]["violated"] == violated_checks + [side_condition]
 
 
 def test_check_subcommand_exit_codes(tmp_path, capsys):
@@ -552,7 +572,9 @@ def test_a_missing_nested_key_names_its_dotted_path(key):
                             "got 1"),
     ("scenario.T", 0.5, "scenario.T: expected query.t (0.25), got 0.5"),
     ("scenario.controls.random_switching", "lots", None),
-], ids=["n_paths=1", "T!=query.t", "controls"])
+    ("tolerances.crosscheck", "loose", "tolerances.crosscheck: cannot read 'loose' "
+                                       "(could not convert string to float: 'loose')"),
+], ids=["n_paths=1", "T!=query.t", "controls", "tolerance"])
 def test_feynman_crosscheck_reads_the_scenario_before_solving(monkeypatch, key, value, error):
     def solve(*args):
         raise AssertionError("the PDE was solved before the scenario was read")
@@ -675,6 +697,27 @@ def test_a_solve_larger_than_physical_memory_is_a_config_error():
     assert report["status"] == "config-error"
     assert report["results"]["error"].startswith(
         "the solve would store 369000000000369 bytes (1000000000001 levels of 41 nodes")
+
+
+@pytest.mark.parametrize("error, status, code", [
+    (ConfigError, "config-error", 2),
+    (EvaluationError, "evaluation-error", 2),
+    (NonFiniteError, "numerical-error", 5),
+    (StabilityError, "numerical-error", 5),
+    (GridError, "config-error", 2),
+    (DimensionMismatchError, "config-error", 2),
+])
+def test_dispatch_maps_each_error_kind_to_its_status_and_exit_code(tmp_path, monkeypatch,
+                                                                    error, status, code):
+    def runner(cfg):
+        raise error(f"raised {error.__name__}")
+
+    monkeypatch.setitem(experiments.EXPERIMENTS, "raise", runner)
+    cfg = {"output": {"dir": str(tmp_path), "report": "report.json"}}
+    report, exit_code = dispatch("raise", cfg)
+    assert (report["status"], report["exit_code"], exit_code) == (status, code, code)
+    assert report["results"] == {"error": f"raised {error.__name__}"}
+    assert json.loads((tmp_path / "report.json").read_text()) == report
 
 
 def test_report_is_written_where_the_output_section_names(tmp_path):
@@ -801,7 +844,10 @@ def test_solve_pde_exports_and_query(tmp_path, capsys):
     code, report = run_cli(["solve-pde", "--config", str(path)], capsys)
     assert code == 0
     assert report["results"]["query"]["value"] == pytest.approx(0.25, abs=2e-3)
-    assert (tmp_path / "u.csv").exists()
+    lines = (tmp_path / "u.csv").read_text().strip().splitlines()
+    assert lines[0] == "t,x_1,u"
+    assert len(lines) == 1 + 161 * 101  # the default stride 8 keeps levels 0, 8, ..., 800
+    assert tuple(map(float, lines[1].split(","))) == (0.0, -4.0, 16.0)
     from gdiffusion.pde import read_grid_dump
 
     dump = read_grid_dump(str(tmp_path / "u.bin"))

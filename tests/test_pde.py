@@ -14,7 +14,6 @@ from gdiffusion.pde import (
     PDESolution,
     dominance_check,
     export_grid_dump,
-    export_solution_csv,
     monotonicity_check,
     read_grid_dump,
     semigroup_value,
@@ -134,6 +133,41 @@ def test_semigroup_value_queries():
     assert semigroup_value(sol, 0.25, [3.9], allow_untrusted=True) == pytest.approx(3.9, abs=1e-6)
     with pytest.raises(GridError):
         semigroup_value(sol, 0.7, [0.0])
+
+
+def two_branch_interpolation(grid, values, x):
+    """The 1-D and 2-D formulas that the multilinear interpolation replaced."""
+    idx0, weights = [], []
+    for i in range(grid.n):
+        pos = (x[i] - grid.bounds[i, 0]) / grid.dx[i]
+        j = int(np.clip(np.floor(pos), 0, grid.counts[i] - 2))
+        idx0.append(j)
+        weights.append(pos - j)
+    if grid.n == 1:
+        j, w = idx0[0], weights[0]
+        return float((1 - w) * values[j] + w * values[j + 1])
+    (j0, j1), (w0, w1) = idx0, weights
+    patch = values[j0:j0 + 2, j1:j1 + 2]
+    return float((1 - w0) * (1 - w1) * patch[0, 0] + (1 - w0) * w1 * patch[0, 1]
+                 + w0 * (1 - w1) * patch[1, 0] + w0 * w1 * patch[1, 1])
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_semigroup_value_matches_the_two_branch_formula_bit_for_bit(n):
+    grid = Grid.regular([[-2.0, 3.0]] * n, [7] * n, horizon=1.0, n_levels=4)
+    rng = np.random.default_rng(n)
+    u = rng.normal(size=(grid.n_levels + 1,) + grid.counts)
+    sol = PDESolution(grid=grid, u=u, argmax_index=np.zeros(u.shape, dtype=np.uint8),
+                      trust_bounds=grid.bounds.copy(), coefficient_id="", theta_id="",
+                      function_id="", scheme={})
+    # random points, nodes (weights 0), and the upper faces (weight 1 in the last cell)
+    points = [rng.uniform(-2.0, 3.0, size=n) for _ in range(400)]
+    points += [rng.choice(grid.axes[0], size=n) for _ in range(50)]
+    points += [np.full(n, 3.0), np.full(n, -2.0), np.array([3.0, -2.0][:n])]
+    for level in range(grid.n_levels + 1):
+        for x in points:
+            assert (semigroup_value(sol, level * grid.dt, x)
+                    == two_branch_interpolation(grid, u[level], x))
 
 
 def test_semigroup_value_refuses_a_time_off_the_levels():
@@ -349,14 +383,6 @@ def test_exports_roundtrip(tmp_path):
     assert back["n"] == 1 and tuple(back["counts"]) == (41,)
     assert back["dt"] == grid.dt
     assert np.array_equal(back["u"], sol.u)
-
-    csv_path = tmp_path / "sol.csv"
-    export_solution_csv(sol, str(csv_path), level_stride=50)
-    lines = csv_path.read_text().strip().splitlines()
-    assert lines[0] == "t,x_1,u"
-    assert len(lines) == 1 + 41 * 5  # levels 0, 50, 100, 150, 200
-    t, x, u = map(float, lines[1].split(","))
-    assert (t, x, u) == (0.0, -2.0, 4.0)
 
 
 def test_correlated_diffusion_cross_term_oracle():

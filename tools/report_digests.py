@@ -16,9 +16,12 @@ line.  Each report they return adds one line
 where the call index counts the reports of that test from 0, the canonical
 JSON is ``json.dumps(report, sort_keys=True)`` with the ``timestamp`` key
 removed and the pytest base temporary directory replaced by ``<tmp>``, and
-the digest is taken over that JSON.  Two trees make the same reports exactly
-when ``diff`` finds the two files equal; ``tools/compare_reports.py`` lists
-the leaves that differ.
+the digest is taken over that JSON.  A report that names export files under
+``results.csv`` or ``results.dump`` also carries, before it is hashed, an
+``export_sha256`` object with the sha256 of each file's bytes as the run left
+them, so an export that changes changes the line.  Two trees make the same
+reports and exports exactly when ``diff`` finds the two files equal;
+``tools/compare_reports.py`` lists the leaves that differ.
 """
 
 from __future__ import annotations
@@ -36,6 +39,11 @@ def pytest_addoption(parser):
                      help="write a sha256 line for every report the tests make")
 
 
+def _file_sha256(path: str) -> str:
+    with open(path, "rb") as fh:
+        return hashlib.sha256(fh.read()).hexdigest()
+
+
 class _Recorder:
     def __init__(self, config, path: str):
         self.config = config
@@ -48,6 +56,11 @@ class _Recorder:
     def record(self, report) -> None:
         if isinstance(report, dict):
             report = {k: v for k, v in report.items() if k != "timestamp"}
+            results = report.get("results")
+            exports = {key: _file_sha256(results[key]) for key in ("csv", "dump")
+                       if isinstance(results, dict) and results.get(key)}
+            if exports:
+                report["export_sha256"] = exports
         text = json.dumps(report, sort_keys=True, default=repr)
         text = text.replace(str(self.config._tmp_path_factory.getbasetemp()), "<tmp>")
         digest = hashlib.sha256(text.encode()).hexdigest()
