@@ -406,15 +406,19 @@ def run_solve(cfg: dict) -> tuple[dict, int]:
     grid = cfgmod.grid_from_config(cfg)
     functions = cfgmod.functions_from_config(cfg, coeffs.n)
     f = functions[0]
+    stride = read(read(cfg, "output", "object", {}), "output.csv_stride", "count",
+                  max(1, grid.n_levels // 100))
+    if cfg.get("query"):
+        query = read(cfg, "query", "object")
+        t_query = read(query, "query.t", "number", grid.horizon)
+        x_query = read(query, "query.x", "numbers")
     sol = solve(coeffs, theta, f, grid)
     csv_path = _output_path(cfg, "csv")
-    stride = read(read(cfg, "output", "object", {}), "output.csv_stride", "integer",
-                  max(1, grid.n_levels // 100))
     if csv_path:
         nodes = grid.nodes().reshape(-1, grid.n)
         _write_csv(csv_path, ["t", *(f"x_{i + 1}" for i in range(grid.n)), "u"],
                    ((level * grid.dt, *node, value)
-                    for level in range(0, grid.n_levels + 1, max(1, stride))
+                    for level in range(0, grid.n_levels + 1, stride)
                     for node, value in zip(nodes, sol.u[level].reshape(-1))))
     dump_path = _output_path(cfg, "dump")
     if dump_path:
@@ -427,9 +431,6 @@ def run_solve(cfg: dict) -> tuple[dict, int]:
         "dump": dump_path,
     }
     if cfg.get("query"):
-        query = read(cfg, "query", "object")
-        t_query = read(query, "query.t", "number", grid.horizon)
-        x_query = read(query, "query.x", "numbers")
         results["query"] = {"t": t_query, "x": x_query.tolist(),
                             "value": semigroup_value(sol, t_query, x_query)}
     return _report("solve-pde", cfg, results, "ok", EXIT_OK), EXIT_OK

@@ -25,13 +25,16 @@ a Markov chain when every rate r[g, k] >= 0 and every centre weight
 upwind drift (the same in every branch), central second differences, the
 h-loading term through central first differences, and in two dimensions the
 seven-point mixed-derivative stencil oriented by the sign of the
-off-diagonal diffusion entry.  The worst case over the covariance family is
-an exact max over the branches, so the update is a maximum of monotone
-linear schemes and keeps the discrete comparison property.  The guards read
-the same table: the stability bound is 1 / max_g sum_k r[g, k] (exact
-centre-weight positivity), and a negative or non-finite rate refuses the
-stencil.  All are checked at t = 0 and, for time-dependent coefficients, at
-every level.
+off-diagonal diffusion entry.  The sum runs over the offsets that carry a
+rate somewhere on the grid: an offset whose rate is 0 in every branch at
+every node (the four diagonals when a_01 = 0, the side a one-signed pure
+drift points away from) adds exactly nothing and is skipped.  The worst
+case over the covariance family is an exact max over the branches, so the
+update is a maximum of monotone linear schemes and keeps the discrete
+comparison property.  The guards read the full table: the stability bound is
+1 / max_g sum_k r[g, k] (exact centre-weight positivity), and a negative or
+non-finite rate refuses the stencil.  All are checked at t = 0 and, for
+time-dependent coefficients, at every level.
 
 Boundary rule: couplings that would reach outside the grid are dropped
 (outward drift, face curvature, cross terms at faces): their rates are 0.
@@ -194,7 +197,8 @@ def _rate_table(fields: tuple, grid: Grid) -> np.ndarray:
     Upwind drift (in every branch), central diffusion and loading terms along
     each axis, and in two dimensions the seven-point cross stencil matched to
     the sign of a_01.  A coupling that would reach outside the grid is
-    dropped: its rate is 0.
+    dropped: its rate is 0.  The table has a column for every offset; solve
+    marches only the columns that are nonzero somewhere.
     """
     b, _, a, c = fields
     n, dx = grid.n, grid.dx
@@ -274,8 +278,12 @@ def solve(coeffs: CoefficientSet, theta: CovarianceSet, f: TestFunction,
     """March the explicit scheme from u(0, .) = f to the horizon.
 
     Each level is u + dt * max_g sum_k r[g, k] (u(. + e_k) - u), and records
-    the per-node worst-case generator index.  Refuses to run when dt exceeds
-    the stability bound or a rate is negative, at t = 0 and, for
+    the per-node worst-case generator index.  The sum runs over the offsets
+    whose rate is nonzero in some branch at some node, in offset order: a
+    skipped offset would add only +0.0 * (a finite difference) to a sum that
+    starts at +0.0, so the bits are those of the full sum.  The kept offsets
+    are chosen again whenever the rates are rebuilt.  Refuses to run when dt
+    exceeds the stability bound or a rate is negative, at t = 0 and, for
     time-dependent coefficients, at every level; their trust margin is the
     largest over the levels.  Refuses up front, before any grid-wide array,
     a grid whose stored levels (u and the generator record) would not fit in
@@ -306,16 +314,23 @@ def solve(coeffs: CoefficientSet, theta: CovarianceSet, f: TestFunction,
     u = np.empty((n_levels + 1,) + u0.shape)
     u[0] = u0
     argmax = np.zeros((n_levels + 1,) + u0.shape, dtype=index_dtype)
-    neighbours = [_neighbours(e) for e in _offsets(grid.n)]
-    diffs = np.zeros((len(neighbours),) + u0.shape)  # u(. + e_k) - u, 0 off the grid
+    offsets = _offsets(grid.n)
 
     margin = 0.0
+    kept = None
     for m in range(n_levels):
         if m == 0 or not coeffs.time_homogeneous:
             fields = coefficient_fields(coeffs, theta, m * grid.dt, nodes)
             rates = _rate_table(fields, grid)
             _guard(rates, _dt_bound(rates), grid, m)
             margin = max(margin, trust_margin(theta, fields, grid.horizon))
+            # an offset whose rate is 0 in every branch at every node adds exactly nothing
+            live = [k for k in range(len(offsets)) if rates[:, k].any()]
+            if live != kept:
+                kept = live
+                neighbours = [_neighbours(offsets[k]) for k in kept]
+                diffs = np.zeros((len(kept),) + u0.shape)  # u(. + e_k) - u, 0 off the grid
+            rates = rates[:, kept]
         cur = u[m]
         for k, (target, source) in enumerate(neighbours):
             np.subtract(cur[source], cur[target], out=diffs[k][target])

@@ -419,6 +419,8 @@ UNREADABLE = [
     ("solve-pde", "query.t", "soon"),
     ("solve-pde", "query.x", ["a"]),
     ("solve-pde", "output.csv_stride", "x"),
+    ("solve-pde", "output.csv_stride", 0),
+    ("solve-pde", "output.csv_stride", -5),
     ("simulate", "scenario.control.period", 0),
     ("simulate", "scenario.control.period", -3),
     ("simulate", "scenario.control", "x"),
@@ -583,6 +585,26 @@ def test_feynman_crosscheck_reads_the_scenario_before_solving(monkeypatch, key, 
     cfg = pde_config()
     set_dotted(cfg, key, value)
     report, code = dispatch("feynman-crosscheck", cfg)
+    assert code == 2
+    assert report["status"] == "config-error"
+    assert report["results"]["error"].startswith(f"{key}:")
+    assert error is None or report["results"]["error"] == error
+
+
+@pytest.mark.parametrize("key, value, error", [
+    ("output.csv_stride", 0, "output.csv_stride: expected a positive integer, got 0"),
+    ("output.csv_stride", -5, "output.csv_stride: expected a positive integer, got -5"),
+    ("query.t", "soon", None),
+    ("query.x", ["a"], None),
+], ids=["stride=0", "stride=-5", "query.t", "query.x"])
+def test_solve_pde_reads_every_key_before_solving(monkeypatch, key, value, error):
+    def solve(*args):
+        raise AssertionError("the PDE was solved before every key was read")
+
+    monkeypatch.setattr(experiments, "solve", solve)
+    cfg = pde_config()
+    set_dotted(cfg, key, value)
+    report, code = dispatch("solve-pde", cfg)
     assert code == 2
     assert report["status"] == "config-error"
     assert report["results"]["error"].startswith(f"{key}:")

@@ -6,12 +6,18 @@ import pytest
 from gdiffusion.coefficients import build_coefficients, shifted
 from gdiffusion.errors import GridError, NonFiniteError, StabilityError
 from gdiffusion.functions import TestFunction
-from gdiffusion.gfunction import CovarianceSet
+from gdiffusion.gfunction import CovarianceSet, _first_max
 from gdiffusion.pde import (
     DominanceReport,
     Grid,
     MonotonicityReport,
     PDESolution,
+    _dt_bound,
+    _guard,
+    _neighbours,
+    _offsets,
+    _rate_table,
+    coefficient_fields,
     dominance_check,
     export_grid_dump,
     monotonicity_check,
@@ -19,6 +25,7 @@ from gdiffusion.pde import (
     semigroup_value,
     solve,
     stability_bound,
+    trust_margin,
 )
 from gdiffusion.sde import CoefficientSet
 
@@ -579,6 +586,156 @@ def test_an_oversized_solve_is_refused_before_any_grid_wide_array():
     with pytest.raises(GridError, match=r"would store 27000000000027 bytes "
                                         r"\(1000000000001 levels of 3 nodes.*physical memory"):
         solve(UNIT_DIFFUSION, INTERVAL, SQUARE, grid)
+
+
+def full_table_march(coeffs, theta, f, grid):
+    """The march over all 3**n - 1 offsets, zero-rate columns included, in
+    one einsum: the reference that solve, which skips the offsets without a
+    rate, must match bit for bit.  Returns u, the generator record, the trust
+    bounds, the scheme's numbers and, per rate table built, the offsets whose
+    rate is 0 in every branch at every node."""
+    bound = stability_bound(coeffs, theta, grid)
+    nodes = grid.nodes()
+    u = np.empty((grid.n_levels + 1,) + nodes.shape[:-1])
+    u[0] = f.value(nodes)
+    argmax = np.zeros(u.shape, dtype=np.uint8)
+    offsets = _offsets(grid.n)
+    neighbours = [_neighbours(e) for e in offsets]
+    diffs = np.zeros((len(offsets),) + u.shape[1:])
+    margin, rate_free = 0.0, []
+    for m in range(grid.n_levels):
+        if m == 0 or not coeffs.time_homogeneous:
+            fields = coefficient_fields(coeffs, theta, m * grid.dt, nodes)
+            rates = _rate_table(fields, grid)
+            _guard(rates, _dt_bound(rates), grid, m)
+            margin = max(margin, trust_margin(theta, fields, grid.horizon))
+            rate_free.append([e for k, e in enumerate(offsets) if not rates[:, k].any()])
+        for k, (target, source) in enumerate(neighbours):
+            np.subtract(u[m][source], u[m][target], out=diffs[k][target])
+        top = _first_max(np.einsum("gk...,k...->g...", rates, diffs), argmax[m + 1])
+        u[m + 1] = u[m] + grid.dt * top
+    trust = np.column_stack([grid.bounds[:, 0] + margin, grid.bounds[:, 1] - margin])
+    scheme = {"dt": grid.dt, "stability_bound": bound, "trust_margin": margin}
+    return u, argmax, trust, scheme, rate_free
+
+
+def lower_triangular_sigma(rho):
+    """2-D diffusion columns (1, rho) and (0, sqrt(1 - rho^2)) for a
+    correlation rho(t, x): a_01 has the sign of rho."""
+    def sigma(t, x):
+        r = np.broadcast_to(rho(t, x), x.shape[:-1])
+        s = np.zeros(x.shape[:-1] + (2, 2))
+        s[..., 0, 0], s[..., 1, 0], s[..., 1, 1] = 1.0, r, np.sqrt(1.0 - r ** 2)
+        return s
+    return sigma
+
+
+DIAGONALS = [(-1, -1), (-1, 1), (1, -1), (1, 1)]
+TANH_SUM = TestFunction(f=lambda x: np.tanh(x[..., 0] + x[..., 1]), dim=2, name="tanh-sum")
+BOX_2D = [[-4, 4], [-4, 4]]
+CORRELATED = CovarianceSet(generators=tuple(
+    s * np.linalg.cholesky([[1.0, 0.5], [0.5, 1.0]]) for s in (0.7, 1.0)))
+# zeros of the sign of x_2 where x_1 <= 0 (2-D) and of x where |x| <= 1 (1-D)
+SIGNED_ZEROS_2D = TestFunction(
+    f=lambda x: np.where(x[..., 0] > 0, np.tanh(x[..., 0] + x[..., 1]),
+                         np.copysign(0.0, x[..., 1])),
+    dim=2, name="signed-zeros")
+SIGNED_ZEROS_1D = TestFunction(
+    f=lambda x: np.where(np.abs(x[..., 0]) > 1, x[..., 0], np.copysign(0.0, x[..., 0])),
+    dim=1, name="signed-zeros")
+
+# name -> (coefficients, theta, f, grid, the distinct rate-free offset sets in order)
+SKIP_CASES = {
+    "2-D diagonal sigma": (arctan_instance(), THETA2, TANH_SUM,
+                           Grid.regular(BOX_2D, [41, 41], 0.1, 16), [DIAGONALS]),
+    "2-D a01 > 0": (arctan_instance(), CORRELATED, TANH_SUM,
+                    Grid.regular(BOX_2D, [41, 41], 0.1, 16), [[(-1, 1), (1, -1)]]),
+    "2-D a01 of both signs": (
+        CoefficientSet(n=2, d=2, b=lambda t, x: np.arctan(x[..., ::-1]),
+                       sigma=lower_triangular_sigma(lambda t, x: 0.5 * np.tanh(x[..., 0]))),
+        THETA2, TANH_SUM, Grid.regular(BOX_2D, [41, 41], 0.1, 16), [[]]),
+    # a_01 = 0 at t = 0, then positive, then negative after t = pi / 20
+    "2-D time-dependent a01": (
+        CoefficientSet(n=2, d=2, time_homogeneous=False,
+                       sigma=lower_triangular_sigma(lambda t, x: 0.4 * np.sin(20.0 * t))),
+        THETA2, TANH_SUM, Grid.regular(BOX_2D, [41, 41], 0.25, 32),
+        [DIAGONALS, [(-1, 1), (1, -1)], [(-1, -1), (1, 1)]]),
+    "1-D drift only": (UNIT_DRIFT, INTERVAL,
+                       TestFunction(f=lambda x: np.sin(3.0 * x[..., 0]), dim=1, name="sin3x"),
+                       Grid.regular([[-2, 2]], [81], 1.0, 40), [[(-1,)]]),
+    "2-D signed zeros": (arctan_instance(), THETA2, SIGNED_ZEROS_2D,
+                         Grid.regular(BOX_2D, [41, 41], 0.1, 16), [DIAGONALS]),
+    "1-D signed zeros": (UNIT_DRIFT, INTERVAL, SIGNED_ZEROS_1D,
+                         Grid.regular([[-2, 2]], [81], 1.0, 40), [[(-1,)]]),
+}
+
+
+@pytest.mark.parametrize("case", list(SKIP_CASES))
+def test_skipping_rate_free_offsets_matches_the_full_table_bit_for_bit(case):
+    coeffs, theta, f, grid, rate_free = SKIP_CASES[case]
+    u, argmax, trust, scheme, seen = full_table_march(coeffs, theta, f, grid)
+    # the case drops the offsets it is meant to, in this order
+    assert [s for i, s in enumerate(seen) if i == 0 or s != seen[i - 1]] == rate_free
+    if "signed zeros" in case:
+        zeros = u[0][u[0] == 0]
+        assert np.signbit(zeros).any() and not np.signbit(zeros).all()
+    sol = solve(coeffs, theta, f, grid)
+    assert sol.u.tobytes() == u.tobytes()
+    assert sol.argmax_index.tobytes() == argmax.tobytes()
+    assert sol.trust_bounds.tolist() == trust.tolist()
+    assert {key: sol.scheme[key] for key in scheme} == scheme
+
+
+def loaded_on_axis_2(load):
+    """n = d = 2, diagonal sigma, and a loading h_11 = load(t) along x_2: it
+    pushes the rate toward -e_2 below 0 once load > 1 / dx_2."""
+    def h(t, x):
+        table = np.zeros(x.shape[:-1] + (2, 2, 2))
+        table[..., 1, 1, 1] = load(t)
+        return table
+    return CoefficientSet(n=2, d=2, h=h, sigma=lambda t, x: np.eye(2), time_homogeneous=False)
+
+
+def nan_drift_on_axis_2(start):
+    """b_2 = NaN at x_2 > 3.5 from t = start on, 0 elsewhere."""
+    def b(t, x):
+        out = np.zeros(x.shape)
+        out[..., 1] = np.where((x[..., 1] > 3.5) & (t >= start), np.nan, 0.0)
+        return out
+    return CoefficientSet(n=2, d=2, b=b, sigma=lambda t, x: np.eye(2), time_homogeneous=False)
+
+
+# the diagonal offsets (-1, -1) and (-1, 1) are rate-free and come before the
+# offending (0, -1) in offset order, so a guard that read the kept columns
+# only would name another offset
+GUARD_CASES = {
+    "negative at t = 0": (
+        loaded_on_axis_2(lambda t: 8.0), StabilityError,
+        "monotone stencil violated at level 0 (t=0): rate -7.500e+00 of generator 1 toward "
+        "offset (0, -1) at node (0, 1)"),
+    "negative later": (
+        loaded_on_axis_2(lambda t: 100.0 * t), StabilityError,
+        "monotone stencil violated at level 6 (t=0.06): rate -2.500e+00 of generator 1 toward "
+        "offset (0, -1) at node (0, 1)"),
+    "non-finite at t = 0": (
+        nan_drift_on_axis_2(0.0), NonFiniteError,
+        "non-finite coefficients at level 0 (t=0): the rate of generator 0 toward offset "
+        "(0, -1) at node (0, 38)"),
+    "non-finite later": (
+        nan_drift_on_axis_2(0.035), NonFiniteError,
+        "non-finite coefficients at level 4 (t=0.04): the rate of generator 0 toward offset "
+        "(0, -1) at node (0, 38)"),
+}
+
+
+@pytest.mark.parametrize("case", list(GUARD_CASES))
+def test_the_guard_names_the_offset_of_the_full_table(case):
+    coeffs, error, text = GUARD_CASES[case]
+    grid = Grid.regular(BOX_2D, [41, 41], 0.1, 10)
+    for march in (solve, full_table_march):
+        with pytest.raises(error) as err:
+            march(coeffs, THETA2, TANH_SUM, grid)
+        assert str(err.value).startswith(text)
 
 
 def whole_array_monotonicity_check(sol):
