@@ -97,12 +97,22 @@ def _write_csv(path: str, header: list, rows) -> None:
 
 
 def _output_path(cfg: dict, key: str) -> str | None:
+    """``output.dir``/``output.<key>`` with its directory created; None when the key is unset."""
     output = read(cfg, "output", "object", {})
-    name = output.get(key)
+    name, directory = output.get(key), output.get("dir", ".")
     if not name:
         return None
-    path = os.path.join(output.get("dir", "."), name)
-    os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
+    for part, value in ((key, name), ("dir", directory)):
+        if not isinstance(value, str):
+            raise ConfigError(f"output.{part}: expected a path name, got {value!r}")
+    path = os.path.join(directory, name)
+    try:
+        os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"output.{'dir' if 'dir' in output else key}: cannot create the "
+                          f"directory of {path!r} ({exc})") from None
+    if os.path.isdir(path):
+        raise ConfigError(f"output.{key}: expected a file name, got the directory {path!r}")
     return path
 
 
@@ -307,10 +317,10 @@ def run_generator_limit(cfg: dict) -> tuple[dict, int]:
     x = read(read(cfg, "query", "object"), "query.x", "numbers")
     t_list = read(cfg, "t_list", "numbers").tolist()
     grid = cfgmod.grid_from_config(cfg) if cfg.get("grid") else None
+    csv_path = _output_path(cfg, "csv")
 
     f = functions[0]
     rows = generator_limit_check(coeffs, theta, f, x, t_list, grid=grid)
-    csv_path = _output_path(cfg, "csv")
     if csv_path:
         _write_csv(csv_path, ["t", "quotient", "generator_value", "residual"],
                    ((r.t, r.quotient, r.generator_value, r.residual) for r in rows))
@@ -412,15 +422,15 @@ def run_solve(cfg: dict) -> tuple[dict, int]:
         query = read(cfg, "query", "object")
         t_query = read(query, "query.t", "number", grid.horizon)
         x_query = read(query, "query.x", "numbers")
-    sol = solve(coeffs, theta, f, grid)
     csv_path = _output_path(cfg, "csv")
+    dump_path = _output_path(cfg, "dump")
+    sol = solve(coeffs, theta, f, grid)
     if csv_path:
         nodes = grid.nodes().reshape(-1, grid.n)
         _write_csv(csv_path, ["t", *(f"x_{i + 1}" for i in range(grid.n)), "u"],
                    ((level * grid.dt, *node, value)
                     for level in range(0, grid.n_levels + 1, stride)
                     for node, value in zip(nodes, sol.u[level].reshape(-1))))
-    dump_path = _output_path(cfg, "dump")
     if dump_path:
         export_grid_dump(sol, dump_path)
     results = {
@@ -478,10 +488,10 @@ def run_simulate(cfg: dict) -> tuple[dict, int]:
     if path_index < 0:
         raise ConfigError(
             f"scenario.path_index: expected a non-negative integer, got {path_index}")
+    csv_path = _output_path(cfg, "csv")
     dw = noise_block(seed, horizon, n_steps, theta.dim, 1, first=path_index)
     times = np.linspace(0.0, horizon, n_steps + 1)
     states = euler_march(coeffs, x0, times, dw, control, theta)[0]
-    csv_path = _output_path(cfg, "csv")
     if csv_path:
         _write_csv(csv_path, ["t", *(f"X_{i + 1}" for i in range(coeffs.n))],
                    ((t, *state) for t, state in zip(times, states)))

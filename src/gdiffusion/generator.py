@@ -21,8 +21,8 @@ import numpy as np
 from .errors import NonFiniteError
 from .functions import TestFunction
 from .gfunction import CovarianceSet, eval_G
-from .pde import (Grid, coefficient_fields, semigroup_value, solve, stability_bound,
-                  trust_margin)
+from .pde import (Grid, _rate_table, coefficient_fields, semigroup_value, solve,
+                  stability_bound, trust_margin)
 from .sde import CoefficientSet
 
 
@@ -153,7 +153,8 @@ def _default_limit_grid(coeffs: CoefficientSet, theta: CovarianceSet,
     bounds = np.column_stack([x - half, x + half])
     counts = [321] * n if n == 1 else [81] * n
     grid0 = Grid.regular(bounds, counts, horizon=t_max, n_levels=16)
-    dt_stable = stability_bound(coeffs, theta, grid0)
+    fields = coefficient_fields(coeffs, theta, 0.0, grid0.nodes())
+    dt_stable = stability_bound(_rate_table(fields, grid0))
     # snap dt to divide every queried time so quotients use exact levels
     dt = _gcd_float(t_list)
     while dt > dt_stable:

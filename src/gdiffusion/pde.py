@@ -31,10 +31,11 @@ every node (the four diagonals when a_01 = 0, the side a one-signed pure
 drift points away from) adds exactly nothing and is skipped.  The worst
 case over the covariance family is an exact max over the branches, so the
 update is a maximum of monotone linear schemes and keeps the discrete
-comparison property.  The guards read the full table: the stability bound is
+comparison property.  One coefficient evaluation builds one rate table,
+which alone gives the update and the guards: the stability bound is
 1 / max_g sum_k r[g, k] (exact centre-weight positivity), and a negative or
-non-finite rate refuses the stencil.  All are checked at t = 0 and, for
-time-dependent coefficients, at every level.
+non-finite rate refuses the stencil.  The t = 0 table is guarded and its
+bound reported; for time-dependent coefficients every level's is guarded.
 
 Boundary rule: couplings that would reach outside the grid are dropped
 (outward drift, face curvature, cross terms at faces): their rates are 0.
@@ -90,7 +91,7 @@ class Grid:
         if self.dt <= 0 or self.horizon <= 0:
             raise GridError("dt and horizon must be positive")
         levels = self.horizon / self.dt
-        if abs(levels - round(levels)) > 1e-9 * max(1.0, levels):
+        if round(levels) < 1 or abs(levels - round(levels)) > 1e-9 * max(1.0, levels):
             raise GridError(f"dt={self.dt} must divide the horizon {self.horizon}")
         bounds.setflags(write=False)
         object.__setattr__(self, "bounds", bounds)
@@ -225,28 +226,24 @@ def _rate_table(fields: tuple, grid: Grid) -> np.ndarray:
     return rates
 
 
-def _dt_bound(rates: np.ndarray) -> float:
-    """1 / max_g sum_k r[g, k]: the largest dt keeping every centre weight
-    1 - dt * sum_k r[g, k] non-negative."""
+def stability_bound(rates: np.ndarray) -> float:
+    """Largest admissible dt for a rate table, 1 / max_g sum_k r[g, k]: the
+    largest dt keeping every centre weight 1 - dt * sum_k r[g, k]
+    non-negative."""
     total = float(np.max(rates.sum(axis=1)))
     return np.inf if total <= 0.0 else 1.0 / total
 
 
-def stability_bound(coeffs: CoefficientSet, theta: CovarianceSet, grid: Grid) -> float:
-    """Largest admissible dt for the explicit scheme, read from the rate
-    table at t = 0 (time-dependent runs re-check every level)."""
-    fields = coefficient_fields(coeffs, theta, 0.0, grid.nodes())
-    return _dt_bound(_rate_table(fields, grid))
-
-
-def _guard(rates: np.ndarray, bound: float, grid: Grid, level: int) -> None:
+def _guard(rates: np.ndarray, grid: Grid, level: int) -> float:
     """Refuse a level whose update is not a monotone scheme: a non-finite
-    rate, dt above the bound (a negative centre weight) or a negative rate."""
+    rate, dt above the table's stability bound (a negative centre weight) or
+    a negative rate.  Returns that bound."""
     where = f"level {level} (t={level * grid.dt:.6g})"
     if not np.all(np.isfinite(rates)):
         g, k, *node = np.argwhere(~np.isfinite(rates))[0]
         raise NonFiniteError(f"non-finite coefficients at {where}: the rate of generator {g} "
                              f"toward offset {_offsets(grid.n)[k]} at node {tuple(map(int, node))}")
+    bound = stability_bound(rates)
     if grid.dt > bound * STABILITY_SLACK:
         raise StabilityError(
             f"dt={grid.dt:.6g} exceeds the stability bound {bound:.6g} at {where}; "
@@ -261,6 +258,7 @@ def _guard(rates: np.ndarray, bound: float, grid: Grid, level: int) -> None:
             "diffusion cannot dominate the cross/loading terms there; refine the grid "
             "or reduce the loadings"
         )
+    return bound
 
 
 def trust_margin(theta: CovarianceSet, fields: tuple, horizon: float) -> float:
@@ -282,12 +280,13 @@ def solve(coeffs: CoefficientSet, theta: CovarianceSet, f: TestFunction,
     whose rate is nonzero in some branch at some node, in offset order: a
     skipped offset would add only +0.0 * (a finite difference) to a sum that
     starts at +0.0, so the bits are those of the full sum.  The kept offsets
-    are chosen again whenever the rates are rebuilt.  Refuses to run when dt
-    exceeds the stability bound or a rate is negative, at t = 0 and, for
-    time-dependent coefficients, at every level; their trust margin is the
-    largest over the levels.  Refuses up front, before any grid-wide array,
-    a grid whose stored levels (u and the generator record) would not fit in
-    physical memory.
+    are chosen again whenever the rates are rebuilt.  One coefficient
+    evaluation builds each rate table: at t = 0, and at every level for
+    time-dependent coefficients.  Refuses to run when dt exceeds a table's
+    stability bound or a rate is negative; the scheme reports the bound of
+    the m = 0 table and the largest trust margin over the tables.  Refuses
+    up front, before any grid-wide array, a grid whose stored levels (u and
+    the generator record) would not fit in physical memory.
     """
     if coeffs.d != theta.dim:
         raise DimensionMismatchError(
@@ -305,12 +304,14 @@ def solve(coeffs: CoefficientSet, theta: CovarianceSet, f: TestFunction,
             f"{np.dtype(index_dtype).name} generator indices), more than the {physical} "
             "bytes of physical memory; use fewer levels or nodes"
         )
-    bound = stability_bound(coeffs, theta, grid)
-
     nodes = grid.nodes()
+    # the t = 0 table is built before f is read: a failing coefficient map is reported first
+    fields = coefficient_fields(coeffs, theta, 0.0, nodes)
+    rates = _rate_table(fields, grid)
     u0 = f.value(nodes)
     if not np.all(np.isfinite(u0)):
         raise NonFiniteError("initial data is not finite on the grid")
+    bound = _guard(rates, grid, 0)
     u = np.empty((n_levels + 1,) + u0.shape)
     u[0] = u0
     argmax = np.zeros((n_levels + 1,) + u0.shape, dtype=index_dtype)
@@ -320,9 +321,10 @@ def solve(coeffs: CoefficientSet, theta: CovarianceSet, f: TestFunction,
     kept = None
     for m in range(n_levels):
         if m == 0 or not coeffs.time_homogeneous:
-            fields = coefficient_fields(coeffs, theta, m * grid.dt, nodes)
-            rates = _rate_table(fields, grid)
-            _guard(rates, _dt_bound(rates), grid, m)
+            if m > 0:
+                fields = coefficient_fields(coeffs, theta, m * grid.dt, nodes)
+                rates = _rate_table(fields, grid)
+                _guard(rates, grid, m)
             margin = max(margin, trust_margin(theta, fields, grid.horizon))
             # an offset whose rate is 0 in every branch at every node adds exactly nothing
             live = [k for k in range(len(offsets)) if rates[:, k].any()]
@@ -381,13 +383,9 @@ def semigroup_value(sol: PDESolution, t: float, x, allow_untrusted: bool = False
     x = np.atleast_1d(np.asarray(x, dtype=float))
     if x.shape != (grid.n,):
         raise DimensionMismatchError(f"query point must have dim {grid.n}")
-    lo_ok = x >= (sol.trust_bounds[:, 0] if not allow_untrusted else grid.bounds[:, 0]) - 1e-12
-    hi_ok = x <= (sol.trust_bounds[:, 1] if not allow_untrusted else grid.bounds[:, 1]) + 1e-12
-    if not (np.all(lo_ok) and np.all(hi_ok)):
-        raise GridError(
-            f"query {x.tolist()} outside the {'grid' if allow_untrusted else 'trust region'} "
-            f"{(grid.bounds if allow_untrusted else sol.trust_bounds).tolist()}"
-        )
+    box, name = (grid.bounds, "grid") if allow_untrusted else (sol.trust_bounds, "trust region")
+    if not (np.all(x >= box[:, 0] - 1e-12) and np.all(x <= box[:, 1] + 1e-12)):
+        raise GridError(f"query {x.tolist()} outside the {name} {box.tolist()}")
     pos = (x - grid.bounds[:, 0]) / grid.dx
     idx0 = np.clip(np.floor(pos), 0, np.array(grid.counts) - 2).astype(int)
     weights = pos - idx0

@@ -611,6 +611,51 @@ def test_solve_pde_reads_every_key_before_solving(monkeypatch, key, value, error
     assert error is None or report["results"]["error"] == error
 
 
+@pytest.mark.parametrize("experiment, make_config, kernel", [
+    ("solve-pde", pde_config, "solve"),
+    ("simulate", simulate_config, "euler_march"),
+    ("generator", pde_config, "generator_limit_check"),
+])
+def test_an_output_dir_that_names_a_file_is_refused_before_the_run(
+        tmp_path, monkeypatch, experiment, make_config, kernel):
+    def run(*args, **kwargs):
+        raise AssertionError("the run started before its output path was resolved")
+
+    monkeypatch.setattr(experiments, kernel, run)
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    cfg = make_config()
+    cfg["output"] = {"dir": str(blocker), "csv": "out.csv"}
+    report, code = dispatch(experiment, cfg)
+    assert (report["status"], code) == ("config-error", 2)
+    assert report["results"]["error"].startswith(
+        f"output.dir: cannot create the directory of {str(blocker / 'out.csv')!r} (")
+
+
+@pytest.mark.parametrize("output, error", [
+    ({"csv": 5}, "output.csv: expected a path name, got 5"),
+    ({"dir": 5, "csv": "u.csv"}, "output.dir: expected a path name, got 5"),
+    ({"dump": ["a"]}, "output.dump: expected a path name, got ['a']"),
+    ({"report": 5}, "output.report: expected a path name, got 5"),
+    ({"dir": "<file>", "report": "report.json"}, "output.dir: cannot create the directory"),
+    ({"csv": "<dir>"}, "output.csv: expected a file name, got the directory"),
+], ids=["csv", "dir", "dump", "report", "report-under-a-file", "csv-names-a-directory"])
+def test_every_output_path_is_a_config_error_before_the_solve(tmp_path, monkeypatch, output,
+                                                               error):
+    def solve(*args):
+        raise AssertionError("the PDE was solved before the output paths were resolved")
+
+    monkeypatch.setattr(experiments, "solve", solve)
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    cfg = pde_config()
+    places = {"<file>": str(blocker), "<dir>": str(tmp_path)}
+    cfg["output"] = {key: places.get(str(value), value) for key, value in output.items()}
+    report, code = dispatch("solve-pde", cfg)
+    assert (report["status"], code) == ("config-error", 2)
+    assert report["results"]["error"].startswith(error)
+
+
 @pytest.mark.parametrize("expr", [5, None, ["x_1"]])
 def test_non_string_function_expression_is_a_config_error(expr):
     cfg = pde_config()

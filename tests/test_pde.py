@@ -12,7 +12,6 @@ from gdiffusion.pde import (
     Grid,
     MonotonicityReport,
     PDESolution,
-    _dt_bound,
     _guard,
     _neighbours,
     _offsets,
@@ -39,6 +38,11 @@ SQUARE = TestFunction(f=lambda x: x[..., 0] ** 2, dim=1, name="square")
 IDENTITY = TestFunction(f=lambda x: x[..., 0], dim=1, monotone=True, name="identity")
 
 
+def t0_bound(coeffs, theta, grid):
+    """The stability bound of the t = 0 rate table, the one solve reports."""
+    return stability_bound(_rate_table(coefficient_fields(coeffs, theta, 0.0, grid.nodes()), grid))
+
+
 def gauss_hermite_expectation(phi, x, t, order=80):
     """Independent oracle: E[phi(x + sqrt(t) Z)] by Hermite quadrature."""
     nodes, weights = np.polynomial.hermite.hermgauss(order)
@@ -52,11 +56,13 @@ def test_grid_validation():
         Grid.regular([[-1, 1], [-1, 1], [-1, 1]], [5, 5, 5], 1.0, 10)
     with pytest.raises(GridError):
         Grid(bounds=np.array([[-1.0, 1.0]]), counts=(5,), dt=0.3, horizon=1.0)
+    with pytest.raises(GridError):  # horizon / dt rounds to 0 levels
+        Grid(bounds=np.array([[-1.0, 1.0]]), counts=(5,), dt=1.0, horizon=1e-10)
 
 
 def test_stability_bound_refuses_large_dt():
     grid = Grid.regular([[-2, 2]], [41], horizon=0.5, n_levels=10)
-    assert grid.dt > stability_bound(UNIT_DIFFUSION, UNIT, grid)
+    assert grid.dt > t0_bound(UNIT_DIFFUSION, UNIT, grid)
     with pytest.raises(StabilityError, match="stability bound"):
         solve(UNIT_DIFFUSION, UNIT, SQUARE, grid)
 
@@ -214,7 +220,7 @@ def arctan_instance():
 
 def grid_2d(horizon=0.3, counts=81):
     probe = Grid.regular([[-4, 4], [-4, 4]], [counts, counts], horizon, 10)
-    bound = stability_bound(arctan_instance(), THETA2, probe)
+    bound = t0_bound(arctan_instance(), THETA2, probe)
     levels = int(np.ceil(horizon / bound)) + 1
     return Grid.regular([[-4, 4], [-4, 4]], [counts, counts], horizon, levels)
 
@@ -454,7 +460,7 @@ def test_drift_only_solves_at_the_upwind_cfl_limit():
     # shifts the data by one node.
     f = TestFunction(f=lambda x: np.sin(3.0 * x[..., 0]), dim=1, name="sin3x")
     grid = Grid.regular([[-2, 2]], [81], horizon=1.0, n_levels=20)
-    assert stability_bound(UNIT_DRIFT, INTERVAL, grid) == pytest.approx(0.05, rel=1e-12)
+    assert t0_bound(UNIT_DRIFT, INTERVAL, grid) == pytest.approx(0.05, rel=1e-12)
     sol = solve(UNIT_DRIFT, INTERVAL, f, grid)
     sl = sol.trust_slices()
     ax = grid.axes[0][sl[0]]
@@ -467,7 +473,7 @@ def test_stability_bound_is_exact_centre_weight_positivity():
                                  "b": {"family": "constant-drift", "c": [-0.5]},
                                  "sigma": {"family": "constant", "matrix": [[1.0]]}})
     grid = Grid.regular([[-2, 2]], [41], horizon=0.5, n_levels=10)
-    assert stability_bound(coeffs, INTERVAL, grid) == pytest.approx(
+    assert t0_bound(coeffs, INTERVAL, grid) == pytest.approx(
         1.0 / (1.0 / 0.1 ** 2 + 0.5 / 0.1), rel=1e-12)
     # dt at the bound is admitted, dt just above it is refused
     for coeffs, theta, f, bounds, counts in (
@@ -479,7 +485,7 @@ def test_stability_bound_is_exact_centre_weight_positivity():
              TestFunction(f=lambda x: x[..., 0] * x[..., 1], dim=2, name="bilinear"),
              [[-3, 3], [-3, 3]], (31, 31))):
         probe = Grid(bounds=np.array(bounds, dtype=float), counts=counts, dt=1.0, horizon=1.0)
-        bound = stability_bound(coeffs, theta, probe)
+        bound = t0_bound(coeffs, theta, probe)
         at = Grid(bounds=probe.bounds, counts=counts, dt=bound, horizon=4 * bound)
         assert np.all(np.isfinite(solve(coeffs, theta, f, at).u))
         above = Grid(bounds=probe.bounds, counts=counts, dt=bound * (1 + 1e-9),
@@ -520,7 +526,7 @@ def test_time_dependent_rates_are_rechecked_at_every_level():
     # first at level 3 (t = 0.024, sigma = 1.12).
     growing = time_dependent(sigma=lambda t, x: (1.0 + 5.0 * t) * np.ones(x.shape + (1,)))
     grid = Grid.regular([[-2, 2]], [41], horizon=0.08, n_levels=10)
-    assert grid.dt <= stability_bound(growing, UNIT, grid)
+    assert grid.dt <= t0_bound(growing, UNIT, grid)
     with pytest.raises(StabilityError, match=r"stability bound .* at level 3 "):
         solve(growing, UNIT, SQUARE, grid)
     # a loading h(t) = 100 t outweighs the diffusion rate 0.5 / dx^2 once
@@ -580,6 +586,21 @@ def test_time_dependent_trust_margin_is_the_largest_over_the_levels():
         semigroup_value(sol, 1.0, [7.0])
 
 
+@pytest.mark.parametrize("homogeneous", [True, False])
+def test_solve_evaluates_the_coefficients_once_per_rate_table(homogeneous):
+    # one table at t = 0, or one per level; the stability bound reads it
+    times = []
+
+    def sigma(t, x):
+        times.append(t)
+        return np.ones(x.shape + (1,))
+
+    coeffs = CoefficientSet(n=1, d=1, sigma=sigma, time_homogeneous=homogeneous)
+    grid = Grid.regular([[-2, 2]], [41], horizon=0.1, n_levels=20)
+    solve(coeffs, INTERVAL, SQUARE, grid)
+    assert times == ([0.0] if homogeneous else [m * grid.dt for m in range(grid.n_levels)])
+
+
 def test_an_oversized_solve_is_refused_before_any_grid_wide_array():
     # 10**12 + 1 levels of 3 nodes store 2.7e13 bytes; no page is touched
     grid = Grid.regular([[-1, 1]], [3], horizon=1.0, n_levels=10 ** 12)
@@ -594,7 +615,6 @@ def full_table_march(coeffs, theta, f, grid):
     rate, must match bit for bit.  Returns u, the generator record, the trust
     bounds, the scheme's numbers and, per rate table built, the offsets whose
     rate is 0 in every branch at every node."""
-    bound = stability_bound(coeffs, theta, grid)
     nodes = grid.nodes()
     u = np.empty((grid.n_levels + 1,) + nodes.shape[:-1])
     u[0] = f.value(nodes)
@@ -602,12 +622,12 @@ def full_table_march(coeffs, theta, f, grid):
     offsets = _offsets(grid.n)
     neighbours = [_neighbours(e) for e in offsets]
     diffs = np.zeros((len(offsets),) + u.shape[1:])
-    margin, rate_free = 0.0, []
+    margin, rate_free, bounds = 0.0, [], []
     for m in range(grid.n_levels):
         if m == 0 or not coeffs.time_homogeneous:
             fields = coefficient_fields(coeffs, theta, m * grid.dt, nodes)
             rates = _rate_table(fields, grid)
-            _guard(rates, _dt_bound(rates), grid, m)
+            bounds.append(_guard(rates, grid, m))
             margin = max(margin, trust_margin(theta, fields, grid.horizon))
             rate_free.append([e for k, e in enumerate(offsets) if not rates[:, k].any()])
         for k, (target, source) in enumerate(neighbours):
@@ -615,7 +635,7 @@ def full_table_march(coeffs, theta, f, grid):
         top = _first_max(np.einsum("gk...,k...->g...", rates, diffs), argmax[m + 1])
         u[m + 1] = u[m] + grid.dt * top
     trust = np.column_stack([grid.bounds[:, 0] + margin, grid.bounds[:, 1] - margin])
-    scheme = {"dt": grid.dt, "stability_bound": bound, "trust_margin": margin}
+    scheme = {"dt": grid.dt, "stability_bound": bounds[0], "trust_margin": margin}
     return u, argmax, trust, scheme, rate_free
 
 

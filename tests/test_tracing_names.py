@@ -11,9 +11,10 @@ import pathlib
 import numpy as np
 import pytest
 
-from gdiffusion import conditions
+from gdiffusion import conditions, pde
 from gdiffusion.coefficients import build_coefficients
 from gdiffusion.conditions import SearchDomain
+from gdiffusion.functions import TestFunction
 from gdiffusion.gfunction import CovarianceSet
 
 TRACING = pathlib.Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
@@ -56,3 +57,21 @@ def test_traced_kernels_are_called_through_the_module(condition, monkeypatch):
     dom = SearchDomain(box=np.array([[-1.0, 1.0], [-1.0, 1.0]]), n_samples=8, n_refine=1)
     conditions.run_check(condition, c, c, theta, dom)
     assert calls[KERNELS[condition]] >= 1
+
+
+def test_solve_reaches_the_stability_bound_through_the_module(monkeypatch):
+    # the tracer rebinds pde.stability_bound, which pde-2d and crosscheck must
+    # call; a solve that bound it elsewhere would leave the layer without calls
+    calls = []
+
+    def counted(*args, _bound=pde.stability_bound, **kwargs):
+        calls.append(args)
+        return _bound(*args, **kwargs)
+
+    monkeypatch.setattr(pde, "stability_bound", counted)
+    c = build_coefficients({"n": 1, "d": 1, "sigma": {"family": "constant", "matrix": [[1.0]]}})
+    grid = pde.Grid.regular([[-2.0, 2.0]], [21], horizon=0.1, n_levels=20)
+    f = TestFunction(f=lambda x: x[..., 0] ** 2, dim=1, name="square")
+    sol = pde.solve(c, CovarianceSet.from_interval(0.25, 1.0), f, grid)
+    assert len(calls) == 1
+    assert sol.scheme["stability_bound"] == pde.stability_bound(*calls[0])
