@@ -160,7 +160,7 @@ def grid_from_config(cfg: dict) -> Grid:
     return Grid.regular(read(section, "grid.bounds", "numbers"),
                         read(section, "grid.counts", "integers"),
                         read(section, "grid.T", "number"),
-                        read(section, "grid.n_levels", "integer"))
+                        read(section, "grid.n_levels", "count"))
 
 
 def functions_from_config(cfg: dict, dim: int) -> list[TestFunction]:
@@ -196,6 +196,9 @@ def controls_from_config(section, theta: CovarianceSet, n_steps: int,
         controls.extend(VolatilityControl.constant(m, n_steps)
                         for m in range(theta.n_generators))
     k = read(section, "scenario.controls.random_switching", "integer", 64)
+    if k < 0:
+        raise ConfigError(f"scenario.controls.random_switching: expected a non-negative integer, "
+                          f"got {k}")
     seed = read(section, "scenario.controls.seed", "seed", default_seed)
     for j in range(k):
         controls.append(VolatilityControl.random_switching(

@@ -154,7 +154,7 @@ def _default_limit_grid(coeffs: CoefficientSet, theta: CovarianceSet,
     counts = [321] * n if n == 1 else [81] * n
     grid0 = Grid.regular(bounds, counts, horizon=t_max, n_levels=16)
     fields = coefficient_fields(coeffs, theta, 0.0, grid0.nodes())
-    dt_stable = stability_bound(_rate_table(fields, grid0))
+    dt_stable = stability_bound(_rate_table(fields, grid0)[1])
     # snap dt to divide every queried time so quotients use exact levels
     dt = _gcd_float(t_list)
     while dt > dt_stable:

@@ -15,27 +15,28 @@ and x mix, this march solves the time-reversed problem.
 Scheme
 ------
 Explicit Euler in time on a table of rates.  For each covariance generator
-g the update is a weighted sum of differences to the 3**n - 1 neighbour
-offsets e_k,
+g the update is a weighted sum of differences to neighbour offsets e_k in
+{-1, 0, 1}**n,
 
     u_{m+1} = u_m + dt * max_g sum_k r[g, k] * (u_m(. + e_k) - u_m),
 
 a Markov chain when every rate r[g, k] >= 0 and every centre weight
 1 - dt * sum_k r[g, k] >= 0 (Kushner & Dupuis, 2001).  The rates collect the
 upwind drift (the same in every branch), central second differences, the
-h-loading term through central first differences, and in two dimensions the
-seven-point mixed-derivative stencil oriented by the sign of the
-off-diagonal diffusion entry.  The sum runs over the offsets that carry a
-rate somewhere on the grid: an offset whose rate is 0 in every branch at
-every node (the four diagonals when a_01 = 0, the side a one-signed pure
-drift points away from) adds exactly nothing and is skipped.  The worst
-case over the covariance family is an exact max over the branches, so the
-update is a maximum of monotone linear schemes and keeps the discrete
-comparison property.  One coefficient evaluation builds one rate table,
-which alone gives the update and the guards: the stability bound is
-1 / max_g sum_k r[g, k] (exact centre-weight positivity), and a negative or
-non-finite rate refuses the stencil.  The t = 0 table is guarded and its
-bound reported; for time-dependent coefficients every level's is guarded.
+h-loading term through central first differences, and for each pair of
+axes the seven-point mixed-derivative stencil oriented by the sign of that
+off-diagonal diffusion entry.  The table lists only the offsets that carry
+a rate somewhere on the grid, and the sum runs over them: an offset whose
+rate is 0 in every branch at every node (the four diagonals when a_01 = 0,
+the side a one-signed pure drift points away from) would add exactly
+nothing.  The worst case over the covariance family is an exact max over
+the branches, so the update is a maximum of monotone linear schemes and
+keeps the discrete comparison property.  One coefficient evaluation builds
+one rate table, which alone gives the update and the guards: the stability
+bound is 1 / max_g sum_k r[g, k] (exact centre-weight positivity), and a
+negative or non-finite rate refuses the stencil.  The t = 0 table is
+guarded and its bound reported; for time-dependent coefficients every
+level's is guarded.
 
 Boundary rule: couplings that would reach outside the grid are dropped
 (outward drift, face curvature, cross terms at faces): their rates are 0.
@@ -160,11 +161,6 @@ class PDESolution:
         return tuple(out)
 
 
-def _offsets(n: int) -> list:
-    """The 3**n - 1 neighbour offsets e_k, in C order of {-1, 0, 1}**n."""
-    return [e for e in itertools.product((-1, 0, 1), repeat=n) if any(e)]
-
-
 # per offset component: (nodes whose neighbour exists, those neighbours)
 _SIDES = {1: (slice(None, -1), slice(1, None)), -1: (slice(1, None), slice(None, -1)),
           0: (slice(None), slice(None))}
@@ -191,23 +187,26 @@ def coefficient_fields(coeffs: CoefficientSet, theta: CovarianceSet, t: float,
     return b, s, a, c
 
 
-def _rate_table(fields: tuple, grid: Grid) -> np.ndarray:
-    """Rates r[g, k] of shape (M, 3**n - 1) + counts: the weight of
-    u(. + e_k) - u in branch g of the update.
+def _rate_table(fields: tuple, grid: Grid) -> tuple:
+    """(offsets, rates): the offsets e_k that carry a rate, in C order of
+    {-1, 0, 1}**n, and rates r[g, k] of shape (M, len(offsets)) + counts,
+    the weight of u(. + e_k) - u in branch g of the update.
 
     Upwind drift (in every branch), central diffusion and loading terms along
-    each axis, and in two dimensions the seven-point cross stencil matched to
-    the sign of a_01.  A coupling that would reach outside the grid is
-    dropped: its rate is 0.  The table has a column for every offset; solve
-    marches only the columns that are nonzero somewhere.
+    each axis, and for every pair of axes the seven-point cross stencil
+    matched to the sign of a_ij.  A coupling that would reach outside the
+    grid is dropped: its rate is 0.  An offset whose rate is 0 in every
+    branch at every node is not listed; the list may be empty.
     """
     b, _, a, c = fields
     n, dx = grid.n, grid.dx
-    offsets = _offsets(n)
-    rates = np.zeros((a.shape[0], len(offsets)) + tuple(grid.counts))
+    columns = {}
 
     def add(e, region, value):
-        rates[(slice(None), offsets.index(e)) + region] += value[(Ellipsis,) + region]
+        value = value[(Ellipsis,) + region]
+        if value.any():  # adding zeros would leave a column's bits as they are
+            column = columns.setdefault(e, np.zeros(a.shape[:1] + grid.counts))
+            column[(slice(None),) + region] += value
 
     for i in range(n):
         inner = tuple(slice(1, -1) if j == i else slice(None) for j in range(n))
@@ -218,12 +217,16 @@ def _rate_table(fields: tuple, grid: Grid) -> np.ndarray:
             add(e, inner, a[..., i, i] / dx[i] ** 2)
             if c is not None:
                 add(e, inner, sign * c[..., i] / (2.0 * dx[i]))
-    if n == 2:
-        w = a[..., 0, 1] / (dx[0] * dx[1])
-        for e in offsets:
-            add(e, (slice(1, -1), slice(1, -1)),
-                np.maximum(e[0] * e[1] * w, 0.0) if all(e) else -np.abs(w))
-    return rates
+    for i, j in itertools.combinations(range(n), 2):
+        inner = tuple(slice(1, -1) if k in (i, j) else slice(None) for k in range(n))
+        w = a[..., i, j] / (dx[i] * dx[j])
+        for si, sj in itertools.product((-1, 0, 1), repeat=2):
+            if si or sj:
+                e = tuple(si if k == i else sj if k == j else 0 for k in range(n))
+                add(e, inner, np.maximum(si * sj * w, 0.0) if si and sj else -np.abs(w))
+    offsets = sorted(e for e, column in columns.items() if column.any())
+    empty = np.empty(a.shape[:1] + (0,) + grid.counts)
+    return offsets, np.concatenate([empty] + [columns[e][:, None] for e in offsets], axis=1)
 
 
 def stability_bound(rates: np.ndarray) -> float:
@@ -234,27 +237,27 @@ def stability_bound(rates: np.ndarray) -> float:
     return np.inf if total <= 0.0 else 1.0 / total
 
 
-def _guard(rates: np.ndarray, grid: Grid, level: int) -> float:
+def _guard(offsets: list, rates: np.ndarray, grid: Grid, level: int) -> float:
     """Refuse a level whose update is not a monotone scheme: a non-finite
-    rate, dt above the table's stability bound (a negative centre weight) or
-    a negative rate.  Returns that bound."""
+    rate or a negative one, each named by its offset, or dt above the table's
+    stability bound (a negative centre weight).  Returns that bound."""
     where = f"level {level} (t={level * grid.dt:.6g})"
     if not np.all(np.isfinite(rates)):
         g, k, *node = np.argwhere(~np.isfinite(rates))[0]
         raise NonFiniteError(f"non-finite coefficients at {where}: the rate of generator {g} "
-                             f"toward offset {_offsets(grid.n)[k]} at node {tuple(map(int, node))}")
+                             f"toward offset {offsets[k]} at node {tuple(map(int, node))}")
     bound = stability_bound(rates)
     if grid.dt > bound * STABILITY_SLACK:
         raise StabilityError(
             f"dt={grid.dt:.6g} exceeds the stability bound {bound:.6g} at {where}; "
             f"use at least {int(np.ceil(grid.horizon / bound))} levels"
         )
-    worst = float(np.min(rates))
-    if worst < -DOMINANCE_TOL * (1.0 + float(np.max(np.abs(rates)))):
+    worst = float(np.min(rates, initial=0.0))  # 0.0 for a table that lists no offset
+    if worst < -DOMINANCE_TOL * (1.0 + float(np.max(np.abs(rates), initial=0.0))):
         g, k, *node = np.unravel_index(int(np.argmin(rates)), rates.shape)
         raise StabilityError(
             f"monotone stencil violated at {where}: rate {worst:.3e} of generator {g} "
-            f"toward offset {_offsets(grid.n)[k]} at node {tuple(int(j) for j in node)}; "
+            f"toward offset {offsets[k]} at node {tuple(int(j) for j in node)}; "
             "diffusion cannot dominate the cross/loading terms there; refine the grid "
             "or reduce the loadings"
         )
@@ -277,16 +280,16 @@ def solve(coeffs: CoefficientSet, theta: CovarianceSet, f: TestFunction,
 
     Each level is u + dt * max_g sum_k r[g, k] (u(. + e_k) - u), and records
     the per-node worst-case generator index.  The sum runs over the offsets
-    whose rate is nonzero in some branch at some node, in offset order: a
-    skipped offset would add only +0.0 * (a finite difference) to a sum that
-    starts at +0.0, so the bits are those of the full sum.  The kept offsets
-    are chosen again whenever the rates are rebuilt.  One coefficient
-    evaluation builds each rate table: at t = 0, and at every level for
-    time-dependent coefficients.  Refuses to run when dt exceeds a table's
-    stability bound or a rate is negative; the scheme reports the bound of
-    the m = 0 table and the largest trust margin over the tables.  Refuses
-    up front, before any grid-wide array, a grid whose stored levels (u and
-    the generator record) would not fit in physical memory.
+    that the rate table lists, in offset order: an unlisted offset would add
+    only +0.0 * (a finite difference) to a sum that starts at +0.0, so the
+    bits are those of the sum over all 3**n - 1 offsets.  One coefficient
+    evaluation builds each rate table, with its own offsets: at t = 0, and at
+    every level for time-dependent coefficients.  Refuses to run when dt
+    exceeds a table's stability bound or a rate is negative; the scheme
+    reports the bound of the m = 0 table and the largest trust margin over
+    the tables.  Refuses up front, before any grid-wide array, a grid whose
+    stored levels (u and the generator record) would not fit in physical
+    memory.
     """
     if coeffs.d != theta.dim:
         raise DimensionMismatchError(
@@ -307,32 +310,25 @@ def solve(coeffs: CoefficientSet, theta: CovarianceSet, f: TestFunction,
     nodes = grid.nodes()
     # the t = 0 table is built before f is read: a failing coefficient map is reported first
     fields = coefficient_fields(coeffs, theta, 0.0, nodes)
-    rates = _rate_table(fields, grid)
+    offsets, rates = _rate_table(fields, grid)
     u0 = f.value(nodes)
     if not np.all(np.isfinite(u0)):
         raise NonFiniteError("initial data is not finite on the grid")
-    bound = _guard(rates, grid, 0)
+    bound = _guard(offsets, rates, grid, 0)
     u = np.empty((n_levels + 1,) + u0.shape)
     u[0] = u0
     argmax = np.zeros((n_levels + 1,) + u0.shape, dtype=index_dtype)
-    offsets = _offsets(grid.n)
 
     margin = 0.0
-    kept = None
     for m in range(n_levels):
         if m == 0 or not coeffs.time_homogeneous:
             if m > 0:
                 fields = coefficient_fields(coeffs, theta, m * grid.dt, nodes)
-                rates = _rate_table(fields, grid)
-                _guard(rates, grid, m)
+                offsets, rates = _rate_table(fields, grid)
+                _guard(offsets, rates, grid, m)
             margin = max(margin, trust_margin(theta, fields, grid.horizon))
-            # an offset whose rate is 0 in every branch at every node adds exactly nothing
-            live = [k for k in range(len(offsets)) if rates[:, k].any()]
-            if live != kept:
-                kept = live
-                neighbours = [_neighbours(offsets[k]) for k in kept]
-                diffs = np.zeros((len(kept),) + u0.shape)  # u(. + e_k) - u, 0 off the grid
-            rates = rates[:, kept]
+            neighbours = [_neighbours(e) for e in offsets]
+            diffs = np.zeros((len(offsets),) + u0.shape)  # u(. + e_k) - u, 0 off the grid
         cur = u[m]
         for k, (target, source) in enumerate(neighbours):
             np.subtract(cur[source], cur[target], out=diffs[k][target])

@@ -482,6 +482,7 @@ UNREADABLE = [
     ("counterexample-remark", "scenario.n_steps", 0),
     ("verify-comparison", "domain.t_grid", []),
     ("verify-comparison", "domain.n_refine", -1),
+    ("feynman-crosscheck", "scenario.controls.random_switching", -5),
     ("verify-comparison", "domain.n_samples", 0),
     ("verify-comparison", "domain.box", [[-2.0, 2.0], [2.0, -2.0]]),
 ]
@@ -596,7 +597,8 @@ def test_feynman_crosscheck_reads_the_scenario_before_solving(monkeypatch, key, 
     ("output.csv_stride", -5, "output.csv_stride: expected a positive integer, got -5"),
     ("query.t", "soon", None),
     ("query.x", ["a"], None),
-], ids=["stride=0", "stride=-5", "query.t", "query.x"])
+    ("grid.n_levels", 0, "grid.n_levels: expected a positive integer, got 0"),
+], ids=["stride=0", "stride=-5", "query.t", "query.x", "n_levels=0"])
 def test_solve_pde_reads_every_key_before_solving(monkeypatch, key, value, error):
     def solve(*args):
         raise AssertionError("the PDE was solved before every key was read")

@@ -1,3 +1,4 @@
+import itertools
 import tracemalloc
 
 import numpy as np
@@ -14,7 +15,6 @@ from gdiffusion.pde import (
     PDESolution,
     _guard,
     _neighbours,
-    _offsets,
     _rate_table,
     coefficient_fields,
     dominance_check,
@@ -40,7 +40,8 @@ IDENTITY = TestFunction(f=lambda x: x[..., 0], dim=1, monotone=True, name="ident
 
 def t0_bound(coeffs, theta, grid):
     """The stability bound of the t = 0 rate table, the one solve reports."""
-    return stability_bound(_rate_table(coefficient_fields(coeffs, theta, 0.0, grid.nodes()), grid))
+    return stability_bound(
+        _rate_table(coefficient_fields(coeffs, theta, 0.0, grid.nodes()), grid)[1])
 
 
 def gauss_hermite_expectation(phi, x, t, order=80):
@@ -611,23 +612,28 @@ def test_an_oversized_solve_is_refused_before_any_grid_wide_array():
 
 def full_table_march(coeffs, theta, f, grid):
     """The march over all 3**n - 1 offsets, zero-rate columns included, in
-    one einsum: the reference that solve, which skips the offsets without a
-    rate, must match bit for bit.  Returns u, the generator record, the trust
-    bounds, the scheme's numbers and, per rate table built, the offsets whose
-    rate is 0 in every branch at every node."""
+    one einsum: the reference that solve, which sums over the offsets its
+    rate table lists, must match bit for bit.  The dense table scatters the
+    listed columns into C order of {-1, 0, 1}**n, and the guard reads that
+    layout.  Returns u, the generator record, the trust bounds, the scheme's
+    numbers and, per rate table built, the offsets whose rate is 0 in every
+    branch at every node."""
     nodes = grid.nodes()
     u = np.empty((grid.n_levels + 1,) + nodes.shape[:-1])
     u[0] = f.value(nodes)
     argmax = np.zeros(u.shape, dtype=np.uint8)
-    offsets = _offsets(grid.n)
+    offsets = [e for e in itertools.product((-1, 0, 1), repeat=grid.n) if any(e)]
     neighbours = [_neighbours(e) for e in offsets]
     diffs = np.zeros((len(offsets),) + u.shape[1:])
     margin, rate_free, bounds = 0.0, [], []
     for m in range(grid.n_levels):
         if m == 0 or not coeffs.time_homogeneous:
             fields = coefficient_fields(coeffs, theta, m * grid.dt, nodes)
-            rates = _rate_table(fields, grid)
-            bounds.append(_guard(rates, grid, m))
+            listed, columns = _rate_table(fields, grid)
+            rates = np.zeros((theta.n_generators, len(offsets)) + u.shape[1:])
+            for e, column in zip(listed, columns.swapaxes(0, 1)):
+                rates[:, offsets.index(e)] = column
+            bounds.append(_guard(offsets, rates, grid, m))
             margin = max(margin, trust_margin(theta, fields, grid.horizon))
             rate_free.append([e for k, e in enumerate(offsets) if not rates[:, k].any()])
         for k, (target, source) in enumerate(neighbours):

@@ -6,12 +6,15 @@ Run the tests with the plugin loaded, once on each tree to compare:
         --report-digests digests.txt tests/test_acceptance.py tests/test_cli.py \
         tests/test_conditions.py tests/test_pde.py
 
-It wraps ``experiments.dispatch``, ``cli.dispatch``, ``CheckReport.to_dict``
-and the grid checks ``pde.dominance_check`` and ``pde.monotonicity_check``,
-rebound in ``pde`` and ``experiments`` so that direct calls from test modules
-are recorded too; a grid check records ``asdict(report)``, and only when no
-other grid check is running, so a check that another one calls adds no
-line.  Each report they return adds one line
+It wraps ``experiments.dispatch``, ``cli.dispatch``, ``CheckReport.to_dict``,
+the grid checks ``pde.dominance_check`` and ``pde.monotonicity_check`` and
+``pde.solve``, rebound in ``pde``, ``experiments`` and ``generator`` so that
+direct calls from test modules are recorded too.  A grid check records
+``asdict(report)``; a solve records ``{"solve": ...}`` with the sha256 of the
+bytes of ``u`` and of ``argmax_index``, the ``trust_bounds`` and the
+``scheme``, so that a change to the march shows array by array.  Both record
+only when no other grid check or solve is running, so a call that another
+one makes adds no line.  Each report they return adds one line
 ``<node id> TAB <call index> TAB <sha256> TAB <canonical JSON>`` to the file,
 where the call index counts the reports of that test from 0, the canonical
 JSON is ``json.dumps(report, sort_keys=True)`` with the ``timestamp`` key
@@ -42,6 +45,14 @@ def pytest_addoption(parser):
 def _file_sha256(path: str) -> str:
     with open(path, "rb") as fh:
         return hashlib.sha256(fh.read()).hexdigest()
+
+
+def _solve_record(sol) -> dict:
+    def sha256(array):
+        return hashlib.sha256(array.tobytes()).hexdigest()
+
+    return {"solve": {"u_sha256": sha256(sol.u), "argmax_index_sha256": sha256(sol.argmax_index),
+                      "trust_bounds": sol.trust_bounds.tolist(), "scheme": sol.scheme}}
 
 
 class _Recorder:
@@ -75,8 +86,8 @@ class _Recorder:
             return out
         return wrapper
 
-    def wrap_outermost(self, func):
-        """Like ``wrap`` with ``asdict``, but silent inside another such call."""
+    def wrap_outermost(self, func, pick):
+        """Like ``wrap``, but silent inside another such call."""
         @functools.wraps(func)
         def wrapper(*args, **kwargs):
             self.depth += 1
@@ -85,7 +96,7 @@ class _Recorder:
             finally:
                 self.depth -= 1
             if self.depth == 0:
-                self.record(dataclasses.asdict(out))
+                self.record(pick(out))
             return out
         return wrapper
 
@@ -103,15 +114,17 @@ def pytest_configure(config):
     path = config.getoption("--report-digests")
     if not path:
         return
-    from gdiffusion import cli, experiments, pde
+    from gdiffusion import cli, experiments, generator, pde
     from gdiffusion.conditions import CheckReport
 
     recorder = _Recorder(config, path)
     experiments.dispatch = recorder.wrap(experiments.dispatch, lambda out: out[0])
     cli.dispatch = recorder.wrap(cli.dispatch, lambda out: out[0])
     CheckReport.to_dict = recorder.wrap(CheckReport.to_dict, lambda out: out)
-    for name in ("dominance_check", "monotonicity_check"):
-        wrapped = recorder.wrap_outermost(getattr(pde, name))
-        setattr(pde, name, wrapped)
-        setattr(experiments, name, wrapped)
+    for name, pick in (("dominance_check", dataclasses.asdict),
+                       ("monotonicity_check", dataclasses.asdict), ("solve", _solve_record)):
+        wrapped = recorder.wrap_outermost(getattr(pde, name), pick)
+        for module in (pde, experiments, generator):
+            if hasattr(module, name):
+                setattr(module, name, wrapped)
     config.pluginmanager.register(recorder, "report-digests-recorder")
