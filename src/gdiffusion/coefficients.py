@@ -104,9 +104,8 @@ def remark_counterexample_pair(theta_lower_sq: float, theta_upper_sq: float
     Under the constant lowest-volatility scenario, X_2 - Y_2 grows linearly.
     """
     mid = 0.5 * (theta_upper_sq + theta_lower_sq)
-    coeffs_x = CoefficientSet(n=2, d=1, b=_constant([0.0, mid]),
-                              label=f"remark-drift[{mid}]")
-    coeffs_y = CoefficientSet(n=2, d=1, h=_constant([[[0.0, 1.0]]]), label="remark-qv")
+    coeffs_x = CoefficientSet(n=2, d=1, b=_constant([0.0, mid]))
+    coeffs_y = CoefficientSet(n=2, d=1, h=_constant([[[0.0, 1.0]]]))
     return coeffs_x, coeffs_y
 
 
@@ -114,21 +113,16 @@ def build_coefficients(section: dict) -> CoefficientSet:
     """Assemble a coefficient set from a config section.
 
     Keys: n, d (required integers); b, h, sigma (each optional: a family
-    dict, an entry list, or null for zero); family (a drift family name, with
-    its c, A or scale, fills an absent b); lipschitz (a number); h_symmetric
-    (true or false); label.  Whether the set is time-homogeneous is read from
-    the expressions: it is unless some entry reads t.
+    dict, an entry list, or null for zero); lipschitz (a number); h_symmetric
+    (true or false).  A drift family is named under b; a top-level family is
+    refused.  Whether the set is time-homogeneous is read from the
+    expressions: it is unless some entry reads t.
     """
     n = read(section, "n", "integer")
     d = read(section, "d", "integer")
-
-    # sugar: a top-level drift family name ("family": "arctan-coupling") fills b
-    drift_families = ("zero", "constant-drift", "linear-drift",
-                      "offdiag-monotone", "arctan-coupling")
-    if section.get("family") in drift_families and section.get("b") is None:
-        section = {**section, "b": {k: v for k, v in section.items()
-                                    if k in ("family", "c", "A", "scale")}}
-
+    if "family" in section:
+        raise ConfigError("family: a drift family is named under b (b.family), "
+                          "not at the top level")
     b = _build_drift(section.get("b"), n)
     sigma = _build_sigma(section.get("sigma"), n, d)
     h = _build_h(section.get("h"), n, d)
@@ -138,7 +132,6 @@ def build_coefficients(section: dict) -> CoefficientSet:
         lipschitz=read(section, "lipschitz", "number", 0.0),
         time_homogeneous=not any(isinstance(part, Expression) and part.reads_t
                                  for part in (b, h, sigma)),
-        label=str(section.get("label", section.get("family", "custom"))),
     )
 
 

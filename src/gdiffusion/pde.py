@@ -132,20 +132,14 @@ class Grid:
 
 @dataclass
 class PDESolution:
-    """Grid-sampled semigroup values with scheme provenance."""
+    """Grid-sampled semigroup values, worst-case generator indices, the trust
+    region, and the scheme with its dt, stability bound and trust margin."""
 
     grid: Grid
     u: np.ndarray                 # (n_levels + 1,) + counts
     argmax_index: np.ndarray      # same layout, worst-case generator per node/level
     trust_bounds: np.ndarray      # (n, 2) interior region unaffected by the boundary
-    coefficient_id: str
-    theta_id: str
-    function_id: str
     scheme: dict
-
-    @property
-    def times(self) -> np.ndarray:
-        return self.grid.times
 
     def trust_slices(self) -> tuple:
         out = []
@@ -297,14 +291,14 @@ def solve(coeffs: CoefficientSet, theta: CovarianceSet, f: TestFunction,
     if coeffs.n != grid.n:
         raise DimensionMismatchError(f"state dim {coeffs.n} != grid dim {grid.n}")
     n_levels = grid.n_levels
-    index_dtype = np.uint8 if theta.n_generators <= 255 else np.uint16
-    stored = (n_levels + 1) * math.prod(grid.counts) * (8 + np.dtype(index_dtype).itemsize)
+    index_dtype = np.min_scalar_type(theta.n_generators - 1)
+    stored = (n_levels + 1) * math.prod(grid.counts) * (8 + index_dtype.itemsize)
     physical = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
     if stored > physical:
         raise GridError(
             f"the solve would store {stored} bytes ({n_levels + 1} levels of "
             f"{'x'.join(map(str, grid.counts))} nodes, float64 values and "
-            f"{np.dtype(index_dtype).name} generator indices), more than the {physical} "
+            f"{index_dtype.name} generator indices), more than the {physical} "
             "bytes of physical memory; use fewer levels or nodes"
         )
     nodes = grid.nodes()
@@ -344,9 +338,6 @@ def solve(coeffs: CoefficientSet, theta: CovarianceSet, f: TestFunction,
     trust = np.column_stack([grid.bounds[:, 0] + margin, grid.bounds[:, 1] - margin])
     return PDESolution(
         grid=grid, u=u, argmax_index=argmax, trust_bounds=trust,
-        coefficient_id=coeffs.label or "coefficients",
-        theta_id=f"theta[{theta.n_generators}]",
-        function_id=getattr(f, "name", "f"),
         scheme={
             "time": "explicit-euler",
             "drift": "upwind",

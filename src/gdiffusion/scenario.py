@@ -37,8 +37,6 @@ import numpy as np
 from .errors import DimensionMismatchError, EvaluationError
 from .gfunction import CovarianceSet
 
-POLICY_TAGS = ("constant", "random-switching", "bang-bang-cycle", "explicit")
-
 # bytes of one per-step array (K, n_paths, width) of K controls marched in
 # lockstep.  Smaller batches pay more per-step Python overhead, larger ones
 # more peak memory; 160 000 B holds 20 controls of 500 paths in 2-D, or one
@@ -182,10 +180,12 @@ def noise_block(seed: int, T: float, n_steps: int, d: int, n_paths: int,
 
 @dataclass(frozen=True)
 class VolatilityControl:
-    """Piecewise-constant choice of covariance generator per time step."""
+    """Piecewise-constant choice of covariance generator per time step.
+
+    ``label`` names it in reports; a schedule given directly defaults to
+    ``explicit[<first index>..]``."""
 
     schedule: np.ndarray
-    policy: str = "explicit"
     label: str = ""
 
     def __post_init__(self) -> None:
@@ -194,12 +194,10 @@ class VolatilityControl:
             raise DimensionMismatchError("control schedule must be a nonempty 1-d index array")
         if np.min(sched) < 0:
             raise DimensionMismatchError("control schedule indices must be nonnegative")
-        if self.policy not in POLICY_TAGS:
-            raise DimensionMismatchError(f"unknown policy tag {self.policy!r}")
         sched.setflags(write=False)
         object.__setattr__(self, "schedule", sched)
         if not self.label:
-            object.__setattr__(self, "label", f"{self.policy}[{sched[0]}..]")
+            object.__setattr__(self, "label", f"explicit[{sched[0]}..]")
 
     @property
     def n_steps(self) -> int:
@@ -207,13 +205,13 @@ class VolatilityControl:
 
     @classmethod
     def constant(cls, index: int, n_steps: int) -> "VolatilityControl":
-        return cls(np.full(n_steps, index, dtype=np.int64), "constant", f"constant[{index}]")
+        return cls(np.full(n_steps, index, dtype=np.int64), f"constant[{index}]")
 
     @classmethod
     def random_switching(cls, n_generators: int, n_steps: int, seed: int) -> "VolatilityControl":
         rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence((int(seed), 0x5EED))))
         sched = rng.integers(0, n_generators, size=n_steps)
-        return cls(sched, "random-switching", f"switching[seed={seed}]")
+        return cls(sched, f"switching[seed={seed}]")
 
     @classmethod
     def bang_bang_cycle(cls, lo_index: int, hi_index: int, n_steps: int,
@@ -222,7 +220,7 @@ class VolatilityControl:
         period = n_steps if period is None else period
         k = np.arange(n_steps)
         sched = np.where((k % period) < (period + 1) // 2, lo_index, hi_index)
-        return cls(sched.astype(np.int64), "bang-bang-cycle", f"bangbang[{lo_index},{hi_index}]")
+        return cls(sched.astype(np.int64), f"bangbang[{lo_index},{hi_index}]")
 
 
 def control_schedules(controls, theta: CovarianceSet) -> np.ndarray:

@@ -24,7 +24,7 @@ between their states with its first witness.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -64,17 +64,13 @@ class CoefficientSet:
     lipschitz: float = 0.0
     time_homogeneous: bool = True
     h_symmetric: bool = True
-    label: str = ""
-    _audit_points: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         if self.n < 1 or self.d < 1:
             raise DimensionMismatchError(f"invalid dimensions n={self.n}, d={self.d}")
-        rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(0xA0D17)))
-        pts = rng.uniform(-1.5, 1.5, size=(8, self.n))
-        pts.setflags(write=False)
-        object.__setattr__(self, "_audit_points", pts)
         if self.h_symmetric and self.has_h:
+            rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(0xA0D17)))
+            pts = rng.uniform(-1.5, 1.5, size=(8, self.n))
             table = self.h_table(0.0, pts)  # (8, d, d, n)
             gap = np.max(np.abs(table - np.swapaxes(table, 1, 2)), axis=(0, 3))
             scale = np.max(np.abs(table), axis=(0, 3))

@@ -712,6 +712,8 @@ MALFORMED_COEFFICIENTS = {
     "b-number": ("b", {"n": 1, "d": 1, "b": 5}),
     "sigma-number": ("sigma", {"n": 1, "d": 1, "sigma": 5}),
     "h-number": ("h", {"n": 1, "d": 1, "h": 5}),
+    # a drift family is named under b; read at the top level it would run with zero drift
+    "top-level-family": ("family", {"n": 1, "d": 1, "family": "constant-drift", "c": [0.5]}),
 }
 
 

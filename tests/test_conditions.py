@@ -45,8 +45,7 @@ def offdiag_pair(delta):
     base = {"n": 2, "d": 1, "b": {"family": "offdiag-monotone"},
             "sigma": {"family": "constant", "matrix": [[1.0], [1.0]]}}
     cx = build_coefficients(base)
-    cy = CoefficientSet(n=2, d=1, b=shifted(cx.b, delta), sigma=cx.sigma,
-                        label=f"offdiag+{delta}")
+    cy = CoefficientSet(n=2, d=1, b=shifted(cx.b, delta), sigma=cx.sigma)
     return cx, cy
 
 

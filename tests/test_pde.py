@@ -172,8 +172,7 @@ def test_semigroup_value_matches_the_two_branch_formula_bit_for_bit(n):
     rng = np.random.default_rng(n)
     u = rng.normal(size=(grid.n_levels + 1,) + grid.counts)
     sol = PDESolution(grid=grid, u=u, argmax_index=np.zeros(u.shape, dtype=np.uint8),
-                      trust_bounds=grid.bounds.copy(), coefficient_id="", theta_id="",
-                      function_id="", scheme={})
+                      trust_bounds=grid.bounds.copy(), scheme={})
     # random points, nodes (weights 0), and the upper faces (weight 1 in the last cell)
     points = [rng.uniform(-2.0, 3.0, size=n) for _ in range(400)]
     points += [rng.choice(grid.axes[0], size=n) for _ in range(50)]
@@ -255,8 +254,8 @@ def test_monotonicity_negative_control():
 
 def dominance_setup():
     upper = UNIT_DIFFUSION
-    lower = CoefficientSet(n=1, d=1, b=shifted(None, -0.5), sigma=upper.sigma, label="lowered")
-    raised = CoefficientSet(n=1, d=1, b=shifted(None, +0.5), sigma=upper.sigma, label="raised")
+    lower = CoefficientSet(n=1, d=1, b=shifted(None, -0.5), sigma=upper.sigma)
+    raised = CoefficientSet(n=1, d=1, b=shifted(None, +0.5), sigma=upper.sigma)
     f = TestFunction(f=lambda x: np.tanh(x[..., 0]), dim=1, monotone=True, name="tanh")
     grid = Grid.regular([[-6, 6]], [241], horizon=0.5, n_levels=406)
     return upper, lower, raised, f, grid
@@ -388,6 +387,17 @@ def test_argmax_record_dtype_and_shape():
     assert sol.argmax_index.dtype == np.uint8
 
 
+def test_argmax_record_holds_a_generator_index_past_uint16():
+    # 65 537 generators: the top variance, index 65 536, wins at every
+    # interior node of x**2, and uint16 cannot hold it
+    variances = np.linspace(0.25, 1.0, 2 ** 16 + 1)
+    theta = CovarianceSet(generators=np.sqrt(variances).reshape(-1, 1, 1))
+    grid = Grid.regular([[-2, 2]], [5], horizon=0.5, n_levels=1)
+    sol = solve(UNIT_DIFFUSION, theta, SQUARE, grid)
+    assert sol.argmax_index.dtype == np.uint32
+    assert sol.argmax_index[1].tolist() == [0, 2 ** 16, 2 ** 16, 2 ** 16, 0]
+
+
 def test_exports_roundtrip(tmp_path):
     grid = Grid.regular([[-2, 2]], [41], horizon=0.1, n_levels=200)
     sol = solve(UNIT_DIFFUSION, INTERVAL, SQUARE, grid)
@@ -432,8 +442,7 @@ def test_loading_term_drift_oracle():
     coeffs = CoefficientSet(
         n=1, d=1,
         h=lambda t, x: 0.3 * np.ones(x.shape[:-1] + (1, 1, 1)),
-        sigma=lambda t, x: np.ones(x.shape + (1,)),
-        label="loading-drift")
+        sigma=lambda t, x: np.ones(x.shape + (1,)))
     grid = Grid.regular([[-4, 4]], [161], horizon=0.25, n_levels=1000)
     sol = solve(coeffs, INTERVAL, f=IDENTITY, grid=grid)
     sl = sol.trust_slices()
@@ -839,8 +848,7 @@ def stored_solution(u, trust_nodes):
                         n_levels=u.shape[0] - 1)
     trust = np.array([[ax[a], ax[b]] for ax, (a, b) in zip(grid.axes, trust_nodes)])
     return PDESolution(grid=grid, u=u, argmax_index=np.zeros(u.shape, dtype=np.uint8),
-                       trust_bounds=trust, coefficient_id="stored", theta_id="theta[1]",
-                       function_id="f", scheme={})
+                       trust_bounds=trust, scheme={})
 
 
 def stored_pairs(rng):

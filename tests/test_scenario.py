@@ -166,7 +166,16 @@ def test_control_validation():
     with pytest.raises(DimensionMismatchError):
         VolatilityControl(np.array([[0, 1]]))
     c = VolatilityControl.constant(1, 8)
-    assert c.n_steps == 8 and c.policy == "constant"
+    assert c.n_steps == 8 and c.label == "constant[1]"
+
+
+def test_control_labels():
+    # reports name controls by these labels
+    assert VolatilityControl.constant(2, 4).label == "constant[2]"
+    assert VolatilityControl.random_switching(3, 4, seed=7).label == "switching[seed=7]"
+    assert VolatilityControl.bang_bang_cycle(0, 2, 4).label == "bangbang[0,2]"
+    assert VolatilityControl(np.array([3, 0, 1])).label == "explicit[3..]"
+    assert VolatilityControl(np.array([3, 0]), label="mine").label == "mine"
 
 
 def test_build_constant_unit_volatility_qv_is_time():

@@ -1,5 +1,6 @@
-"""Every function and method that perfbench/tracing.py wraps must still exist,
-and the condition searches must keep calling their residual kernels.
+"""Every function and method that perfbench/tracing.py wraps, and every
+attribute that perfbench reads from package objects, must still exist, and
+the condition searches must keep calling their residual kernels.
 
 The traced benchmark binds its wrappers by name; a rename in the package
 would otherwise surface only when the benchmark's own suite runs.
@@ -34,6 +35,20 @@ def test_traced_names_exist():
     for _, cls, attrs in tracing._METHODS:
         for attr in attrs:
             assert callable(getattr(cls, attr, None)), f"{cls.__name__}.{attr} is gone"
+
+
+def test_attributes_perfbench_reads_exist():
+    # workloads.py builds the pde-2d grid with Grid.regular and reads u and
+    # trust_bounds; tracing.py counts u, argmax_index and trust_slices();
+    # test_perfbench.py compares has_h and has_sigma
+    c = build_coefficients({"n": 1, "d": 1, "sigma": {"family": "constant", "matrix": [[1.0]]}})
+    assert (c.has_h, c.has_sigma) == (False, True)
+    grid = pde.Grid.regular([[-1.0, 1.0]], [5], horizon=0.1, n_levels=2)
+    f = TestFunction(f=lambda x: x[..., 0], dim=1, name="identity")
+    sol = pde.solve(c, CovarianceSet.from_interval(0.25, 1.0), f, grid)
+    for attr in ("u", "argmax_index", "trust_bounds"):
+        assert isinstance(getattr(sol, attr, None), np.ndarray), f"PDESolution.{attr} is gone"
+    assert callable(getattr(sol, "trust_slices", None)), "PDESolution.trust_slices is gone"
 
 
 KERNELS = {"B1": "pair_residual", "B2": "dependency_violation",
