@@ -109,20 +109,29 @@ def remark_counterexample_pair(theta_lower_sq: float, theta_upper_sq: float
     return coeffs_x, coeffs_y
 
 
+_SECTION_KEYS = ("n", "d", "b", "h", "sigma", "lipschitz", "h_symmetric", "label")
+
+
 def build_coefficients(section: dict) -> CoefficientSet:
     """Assemble a coefficient set from a config section.
 
     Keys: n, d (required integers); b, h, sigma (each optional: a family
     dict, an entry list, or null for zero); lipschitz (a number); h_symmetric
-    (true or false).  A drift family is named under b; a top-level family is
-    refused.  Whether the set is time-homogeneous is read from the
-    expressions: it is unless some entry reads t.
+    (true or false); label (a name for the reader, not read).  Any other key
+    is refused, so that a misspelt part cannot run as zero; a drift family
+    is named under b, not at the top level.  Whether the set is
+    time-homogeneous is read from the expressions: it is unless some entry
+    reads t.
     """
     n = read(section, "n", "integer")
     d = read(section, "d", "integer")
     if "family" in section:
         raise ConfigError("family: a drift family is named under b (b.family), "
                           "not at the top level")
+    for key in section:
+        if key not in _SECTION_KEYS:
+            raise ConfigError(f"{key}: unknown key; a coefficient section holds "
+                              f"{', '.join(_SECTION_KEYS)}")
     b = _build_drift(section.get("b"), n)
     sigma = _build_sigma(section.get("sigma"), n, d)
     h = _build_h(section.get("h"), n, d)

@@ -18,6 +18,7 @@ function.  ``x``, a float array, may carry leading batch dimensions.
 
 from __future__ import annotations
 
+import math
 import re
 
 import numpy as np
@@ -29,6 +30,9 @@ _TOKEN_RE = re.compile(
     r"|(?P<name>[A-Za-z_][A-Za-z_0-9]*)"
     r"|(?P<op>[-+*/^(),]))"
 )
+
+# numpy 2's limit on the number of axes of an array
+_MAX_DIMS = 64
 
 # name -> (numpy function, number of arguments)
 _FUNCS = {"exp": (np.exp, 1), "tanh": (np.tanh, 1), "arctan": (np.arctan, 1),
@@ -149,10 +153,16 @@ class Expression:
     ``cells`` maps an index of the table to (entry, coord).  An entry is a
     number or an expression text; with coord None it reads all of x (as
     x_1..x_arity), with coord k only x[..., k] (as x_1).  Cells not listed
-    are zero.  The function fills a zero table, each slot by the numpy calls
-    of its tree in tree-walk order.  Its source holds only generated names
-    (numbers, functions and the tail live in its namespace), never text of
-    an expression.  ``reads_t`` records whether any cell reads t.
+    are zero.  The function allocates the table tail-major, as (*tail, ...)
+    memory read through a precomputed axis permutation as (..., *tail), so
+    every slot out[..., i, j] is one contiguous block of the batch; the
+    table is zeroed first only when some cell is not listed.  Each slot is
+    filled by the numpy calls of its tree in tree-walk order, the root call
+    writing into the slot through ``out=``.  Shapes and values do not depend
+    on the layout of x.  The function's source holds only generated names
+    (numbers, functions, the tail and its permutations live in its
+    namespace) and ``shape``, never text of an expression.  ``reads_t``
+    records whether any cell reads t.
     """
 
     def __init__(self, tail: tuple, cells: dict, arity: int):
@@ -164,7 +174,7 @@ class Expression:
             namespace[key] = value
             return key
 
-        def emit(node, coord):
+        def emit(node, coord, out=None):
             tag = node[0]
             if tag == "t":
                 self.reads_t = True
@@ -173,13 +183,26 @@ class Expression:
                 return f"x[..., {node[1] if coord is None else coord}]"
             if tag == "const":
                 return name(node[1])
-            return f"{name(tag)}({', '.join(emit(arg, coord) for arg in node[1:])})"
+            args = [emit(arg, coord) for arg in node[1:]] + ([f"out={out}"] if out else [])
+            return f"{name(tag)}({', '.join(args)})"
 
-        lines = [f"out = {name(np.zeros)}(x.shape[:-1] + {name(tuple(tail))})"]
+        tail = tuple(tail)
+        alloc = np.empty if len(cells) == math.prod(tail) else np.zeros
+        if tail:
+            # perms[x.ndim]: the axes of (*tail, *batch) memory in (*batch, *tail) order
+            perms = [None] + [(*range(len(tail), len(tail) + k), *range(len(tail)))
+                              for k in range(_MAX_DIMS - len(tail) + 1)]
+            lines = [f"out = {name(np.ndarray.transpose)}({name(alloc)}({name(tail)} + "
+                     f"x.shape[:-1]), {name(perms)}[{name(len)}(x.shape)])"]
+        else:
+            lines = [f"out = {name(alloc)}(x.shape[:-1])"]
         for index, (entry, coord) in cells.items():
             tree = (_Parser(entry, arity if coord is None else 1).parse()
                     if isinstance(entry, str) else ("const", float(entry)))
-            lines.append(f"out[{', '.join(['...', *map(str, index)])}] = {emit(tree, coord)}")
+            slot = f"out[{', '.join(['...', *map(str, index)])}]"
+            # a numpy call at the root writes into the slot; a leaf is assigned
+            lines.append(emit(tree, coord, slot) if callable(tree[0])
+                         else f"{slot} = {emit(tree, coord)}")
         source = "def table(t, x):\n    " + "\n    ".join(lines) + "\n    return out\n"
         exec(compile(source, "<expression>", "exec"), namespace)
         self._func = namespace.pop("table")

@@ -12,13 +12,16 @@ scenarios at once.  It takes the shared time-major reference increments
 ``dW (n_steps, ..., d)`` and one volatility control, or a sequence of K
 controls that lead the batch axes, and forms each step's dB and dQV inside
 the loop with one ``scenario.apply_control`` call on the one-step slice
-dW[m] for the whole batch of controls; no whole-horizon dB is stored.  The
-states it returns keep the layout (..., levels, n): every level,
-(..., n_steps + 1, n), or, when an ``observe(m, x)`` callback reduces each
-level as it is made, only the last.  Two systems marched on the same noise
-and controls are coupled; they can be stepped in lockstep in one march, and
-``MinGapObserver`` then streams, level by level, the exact minimum gap
-between their states with its first witness.
+dW[m] for the whole batch of controls; no whole-horizon dB is stored.  It
+holds the states component-major: a state of shape (..., n) is stored as
+(n, ...) memory, so each x[..., k] the coefficient maps read, and each
+per-component operation of a step, runs over one contiguous block of the
+batch.  The logical shapes do not change: the states it returns have the
+shape (..., levels, n): every level, (..., n_steps + 1, n), or, when an
+``observe(m, x)`` callback reduces each level as it is made, only the last.
+Two systems marched on the same noise and controls are coupled; they can be
+stepped in lockstep in one march, and ``MinGapObserver`` then streams, level
+by level, the exact minimum gap between their states with its first witness.
 """
 
 from __future__ import annotations
@@ -184,10 +187,15 @@ def euler_march(coeffs, x0, times: np.ndarray, dw: np.ndarray, controls, theta,
     observe : optional ``observe(m, x)``, called with the states x (..., n)
         at every level m = 0 .. n_steps; x must not be written to.
 
+    The states are stored component-major, as (S, n, ...) memory read as
+    (S, ..., n): the maps get x (..., n) with every x[..., k] C-contiguous,
+    and the increments and next states keep that layout.
+
     Returns the states at the levels kept, levels after the batch axes:
-    every level, (..., n_steps + 1, n), or with an observer only the last,
-    (..., 1, n).  Aborts on the first non-finite state rather than clamping:
-    with bounded coefficients a blow-up indicates a bug, not a model feature.
+    every level, (..., n_steps + 1, n) in C order, or with an observer only
+    the last, (..., 1, n), a view of the component-major states.  Aborts on
+    the first non-finite state rather than clamping: with bounded
+    coefficients a blow-up indicates a bug, not a model feature.
     """
     single = isinstance(coeffs, CoefficientSet)
     systems = (coeffs,) if single else tuple(coeffs)
@@ -214,7 +222,8 @@ def euler_march(coeffs, x0, times: np.ndarray, dw: np.ndarray, controls, theta,
     qv_dt = float(times[-1] - times[0]) / n_steps
     batch = np.broadcast_shapes(*(start.shape[:-1] for start in starts),
                                 schedules.shape[1:] + dw.shape[1:-1])
-    x = np.empty((len(systems),) + batch + (n,))
+    # component-major: x[s, ..., k] is one contiguous block of the batch
+    x = np.moveaxis(np.empty((len(systems), n) + batch), 1, -1)
     for x_s, start in zip(x, starts):
         x_s[...] = start
     # the system axis is dropped again for a single system
@@ -232,7 +241,7 @@ def euler_march(coeffs, x0, times: np.ndarray, dw: np.ndarray, controls, theta,
         nxt = np.empty_like(x)
         for system, x_s, nxt_s in zip(systems, x, nxt):
             b, h, s = system.fields(t, x_s)
-            incr = b * dt if b is not None else np.zeros(x_s.shape)
+            incr = b * dt if b is not None else np.zeros_like(x_s)
             if h is not None:
                 incr += np.einsum("...lki,...lk->...i", h, dqv_m)
             if s is not None:
@@ -259,7 +268,8 @@ class MinGapObserver:
 
     As the ``observe`` of ``euler_march`` on the systems (lower, upper), it
     keeps per batch index and component the running minimum of upper - lower
-    over levels, with the first level where it occurs.
+    over levels, with the first level where it occurs, in arrays laid out
+    like the gaps (component-major in a march).
     """
 
     def __init__(self):
@@ -268,8 +278,8 @@ class MinGapObserver:
     def __call__(self, m: int, x: np.ndarray) -> None:
         gap = x[1] - x[0]
         if self.best is None:
-            self.best = np.full(gap.shape, np.inf)
-            self.level = np.zeros(gap.shape, dtype=np.int64)
+            self.best = np.full_like(gap, np.inf)
+            self.level = np.zeros_like(gap, dtype=np.int64)
         better = gap < self.best  # strict: the first level stays the witness
         np.copyto(self.best, gap, where=better)
         np.copyto(self.level, m, where=better)

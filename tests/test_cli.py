@@ -714,6 +714,9 @@ MALFORMED_COEFFICIENTS = {
     "h-number": ("h", {"n": 1, "d": 1, "h": 5}),
     # a drift family is named under b; read at the top level it would run with zero drift
     "top-level-family": ("family", {"n": 1, "d": 1, "family": "constant-drift", "c": [0.5]}),
+    # an unknown key is refused rather than read as nothing
+    "misspelt-sigma": ("sigm", {"n": 1, "d": 1, "sigm": [[1.0]]}),
+    "top-level-c": ("c", {"n": 1, "d": 1, "c": [0.5]}),
 }
 
 

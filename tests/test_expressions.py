@@ -95,3 +95,44 @@ def test_table_is_one_function_of_generated_names_only():
     assert np.array_equal(out[:, 0, 0], parse_expression(text, arity=2)(0.3, POS))
     assert np.array_equal(out[:, 1, 0], POS[:, 1])
     assert np.all(out[:, 0, 1] == 0.0) and np.all(out[:, 1, 1] == np.inf)
+
+
+def component_major(x):
+    """x with the same values, stored (n, ...) so that x[..., k] is contiguous."""
+    return np.moveaxis(np.ascontiguousarray(np.moveaxis(x, -1, 0)), 0, -1)
+
+
+LAYOUT_TABLES = {
+    # (1, 1) and (0, 2) are not listed and stay 0
+    "sparse": ((2, 3), {(0, 0): ("tanh(x_1) * x_2", None), (1, 2): ("min(x_1, 0.5)", 1),
+                        (1, 0): ("x_2", None), (0, 1): ("-x_1 ^ 2", 0)}),
+    # a cell that reads only t fills its whole slot through out=
+    "t-only": ((2,), {(0,): ("exp(t)", None), (1,): ("arctan(x_1) + t", 1)}),
+    "constant": ((2, 1), {(0, 0): (1.5, None), (1, 0): ("2 ^ 0.5", None)}),
+}
+
+
+@pytest.mark.parametrize("case", LAYOUT_TABLES)
+def test_table_does_not_depend_on_the_layout_of_x(case):
+    tail, cells = LAYOUT_TABLES[case]
+    table = Expression(tail, cells, arity=2)
+    x = np.random.default_rng(5).uniform(-2.0, 2.0, size=(4, 3, 2))
+    out = table(0.7, x)
+    assert out.shape == (4, 3) + tail
+    assert out.tobytes() == table(0.7, component_major(x)).tobytes()
+    for index in np.ndindex(*tail):
+        assert out[(..., *index)].flags.c_contiguous
+        if index not in cells:
+            assert np.all(out[(..., *index)] == 0.0)
+    if case == "t-only":
+        assert np.all(out[..., 0] == np.exp(0.7))
+
+
+def test_zero_dimensional_table_on_a_single_point():
+    f = parse_expression("exp(t) * x_1 + tanh(x_2)", arity=2)
+    point = np.array([0.3, -1.1])
+    out = f(0.4, point)
+    assert out.shape == () and out == np.exp(0.4) * 0.3 + np.tanh(-1.1)
+    batch = np.tile(point, (3, 1))
+    assert f(0.4, component_major(batch)).tobytes() == f(0.4, batch).tobytes()
+    assert np.all(f(0.4, batch) == out)

@@ -390,6 +390,40 @@ def test_lockstep_systems_match_separate_marches(case):
     assert gaps.result(times) == pathwise_min_gap(both[0], both[1], times)
 
 
+@pytest.mark.parametrize("systems", [1, 2])
+def test_march_hands_the_maps_component_major_states(systems):
+    # every x[..., k] a map sees is one contiguous block of the batch
+    seen = []
+
+    def drift(t, x):
+        seen.append(all(x[..., k].flags.c_contiguous for k in range(x.shape[-1])))
+        return 0.1 * x
+
+    def columns(t, x):
+        seen.append(all(x[..., k].flags.c_contiguous for k in range(x.shape[-1])))
+        return np.ones(x.shape + (1,))
+
+    coeffs = CoefficientSet(n=2, d=1, b=drift, sigma=columns)
+    scenario = stacked_scenarios(INTERVAL)
+    x0 = np.array([0.1, 0.2])
+    marches = (coeffs, x0) if systems == 1 else ((coeffs, coeffs), (x0, x0 + 0.1))
+    states = euler_march(*marches, *scenario)
+    assert len(seen) == 2 * systems * (len(scenario[0]) - 1) and all(seen)
+    assert states.shape[-2:] == (len(scenario[0]), 2)
+
+
+def test_min_gap_of_a_component_major_batch_is_that_of_its_c_order_copy():
+    rng = np.random.default_rng(11)
+    times = np.linspace(0.0, 1.0, 4)
+    ordered, scattered = MinGapObserver(), MinGapObserver()
+    for m in range(len(times)):
+        x = rng.choice([-1.0, -0.0, 0.0, 1.0], size=(2, 3, 5, 2))
+        ordered(m, x)
+        scattered(m, np.moveaxis(np.ascontiguousarray(np.moveaxis(x, -1, 1)), 1, -1))
+    assert scattered.best[..., 0].flags.c_contiguous  # laid out like the gaps it holds
+    assert repr(scattered.result(times)) == repr(ordered.result(times))
+
+
 def observe_stored(lower, upper):
     """A MinGapObserver fed the stored states (..., levels, n) level by level."""
     gaps = MinGapObserver()
