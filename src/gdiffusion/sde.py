@@ -95,7 +95,9 @@ class CoefficientSet:
         out = np.asarray(func(t, x), dtype=float)
         if out.shape == shape and out.flags.writeable:
             return out
-        full = np.empty(shape)
+        # tail-major, as an Expression table is: each slot one contiguous block of the batch
+        rank = len(tail)
+        full = np.empty(tail + x.shape[:-1]).transpose(*range(rank, len(shape)), *range(rank))
         try:
             full[...] = out
         except ValueError:

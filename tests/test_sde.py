@@ -646,6 +646,19 @@ def test_fields_match_per_entry_callables(case):
         assert s.shape == (4, 3, n, d) and s.tobytes() == ref_s.tobytes()
 
 
+@pytest.mark.parametrize("section", [
+    {"b": {"family": "constant-drift", "c": [0.5, -1.0]}},
+    {"sigma": {"family": "constant", "matrix": [[0.5], [1.0]]}},
+    {"h": {"family": "constant", "table": [[[0.0, 1.0]]]}},
+], ids=["b", "sigma", "h"])
+def test_a_broadcast_field_is_tail_major_like_an_expression_table(section):
+    # a map's output broadcast to the field shape keeps each slot one
+    # contiguous block of the batch, so the march does not mix layouts
+    coeffs = build_coefficients({"n": 2, "d": 1, **section})
+    field = next(f for f in coeffs.fields(0.0, np.zeros((4, 3, 2))) if f is not None)
+    assert all(field[(..., *index)].flags.c_contiguous for index in np.ndindex(*field.shape[2:]))
+
+
 @pytest.mark.parametrize("family", ["offdiag-monotone", "arctan-coupling"])
 def test_coupling_drifts_have_the_bits_of_the_np_sum_form(family):
     # the drifts add the columns one at a time; for n <= 7 that is the order
