@@ -224,8 +224,10 @@ def euler_march(coeffs, x0, times: np.ndarray, dw: np.ndarray, controls, theta,
     qv_dt = float(times[-1] - times[0]) / n_steps
     batch = np.broadcast_shapes(*(start.shape[:-1] for start in starts),
                                 schedules.shape[1:] + dw.shape[1:-1])
-    # component-major: x[s, ..., k] is one contiguous block of the batch
-    x = np.moveaxis(np.empty((len(systems), n) + batch), 1, -1)
+    # component-major: (n, ...) memory read as (..., n), so that each
+    # x[s, ..., k] is one contiguous block of the batch
+    to_state = (*range(1, 1 + len(batch)), 0)
+    x = np.empty((len(systems), n) + batch).transpose(0, *(a + 1 for a in to_state))
     for x_s, start in zip(x, starts):
         x_s[...] = start
     # the system axis is dropped again for a single system
@@ -243,7 +245,7 @@ def euler_march(coeffs, x0, times: np.ndarray, dw: np.ndarray, controls, theta,
         nxt = np.empty_like(x)
         for system, x_s, nxt_s in zip(systems, x, nxt):
             b, h, s = system.fields(t, x_s)
-            incr = b * dt if b is not None else np.zeros_like(x_s)
+            incr = b * dt if b is not None else np.zeros((n,) + batch).transpose(to_state)
             if h is not None:
                 incr += np.einsum("...lki,...lk->...i", h, dqv_m)
             if s is not None:
