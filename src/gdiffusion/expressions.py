@@ -34,6 +34,13 @@ _TOKEN_RE = re.compile(
 # numpy 2's limit on the number of axes of an array
 _MAX_DIMS = 64
 
+
+def tail_major_axes(rank: int) -> list:
+    """axes[x.ndim]: the axes of (*tail, *batch) memory, for a tail of the given
+    rank and the batch x.shape[:-1], in (*batch, *tail) order."""
+    return [None] + [(*range(rank, rank + k), *range(rank)) for k in range(_MAX_DIMS - rank + 1)]
+
+
 # name -> (numpy function, number of arguments)
 _FUNCS = {"exp": (np.exp, 1), "tanh": (np.tanh, 1), "arctan": (np.arctan, 1),
           "min": (np.minimum, 2), "max": (np.maximum, 2)}
@@ -189,11 +196,8 @@ class Expression:
         tail = tuple(tail)
         alloc = np.empty if len(cells) == math.prod(tail) else np.zeros
         if tail:
-            # perms[x.ndim]: the axes of (*tail, *batch) memory in (*batch, *tail) order
-            perms = [None] + [(*range(len(tail), len(tail) + k), *range(len(tail)))
-                              for k in range(_MAX_DIMS - len(tail) + 1)]
             lines = [f"out = {name(np.ndarray.transpose)}({name(alloc)}({name(tail)} + "
-                     f"x.shape[:-1]), {name(perms)}[{name(len)}(x.shape)])"]
+                     f"x.shape[:-1]), {name(tail_major_axes(len(tail)))}[{name(len)}(x.shape)])"]
         else:
             lines = [f"out = {name(alloc)}(x.shape[:-1])"]
         for index, (entry, coord) in cells.items():

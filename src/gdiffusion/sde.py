@@ -12,11 +12,12 @@ scenarios at once.  It takes the shared time-major reference increments
 ``dW (n_steps, ..., d)`` and one volatility control, or a sequence of K
 controls that lead the batch axes, and forms each step's dB and dQV inside
 the loop with one ``scenario.apply_control`` call on the one-step slice
-dW[m] for the whole batch of controls; no whole-horizon dB is stored.  It
-holds the states component-major: a state of shape (..., n) is stored as
-(n, ...) memory, so each x[..., k] the coefficient maps read, and each
-per-component operation of a step, runs over one contiguous block of the
-batch.  The logical shapes do not change: the states it returns have the
+dW[m] for the whole batch of controls; no whole-horizon dB is stored.  Each
+system's increment starts from its first term, so a step makes no zero
+fill.  It holds the states component-major: a state of shape (..., n) is
+stored as (n, ...) memory, so each x[..., k] the coefficient maps read, and
+each per-component operation of a step, runs over one contiguous block of
+the batch.  The logical shapes do not change: the states it returns have the
 shape (..., levels, n): every level, (..., n_steps + 1, n), or, when an
 ``observe(m, x)`` callback reduces each level as it is made, only the last.
 Two systems marched on the same noise and controls are coupled; they can be
@@ -32,9 +33,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatchError, NonFiniteError
+from .expressions import tail_major_axes
 from .scenario import apply_control, control_schedules
 
 H_SYMMETRY_TOL = 1e-12
+
+# _TAIL_MAJOR[rank][x.ndim]: the permutation of a field's tail-major copy; the
+# tails are b (n,), S (n, d) and h (d, d, n)
+_TAIL_MAJOR = {rank: tail_major_axes(rank) for rank in (1, 2, 3)}
 
 
 @dataclass(frozen=True)
@@ -96,8 +102,7 @@ class CoefficientSet:
         if out.shape == shape and out.flags.writeable:
             return out
         # tail-major, as an Expression table is: each slot one contiguous block of the batch
-        rank = len(tail)
-        full = np.empty(tail + x.shape[:-1]).transpose(*range(rank, len(shape)), *range(rank))
+        full = np.empty(tail + x.shape[:-1]).transpose(_TAIL_MAJOR[len(tail)][x.ndim])
         try:
             full[...] = out
         except ValueError:
@@ -172,6 +177,14 @@ def lipschitz_audit(coeffs: CoefficientSet, box: np.ndarray, seed: int = 7) -> f
     return worst
 
 
+def _plus(total, term):
+    """total + term, in place when total is an array; term alone when total is None."""
+    if total is None:
+        return term
+    total += term
+    return total
+
+
 def euler_march(coeffs, x0, times: np.ndarray, dw: np.ndarray, controls, theta,
                 observe=None) -> np.ndarray:
     """Explicit Euler on one or many scenarios, for one system or several in lockstep.
@@ -192,6 +205,15 @@ def euler_march(coeffs, x0, times: np.ndarray, dw: np.ndarray, controls, theta,
     The states are stored component-major, as (S, n, ...) memory read as
     (S, ..., n): the maps get x (..., n) with every x[..., k] C-contiguous,
     and the increments and next states keep that layout.
+
+    One step is one ``apply_control`` call for the batch; per system one
+    ``fields(t, x)`` call, the increment summed from its first term (b dt,
+    then the loading term, then sigma_l dB_l for l = 1..d; whichever comes
+    first is the start, with no zero fill and no extra pass), and
+    x + increment written into the next states; then one finiteness test.
+    Without a drift, step 0's increment alone is summed from +0.0, which
+    keeps the bits of a zero-filled sum: only there can an x0 entry of -0.0
+    meet an all -0.0 increment.
 
     Returns the states at the levels kept, levels after the batch axes:
     every level, (..., n_steps + 1, n) in C order, or with an observer only
@@ -245,13 +267,14 @@ def euler_march(coeffs, x0, times: np.ndarray, dw: np.ndarray, controls, theta,
         nxt = np.empty_like(x)
         for system, x_s, nxt_s in zip(systems, x, nxt):
             b, h, s = system.fields(t, x_s)
-            incr = b * dt if b is not None else np.zeros((n,) + batch).transpose(to_state)
+            # from its first term; step 0 without a drift from +0.0 (see above)
+            incr = b * dt if b is not None else 0.0 if m == 0 else None
             if h is not None:
-                incr += np.einsum("...lki,...lk->...i", h, dqv_m)
+                incr = _plus(incr, np.einsum("...lki,...lk->...i", h, dqv_m))
             if s is not None:
                 for l in range(system.d):
-                    incr += s[..., l] * db_m[..., l:l + 1]
-            np.add(x_s, incr, out=nxt_s)
+                    incr = _plus(incr, s[..., l] * db_m[..., l:l + 1])
+            np.add(x_s, 0.0 if incr is None else incr, out=nxt_s)
         x = nxt
         if not np.isfinite(x).all():
             bad = np.argwhere(~np.isfinite(view(x)))[0]

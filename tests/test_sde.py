@@ -373,6 +373,29 @@ def test_march_matches_the_stored_driver_oracle(case, k):
                                                        dqv[:, j, 0]).tobytes()
 
 
+@pytest.mark.parametrize("sigma", [None, [[0.0], [1.0]], [[0.0, 0.0], [0.4, -1.0]]],
+                         ids=["zero-coefficients", "d1-zero-row", "d2-zero-row"])
+def test_signed_zeros_of_a_driftless_march_match_the_zero_filled_oracle(sigma):
+    # the increment of component 0 is all -0.0 wherever its draws are
+    # negative; added to the x0 entry -0.0 it must give +0.0, as an
+    # increment summed from a zero fill does, at step 0 and after
+    d = 1 if sigma is None else len(sigma[0])
+    coeffs = CoefficientSet(n=2, d=d, sigma=None if sigma is None
+                            else (lambda t, x: np.broadcast_to(sigma, x.shape + (d,))))
+    theta = CovarianceSet(generators=(np.eye(d), -np.eye(d)))
+    times, dw = stacked_scenarios(theta, n_paths=8, n_steps=6)[:2]
+    controls = [VolatilityControl(np.arange(6) % 2), VolatilityControl.constant(0, 6)]
+    x0 = np.array([-0.0, 0.3])
+    db, dqv = stored_drivers(times, dw, controls, theta)
+    for j, control in enumerate(controls):
+        single = euler_march(coeffs, x0, times, dw, control, theta)
+        assert single.tobytes() == stored_driver_march(coeffs, x0, times, db[:, j],
+                                                       dqv[:, j, 0]).tobytes()
+        assert np.signbit(single[:, 0, 0]).all() and not np.signbit(single[:, 1:, 0]).any()
+    both = euler_march(coeffs, x0, times, dw, controls, theta)
+    assert both.tobytes() == stored_driver_march(coeffs, x0, times, db, dqv).tobytes()
+
+
 @pytest.mark.parametrize("case", BATCH_CASES)
 def test_lockstep_systems_match_separate_marches(case):
     section, theta = BATCH_CASES[case]

@@ -18,9 +18,14 @@ The output file holds every run's result line under ``runs``, and under
 ``summary``, per workload and seed: the pairs run, failed and attempted
 checks over both sides, and for each end-to-end metric each side's median, quartiles
 (linear interpolation) and run count, with ``change_lower_in``, the pairs in
-which the change read strictly lower.  Which way is better is for the
-reader, from BENCHMARK.json.  A run that ends without a result line stops
-the tool with its output.
+which the change read strictly lower, and ``resolved``, the verdict on a
+gain.  A gain on a metric is resolved (true) when the change reads better
+in at least 9/10 of the pairs, a tie counting for neither side, and its
+median is better than the parent's by more than the parent's
+interquartile range (q3 - q1); otherwise it is unresolved (false).  Which
+way is better is read from the ``better`` of each end-to-end metric in
+BENCHMARK.json.  A run that ends without a result line stops the tool with
+its output.
 """
 
 from __future__ import annotations
@@ -74,8 +79,26 @@ def quartiles(values: list) -> dict:
     return {"median": median, "q1": q1, "q3": q3, "n": len(values)}
 
 
-def summarize(runs: list) -> dict:
-    """Per workload and seed: pairs, failed/attempted and each metric's sides."""
+def load_better() -> dict:
+    """End-to-end metric name -> "lower" or "higher", from BENCHMARK.json."""
+    with open(os.path.join(ROOT, "BENCHMARK.json"), encoding="utf-8") as fh:
+        return {metric["name"]: metric["better"] for metric in json.load(fh)["end_to_end"]}
+
+
+def resolved(parent: list, change: list, better: str) -> bool:
+    """Whether the change's gain is resolved, from the values of both sides in
+    pair order: better in at least 9/10 of the pairs (ties count for neither)
+    and a median better by more than the parent's interquartile range."""
+    sign = 1.0 if better == "lower" else -1.0
+    wins = sum(sign * (p - c) > 0 for p, c in zip(parent, change))
+    spread = quartiles(parent)
+    gain = sign * (spread["median"] - statistics.median(change))
+    return 10 * wins >= 9 * len(parent) and gain > spread["q3"] - spread["q1"]
+
+
+def summarize(runs: list, better: dict) -> dict:
+    """Per workload and seed: pairs, failed/attempted and each metric's sides,
+    with the verdict on each metric that ``better`` names."""
     summary = {}
     for key in dict.fromkeys((r["workload"], r["seed"]) for r in runs):
         mine = [r for r in runs if (r["workload"], r["seed"]) == key]
@@ -89,6 +112,10 @@ def summarize(runs: list) -> dict:
             entry[metric] = {side: quartiles([value[p, side] for p in pairs]) for side in SIDES}
             lower = sum(value[p, "change"] < value[p, "parent"] for p in pairs)
             entry[metric]["change_lower_in"] = f"{lower}/{len(pairs)}"
+            if metric in better:
+                entry[metric]["resolved"] = resolved([value[p, "parent"] for p in pairs],
+                                                     [value[p, "change"] for p in pairs],
+                                                     better[metric])
         summary[f"{key[0]} (seed {key[1]})"] = entry
     return summary
 
@@ -138,7 +165,7 @@ def main(argv=None) -> int:
                  "i is odd; both sides run from fresh git-archive copies made just before "
                  "the runs; every run made is listed",
         "claim": args.claim,
-        "summary": summarize(runs),
+        "summary": summarize(runs, load_better()),
         "runs": runs,
     }
     with open(args.out, "w", encoding="utf-8") as fh:
