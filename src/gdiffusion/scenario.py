@@ -273,15 +273,17 @@ def apply_control(dw: np.ndarray, control, theta: CovarianceSet,
         raise DimensionMismatchError(
             f"noise dim {dw.shape[-1]} does not match covariance set dim {theta.dim}"
         )
-    units = (1,) * (dw.ndim - 2)                 # one per batch axis of dw
-    dqv = theta.covariances[control] * dt        # (n_steps, [K,] d, d)
-    gamma = theta.generators[control]
-    gamma = gamma.reshape(gamma.shape[:-2] + units + gamma.shape[-2:])  # (n_steps, [K,] 1.., d, d)
+    lead = control.shape                         # (n_steps,) or (n_steps, K)
+    # the generator indices with one unit axis per batch axis of dw
+    index = control.reshape(lead + (1,) * (dw.ndim - 2))
+    gamma = theta.generators[index]              # (n_steps, [K,] 1.., d, d)
     if control.ndim == 2:
         dw = dw[:, None]                         # the controls lead the batch axes
-        dqv = dqv.reshape(dqv.shape[:2] + units + dqv.shape[2:])
+        dqv = theta.covariances[index] * dt      # (n_steps, K, 1.., d, d)
+    else:
+        dqv = theta.covariances[control] * dt    # (n_steps, d, d)
     d = theta.dim
-    db = np.empty((d,) + gamma.shape[:control.ndim] + dw.shape[control.ndim:-1])
+    db = np.empty((d,) + lead + dw.shape[len(lead):-1])
     for i, row in enumerate(db):
         # np.einsum's order: it sums the terms on two SIMD lanes, each from +0.0
         np.multiply(gamma[..., i, 0], dw[..., 0], out=row)
