@@ -209,11 +209,12 @@ def euler_march(coeffs, x0, times: np.ndarray, dw: np.ndarray, controls, theta,
     One step is one ``apply_control`` call for the batch; per system one
     ``fields(t, x)`` call, the increment summed from its first term (b dt,
     then the loading term, then sigma_l dB_l for l = 1..d; whichever comes
-    first is the start, with no zero fill and no extra pass), and
-    x + increment written into the next states; then one finiteness test.
-    Without a drift, step 0's increment alone is summed from +0.0, which
-    keeps the bits of a zero-filled sum: only there can an x0 entry of -0.0
-    meet an all -0.0 increment.
+    first is the start, with no zero fill and no extra pass; a first term
+    that is a product is written straight into the next states' buffer),
+    and x + increment written into the next states; then one finiteness
+    test.  Without a drift, step 0's increment alone is summed from +0.0,
+    which keeps the bits of a zero-filled sum: only there can an x0 entry
+    of -0.0 meet an all -0.0 increment.
 
     Returns the states at the levels kept, levels after the batch axes:
     every level, (..., n_steps + 1, n) in C order, or with an observer only
@@ -267,13 +268,15 @@ def euler_march(coeffs, x0, times: np.ndarray, dw: np.ndarray, controls, theta,
         nxt = np.empty_like(x)
         for system, x_s, nxt_s in zip(systems, x, nxt):
             b, h, s = system.fields(t, x_s)
-            # from its first term; step 0 without a drift from +0.0 (see above)
-            incr = b * dt if b is not None else 0.0 if m == 0 else None
+            # from its first term, a product written into nxt_s; step 0
+            # without a drift from +0.0 (see above)
+            incr = np.multiply(b, dt, out=nxt_s) if b is not None else 0.0 if m == 0 else None
             if h is not None:
                 incr = _plus(incr, np.einsum("...lki,...lk->...i", h, dqv_m))
             if s is not None:
                 for l in range(system.d):
-                    incr = _plus(incr, s[..., l] * db_m[..., l:l + 1])
+                    incr = (np.multiply(s[..., l], db_m[..., l:l + 1], out=nxt_s) if incr is None
+                            else _plus(incr, s[..., l] * db_m[..., l:l + 1]))
             np.add(x_s, 0.0 if incr is None else incr, out=nxt_s)
         x = nxt
         if not np.isfinite(x).all():
