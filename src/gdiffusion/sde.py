@@ -177,14 +177,6 @@ def lipschitz_audit(coeffs: CoefficientSet, box: np.ndarray, seed: int = 7) -> f
     return worst
 
 
-def _plus(total, term):
-    """total + term, in place when total is an array; term alone when total is None."""
-    if total is None:
-        return term
-    total += term
-    return total
-
-
 def euler_march(coeffs, x0, times: np.ndarray, dw: np.ndarray, controls, theta,
                 observe=None) -> np.ndarray:
     """Explicit Euler on one or many scenarios, for one system or several in lockstep.
@@ -272,11 +264,17 @@ def euler_march(coeffs, x0, times: np.ndarray, dw: np.ndarray, controls, theta,
             # without a drift from +0.0 (see above)
             incr = np.multiply(b, dt, out=nxt_s) if b is not None else 0.0 if m == 0 else None
             if h is not None:
-                incr = _plus(incr, np.einsum("...lki,...lk->...i", h, dqv_m))
+                loading = np.einsum("...lki,...lk->...i", h, dqv_m)
+                if incr is None:
+                    incr = loading
+                else:
+                    incr += loading
             if s is not None:
                 for l in range(system.d):
-                    incr = (np.multiply(s[..., l], db_m[..., l:l + 1], out=nxt_s) if incr is None
-                            else _plus(incr, s[..., l] * db_m[..., l:l + 1]))
+                    if incr is None:
+                        incr = np.multiply(s[..., l], db_m[..., l:l + 1], out=nxt_s)
+                    else:
+                        incr += s[..., l] * db_m[..., l:l + 1]
             np.add(x_s, 0.0 if incr is None else incr, out=nxt_s)
         x = nxt
         if not np.isfinite(x).all():
