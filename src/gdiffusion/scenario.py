@@ -8,11 +8,8 @@ with time as the leading axis, so an Euler step reads one contiguous slice:
 ``noise_block`` gives the reference increments ``dW (n_steps, n_paths, d)``,
 shared by every control, and ``apply_control`` maps a one-step slice of them
 to that step's ``dB`` and ``dQV`` for one control or for a batch of K
-controls stacked on a leading batch axis.  It returns dB component-major:
-one loop of products, dB[..., i] = sum_j gamma[..., i, j] dW[..., j],
-writes (d, ...) memory that it hands out as (..., d), so each component is
-one contiguous block, as in the march's states.  ``sde.euler_march`` makes
-that call at every step, so no whole-horizon ``dB`` is ever stored.  A batch
+controls stacked on a leading batch axis.  ``sde.euler_march`` makes that
+call at every step, so no whole-horizon ``dB`` is ever stored.  A batch
 marched in lockstep holds per-step arrays ``(K, n_paths, width)``, and
 ``lockstep_batch`` sizes K so that one of them stays within ``STEP_BYTES``.
 
@@ -257,12 +254,6 @@ def apply_control(dw: np.ndarray, control, theta: CovarianceSet,
     * K controls, (n_steps, K): the controls lead the batch axes, dB
       (n_steps, K, ..., d) and dQV (n_steps, K, 1.., d, d), with one unit
       axis per batch axis of dw.
-
-    dB is component-major: (d, n_steps, [K,] ...) memory read as the shape
-    above, so each dB[..., i] is C-contiguous.  Its entries are
-    sum_j gamma[..., i, j] dW[..., j] with the terms of even j and of odd j
-    summed apart, then together, and from +0.0, so an all-zero sum is +0.0;
-    on C-contiguous dw and d <= 7 that is ``np.einsum``'s order, bit for bit.
     """
     if isinstance(control, VolatilityControl):
         if dw.shape[0] != control.n_steps:
@@ -273,29 +264,12 @@ def apply_control(dw: np.ndarray, control, theta: CovarianceSet,
         raise DimensionMismatchError(
             f"noise dim {dw.shape[-1]} does not match covariance set dim {theta.dim}"
         )
-    lead = control.shape                         # (n_steps,) or (n_steps, K)
-    # the generator indices with one unit axis per batch axis of dw
-    index = control.reshape(lead + (1,) * (dw.ndim - 2))
-    gamma = theta.generators[index]              # (n_steps, [K,] 1.., d, d)
-    if control.ndim == 2:
-        dw = dw[:, None]                         # the controls lead the batch axes
-        dqv = theta.covariances[index] * dt      # (n_steps, K, 1.., d, d)
-    else:
-        dqv = theta.covariances[control] * dt    # (n_steps, d, d)
-    d = theta.dim
-    db = np.empty((d,) + lead + dw.shape[len(lead):-1])
-    for i, row in enumerate(db):
-        # np.einsum's order: it sums the terms on two SIMD lanes, each from +0.0
-        np.multiply(gamma[..., i, 0], dw[..., 0], out=row)
-        for j in range(2, d, 2):
-            row += gamma[..., i, j] * dw[..., j]
-        if d > 1:
-            odd = gamma[..., i, 1] * dw[..., 1]
-            for j in range(3, d, 2):
-                odd += gamma[..., i, j] * dw[..., j]
-            row += odd
-        row += 0.0
-    return db.transpose(*range(1, db.ndim), 0), dqv
+    gamma = theta.generators[control]            # (n_steps, [K,] d, d)
+    dqv = theta.covariances[control] * dt        # (n_steps, [K,] d, d)
+    if control.ndim == 1:
+        return np.einsum("kij,k...j->k...i", gamma, dw), dqv
+    db = np.einsum("kcij,k...j->kc...i", gamma, dw)
+    return db, dqv.reshape(dqv.shape[:2] + (1,) * (dw.ndim - 2) + dqv.shape[2:])
 
 
 def estimate_sublinear_expectation(functional, theta: CovarianceSet,

@@ -51,6 +51,16 @@ def test_a_gain_is_resolved_by_nine_tenths_of_the_pairs_and_the_parent_iqr(chang
     assert entry["parent"]["q3"] - entry["parent"]["q1"] == pytest.approx(0.035)
 
 
+def test_a_gain_on_fewer_than_ten_pairs_is_unresolved():
+    change = shifted(-0.2)
+    summary = bench_pairs.summarize(synthetic_runs(PARENT[:9], change[:9]), {"wall_s": "lower"})
+    entry = summary["crosscheck (seed 0)"]["wall_s"]
+    assert entry["change_lower_in"] == "9/9" and entry["resolved"] is False
+    summary = bench_pairs.summarize(synthetic_runs(PARENT + PARENT[:1], change + change[:1]),
+                                    {"wall_s": "lower"})
+    assert summary["crosscheck (seed 0)"]["wall_s"]["resolved"] is True
+
+
 def test_only_the_metrics_with_a_direction_get_a_verdict():
     summary = bench_pairs.summarize(synthetic_runs(PARENT, shifted(-0.2)), {})
     assert "resolved" not in summary["crosscheck (seed 0)"]["wall_s"]

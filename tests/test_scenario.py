@@ -235,54 +235,6 @@ def test_stacked_controls_per_step_match_whole_array_apply_control(paths):
             assert dqv_m[0, j].reshape(2, 2).tobytes() == dqv[m].tobytes()
 
 
-def einsum_db(dw, schedules, theta):
-    """dB of one control (n_steps,) or of K controls (n_steps, K) as np.einsum
-    forms it: the oracle of apply_control's products."""
-    gamma = theta.generators[schedules]
-    if schedules.ndim == 1:
-        return np.einsum("kij,k...j->k...i", gamma, dw)
-    return np.einsum("kcij,k...j->kc...i", gamma, dw)
-
-
-# generators with a zero row: 0 * (negative draw) is -0.0, which a sum of
-# such products keeps and a sum from +0.0, as einsum's, does not
-SIGNED_ZERO_SETS = {
-    1: CovarianceSet(generators=(np.array([[0.0]]), np.array([[-0.5]]), np.array([[1.0]]))),
-    2: CovarianceSet(generators=(np.array([[0.0, 0.0], [0.3, -0.7]]),
-                                 np.array([[1.0, 0.4], [0.0, 0.0]]),
-                                 np.array([[-0.2, 0.0], [0.0, 0.9]]))),
-    3: CovarianceSet(generators=(np.array([[0.0, 0.0, 0.0], [0.3, -0.7, 1e-8],
-                                           [2.0, 1e5, -0.4]]),
-                                 np.array([[1.0, 0.4, -3.0], [0.0, 0.0, 0.0],
-                                           [1e-3, 0.5, 0.25]]),
-                                 np.array([[-0.2, 0.0, 0.6], [0.0, 0.9, 0.0],
-                                           [0.0, 0.0, 0.0]]))),
-}
-
-
-@pytest.mark.parametrize("k", [None, 3], ids=["one-control", "k-controls"])
-@pytest.mark.parametrize("paths", [(), (5,), (2, 3)])
-@pytest.mark.parametrize("d", [1, 2, 3])
-def test_db_has_the_bits_of_the_einsum(d, paths, k):
-    # every entry, signed zeros included, on whole-horizon and one-step slices;
-    # each component dB[..., i] is one contiguous block
-    theta = SIGNED_ZERO_SETS[d]
-    rng = np.random.default_rng(d)
-    shape = (6,) + paths + (d,)
-    dw = rng.standard_normal(shape) * 10.0 ** rng.integers(-4, 5, shape)
-    dw[::2] = -np.abs(dw[::2])
-    schedules = rng.integers(0, theta.n_generators, 6 if k is None else (6, k))
-    schedules[:3] = 0
-    for m in (slice(None), slice(0, 1), slice(4, 5)):
-        db, _ = apply_control(dw[m], schedules[m], theta, 0.125)
-        oracle = einsum_db(dw[m], schedules[m], theta)
-        assert db.shape == oracle.shape and db.tobytes() == oracle.tobytes()
-        assert all(db[..., i].flags.c_contiguous for i in range(d))
-    # step 0 sums only products 0 * (negative draw) = -0.0 into dB[..., 0]
-    db, _ = apply_control(dw[:1], schedules[:1], theta, 0.125)
-    assert np.all(db[..., 0] == 0.0) and not np.signbit(db[..., 0]).any()
-
-
 def test_control_schedules_are_checked_once_against_theta():
     controls = [VolatilityControl.constant(1, 8), VolatilityControl.constant(0, 8)]
     assert control_schedules(controls[0], INTERVAL).tolist() == [1] * 8

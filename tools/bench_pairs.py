@@ -19,10 +19,10 @@ The output file holds every run's result line under ``runs``, and under
 checks over both sides, and for each end-to-end metric each side's median, quartiles
 (linear interpolation) and run count, with ``change_lower_in``, the pairs in
 which the change read strictly lower, and ``resolved``, the verdict on a
-gain.  A gain on a metric is resolved (true) when the change reads better
-in at least 9/10 of the pairs, a tie counting for neither side, and its
-median is better than the parent's by more than the parent's
-interquartile range (q3 - q1); otherwise it is unresolved (false).  Which
+gain.  A gain on a metric is resolved (true) when at least 10 pairs were
+run, the change reads better in at least 9/10 of them, a tie counting for
+neither side, and its median is better than the parent's by more than the
+parent's interquartile range (q3 - q1); otherwise it is unresolved (false).  Which
 way is better is read from the ``better`` of each end-to-end metric in
 BENCHMARK.json.  A run that ends without a result line stops the tool with
 its output.
@@ -45,6 +45,8 @@ import numpy
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SIDES = ("parent", "change")
+# the fewest pairs on which a gain can be resolved
+MIN_PAIRS = 10
 
 
 def git(*args: str) -> str:
@@ -87,13 +89,15 @@ def load_better() -> dict:
 
 def resolved(parent: list, change: list, better: str) -> bool:
     """Whether the change's gain is resolved, from the values of both sides in
-    pair order: better in at least 9/10 of the pairs (ties count for neither)
-    and a median better by more than the parent's interquartile range."""
+    pair order: at least MIN_PAIRS pairs, better in at least 9/10 of them (ties
+    count for neither) and a median better by more than the parent's
+    interquartile range."""
     sign = 1.0 if better == "lower" else -1.0
     wins = sum(sign * (p - c) > 0 for p, c in zip(parent, change))
     spread = quartiles(parent)
     gain = sign * (spread["median"] - statistics.median(change))
-    return 10 * wins >= 9 * len(parent) and gain > spread["q3"] - spread["q1"]
+    return (len(parent) >= MIN_PAIRS and 10 * wins >= 9 * len(parent)
+            and gain > spread["q3"] - spread["q1"])
 
 
 def summarize(runs: list, better: dict) -> dict:
