@@ -19,7 +19,7 @@ from .sde import CoefficientSet
 def _constant(values):
     """The map (t, x) -> values, broadcast over the batch of x."""
     values = np.array(values, dtype=float)
-    values.setflags(write=False)  # CoefficientSet returns a writable copy
+    values.setflags(write=False)  # at a single point x (n,), the field is values itself
     return lambda t, x: values
 
 

@@ -120,6 +120,8 @@ def generator_limit_check(coeffs: CoefficientSet, theta: CovarianceSet,
     t_list = sorted(float(t) for t in t_list)
     if not t_list or t_list[0] <= 0:
         raise NonFiniteError("t_list must contain positive times")
+    if not np.all(np.isfinite(t_list)):
+        raise NonFiniteError(f"t_list must contain finite times, got {t_list}")
     lf = eval_generator(coeffs, theta, f, x)
     fx = float(f.value(x))
 

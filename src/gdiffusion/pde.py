@@ -89,6 +89,9 @@ class Grid:
             raise GridError("node counts must match the dimension and be at least 3")
         if np.any(bounds[:, 0] >= bounds[:, 1]):
             raise GridError("bounds rows must satisfy lo < hi")
+        if not (np.isfinite(self.dt) and np.isfinite(self.horizon)):
+            raise GridError(f"grid.T: expected a finite horizon, got T={self.horizon}, "
+                            f"dt={self.dt}")
         if self.dt <= 0 or self.horizon <= 0:
             raise GridError("dt and horizon must be positive")
         levels = self.horizon / self.dt
@@ -361,9 +364,9 @@ def semigroup_value(sol: PDESolution, t: float, x, allow_untrusted: bool = False
     """
     grid = sol.grid
     steps = t / grid.dt
-    level = int(round(steps))
+    level = int(round(steps)) if np.isfinite(steps) else -1  # a non-finite t is no level
     if not (0 <= level <= grid.n_levels and abs(steps - level) <= 1e-9 * max(1.0, level)):
-        below = int(np.clip(np.floor(steps), 0, grid.n_levels - 1))
+        below = int(np.clip(np.floor(np.nan_to_num(steps)), 0, grid.n_levels - 1))
         raise GridError(f"time {t} is not a level of the solve on [0, {grid.horizon}] "
                         f"(dt={grid.dt:.6g}); the nearest levels are t={below * grid.dt:.6g} "
                         f"and t={(below + 1) * grid.dt:.6g}")

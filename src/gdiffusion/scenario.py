@@ -7,11 +7,13 @@ increments ``dB_k = gamma_{m(k)} dW_k`` and accumulates quadratic covariation
 with time as the leading axis, so an Euler step reads one contiguous slice:
 ``noise_block`` gives the reference increments ``dW (n_steps, n_paths, d)``,
 shared by every control, and ``apply_control`` maps a one-step slice of them
-to that step's ``dB`` and ``dQV`` for one control or for a batch of K
-controls stacked on a leading batch axis.  ``sde.euler_march`` makes that
-call at every step, so no whole-horizon ``dB`` is ever stored.  A batch
-marched in lockstep holds per-step arrays ``(K, n_paths, width)``, and
-``lockstep_batch`` sizes K so that one of them stays within ``STEP_BYTES``.
+to that step's ``dB`` and ``dQV`` for a batch of K controls, given as the
+generator indices (n_steps, K) of ``control_schedules`` and stacked on a
+leading batch axis; one control is the batch K = 1.  ``sde.euler_march``
+makes that call at every step, so no whole-horizon ``dB`` is ever stored.
+A batch marched in lockstep holds per-step arrays ``(K, n_paths, width)``,
+and ``lockstep_batch`` sizes K so that one of them stays within
+``STEP_BYTES``.
 
 Worst-case (sublinear) expectations are estimated by maximizing Monte Carlo
 means over a finite family of controls.  The supremum over a finite family
@@ -224,50 +226,39 @@ class VolatilityControl:
 
 
 def control_schedules(controls, theta: CovarianceSet) -> np.ndarray:
-    """Generator indices of one control, (n_steps,), or of a sequence of K
-    controls of one length, (n_steps, K), checked against the generators of
-    theta."""
-    single = isinstance(controls, VolatilityControl)
-    group = (controls,) if single else tuple(controls)
-    if not group:
+    """Generator indices of a sequence of K controls of one length, (n_steps,
+    K), checked against the generators of theta."""
+    if not controls:
         raise DimensionMismatchError("at least one control is required")
-    if len({control.n_steps for control in group}) > 1:
+    if len({control.n_steps for control in controls}) > 1:
         raise DimensionMismatchError("controls marched together must cover the same steps")
-    schedules = np.stack([control.schedule for control in group], axis=-1)
+    schedules = np.stack([control.schedule for control in controls], axis=-1)
     top = int(np.max(schedules))
     if top >= theta.n_generators:
         raise DimensionMismatchError(
             f"schedule references generator {top} but the set has only {theta.n_generators}")
-    return schedules[:, 0] if single else schedules
+    return schedules
 
 
-def apply_control(dw: np.ndarray, control, theta: CovarianceSet,
+def apply_control(dw: np.ndarray, schedules: np.ndarray, theta: CovarianceSet,
                   dt: float) -> tuple[np.ndarray, np.ndarray]:
-    """Map reference increments to (dB, dQV) under one control or a batch of K.
+    """Map reference increments to (dB, dQV) under a batch of K controls.
 
     dw is time-major and may carry batch axes after time: (n_steps, ..., d).
-    control is a VolatilityControl, checked here, or generator indices from
-    ``control_schedules`` for the same steps, checked there:
-
-    * one control, (n_steps,): dB (n_steps, ..., d) and the path-independent
-      dQV (n_steps, d, d);
-    * K controls, (n_steps, K): the controls lead the batch axes, dB
-      (n_steps, K, ..., d) and dQV (n_steps, K, 1.., d, d), with one unit
-      axis per batch axis of dw.
+    schedules are the generator indices (n_steps, K) of ``control_schedules``
+    for the same steps.  The controls lead the batch axes: dB (n_steps, K,
+    ..., d) and dQV (n_steps, K, 1.., d, d), with one unit axis per batch
+    axis of dw.
     """
-    if isinstance(control, VolatilityControl):
-        if dw.shape[0] != control.n_steps:
-            raise DimensionMismatchError(
-                f"control covers {control.n_steps} steps but noise has {dw.shape[0]}")
-        control = control_schedules(control, theta)
+    if dw.shape[0] != len(schedules):
+        raise DimensionMismatchError(
+            f"controls cover {len(schedules)} steps but noise has {dw.shape[0]}")
     if dw.shape[-1] != theta.dim:
         raise DimensionMismatchError(
             f"noise dim {dw.shape[-1]} does not match covariance set dim {theta.dim}"
         )
-    gamma = theta.generators[control]            # (n_steps, [K,] d, d)
-    dqv = theta.covariances[control] * dt        # (n_steps, [K,] d, d)
-    if control.ndim == 1:
-        return np.einsum("kij,k...j->k...i", gamma, dw), dqv
+    gamma = theta.generators[schedules]          # (n_steps, K, d, d)
+    dqv = theta.covariances[schedules] * dt      # (n_steps, K, d, d)
     db = np.einsum("kcij,k...j->kc...i", gamma, dw)
     return db, dqv.reshape(dqv.shape[:2] + (1,) * (dw.ndim - 2) + dqv.shape[2:])
 

@@ -12,14 +12,16 @@ scenarios at once.  It takes the shared time-major reference increments
 ``dW (n_steps, ..., d)`` and one volatility control, or a sequence of K
 controls that lead the batch axes, and forms each step's dB and dQV inside
 the loop with one ``scenario.apply_control`` call on the one-step slice
-dW[m] for the whole batch of controls; no whole-horizon dB is stored.  Each
-system's increment starts from its first term, so a step makes no zero
-fill.  It holds the states component-major: a state of shape (..., n) is
-stored as (n, ...) memory, so each x[..., k] the coefficient maps read, and
-each per-component operation of a step, runs over one contiguous block of
-the batch.  The logical shapes do not change: the states it returns have the
-shape (..., levels, n): every level, (..., n_steps + 1, n), or, when an
-``observe(m, x)`` callback reduces each level as it is made, only the last.
+dW[m] for the whole batch of controls (one control is the batch K = 1);
+no whole-horizon dB is stored.  A field is its map's output or a read-only
+broadcast view of it, never a copy.  Each system's increment starts from
+its first term, so a step makes no zero fill.  It holds the states
+component-major: a state of shape (..., n) is stored as (n, ...) memory, so
+each x[..., k] the coefficient maps read, and each per-component operation
+of a step, runs over one contiguous block of the batch.  The logical shapes
+do not change: the states it returns have the shape (..., levels, n): every
+level, (..., n_steps + 1, n), or, when an ``observe(m, x)`` callback
+reduces each level as it is made, only the last.
 Two systems marched on the same noise and controls are coupled; they can be
 stepped in lockstep in one march, and ``MinGapObserver`` then streams, level
 by level, the exact minimum gap between their states with its first witness.
@@ -33,14 +35,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatchError, NonFiniteError
-from .expressions import tail_major_axes
-from .scenario import apply_control, control_schedules
+from .scenario import VolatilityControl, apply_control, control_schedules
 
 H_SYMMETRY_TOL = 1e-12
-
-# _TAIL_MAJOR[rank][x.ndim]: the permutation of a field's tail-major copy; the
-# tails are b (n,), S (n, d) and h (d, d, n)
-_TAIL_MAJOR = {rank: tail_major_axes(rank) for rank in (1, 2, 3)}
 
 
 @dataclass(frozen=True)
@@ -59,10 +56,10 @@ class CoefficientSet:
     h_symmetric : when set, h_lk == h_kl is verified on sample points at
         construction and violations are a construction error
 
-    A map may return any array that broadcasts to its shape.  ``fields(t, x)``
-    evaluates all three and is how the rest of the package reads them, with
-    None for an absent part; ``eval_b``, ``h_table`` and ``sigma_matrix`` are
-    its three parts on their own, with zeros instead of None.
+    A map may return any array that broadcasts to its shape (see ``_field``).
+    ``fields(t, x)`` evaluates all three and is how the rest of the package
+    reads them, with None for an absent part; ``eval_b``, ``h_table`` and
+    ``sigma_matrix`` are its three parts on their own, with zeros for None.
     """
 
     n: int
@@ -93,22 +90,21 @@ class CoefficientSet:
 
     @staticmethod
     def _field(func, t, x, tail: tuple) -> np.ndarray:
-        """func(t, x) as a writable float array of shape x.shape[:-1] + tail."""
+        """func(t, x) as a float array of shape x.shape[:-1] + tail: the map's
+        output when it has that shape, else a read-only broadcast view of it;
+        zeros for an absent part."""
         x = np.asarray(x, dtype=float)
         shape = x.shape[:-1] + tail
         if func is None:
             return np.zeros(shape)
         out = np.asarray(func(t, x), dtype=float)
-        if out.shape == shape and out.flags.writeable:
+        if out.shape == shape:
             return out
-        # tail-major, as an Expression table is: each slot one contiguous block of the batch
-        full = np.empty(tail + x.shape[:-1]).transpose(_TAIL_MAJOR[len(tail)][x.ndim])
         try:
-            full[...] = out
+            return np.broadcast_to(out, shape)
         except ValueError:
             raise DimensionMismatchError(
                 f"coefficient map returned shape {out.shape}, expected {shape}") from None
-        return full
 
     def eval_b(self, t, x) -> np.ndarray:
         return self._field(self.b, t, x, (self.n,))
@@ -190,7 +186,8 @@ def euler_march(coeffs, x0, times: np.ndarray, dw: np.ndarray, controls, theta,
     controls : one VolatilityControl, or a sequence of K of them, which then
         lead the batch axes of dw: one control per leading batch slot.
         theta is their CovarianceSet.  Step m's dB and dQV are formed from
-        dw[m] by ``apply_control`` with dt = (times[-1] - times[0]) / n_steps.
+        dw[m] by ``apply_control`` with dt = (times[-1] - times[0]) / n_steps;
+        one control goes in as K = 1 and its control axis is dropped.
     observe : optional ``observe(m, x)``, called with the states x (..., n)
         at every level m = 0 .. n_steps; x must not be written to.
 
@@ -231,14 +228,16 @@ def euler_march(coeffs, x0, times: np.ndarray, dw: np.ndarray, controls, theta,
     if any(system.n != n for system in systems):
         raise DimensionMismatchError("systems marched together must share the state dimension")
     n_steps = dw.shape[0]
-    schedules = control_schedules(controls, theta)  # (n_steps,) or (n_steps, K)
+    one = isinstance(controls, VolatilityControl)
+    schedules = control_schedules([controls] if one else controls, theta)  # (n_steps, K)
     if len(times) != n_steps + 1 or len(schedules) != n_steps:
         raise DimensionMismatchError(
             f"db has {n_steps} steps, but times has {len(times)} levels "
             f"and the controls {len(schedules)} steps")
     qv_dt = float(times[-1] - times[0]) / n_steps
     batch = np.broadcast_shapes(*(start.shape[:-1] for start in starts),
-                                schedules.shape[1:] + dw.shape[1:-1])
+                                (() if one else schedules.shape[1:]) + dw.shape[1:-1])
+    step = (0, 0) if one else 0  # step m of apply_control's output, no control axis for one
     # component-major: (n, ...) memory read as (..., n), so that each
     # x[s, ..., k] is one contiguous block of the batch
     to_state = (*range(1, 1 + len(batch)), 0)
@@ -256,7 +255,7 @@ def euler_march(coeffs, x0, times: np.ndarray, dw: np.ndarray, controls, theta,
         t = float(times[m])
         dt = float(times[m + 1] - times[m])
         db_m, dqv_m = apply_control(dw[m:m + 1], schedules[m:m + 1], theta, qv_dt)
-        db_m, dqv_m = db_m[0], dqv_m[0]
+        db_m, dqv_m = db_m[step], dqv_m[step]
         nxt = np.empty_like(x)
         for system, x_s, nxt_s in zip(systems, x, nxt):
             b, h, s = system.fields(t, x_s)

@@ -70,3 +70,41 @@ def test_the_directions_come_from_the_benchmark_declaration():
     better = bench_pairs.load_better()
     assert {"wall_s", "setup_s", "peak_rss_mb"} <= set(better)
     assert set(better.values()) <= {"lower", "higher"}
+
+
+@pytest.mark.parametrize("change, better, bound, expected", [
+    (shifted(0.2), "lower", 0.25, "not-worse"),              # inside the bound
+    (shifted(0.3), "lower", 0.25, "worse"),
+    (shifted(-0.2), "lower", 0.25, "not-worse"),
+    (shifted(0.0), "lower", 0.02, "unresolved"),             # IQR 0.035 over the bound 0.02
+    (shifted(-0.02), "lower", 0.02, "unresolved"),           # better, but the runs overlap
+    (shifted(-0.2), "lower", 0.02, "not-worse"),             # every change run better
+    (shifted(0.03), "lower", 0.02, "worse"),
+    (shifted(-0.3), "higher", 0.25, "worse"),
+    (shifted(0.3), "higher", 0.25, "not-worse"),
+], ids=["inside-bound", "outside-bound", "better", "iqr-over-bound", "overlapping-gain",
+        "separated-gain", "worse-despite-iqr", "higher-worse", "higher-better"])
+def test_no_regression_is_judged_by_the_bound_and_the_parent_iqr(change, better, bound,
+                                                                 expected):
+    summary = bench_pairs.summarize(synthetic_runs(PARENT, change), {"wall_s": better},
+                                    {"wall_s": bound})
+    assert summary["crosscheck (seed 0)"]["wall_s"]["regression"] == expected
+
+
+def test_a_metric_without_a_bound_gets_no_regression_verdict():
+    summary = bench_pairs.summarize(synthetic_runs(PARENT, shifted(0.3)), {"wall_s": "lower"})
+    assert "regression" not in summary["crosscheck (seed 0)"]["wall_s"]
+
+
+def test_the_bounds_come_from_the_benchmark_declaration():
+    bounds = bench_pairs.declared("bound")
+    assert set(bounds) == set(bench_pairs.load_better())
+    assert all(bound > 0 for bound in bounds.values())
+
+
+def test_src_lines_counts_every_file_under_src(tmp_path):
+    (tmp_path / "src" / "pkg").mkdir(parents=True)
+    (tmp_path / "src" / "pkg" / "a.py").write_text("one\ntwo\n")
+    (tmp_path / "src" / "b.py").write_text("three\n")
+    (tmp_path / "tests.py").write_text("not counted\n")
+    assert bench_pairs.src_lines(str(tmp_path)) == 3

@@ -325,6 +325,33 @@ def test_non_finite_box_is_a_config_error_naming_the_key(tmp_path, capsys, case)
     assert report["results"]["error"].startswith(f"{key}:")
 
 
+# JSON text merged into pde_config -> (experiment, status, exit code, start of the error)
+NON_FINITE_TIMES = {
+    "grid-T-nan": ('{"grid": {"bounds": [[-4.0, 4.0]], "counts": [41], "T": NaN, '
+                   '"n_levels": 100}}', "solve-pde", "config-error", 2, "grid.T:"),
+    "grid-T-infinity": ('{"grid": {"bounds": [[-4.0, 4.0]], "counts": [41], "T": Infinity, '
+                        '"n_levels": 100}}', "feynman-crosscheck", "config-error", 2, "grid.T:"),
+    "query-t-nan": ('{"query": {"t": NaN, "x": [0.0]}}', "solve-pde", "config-error", 2,
+                    "time nan is not a level"),
+    "query-t-infinity": ('{"query": {"t": Infinity, "x": [0.0]}}', "solve-pde", "config-error",
+                         2, "time inf is not a level"),
+    "t-list-nan": ('{"t_list": [0.2, NaN]}', "generator", "numerical-error", 5,
+                   "t_list must contain finite times"),
+}
+
+
+@pytest.mark.parametrize("case", NON_FINITE_TIMES)
+def test_non_finite_time_is_refused_with_a_report(tmp_path, capsys, case):
+    text, experiment, status, exit_code, error = NON_FINITE_TIMES[case]
+    cfg = pde_config()
+    cfg.update(json.loads(text))
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    code, report = run_cli([experiment, "--config", str(path)], capsys)
+    assert (code, report["status"]) == (exit_code, status)
+    assert report["results"]["error"].startswith(error)
+
+
 @pytest.mark.parametrize("key, value", [("conditions", 5), ("conditions", "B2"),
                                         ("conditions", ["B2", 5]), ("condition", 5)],
                          ids=["conditions-int", "conditions-text", "conditions-holds-int",

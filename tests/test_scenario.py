@@ -23,9 +23,16 @@ def one_path(seed, T, n_steps, d, path_index=0):
     return noise_block(seed, T, n_steps, d, 1, first=path_index)[:, 0]
 
 
+def one_control(dw, control, theta, dt):
+    """(dB, dQV) of one control: dB (n_steps, ..., d) and the path-independent
+    dQV (n_steps, d, d)."""
+    db, dqv = apply_control(dw, control_schedules([control], theta), theta, dt)
+    return db[:, 0], dqv[:, 0].reshape(control.n_steps, theta.dim, theta.dim)
+
+
 def scenario(seed, T, n_steps, control, theta=INTERVAL):
     """(dB, dQV) of path 0 of seed under one control."""
-    return apply_control(one_path(seed, T, n_steps, theta.dim), control, theta, T / n_steps)
+    return one_control(one_path(seed, T, n_steps, theta.dim), control, theta, T / n_steps)
 
 
 def cum_qv(dqv):
@@ -210,8 +217,8 @@ def test_qv_psd_and_nondecreasing():
 def test_path_construction_is_pure():
     dw = one_path(5, 1.0, 16, 1)
     control = VolatilityControl.bang_bang_cycle(0, 1, 16)
-    db1, dqv1 = apply_control(dw, control, INTERVAL, 1.0 / 16)
-    db2, dqv2 = apply_control(dw, control, INTERVAL, 1.0 / 16)
+    db1, dqv1 = one_control(dw, control, INTERVAL, 1.0 / 16)
+    db2, dqv2 = one_control(dw, control, INTERVAL, 1.0 / 16)
     assert np.array_equal(db1, db2) and np.array_equal(dqv1, dqv2)
 
 
@@ -230,14 +237,14 @@ def test_stacked_controls_per_step_match_whole_array_apply_control(paths):
         assert db_m.shape == (1, 5) + paths + (2,)
         assert dqv_m.shape == (1, 5) + (1,) * len(paths) + (2, 2)
         for j, control in enumerate(controls):
-            db, dqv = apply_control(dw, control, theta, 0.125)
+            db, dqv = one_control(dw, control, theta, 0.125)
             assert db_m[0, j].tobytes() == db[m].tobytes()
             assert dqv_m[0, j].reshape(2, 2).tobytes() == dqv[m].tobytes()
 
 
 def test_control_schedules_are_checked_once_against_theta():
     controls = [VolatilityControl.constant(1, 8), VolatilityControl.constant(0, 8)]
-    assert control_schedules(controls[0], INTERVAL).tolist() == [1] * 8
+    assert control_schedules(controls[:1], INTERVAL).tolist() == [[1]] * 8
     assert control_schedules(controls, INTERVAL).tolist() == [[1, 0]] * 8
     with pytest.raises(DimensionMismatchError, match="generator 2 but the set has only 2"):
         control_schedules(controls + [VolatilityControl.constant(2, 8)], INTERVAL)
@@ -249,10 +256,14 @@ def test_control_schedules_are_checked_once_against_theta():
 
 def test_control_coverage_mismatch():
     dw = one_path(5, 1.0, 16, 1)
-    with pytest.raises(DimensionMismatchError):
-        apply_control(dw, VolatilityControl.constant(0, 8), INTERVAL, 1.0 / 16)
-    with pytest.raises(DimensionMismatchError):
-        apply_control(dw, VolatilityControl.constant(5, 16), INTERVAL, 1.0 / 16)
+    short = control_schedules([VolatilityControl.constant(0, 8)] * 2, INTERVAL)
+    with pytest.raises(DimensionMismatchError, match="cover 8 steps but noise has 16"):
+        apply_control(dw, short, INTERVAL, 1.0 / 16)
+    with pytest.raises(DimensionMismatchError, match="cover 16 steps but noise has 8"):
+        apply_control(dw[:8], control_schedules([VolatilityControl.constant(0, 16)], INTERVAL),
+                      INTERVAL, 1.0 / 16)
+    with pytest.raises(DimensionMismatchError, match="generator 5"):
+        control_schedules([VolatilityControl.constant(5, 16)], INTERVAL)
 
 
 def test_estimate_martingale_near_zero():

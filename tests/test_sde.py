@@ -7,7 +7,7 @@ from gdiffusion.coefficients import build_coefficients, remark_counterexample_pa
 from gdiffusion.errors import ConfigError, DimensionMismatchError, NonFiniteError
 from gdiffusion.expressions import Expression, parse_expression
 from gdiffusion.gfunction import CovarianceSet
-from gdiffusion.scenario import VolatilityControl, apply_control, noise_block
+from gdiffusion.scenario import VolatilityControl, apply_control, control_schedules, noise_block
 from gdiffusion.functions import TestFunction
 from gdiffusion.sde import (CoefficientSet, MinGapObserver, SDETerminalFunctional, euler_march,
                             lipschitz_audit)
@@ -66,10 +66,17 @@ def unit_path(T=1.0, n_steps=64, seed=3, theta=UNIT, generator=0):
             VolatilityControl.constant(generator, n_steps), theta)
 
 
+def one_control(dw, control, theta, dt):
+    """(dB, dQV) of one control on the whole horizon: dB (n_steps, ..., d)
+    and the path-independent dQV (n_steps, d, d)."""
+    db, dqv = apply_control(dw, control_schedules([control], theta), theta, dt)
+    return db[:, 0], dqv[:, 0].reshape(control.n_steps, theta.dim, theta.dim)
+
+
 def driver(path):
     """(dB, dQV) that the control of a unit_path forms from its dW."""
     times, dw, control, theta = path
-    return apply_control(dw, control, theta, times[-1] / control.n_steps)
+    return one_control(dw, control, theta, times[-1] / control.n_steps)
 
 
 def march(coeffs, x0, path):
@@ -330,7 +337,7 @@ def stored_drivers(times, dw, controls, theta):
     db = np.empty((n_steps, len(controls)) + dw.shape[1:])
     dqv = np.empty((n_steps, len(controls), 1, theta.dim, theta.dim))
     for j, control in enumerate(controls):
-        db[:, j], dqv[:, j, 0] = apply_control(dw, control, theta, 1.0 / n_steps)
+        db[:, j], dqv[:, j, 0] = one_control(dw, control, theta, 1.0 / n_steps)
     return db, dqv
 
 
@@ -544,7 +551,7 @@ def test_euler_step_is_the_per_entry_sum():
     x0 = rng.uniform(-1.0, 1.0, (5, 2))
     dw = rng.standard_normal((1, 5, 2))
     control = VolatilityControl.constant(1, 1)
-    db, dqv = apply_control(dw, control, theta, 0.25)
+    db, dqv = one_control(dw, control, theta, 0.25)
     step = euler_march(coeffs, x0, np.array([0.0, 0.25]), dw, control, theta)[:, 1]
     expected = x0 + 0.25 * coeffs.b(0.0, x0)
     for l in range(2):
@@ -669,17 +676,57 @@ def test_fields_match_per_entry_callables(case):
         assert s.shape == (4, 3, n, d) and s.tobytes() == ref_s.tobytes()
 
 
-@pytest.mark.parametrize("section", [
-    {"b": {"family": "constant-drift", "c": [0.5, -1.0]}},
-    {"sigma": {"family": "constant", "matrix": [[0.5], [1.0]]}},
-    {"h": {"family": "constant", "table": [[[0.0, 1.0]]]}},
+@pytest.mark.parametrize("part, section", [
+    ("b", {"b": {"family": "constant-drift", "c": [0.5, -1.0]}}),
+    ("sigma", {"sigma": {"family": "constant", "matrix": [[0.5], [1.0]]}}),
+    ("h", {"h": {"family": "constant", "table": [[[0.0, 1.0]]]}}),
 ], ids=["b", "sigma", "h"])
-def test_a_broadcast_field_is_tail_major_like_an_expression_table(section):
-    # a map's output broadcast to the field shape keeps each slot one
-    # contiguous block of the batch, so the march does not mix layouts
+def test_a_broadcast_field_is_a_read_only_view_of_the_constant(part, section):
+    # a map's output that needs broadcasting is read in place, never copied
     coeffs = build_coefficients({"n": 2, "d": 1, **section})
+    constant = getattr(coeffs, part)(0.0, np.zeros(2))
     field = next(f for f in coeffs.fields(0.0, np.zeros((4, 3, 2))) if f is not None)
-    assert all(field[(..., *index)].flags.c_contiguous for index in np.ndindex(*field.shape[2:]))
+    assert field.shape[:2] == (4, 3) and not field.flags.writeable
+    assert np.shares_memory(field, constant)
+    # at a single point the field is the constant itself
+    assert next(f for f in coeffs.fields(0.0, np.zeros(2)) if f is not None) is constant
+
+
+# systems whose parts are all constants: crosscheck's n = d = 1, and n = 2
+# with d = 1 and with d = 2 and loadings
+CONSTANT_SYSTEMS = {
+    "n1-d1": ({"n": 1, "d": 1, "sigma": {"family": "constant", "matrix": [[1.0]]}}, INTERVAL),
+    "n2-d1": ({"n": 2, "d": 1, "b": {"family": "constant-drift", "c": [0.5, -1.0]},
+               "sigma": {"family": "constant", "matrix": [[0.5], [1.0]]}}, INTERVAL),
+    "n2-d2-h": ({"n": 2, "d": 2, "b": {"family": "constant-drift", "c": [0.5, -1.0]},
+                 "sigma": {"family": "constant", "matrix": [[1.0, 0.3], [0.0, 0.8]]},
+                 "h": {"family": "constant", "table": [[[0.1, 0.2], [0.3, 0.0]],
+                                                       [[0.3, 0.0], [0.0, -0.1]]]}}, THETA2),
+}
+
+
+def full_shape_copies(coeffs):
+    """coeffs with maps that return each field as a full-shape C-order copy."""
+    def copying(func, tail):
+        return None if func is None else (
+            lambda t, x: np.broadcast_to(func(t, x), x.shape[:-1] + tail).copy())
+
+    n, d = coeffs.n, coeffs.d
+    return CoefficientSet(n=n, d=d, b=copying(coeffs.b, (n,)), h=copying(coeffs.h, (d, d, n)),
+                          sigma=copying(coeffs.sigma, (n, d)))
+
+
+@pytest.mark.parametrize("controls", [1, 3, "one"], ids=["k1", "k3", "one-control"])
+@pytest.mark.parametrize("case", CONSTANT_SYSTEMS)
+def test_broadcast_fields_march_with_the_bits_of_full_shape_copies(case, controls):
+    section, theta = CONSTANT_SYSTEMS[case]
+    coeffs = build_coefficients(section)
+    times, dw = stacked_scenarios(theta, n_paths=5)[:2]
+    controls = CHUNK_CONTROLS[0] if controls == "one" else list(CHUNK_CONTROLS[:controls])
+    x0 = np.linspace(-0.5, 0.5, coeffs.n)
+    views = euler_march(coeffs, x0, times, dw, controls, theta)
+    copies = euler_march(full_shape_copies(coeffs), x0, times, dw, controls, theta)
+    assert views.shape == copies.shape and views.tobytes() == copies.tobytes()
 
 
 @pytest.mark.parametrize("family", ["offdiag-monotone", "arctan-coupling"])

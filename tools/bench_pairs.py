@@ -22,9 +22,22 @@ which the change read strictly lower, and ``resolved``, the verdict on a
 gain.  A gain on a metric is resolved (true) when at least 10 pairs were
 run, the change reads better in at least 9/10 of them, a tie counting for
 neither side, and its median is better than the parent's by more than the
-parent's interquartile range (q3 - q1); otherwise it is unresolved (false).  Which
-way is better is read from the ``better`` of each end-to-end metric in
-BENCHMARK.json.  A run that ends without a result line stops the tool with
+parent's interquartile range (q3 - q1); otherwise it is unresolved (false).
+Each end-to-end metric also gets ``regression``, the no-regression verdict,
+with the allowed loss taken as ``bound`` times the parent's median:
+
+    worse        the change's median is worse than the parent's by more
+                 than the allowed loss;
+    unresolved   not worse, but the parent's interquartile range exceeds
+                 the allowed loss, so the runs cannot show that the change
+                 is not worse, unless every change run reads better than
+                 every parent run;
+    not-worse    otherwise.
+
+Which way is better, and each metric's bound, are read from the ``better``
+and ``bound`` of each end-to-end metric in BENCHMARK.json.  ``src_lines``
+gives each side's line count of the files under ``src/``, counted in its
+extracted tree.  A run that ends without a result line stops the tool with
 its output.
 """
 
@@ -81,10 +94,25 @@ def quartiles(values: list) -> dict:
     return {"median": median, "q1": q1, "q3": q3, "n": len(values)}
 
 
-def load_better() -> dict:
-    """End-to-end metric name -> "lower" or "higher", from BENCHMARK.json."""
+def declared(field: str) -> dict:
+    """End-to-end metric name -> its ``field`` in BENCHMARK.json."""
     with open(os.path.join(ROOT, "BENCHMARK.json"), encoding="utf-8") as fh:
-        return {metric["name"]: metric["better"] for metric in json.load(fh)["end_to_end"]}
+        return {metric["name"]: metric[field] for metric in json.load(fh)["end_to_end"]}
+
+
+def load_better() -> dict:
+    """End-to-end metric name -> "lower" or "higher"."""
+    return declared("better")
+
+
+def src_lines(tree: str) -> int:
+    """The line count of the files under tree's src/."""
+    total = 0
+    for folder, _, files in os.walk(os.path.join(tree, "src")):
+        for name in files:
+            with open(os.path.join(folder, name), "rb") as fh:
+                total += fh.read().count(b"\n")
+    return total
 
 
 def resolved(parent: list, change: list, better: str) -> bool:
@@ -100,9 +128,24 @@ def resolved(parent: list, change: list, better: str) -> bool:
             and gain > spread["q3"] - spread["q1"])
 
 
-def summarize(runs: list, better: dict) -> dict:
+def regression(parent: list, change: list, better: str, bound: float) -> str:
+    """"worse", "unresolved" or "not-worse": the no-regression verdict of the
+    module docstring, from the values of both sides."""
+    sign = 1.0 if better == "lower" else -1.0
+    spread = quartiles(parent)
+    allowed = bound * spread["median"]
+    if sign * (statistics.median(change) - spread["median"]) > allowed:
+        return "worse"
+    if (spread["q3"] - spread["q1"] > allowed
+            and not all(sign * (p - c) > 0 for p in parent for c in change)):
+        return "unresolved"
+    return "not-worse"
+
+
+def summarize(runs: list, better: dict, bounds=None) -> dict:
     """Per workload and seed: pairs, failed/attempted and each metric's sides,
-    with the verdict on each metric that ``better`` names."""
+    with the verdict on a gain for each metric that ``better`` names, and the
+    no-regression verdict for each that ``bounds`` names too."""
     summary = {}
     for key in dict.fromkeys((r["workload"], r["seed"]) for r in runs):
         mine = [r for r in runs if (r["workload"], r["seed"]) == key]
@@ -117,9 +160,11 @@ def summarize(runs: list, better: dict) -> dict:
             lower = sum(value[p, "change"] < value[p, "parent"] for p in pairs)
             entry[metric]["change_lower_in"] = f"{lower}/{len(pairs)}"
             if metric in better:
-                entry[metric]["resolved"] = resolved([value[p, "parent"] for p in pairs],
-                                                     [value[p, "change"] for p in pairs],
-                                                     better[metric])
+                sides = [[value[p, side] for p in pairs] for side in SIDES]
+                entry[metric]["resolved"] = resolved(*sides, better[metric])
+                if metric in (bounds or {}):
+                    entry[metric]["regression"] = regression(*sides, better[metric],
+                                                             bounds[metric])
         summary[f"{key[0]} (seed {key[1]})"] = entry
     return summary
 
@@ -146,6 +191,7 @@ def main(argv=None) -> int:
         trees = {side: os.path.join(scratch, side) for side in SIDES}
         for side in SIDES:
             extract(revs[side], trees[side])
+        lines = {side: src_lines(trees[side]) for side in SIDES}
         pair = 0
         for workload, count, seed in plan:
             for _ in range(count):
@@ -169,7 +215,8 @@ def main(argv=None) -> int:
                  "i is odd; both sides run from fresh git-archive copies made just before "
                  "the runs; every run made is listed",
         "claim": args.claim,
-        "summary": summarize(runs, load_better()),
+        "src_lines": lines,
+        "summary": summarize(runs, load_better(), declared("bound")),
         "runs": runs,
     }
     with open(args.out, "w", encoding="utf-8") as fh:
