@@ -3,7 +3,7 @@ and a worst-case PDE semigroup, cross-validated against each other."""
 
 from .conditions import CheckReport, SearchDomain, run_check
 from .functions import TestFunction
-from .gfunction import CovarianceSet, SymMatrix, argmax_sigma, eval_G, nondegeneracy_bound
+from .gfunction import CovarianceSet, argmax_sigma, eval_G, nondegeneracy_bound
 from .generator import eval_generator, generator_limit_check
 from .pde import Grid, PDESolution, dominance_check, monotonicity_check, semigroup_value, solve
 from .scenario import VolatilityControl, apply_control, estimate_sublinear_expectation, noise_block
@@ -19,7 +19,6 @@ __all__ = [
     "Grid",
     "PDESolution",
     "SDETerminalFunctional",
-    "SymMatrix",
     "TestFunction",
     "VolatilityControl",
     "apply_control",

@@ -11,7 +11,7 @@ import numbers
 
 import numpy as np
 
-from .errors import ConfigError, read
+from .errors import ConfigError, read, refuse_unknown_keys
 from .expressions import Expression
 from .sde import CoefficientSet
 
@@ -128,10 +128,7 @@ def build_coefficients(section: dict) -> CoefficientSet:
     if "family" in section:
         raise ConfigError("family: a drift family is named under b (b.family), "
                           "not at the top level")
-    for key in section:
-        if key not in _SECTION_KEYS:
-            raise ConfigError(f"{key}: unknown key; a coefficient section holds "
-                              f"{', '.join(_SECTION_KEYS)}")
+    refuse_unknown_keys(section, "", _SECTION_KEYS, "a coefficient section")
     b = _build_drift(section.get("b"), n)
     sigma = _build_sigma(section.get("sigma"), n, d)
     h = _build_h(section.get("h"), n, d)

@@ -24,7 +24,9 @@ Every value is read by ``gdiffusion.errors.read``, under one set of rules:
 an integer must be integral (a fraction, a boolean or a text is refused), a
 number is never a boolean, a flag is JSON true or false, and a value that
 is missing or cannot be read is a ConfigError that names its dotted key
-(``grid.T: missing required key 'T'``).
+(``grid.T: missing required key 'T'``).  So is a key that ``theta``,
+``domain``, ``grid``, ``scenario.controls`` or a coefficient section does
+not hold, so that a misspelt key cannot run as its default.
 """
 
 from __future__ import annotations
@@ -36,7 +38,7 @@ import numpy as np
 
 from .coefficients import build_coefficients, remark_counterexample_pair
 from .conditions import SearchDomain
-from .errors import ConfigError, read
+from .errors import ConfigError, read, refuse_unknown_keys
 from .expressions import parse_expression
 from .functions import TestFunction
 from .gfunction import CovarianceSet
@@ -99,6 +101,7 @@ def _set_dotted(cfg: dict, dotted: str, value) -> None:
 
 def theta_from_config(cfg: dict) -> CovarianceSet:
     section = read(cfg, "theta", "object")
+    refuse_unknown_keys(section, "theta.", ("interval", "generators"), "theta")
     if "interval" in section:
         interval = read(section, "theta.interval", "numbers")
         if interval.shape != (2,):
@@ -131,6 +134,8 @@ def coefficients_from_config(cfg: dict) -> tuple[CoefficientSet, CoefficientSet 
 
 def domain_from_config(cfg: dict, n: int, default_seed: int) -> SearchDomain:
     section = read(cfg, "domain", "object")
+    refuse_unknown_keys(section, "domain.", ("box", "t_grid", "n_samples", "n_refine", "seed"),
+                        "domain")
     box = read(section, "domain.box", "numbers")
     if box.shape != (n, 2):
         raise ConfigError(f"domain.box: expected {n} rows of [lo, hi]")
@@ -157,6 +162,7 @@ def domain_from_config(cfg: dict, n: int, default_seed: int) -> SearchDomain:
 
 def grid_from_config(cfg: dict) -> Grid:
     section = read(cfg, "grid", "object")
+    refuse_unknown_keys(section, "grid.", ("bounds", "counts", "T", "n_levels"), "grid")
     return Grid.regular(read(section, "grid.bounds", "numbers"),
                         read(section, "grid.counts", "integers"),
                         read(section, "grid.T", "number"),
@@ -191,6 +197,8 @@ def functions_from_config(cfg: dict, dim: int) -> list[TestFunction]:
 
 def controls_from_config(section, theta: CovarianceSet, n_steps: int,
                          default_seed: int) -> list[VolatilityControl]:
+    refuse_unknown_keys(section, "scenario.controls.",
+                        ("constants", "random_switching", "seed", "bang_bang"), "scenario.controls")
     controls: list[VolatilityControl] = []
     if read(section, "scenario.controls.constants", "flag", True):
         controls.extend(VolatilityControl.constant(m, n_steps)

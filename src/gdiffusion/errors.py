@@ -94,3 +94,11 @@ def read(section: dict, key: str, kind: str, default=_REQUIRED):
         return integers if kind == "integers" else integers[0]
     except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"{key}: cannot read {value!r} ({exc})") from None
+
+
+def refuse_unknown_keys(section: dict, prefix: str, names: tuple, holder: str) -> None:
+    """Refuse a key of ``section`` that is not among ``names``, so that a
+    misspelt key cannot run as its default."""
+    for key in section:
+        if key not in names:
+            raise ConfigError(f"{prefix}{key}: unknown key; {holder} holds {', '.join(names)}")

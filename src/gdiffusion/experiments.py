@@ -364,6 +364,8 @@ def run_feynman_crosscheck(cfg: dict) -> tuple[dict, int]:
     tolerance = (read(tolerances, "tolerances.crosscheck", "number")
                  if "crosscheck" in tolerances else None)
 
+    grid.level(t_query)
+
     f = functions[0]
     sol = solve(coeffs, theta, f, grid)
     pde_value = semigroup_value(sol, t_query, x_query)
@@ -424,6 +426,8 @@ def run_solve(cfg: dict) -> tuple[dict, int]:
         x_query = read(query, "query.x", "numbers")
     csv_path = _output_path(cfg, "csv")
     dump_path = _output_path(cfg, "dump")
+    if cfg.get("query"):
+        grid.level(t_query)
     sol = solve(coeffs, theta, f, grid)
     if csv_path:
         nodes = grid.nodes().reshape(-1, grid.n)

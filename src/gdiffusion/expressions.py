@@ -10,7 +10,11 @@ Grammar (operator precedence, right-associative power):
 
 Names: ``t`` and ``x_1`` .. ``x_n``.  Functions: ``exp``, ``tanh``,
 ``arctan`` (unary) and ``min``, ``max`` (binary).  No conditionals, no
-loops; every expression is total on finite inputs.  A table of
+loops; every expression is total on finite inputs.  With ``^`` written
+``**`` the grammar is a subset of Python's expressions, with the same
+precedence and associativity, so Python's parser reads a text once its
+tokens are written out as Python (each number as the index of its value),
+and a walk of the result accepts only the forms above.  A table of
 expressions (one coefficient part; one expression is the 0-d table) is
 compiled to one Python function when it is built, and each call runs that
 function.  ``x``, a float array, may carry leading batch dimensions.
@@ -18,6 +22,7 @@ function.  ``x``, a float array, may carry leading batch dimensions.
 
 from __future__ import annotations
 
+import ast
 import math
 import re
 
@@ -59,98 +64,74 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
     return tokens
 
 
-class _Parser:
-    def __init__(self, text: str, arity: int):
-        self.text = text
-        self.arity = arity
-        self.tokens = _tokenize(text)
-        self.i = 0
+_BINARY = {ast.Add: np.add, ast.Sub: np.subtract, ast.Mult: np.multiply, ast.Div: np.divide,
+           ast.Pow: np.power}
 
-    def peek(self):
-        return self.tokens[self.i] if self.i < len(self.tokens) else (None, None, len(self.text))
 
-    def take(self):
-        tok = self.peek()
-        self.i += 1
-        return tok
+def _parse(text: str, arity: int) -> tuple:
+    """The tree of one text: ("t",), ("x", k), ("const", value) or
+    (numpy function, *argument trees)."""
+    tokens = _tokenize(text)
+    numbers, pieces = [], []
+    for kind, val, _ in tokens:
+        if kind == "num":  # as the index of its value, so that 05, 1. and 1e999 keep it
+            numbers.append(float(val))
+            val = str(len(numbers) - 1)
+        pieces.append("**" if val == "^" else val)
+    # one space between tokens, so that two '*' never read as '**'
+    source = " ".join(pieces)
+    # token_at[column of the source]: the index of the token there (a space
+    # belongs to the token after it), and len(tokens) at the end
+    token_at = [i for i, piece in enumerate(pieces) for _ in range(len(piece) + (i > 0))]
+    token_at.append(len(tokens))
+    positions = [pos for _, _, pos in tokens] + [len(text)]
 
-    def expect(self, value: str):
-        kind, val, pos = self.take()
-        if val != value:
-            raise ConfigError(f"expected {value!r} at position {pos} in {self.text!r}, got {val!r}")
+    def fail(msg: str, column: int):
+        raise ConfigError(f"{msg} at position {positions[token_at[column]]} in {text!r}")
 
-    def fail(self, msg: str, pos: int):
-        raise ConfigError(f"{msg} at position {pos} in {self.text!r}")
+    try:
+        tree = ast.parse(source, mode="eval").body
+    except SyntaxError as exc:
+        # Python reports the end of the text outside the source (offset 0)
+        # and an unclosed '(' at the bracket; either way the text ended early
+        column = (exc.offset or 0) - 1
+        if not 0 <= column < len(source) or "never closed" in exc.msg:
+            column = len(source)
+        fail("invalid syntax", column)
 
-    def parse(self):
-        node = self.expr()
-        kind, val, pos = self.peek()
-        if kind is not None:
-            self.fail(f"unexpected trailing token {val!r}", pos)
-        return node
-
-    def expr(self):
-        node = self.term()
-        while self.peek()[1] in ("+", "-"):
-            op = self.take()[1]
-            rhs = self.term()
-            node = (np.add if op == "+" else np.subtract, node, rhs)
-        return node
-
-    def term(self):
-        node = self.unary()
-        while self.peek()[1] in ("*", "/"):
-            op = self.take()[1]
-            rhs = self.unary()
-            node = (np.multiply if op == "*" else np.divide, node, rhs)
-        return node
-
-    def unary(self):
-        if self.peek()[1] == "-":
-            self.take()
-            return (np.negative, self.unary())
-        return self.power()
-
-    def power(self):
-        node = self.atom()
-        if self.peek()[1] == "^":
-            self.take()
-            return (np.power, node, self.unary())
-        return node
-
-    def atom(self):
-        kind, val, pos = self.take()
-        if kind == "num":
-            return ("const", float(val))
-        if kind == "op" and val == "(":
-            node = self.expr()
-            self.expect(")")
-            return node
-        if kind == "name":
-            if self.peek()[1] == "(":
-                self.take()
-                args = [self.expr()]
-                while self.peek()[1] == ",":
-                    self.take()
-                    args.append(self.expr())
-                self.expect(")")
-                if val not in _FUNCS:
-                    self.fail(f"unknown function {val!r}", pos)
-                func, count = _FUNCS[val]
-                if len(args) != count:
-                    self.fail(f"{val} takes {count} argument{'s' * (count > 1)}, "
-                              f"got {len(args)}", pos)
-                return (func, *args)
-            if val == "t":
+    def walk(node):
+        if isinstance(node, ast.BinOp) and type(node.op) in _BINARY:
+            return (_BINARY[type(node.op)], walk(node.left), walk(node.right))
+        if isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.USub):
+            return (np.negative, walk(node.operand))
+        if isinstance(node, ast.Constant) and type(node.value) is int:
+            return ("const", numbers[node.value])
+        if isinstance(node, ast.Name):
+            if node.id == "t":
                 return ("t",)
-            m = re.fullmatch(r"x_(\d+)", val)
-            if m:
-                idx = int(m.group(1))
-                if not 1 <= idx <= self.arity:
-                    self.fail(f"variable {val} out of range for arity {self.arity}", pos)
-                return ("x", idx - 1)
-            self.fail(f"unknown name {val!r}", pos)
-        self.fail(f"unexpected token {val!r}", pos)
+            m = re.fullmatch(r"x_(\d+)", node.id)
+            if m is None:
+                fail(f"unknown name {node.id!r}", node.col_offset)
+            if not 1 <= int(m.group(1)) <= arity:
+                fail(f"variable {node.id} out of range for arity {arity}", node.col_offset)
+            return ("x", int(m.group(1)) - 1)
+        # a call is a name, then '(', then positional arguments with no comma after the last
+        close = token_at[node.end_col_offset - 1]
+        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and not node.keywords
+                and tokens[token_at[node.func.col_offset] + 1][1] == "("
+                and tokens[close - 1][1] != ","):
+            args = [walk(arg) for arg in node.args]
+            name = node.func.id
+            if name not in _FUNCS:
+                fail(f"unknown function {name!r}", node.col_offset)
+            func, count = _FUNCS[name]
+            if len(args) != count:
+                fail(f"{name} takes {count} argument{'s' * (count > 1)}, got {len(args)}",
+                     node.col_offset)
+            return (func, *args)
+        fail("invalid syntax", node.col_offset)
+
+    return walk(tree)
 
 
 class Expression:
@@ -201,12 +182,20 @@ class Expression:
         else:
             lines = [f"out = {name(alloc)}(x.shape[:-1])"]
         for index, (entry, coord) in cells.items():
-            tree = (_Parser(entry, arity if coord is None else 1).parse()
-                    if isinstance(entry, str) else ("const", float(entry)))
             slot = f"out[{', '.join(['...', *map(str, index)])}]"
-            # a numpy call at the root writes into the slot; a leaf is assigned
-            lines.append(emit(tree, coord, slot) if callable(tree[0])
-                         else f"{slot} = {emit(tree, coord)}")
+            try:
+                tree = (_parse(entry, arity if coord is None else 1)
+                        if isinstance(entry, str) else ("const", float(entry)))
+                # a numpy call at the root writes into the slot; a leaf is assigned
+                line = (emit(tree, coord, slot) if callable(tree[0])
+                        else f"{slot} = {emit(tree, coord)}")
+                # the line nests one call per level of the tree, and Python's
+                # parser refuses more than 200 open brackets
+                compile(line, "<expression>", "exec")
+            except (RecursionError, MemoryError, SyntaxError):
+                # Python's parser reports a nesting beyond its own stack as MemoryError
+                raise ConfigError(f"expression nested too deeply: {entry!r}") from None
+            lines.append(line)
         source = "def table(t, x):\n    " + "\n    ".join(lines) + "\n    return out\n"
         exec(compile(source, "<expression>", "exec"), namespace)
         self._func = namespace.pop("table")

@@ -127,6 +127,8 @@ def generator_limit_check(coeffs: CoefficientSet, theta: CovarianceSet,
 
     if grid is None:
         grid = _default_limit_grid(coeffs, theta, x, t_list)
+    for t in t_list:
+        grid.level(t)
     sol = solve(coeffs, theta, f, grid)
     rows = []
     for t in t_list:

@@ -42,24 +42,6 @@ def _symmetric(a) -> np.ndarray:
     return (a + np.swapaxes(a, -1, -2)) / 2.0
 
 
-class SymMatrix:
-    """A real symmetric matrix; construction symmetrizes via (A + A.T) / 2."""
-
-    __slots__ = ("entries",)
-
-    def __init__(self, entries) -> None:
-        if np.ndim(entries) > 2:
-            raise DimensionMismatchError(f"expected a square matrix, got shape {np.shape(entries)}")
-        self.entries = _symmetric(entries)
-
-    @property
-    def dim(self) -> int:
-        return self.entries.shape[0]
-
-    def __repr__(self) -> str:  # pragma: no cover
-        return f"SymMatrix({self.entries.tolist()})"
-
-
 @dataclass(frozen=True)
 class CovarianceSet:
     """Finite family of volatility generators and their covariances.
@@ -152,7 +134,7 @@ def _first_max(values: np.ndarray, index: np.ndarray) -> np.ndarray:
 
 def _worst_case(a, theta: CovarianceSet) -> tuple:
     """(G, first maximizing index) for a matrix or a (..., d, d) stack A."""
-    a = a.entries if isinstance(a, SymMatrix) else _symmetric(a)
+    a = _symmetric(a)
     if a.shape[-1] != theta.dim:
         raise DimensionMismatchError(
             f"matrix dim {a.shape[-1]} does not match covariance set dim {theta.dim}")

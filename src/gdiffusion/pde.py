@@ -123,6 +123,18 @@ class Grid:
         return tuple(np.linspace(self.bounds[i, 0], self.bounds[i, 1], self.counts[i])
                      for i in range(self.n))
 
+    def level(self, t: float) -> int:
+        """The index m of the level time t = m * dt (to 1e-9 of a step); any
+        other t, a non-finite one included, raises GridError."""
+        steps = t / self.dt
+        level = int(round(steps)) if np.isfinite(steps) else -1
+        if not (0 <= level <= self.n_levels and abs(steps - level) <= 1e-9 * max(1.0, level)):
+            below = int(np.clip(np.floor(np.nan_to_num(steps)), 0, self.n_levels - 1))
+            raise GridError(f"time {t} is not a level of the solve on [0, {self.horizon}] "
+                            f"(dt={self.dt:.6g}); the nearest levels are t={below * self.dt:.6g} "
+                            f"and t={(below + 1) * self.dt:.6g}")
+        return level
+
     def nodes(self) -> np.ndarray:
         """Node coordinates, shape counts + (n,)."""
         mesh = np.meshgrid(*self.axes, indexing="ij")
@@ -358,18 +370,12 @@ def solve(coeffs: CoefficientSet, theta: CovarianceSet, f: TestFunction,
 def semigroup_value(sol: PDESolution, t: float, x, allow_untrusted: bool = False) -> float:
     """Multilinear interpolation in space at the time level t.
 
-    t must be a level time m * dt (to 1e-9 of a step): there is no
-    interpolation in time.  x must lie in the interior trust region unless
+    t must be a level time (``Grid.level``): there is no interpolation in
+    time.  x must lie in the interior trust region unless
     explicitly overridden.  Other queries raise.
     """
     grid = sol.grid
-    steps = t / grid.dt
-    level = int(round(steps)) if np.isfinite(steps) else -1  # a non-finite t is no level
-    if not (0 <= level <= grid.n_levels and abs(steps - level) <= 1e-9 * max(1.0, level)):
-        below = int(np.clip(np.floor(np.nan_to_num(steps)), 0, grid.n_levels - 1))
-        raise GridError(f"time {t} is not a level of the solve on [0, {grid.horizon}] "
-                        f"(dt={grid.dt:.6g}); the nearest levels are t={below * grid.dt:.6g} "
-                        f"and t={(below + 1) * grid.dt:.6g}")
+    level = grid.level(t)
     x = np.atleast_1d(np.asarray(x, dtype=float))
     if x.shape != (grid.n,):
         raise DimensionMismatchError(f"query point must have dim {grid.n}")

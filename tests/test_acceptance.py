@@ -14,7 +14,7 @@ from gdiffusion.coefficients import build_coefficients, shifted
 from gdiffusion.conditions import SearchDomain, re_evaluate, run_check
 from gdiffusion.experiments import dispatch, report_json
 from gdiffusion.functions import TestFunction
-from gdiffusion.gfunction import CovarianceSet, SymMatrix, eval_G, nondegeneracy_bound
+from gdiffusion.gfunction import CovarianceSet, eval_G, nondegeneracy_bound
 from gdiffusion.generator import eval_generator, generator_limit_check
 from gdiffusion.pde import Grid, dominance_check, monotonicity_check, solve
 from gdiffusion.sde import CoefficientSet
@@ -120,22 +120,22 @@ def test_criterion_01_g_function_axioms():
     for trial in range(1000):
         d = (trial % 3) + 1
         theta = thetas[d]
-        a = SymMatrix(rng.uniform(-5, 5, size=(d, d)))
-        b = SymMatrix(rng.uniform(-5, 5, size=(d, d)))
+        a = rng.uniform(-5, 5, size=(d, d))
+        b = rng.uniform(-5, 5, size=(d, d))
         lam = rng.uniform(0.0, 3.0)
         ga, gb = eval_G(a, theta), eval_G(b, theta)
         # sub-additivity
-        worst = max(worst, eval_G(SymMatrix(a.entries + b.entries), theta) - (ga + gb))
+        worst = max(worst, eval_G(a + b, theta) - (ga + gb))
         # positive homogeneity
-        worst = max(worst, abs(eval_G(SymMatrix(lam * a.entries), theta) - lam * ga))
+        worst = max(worst, abs(eval_G(lam * a, theta) - lam * ga))
         # monotonicity in the semidefinite order
         c = rng.uniform(-1, 1, size=(d, d))
-        upper = SymMatrix(b.entries + c @ c.T)
+        upper = b + c @ c.T
         gu = eval_G(upper, theta)
         worst = max(worst, gb - gu)
         # certified lower bound on the G increment
         bound = nondegeneracy_bound(theta)
-        worst = max(worst, bound * np.trace(upper.entries - b.entries) - (gu - gb))
+        worst = max(worst, bound * np.trace(upper - b) - (gu - gb))
     elapsed = time.monotonic() - start
     announce(1, worst <= 1e-10 and elapsed < 5.0,
              f"G axioms on 1000 matrices: worst residual {worst:.2e}, {elapsed:.2f}s")

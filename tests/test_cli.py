@@ -5,7 +5,7 @@ import sys
 import numpy as np
 import pytest
 
-from gdiffusion import config, experiments, scenario
+from gdiffusion import config, experiments, generator, scenario
 from gdiffusion.cli import main
 from gdiffusion.config import load_config
 from gdiffusion.errors import (ConfigError, DimensionMismatchError, EvaluationError, GridError,
@@ -640,6 +640,31 @@ def test_solve_pde_reads_every_key_before_solving(monkeypatch, key, value, error
     assert error is None or report["results"]["error"] == error
 
 
+# experiment -> settings merged into pde_config, whose levels are multiples of 0.0025
+OFF_LEVEL_TIMES = {
+    "crosscheck": ("feynman-crosscheck", {"query.t": 0.1234, "scenario.T": 0.1234}, 0.1234),
+    "crosscheck-nan": ("feynman-crosscheck", {"query.t": float("nan")}, float("nan")),
+    "solve-pde": ("solve-pde", {"query.t": 0.12345}, 0.12345),
+    "generator": ("generator", {"t_list": [0.2, 0.1234]}, 0.1234),
+}
+
+
+@pytest.mark.parametrize("case", OFF_LEVEL_TIMES)
+def test_an_off_level_time_is_refused_before_the_solve(monkeypatch, case):
+    def solve(*args):
+        raise AssertionError("the PDE was solved before the query time was checked")
+
+    monkeypatch.setattr(experiments, "solve", solve)
+    monkeypatch.setattr(generator, "solve", solve)
+    experiment, settings, t = OFF_LEVEL_TIMES[case]
+    cfg = pde_config()
+    for key, value in settings.items():
+        set_dotted(cfg, key, value)
+    report, code = dispatch(experiment, cfg)
+    assert (report["status"], code) == ("config-error", 2)
+    assert report["results"]["error"].startswith(f"time {t} is not a level of the solve")
+
+
 @pytest.mark.parametrize("experiment, make_config, kernel", [
     ("solve-pde", pde_config, "solve"),
     ("simulate", simulate_config, "euler_march"),
@@ -703,6 +728,41 @@ def test_function_that_reads_t_is_a_config_error():
     assert code == 2
     assert report["status"] == "config-error"
     assert report["results"]["error"].startswith("functions[1].expr:")
+
+
+DEEP_TEXTS = {
+    "parentheses-300": "(" * 300 + "x_1" + ")" * 300,
+    "minus-1200": "-" * 1200 + "x_1",
+    "minus-3000": "-" * 3000 + "x_1",
+    "sum-250": " + ".join(["x_1"] * 250),
+    "sum-1200": " + ".join(["x_1"] * 1200),
+    "power-1200": "^".join(["1"] * 1200),
+}
+
+
+@pytest.mark.parametrize("case", DEEP_TEXTS)
+def test_a_deeply_nested_expression_is_a_config_error_naming_it(case):
+    cfg = simulate_config()
+    cfg["coefficients"]["b"] = ["expr:" + DEEP_TEXTS[case]]
+    report, code = dispatch("simulate", cfg)
+    assert (report["status"], code) == ("config-error", 2)
+    assert repr(DEEP_TEXTS[case]) in report["results"]["error"]
+
+
+@pytest.mark.parametrize("experiment, key", [
+    ("feynman-crosscheck", "theta.lo"),
+    ("check", "domain.n_sample"),
+    ("solve-pde", "grid.n_level"),
+    ("feynman-crosscheck", "scenario.controls.random_swiching"),
+], ids=["theta", "domain", "grid", "scenario.controls"])
+def test_an_unknown_key_of_a_section_is_a_config_error(experiment, key):
+    # each section is read whole by one reader, so a key it does not read is misspelt
+    cfg = check_config(condition="B2") if experiment == "check" else pde_config()
+    set_dotted(cfg, key, 0)
+    report, code = dispatch(experiment, cfg)
+    assert (report["status"], code) == ("config-error", 2)
+    section = key.rpartition(".")[0]
+    assert report["results"]["error"].startswith(f"{key}: unknown key; {section} holds ")
 
 
 # case -> (key the error must name, coefficient section replacing pde_config's)

@@ -2,9 +2,11 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gdiffusion.errors import ConfigError
-from gdiffusion.expressions import Expression, parse_expression
+from gdiffusion.expressions import Expression, _parse, parse_expression
 
 
 def test_arithmetic_and_precedence():
@@ -50,12 +52,35 @@ def test_constant_broadcasts():
 
 
 @pytest.mark.parametrize(
-    "text", ["x_3", "foo(x_1)", "x_1 +", "(x_1", "1 ? 2", "min(x_1)", "y"]
+    "text", ["x_3", "foo(x_1)", "x_1 +", "(x_1", "1 ? 2", "min(x_1)", "y",
+             # forms that Python reads but the grammar does not hold
+             "+x_1", "x_1 ** 2", "exp(x_1,)", "(exp)(x_1)", "x_1 if t else 2", "not x_1",
+             "True", "(x_1, 2)", "exp(*x_1)", ".5", "1_0"]
 )
 def test_rejects_bad_input_with_position(text):
     with pytest.raises(ConfigError) as err:
         parse_expression(text, arity=2)
     assert "position" in str(err.value)
+
+
+@pytest.mark.parametrize("text, message", [
+    ("x_1+1?2", "bad character '?' at position 5"),
+    ("x_1 + foo(2)", "unknown function 'foo' at position 6"),
+    ("2 * y", "unknown name 'y' at position 4"),
+    ("t + x_3", "variable x_3 out of range for arity 2 at position 4"),
+    ("1 + min(x_1)", "min takes 2 arguments, got 1 at position 4"),
+    ("tanh(1, 2)", "tanh takes 1 argument, got 2 at position 0"),
+    ("x_1 2", "invalid syntax at position 4"),
+    ("x_1 * * 2", "invalid syntax at position 6"),
+    ("(x_1))", "invalid syntax at position 5"),
+    # a text that ends early is refused at its end
+    ("x_1 +", "invalid syntax at position 5"),
+    ("exp((x_1)", "invalid syntax at position 9"),
+])
+def test_refusal_messages(text, message):
+    with pytest.raises(ConfigError) as err:
+        parse_expression(text, arity=2)
+    assert str(err.value) == f"{message} in {text!r}"
 
 
 X = np.array([[0.3, -1.2], [1.7, 0.4], [-0.6, 2.5]])
@@ -75,6 +100,11 @@ POS = np.array([[0.3, 1.2], [1.7, 0.4], [0.6, 2.5]])
     ("min(x_1, x_2) - max(x_1, 0.25)",
      lambda t, x: np.minimum(x[:, 0], x[:, 1]) - np.maximum(x[:, 0], 0.25), X),
     ("t * x_1 + t ^ 2", lambda t, x: t * x[:, 0] + np.power(t, 2.0), X),
+    # forms that Python's own literals and layout would refuse or change
+    ("05 * x_1", lambda t, x: 5.0 * x[:, 0], X),
+    ("1e999 * x_1", lambda t, x: np.inf * x[:, 0], X),
+    ("x_01", lambda t, x: x[:, 0], X),
+    ("x_1\t-\nx_2", lambda t, x: x[:, 0] - x[:, 1], X),
 ])
 def test_compiled_expression_is_the_numpy_formula_exactly(text, formula, x):
     out = parse_expression(text, arity=2)(0.7, x)
@@ -136,3 +166,44 @@ def test_zero_dimensional_table_on_a_single_point():
     batch = np.tile(point, (3, 1))
     assert f(0.4, component_major(batch)).tobytes() == f(0.4, batch).tobytes()
     assert np.all(f(0.4, batch) == out)
+
+
+# The grammar's levels: 0 expr, 1 term, 2 unary, 3 power, 4 atom.
+BINARY = {np.add: ("+", 0), np.subtract: ("-", 0), np.multiply: ("*", 1), np.divide: ("/", 1)}
+CALLS = {np.exp: "exp", np.tanh: "tanh", np.arctan: "arctan", np.minimum: "min",
+         np.maximum: "max"}
+
+
+def written(tree, level=0):
+    """The text of a tree with the fewest parentheses its precedence allows."""
+    tag = tree[0]
+    if tag == "t":
+        text, own = "t", 4
+    elif tag == "x":
+        text, own = f"x_{tree[1] + 1}", 4
+    elif tag == "const":
+        text, own = repr(tree[1]), 4
+    elif tag in CALLS:
+        text, own = f"{CALLS[tag]}({', '.join(written(arg) for arg in tree[1:])})", 4
+    elif tag is np.negative:
+        text, own = f"-{written(tree[1], 2)}", 2
+    elif tag is np.power:  # right-associative: the base is an atom, the exponent a unary
+        text, own = f"{written(tree[1], 4)} ^ {written(tree[2], 2)}", 3
+    else:  # left-associative: the right operand binds one level tighter
+        symbol, own = BINARY[tag]
+        text = f"{written(tree[1], own)} {symbol} {written(tree[2], own + 1)}"
+    return f"({text})" if own < level else text
+
+
+leaves = st.one_of(st.just(("t",)), st.integers(0, 1).map(lambda k: ("x", k)),
+                   st.floats(0.0, 1e300).map(lambda v: ("const", abs(v))))
+trees = st.recursive(leaves, lambda inner: st.one_of(
+    st.tuples(st.sampled_from([*BINARY, np.power, np.minimum, np.maximum]), inner, inner),
+    st.tuples(st.sampled_from([np.negative, np.exp, np.tanh, np.arctan]), inner)),
+    max_leaves=12)
+
+
+@settings(max_examples=300, deadline=None)
+@given(trees)
+def test_written_tree_parses_back_to_itself(tree):
+    assert _parse(written(tree), arity=2) == tree

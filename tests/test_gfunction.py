@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gdiffusion.errors import DimensionMismatchError, NonFiniteError
-from gdiffusion.gfunction import CovarianceSet, SymMatrix, argmax_sigma, eval_G, nondegeneracy_bound
+from gdiffusion.gfunction import CovarianceSet, argmax_sigma, eval_G, nondegeneracy_bound
 
 INTERVAL = CovarianceSet.from_interval(0.25, 1.0)
 
@@ -14,17 +14,18 @@ def random_theta(rng, d, n_gen):
     return CovarianceSet(generators=tuple(gens))
 
 
-def test_symmetrization_and_dim():
-    a = SymMatrix([[1.0, 2.0], [0.0, 3.0]])
-    assert a.dim == 2
-    assert np.allclose(a.entries, [[1.0, 1.0], [1.0, 3.0]])
+def test_eval_g_symmetrizes():
+    # Sigma_2 = [[1, 1], [1, 2]]: G of the symmetrized [[1, 1], [1, 3]] is 9 / 2
+    theta = CovarianceSet(generators=(np.eye(2), np.array([[1.0, 0.0], [1.0, 1.0]])))
+    assert eval_G([[1.0, 2.0], [0.0, 3.0]], theta) == eval_G([[1.0, 1.0], [1.0, 3.0]], theta) == 4.5
+    assert argmax_sigma([[1.0, 2.0], [0.0, 3.0]], theta)[0] == 1
 
 
-def test_sym_matrix_rejects_nonfinite_and_nonsquare():
+def test_eval_g_rejects_nonfinite_and_nonsquare():
     with pytest.raises(NonFiniteError):
-        SymMatrix([[np.nan]])
+        eval_G([[np.nan]], INTERVAL)
     with pytest.raises(DimensionMismatchError):
-        SymMatrix(np.zeros((2, 3)))
+        eval_G(np.zeros((2, 3)), INTERVAL)
 
 
 def test_interval_set_is_bang_bang():
@@ -87,14 +88,14 @@ sym_entries = st.integers(min_value=1, max_value=3).flatmap(
 @settings(max_examples=100, deadline=None)
 @given(sym_entries, st.integers(0, 2 ** 31 - 1))
 def test_sublinearity_and_homogeneity(entries, seed):
-    a = SymMatrix(entries)
-    d = a.dim
+    a = np.array(entries)
+    d = len(a)
     rng = np.random.default_rng(seed)
     theta = random_theta(rng, d, n_gen=3)
-    b = SymMatrix(rng.uniform(-5, 5, size=(d, d)))
+    b = rng.uniform(-5, 5, size=(d, d))
     lam = rng.uniform(0, 3)
-    assert eval_G(SymMatrix(a.entries + b.entries), theta) <= eval_G(a, theta) + eval_G(b, theta) + 1e-12
-    assert eval_G(SymMatrix(lam * a.entries), theta) == pytest.approx(lam * eval_G(a, theta), abs=1e-12)
+    assert eval_G(a + b, theta) <= eval_G(a, theta) + eval_G(b, theta) + 1e-12
+    assert eval_G(lam * a, theta) == pytest.approx(lam * eval_G(a, theta), abs=1e-12)
 
 
 @settings(max_examples=100, deadline=None)
@@ -102,22 +103,22 @@ def test_sublinearity_and_homogeneity(entries, seed):
 def test_monotonicity_and_nondegeneracy(d, seed):
     rng = np.random.default_rng(seed)
     theta = random_theta(rng, d, n_gen=4)
-    b = SymMatrix(rng.uniform(-3, 3, size=(d, d)))
+    b = rng.uniform(-3, 3, size=(d, d))
     c = rng.uniform(-1, 1, size=(d, d))
-    a = SymMatrix(b.entries + c @ c.T)  # a >= b in the PSD order
+    a = b + c @ c.T  # a >= b in the PSD order
     ga, gb = eval_G(a, theta), eval_G(b, theta)
     assert ga >= gb - 1e-12
     bound = nondegeneracy_bound(theta)
-    assert ga - gb >= bound * np.trace(a.entries - b.entries) - 1e-10
+    assert ga - gb >= bound * np.trace(a - b) - 1e-10
 
 
 def test_singleton_additivity_exact():
     rng = np.random.default_rng(3)
     theta = CovarianceSet(generators=(rng.uniform(-1, 1, size=(3, 3)),))
     for _ in range(50):
-        a = SymMatrix(rng.uniform(-4, 4, size=(3, 3)))
-        b = SymMatrix(rng.uniform(-4, 4, size=(3, 3)))
-        lhs = eval_G(SymMatrix(a.entries + b.entries), theta)
+        a = rng.uniform(-4, 4, size=(3, 3))
+        b = rng.uniform(-4, 4, size=(3, 3))
+        lhs = eval_G(a + b, theta)
         rhs = eval_G(a, theta) + eval_G(b, theta)
         assert lhs == pytest.approx(rhs, abs=1e-12)
 

@@ -3,8 +3,7 @@
 Run the tests with the plugin loaded, once on each tree to compare:
 
     PYTHONPATH=src:tools python -m pytest -q -p report_digests \
-        --report-digests digests.txt tests/test_acceptance.py tests/test_cli.py \
-        tests/test_conditions.py tests/test_pde.py
+        --report-digests digests.txt tests
 
 It wraps ``experiments.dispatch``, ``cli.dispatch``, ``CheckReport.to_dict``,
 the grid checks ``pde.dominance_check`` and ``pde.monotonicity_check`` and
