@@ -211,8 +211,7 @@ def run_counterexample_remark(cfg: dict) -> tuple[dict, int]:
     low_index = int(np.argmin(np.linalg.eigvalsh(theta.covariances).min(axis=-1)))
     control = VolatilityControl.constant(low_index, n_steps)
     times = np.linspace(0.0, horizon, n_steps + 1)
-    xs = euler_march(coeffs_x, np.zeros(2), times, dw, control, theta)[0]
-    ys = euler_march(coeffs_y, np.zeros(2), times, dw, control, theta)[0]
+    xs, ys = euler_march((coeffs_x, coeffs_y), (np.zeros(2),) * 2, times, dw, control, theta)[:, 0]
     gap_path = xs[:, 1] - ys[:, 1]
     expected_rate = 0.5 * (upper + lower) - lower
     gap_at_horizon = float(gap_path[-1])

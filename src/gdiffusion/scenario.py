@@ -3,14 +3,15 @@
 A scenario is a pair (reference Wiener path, volatility control).  The
 control selects one covariance generator per time step; the driven path has
 increments ``dB_k = gamma_{m(k)} dW_k`` and accumulates quadratic covariation
-``d<B^i,B^j>_k = (gamma gamma^T)_{ij} dt``.  Scenarios are plain arrays
-with time as the leading axis, so an Euler step reads one contiguous slice:
-``noise_block`` gives the reference increments ``dW (n_steps, n_paths, d)``,
-shared by every control, and ``apply_control`` maps a one-step slice of them
-to that step's ``dB`` and ``dQV`` for a batch of K controls, given as the
-generator indices (n_steps, K) of ``control_schedules`` and stacked on a
-leading batch axis; one control is the batch K = 1.  ``sde.euler_march``
-makes that call at every step, so no whole-horizon ``dB`` is ever stored.
+``d<B^i,B^j>_k = (gamma gamma^T)_{ij} dt``, which only the loadings of
+``sde.euler_march`` read.  Scenarios are plain arrays with time as the
+leading axis, so an Euler step reads one contiguous slice: ``noise_block``
+gives the reference increments ``dW (n_steps, n_paths, d)``, shared by every
+control, and ``apply_control`` maps a one-step slice of them to that step's
+``dB`` for a batch of K controls, given as the generator indices (n_steps,
+K) of ``control_schedules`` and stacked on a leading batch axis; one control
+is the batch K = 1.  ``sde.euler_march`` makes that call at every step, so
+no whole-horizon ``dB`` is ever stored.
 A batch marched in lockstep holds per-step arrays ``(K, n_paths, width)``,
 and ``lockstep_batch`` sizes K so that one of them stays within
 ``STEP_BYTES``.
@@ -240,15 +241,13 @@ def control_schedules(controls, theta: CovarianceSet) -> np.ndarray:
     return schedules
 
 
-def apply_control(dw: np.ndarray, schedules: np.ndarray, theta: CovarianceSet,
-                  dt: float) -> tuple[np.ndarray, np.ndarray]:
-    """Map reference increments to (dB, dQV) under a batch of K controls.
+def apply_control(dw: np.ndarray, schedules: np.ndarray, theta: CovarianceSet) -> np.ndarray:
+    """Map reference increments to dB = gamma dW under a batch of K controls.
 
     dw is time-major and may carry batch axes after time: (n_steps, ..., d).
     schedules are the generator indices (n_steps, K) of ``control_schedules``
     for the same steps.  The controls lead the batch axes: dB (n_steps, K,
-    ..., d) and dQV (n_steps, K, 1.., d, d), with one unit axis per batch
-    axis of dw.
+    ..., d).
     """
     if dw.shape[0] != len(schedules):
         raise DimensionMismatchError(
@@ -257,10 +256,7 @@ def apply_control(dw: np.ndarray, schedules: np.ndarray, theta: CovarianceSet,
         raise DimensionMismatchError(
             f"noise dim {dw.shape[-1]} does not match covariance set dim {theta.dim}"
         )
-    gamma = theta.generators[schedules]          # (n_steps, K, d, d)
-    dqv = theta.covariances[schedules] * dt      # (n_steps, K, d, d)
-    db = np.einsum("kcij,k...j->kc...i", gamma, dw)
-    return db, dqv.reshape(dqv.shape[:2] + (1,) * (dw.ndim - 2) + dqv.shape[2:])
+    return np.einsum("kcij,k...j->kc...i", theta.generators[schedules], dw)
 
 
 def estimate_sublinear_expectation(functional, theta: CovarianceSet,

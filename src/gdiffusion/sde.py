@@ -10,18 +10,19 @@ Coefficients are evaluated at the left endpoint (non-anticipative), matching
 the Ito integrals being discretized.  ``euler_march`` steps a whole batch of
 scenarios at once.  It takes the shared time-major reference increments
 ``dW (n_steps, ..., d)`` and one volatility control, or a sequence of K
-controls that lead the batch axes, and forms each step's dB and dQV inside
-the loop with one ``scenario.apply_control`` call on the one-step slice
-dW[m] for the whole batch of controls (one control is the batch K = 1);
-no whole-horizon dB is stored.  A field is its map's output or a read-only
-broadcast view of it, never a copy.  Each system's increment starts from
-its first term, so a step makes no zero fill.  It holds the states
-component-major: a state of shape (..., n) is stored as (n, ...) memory, so
-each x[..., k] the coefficient maps read, and each per-component operation
-of a step, runs over one contiguous block of the batch.  The logical shapes
-do not change: the states it returns have the shape (..., levels, n): every
-level, (..., n_steps + 1, n), or, when an ``observe(m, x)`` callback
-reduces each level as it is made, only the last.
+controls that lead the batch axes, and forms each step's dB inside the
+loop with one ``scenario.apply_control`` call on the one-step slice dW[m]
+for the whole batch of controls (one control is the batch K = 1); no
+whole-horizon dB is stored.  The loading term forms dQV = Sigma dt, so a
+system with no h never reads the covariances.  A field is its map's output
+or a read-only broadcast view of it, never a copy.  Each system's
+increment starts from its first term, so a step makes no zero fill.  It
+holds the states component-major: a state of shape (..., n) is stored as
+(n, ...) memory, so each x[..., k] the coefficient maps read, and each
+per-component operation of a step, runs over one contiguous block of the
+batch.  The states it returns have the shape (..., levels, n): every level,
+(..., n_steps + 1, n), or, when an ``observe(m, x)`` callback reduces each
+level as it is made, only the last.
 Two systems marched on the same noise and controls are coupled; they can be
 stepped in lockstep in one march, and ``MinGapObserver`` then streams, level
 by level, the exact minimum gap between their states with its first witness.
@@ -185,9 +186,9 @@ def euler_march(coeffs, x0, times: np.ndarray, dw: np.ndarray, controls, theta,
         holds the n_steps + 1 levels.
     controls : one VolatilityControl, or a sequence of K of them, which then
         lead the batch axes of dw: one control per leading batch slot.
-        theta is their CovarianceSet.  Step m's dB and dQV are formed from
-        dw[m] by ``apply_control`` with dt = (times[-1] - times[0]) / n_steps;
-        one control goes in as K = 1 and its control axis is dropped.
+        theta is their CovarianceSet.  Step m's dB is ``apply_control`` of
+        dw[m], its dQV the covariances of its generators times the uniform
+        step; one control goes in as K = 1 and its control axis is dropped.
     observe : optional ``observe(m, x)``, called with the states x (..., n)
         at every level m = 0 .. n_steps; x must not be written to.
 
@@ -235,8 +236,9 @@ def euler_march(coeffs, x0, times: np.ndarray, dw: np.ndarray, controls, theta,
             f"db has {n_steps} steps, but times has {len(times)} levels "
             f"and the controls {len(schedules)} steps")
     qv_dt = float(times[-1] - times[0]) / n_steps
-    batch = np.broadcast_shapes(*(start.shape[:-1] for start in starts),
-                                (() if one else schedules.shape[1:]) + dw.shape[1:-1])
+    lead = () if one else schedules.shape[1:]  # the control axis leads the batch axes of dw
+    batch = np.broadcast_shapes(*(start.shape[:-1] for start in starts), lead + dw.shape[1:-1])
+    qv_shape = lead + (1,) * (dw.ndim - 2) + (theta.dim,) * 2  # one step's dQV
     step = (0, 0) if one else 0  # step m of apply_control's output, no control axis for one
     # component-major: (n, ...) memory read as (..., n), so that each
     # x[s, ..., k] is one contiguous block of the batch
@@ -254,8 +256,7 @@ def euler_march(coeffs, x0, times: np.ndarray, dw: np.ndarray, controls, theta,
     for m in range(n_steps):
         t = float(times[m])
         dt = float(times[m + 1] - times[m])
-        db_m, dqv_m = apply_control(dw[m:m + 1], schedules[m:m + 1], theta, qv_dt)
-        db_m, dqv_m = db_m[step], dqv_m[step]
+        db_m = apply_control(dw[m:m + 1], schedules[m:m + 1], theta)[step]
         nxt = np.empty_like(x)
         for system, x_s, nxt_s in zip(systems, x, nxt):
             b, h, s = system.fields(t, x_s)
@@ -263,6 +264,7 @@ def euler_march(coeffs, x0, times: np.ndarray, dw: np.ndarray, controls, theta,
             # without a drift from +0.0 (see above)
             incr = np.multiply(b, dt, out=nxt_s) if b is not None else 0.0 if m == 0 else None
             if h is not None:
+                dqv_m = (theta.covariances[schedules[m]] * qv_dt).reshape(qv_shape)
                 loading = np.einsum("...lki,...lk->...i", h, dqv_m)
                 if incr is None:
                     incr = loading

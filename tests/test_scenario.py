@@ -6,6 +6,7 @@ import pytest
 from gdiffusion.errors import DimensionMismatchError, EvaluationError
 from gdiffusion.gfunction import CovarianceSet
 from gdiffusion.config import controls_from_config
+from gdiffusion.sde import CoefficientSet, euler_march
 from gdiffusion.scenario import (
     VolatilityControl,
     apply_control,
@@ -23,21 +24,21 @@ def one_path(seed, T, n_steps, d, path_index=0):
     return noise_block(seed, T, n_steps, d, 1, first=path_index)[:, 0]
 
 
-def one_control(dw, control, theta, dt):
-    """(dB, dQV) of one control: dB (n_steps, ..., d) and the path-independent
-    dQV (n_steps, d, d)."""
-    db, dqv = apply_control(dw, control_schedules([control], theta), theta, dt)
-    return db[:, 0], dqv[:, 0].reshape(control.n_steps, theta.dim, theta.dim)
+def one_control(dw, control, theta):
+    """dB (n_steps, ..., d) of one control."""
+    return apply_control(dw, control_schedules([control], theta), theta)[:, 0]
 
 
-def scenario(seed, T, n_steps, control, theta=INTERVAL):
-    """(dB, dQV) of path 0 of seed under one control."""
-    return one_control(one_path(seed, T, n_steps, theta.dim), control, theta, T / n_steps)
-
-
-def cum_qv(dqv):
-    """Running quadratic covariation at the grid times, (n_steps + 1, d, d)."""
-    return np.concatenate([np.zeros((1,) + dqv.shape[1:]), np.cumsum(dqv, axis=0)])
+def marched_qv(seed, T, n_steps, control, theta=INTERVAL):
+    """Running quadratic covariation <B^l, B^k> of path 0 of seed under one
+    control at the grid times, (n_steps + 1, d, d), as the Euler march's
+    loading term sums it: state l * d + k has the loading h_lk = 1 alone."""
+    d = theta.dim
+    table = np.eye(d * d).reshape(d, d, d * d)
+    coeffs = CoefficientSet(n=d * d, d=d, h=lambda t, x: table, h_symmetric=False)
+    states = euler_march(coeffs, np.zeros(d * d), np.linspace(0.0, T, n_steps + 1),
+                         noise_block(seed, T, n_steps, d, 1), control, theta)[0]
+    return states.reshape(n_steps + 1, d, d)
 
 
 class ScalarTerminal:
@@ -47,8 +48,7 @@ class ScalarTerminal:
         self.phi = phi
 
     def evaluate_batch(self, times, dw, controls):
-        db, _ = apply_control(dw, control_schedules(controls, INTERVAL), INTERVAL,
-                              times[1] - times[0])
+        db = apply_control(dw, control_schedules(controls, INTERVAL), INTERVAL)
         return self.phi(np.sum(db, axis=0)[..., 0])
 
 
@@ -187,45 +187,44 @@ def test_control_labels():
 
 def test_build_constant_unit_volatility_qv_is_time():
     theta = CovarianceSet.from_interval(1.0, 1.0)
-    _, dqv = scenario(5, 2.0, 64, VolatilityControl.constant(0, 64), theta)
-    qv = cum_qv(dqv)
+    qv = marched_qv(5, 2.0, 64, VolatilityControl.constant(0, 64), theta)
     assert qv[64, 0, 0] == pytest.approx(2.0)
     assert qv[32, 0, 0] == pytest.approx(1.0)
 
 
 def test_build_low_volatility_qv():
-    _, dqv = scenario(5, 1.0, 40, VolatilityControl.constant(0, 40))
-    assert cum_qv(dqv)[-1, 0, 0] == pytest.approx(0.25)
+    qv = marched_qv(5, 1.0, 40, VolatilityControl.constant(0, 40))
+    assert qv[-1, 0, 0] == pytest.approx(0.25)
 
 
 def test_bang_bang_half_half_qv():
     control = VolatilityControl.bang_bang_cycle(0, 1, 64)
-    _, dqv = scenario(5, 1.0, 64, control)
-    assert cum_qv(dqv)[-1, 0, 0] == pytest.approx(0.5 * 0.25 + 0.5 * 1.0)
+    qv = marched_qv(5, 1.0, 64, control)
+    assert qv[-1, 0, 0] == pytest.approx(0.5 * 0.25 + 0.5 * 1.0)
 
 
 def test_qv_psd_and_nondecreasing():
     rng = np.random.default_rng(0)
     theta = CovarianceSet(generators=tuple(rng.uniform(-1, 1, size=(3, 2, 2))))
     control = VolatilityControl.random_switching(3, 32, seed=4)
-    _, dqv = scenario(11, 1.0, 32, control, theta)
+    qv = marched_qv(11, 1.0, 32, control, theta)
     for k in range(32):
-        w = np.linalg.eigvalsh(dqv[k])
+        w = np.linalg.eigvalsh(qv[k + 1] - qv[k])
         assert np.min(w) >= -1e-12
 
 
 def test_path_construction_is_pure():
     dw = one_path(5, 1.0, 16, 1)
     control = VolatilityControl.bang_bang_cycle(0, 1, 16)
-    db1, dqv1 = one_control(dw, control, INTERVAL, 1.0 / 16)
-    db2, dqv2 = one_control(dw, control, INTERVAL, 1.0 / 16)
-    assert np.array_equal(db1, db2) and np.array_equal(dqv1, dqv2)
+    db1 = one_control(dw, control, INTERVAL)
+    db2 = one_control(dw, control, INTERVAL)
+    assert np.array_equal(db1, db2)
 
 
 @pytest.mark.parametrize("paths", [(), (3,), (2, 3)])
 def test_stacked_controls_per_step_match_whole_array_apply_control(paths):
-    # each step's dB and dQV of a batch of K controls, formed on the one-step
-    # slice, has the bits of each control's whole-horizon apply_control
+    # each step's dB of a batch of K controls, formed on the one-step slice,
+    # has the bits of each control's whole-horizon apply_control
     rng = np.random.default_rng(6)
     theta = CovarianceSet(generators=tuple(rng.uniform(-1, 1, size=(3, 2, 2))))
     controls = [VolatilityControl.random_switching(3, 12, seed=s) for s in range(5)]
@@ -233,13 +232,10 @@ def test_stacked_controls_per_step_match_whole_array_apply_control(paths):
     schedules = control_schedules(controls, theta)
     assert schedules.shape == (12, 5)
     for m in range(12):
-        db_m, dqv_m = apply_control(dw[m:m + 1], schedules[m:m + 1], theta, 0.125)
+        db_m = apply_control(dw[m:m + 1], schedules[m:m + 1], theta)
         assert db_m.shape == (1, 5) + paths + (2,)
-        assert dqv_m.shape == (1, 5) + (1,) * len(paths) + (2, 2)
         for j, control in enumerate(controls):
-            db, dqv = one_control(dw, control, theta, 0.125)
-            assert db_m[0, j].tobytes() == db[m].tobytes()
-            assert dqv_m[0, j].reshape(2, 2).tobytes() == dqv[m].tobytes()
+            assert db_m[0, j].tobytes() == one_control(dw, control, theta)[m].tobytes()
 
 
 def test_control_schedules_are_checked_once_against_theta():
@@ -258,10 +254,10 @@ def test_control_coverage_mismatch():
     dw = one_path(5, 1.0, 16, 1)
     short = control_schedules([VolatilityControl.constant(0, 8)] * 2, INTERVAL)
     with pytest.raises(DimensionMismatchError, match="cover 8 steps but noise has 16"):
-        apply_control(dw, short, INTERVAL, 1.0 / 16)
+        apply_control(dw, short, INTERVAL)
     with pytest.raises(DimensionMismatchError, match="cover 16 steps but noise has 8"):
         apply_control(dw[:8], control_schedules([VolatilityControl.constant(0, 16)], INTERVAL),
-                      INTERVAL, 1.0 / 16)
+                      INTERVAL)
     with pytest.raises(DimensionMismatchError, match="generator 5"):
         control_schedules([VolatilityControl.constant(5, 16)], INTERVAL)
 
@@ -326,8 +322,7 @@ def test_interval_qv_envelope_exact():
     # Dyadic step count and exact endpoint covariances: the running quadratic
     # variation stays inside [lower * t, upper * t] with exact arithmetic.
     control = VolatilityControl.random_switching(2, 256, seed=8)
-    _, dqv = scenario(21, 1.0, 256, control)
-    qv = cum_qv(dqv)[:, 0, 0]
+    qv = marched_qv(21, 1.0, 256, control)[:, 0, 0]
     t = np.linspace(0.0, 1.0, 257)
     assert np.all(qv >= 0.25 * t)
     assert np.all(qv <= 1.0 * t)

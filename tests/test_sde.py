@@ -68,9 +68,10 @@ def unit_path(T=1.0, n_steps=64, seed=3, theta=UNIT, generator=0):
 
 def one_control(dw, control, theta, dt):
     """(dB, dQV) of one control on the whole horizon: dB (n_steps, ..., d)
-    and the path-independent dQV (n_steps, d, d)."""
-    db, dqv = apply_control(dw, control_schedules([control], theta), theta, dt)
-    return db[:, 0], dqv[:, 0].reshape(control.n_steps, theta.dim, theta.dim)
+    from ``apply_control``, and the path-independent dQV (n_steps, d, d), the
+    covariance of each step's generator times dt."""
+    db = apply_control(dw, control_schedules([control], theta), theta)
+    return db[:, 0], theta.covariances[control.schedule] * dt
 
 
 def driver(path):
@@ -378,6 +379,60 @@ def test_march_matches_the_stored_driver_oracle(case, k):
         single = euler_march(coeffs, x0, times, dw, control, theta)
         assert single.tobytes() == stored_driver_march(coeffs, x0, times, db[:, j],
                                                        dqv[:, j, 0]).tobytes()
+
+
+class CountingTheta:
+    """A CovarianceSet stand-in that counts the reads of its covariances."""
+
+    def __init__(self, theta):
+        self.theta, self.reads = theta, 0
+
+    @property
+    def covariances(self):
+        self.reads += 1
+        return self.theta.covariances
+
+    def __getattr__(self, name):
+        return getattr(self.theta, name)
+
+
+@pytest.mark.parametrize("controls", [3, "one"], ids=["k3", "one-control"])
+@pytest.mark.parametrize("case", ["d1", "d2-h-cross-sigma"])
+def test_a_march_without_loadings_never_reads_the_covariances(case, controls):
+    section, theta = BATCH_CASES[case]
+    coeffs = build_coefficients({key: part for key, part in section.items() if key != "h"})
+    times, dw = stacked_scenarios(theta)[:2]
+    controls = CHUNK_CONTROLS[0] if controls == "one" else list(CHUNK_CONTROLS[:controls])
+    counting = CountingTheta(theta)
+    x0 = np.array([0.1, 0.2])
+    states = euler_march(coeffs, x0, times, dw, controls, counting)
+    assert counting.reads == 0
+    assert states.tobytes() == euler_march(coeffs, x0, times, dw, controls, theta).tobytes()
+
+
+@pytest.mark.parametrize("controls", [3, "one"], ids=["k3", "one-control"])
+def test_the_loading_term_forms_sigma_dt_with_the_bits_of_a_per_step_reference(controls):
+    # dQV of step m is Sigma[schedule[m]] * dt, formed per step by the
+    # loading term; d = 2, dW with two batch axes (2, 3)
+    section, theta = BATCH_CASES["d2-h-cross-sigma"]
+    coeffs = build_coefficients(section)
+    n_steps, dt = 16, 1.0 / 16
+    times = np.linspace(0.0, 1.0, n_steps + 1)
+    dw = noise_block(5, 1.0, n_steps, 2, 6).reshape(n_steps, 2, 3, 2)
+    one = controls == "one"
+    controls = CHUNK_CONTROLS[0] if one else list(CHUNK_CONTROLS[:controls])
+    schedules = control_schedules([controls] if one else controls, theta)
+    db = apply_control(dw, schedules, theta)
+    dqv = np.stack([theta.covariances[schedules[m]] * dt for m in range(n_steps)])
+    dqv = dqv.reshape((n_steps, len(schedules[0]), 1, 1, 2, 2))
+    if one:
+        db, dqv = db[:, 0], dqv[:, 0]
+    x0 = np.array([0.1, 0.2])
+    counting = CountingTheta(theta)
+    states = euler_march(coeffs, x0, times, dw, controls, counting)
+    assert counting.reads == n_steps
+    assert states.shape == db.shape[1:-1] + (n_steps + 1, 2)
+    assert states.tobytes() == stored_driver_march(coeffs, x0, times, db, dqv).tobytes()
 
 
 @pytest.mark.parametrize("sigma", [None, [[0.0], [1.0]], [[0.0, 0.0], [0.4, -1.0]]],
