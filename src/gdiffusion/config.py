@@ -38,7 +38,7 @@ import numpy as np
 
 from .coefficients import build_coefficients, remark_counterexample_pair
 from .conditions import SearchDomain
-from .errors import ConfigError, read, refuse_unknown_keys
+from .errors import ConfigError, read, read_section, refuse_unknown_keys
 from .expressions import parse_expression
 from .functions import TestFunction
 from .gfunction import CovarianceSet
@@ -100,8 +100,7 @@ def _set_dotted(cfg: dict, dotted: str, value) -> None:
 
 
 def theta_from_config(cfg: dict) -> CovarianceSet:
-    section = read(cfg, "theta", "object")
-    refuse_unknown_keys(section, "theta.", ("interval", "generators"), "theta")
+    section = read_section(cfg, "theta", ("interval", "generators"))
     if "interval" in section:
         interval = read(section, "theta.interval", "numbers")
         if interval.shape != (2,):
@@ -133,9 +132,7 @@ def coefficients_from_config(cfg: dict) -> tuple[CoefficientSet, CoefficientSet 
 
 
 def domain_from_config(cfg: dict, n: int, default_seed: int) -> SearchDomain:
-    section = read(cfg, "domain", "object")
-    refuse_unknown_keys(section, "domain.", ("box", "t_grid", "n_samples", "n_refine", "seed"),
-                        "domain")
+    section = read_section(cfg, "domain", ("box", "t_grid", "n_samples", "n_refine", "seed"))
     box = read(section, "domain.box", "numbers")
     if box.shape != (n, 2):
         raise ConfigError(f"domain.box: expected {n} rows of [lo, hi]")
@@ -161,8 +158,7 @@ def domain_from_config(cfg: dict, n: int, default_seed: int) -> SearchDomain:
 
 
 def grid_from_config(cfg: dict) -> Grid:
-    section = read(cfg, "grid", "object")
-    refuse_unknown_keys(section, "grid.", ("bounds", "counts", "T", "n_levels"), "grid")
+    section = read_section(cfg, "grid", ("bounds", "counts", "T", "n_levels"))
     return Grid.regular(read(section, "grid.bounds", "numbers"),
                         read(section, "grid.counts", "integers"),
                         read(section, "grid.T", "number"),
@@ -177,6 +173,8 @@ def functions_from_config(cfg: dict, dim: int) -> list[TestFunction]:
     for idx, item in enumerate(section):
         if not isinstance(item, dict) or "expr" not in item:
             raise ConfigError(f"functions[{idx}]: expected an object with 'expr'")
+        refuse_unknown_keys(item, f"functions[{idx}].", ("expr", "name", "monotone"),
+                            f"functions[{idx}]")
         text = item["expr"]
         if not isinstance(text, str):
             raise ConfigError(f"functions[{idx}].expr: expected a string, "

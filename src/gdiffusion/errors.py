@@ -102,3 +102,11 @@ def refuse_unknown_keys(section: dict, prefix: str, names: tuple, holder: str) -
     for key in section:
         if key not in names:
             raise ConfigError(f"{prefix}{key}: unknown key; {holder} holds {', '.join(names)}")
+
+
+def read_section(section: dict, key: str, names: tuple, default=_REQUIRED) -> dict:
+    """The object named by the dotted ``key``, read as ``read`` reads it, with
+    every key not among ``names`` refused."""
+    value = read(section, key, "object", default)
+    refuse_unknown_keys(value, f"{key}.", names, key)
+    return value

@@ -20,7 +20,7 @@ from . import config as cfgmod
 from .coefficients import remark_counterexample_pair
 from .conditions import run_check
 from .errors import (ConfigError, EvaluationError, GDiffusionError,
-                     NonFiniteError, StabilityError, read)
+                     NonFiniteError, StabilityError, read, read_section)
 from .gfunction import nondegeneracy_bound
 from .generator import generator_limit_check
 from .pde import dominance_check, export_grid_dump, monotonicity_check, semigroup_value, solve
@@ -34,6 +34,13 @@ EXIT_CONFIG = 2
 EXIT_HYPOTHESIS = 3
 EXIT_ASSERTION = 4
 EXIT_NUMERICAL = 5
+
+# the keys of the sections that the experiments read, each the union over them
+_SCENARIO_KEYS = ("T", "n_steps", "n_paths", "controls", "control", "path_index")
+_CONTROL_KEYS = ("policy", "index", "seed", "period", "lo", "hi", "schedule")
+_QUERY_KEYS = ("t", "x")
+_TOLERANCE_KEYS = ("pathwise", "crosscheck")
+_OUTPUT_KEYS = ("dir", "report", "csv", "dump", "csv_stride")
 
 
 def _report(experiment: str, cfg: dict, results: dict, status: str, exit_code: int) -> dict:
@@ -98,7 +105,7 @@ def _write_csv(path: str, header: list, rows) -> None:
 
 def _output_path(cfg: dict, key: str) -> str | None:
     """``output.dir``/``output.<key>`` with its directory created; None when the key is unset."""
-    output = read(cfg, "output", "object", {})
+    output = read_section(cfg, "output", _OUTPUT_KEYS, {})
     name, directory = output.get(key), output.get("dir", ".")
     if not name:
         return None
@@ -129,7 +136,7 @@ def run_verify_comparison(cfg: dict) -> tuple[dict, int]:
         if start.shape != (coeffs_x.n,):
             raise ConfigError(f"{key}: expected {coeffs_x.n} numbers, got shape {start.shape}")
     dom = cfgmod.domain_from_config(cfg, coeffs_x.n, seed)
-    scen = read(cfg, "scenario", "object")
+    scen = read_section(cfg, "scenario", _SCENARIO_KEYS)
     horizon = read(scen, "scenario.T", "positive")
     n_steps = read(scen, "scenario.n_steps", "count")
     n_paths = read(scen, "scenario.n_paths", "count")
@@ -137,8 +144,8 @@ def run_verify_comparison(cfg: dict) -> tuple[dict, int]:
     controls = cfgmod.controls_from_config(
         read(scen, "scenario.controls", "object", {}), theta, n_steps, seed)
     dw = noise_block(seed, horizon, n_steps, theta.dim, n_paths)
-    tol_path = read(read(cfg, "tolerances", "object", {}), "tolerances.pathwise", "number",
-                    1e-8 * (1.0 + float(np.linalg.norm(y0))))
+    tol_path = read(read_section(cfg, "tolerances", _TOLERANCE_KEYS, {}), "tolerances.pathwise",
+                    "number", 1e-8 * (1.0 + float(np.linalg.norm(y0))))
 
     counterexample_mode = bool(np.any(x0 > y0))
     if counterexample_mode:
@@ -203,7 +210,7 @@ def run_counterexample_remark(cfg: dict) -> tuple[dict, int]:
         raise ConfigError(
             "degenerate theta (lower == upper): no counterexample exists there")
     coeffs_x, coeffs_y = remark_counterexample_pair(lower, upper)
-    scen = read(cfg, "scenario", "object", {})
+    scen = read_section(cfg, "scenario", _SCENARIO_KEYS, {})
     horizon = read(scen, "scenario.T", "positive", 1.0)
     n_steps = read(scen, "scenario.n_steps", "count", 256)
 
@@ -313,7 +320,7 @@ def run_generator_limit(cfg: dict) -> tuple[dict, int]:
     theta = cfgmod.theta_from_config(cfg)
     coeffs, _ = cfgmod.coefficients_from_config(cfg)
     functions = cfgmod.functions_from_config(cfg, coeffs.n)
-    x = read(read(cfg, "query", "object"), "query.x", "numbers")
+    x = read(read_section(cfg, "query", _QUERY_KEYS), "query.x", "numbers")
     t_list = read(cfg, "t_list", "numbers").tolist()
     grid = cfgmod.grid_from_config(cfg) if cfg.get("grid") else None
     csv_path = _output_path(cfg, "csv")
@@ -344,10 +351,10 @@ def run_feynman_crosscheck(cfg: dict) -> tuple[dict, int]:
     coeffs, _ = cfgmod.coefficients_from_config(cfg)
     grid = cfgmod.grid_from_config(cfg)
     functions = cfgmod.functions_from_config(cfg, coeffs.n)
-    query = read(cfg, "query", "object")
+    query = read_section(cfg, "query", _QUERY_KEYS)
     t_query = read(query, "query.t", "number")
     x_query = read(query, "query.x", "numbers")
-    scen = read(cfg, "scenario", "object")
+    scen = read_section(cfg, "scenario", _SCENARIO_KEYS)
     horizon = read(scen, "scenario.T", "positive", t_query)
     if abs(horizon - t_query) > 1e-12:
         raise ConfigError(f"scenario.T: expected query.t ({t_query!r}), got {horizon!r}")
@@ -359,7 +366,7 @@ def run_feynman_crosscheck(cfg: dict) -> tuple[dict, int]:
     controls = cfgmod.controls_from_config(
         read(scen, "scenario.controls", "object", {}), theta, n_steps, seed)
     # the default tolerance depends on the Monte Carlo standard error
-    tolerances = read(cfg, "tolerances", "object", {})
+    tolerances = read_section(cfg, "tolerances", _TOLERANCE_KEYS, {})
     tolerance = (read(tolerances, "tolerances.crosscheck", "number")
                  if "crosscheck" in tolerances else None)
 
@@ -417,10 +424,10 @@ def run_solve(cfg: dict) -> tuple[dict, int]:
     grid = cfgmod.grid_from_config(cfg)
     functions = cfgmod.functions_from_config(cfg, coeffs.n)
     f = functions[0]
-    stride = read(read(cfg, "output", "object", {}), "output.csv_stride", "count",
+    stride = read(read_section(cfg, "output", _OUTPUT_KEYS, {}), "output.csv_stride", "count",
                   max(1, grid.n_levels // 100))
     if cfg.get("query"):
-        query = read(cfg, "query", "object")
+        query = read_section(cfg, "query", _QUERY_KEYS)
         t_query = read(query, "query.t", "number", grid.horizon)
         x_query = read(query, "query.x", "numbers")
     csv_path = _output_path(cfg, "csv")
@@ -454,12 +461,12 @@ def run_simulate(cfg: dict) -> tuple[dict, int]:
     seed = read(cfg, "seed", "seed")
     theta = cfgmod.theta_from_config(cfg)
     coeffs, _ = cfgmod.coefficients_from_config(cfg)
-    scen = read(cfg, "scenario", "object")
+    scen = read_section(cfg, "scenario", _SCENARIO_KEYS)
     horizon = read(scen, "scenario.T", "positive")
     n_steps = read(scen, "scenario.n_steps", "count")
     x0 = read(cfg, "x0", "numbers")
     where = "scenario.control"
-    control_cfg = read(scen, where, "object", {"policy": "constant", "index": 0})
+    control_cfg = read_section(scen, where, _CONTROL_KEYS, {"policy": "constant", "index": 0})
 
     def generator(key: str, default: int) -> int:
         index = read(control_cfg, f"{where}.{key}", "integer", default)

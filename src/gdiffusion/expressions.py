@@ -31,10 +31,11 @@ import numpy as np
 from .errors import ConfigError
 
 _TOKEN_RE = re.compile(
-    r"\s*(?:(?P<num>\d+(?:\.\d*)?(?:[eE][+-]?\d+)?)"
+    r"(?P<num>\d+(?:\.\d*)?(?:[eE][+-]?\d+)?)"
     r"|(?P<name>[A-Za-z_][A-Za-z_0-9]*)"
-    r"|(?P<op>[-+*/^(),]))"
+    r"|(?P<op>[-+*/^(),])"
 )
+_SPACE_RE = re.compile(r"\s*")
 
 # numpy 2's limit on the number of axes of an array
 _MAX_DIMS = 64
@@ -53,14 +54,13 @@ _FUNCS = {"exp": (np.exp, 1), "tanh": (np.tanh, 1), "arctan": (np.arctan, 1),
 
 def _tokenize(text: str) -> list[tuple[str, str, int]]:
     tokens = []
-    pos = 0
+    pos = _SPACE_RE.match(text).end()
     while pos < len(text):
         m = _TOKEN_RE.match(text, pos)
-        if m is None or m.end() == pos:
+        if m is None:
             raise ConfigError(f"bad character {text[pos]!r} at position {pos} in {text!r}")
-        if m.lastgroup is not None:
-            tokens.append((m.lastgroup, m.group(m.lastgroup), m.start(m.lastgroup)))
-        pos = m.end()
+        tokens.append((m.lastgroup, m.group(), pos))
+        pos = _SPACE_RE.match(text, m.end()).end()
     return tokens
 
 
@@ -145,12 +145,12 @@ class Expression:
     memory read through a precomputed axis permutation as (..., *tail), so
     every slot out[..., i, j] is one contiguous block of the batch; the
     table is zeroed first only when some cell is not listed.  Each slot is
-    filled by the numpy calls of its tree in tree-walk order, the root call
-    writing into the slot through ``out=``.  Shapes and values do not depend
-    on the layout of x.  The function's source holds only generated names
-    (numbers, functions, the tail and its permutations live in its
-    namespace) and ``shape``, never text of an expression.  ``reads_t``
-    records whether any cell reads t.
+    filled by the numpy calls of its tree in tree-walk order, one statement
+    per call, the root call writing into the slot through ``out=``.  Shapes
+    and values do not depend on the layout of x.  The function's source
+    holds only generated names (numbers, functions, the tail and its
+    permutations live in its namespace) and ``shape``, never text of an
+    expression.  ``reads_t`` records whether any cell reads t.
     """
 
     def __init__(self, tail: tuple, cells: dict, arity: int):
@@ -163,6 +163,9 @@ class Expression:
             return key
 
         def emit(node, coord, out=None):
+            """A leaf as a Python expression; a call as one statement, its value
+            in a new local or, at the root, written into ``out``, and each
+            argument local deleted after it, as a nested call frees it."""
             tag = node[0]
             if tag == "t":
                 self.reads_t = True
@@ -171,8 +174,13 @@ class Expression:
                 return f"x[..., {node[1] if coord is None else coord}]"
             if tag == "const":
                 return name(node[1])
-            args = [emit(arg, coord) for arg in node[1:]] + ([f"out={out}"] if out else [])
-            return f"{name(tag)}({', '.join(args)})"
+            args = [emit(arg, coord) for arg in node[1:]]
+            call = f"{name(tag)}({', '.join(args + ([f'out={out}'] if out else []))})"
+            local = None if out else f"v{len(lines)}"
+            lines.append(f"{local} = {call}" if local else call)
+            if dead := [arg for arg in args if arg.startswith("v")]:
+                lines.append(f"del {', '.join(dead)}")
+            return local
 
         tail = tuple(tail)
         alloc = np.empty if len(cells) == math.prod(tail) else np.zeros
@@ -187,15 +195,13 @@ class Expression:
                 tree = (_parse(entry, arity if coord is None else 1)
                         if isinstance(entry, str) else ("const", float(entry)))
                 # a numpy call at the root writes into the slot; a leaf is assigned
-                line = (emit(tree, coord, slot) if callable(tree[0])
-                        else f"{slot} = {emit(tree, coord)}")
-                # the line nests one call per level of the tree, and Python's
-                # parser refuses more than 200 open brackets
-                compile(line, "<expression>", "exec")
-            except (RecursionError, MemoryError, SyntaxError):
+                if callable(tree[0]):
+                    emit(tree, coord, slot)
+                else:
+                    lines.append(f"{slot} = {emit(tree, coord)}")
+            except (RecursionError, MemoryError):
                 # Python's parser reports a nesting beyond its own stack as MemoryError
                 raise ConfigError(f"expression nested too deeply: {entry!r}") from None
-            lines.append(line)
         source = "def table(t, x):\n    " + "\n    ".join(lines) + "\n    return out\n"
         exec(compile(source, "<expression>", "exec"), namespace)
         self._func = namespace.pop("table")

@@ -162,12 +162,14 @@ class PDESolution:
             inside = np.nonzero((ax >= self.trust_bounds[i, 0] - 1e-12)
                                 & (ax <= self.trust_bounds[i, 1] + 1e-12))[0]
             if inside.size == 0:
-                raise GridError(
-                    "trust region is empty; widen the box or shorten the horizon "
-                    f"(margin leaves {self.trust_bounds.tolist()})"
-                )
+                raise self._empty_trust_region()
             out.append(slice(int(inside[0]), int(inside[-1]) + 1))
         return tuple(out)
+
+    def _empty_trust_region(self) -> GridError:
+        return GridError(f"trust region is empty: trust margin {self.scheme['trust_margin']:.6g} "
+                         f"against the box {self.grid.bounds.tolist()}; widen the box or "
+                         "shorten the horizon")
 
 
 # per offset component: (nodes whose neighbour exists, those neighbours)
@@ -380,6 +382,8 @@ def semigroup_value(sol: PDESolution, t: float, x, allow_untrusted: bool = False
     if x.shape != (grid.n,):
         raise DimensionMismatchError(f"query point must have dim {grid.n}")
     box, name = (grid.bounds, "grid") if allow_untrusted else (sol.trust_bounds, "trust region")
+    if np.any(box[:, 0] > box[:, 1]):
+        raise sol._empty_trust_region()
     if not (np.all(x >= box[:, 0] - 1e-12) and np.all(x <= box[:, 1] + 1e-12)):
         raise GridError(f"query {x.tolist()} outside the {name} {box.tolist()}")
     pos = (x - grid.bounds[:, 0]) / grid.dx

@@ -734,7 +734,6 @@ DEEP_TEXTS = {
     "parentheses-300": "(" * 300 + "x_1" + ")" * 300,
     "minus-1200": "-" * 1200 + "x_1",
     "minus-3000": "-" * 3000 + "x_1",
-    "sum-250": " + ".join(["x_1"] * 250),
     "sum-1200": " + ".join(["x_1"] * 1200),
     "power-1200": "^".join(["1"] * 1200),
 }
@@ -749,16 +748,45 @@ def test_a_deeply_nested_expression_is_a_config_error_naming_it(case):
     assert repr(DEEP_TEXTS[case]) in report["results"]["error"]
 
 
+def test_a_250_term_sum_parses_and_evaluates():
+    # a flat sum is a chain of calls, each its own statement, not a nesting
+    cfg, scaled = simulate_config(), simulate_config()
+    cfg["coefficients"]["b"] = ["expr:" + " + ".join(["x_1"] * 250)]
+    scaled["coefficients"]["b"] = ["expr:250 * x_1"]
+    (report, code), (expected, _) = dispatch("simulate", cfg), dispatch("simulate", scaled)
+    assert (report["status"], code) == ("ok", 0)
+    assert report["results"]["terminal_state"] == pytest.approx(
+        expected["results"]["terminal_state"], rel=1e-12)
+
+
 @pytest.mark.parametrize("experiment, key", [
     ("feynman-crosscheck", "theta.lo"),
     ("check", "domain.n_sample"),
     ("solve-pde", "grid.n_level"),
     ("feynman-crosscheck", "scenario.controls.random_swiching"),
-], ids=["theta", "domain", "grid", "scenario.controls"])
-def test_an_unknown_key_of_a_section_is_a_config_error(experiment, key):
-    # each section is read whole by one reader, so a key it does not read is misspelt
-    cfg = check_config(condition="B2") if experiment == "check" else pde_config()
-    set_dotted(cfg, key, 0)
+    ("counterexample-remark", "scenario.n_step"),
+    ("simulate", "scenario.control.indx"),
+    ("feynman-crosscheck", "query.y"),
+    ("feynman-crosscheck", "tolerances.crosschek"),
+    ("solve-pde", "output.csv_strid"),
+    ("solve-pde", "functions.0.monotne"),
+], ids=["theta", "domain", "grid", "scenario.controls", "scenario", "scenario.control",
+        "query", "tolerances", "output", "functions[0]"])
+def test_an_unknown_key_of_a_section_is_a_config_error(monkeypatch, experiment, key):
+    # each section is read whole by its readers, so a key none of them reads is misspelt
+    def fail(*args):
+        raise AssertionError("a solve or march ran before the config was read")
+
+    monkeypatch.setattr(experiments, "solve", fail)
+    monkeypatch.setattr(experiments, "euler_march", fail)
+    monkeypatch.setattr(experiments, "estimate_sublinear_expectation", fail)
+    cfg = {"check": check_config(condition="B2"),
+           "simulate": simulate_config()}.get(experiment) or pde_config()
+    if key.startswith("functions."):
+        cfg["functions"][0]["monotne"] = True
+        key = "functions[0].monotne"
+    else:
+        set_dotted(cfg, key, 0)
     report, code = dispatch(experiment, cfg)
     assert (report["status"], code) == ("config-error", 2)
     section = key.rpartition(".")[0]

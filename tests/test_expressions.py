@@ -1,4 +1,5 @@
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -65,6 +66,7 @@ def test_rejects_bad_input_with_position(text):
 
 @pytest.mark.parametrize("text, message", [
     ("x_1+1?2", "bad character '?' at position 5"),
+    ("1 ? 2", "bad character '?' at position 2"),
     ("x_1 + foo(2)", "unknown function 'foo' at position 6"),
     ("2 * y", "unknown name 'y' at position 4"),
     ("t + x_3", "variable x_3 out of range for arity 2 at position 4"),
@@ -105,6 +107,10 @@ POS = np.array([[0.3, 1.2], [1.7, 0.4], [0.6, 2.5]])
     ("1e999 * x_1", lambda t, x: np.inf * x[:, 0], X),
     ("x_01", lambda t, x: x[:, 0], X),
     ("x_1\t-\nx_2", lambda t, x: x[:, 0] - x[:, 1], X),
+    # whitespace at either end is skipped
+    ("x_1 ", lambda t, x: x[:, 0], X),
+    ("x_1\t", lambda t, x: x[:, 0], X),
+    (" \nx_1 * x_2 ", lambda t, x: x[:, 0] * x[:, 1], X),
 ])
 def test_compiled_expression_is_the_numpy_formula_exactly(text, formula, x):
     out = parse_expression(text, arity=2)(0.7, x)
@@ -118,7 +124,9 @@ def test_table_is_one_function_of_generated_names_only():
     code = table._func.__code__
     assert code.co_names and all(name == "shape" or re.fullmatch(r"_\d+", name)
                                  for name in code.co_names)
-    assert set(code.co_varnames) == {"t", "x", "out"}
+    # locals: the arguments, the table and one generated temporary per inner call
+    assert {"t", "x", "out"} <= set(code.co_varnames)
+    assert all(re.fullmatch(r"v\d+", name) for name in set(code.co_varnames) - {"t", "x", "out"})
     assert table.reads_t and not parse_expression("x_1", arity=1).reads_t
     out = table(0.3, POS)
     assert out.shape == (3, 2, 2)
@@ -156,6 +164,50 @@ def test_table_does_not_depend_on_the_layout_of_x(case):
             assert np.all(out[(..., *index)] == 0.0)
     if case == "t-only":
         assert np.all(out[..., 0] == np.exp(0.7))
+
+
+@pytest.mark.parametrize("text", ["x_1 ", "x_1\t"])
+def test_trailing_whitespace_gives_the_tree_of_the_bare_text(text):
+    assert _parse(text, arity=1) == _parse("x_1", arity=1) == ("x", 0)
+
+
+def test_a_long_flat_sum_is_one_statement_per_call():
+    # a chain of 249 additions is no deeper than its tree: each call is its own
+    # statement, so Python's limit of 200 open brackets in a line does not apply
+    text = " + ".join(f"{k} * x_1" for k in range(1, 251))
+    out = parse_expression(text, arity=1)(0.0, X[:, :1])
+    expected = 1.0 * X[:, 0]
+    for k in range(2, 251):
+        expected = expected + k * X[:, 0]
+    assert out.tobytes() == expected.tobytes()
+
+
+def peak_bytes(func, *args):
+    """The peak of the memory that tracemalloc sees during func(*args)."""
+    tracemalloc.start()
+    try:
+        func(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_argument_temporaries_live_no_longer_than_in_a_nested_call():
+    # each call's arguments are freed once it returns, so ten terms need as
+    # much memory at once as the nested numpy expression, not ten times more
+    text = " + ".join(f"tanh({k} * x_1)" for k in range(1, 11))
+    table = parse_expression(text, arity=1)
+    x = np.linspace(-1.0, 1.0, 20_000)[:, None]
+
+    def nested(x):
+        out = np.empty(len(x))
+        acc = np.tanh(np.multiply(1.0, x[..., 0]))
+        for k in range(2, 10):
+            acc = np.add(acc, np.tanh(np.multiply(float(k), x[..., 0])))
+        return np.add(acc, np.tanh(np.multiply(10.0, x[..., 0])), out=out)
+
+    assert table(0.0, x).tobytes() == nested(x).tobytes()
+    assert peak_bytes(table, 0.0, x) <= peak_bytes(nested, x) + 4096
 
 
 def test_zero_dimensional_table_on_a_single_point():

@@ -6,6 +6,7 @@ import pytest
 
 from gdiffusion.coefficients import build_coefficients, shifted
 from gdiffusion.errors import GridError, NonFiniteError, StabilityError
+from gdiffusion.experiments import dispatch
 from gdiffusion.functions import TestFunction
 from gdiffusion.gfunction import CovarianceSet, _first_max
 from gdiffusion.pde import (
@@ -129,6 +130,32 @@ def test_quartic_against_quadrature_oracle_and_grid_convergence():
             abs(semigroup_value(sol, 0.25, [1.0]) - oracle_1),
         ))
     assert errors[0] / errors[1] >= 1.5
+
+
+def test_an_empty_trust_region_is_named_empty_with_its_margin():
+    # b = 3, sigma = 0.3 on [-2, 2] for T = 1: the margin 0.9 + 3 = 3.9 exceeds
+    # the half-width 2, so no point is trusted; the region was printed as
+    # the inverted box [[1.9, -1.9]]
+    coeffs = build_coefficients({"n": 1, "d": 1, "b": {"family": "constant-drift", "c": [3.0]},
+                                 "sigma": {"family": "constant", "matrix": [[0.3]]}})
+    grid = Grid.regular([[-2.0, 2.0]], [81], horizon=1.0, n_levels=400)
+    sol = solve(coeffs, UNIT, IDENTITY, grid)
+    message = ("trust region is empty: trust margin 3.9 against the box [[-2.0, 2.0]]; "
+               "widen the box or shorten the horizon")
+    for query in ([0.0], [1.9], [-1.9]):
+        with pytest.raises(GridError) as err:
+            semigroup_value(sol, 1.0, query)
+        assert str(err.value) == message
+    with pytest.raises(GridError) as err:
+        sol.trust_slices()
+    assert str(err.value) == message
+    report, code = dispatch("solve-pde", {
+        "theta": {"interval": [1.0, 1.0]},
+        "coefficients": {"n": 1, "d": 1, "b": {"family": "constant-drift", "c": [3.0]},
+                         "sigma": {"family": "constant", "matrix": [[0.3]]}},
+        "grid": {"bounds": [[-2.0, 2.0]], "counts": [81], "T": 1.0, "n_levels": 400},
+        "functions": [{"expr": "x_1", "name": "f"}], "query": {"x": [0.0]}})
+    assert (report["status"], code, report["results"]["error"]) == ("config-error", 2, message)
 
 
 def test_semigroup_value_queries():
