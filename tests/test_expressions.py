@@ -166,11 +166,6 @@ def test_table_does_not_depend_on_the_layout_of_x(case):
         assert np.all(out[..., 0] == np.exp(0.7))
 
 
-@pytest.mark.parametrize("text", ["x_1 ", "x_1\t"])
-def test_trailing_whitespace_gives_the_tree_of_the_bare_text(text):
-    assert _parse(text, arity=1) == _parse("x_1", arity=1) == ("x", 0)
-
-
 def test_a_long_flat_sum_is_one_statement_per_call():
     # a chain of 249 additions is no deeper than its tree: each call is its own
     # statement, so Python's limit of 200 open brackets in a line does not apply
