@@ -41,7 +41,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .errors import DimensionMismatchError, EvaluationError
+from .errors import DimensionMismatchError, EvaluationError, check_box
 from .gfunction import CovarianceSet, eval_G
 from .scenario import seeded_streams
 from .sde import CoefficientSet
@@ -79,13 +79,7 @@ class SearchDomain:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        box = np.asarray(self.box, dtype=float)
-        if box.ndim != 2 or box.shape[1] != 2:
-            raise DimensionMismatchError("box must be an (n, 2) array of [lo, hi] rows")
-        if not np.all(np.isfinite(box)):
-            raise DimensionMismatchError(f"box rows must be finite, got {box.tolist()}")
-        if np.any(box[:, 0] >= box[:, 1]):
-            raise DimensionMismatchError("box rows must satisfy lo < hi")
+        box = check_box(self.box, "domain.box", DimensionMismatchError)
         if self.n_samples < 1:
             raise DimensionMismatchError("n_samples must be positive")
         if self.n_refine < 0:
@@ -93,7 +87,6 @@ class SearchDomain:
         t_grid = tuple(float(t) for t in self.t_grid)
         if not t_grid or not np.all(np.isfinite(t_grid)):
             raise DimensionMismatchError("t_grid must hold at least one finite time")
-        box.setflags(write=False)
         object.__setattr__(self, "box", box)
         object.__setattr__(self, "t_grid", t_grid)
 

@@ -38,7 +38,7 @@ import numpy as np
 
 from .coefficients import build_coefficients, remark_counterexample_pair
 from .conditions import SearchDomain
-from .errors import ConfigError, read, read_section, refuse_unknown_keys
+from .errors import ConfigError, check_box, read, read_section, refuse_unknown_keys
 from .expressions import parse_expression
 from .functions import TestFunction
 from .gfunction import CovarianceSet
@@ -133,13 +133,7 @@ def coefficients_from_config(cfg: dict) -> tuple[CoefficientSet, CoefficientSet 
 
 def domain_from_config(cfg: dict, n: int, default_seed: int) -> SearchDomain:
     section = read_section(cfg, "domain", ("box", "t_grid", "n_samples", "n_refine", "seed"))
-    box = read(section, "domain.box", "numbers")
-    if box.shape != (n, 2):
-        raise ConfigError(f"domain.box: expected {n} rows of [lo, hi]")
-    if not np.all(np.isfinite(box)):
-        raise ConfigError(f"domain.box: expected finite rows, got {box.tolist()}")
-    if np.any(box[:, 0] >= box[:, 1]):
-        raise ConfigError(f"domain.box: expected rows with lo < hi, got {box.tolist()}")
+    box = check_box(read(section, "domain.box", "numbers"), "domain.box", n=n)
     t_grid = read(section, "domain.t_grid", "numbers", [0.0])
     if t_grid.ndim != 1:
         raise ConfigError(f"domain.t_grid: expected a list of times, got {t_grid.tolist()}")

@@ -1,4 +1,5 @@
-"""Exception hierarchy shared by all modules, and the one config value reader."""
+"""Exception hierarchy shared by all modules, the one config value reader,
+and the one rule for a box of [lo, hi] rows."""
 
 import numpy as np
 
@@ -94,6 +95,21 @@ def read(section: dict, key: str, kind: str, default=_REQUIRED):
         return integers if kind == "integers" else integers[0]
     except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"{key}: cannot read {value!r} ({exc})") from None
+
+
+def check_box(box, key: str, error: type = ConfigError, n: int | None = None) -> np.ndarray:
+    """``box`` as a read-only float array of [lo, hi] rows (``n`` rows when
+    given), each finite with lo < hi; any other box raises ``error`` with a
+    text that begins with ``key``."""
+    box = np.array(box, dtype=float)
+    if box.ndim != 2 or box.shape[1] != 2 or n not in (None, box.shape[0]):
+        raise error(f"{key}: expected {'' if n is None else f'{n} '}rows of [lo, hi]")
+    if not np.all(np.isfinite(box)):
+        raise error(f"{key}: expected finite rows, got {box.tolist()}")
+    if np.any(box[:, 0] >= box[:, 1]):
+        raise error(f"{key}: expected rows with lo < hi, got {box.tolist()}")
+    box.setflags(write=False)
+    return box
 
 
 def refuse_unknown_keys(section: dict, prefix: str, names: tuple, holder: str) -> None:

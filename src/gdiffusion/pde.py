@@ -57,7 +57,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatchError, GridError, NonFiniteError, StabilityError
+from .errors import DimensionMismatchError, GridError, NonFiniteError, StabilityError, check_box
 from .functions import TestFunction
 from .gfunction import CovarianceSet, _first_max
 from .sde import CoefficientSet, frame_eigenvalues
@@ -68,51 +68,45 @@ DOMINANCE_TOL = 1e-12
 
 @dataclass(frozen=True)
 class Grid:
-    """Uniform space-time grid on a box, 1 or 2 spatial dimensions."""
+    """Uniform space-time grid on a box, 1 or 2 spatial dimensions, as the
+    grid section gives it; the time step is dt = horizon / n_levels."""
 
     bounds: np.ndarray   # (n, 2) rows [lo, hi]
     counts: tuple        # nodes per axis, each >= 3
-    dt: float
     horizon: float
+    n_levels: int
 
     def __post_init__(self) -> None:
-        bounds = np.asarray(self.bounds, dtype=float)
+        bounds = check_box(self.bounds, "grid.bounds", GridError)
         counts = tuple(int(c) for c in self.counts)
-        if bounds.ndim != 2 or bounds.shape[1] != 2:
-            raise GridError("bounds must be an (n, 2) array")
-        if not np.all(np.isfinite(bounds)):
-            raise GridError(f"grid.bounds: expected finite rows, got {bounds.tolist()}")
         n = bounds.shape[0]
         if n not in (1, 2):
-            raise GridError(f"only 1 or 2 spatial dimensions are supported, got {n}")
+            raise GridError(f"grid.bounds: only 1 or 2 spatial dimensions are supported, got {n}")
         if len(counts) != n or any(c < 3 for c in counts):
-            raise GridError("node counts must match the dimension and be at least 3")
-        if np.any(bounds[:, 0] >= bounds[:, 1]):
-            raise GridError("bounds rows must satisfy lo < hi")
-        if not (np.isfinite(self.dt) and np.isfinite(self.horizon)):
-            raise GridError(f"grid.T: expected a finite horizon, got T={self.horizon}, "
-                            f"dt={self.dt}")
-        if self.dt <= 0 or self.horizon <= 0:
-            raise GridError("dt and horizon must be positive")
-        levels = self.horizon / self.dt
-        if round(levels) < 1 or abs(levels - round(levels)) > 1e-9 * max(1.0, levels):
-            raise GridError(f"dt={self.dt} must divide the horizon {self.horizon}")
-        bounds.setflags(write=False)
+            raise GridError("grid.counts: node counts must match the dimension and be at least 3")
         object.__setattr__(self, "bounds", bounds)
         object.__setattr__(self, "counts", counts)
+        object.__setattr__(self, "horizon", float(self.horizon))
+        object.__setattr__(self, "n_levels", int(self.n_levels))
+        if self.n_levels < 1:
+            raise GridError(f"grid.n_levels: expected a positive integer, got {self.n_levels}")
+        if not np.isfinite(self.horizon):
+            raise GridError(f"grid.T: expected a finite horizon, got T={self.horizon}, "
+                            f"dt={self.dt}")
+        if self.horizon <= 0:
+            raise GridError("grid.T: dt and horizon must be positive")
 
     @classmethod
     def regular(cls, bounds, counts, horizon: float, n_levels: int) -> "Grid":
-        return cls(bounds=np.asarray(bounds, dtype=float), counts=tuple(counts),
-                   dt=float(horizon) / int(n_levels), horizon=float(horizon))
+        return cls(bounds, counts, horizon, n_levels)
 
     @property
     def n(self) -> int:
         return self.bounds.shape[0]
 
     @property
-    def n_levels(self) -> int:
-        return int(round(self.horizon / self.dt))
+    def dt(self) -> float:
+        return self.horizon / self.n_levels
 
     @property
     def dx(self) -> np.ndarray:
@@ -369,23 +363,22 @@ def solve(coeffs: CoefficientSet, theta: CovarianceSet, f: TestFunction,
     )
 
 
-def semigroup_value(sol: PDESolution, t: float, x, allow_untrusted: bool = False) -> float:
+def semigroup_value(sol: PDESolution, t: float, x) -> float:
     """Multilinear interpolation in space at the time level t.
 
     t must be a level time (``Grid.level``): there is no interpolation in
-    time.  x must lie in the interior trust region unless
-    explicitly overridden.  Other queries raise.
+    time.  x must lie in the interior trust region.  Other queries raise.
     """
     grid = sol.grid
     level = grid.level(t)
     x = np.atleast_1d(np.asarray(x, dtype=float))
     if x.shape != (grid.n,):
         raise DimensionMismatchError(f"query point must have dim {grid.n}")
-    box, name = (grid.bounds, "grid") if allow_untrusted else (sol.trust_bounds, "trust region")
+    box = sol.trust_bounds
     if np.any(box[:, 0] > box[:, 1]):
         raise sol._empty_trust_region()
     if not (np.all(x >= box[:, 0] - 1e-12) and np.all(x <= box[:, 1] + 1e-12)):
-        raise GridError(f"query {x.tolist()} outside the {name} {box.tolist()}")
+        raise GridError(f"query {x.tolist()} outside the trust region {box.tolist()}")
     pos = (x - grid.bounds[:, 0]) / grid.dx
     idx0 = np.clip(np.floor(pos), 0, np.array(grid.counts) - 2).astype(int)
     weights = pos - idx0

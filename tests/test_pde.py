@@ -56,10 +56,10 @@ def test_grid_validation():
         Grid.regular([[-1, 1]], [2], 1.0, 10)
     with pytest.raises(GridError):
         Grid.regular([[-1, 1], [-1, 1], [-1, 1]], [5, 5, 5], 1.0, 10)
-    with pytest.raises(GridError):
-        Grid(bounds=np.array([[-1.0, 1.0]]), counts=(5,), dt=0.3, horizon=1.0)
-    with pytest.raises(GridError):  # horizon / dt rounds to 0 levels
-        Grid(bounds=np.array([[-1.0, 1.0]]), counts=(5,), dt=1.0, horizon=1e-10)
+    with pytest.raises(GridError, match="grid.n_levels: expected a positive integer, got 0"):
+        Grid(bounds=np.array([[-1.0, 1.0]]), counts=(5,), horizon=1.0, n_levels=0)
+    grid = Grid(bounds=[[-1.0, 1.0]], counts=[5], horizon=1e-10, n_levels=3)
+    assert (grid.horizon, grid.n_levels, grid.dt) == (1e-10, 3, 1e-10 / 3)
 
 
 def test_stability_bound_refuses_large_dt():
@@ -171,7 +171,7 @@ def test_semigroup_value_queries():
     assert semigroup_value(sol, 0.25, [mid]) == pytest.approx(expected, abs=1e-14)
     with pytest.raises(GridError):
         semigroup_value(sol, 0.25, [3.9])  # outside the trust region
-    assert semigroup_value(sol, 0.25, [3.9], allow_untrusted=True) == pytest.approx(3.9, abs=1e-6)
+    assert grid.axes[0][158] == pytest.approx(3.9) and sol.u[-1][158] == pytest.approx(3.9, abs=1e-6)
     with pytest.raises(GridError):
         semigroup_value(sol, 0.7, [0.0])
 
@@ -521,12 +521,14 @@ def test_stability_bound_is_exact_centre_weight_positivity():
              CovarianceSet(generators=(np.linalg.cholesky([[1.0, 0.5], [0.5, 1.0]]),)),
              TestFunction(f=lambda x: x[..., 0] * x[..., 1], dim=2, name="bilinear"),
              [[-3, 3], [-3, 3]], (31, 31))):
-        probe = Grid(bounds=np.array(bounds, dtype=float), counts=counts, dt=1.0, horizon=1.0)
+        probe = Grid(bounds=np.array(bounds, dtype=float), counts=counts, horizon=1.0, n_levels=1)
         bound = t0_bound(coeffs, theta, probe)
-        at = Grid(bounds=probe.bounds, counts=counts, dt=bound, horizon=4 * bound)
+        at = Grid(bounds=probe.bounds, counts=counts, horizon=4 * bound, n_levels=4)
+        assert at.dt == bound
         assert np.all(np.isfinite(solve(coeffs, theta, f, at).u))
-        above = Grid(bounds=probe.bounds, counts=counts, dt=bound * (1 + 1e-9),
-                     horizon=4 * bound * (1 + 1e-9))
+        above = Grid(bounds=probe.bounds, counts=counts, horizon=4 * (bound * (1 + 1e-9)),
+                     n_levels=4)
+        assert above.dt == bound * (1 + 1e-9)
         with pytest.raises(StabilityError, match="stability bound"):
             solve(coeffs, theta, f, above)
 
@@ -541,7 +543,7 @@ def test_trust_margin_counts_the_drift_sweep():
     sol = solve(coeffs, INTERVAL, SQUARE, grid)
     assert sol.scheme["trust_margin"] == pytest.approx(0.9 + 2.0, rel=1e-12)
     exact = (1.4 + 2.0) ** 2 + 0.09  # E (x + 2 t + 0.3 W_t)^2 under the top variance
-    assert semigroup_value(sol, 1.0, [1.4], allow_untrusted=True) < exact - 2.0
+    assert grid.axes[0][88] == pytest.approx(1.4) and sol.u[-1][88] < exact - 2.0
     with pytest.raises(GridError, match="trust region"):
         semigroup_value(sol, 1.0, [1.4])
 
@@ -551,7 +553,7 @@ def test_trust_region_without_diffusion_shrinks_by_the_drift_sweep():
     sol = solve(UNIT_DRIFT, INTERVAL, IDENTITY, grid)
     assert sol.trust_bounds.tolist() == [[-1.0, 1.0]]
     # u = x + t, but the frozen upper face has been carried a sweep of 1 deep
-    assert semigroup_value(sol, 1.0, [1.5], allow_untrusted=True) < 2.5 - 0.4
+    assert grid.axes[0][70] == pytest.approx(1.5) and sol.u[-1][70] < 2.5 - 0.4
 
 
 def time_dependent(sigma=None, b=None, h=None):
