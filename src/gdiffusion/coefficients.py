@@ -141,6 +141,16 @@ def build_coefficients(section: dict) -> CoefficientSet:
     )
 
 
+def _family(section: dict, part: str, kind: str, keys: dict) -> str:
+    """The family that ``section`` names, one of ``keys`` (family -> the keys
+    it reads besides ``family``), with every other key of the section refused."""
+    family = section.get("family")
+    if family not in tuple(keys):
+        raise ConfigError(f"{part}.family: unknown {kind} family {family!r}")
+    refuse_unknown_keys(section, f"{part}.", ("family", *keys[family]), part)
+    return family
+
+
 def _build_drift(section, n: int):
     if section is None:
         return None
@@ -148,7 +158,9 @@ def _build_drift(section, n: int):
         return Expression((n,), {index: (e, None)
                                  for index, e in _cells(section, (n,), "b").items()}, n)
     if isinstance(section, dict):
-        family = section.get("family")
+        family = _family(section, "b", "drift", {
+            "zero": (), "constant-drift": ("c",), "linear-drift": ("A",),
+            "offdiag-monotone": ("scale",), "arctan-coupling": ("scale",)})
         if family == "zero":
             return None
         if family == "constant-drift":
@@ -161,9 +173,7 @@ def _build_drift(section, n: int):
             return linear_drift(_shaped(read(section, "b.A", "numbers"), (n, n), "b.A"))
         if family == "offdiag-monotone":
             return offdiag_monotone_drift(n, read(section, "b.scale", "number", 1.0))
-        if family == "arctan-coupling":
-            return arctan_coupling_drift(n, read(section, "b.scale", "number", 1.0))
-        raise ConfigError(f"b.family: unknown drift family {family!r}")
+        return arctan_coupling_drift(n, read(section, "b.scale", "number", 1.0))
     raise ConfigError("b: expected null, a list of entries or a family mapping")
 
 
@@ -179,7 +189,9 @@ def _build_sigma(section, n: int, d: int):
                  for (l, k), e in _cells(section, (d, n), "sigma", nulls=True).items()}
         return Expression((n, d), cells, n) if cells else None
     if isinstance(section, dict):
-        family = section.get("family")
+        family = _family(section, "sigma", "sigma", {
+            "zero": (), "diag-sigma": ("values",), "per-coordinate": ("entries",),
+            "constant": ("matrix",)})
         if family == "zero":
             return None
         if family == "diag-sigma":
@@ -190,10 +202,8 @@ def _build_sigma(section, n: int, d: int):
         if family == "per-coordinate":
             rows = _cells(section.get("entries"), (d, n), "sigma.entries")
             return Expression((n, d), {(k, l): (e, k) for (l, k), e in rows.items()}, n)
-        if family == "constant":  # n x d columns
-            return _constant(_shaped(read(section, "sigma.matrix", "numbers"), (n, d),
-                                     "sigma.matrix"))
-        raise ConfigError(f"sigma.family: unknown sigma family {family!r}")
+        return _constant(_shaped(read(section, "sigma.matrix", "numbers"), (n, d),
+                                 "sigma.matrix"))  # constant: n x d columns
     raise ConfigError("sigma: expected null, a nested list or a family mapping")
 
 
@@ -203,12 +213,9 @@ def _build_h(section, n: int, d: int):
     if section is None:
         return None
     if isinstance(section, dict):
-        family = section.get("family")
-        if family == "zero":
+        if _family(section, "h", "h", {"zero": (), "constant": ("table",)}) == "zero":
             return None
-        if family == "constant":
-            return _constant(_shaped(read(section, "h.table", "numbers"), (d, d, n), "h.table"))
-        raise ConfigError(f"h.family: unknown h family {family!r}")
+        return _constant(_shaped(read(section, "h.table", "numbers"), (d, d, n), "h.table"))
     if isinstance(section, list):
         cells = {index: (e, None)
                  for index, e in _cells(section, (d, d, n), "h", nulls=True).items()}

@@ -38,7 +38,8 @@ import numpy as np
 
 from .coefficients import build_coefficients, remark_counterexample_pair
 from .conditions import SearchDomain
-from .errors import ConfigError, check_box, read, read_section, refuse_unknown_keys
+from .errors import (ConfigError, GDiffusionError, check_box, read, read_section,
+                     refuse_unknown_keys)
 from .expressions import parse_expression
 from .functions import TestFunction
 from .gfunction import CovarianceSet
@@ -113,7 +114,7 @@ def theta_from_config(cfg: dict) -> CovarianceSet:
 
 def coefficients_from_config(cfg: dict) -> tuple[CoefficientSet, CoefficientSet | None]:
     """The system (and optionally the barred system) named by the config."""
-    pair = read(cfg, "pair_family", "object", None)
+    pair = read_section(cfg, "pair_family", ("family",), None)
     if pair is not None:
         if pair.get("family") == "remark-counterexample":
             theta = theta_from_config(cfg)
@@ -123,8 +124,8 @@ def coefficients_from_config(cfg: dict) -> tuple[CoefficientSet, CoefficientSet 
     def build(key: str, section: dict) -> CoefficientSet:
         try:
             return build_coefficients(section)
-        except ConfigError as exc:
-            raise ConfigError(f"{key}: {exc}") from exc
+        except GDiffusionError as exc:  # named by its section, of its own kind
+            raise type(exc)(f"{key}: {exc}") from exc
 
     coeffs = build("coefficients", read(cfg, "coefficients", "object"))
     bar = read(cfg, "coefficients_bar", "object", None)

@@ -124,5 +124,5 @@ def read_section(section: dict, key: str, names: tuple, default=_REQUIRED) -> di
     """The object named by the dotted ``key``, read as ``read`` reads it, with
     every key not among ``names`` refused."""
     value = read(section, key, "object", default)
-    refuse_unknown_keys(value, f"{key}.", names, key)
+    refuse_unknown_keys(value or {}, f"{key}.", names, key)
     return value

@@ -94,6 +94,15 @@ def _per_function(experiment: str, cfg: dict, results: dict, functions, check
     return _verdict(experiment, cfg, results, not failed)
 
 
+def _one_function(cfg: dict, dim: int):
+    """The one test function of an experiment that reads only one."""
+    functions = cfgmod.functions_from_config(cfg, dim)
+    if len(functions) > 1:
+        raise ConfigError(f"functions: expected one function, got {len(functions)}; only "
+                          "verify-monotone and verify-order read a list")
+    return functions[0]
+
+
 def _write_csv(path: str, header: list, rows) -> None:
     """The one CSV format of the exports: a header line, then each row's
     numbers as ``repr(float)`` joined by commas."""
@@ -319,13 +328,12 @@ def run_verify_order(cfg: dict) -> tuple[dict, int]:
 def run_generator_limit(cfg: dict) -> tuple[dict, int]:
     theta = cfgmod.theta_from_config(cfg)
     coeffs, _ = cfgmod.coefficients_from_config(cfg)
-    functions = cfgmod.functions_from_config(cfg, coeffs.n)
+    f = _one_function(cfg, coeffs.n)
     x = read(read_section(cfg, "query", _QUERY_KEYS), "query.x", "numbers")
     t_list = read(cfg, "t_list", "numbers").tolist()
-    grid = cfgmod.grid_from_config(cfg) if cfg.get("grid") else None
+    grid = None if read(cfg, "grid", "object", None) is None else cfgmod.grid_from_config(cfg)
     csv_path = _output_path(cfg, "csv")
 
-    f = functions[0]
     rows = generator_limit_check(coeffs, theta, f, x, t_list, grid=grid)
     if csv_path:
         _write_csv(csv_path, ["t", "quotient", "generator_value", "residual"],
@@ -350,7 +358,7 @@ def run_feynman_crosscheck(cfg: dict) -> tuple[dict, int]:
     theta = cfgmod.theta_from_config(cfg)
     coeffs, _ = cfgmod.coefficients_from_config(cfg)
     grid = cfgmod.grid_from_config(cfg)
-    functions = cfgmod.functions_from_config(cfg, coeffs.n)
+    f = _one_function(cfg, coeffs.n)
     query = read_section(cfg, "query", _QUERY_KEYS)
     t_query = read(query, "query.t", "number")
     x_query = read(query, "query.x", "numbers")
@@ -372,7 +380,6 @@ def run_feynman_crosscheck(cfg: dict) -> tuple[dict, int]:
 
     grid.level(t_query)
 
-    f = functions[0]
     sol = solve(coeffs, theta, f, grid)
     pde_value = semigroup_value(sol, t_query, x_query)
 
@@ -422,17 +429,16 @@ def run_solve(cfg: dict) -> tuple[dict, int]:
     theta = cfgmod.theta_from_config(cfg)
     coeffs, _ = cfgmod.coefficients_from_config(cfg)
     grid = cfgmod.grid_from_config(cfg)
-    functions = cfgmod.functions_from_config(cfg, coeffs.n)
-    f = functions[0]
+    f = _one_function(cfg, coeffs.n)
     stride = read(read_section(cfg, "output", _OUTPUT_KEYS, {}), "output.csv_stride", "count",
                   max(1, grid.n_levels // 100))
-    if cfg.get("query"):
-        query = read_section(cfg, "query", _QUERY_KEYS)
+    query = read_section(cfg, "query", _QUERY_KEYS, None)
+    if query is not None:
         t_query = read(query, "query.t", "number", grid.horizon)
         x_query = read(query, "query.x", "numbers")
     csv_path = _output_path(cfg, "csv")
     dump_path = _output_path(cfg, "dump")
-    if cfg.get("query"):
+    if query is not None:
         grid.level(t_query)
     sol = solve(coeffs, theta, f, grid)
     if csv_path:
@@ -450,7 +456,7 @@ def run_solve(cfg: dict) -> tuple[dict, int]:
         "csv": csv_path,
         "dump": dump_path,
     }
-    if cfg.get("query"):
+    if query is not None:
         results["query"] = {"t": t_query, "x": x_query.tolist(),
                             "value": semigroup_value(sol, t_query, x_query)}
     return _report("solve-pde", cfg, results, "ok", EXIT_OK), EXIT_OK

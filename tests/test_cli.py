@@ -325,6 +325,58 @@ def test_non_finite_box_is_a_config_error_naming_the_key(tmp_path, capsys, case)
     assert report["results"]["error"].startswith(f"{key}:")
 
 
+# grid keys replacing pde_config's -> the whole refusal, which begins with its key
+GRID_REFUSALS = {
+    "not-rows": ({"bounds": [[-4.0, 4.0, 5.0]]}, "grid.bounds: expected rows of [lo, hi]"),
+    "lo-not-below-hi": ({"bounds": [[4.0, -4.0]]},
+                        "grid.bounds: expected rows with lo < hi, got [[4.0, -4.0]]"),
+    "three-dimensions": ({"bounds": [[-1.0, 1.0]] * 3, "counts": [5, 5, 5]},
+                         "grid.bounds: only 1 or 2 spatial dimensions are supported, got 3"),
+    "counts-of-two-axes": ({"counts": [41, 41]},
+                           "grid.counts: node counts must match the dimension and be at least 3"),
+    "two-nodes": ({"counts": [2]},
+                  "grid.counts: node counts must match the dimension and be at least 3"),
+    "T-zero": ({"T": 0.0}, "grid.T: dt and horizon must be positive"),
+    # two faults: the box rule names lo < hi before the dimension and the counts
+    "lo-not-below-hi-in-three-dimensions": (
+        {"bounds": [[1.0, -1.0]] * 3, "counts": [5, 5, 5]},
+        "grid.bounds: expected rows with lo < hi, got [[1.0, -1.0], [1.0, -1.0], [1.0, -1.0]]"),
+    "lo-not-below-hi-with-two-nodes": (
+        {"bounds": [[4.0, -4.0]], "counts": [2]},
+        "grid.bounds: expected rows with lo < hi, got [[4.0, -4.0]]"),
+}
+
+
+@pytest.mark.parametrize("case", GRID_REFUSALS)
+def test_every_grid_refusal_begins_with_its_key(case):
+    keys, error = GRID_REFUSALS[case]
+    cfg = pde_config()
+    cfg["grid"].update(keys)
+    report, code = dispatch("solve-pde", cfg)
+    assert (report["status"], code, report["results"]["error"]) == ("config-error", 2, error)
+
+
+# domain keys replacing check_config's -> the refusal, the box fault named first
+TWO_FAULT_DOMAINS = {
+    "lo-not-below-hi-and-no-times": (
+        {"box": [[2.0, -2.0], [-2.0, 2.0]], "t_grid": []},
+        "domain.box: expected rows with lo < hi, got [[2.0, -2.0], [-2.0, 2.0]]"),
+    "one-row-with-nan": ({"box": [[float("nan"), 2.0]], "n_samples": 0},
+                         "domain.box: expected 2 rows of [lo, hi]"),
+    "nan-and-lo-not-below-hi": ({"box": [[float("nan"), 2.0], [2.0, -2.0]]},
+                                "domain.box: expected finite rows, got [[nan, 2.0], [2.0, -2.0]]"),
+}
+
+
+@pytest.mark.parametrize("case", TWO_FAULT_DOMAINS)
+def test_a_domain_with_two_faults_names_the_box_first(case):
+    keys, error = TWO_FAULT_DOMAINS[case]
+    cfg = check_config(condition="B2")
+    cfg["domain"].update(keys)
+    report, code = dispatch("check", cfg)
+    assert (report["status"], code, report["results"]["error"]) == ("config-error", 2, error)
+
+
 # JSON text merged into pde_config -> (experiment, status, exit code, start of the error)
 NON_FINITE_TIMES = {
     "grid-T-nan": ('{"grid": {"bounds": [[-4.0, 4.0]], "counts": [41], "T": NaN, '
@@ -770,8 +822,9 @@ def test_a_250_term_sum_parses_and_evaluates():
     ("feynman-crosscheck", "tolerances.crosschek"),
     ("solve-pde", "output.csv_strid"),
     ("solve-pde", "functions.0.monotne"),
+    ("verify-comparison", "pair_family.scale"),
 ], ids=["theta", "domain", "grid", "scenario.controls", "scenario", "scenario.control",
-        "query", "tolerances", "output", "functions[0]"])
+        "query", "tolerances", "output", "functions[0]", "pair_family"])
 def test_an_unknown_key_of_a_section_is_a_config_error(monkeypatch, experiment, key):
     # each section is read whole by its readers, so a key none of them reads is misspelt
     def fail(*args):
@@ -791,6 +844,85 @@ def test_an_unknown_key_of_a_section_is_a_config_error(monkeypatch, experiment, 
     assert (report["status"], code) == ("config-error", 2)
     section = key.rpartition(".")[0]
     assert report["results"]["error"].startswith(f"{key}: unknown key; {section} holds ")
+
+
+@pytest.mark.parametrize("experiment, section, error", [
+    ("solve-pde", "query", "query.x: missing required key 'x'"),
+    ("generator", "grid", "grid.bounds: missing required key 'bounds'"),
+], ids=["solve-pde-query", "generator-grid"])
+def test_an_empty_section_is_read_not_taken_as_absent(monkeypatch, experiment, section, error):
+    # null stays absent; {} is a section whose required keys are missing
+    def fail(*args, **kwargs):
+        raise AssertionError("the run went ahead without the section")
+
+    monkeypatch.setattr(experiments, "solve", fail)
+    monkeypatch.setattr(experiments, "generator_limit_check", fail)
+    cfg = pde_config()
+    cfg[section] = {}
+    report, code = dispatch(experiment, cfg)
+    assert (report["status"], code, report["results"]["error"]) == ("config-error", 2, error)
+
+
+@pytest.mark.parametrize("experiment", ["solve-pde", "feynman-crosscheck", "generator"])
+def test_an_experiment_of_one_function_refuses_a_second(monkeypatch, experiment):
+    # each of these reads one function; a second one used to be parsed and then ignored
+    def fail(*args, **kwargs):
+        raise AssertionError("the run went ahead with the first function only")
+
+    monkeypatch.setattr(experiments, "solve", fail)
+    monkeypatch.setattr(experiments, "generator_limit_check", fail)
+    cfg = pde_config()
+    cfg["functions"].append({"expr": "x_1", "name": "linear"})
+    report, code = dispatch(experiment, cfg)
+    assert (report["status"], code) == ("config-error", 2)
+    assert report["results"]["error"] == ("functions: expected one function, got 2; only "
+                                          "verify-monotone and verify-order read a list")
+
+
+@pytest.mark.parametrize("part, error", [
+    ({"b": {"family": "offdiag-monotone", "scal": 5}},
+     "b.scal: unknown key; b holds family, scale"),
+    ({"b": {"family": "arctan-coupling", "sacle": 5}},
+     "b.sacle: unknown key; b holds family, scale"),
+    ({"b": {"family": "constant-drift", "C": 2}}, "b.C: unknown key; b holds family, c"),
+    ({"b": {"family": "linear-drift", "A": [[1.0]], "B": 1}},
+     "b.B: unknown key; b holds family, A"),
+    ({"b": {"family": "zero", "scale": 2}}, "b.scale: unknown key; b holds family"),
+    ({"sigma": {"family": "diag-sigma", "value": [3.0]}},
+     "sigma.value: unknown key; sigma holds family, values"),
+    ({"sigma": {"family": "per-coordinate", "entries": [[1.0]], "entry": 2}},
+     "sigma.entry: unknown key; sigma holds family, entries"),
+    ({"sigma": {"family": "constant", "matrix": [[1.0]], "scale": 3}},
+     "sigma.scale: unknown key; sigma holds family, matrix"),
+    ({"h": {"family": "constant", "tabel": [[[1.0]]]}},
+     "h.tabel: unknown key; h holds family, table"),
+], ids=["offdiag-monotone", "arctan-coupling", "constant-drift", "linear-drift", "b-zero",
+        "diag-sigma", "per-coordinate", "sigma-constant", "h-constant"])
+def test_a_family_mapping_refuses_a_key_its_family_does_not_read(part, error):
+    # each key used to be ignored: the family ran with its default (scale 1, sigma 1, c 0)
+    cfg = pde_config()
+    cfg["coefficients"] = {"n": 1, "d": 1, "sigma": [[1.0]], **part}
+    report, code = dispatch("solve-pde", cfg)
+    assert (report["status"], code) == ("config-error", 2)
+    assert report["results"]["error"] == f"coefficients: {error}"
+
+
+@pytest.mark.parametrize("experiment, section", [
+    ("solve-pde", "coefficients"), ("verify-order", "coefficients_bar")])
+@pytest.mark.parametrize("part, error", [
+    ({"n": 1, "d": 2, "h": [[[0.0], [1.0]], [[0.0], [0.0]]]},
+     "h[0][1] != h[1][0] on sampled points but h_symmetric is declared"),
+    ({"n": 0, "d": 1}, "invalid dimensions n=0, d=1"),
+], ids=["asymmetric-h", "n-zero"])
+def test_every_refusal_of_a_coefficient_section_names_the_section(experiment, section, part,
+                                                                 error):
+    cfg = {**pde_config(), "domain": {"box": [[-2.0, 2.0]], "n_samples": 8}}
+    cfg[section] = part
+    if section == "coefficients_bar":
+        cfg["coefficients"] = pde_config()["coefficients"]
+    report, code = dispatch(experiment, cfg)
+    assert (report["status"], code) == ("config-error", 2)
+    assert report["results"]["error"] == f"{section}: {error}"
 
 
 # case -> (key the error must name, coefficient section replacing pde_config's)
