@@ -145,7 +145,7 @@ def _family(section: dict, part: str, kind: str, keys: dict) -> str:
     """The family that ``section`` names, one of ``keys`` (family -> the keys
     it reads besides ``family``), with every other key of the section refused."""
     family = section.get("family")
-    if family not in tuple(keys):
+    if family not in tuple(keys):  # a tuple: the value may be unhashable
         raise ConfigError(f"{part}.family: unknown {kind} family {family!r}")
     refuse_unknown_keys(section, f"{part}.", ("family", *keys[family]), part)
     return family

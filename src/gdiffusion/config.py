@@ -24,9 +24,9 @@ Every value is read by ``gdiffusion.errors.read``, under one set of rules:
 an integer must be integral (a fraction, a boolean or a text is refused), a
 number is never a boolean, a flag is JSON true or false, and a value that
 is missing or cannot be read is a ConfigError that names its dotted key
-(``grid.T: missing required key 'T'``).  So is a key that ``theta``,
-``domain``, ``grid``, ``scenario.controls`` or a coefficient section does
-not hold, so that a misspelt key cannot run as its default.
+(``grid.T: missing required key 'T'``).  So is a key that a section, a
+coefficient section or a family mapping does not hold, so that a misspelt
+key cannot run as its default.  A section given as {} is present and read.
 """
 
 from __future__ import annotations
@@ -154,10 +154,8 @@ def domain_from_config(cfg: dict, n: int, default_seed: int) -> SearchDomain:
 
 def grid_from_config(cfg: dict) -> Grid:
     section = read_section(cfg, "grid", ("bounds", "counts", "T", "n_levels"))
-    return Grid.regular(read(section, "grid.bounds", "numbers"),
-                        read(section, "grid.counts", "integers"),
-                        read(section, "grid.T", "number"),
-                        read(section, "grid.n_levels", "count"))
+    return Grid(read(section, "grid.bounds", "numbers"), read(section, "grid.counts", "integers"),
+                read(section, "grid.T", "number"), read(section, "grid.n_levels", "count"))
 
 
 def functions_from_config(cfg: dict, dim: int) -> list[TestFunction]:

@@ -150,13 +150,12 @@ def _default_limit_grid(coeffs: CoefficientSet, theta: CovarianceSet,
     t_max = max(t_list)
     n = coeffs.n
     # half-width: the solver's trust margin over a probe box around x, plus room
-    probe = Grid.regular(np.column_stack([x - 1.0, x + 1.0]), [9] * n, horizon=t_max,
-                         n_levels=16)
+    probe = Grid(np.column_stack([x - 1.0, x + 1.0]), [9] * n, horizon=t_max, n_levels=16)
     fields = coefficient_fields(coeffs, theta, 0.0, probe.nodes())
     half = trust_margin(theta, fields, t_max) + 1.0
     bounds = np.column_stack([x - half, x + half])
     counts = [321] * n if n == 1 else [81] * n
-    grid0 = Grid.regular(bounds, counts, horizon=t_max, n_levels=16)
+    grid0 = Grid(bounds, counts, horizon=t_max, n_levels=16)
     fields = coefficient_fields(coeffs, theta, 0.0, grid0.nodes())
     dt_stable = stability_bound(_rate_table(fields, grid0)[1])
     # snap dt to divide every queried time so quotients use exact levels
@@ -164,4 +163,4 @@ def _default_limit_grid(coeffs: CoefficientSet, theta: CovarianceSet,
     while dt > dt_stable:
         dt /= 2.0
     n_levels = int(round(t_max / dt))
-    return Grid.regular(bounds, counts, horizon=t_max, n_levels=n_levels)
+    return Grid(bounds, counts, horizon=t_max, n_levels=n_levels)

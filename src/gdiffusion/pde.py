@@ -98,6 +98,7 @@ class Grid:
 
     @classmethod
     def regular(cls, bounds, counts, horizon: float, n_levels: int) -> "Grid":
+        """The constructor under its earlier name, which perfbench/workloads.py calls."""
         return cls(bounds, counts, horizon, n_levels)
 
     @property

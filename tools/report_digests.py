@@ -20,8 +20,9 @@ one makes adds no line.  Each report they return adds one line
 ``<node id> TAB <call index> TAB <sha256> TAB <canonical JSON>`` to the file,
 where the call index counts the reports of that test from 0, the canonical
 JSON is ``json.dumps(report, sort_keys=True)`` with the ``timestamp`` key
-removed and the pytest base temporary directory replaced by ``<tmp>``, and
-the digest is taken over that JSON.  A report that names export files under
+removed, the pytest base temporary directory replaced by ``<tmp>`` and the
+number of each test's directory under it by ``N`` (it depends on the tests
+that ran before), and the digest is taken over that JSON.  A report that names export files under
 ``results.csv`` or ``results.dump`` also carries, before it is hashed, an
 ``export_sha256`` object with the sha256 of each file's bytes as the run left
 them, so an export that changes changes the line.  Two trees make the same
@@ -48,6 +49,7 @@ import hashlib
 import json
 import os
 import platform
+import re
 
 import numpy as np
 import pytest
@@ -91,6 +93,11 @@ def _solve_record(sol) -> dict:
                       "trust_bounds": sol.trust_bounds.tolist(), "scheme": sol.scheme}}
 
 
+# a test's numbered directory under <tmp>, such as test_x_0: the number
+# depends on which tests ran before it in the session
+_NUMBERED_TMP = re.compile(r"(<tmp>/[^/\"']*?)\d+(?![\w.-])")
+
+
 class _Recorder:
     def __init__(self, config, path, manifest):
         self.config = config
@@ -114,6 +121,7 @@ class _Recorder:
                 report["export_sha256"] = exports
         text = json.dumps(report, sort_keys=True, default=repr)
         text = text.replace(str(self.config._tmp_path_factory.getbasetemp()), "<tmp>")
+        text = _NUMBERED_TMP.sub(r"\1N", text)
         digest = hashlib.sha256(text.encode()).hexdigest()
         self.lines.append(f"{self.node}\t{self.index}\t{digest}\t{text}")
         self.digests[(self.node, self.index)] = digest
