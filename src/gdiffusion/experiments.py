@@ -113,13 +113,16 @@ def _write_csv(path: str, header: list, rows) -> None:
 
 
 def _output_path(cfg: dict, key: str) -> str | None:
-    """``output.dir``/``output.<key>`` with its directory created; None when the key is unset."""
+    """``output.dir``/``output.<key>`` with its directory created; None when the
+    key is absent or null.  Any other name that is not a non-empty string is
+    refused, so that no export is skipped silently."""
     output = read_section(cfg, "output", _OUTPUT_KEYS, {})
     name, directory = output.get(key), output.get("dir", ".")
-    if not name:
+    if name is None:
         return None
-    for part, value in ((key, name), ("dir", directory)):
-        if not isinstance(value, str):
+    for part, value, ok in ((key, name, isinstance(name, str) and name != ""),
+                            ("dir", directory, isinstance(directory, str))):
+        if not ok:
             raise ConfigError(f"output.{part}: expected a path name, got {value!r}")
     path = os.path.join(directory, name)
     try:
@@ -378,9 +381,7 @@ def run_feynman_crosscheck(cfg: dict) -> tuple[dict, int]:
     tolerance = (read(tolerances, "tolerances.crosscheck", "number")
                  if "crosscheck" in tolerances else None)
 
-    grid.level(t_query)
-
-    sol = solve(coeffs, theta, f, grid)
+    sol = solve(coeffs, theta, f, grid, keep={grid.level(t_query)})
     pde_value = semigroup_value(sol, t_query, x_query)
 
     functional = SDETerminalFunctional(coeffs, f, x_query, theta)
@@ -411,12 +412,13 @@ def run_checks(cfg: dict) -> tuple[dict, int]:
     seed = read(cfg, "seed", "seed")
     theta = cfgmod.theta_from_config(cfg)
     coeffs_x, coeffs_y = cfgmod.coefficients_from_config(cfg)
-    names = cfg.get("conditions") or ([cfg["condition"]] if cfg.get("condition") else None)
-    if not names:
+    # a key that is null is absent; an empty list is refused, not read as absent
+    key = "conditions" if cfg.get("conditions") is not None else "condition"
+    if cfg.get(key) is None:
         raise ConfigError("check: provide 'condition' or 'conditions'")
-    if not (isinstance(names, list) and all(isinstance(name, str) for name in names)):
-        key, kind = (("conditions", "a list of condition names") if cfg.get("conditions")
-                     else ("condition", "a condition name"))
+    names = cfg[key] if key == "conditions" else [cfg[key]]
+    if not (isinstance(names, list) and names and all(isinstance(name, str) for name in names)):
+        kind = "a list of condition names" if key == "conditions" else "a condition name"
         raise ConfigError(f"{key}: expected {kind}, got {cfg[key]!r}")
     dom = cfgmod.domain_from_config(cfg, coeffs_x.n, seed)
     reports = {name: run_check(name, coeffs_x, coeffs_y, theta, dom).to_dict() for name in names}
@@ -438,15 +440,15 @@ def run_solve(cfg: dict) -> tuple[dict, int]:
         x_query = read(query, "query.x", "numbers")
     csv_path = _output_path(cfg, "csv")
     dump_path = _output_path(cfg, "dump")
-    if query is not None:
-        grid.level(t_query)
-    sol = solve(coeffs, theta, f, grid)
+    # the levels that the exports and the query read: every level for a dump
+    csv_levels = range(0, grid.n_levels + 1, stride) if csv_path else range(0)
+    query_levels = [] if query is None else [grid.level(t_query)]
+    sol = solve(coeffs, theta, f, grid, keep=None if dump_path else {*csv_levels, *query_levels})
     if csv_path:
         nodes = grid.nodes().reshape(-1, grid.n)
         _write_csv(csv_path, ["t", *(f"x_{i + 1}" for i in range(grid.n)), "u"],
-                   ((level * grid.dt, *node, value)
-                    for level in range(0, grid.n_levels + 1, stride)
-                    for node, value in zip(nodes, sol.u[level].reshape(-1))))
+                   ((level * grid.dt, *node, value) for level in csv_levels
+                    for node, value in zip(nodes, sol.level_values(level).reshape(-1))))
     if dump_path:
         export_grid_dump(sol, dump_path)
     results = {

@@ -127,9 +127,7 @@ def generator_limit_check(coeffs: CoefficientSet, theta: CovarianceSet,
 
     if grid is None:
         grid = _default_limit_grid(coeffs, theta, x, t_list)
-    for t in t_list:
-        grid.level(t)
-    sol = solve(coeffs, theta, f, grid)
+    sol = solve(coeffs, theta, f, grid, keep={grid.level(t) for t in t_list})
     rows = []
     for t in t_list:
         quotient = (semigroup_value(sol, t, x) - fx) / t

@@ -52,6 +52,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 import os
 from dataclasses import asdict, dataclass
 
@@ -143,13 +144,40 @@ class Grid:
 @dataclass
 class PDESolution:
     """Grid-sampled semigroup values, worst-case generator indices, the trust
-    region, and the scheme with its dt, stability bound and trust margin."""
+    region, and the scheme with its dt, stability bound and trust margin.
+    ``u`` holds the levels that ``levels`` names, in order: every level of
+    the grid unless the solve was asked to keep fewer."""
 
     grid: Grid
-    u: np.ndarray                 # (n_levels + 1,) + counts
+    u: np.ndarray                 # (len(levels),) + counts
     argmax_index: np.ndarray      # same layout, worst-case generator per node/level
     trust_bounds: np.ndarray      # (n, 2) interior region unaffected by the boundary
     scheme: dict
+    levels: tuple | range = None  # the level index of each entry of u; None: every level
+
+    def __post_init__(self) -> None:
+        if self.levels is None:
+            self.levels = range(self.grid.n_levels + 1)
+
+    def level_values(self, level: int) -> np.ndarray:
+        """u at the level index ``level``; GridError when the solve did not keep it."""
+        if level not in self.levels:
+            raise self._not_kept(level)
+        return self.u[self.levels.index(level)]
+
+    def every_level(self, what: str) -> np.ndarray:
+        """u, when it holds every level; otherwise GridError naming the first
+        level that was not kept, so that ``what`` never reduces over a subset."""
+        if len(self.levels) != self.grid.n_levels + 1:
+            kept = set(self.levels)
+            raise self._not_kept(next(m for m in itertools.count() if m not in kept),
+                                 f"{what} reads every level, but ")
+        return self.u
+
+    def _not_kept(self, level: int, prefix: str = "") -> GridError:
+        return GridError(f"{prefix}level {level} (t={level * self.grid.dt:.6g}) was not kept "
+                         f"by the solve, which kept {len(self.levels)} of "
+                         f"{self.grid.n_levels + 1} levels")
 
     def trust_slices(self) -> tuple:
         out = []
@@ -280,8 +308,22 @@ def trust_margin(theta: CovarianceSet, fields: tuple, horizon: float) -> float:
     return 3.0 * np.sqrt(sigma2 * horizon) + speed * horizon
 
 
+def _physical_bytes() -> int:
+    return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+
+
+def _kept_levels(keep, n_levels: int) -> tuple | range:
+    """The sorted level indices of ``keep``, or every level when it is None."""
+    if keep is None:
+        return range(n_levels + 1)
+    levels = tuple(sorted({operator.index(m) for m in keep}))
+    if levels and not 0 <= levels[0] <= levels[-1] <= n_levels:
+        raise GridError(f"keep: levels must lie in 0..{n_levels}, got {list(levels)}")
+    return levels
+
+
 def solve(coeffs: CoefficientSet, theta: CovarianceSet, f: TestFunction,
-          grid: Grid) -> PDESolution:
+          grid: Grid, keep=None) -> PDESolution:
     """March the explicit scheme from u(0, .) = f to the horizon.
 
     Each level is u + dt * max_g sum_k r[g, k] (u(. + e_k) - u), and records
@@ -293,9 +335,14 @@ def solve(coeffs: CoefficientSet, theta: CovarianceSet, f: TestFunction,
     every level for time-dependent coefficients.  Refuses to run when dt
     exceeds a table's stability bound or a rate is negative; the scheme
     reports the bound of the m = 0 table and the largest trust margin over
-    the tables.  Refuses up front, before any grid-wide array, a grid whose
-    stored levels (u and the generator record) would not fit in physical
-    memory.
+    the tables.
+
+    ``keep`` names the level indices to store (every level when None).  A
+    kept level is written straight into its slot; any other goes to one of
+    two spare levels, so each stored level has the bits it has in a solve
+    that keeps every level.  Refuses up front, before any grid-wide array, a
+    solve whose stored levels and spares (u and the generator record) would
+    not fit in physical memory.
     """
     if coeffs.d != theta.dim:
         raise DimensionMismatchError(
@@ -303,15 +350,19 @@ def solve(coeffs: CoefficientSet, theta: CovarianceSet, f: TestFunction,
     if coeffs.n != grid.n:
         raise DimensionMismatchError(f"state dim {coeffs.n} != grid dim {grid.n}")
     n_levels = grid.n_levels
+    levels = _kept_levels(keep, n_levels)
+    spare = len(levels) < n_levels + 1
     index_dtype = np.min_scalar_type(theta.n_generators - 1)
-    stored = (n_levels + 1) * math.prod(grid.counts) * (8 + index_dtype.itemsize)
-    physical = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    size = math.prod(grid.counts)
+    stored = size * (len(levels) * (8 + index_dtype.itemsize)
+                     + spare * (2 * 8 + index_dtype.itemsize))
+    physical = _physical_bytes()
     if stored > physical:
         raise GridError(
-            f"the solve would store {stored} bytes ({n_levels + 1} levels of "
+            f"the solve would store {stored} bytes ({len(levels)} levels of "
             f"{'x'.join(map(str, grid.counts))} nodes, float64 values and "
-            f"{index_dtype.name} generator indices), more than the {physical} "
-            "bytes of physical memory; use fewer levels or nodes"
+            f"{index_dtype.name} generator indices{', and two spare levels' if spare else ''}), "
+            f"more than the {physical} bytes of physical memory; use fewer levels or nodes"
         )
     nodes = grid.nodes()
     # the t = 0 table is built before f is read: a failing coefficient map is reported first
@@ -321,11 +372,17 @@ def solve(coeffs: CoefficientSet, theta: CovarianceSet, f: TestFunction,
     if not np.all(np.isfinite(u0)):
         raise NonFiniteError("initial data is not finite on the grid")
     bound = _guard(offsets, rates, grid, 0)
-    u = np.empty((n_levels + 1,) + u0.shape)
-    u[0] = u0
-    argmax = np.zeros((n_levels + 1,) + u0.shape, dtype=index_dtype)
+    slots = {m: i for i, m in enumerate(levels)}
+    u = np.empty((len(levels),) + u0.shape)
+    argmax = np.zeros((len(levels),) + u0.shape, dtype=index_dtype)
+    if 0 in slots:
+        u[slots[0]] = u0
+    if spare:
+        spare_u = (np.empty(u0.shape), np.empty(u0.shape))
+        spare_index = np.empty(u0.shape, dtype=index_dtype)
 
     margin = 0.0
+    cur = u0
     for m in range(n_levels):
         if m == 0 or not coeffs.time_homogeneous:
             if m > 0:
@@ -335,21 +392,27 @@ def solve(coeffs: CoefficientSet, theta: CovarianceSet, f: TestFunction,
             margin = max(margin, trust_margin(theta, fields, grid.horizon))
             neighbours = [_neighbours(e) for e in offsets]
             diffs = np.zeros((len(offsets),) + u0.shape)  # u(. + e_k) - u, 0 off the grid
-        cur = u[m]
         for k, (target, source) in enumerate(neighbours):
             np.subtract(cur[source], cur[target], out=diffs[k][target])
-        top = _first_max(np.einsum("gk...,k...->g...", rates, diffs), argmax[m + 1])
-        u[m + 1] = cur + grid.dt * top
-        if not np.all(np.isfinite(u[m + 1])):
-            bad = np.argwhere(~np.isfinite(u[m + 1]))[0]
+        slot = slots.get(m + 1)
+        if slot is None:  # level m + 1 goes where level m - 1 was, if that was a spare
+            nxt, index = spare_u[m % 2], spare_index
+            index.fill(0)
+        else:
+            nxt, index = u[slot], argmax[slot]
+        top = _first_max(np.einsum("gk...,k...->g...", rates, diffs), index)
+        np.add(cur, grid.dt * top, out=nxt)
+        if not np.all(np.isfinite(nxt)):
+            bad = np.argwhere(~np.isfinite(nxt))[0]
             raise NonFiniteError(
                 f"non-finite value at level {m + 1} (t={(m + 1) * grid.dt:.6g}), "
                 f"node {tuple(int(j) for j in bad)}"
             )
+        cur = nxt
 
     trust = np.column_stack([grid.bounds[:, 0] + margin, grid.bounds[:, 1] - margin])
     return PDESolution(
-        grid=grid, u=u, argmax_index=argmax, trust_bounds=trust,
+        grid=grid, u=u, argmax_index=argmax, trust_bounds=trust, levels=levels,
         scheme={
             "time": "explicit-euler",
             "drift": "upwind",
@@ -367,11 +430,12 @@ def solve(coeffs: CoefficientSet, theta: CovarianceSet, f: TestFunction,
 def semigroup_value(sol: PDESolution, t: float, x) -> float:
     """Multilinear interpolation in space at the time level t.
 
-    t must be a level time (``Grid.level``): there is no interpolation in
-    time.  x must lie in the interior trust region.  Other queries raise.
+    t must be a level time (``Grid.level``) of a level the solve kept: there
+    is no interpolation in time.  x must lie in the interior trust region.
+    Other queries raise.
     """
     grid = sol.grid
-    level = grid.level(t)
+    values = sol.level_values(grid.level(t))
     x = np.atleast_1d(np.asarray(x, dtype=float))
     if x.shape != (grid.n,):
         raise DimensionMismatchError(f"query point must have dim {grid.n}")
@@ -389,7 +453,7 @@ def semigroup_value(sol: PDESolution, t: float, x) -> float:
         weight = 1.0
         for w, bit in zip(weights, corner):
             weight *= w if bit else 1.0 - w
-        total += weight * sol.u[level][tuple(idx0 + corner)]
+        total += weight * values[tuple(idx0 + corner)]
     return float(total)
 
 
@@ -432,11 +496,13 @@ def monotonicity_check(sol: PDESolution) -> MonotonicityReport:
     The reduction runs one level at a time (``_first_min``), so beyond
     ``sol`` it holds one level of differences.  The witness is the first
     minimum of the first axis that attains the overall minimum, and
-    min_forward_difference is the difference there.
+    min_forward_difference is the difference there.  A solution that did not
+    keep every level is refused.
     """
+    u = sol.every_level("the monotonicity check")
     slices = sol.trust_slices()
     grid = sol.grid
-    tol = 1e-8 * (1.0 + _max_abs(sol.u))
+    tol = 1e-8 * (1.0 + _max_abs(u))
     best = np.inf
     witness = {}
     per_axis = []
@@ -449,7 +515,7 @@ def monotonicity_check(sol: PDESolution) -> MonotonicityReport:
             continue
         diffs = np.empty(shape)
         axis_min, level, k = _first_min(np.subtract(u_m[hi], u_m[lo], out=diffs)
-                                        for u_m in sol.u)
+                                        for u_m in u)
         per_axis.append(axis_min)
         if axis_min < best:
             best = axis_min
@@ -503,13 +569,15 @@ def dominance_check(sol_upper: PDESolution, sol_lower: PDESolution) -> Dominance
     x_bar is x when u_bar(t, x) attains P(t, x), else the first maximizer of
     u_bar over the trusted nodes <= x, so u(t, x) - u_bar(t, x_bar) is
     min_gap exactly.  The reduction runs one level at a time
-    (``_first_min``): beyond the solutions it holds a few levels' arrays.
+    (``_first_min``): beyond the solutions it holds a few levels' arrays.  A
+    solution that did not keep every level is refused.
     """
     if sol_upper.grid.counts != sol_lower.grid.counts or \
             not np.array_equal(sol_upper.grid.bounds, sol_lower.grid.bounds) or \
             sol_upper.grid.dt != sol_lower.grid.dt:
         raise GridError("dominance check requires identical grids")
-    tol = 1e-8 * (1.0 + max(_max_abs(sol_upper.u), _max_abs(sol_lower.u)))
+    upper_u, lower_u = (sol.every_level("the dominance check") for sol in (sol_upper, sol_lower))
+    tol = 1e-8 * (1.0 + max(_max_abs(upper_u), _max_abs(lower_u)))
     slices = tuple(slice(max(a.start, b.start), min(a.stop, b.stop))
                    for a, b in zip(sol_upper.trust_slices(), sol_lower.trust_slices()))
     grid = sol_upper.grid
@@ -517,13 +585,13 @@ def dominance_check(sol_upper: PDESolution, sol_lower: PDESolution) -> Dominance
 
     def gaps():
         nonlocal nodewise
-        for upper, lower in zip(sol_upper.u, sol_lower.u):
+        for upper, lower in zip(upper_u, lower_u):
             prefix = _prefix_max(lower[slices])
             nodewise = nodewise and np.array_equal(prefix, lower[slices])
             yield upper[slices] - prefix
 
     min_gap, level, k = _first_min(gaps())
-    lower = sol_lower.u[level][slices]
+    lower = lower_u[level][slices]
     node = np.unravel_index(k, lower.shape)
     if lower[node] == _prefix_max(lower)[node]:
         node_bar = node
@@ -551,8 +619,10 @@ def export_grid_dump(sol: PDESolution, path: str) -> None:
 
     Layout: magic 'GDIF' | uint32 n | uint32 counts[n] | float64 lo[n]
     | float64 hi[n] | float64 dt | uint32 n_levels_stored
-    | float64 u[level-major, row-major].
+    | float64 u[level-major, row-major].  A solution that did not keep every
+    level is refused.
     """
+    u = sol.every_level("the grid dump")
     grid = sol.grid
     with open(path, "wb") as fh:
         fh.write(GRID_DUMP_MAGIC)
@@ -561,8 +631,8 @@ def export_grid_dump(sol: PDESolution, path: str) -> None:
         np.asarray(grid.bounds[:, 0], dtype="<f8").tofile(fh)
         np.asarray(grid.bounds[:, 1], dtype="<f8").tofile(fh)
         np.array([grid.dt], dtype="<f8").tofile(fh)
-        np.array([sol.u.shape[0]], dtype="<u4").tofile(fh)
-        np.asarray(sol.u, dtype="<f8").tofile(fh)
+        np.array([u.shape[0]], dtype="<u4").tofile(fh)
+        np.asarray(u, dtype="<f8").tofile(fh)
 
 
 def read_grid_dump(path: str) -> dict:

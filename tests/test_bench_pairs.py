@@ -108,3 +108,42 @@ def test_src_lines_counts_every_file_under_src(tmp_path):
     (tmp_path / "src" / "b.py").write_text("three\n")
     (tmp_path / "tests.py").write_text("not counted\n")
     assert bench_pairs.src_lines(str(tmp_path)) == 3
+
+
+def traced_run(workload, side, metrics):
+    return {"pair": None, "workload": workload, "side": side, "seed": 0, "trace": 1,
+            "result": {"attempted": 2, "failed": 0, "metrics": {
+                name: {"value": value, "unit": unit} for name, (value, unit) in metrics.items()}}}
+
+
+def test_layers_keep_each_sides_exact_per_layer_values():
+    runs = [
+        traced_run("crosscheck", "parent", {"pde.stored_bytes": (9026909, "B"),
+                                            "pde.node_levels": (1002500, "count"),
+                                            "pde.trusted_node_share": (0.5, "ratio"),
+                                            "pde.solve.self_s": (0.21, "s"),
+                                            "pde.node_levels_per_s": (4.7e6, "1/s")}),
+        traced_run("crosscheck", "change", {"pde.stored_bytes": (3609, "B"),
+                                            "pde.node_levels": (0, "count"),
+                                            "pde.trusted_node_share": (0.5, "ratio"),
+                                            "pde.solve.self_s": (0.2, "s"),
+                                            "sde.euler_march.path_steps": (None, "count")}),
+        traced_run("pde-2d", "change", {"pde.stored_bytes": (119, "B")}),
+    ]
+    assert bench_pairs.layers(runs) == {
+        "crosscheck (seed 0)": {
+            "pde.stored_bytes": {"unit": "B", "parent": 9026909, "change": 3609},
+            "pde.node_levels": {"unit": "count", "parent": 1002500, "change": 0},
+            "pde.trusted_node_share": {"unit": "ratio", "parent": 0.5, "change": 0.5},
+            "sde.euler_march.path_steps": {"unit": "count", "parent": None, "change": None},
+        },
+        "pde-2d (seed 0)": {"pde.stored_bytes": {"unit": "B", "parent": None, "change": 119}},
+    }
+
+
+def test_the_exact_units_are_those_the_benchmark_repeats_exactly():
+    spec = importlib.util.spec_from_file_location("perfbench_run",
+                                                  os.path.join(ROOT, "perfbench", "run.py"))
+    run = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(run)
+    assert bench_pairs.EXACT_UNITS == run.EXACT_UNITS

@@ -5,7 +5,7 @@ import sys
 import numpy as np
 import pytest
 
-from gdiffusion import config, experiments, generator, scenario
+from gdiffusion import config, experiments, generator, pde, scenario
 from gdiffusion.cli import main
 from gdiffusion.config import load_config
 from gdiffusion.errors import (ConfigError, DimensionMismatchError, EvaluationError, GridError,
@@ -415,6 +415,15 @@ def test_conditions_must_be_a_list_of_names(key, value):
     assert report["results"]["error"].startswith(f"{key}:")
 
 
+@pytest.mark.parametrize("extra", [{"conditions": []}, {"conditions": [], "condition": "B2"}],
+                         ids=["alone", "beside-condition"])
+def test_an_empty_conditions_list_is_a_config_error(extra):
+    report, code = dispatch("check", check_config(**extra))
+    assert (report["status"], code) == ("config-error", 2)
+    assert report["results"]["error"] == \
+        "conditions: expected a list of condition names, got []"
+
+
 def test_simulate_zero_coefficients_constant_csv(tmp_path, capsys):
     cfg = {
         "seed": 4,
@@ -762,6 +771,31 @@ def test_every_output_path_is_a_config_error_before_the_solve(tmp_path, monkeypa
     assert report["results"]["error"].startswith(error)
 
 
+@pytest.mark.parametrize("output, error", [
+    ({"csv": 0}, "output.csv: expected a path name, got 0"),
+    ({"dump": False}, "output.dump: expected a path name, got False"),
+    ({"csv": ""}, "output.csv: expected a path name, got ''"),
+    ({"csv": "u.csv", "dump": []}, "output.dump: expected a path name, got []"),
+    ({"report": ""}, "output.report: expected a path name, got ''"),
+], ids=["csv-zero", "dump-false", "csv-empty", "dump-empty-list", "report-empty"])
+def test_a_falsy_export_name_is_refused_not_skipped(tmp_path, output, error):
+    cfg = pde_config()
+    cfg["output"] = {"dir": str(tmp_path), **output}
+    report, code = dispatch("solve-pde", cfg)
+    assert (report["status"], code) == ("config-error", 2)
+    assert report["results"]["error"] == error
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_a_null_export_name_means_no_export(tmp_path):
+    cfg = pde_config()
+    cfg["output"] = {"dir": str(tmp_path), "csv": None, "dump": None}
+    report, code = dispatch("solve-pde", cfg)
+    assert (report["status"], code) == ("ok", 0)
+    assert (report["results"]["csv"], report["results"]["dump"]) == (None, None)
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize("expr", [5, None, ["x_1"]])
 def test_non_string_function_expression_is_a_config_error(expr):
     cfg = pde_config()
@@ -1009,15 +1043,32 @@ def test_time_dependent_sigma_is_refused_at_the_level_it_breaks_the_bound():
     assert "at level 3 (t=0.024)" in report["results"]["error"]
 
 
-def test_a_solve_larger_than_physical_memory_is_a_config_error():
-    # 10**12 + 1 levels of 41 nodes would store 369 TB
+def test_a_solve_larger_than_physical_memory_is_a_config_error(tmp_path):
+    # 10**12 + 1 levels of 41 nodes would store 369 TB; the dump keeps every level
     cfg = pde_config()
     cfg["grid"]["n_levels"] = 10 ** 12
+    cfg["output"] = {"dir": str(tmp_path), "dump": "u.bin"}
     report, code = dispatch("solve-pde", cfg)
     assert code == 2
     assert report["status"] == "config-error"
     assert report["results"]["error"].startswith(
         "the solve would store 369000000000369 bytes (1000000000001 levels of 41 nodes")
+
+
+@pytest.mark.parametrize("experiment", ["feynman-crosscheck", "generator"])
+def test_a_solve_that_keeps_one_level_runs_where_every_level_would_not_fit(monkeypatch,
+                                                                          experiment):
+    # 101 levels of 41 nodes store 41 * 9 * 101 = 37 269 bytes; one kept level and
+    # the two spares store 41 * 9 + 41 * 17 = 1066 bytes
+    monkeypatch.setattr(pde, "_physical_bytes", lambda: 2000)
+    cfg = pde_config()
+    cfg["t_list"] = [0.25]
+    report, code = dispatch(experiment, cfg)
+    assert code == 0, report["results"]
+    coeffs, _ = config.coefficients_from_config(cfg)
+    with pytest.raises(GridError, match=r"^the solve would store 37269 bytes \(101 levels"):
+        pde.solve(coeffs, config.theta_from_config(cfg), experiments._one_function(cfg, 1),
+                  config.grid_from_config(cfg))
 
 
 @pytest.mark.parametrize("error, status, code", [

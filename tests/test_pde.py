@@ -4,6 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from gdiffusion import pde
 from gdiffusion.coefficients import build_coefficients, shifted
 from gdiffusion.errors import GridError, NonFiniteError, StabilityError
 from gdiffusion.experiments import dispatch
@@ -951,3 +952,102 @@ def test_each_check_holds_a_few_levels_beyond_the_solution():
         finally:
             tracemalloc.stop()
         assert peak < 8 * level_bytes, (peak, level_bytes)
+
+
+LOADED = CoefficientSet(n=1, d=1, h=lambda t, x: 0.3 * np.ones(x.shape[:-1] + (1, 1, 1)),
+                        sigma=lambda t, x: np.ones(x.shape + (1,)))
+# name -> (coefficients, theta, f, grid)
+KEEP_SYSTEMS = {
+    "1-D": (UNIT_DIFFUSION, INTERVAL, SQUARE, Grid.regular([[-2, 2]], [41], 0.1, 200)),
+    "2-D cross terms": (arctan_instance(), CORRELATED, TANH_SUM,
+                        Grid.regular(BOX_2D, [41, 41], 0.1, 16)),
+    "time-dependent": SKIP_CASES["2-D time-dependent a01"][:4],
+    "loadings": (LOADED, INTERVAL, SQUARE, Grid.regular([[-4, 4]], [81], 0.25, 250)),
+}
+KEEP_SETS = {
+    "last": lambda n: {n},
+    "first": lambda n: {0},
+    "interior": lambda n: {n // 2 + 1},
+    "strided": lambda n: set(range(0, n + 1, 3)),
+}
+
+
+@pytest.mark.parametrize("keep", list(KEEP_SETS))
+@pytest.mark.parametrize("system", list(KEEP_SYSTEMS))
+def test_kept_levels_match_the_solve_that_keeps_every_level_bit_for_bit(system, keep):
+    coeffs, theta, f, grid = KEEP_SYSTEMS[system]
+    full = solve(coeffs, theta, f, grid)
+    assert full.levels == range(grid.n_levels + 1)
+    levels = sorted(KEEP_SETS[keep](grid.n_levels))
+    sol = solve(coeffs, theta, f, grid, keep=levels[::-1])
+    assert list(sol.levels) == levels
+    assert sol.u.shape == sol.argmax_index.shape == (len(levels),) + grid.counts
+    assert sol.u.tobytes() == full.u[levels].tobytes()
+    assert sol.argmax_index.tobytes() == full.argmax_index[levels].tobytes()
+    assert sol.trust_bounds.tolist() == full.trust_bounds.tolist()
+    assert sol.scheme == full.scheme
+    for m in levels:
+        assert sol.level_values(m).tobytes() == full.u[m].tobytes()
+
+
+def partial_solution():
+    grid = Grid.regular([[-2, 2]], [41], horizon=0.1, n_levels=200)
+    return solve(UNIT_DIFFUSION, INTERVAL, SQUARE, grid, keep=[0, 100, 200])
+
+
+def test_a_level_that_was_not_kept_is_refused_by_name():
+    sol = partial_solution()
+    assert semigroup_value(sol, 0.05, [0.0]) == semigroup_value(
+        solve(UNIT_DIFFUSION, INTERVAL, SQUARE, sol.grid), 0.05, [0.0])
+    with pytest.raises(GridError, match=r"^level 3 \(t=0.0015\) was not kept by the solve, "
+                                        r"which kept 3 of 201 levels$"):
+        semigroup_value(sol, 3 * sol.grid.dt, [0.0])
+    with pytest.raises(GridError, match=r"level 7 \(t=0.0035\) was not kept"):
+        sol.level_values(7)
+
+
+@pytest.mark.parametrize("what, check", [
+    ("the monotonicity check", lambda sol, path: monotonicity_check(sol)),
+    ("the dominance check", lambda sol, path: dominance_check(sol, sol)),
+    ("the grid dump", lambda sol, path: export_grid_dump(sol, path)),
+], ids=["monotonicity", "dominance", "dump"])
+def test_a_whole_grid_reduction_refuses_a_partial_solution(tmp_path, what, check):
+    path = tmp_path / "u.bin"
+    with pytest.raises(GridError, match=rf"^{what} reads every level, but level 1 "
+                                        r"\(t=0.0005\) was not kept by the solve, which kept "
+                                        r"3 of 201 levels$"):
+        check(partial_solution(), str(path))
+    assert not path.exists()
+
+
+def test_dominance_refuses_a_partial_lower_solution():
+    sol = partial_solution()
+    full = solve(UNIT_DIFFUSION, INTERVAL, SQUARE, sol.grid)
+    with pytest.raises(GridError, match="dominance check reads every level, but level 1 "):
+        dominance_check(full, sol)
+
+
+def test_kept_levels_must_lie_on_the_grid():
+    grid = Grid.regular([[-2, 2]], [41], horizon=0.1, n_levels=200)
+    for keep in ([201], [-1, 5]):
+        with pytest.raises(GridError, match=r"keep: levels must lie in 0\.\.200"):
+            solve(UNIT_DIFFUSION, INTERVAL, SQUARE, grid, keep=keep)
+    sol = solve(UNIT_DIFFUSION, INTERVAL, SQUARE, grid, keep=())
+    assert sol.u.shape == (0, 41) and sol.levels == ()
+    assert sol.scheme == solve(UNIT_DIFFUSION, INTERVAL, SQUARE, grid).scheme
+
+
+def test_the_memory_budget_counts_the_kept_levels_and_the_spares(monkeypatch):
+    # 41 nodes: a level is 41 * (8 + 1) = 369 bytes, the spares 41 * (2 * 8 + 1) = 697
+    grid = Grid.regular([[-2, 2]], [41], horizon=0.1, n_levels=200)
+    monkeypatch.setattr(pde, "_physical_bytes", lambda: 369 + 697)
+    sol = solve(UNIT_DIFFUSION, INTERVAL, SQUARE, grid, keep=[200])
+    assert sol.u.nbytes + sol.argmax_index.nbytes == 369
+    with pytest.raises(GridError, match=r"^the solve would store 1435 bytes \(2 levels of 41 "
+                                        r"nodes, float64 values and uint8 generator indices, "
+                                        r"and two spare levels\), more than the 1066 bytes"):
+        solve(UNIT_DIFFUSION, INTERVAL, SQUARE, grid, keep=[100, 200])
+    with pytest.raises(GridError, match=r"^the solve would store 74169 bytes \(201 levels of "
+                                        r"41 nodes, float64 values and uint8 generator "
+                                        r"indices\), more than"):
+        solve(UNIT_DIFFUSION, INTERVAL, SQUARE, grid)

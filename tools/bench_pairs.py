@@ -12,7 +12,9 @@ PYTHONDONTWRITEBYTECODE=1 so that no run leaves compiled files behind for
 the next.  Pair i runs the
 parent first when i is even and the change first when i is odd; the
 workloads run one after another in the order given, each for its number of
-pairs (default 10) at its seed (default 0).
+pairs (default 10) at its seed (default 0).  After the pairs, each side runs
+every workload and seed once more with ``--trace 1``, which adds the
+per-layer metrics of a traced child to the result line.
 
 The output file holds every run's result line under ``runs``, and under
 ``summary``, per workload and seed: the pairs run, failed and attempted
@@ -23,7 +25,11 @@ gain.  A gain on a metric is resolved (true) when at least 10 pairs were
 run, the change reads better in at least 9/10 of them, a tie counting for
 neither side, and its median is better than the parent's by more than the
 parent's interquartile range (q3 - q1); otherwise it is unresolved (false).
-Each end-to-end metric also gets ``regression``, the no-regression verdict,
+Under ``layers``, per workload and seed, every per-layer metric whose unit
+is exact (``count``, ``B`` or ``ratio``: work counts, which repeat exactly at
+one seed) gets its unit and the value of each side's traced run, so that the
+file shows in which layer a change does less or stores less.  Each
+end-to-end metric also gets ``regression``, the no-regression verdict,
 with the allowed loss taken as ``bound`` times the parent's median:
 
     worse        the change's median is worse than the parent's by more
@@ -60,6 +66,8 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SIDES = ("parent", "change")
 # the fewest pairs on which a gain can be resolved
 MIN_PAIRS = 10
+# units of the per-layer metrics that repeat exactly at one seed
+EXACT_UNITS = ("count", "B", "ratio")
 
 
 def git(*args: str) -> str:
@@ -75,10 +83,10 @@ def extract(rev: str, dest: str) -> None:
         tar.extractall(dest, filter="data")
 
 
-def run_once(tree: str, workload: str, seed: int, seconds: float) -> dict:
+def run_once(tree: str, workload: str, seed: int, seconds: float, trace: int = 0) -> dict:
     """The result line of one benchmark invocation in tree."""
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
-           "--seconds", repr(seconds), "--trace", "0"]
+           "--seconds", repr(seconds), "--trace", str(trace)]
     proc = subprocess.run(cmd, cwd=tree, capture_output=True, text=True,
                           env={**os.environ, "PYTHONDONTWRITEBYTECODE": "1"})
     lines = proc.stdout.strip().splitlines()
@@ -169,6 +177,24 @@ def summarize(runs: list, better: dict, bounds=None) -> dict:
     return summary
 
 
+def layers(traced: list) -> dict:
+    """Per workload and seed: each per-layer metric with an exact unit, with
+    its unit and the value of each side's traced run (None where a side did
+    not report it)."""
+    out = {}
+    for key in dict.fromkeys((r["workload"], r["seed"]) for r in traced):
+        entry = {}
+        for r in traced:
+            if (r["workload"], r["seed"]) != key:
+                continue
+            for name, metric in r["result"]["metrics"].items():
+                if metric["unit"] in EXACT_UNITS:
+                    entry.setdefault(name, {"unit": metric["unit"], **dict.fromkeys(SIDES)})
+                    entry[name][r["side"]] = metric["value"]
+        out[f"{key[0]} (seed {key[1]})"] = entry
+    return out
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--parent", required=True, help="git revision of the parent")
@@ -202,6 +228,12 @@ def main(argv=None) -> int:
                     print(f"pair {pair} {workload} {side}: "
                           f"{json.dumps(result['metrics'])}", flush=True)
                 pair += 1
+        for workload, _, seed in plan:
+            for side in SIDES:
+                result = run_once(trees[side], workload, seed, args.seconds, trace=1)
+                runs.append({"pair": None, "workload": workload, "side": side,
+                             "result": result, "seed": seed, "trace": 1})
+                print(f"traced {workload} {side}: done", flush=True)
 
     out = {
         "what": args.what,
@@ -213,10 +245,13 @@ def main(argv=None) -> int:
                     "python": platform.python_version(), "numpy": numpy.__version__},
         "order": "pair i runs the parent first when i is even and the change first when "
                  "i is odd; both sides run from fresh git-archive copies made just before "
-                 "the runs; every run made is listed",
+                 "the runs; after the pairs, one --trace 1 run per side, workload and seed "
+                 "gives the layers; every run made is listed",
         "claim": args.claim,
         "src_lines": lines,
-        "summary": summarize(runs, load_better(), declared("bound")),
+        "summary": summarize([r for r in runs if r["trace"] == 0], load_better(),
+                             declared("bound")),
+        "layers": layers([r for r in runs if r["trace"] == 1]),
         "runs": runs,
     }
     with open(args.out, "w", encoding="utf-8") as fh:
