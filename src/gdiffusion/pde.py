@@ -153,7 +153,7 @@ class PDESolution:
     argmax_index: np.ndarray      # same layout, worst-case generator per node/level
     trust_bounds: np.ndarray      # (n, 2) interior region unaffected by the boundary
     scheme: dict
-    levels: tuple | range = None  # the level index of each entry of u; None: every level
+    levels: tuple | range | None = None  # level index of each entry of u; None: every level
 
     def __post_init__(self) -> None:
         if self.levels is None:

@@ -754,7 +754,14 @@ def test_an_output_dir_that_names_a_file_is_refused_before_the_run(
     ({"report": 5}, "output.report: expected a path name, got 5"),
     ({"dir": "<file>", "report": "report.json"}, "output.dir: cannot create the directory"),
     ({"csv": "<dir>"}, "output.csv: expected a file name, got the directory"),
-], ids=["csv", "dir", "dump", "report", "report-under-a-file", "csv-names-a-directory"])
+    # only an absent or null name means no export; a falsy one is refused, not skipped
+    ({"csv": 0}, "output.csv: expected a path name, got 0"),
+    ({"dump": False}, "output.dump: expected a path name, got False"),
+    ({"csv": ""}, "output.csv: expected a path name, got ''"),
+    ({"csv": "u.csv", "dump": []}, "output.dump: expected a path name, got []"),
+    ({"report": ""}, "output.report: expected a path name, got ''"),
+], ids=["csv", "dir", "dump", "report", "report-under-a-file", "csv-names-a-directory",
+        "csv-zero", "dump-false", "csv-empty", "dump-empty-list", "report-empty"])
 def test_every_output_path_is_a_config_error_before_the_solve(tmp_path, monkeypatch, output,
                                                                error):
     def solve(*args):
@@ -769,22 +776,6 @@ def test_every_output_path_is_a_config_error_before_the_solve(tmp_path, monkeypa
     report, code = dispatch("solve-pde", cfg)
     assert (report["status"], code) == ("config-error", 2)
     assert report["results"]["error"].startswith(error)
-
-
-@pytest.mark.parametrize("output, error", [
-    ({"csv": 0}, "output.csv: expected a path name, got 0"),
-    ({"dump": False}, "output.dump: expected a path name, got False"),
-    ({"csv": ""}, "output.csv: expected a path name, got ''"),
-    ({"csv": "u.csv", "dump": []}, "output.dump: expected a path name, got []"),
-    ({"report": ""}, "output.report: expected a path name, got ''"),
-], ids=["csv-zero", "dump-false", "csv-empty", "dump-empty-list", "report-empty"])
-def test_a_falsy_export_name_is_refused_not_skipped(tmp_path, output, error):
-    cfg = pde_config()
-    cfg["output"] = {"dir": str(tmp_path), **output}
-    report, code = dispatch("solve-pde", cfg)
-    assert (report["status"], code) == ("config-error", 2)
-    assert report["results"]["error"] == error
-    assert list(tmp_path.iterdir()) == []
 
 
 def test_a_null_export_name_means_no_export(tmp_path):

@@ -1009,8 +1009,10 @@ def test_a_level_that_was_not_kept_is_refused_by_name():
 @pytest.mark.parametrize("what, check", [
     ("the monotonicity check", lambda sol, path: monotonicity_check(sol)),
     ("the dominance check", lambda sol, path: dominance_check(sol, sol)),
+    ("the dominance check", lambda sol, path: dominance_check(
+        solve(UNIT_DIFFUSION, INTERVAL, SQUARE, sol.grid), sol)),
     ("the grid dump", lambda sol, path: export_grid_dump(sol, path)),
-], ids=["monotonicity", "dominance", "dump"])
+], ids=["monotonicity", "dominance", "dominance-lower", "dump"])
 def test_a_whole_grid_reduction_refuses_a_partial_solution(tmp_path, what, check):
     path = tmp_path / "u.bin"
     with pytest.raises(GridError, match=rf"^{what} reads every level, but level 1 "
@@ -1018,13 +1020,6 @@ def test_a_whole_grid_reduction_refuses_a_partial_solution(tmp_path, what, check
                                         r"3 of 201 levels$"):
         check(partial_solution(), str(path))
     assert not path.exists()
-
-
-def test_dominance_refuses_a_partial_lower_solution():
-    sol = partial_solution()
-    full = solve(UNIT_DIFFUSION, INTERVAL, SQUARE, sol.grid)
-    with pytest.raises(GridError, match="dominance check reads every level, but level 1 "):
-        dominance_check(full, sol)
 
 
 def test_kept_levels_must_lie_on_the_grid():

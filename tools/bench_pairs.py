@@ -182,16 +182,12 @@ def layers(traced: list) -> dict:
     its unit and the value of each side's traced run (None where a side did
     not report it)."""
     out = {}
-    for key in dict.fromkeys((r["workload"], r["seed"]) for r in traced):
-        entry = {}
-        for r in traced:
-            if (r["workload"], r["seed"]) != key:
-                continue
-            for name, metric in r["result"]["metrics"].items():
-                if metric["unit"] in EXACT_UNITS:
-                    entry.setdefault(name, {"unit": metric["unit"], **dict.fromkeys(SIDES)})
-                    entry[name][r["side"]] = metric["value"]
-        out[f"{key[0]} (seed {key[1]})"] = entry
+    for r in traced:
+        entry = out.setdefault(f"{r['workload']} (seed {r['seed']})", {})
+        for name, metric in r["result"]["metrics"].items():
+            if metric["unit"] in EXACT_UNITS:
+                entry.setdefault(name, {"unit": metric["unit"], **dict.fromkeys(SIDES)})
+                entry[name][r["side"]] = metric["value"]
     return out
 
 
