@@ -17,6 +17,7 @@ import warnings
 import numpy as np
 
 from . import config as cfgmod
+from . import pde
 from .coefficients import remark_counterexample_pair
 from .conditions import run_check
 from .errors import (ConfigError, EvaluationError, GDiffusionError,
@@ -24,8 +25,8 @@ from .errors import (ConfigError, EvaluationError, GDiffusionError,
 from .gfunction import nondegeneracy_bound
 from .generator import generator_limit_check
 from .pde import dominance_check, export_grid_dump, monotonicity_check, semigroup_value, solve
-from .scenario import (VolatilityControl, estimate_sublinear_expectation, lockstep_batch,
-                       noise_block)
+from .scenario import (VolatilityControl, estimate_sublinear_expectation, estimator_bytes,
+                       lockstep_batch, noise_block)
 from .sde import (MinGapObserver, SDETerminalFunctional, euler_march, frame_eigenvalues,
                   lipschitz_audit)
 
@@ -135,6 +136,14 @@ def _output_path(cfg: dict, key: str) -> str | None:
     return path
 
 
+def _refuse_beyond_memory(nbytes: int, what: str) -> None:
+    """A ConfigError naming scenario.n_paths when nbytes exceed physical memory."""
+    physical = pde._physical_bytes()
+    if nbytes > physical:
+        raise ConfigError(f"scenario.n_paths: {what} would take {nbytes} bytes, more than the "
+                          f"{physical} bytes of physical memory; use fewer paths or steps")
+
+
 def run_verify_comparison(cfg: dict) -> tuple[dict, int]:
     """Scenario, hypothesis checks, then the coupled pathwise ordering over an ensemble."""
     seed = read(cfg, "seed", "seed")
@@ -155,6 +164,8 @@ def run_verify_comparison(cfg: dict) -> tuple[dict, int]:
     # an invalid scenario is a config error before any search runs
     controls = cfgmod.controls_from_config(
         read(scen, "scenario.controls", "object", {}), theta, n_steps, seed)
+    _refuse_beyond_memory(8 * n_steps * n_paths * theta.dim,
+                          f"the noise block ({n_steps} steps, {n_paths} paths, d = {theta.dim})")
     dw = noise_block(seed, horizon, n_steps, theta.dim, n_paths)
     tol_path = read(read_section(cfg, "tolerances", _TOLERANCE_KEYS, {}), "tolerances.pathwise",
                     "number", 1e-8 * (1.0 + float(np.linalg.norm(y0))))
@@ -376,6 +387,9 @@ def run_feynman_crosscheck(cfg: dict) -> tuple[dict, int]:
                           f"got {n_paths}")
     controls = cfgmod.controls_from_config(
         read(scen, "scenario.controls", "object", {}), theta, n_steps, seed)
+    _refuse_beyond_memory(estimator_bytes(len(controls), n_paths, n_steps, theta.dim),
+                          f"the values of {len(controls)} controls x {n_paths} paths "
+                          "and one chunk of noise")
     # the default tolerance depends on the Monte Carlo standard error
     tolerances = read_section(cfg, "tolerances", _TOLERANCE_KEYS, {})
     tolerance = (read(tolerances, "tolerances.crosscheck", "number")

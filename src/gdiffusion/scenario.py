@@ -14,7 +14,9 @@ is the batch K = 1.  ``sde.euler_march`` makes that call at every step, so
 no whole-horizon ``dB`` is ever stored.
 A batch marched in lockstep holds per-step arrays ``(K, n_paths, width)``,
 and ``lockstep_batch`` sizes K so that one of them stays within
-``STEP_BYTES``.
+``STEP_BYTES``.  The estimator instead marches all K controls in lockstep
+on one chunk of paths at a time, sized by ``_chunk_paths``, and draws only
+that chunk's noise: it holds the (K, n_paths) values and one chunk.
 
 Worst-case (sublinear) expectations are estimated by maximizing Monte Carlo
 means over a finite family of controls.  The supremum over a finite family
@@ -37,13 +39,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatchError, EvaluationError
+from .errors import DimensionMismatchError, EvaluationError, NonFiniteError
 from .gfunction import CovarianceSet
 
 # bytes of one per-step array (K, n_paths, width) of K controls marched in
 # lockstep.  Smaller batches pay more per-step Python overhead, larger ones
 # more peak memory; 160 000 B holds 20 controls of 500 paths in 2-D, or one
-# control of 20 000 paths in 1-D.
+# control of 20 000 paths in 1-D.  The estimator's path chunks are sized by
+# it too, in whole hashing passes of _ROWS paths.
 STEP_BYTES = 160_000
 
 
@@ -63,6 +66,21 @@ _MASK32, _MASK128 = 0xFFFFFFFF, (1 << 128) - 1
 # streams hashed per numpy pass, whose states are held as Python ints, and
 # paths per noise_block draw chunk
 _ROWS = 512
+
+
+def _chunk_paths(n_controls: int, width: int) -> int:
+    """Paths per chunk of the estimator's lockstep march of n_controls: the
+    largest multiple of _ROWS whose per-step array (K, paths, width) of
+    doubles fits STEP_BYTES, and at least _ROWS.  Fewer paths per chunk pay
+    noise_block's fixed cost per call more often."""
+    return _ROWS * max(1, STEP_BYTES // (8 * n_controls * width * _ROWS))
+
+
+def estimator_bytes(n_controls: int, n_paths: int, n_steps: int, d: int) -> int:
+    """Bytes that ``estimate_sublinear_expectation`` holds: the (K, n_paths)
+    values and the noise (n_steps, paths, d) of one chunk of paths."""
+    chunk = min(n_paths, _chunk_paths(n_controls, d))
+    return 8 * (n_controls * n_paths + n_steps * chunk * d)
 
 
 def _words(value: int) -> list[int]:
@@ -259,6 +277,17 @@ def apply_control(dw: np.ndarray, schedules: np.ndarray, theta: CovarianceSet) -
     return np.einsum("kcij,k...j->kc...i", theta.generators[schedules], dw)
 
 
+def _check_finite(values: np.ndarray, c_idx: int, control: VolatilityControl) -> None:
+    """An EvaluationError naming the control and the first path of a
+    non-finite value in one control's row of values."""
+    if not np.all(np.isfinite(values)):
+        p_bad = int(np.argmin(np.isfinite(values)))
+        raise EvaluationError(
+            f"functional returned a non-finite value at control {c_idx} "
+            f"({control.label}), path {p_bad}"
+        )
+
+
 def estimate_sublinear_expectation(functional, theta: CovarianceSet,
                                    controls: list[VolatilityControl],
                                    n_paths: int, seed: int, T: float, n_steps: int
@@ -275,26 +304,38 @@ def estimate_sublinear_expectation(functional, theta: CovarianceSet,
 
     ``functional.evaluate_batch(times, dW, controls)`` returns one value per
     control and path, (K, n_paths), for the shared time-major dW of shape
-    (n_steps, n_paths, d) and a list of K controls; each control here goes
-    in its own call, K = 1.
+    (n_steps, n_paths, d) and a list of K controls.  Here every call gets
+    all K controls and one chunk of paths (``_chunk_paths``), whose noise
+    is drawn for that call alone; by the stream-split contract and the
+    march's batch-shape invariance each control's row of values, and so its
+    mean and standard error, has the bits of marching it alone on the whole
+    block.  A lockstep march that raises NonFiniteError is redone that way,
+    control by control in order, so the error names the control, step and
+    path that marching them one at a time names.  ``estimator_bytes`` gives
+    the memory held.
     """
     if n_paths < 2:
         raise DimensionMismatchError("n_paths must be at least 2")
     if not controls:
         raise DimensionMismatchError("at least one control is required")
-    dw = noise_block(seed, T, n_steps, theta.dim, n_paths)
     times = np.linspace(0.0, float(T), int(n_steps) + 1)
+    values = np.empty((len(controls), n_paths))
+    chunk = _chunk_paths(len(controls), theta.dim)
+    try:
+        for first in range(0, n_paths, chunk):
+            count = min(chunk, n_paths - first)
+            dw = noise_block(seed, T, n_steps, theta.dim, count, first=first)
+            values[:, first:first + count] = functional.evaluate_batch(times, dw, controls)
+    except NonFiniteError:
+        dw = noise_block(seed, T, n_steps, theta.dim, n_paths)
+        for c_idx, control in enumerate(controls):
+            _check_finite(functional.evaluate_batch(times, dw, [control])[0], c_idx, control)
+        raise
     best = None
-    for c_idx, control in enumerate(controls):
-        values = np.asarray(functional.evaluate_batch(times, dw, [control])[0], dtype=float)
-        if not np.all(np.isfinite(values)):
-            p_bad = int(np.argmin(np.isfinite(values)))
-            raise EvaluationError(
-                f"functional returned a non-finite value at control {c_idx} "
-                f"({control.label}), path {p_bad}"
-            )
-        mean = float(np.mean(values))
+    for c_idx, (control, row) in enumerate(zip(controls, values)):
+        _check_finite(row, c_idx, control)
+        mean = float(np.mean(row))
         if best is None or mean > best[0]:
-            se = float(np.std(values, ddof=1) / np.sqrt(n_paths))
+            se = float(np.std(row, ddof=1) / np.sqrt(n_paths))
             best = (mean, se, control)
     return best

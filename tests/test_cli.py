@@ -1046,12 +1046,43 @@ def test_a_solve_larger_than_physical_memory_is_a_config_error(tmp_path):
         "the solve would store 369000000000369 bytes (1000000000001 levels of 41 nodes")
 
 
+@pytest.mark.parametrize("experiment, nbytes, held", [
+    # 100 steps x 60 paths x 1 dimension of noise
+    ("verify-comparison", 48_000, "the noise block (100 steps, 60 paths, d = 1)"),
+    # 66 controls x 16 paths of values and 8 steps x 16 paths of noise
+    ("feynman-crosscheck", 9472, "the values of 66 controls x 16 paths and one chunk of noise"),
+], ids=["verify-comparison", "feynman-crosscheck"])
+def test_a_monte_carlo_run_larger_than_physical_memory_is_refused_before_any_draw(
+        tmp_path, monkeypatch, experiment, nbytes, held):
+    if experiment == "verify-comparison":
+        with open(comparison_config(tmp_path), encoding="utf-8") as fh:
+            cfg = json.load(fh)
+    else:
+        cfg = pde_config()
+    monkeypatch.setattr(pde, "_physical_bytes", lambda: nbytes)
+    report, code = dispatch(experiment, json.loads(json.dumps(cfg)))
+    assert code == 0, report["results"]
+
+    def draw(*args, **kwargs):
+        raise AssertionError("noise was drawn")
+
+    monkeypatch.setattr(pde, "_physical_bytes", lambda: nbytes - 1)
+    monkeypatch.setattr(experiments, "noise_block", draw)
+    monkeypatch.setattr(scenario, "noise_block", draw)
+    report, code = dispatch(experiment, cfg)
+    assert (code, report["status"]) == (2, "config-error")
+    assert report["results"]["error"] == (
+        f"scenario.n_paths: {held} would take {nbytes} bytes, more than the {nbytes - 1} "
+        "bytes of physical memory; use fewer paths or steps")
+
+
 @pytest.mark.parametrize("experiment", ["feynman-crosscheck", "generator"])
 def test_a_solve_that_keeps_one_level_runs_where_every_level_would_not_fit(monkeypatch,
                                                                           experiment):
     # 101 levels of 41 nodes store 41 * 9 * 101 = 37 269 bytes; one kept level and
-    # the two spares store 41 * 9 + 41 * 17 = 1066 bytes
-    monkeypatch.setattr(pde, "_physical_bytes", lambda: 2000)
+    # the two spares store 41 * 9 + 41 * 17 = 1066 bytes, and crosscheck's Monte
+    # Carlo values (66 controls x 16 paths) and noise (8 steps x 16 paths) 9472
+    monkeypatch.setattr(pde, "_physical_bytes", lambda: 10_000)
     cfg = pde_config()
     cfg["t_list"] = [0.25]
     report, code = dispatch(experiment, cfg)

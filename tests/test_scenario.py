@@ -3,10 +3,12 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from gdiffusion.errors import DimensionMismatchError, EvaluationError
+from gdiffusion.coefficients import build_coefficients
+from gdiffusion.errors import DimensionMismatchError, EvaluationError, NonFiniteError
+from gdiffusion.functions import TestFunction
 from gdiffusion.gfunction import CovarianceSet
 from gdiffusion.config import controls_from_config
-from gdiffusion.sde import CoefficientSet, euler_march
+from gdiffusion.sde import CoefficientSet, SDETerminalFunctional, euler_march
 from gdiffusion.scenario import (
     VolatilityControl,
     apply_control,
@@ -316,6 +318,127 @@ def test_nonfinite_functional_diagnostic():
         estimate_sublinear_expectation(bad, INTERVAL, controls,
                                        n_paths=3, seed=1, T=1.0, n_steps=4)
     assert "control 0" in str(err.value) and "path 0" in str(err.value)
+
+
+def per_control_estimate(functional, theta, controls, n_paths, seed, T, n_steps):
+    """The estimator's earlier loop, kept as its oracle: the whole noise block,
+    then each control alone (K = 1), in order.  Returns ((estimate, standard
+    error, best label), the (K, n_paths) values)."""
+    dw = noise_block(seed, T, n_steps, theta.dim, n_paths)
+    times = np.linspace(0.0, float(T), int(n_steps) + 1)
+    rows, best = [], None
+    for control in controls:
+        values = np.asarray(functional.evaluate_batch(times, dw, [control])[0], dtype=float)
+        rows.append(values)
+        mean = float(np.mean(values))
+        if best is None or mean > best[0]:
+            best = (mean, float(np.std(values, ddof=1) / np.sqrt(n_paths)), control.label)
+    return best, np.array(rows)
+
+
+class Recording:
+    """A functional whose evaluate_batch calls keep their controls and values."""
+
+    def __init__(self, functional):
+        self.functional = functional
+        self.calls = []
+
+    def evaluate_batch(self, times, dw, controls):
+        values = self.functional.evaluate_batch(times, dw, controls)
+        self.calls.append((len(controls), dw.shape[1], values))
+        return values
+
+
+THETA2 = CovarianceSet(generators=(np.array([[1.0, 0.0], [0.4, 0.6]]),
+                                   np.array([[0.5, 0.2], [0.0, 1.0]])))
+
+# a 2-D system driven in d = 1 and in d = 2, with state-dependent fields
+SYSTEMS = {
+    1: ({"n": 2, "d": 1, "b": {"family": "offdiag-monotone"},
+         "sigma": [["expr:0.5 + 0.1*tanh(x_2)", 1.0]]}, INTERVAL),
+    2: ({"n": 2, "d": 2, "b": {"family": "arctan-coupling"},
+         "sigma": [["expr:0.5 + 0.1*tanh(x_2)", 0.3], [0.2, "expr:0.8 + 0.1*arctan(x_1)"]],
+         "h": [[["expr:0.1*tanh(x_1)", 0.05], ["expr:0.02*x_2", 0.1]],
+               [["expr:0.02*x_2", 0.1], [0.0, "expr:0.1*arctan(x_2)"]]]}, THETA2),
+}
+
+
+def terminal_functional(d):
+    section, theta = SYSTEMS[d]
+    f = TestFunction(f=lambda x: np.tanh(x[..., 0]) + x[..., 1] ** 2, dim=2)
+    return SDETerminalFunctional(build_coefficients(section), f, np.array([0.1, -0.2]), theta)
+
+
+def family(theta, n_controls, n_steps):
+    """The constant controls, then seeded switching ones, n_controls in all;
+    one control is a switching one."""
+    constants = [VolatilityControl.constant(m, n_steps) for m in range(theta.n_generators)]
+    controls = constants if n_controls > 1 else []
+    return controls + [VolatilityControl.random_switching(theta.n_generators, n_steps, seed=s)
+                       for s in range(n_controls - len(controls))]
+
+
+@pytest.mark.parametrize("d", [1, 2])
+@pytest.mark.parametrize("n_controls", [1, 70])
+def test_chunked_lockstep_estimate_has_the_bits_of_the_per_control_loop(n_controls, d):
+    # 1100 paths: two whole chunks of 512 and a partial one when K = 70
+    theta = SYSTEMS[d][1]
+    controls = family(theta, n_controls, 12)
+    functional = Recording(terminal_functional(d))
+    est, se, best = estimate_sublinear_expectation(functional, theta, controls,
+                                                   n_paths=1100, seed=6, T=0.5, n_steps=12)
+    expected, rows = per_control_estimate(terminal_functional(d), theta, controls,
+                                          1100, 6, 0.5, 12)
+    assert (est, se, best.label) == expected
+    assert [calls[:2] for calls in functional.calls] == (
+        [(1, 1100)] if n_controls == 1 else [(70, 512), (70, 512), (70, 76)])
+    values = np.concatenate([calls[2] for calls in functional.calls], axis=1)
+    assert values.tobytes() == rows.tobytes()
+
+
+class NaNAt:
+    """phi(B_T) of ScalarTerminal, with NaN at one (control, global path)."""
+
+    def __init__(self, control, path):
+        self.control, self.path, self.first = control, path, 0
+
+    def evaluate_batch(self, times, dw, controls):
+        values = ScalarTerminal(lambda b: b).evaluate_batch(times, dw, controls)
+        local = self.path - self.first
+        if 0 <= local < dw.shape[1]:
+            values[self.control, local] = np.nan
+        self.first += dw.shape[1]
+        return values
+
+
+def test_nonfinite_value_names_its_global_path_and_control():
+    controls = family(INTERVAL, 70, 4)
+    with pytest.raises(EvaluationError) as err:
+        estimate_sublinear_expectation(NaNAt(3, 700), INTERVAL, controls,
+                                       n_paths=1100, seed=1, T=1.0, n_steps=4)
+    assert str(err.value) == ("functional returned a non-finite value at control 3 "
+                              f"({controls[3].label}), path 700")
+
+
+@pytest.mark.filterwarnings("ignore:overflow")
+def test_lockstep_blow_up_raises_what_the_first_failing_control_raises_alone():
+    # x' = x^3 from 0.6 blows up at a step that depends on the control: control
+    # 0 fails at step 15, others earlier, so the lockstep march fails elsewhere
+    coeffs = CoefficientSet(n=1, d=1, b=lambda t, x: x ** 3,
+                            sigma=lambda t, x: np.ones(x.shape + (1,)))
+    f = TestFunction(f=lambda x: x[..., 0], dim=1)
+    functional = SDETerminalFunctional(coeffs, f, np.array([0.6]), INTERVAL)
+    controls = family(INTERVAL, 70, 16)
+    times = np.linspace(0.0, 1.0, 17)
+    with pytest.raises(NonFiniteError) as lockstep:
+        functional.evaluate_batch(times, noise_block(3, 1.0, 16, 1, 512), controls)
+    with pytest.raises(NonFiniteError) as alone:
+        functional.evaluate_batch(times, noise_block(3, 1.0, 16, 1, 1100), controls[:1])
+    with pytest.raises(NonFiniteError) as err:
+        estimate_sublinear_expectation(functional, INTERVAL, controls,
+                                       n_paths=1100, seed=3, T=1.0, n_steps=16)
+    assert str(err.value) == str(alone.value) != str(lockstep.value)
+    assert str(err.value).startswith("non-finite state at step 15 ")
 
 
 def test_interval_qv_envelope_exact():

@@ -18,7 +18,11 @@ bytes of ``u`` and of ``argmax_index``, the ``trust_bounds`` and the
 only when no other grid check or solve is running, so a call that another
 one makes adds no line.  Each report they return adds one line
 ``<node id> TAB <call index> TAB <sha256> TAB <canonical JSON>`` to the file,
-where the call index counts the reports of that test from 0, the canonical
+where the call index counts the reports of that test from 0.  A report that
+a fixture wider than one test (module- or session-scoped) makes while it is
+set up has ``<node id of its scope>::<fixture name>`` in place of the test's
+node id, such as ``tests/test_acceptance.py::feynman_run``, so that it has
+the same key whichever test sets the fixture up.  The canonical
 JSON is ``json.dumps(report, sort_keys=True)`` with the ``timestamp`` key
 removed, the pytest base temporary directory replaced by ``<tmp>`` and the
 number of each test's directory under it by ``N`` (it depends on the tests
@@ -33,8 +37,9 @@ The conftest also checks every run against a manifest of
 ``<node id> TAB <call index> TAB <sha256>`` lines (``install``).  At the end
 of the session the run fails when a test that reached its call phase made a
 report whose digest differs from its manifest line, no longer made a report
-the manifest lists, or made one the manifest does not list.  Tests that did
-not run are not checked, so a subset run works.  ``--update-report-digests``
+the manifest lists, or made one the manifest does not list; a fixture that
+was set up counts as such a test.  Tests and fixtures that did not run are
+not checked, so a subset run works.  ``--update-report-digests``
 rewrites the manifest instead: the lines of the tests that ran are replaced
 by this run's, and the others are kept.  The manifest's first line records
 the Python and numpy versions it was made with; on any other version the
@@ -105,7 +110,7 @@ class _Recorder:
         self.manifest = manifest
         self.lines: list[str] = []
         self.digests: dict = {}   # (node id, call index) -> sha256
-        self.ran: set = set()     # node ids that reached their call phase
+        self.ran: set = set()     # node ids that reached their call phase, and fixture keys
         self.outcome: list[str] = []
         self.node = "<collection>"
         self.index = 0
@@ -153,6 +158,22 @@ class _Recorder:
     def pytest_runtest_setup(self, item):
         self.node = item.nodeid
         self.index = 0
+
+    @pytest.hookimpl(wrapper=True)
+    def pytest_fixture_setup(self, fixturedef, request):
+        """Key the reports of a fixture set up once for many tests by the
+        fixture, whichever test sets it up first."""
+        if fixturedef.scope == "function":
+            return (yield)
+        outer = self.node, self.index
+        key = f"{request.node.nodeid}::{fixturedef.argname}"
+        self.node, self.index = key, 0
+        try:
+            value = yield
+        finally:
+            self.node, self.index = outer
+        self.ran.add(key)
+        return value
 
     def pytest_runtest_logreport(self, report):
         if report.when == "call":
