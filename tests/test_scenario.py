@@ -390,9 +390,9 @@ def test_chunked_lockstep_estimate_has_the_bits_of_the_per_control_loop(n_contro
     expected, rows = per_control_estimate(terminal_functional(d), theta, controls,
                                           1100, 6, 0.5, 12)
     assert (est, se, best.label) == expected
-    assert [calls[:2] for calls in functional.calls] == (
+    assert [call[:2] for call in functional.calls] == (
         [(1, 1100)] if n_controls == 1 else [(70, 512), (70, 512), (70, 76)])
-    values = np.concatenate([calls[2] for calls in functional.calls], axis=1)
+    values = np.concatenate([call[2] for call in functional.calls], axis=1)
     assert values.tobytes() == rows.tobytes()
 
 
