@@ -13,7 +13,17 @@ class DimensionMismatchError(GDiffusionError):
 
 
 class NonFiniteError(GDiffusionError):
-    """A value that must be finite is NaN or infinite."""
+    """A value that must be finite is NaN or infinite; ``entry`` is (step,
+    batch index, component) of a march's first non-finite state, else None."""
+
+    entry = None
+
+    @classmethod
+    def at_state(cls, step: int, t: float, index: tuple, component: int) -> "NonFiniteError":
+        err = cls(f"non-finite state at step {step} (t={t:.6g}), batch index {index}, "
+                  f"component {component}")
+        err.entry = (step, index, component)
+        return err
 
 
 class StabilityError(GDiffusionError):

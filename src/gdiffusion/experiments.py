@@ -25,8 +25,8 @@ from .errors import (ConfigError, EvaluationError, GDiffusionError,
 from .gfunction import nondegeneracy_bound
 from .generator import generator_limit_check
 from .pde import dominance_check, export_grid_dump, monotonicity_check, semigroup_value, solve
-from .scenario import (VolatilityControl, estimate_sublinear_expectation, estimator_bytes,
-                       lockstep_batch, noise_block)
+from .scenario import (VolatilityControl, estimate_sublinear_expectation, lockstep_shape,
+                       march_chunks, noise_block)
 from .sde import (MinGapObserver, SDETerminalFunctional, euler_march, frame_eigenvalues,
                   lipschitz_audit)
 
@@ -151,8 +151,7 @@ def run_verify_comparison(cfg: dict) -> tuple[dict, int]:
     coeffs_x, coeffs_y = cfgmod.coefficients_from_config(cfg)
     if coeffs_y is None:
         raise ConfigError("verify-comparison needs coefficients_bar or a pair family")
-    x0 = read(cfg, "x0", "numbers")
-    y0 = read(cfg, "y0", "numbers")
+    x0, y0 = read(cfg, "x0", "numbers"), read(cfg, "y0", "numbers")
     for key, start in (("x0", x0), ("y0", y0)):
         if start.shape != (coeffs_x.n,):
             raise ConfigError(f"{key}: expected {coeffs_x.n} numbers, got shape {start.shape}")
@@ -164,9 +163,12 @@ def run_verify_comparison(cfg: dict) -> tuple[dict, int]:
     # an invalid scenario is a config error before any search runs
     controls = cfgmod.controls_from_config(
         read(scen, "scenario.controls", "object", {}), theta, n_steps, seed)
-    _refuse_beyond_memory(8 * n_steps * n_paths * theta.dim,
-                          f"the noise block ({n_steps} steps, {n_paths} paths, d = {theta.dim})")
-    dw = noise_block(seed, horizon, n_steps, theta.dim, n_paths)
+    n = coeffs_x.n
+    chunk, batch = lockstep_shape(len(controls), n_paths, 2 * n)
+    _refuse_beyond_memory(8 * chunk * (n_steps * theta.dim + 2 * batch * n),
+                          f"one chunk of noise ({n_steps} steps, {chunk} paths, d = {theta.dim}) "
+                          f"and the minimum gaps of {batch} controls x {chunk} paths x {n} "
+                          "components")
     tol_path = read(read_section(cfg, "tolerances", _TOLERANCE_KEYS, {}), "tolerances.pathwise",
                     "number", 1e-8 * (1.0 + float(np.linalg.norm(y0))))
 
@@ -184,33 +186,30 @@ def run_verify_comparison(cfg: dict) -> tuple[dict, int]:
     if violated := _hypotheses("verify-comparison", cfg, results, reports, []):
         return violated
 
-    times = np.linspace(0.0, horizon, n_steps + 1)
-
-    # X and Y step in lockstep on batches of controls stacked on a batch axis
-    k = lockstep_batch(len(controls), n_paths, coeffs_x.n)
-    min_gap = np.inf
-    witness = {}
-    for first in range(0, len(controls), k):
-        batch = controls[first:first + k]
+    def march(times, dw, batch, s=None):
+        """X and Y in lockstep, reduced to their first minimum gap; or system s alone."""
+        if s is not None:
+            return euler_march((coeffs_x, coeffs_y)[s], (x0, y0)[s], times, dw, batch[0], theta)
         gaps = MinGapObserver()
-        try:
-            euler_march((coeffs_x, coeffs_y), (x0, y0), times, dw, batch, theta, observe=gaps)
-        except NonFiniteError:
-            # raise what marching each control and system alone, in order, raises
-            for control in batch:
-                for coeffs, start in ((coeffs_x, x0), (coeffs_y, y0)):
-                    euler_march(coeffs, start, times, dw, control, theta)
-            raise
-        local, (j, path, comp, t_at) = gaps.result(times)
-        if local < min_gap:
-            min_gap = local
-            witness = {"control": controls[first + j].label, "control_index": first + j,
-                       "path_index": path, "component": comp, "t": t_at}
-    results["ensemble"] = {"n_controls": len(controls), "n_paths": n_paths,
-                           "n_steps": n_steps, "T": horizon}
-    results["min_gap"] = min_gap
-    results["witness"] = witness
-    results["tol_path"] = tol_path
+        euler_march((coeffs_x, coeffs_y), (x0, y0), times, dw, batch, theta, observe=gaps)
+        return gaps.result(times)
+
+    found = []  # (gap, control, global path, component, t) of each batch's first witness
+
+    def merge(ctrl, paths, result):
+        # of equal gaps the lowest control, then path, comes first in the
+        # (control, path, level, component) scan order
+        gap, (j, path, comp, t_at) = result
+        found.append((gap, ctrl.start + j, paths.start + path, comp, t_at))
+
+    march_chunks(controls, n_paths, march, merge, width=2 * n,
+                 noise=(seed, horizon, n_steps, theta.dim), systems=2)
+    min_gap, j, path, comp, t_at = min(found)
+    results.update(ensemble={"n_controls": len(controls), "n_paths": n_paths,
+                             "n_steps": n_steps, "T": horizon},
+                   min_gap=min_gap, tol_path=tol_path,
+                   witness={"control": controls[j].label, "control_index": j,
+                            "path_index": path, "component": comp, "t": t_at})
     return _verdict("verify-comparison", cfg, results,
                     counterexample_mode or not min_gap < -tol_path)
 
@@ -387,7 +386,8 @@ def run_feynman_crosscheck(cfg: dict) -> tuple[dict, int]:
                           f"got {n_paths}")
     controls = cfgmod.controls_from_config(
         read(scen, "scenario.controls", "object", {}), theta, n_steps, seed)
-    _refuse_beyond_memory(estimator_bytes(len(controls), n_paths, n_steps, theta.dim),
+    chunk, _ = lockstep_shape(len(controls), n_paths, theta.dim)
+    _refuse_beyond_memory(8 * (len(controls) * n_paths + n_steps * chunk * theta.dim),
                           f"the values of {len(controls)} controls x {n_paths} paths "
                           "and one chunk of noise")
     # the default tolerance depends on the Monte Carlo standard error

@@ -5,23 +5,17 @@ control selects one covariance generator per time step; the driven path has
 increments ``dB_k = gamma_{m(k)} dW_k`` and accumulates quadratic covariation
 ``d<B^i,B^j>_k = (gamma gamma^T)_{ij} dt``, which only the loadings of
 ``sde.euler_march`` read.  Scenarios are plain arrays with time as the
-leading axis, so an Euler step reads one contiguous slice: ``noise_block``
-gives the reference increments ``dW (n_steps, n_paths, d)``, shared by every
-control, and ``apply_control`` maps a one-step slice of them to that step's
-``dB`` for a batch of K controls, given as the generator indices (n_steps,
-K) of ``control_schedules`` and stacked on a leading batch axis; one control
-is the batch K = 1.  ``sde.euler_march`` makes that call at every step, so
-no whole-horizon ``dB`` is ever stored.
-A batch marched in lockstep holds per-step arrays ``(K, n_paths, width)``,
-and ``lockstep_batch`` sizes K so that one of them stays within
-``STEP_BYTES``.  The estimator instead marches all K controls in lockstep
-on one chunk of paths at a time, sized by ``_chunk_paths``, and draws only
-that chunk's noise: it holds the (K, n_paths) values and one chunk.
-
-Worst-case (sublinear) expectations are estimated by maximizing Monte Carlo
-means over a finite family of controls.  The supremum over a finite family
-is at most the supremum over all scenarios, but its sampled estimate is not
-a lower bound: the maximum of in-sample means is biased upward.
+leading axis: ``noise_block`` gives the reference increments ``dW (n_steps,
+n_paths, d)``, shared by every control, and ``apply_control`` maps a one-step
+slice of them to that step's ``dB`` for a batch of K controls (one control
+is the batch K = 1); ``sde.euler_march`` makes that call at every step.
+``march_chunks`` is the one Monte Carlo loop: it draws the noise of one
+chunk of paths at a time, marches the controls on it in lockstep batches
+through the caller's march and hands each result to the caller's reducer;
+``lockstep_shape`` sizes chunk and batch so that one step's states
+``(K_b, P, width)`` stay within ``STEP_BYTES``.  On it,
+``estimate_sublinear_expectation`` maximizes Monte Carlo means over a
+finite family of controls.
 
 Noise streams follow a stream-split contract: the draw at (seed, path index,
 step) is fixed, so regeneration is bit-identical and ensembles can be built
@@ -35,6 +29,7 @@ PCG64 constructor does, and sets that state on one reused generator.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,18 +37,12 @@ import numpy as np
 from .errors import DimensionMismatchError, EvaluationError, NonFiniteError
 from .gfunction import CovarianceSet
 
-# bytes of one per-step array (K, n_paths, width) of K controls marched in
-# lockstep.  Smaller batches pay more per-step Python overhead, larger ones
-# more peak memory; 160 000 B holds 20 controls of 500 paths in 2-D, or one
-# control of 20 000 paths in 1-D.  The estimator's path chunks are sized by
-# it too, in whole hashing passes of _ROWS paths.
-STEP_BYTES = 160_000
-
-
-def lockstep_batch(n_controls: int, n_paths: int, width: int) -> int:
-    """How many of n_controls to march in lockstep: the most whose per-step
-    array (K, n_paths, width) of doubles fits STEP_BYTES, and at least one."""
-    return max(1, min(n_controls, STEP_BYTES // (8 * n_paths * width)))
+# bytes of one step's lockstep states (K_b, P, width): a batch of K_b
+# controls on a chunk of P paths, width the entries of one path's state (its
+# systems' components).  Smaller steps pay more per-step Python overhead,
+# larger ones more peak memory; 320 000 B holds 20 controls of 500 paths of
+# two 2-D systems, or 66 controls of 512 paths in 1-D.
+STEP_BYTES = 320_000
 
 
 # SeedSequence's hash constants, and the multiplier of PCG64's 128-bit LCG
@@ -68,19 +57,13 @@ _MASK32, _MASK128 = 0xFFFFFFFF, (1 << 128) - 1
 _ROWS = 512
 
 
-def _chunk_paths(n_controls: int, width: int) -> int:
-    """Paths per chunk of the estimator's lockstep march of n_controls: the
-    largest multiple of _ROWS whose per-step array (K, paths, width) of
-    doubles fits STEP_BYTES, and at least _ROWS.  Fewer paths per chunk pay
-    noise_block's fixed cost per call more often."""
-    return _ROWS * max(1, STEP_BYTES // (8 * n_controls * width * _ROWS))
-
-
-def estimator_bytes(n_controls: int, n_paths: int, n_steps: int, d: int) -> int:
-    """Bytes that ``estimate_sublinear_expectation`` holds: the (K, n_paths)
-    values and the noise (n_steps, paths, d) of one chunk of paths."""
-    chunk = min(n_paths, _chunk_paths(n_controls, d))
-    return 8 * (n_controls * n_paths + n_steps * chunk * d)
+def lockstep_shape(n_controls: int, n_paths: int, width: int) -> tuple[int, int]:
+    """(P, K_b) of a lockstep march: P paths per chunk, at most n_paths, else
+    the largest multiple of _ROWS, and at least _ROWS, whose states
+    (n_controls, P, width) of doubles fit STEP_BYTES; K_b controls per batch,
+    the most whose states (K_b, P, width) fit, and at least one."""
+    paths = min(n_paths, _ROWS * max(1, STEP_BYTES // (8 * n_controls * width * _ROWS)))
+    return paths, max(1, min(n_controls, STEP_BYTES // (8 * paths * width)))
 
 
 def _words(value: int) -> list[int]:
@@ -272,20 +255,50 @@ def apply_control(dw: np.ndarray, schedules: np.ndarray, theta: CovarianceSet) -
             f"controls cover {len(schedules)} steps but noise has {dw.shape[0]}")
     if dw.shape[-1] != theta.dim:
         raise DimensionMismatchError(
-            f"noise dim {dw.shape[-1]} does not match covariance set dim {theta.dim}"
-        )
+            f"noise dim {dw.shape[-1]} does not match covariance set dim {theta.dim}")
     return np.einsum("kcij,k...j->kc...i", theta.generators[schedules], dw)
 
 
-def _check_finite(values: np.ndarray, c_idx: int, control: VolatilityControl) -> None:
-    """An EvaluationError naming the control and the first path of a
-    non-finite value in one control's row of values."""
-    if not np.all(np.isfinite(values)):
-        p_bad = int(np.argmin(np.isfinite(values)))
-        raise EvaluationError(
-            f"functional returned a non-finite value at control {c_idx} "
-            f"({control.label}), path {p_bad}"
-        )
+def march_chunks(controls: list[VolatilityControl], n_paths: int, march, reduce, *,
+                 width: int, noise: tuple, systems: int = 1) -> None:
+    """March every control on paths 0 .. n_paths - 1 of noise = (seed, T,
+    n_steps, d), in the ``lockstep_shape`` of states with width entries: per
+    chunk one draw, then ``reduce(ctrl, paths, march(times, dw, batch))`` per
+    batch, the slices naming the controls and global paths covered.
+
+    After a NonFiniteError, ``march(times, dw, [control], s)`` marches each
+    control and each of the caller's systems alone on every chunk, and the
+    first of them to fail raises what it raises on the whole block: at its
+    earliest step, then global path, then component."""
+    chunk, size = lockstep_shape(len(controls), n_paths, width)
+    seed, T, n_steps, d = noise
+    times = np.linspace(0.0, float(T), int(n_steps) + 1)
+    chunks = [(first, min(chunk, n_paths - first)) for first in range(0, n_paths, chunk)]
+    try:
+        for first, count in chunks:
+            dw = noise_block(seed, T, n_steps, d, count, first=first)
+            for k in range(0, len(controls), size):
+                reduce(slice(k, k + size), slice(first, first + count),
+                       march(times, dw, controls[k:k + size]))
+    except NonFiniteError:
+        found = {}  # (control, system) -> its (step, global batch index, component)
+        for first, count in chunks:
+            dw = noise_block(seed, T, n_steps, d, count, first=first)
+            for j, s in itertools.product(range(len(controls)), range(systems)):
+                if found and (j, s) > min(found):
+                    break  # an earlier march fails already
+                try:
+                    march(times, dw, [controls[j]], s)
+                except NonFiniteError as err:
+                    if err.entry is None:
+                        raise
+                    step, index, comp = err.entry
+                    entry = (step, index[:-1] + (first + index[-1],), comp)
+                    found[j, s] = min(found.get((j, s), entry), entry)
+        if found:
+            step, index, comp = found[min(found)]
+            raise NonFiniteError.at_state(step, times[step], index, comp) from None
+        raise
 
 
 def estimate_sublinear_expectation(functional, theta: CovarianceSet,
@@ -303,37 +316,29 @@ def estimate_sublinear_expectation(functional, theta: CovarianceSet,
     family can never decrease the estimate.
 
     ``functional.evaluate_batch(times, dW, controls)`` returns one value per
-    control and path, (K, n_paths), for the shared time-major dW of shape
-    (n_steps, n_paths, d) and a list of K controls.  Here every call gets
-    all K controls and one chunk of paths (``_chunk_paths``), whose noise
-    is drawn for that call alone; by the stream-split contract and the
-    march's batch-shape invariance each control's row of values, and so its
-    mean and standard error, has the bits of marching it alone on the whole
-    block.  A lockstep march that raises NonFiniteError is redone that way,
-    control by control in order, so the error names the control, step and
-    path that marching them one at a time names.  ``estimator_bytes`` gives
-    the memory held.
+    control and path, (K, n_paths), for the shared time-major dW (n_steps,
+    n_paths, d) and a list of K controls; ``march_chunks`` makes the calls,
+    so each control's values, and any NonFiniteError, have the bits of
+    marching it alone on the whole block.  The memory held is the (K,
+    n_paths) values and one chunk of noise.
     """
     if n_paths < 2:
         raise DimensionMismatchError("n_paths must be at least 2")
     if not controls:
         raise DimensionMismatchError("at least one control is required")
-    times = np.linspace(0.0, float(T), int(n_steps) + 1)
     values = np.empty((len(controls), n_paths))
-    chunk = _chunk_paths(len(controls), theta.dim)
-    try:
-        for first in range(0, n_paths, chunk):
-            count = min(chunk, n_paths - first)
-            dw = noise_block(seed, T, n_steps, theta.dim, count, first=first)
-            values[:, first:first + count] = functional.evaluate_batch(times, dw, controls)
-    except NonFiniteError:
-        dw = noise_block(seed, T, n_steps, theta.dim, n_paths)
-        for c_idx, control in enumerate(controls):
-            _check_finite(functional.evaluate_batch(times, dw, [control])[0], c_idx, control)
-        raise
+
+    def write(ctrl: slice, paths: slice, rows: np.ndarray) -> None:
+        values[ctrl, paths] = rows
+
+    march_chunks(controls, n_paths, lambda times, dw, batch, s=0:
+                 functional.evaluate_batch(times, dw, batch), write,
+                 width=theta.dim, noise=(seed, T, n_steps, theta.dim))
     best = None
     for c_idx, (control, row) in enumerate(zip(controls, values)):
-        _check_finite(row, c_idx, control)
+        if not np.all(np.isfinite(row)):
+            raise EvaluationError(f"functional returned a non-finite value at control {c_idx} "
+                                  f"({control.label}), path {int(np.argmin(np.isfinite(row)))}")
         mean = float(np.mean(row))
         if best is None or mean > best[0]:
             se = float(np.std(row, ddof=1) / np.sqrt(n_paths))

@@ -8,24 +8,12 @@ State dynamics on a scenario (dB, dQV):
 
 Coefficients are evaluated at the left endpoint (non-anticipative), matching
 the Ito integrals being discretized.  ``euler_march`` steps a whole batch of
-scenarios at once.  It takes the shared time-major reference increments
-``dW (n_steps, ..., d)`` and one volatility control, or a sequence of K
-controls that lead the batch axes, and forms each step's dB inside the
-loop with one ``scenario.apply_control`` call on the one-step slice dW[m]
-for the whole batch of controls (one control is the batch K = 1); no
-whole-horizon dB is stored.  The loading term forms dQV = Sigma dt, so a
-system with no h never reads the covariances.  A field is its map's output
-or a read-only broadcast view of it, never a copy.  Each system's
-increment starts from its first term, so a step makes no zero fill.  It
-holds the states component-major: a state of shape (..., n) is stored as
-(n, ...) memory, so each x[..., k] the coefficient maps read, and each
-per-component operation of a step, runs over one contiguous block of the
-batch.  The states it returns have the shape (..., levels, n): every level,
-(..., n_steps + 1, n), or, when an ``observe(m, x)`` callback reduces each
-level as it is made, only the last.
-Two systems marched on the same noise and controls are coupled; they can be
-stepped in lockstep in one march, and ``MinGapObserver`` then streams, level
-by level, the exact minimum gap between their states with its first witness.
+scenarios, and systems coupled on the same noise and controls, in lockstep:
+it forms each step's dB from the shared reference increments with one
+``scenario.apply_control`` call, so no whole-horizon dB is stored, and
+returns every level or, when an observer reduces each level as it is made,
+only the last.  ``MinGapObserver`` streams the exact minimum gap between two
+coupled systems with its first witness.
 """
 
 from __future__ import annotations
@@ -280,10 +268,8 @@ def euler_march(coeffs, x0, times: np.ndarray, dw: np.ndarray, controls, theta,
         x = nxt
         if not np.isfinite(x).all():
             bad = np.argwhere(~np.isfinite(view(x)))[0]
-            raise NonFiniteError(
-                f"non-finite state at step {m + 1} (t={times[m + 1]:.6g}), "
-                f"batch index {tuple(int(i) for i in bad[:-1])}, component {bad[-1]}"
-            )
+            raise NonFiniteError.at_state(m + 1, times[m + 1], tuple(int(i) for i in bad[:-1]),
+                                          int(bad[-1]))
         if observe is None:
             states[..., m + 1, :] = x
         else:
@@ -324,10 +310,6 @@ class MinGapObserver:
         return float(best[comp]), (*(int(i) for i in idx), comp + 1, float(times[level[comp]]))
 
 
-def _keep_last(m: int, x: np.ndarray) -> None:
-    """An observer that reduces nothing: the march then keeps only X_T."""
-
-
 @dataclass(frozen=True)
 class SDETerminalFunctional:
     """f(X_T) for the system started at x0, one value per scenario.
@@ -346,6 +328,7 @@ class SDETerminalFunctional:
     theta: object
 
     def evaluate_batch(self, times, dw, controls) -> np.ndarray:
+        # an observer that reduces nothing: the march keeps only X_T
         terminal = euler_march(self.coeffs, self.x0, times, dw, controls, self.theta,
-                               observe=_keep_last)
+                               observe=lambda m, x: None)
         return self.f.value(terminal[..., -1, :])

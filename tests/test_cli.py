@@ -12,7 +12,7 @@ from gdiffusion.errors import (ConfigError, DimensionMismatchError, EvaluationEr
                                NonFiniteError, StabilityError)
 from gdiffusion.experiments import dispatch
 from gdiffusion.scenario import noise_block
-from gdiffusion.sde import euler_march
+from gdiffusion.sde import MinGapObserver, euler_march
 
 
 def run_cli(args, capsys):
@@ -1047,8 +1047,10 @@ def test_a_solve_larger_than_physical_memory_is_a_config_error(tmp_path):
 
 
 @pytest.mark.parametrize("experiment, nbytes, held", [
-    # 100 steps x 60 paths x 1 dimension of noise
-    ("verify-comparison", 48_000, "the noise block (100 steps, 60 paths, d = 1)"),
+    # one chunk of 100 steps x 60 paths x 1 dimension of noise, and the gap
+    # minima and their levels of 8 controls x 60 paths x 2 components
+    ("verify-comparison", 63_360, "one chunk of noise (100 steps, 60 paths, d = 1) and the "
+                                  "minimum gaps of 8 controls x 60 paths x 2 components"),
     # 66 controls x 16 paths of values and 8 steps x 16 paths of noise
     ("feynman-crosscheck", 9472, "the values of 66 controls x 16 paths and one chunk of noise"),
 ], ids=["verify-comparison", "feynman-crosscheck"])
@@ -1184,7 +1186,7 @@ def test_verify_comparison_report_does_not_depend_on_the_batch_size(tmp_path, mo
 
     monkeypatch.setattr(experiments, "euler_march", recording_march)
     for k in (1, 7, 8):
-        monkeypatch.setattr(scenario, "STEP_BYTES", k * 60 * 2 * 8)
+        monkeypatch.setattr(scenario, "STEP_BYTES", k * 60 * 4 * 8)
         batches.append([])
         report, code = dispatch("verify-comparison", json.loads(json.dumps(cfg)))
         assert code == 0
@@ -1192,6 +1194,130 @@ def test_verify_comparison_report_does_not_depend_on_the_batch_size(tmp_path, mo
         reports.append(experiments.report_json(report))
     assert batches == [[1] * 8, [7, 1], [8]]
     assert reports[0] == reports[1] == reports[2]
+
+
+def whole_block_comparison(cfg):
+    """verify-comparison's earlier loop, kept as its oracle: the whole noise
+    block, then batches of controls of at most 160 000 B per step's states
+    (K, n_paths, n), and after a NonFiniteError each control and system of
+    the batch alone on the whole block.  Returns (min gap, witness)."""
+    theta = config.theta_from_config(cfg)
+    coeffs_x, coeffs_y = config.coefficients_from_config(cfg)
+    x0, y0 = np.array(cfg["x0"], dtype=float), np.array(cfg["y0"], dtype=float)
+    scen = cfg["scenario"]
+    horizon, n_steps, n_paths = scen["T"], scen["n_steps"], scen["n_paths"]
+    controls = config.controls_from_config(scen["controls"], theta, n_steps, cfg["seed"])
+    dw = scenario.noise_block(cfg["seed"], horizon, n_steps, theta.dim, n_paths)
+    times = np.linspace(0.0, horizon, n_steps + 1)
+    k = max(1, min(len(controls), 160_000 // (8 * n_paths * coeffs_x.n)))
+    min_gap, witness = np.inf, {}
+    for first in range(0, len(controls), k):
+        batch = controls[first:first + k]
+        gaps = MinGapObserver()
+        try:
+            euler_march((coeffs_x, coeffs_y), (x0, y0), times, dw, batch, theta, observe=gaps)
+        except NonFiniteError:
+            for control in batch:
+                for coeffs, start in ((coeffs_x, x0), (coeffs_y, y0)):
+                    euler_march(coeffs, start, times, dw, control, theta)
+            raise
+        local, (j, path, comp, t_at) = gaps.result(times)
+        if local < min_gap:
+            min_gap = local
+            witness = {"control": controls[first + j].label, "control_index": first + j,
+                       "path_index": path, "component": comp, "t": t_at}
+    return min_gap, witness
+
+
+def edited_noise(monkeypatch, edits, scale=1.0):
+    """Patch scenario.noise_block: every draw times scale, and the increments
+    (n_steps, d) of each global path in edits replaced by edits[path]."""
+    real = scenario.noise_block
+
+    def draw(seed, T, n_steps, d, n_paths, first=0):
+        dw = real(seed, T, n_steps, d, n_paths, first=first) * scale
+        for path, column in edits.items():
+            if first <= path < first + n_paths:
+                dw[:, path - first] = column
+        return dw
+
+    monkeypatch.setattr(scenario, "noise_block", draw)
+
+
+def swap_config(b, sigma, x0, y0, n_steps=20):
+    """n = 1, d = 2, Theta = {I, the swap}: a control picks which noise
+    component drives the single diffusion column, 40 controls of 1100 paths,
+    so 512-path chunks."""
+    section = {"n": 1, "d": 2, "sigma": [[sigma], [0.0]]}
+    return {"seed": 5, "theta": {"generators": [[[1.0, 0.0], [0.0, 1.0]],
+                                                [[0.0, 1.0], [1.0, 0.0]]]},
+            "coefficients": {**section, "b": [b[0]]},
+            "coefficients_bar": {**section, "b": [b[1]]},
+            "x0": [x0], "y0": [y0],
+            "domain": {"box": [[-2.0, 2.0]], "n_samples": 32, "n_refine": 4, "seed": 7},
+            "scenario": {"T": 1.0, "n_steps": n_steps, "n_paths": 1100,
+                         "controls": {"random_switching": 38, "seed": 3}}}
+
+
+def test_chunked_verify_comparison_has_the_bits_of_the_whole_block_loop(tmp_path):
+    # 20 controls of 1100 paths in 2-D: chunks of 512, 512 and 76 paths
+    with open(comparison_config(tmp_path), encoding="utf-8") as fh:
+        cfg = json.load(fh)
+    cfg["scenario"].update(n_paths=1100, n_steps=40)
+    cfg["scenario"]["controls"]["random_switching"] = 18
+    assert scenario.lockstep_shape(20, 1100, 4) == (512, 19)
+    report, code = dispatch("verify-comparison", json.loads(json.dumps(cfg)))
+    assert code == 0, report["results"]
+    min_gap, witness = whole_block_comparison(cfg)
+    assert (report["results"]["min_gap"], report["results"]["witness"]) == (min_gap, witness)
+
+
+def test_a_tie_across_chunks_goes_to_the_earlier_control(monkeypatch):
+    # constant[0] on path 600 (chunk 1) and constant[1] on path 3 (chunk 0)
+    # see the same dB: the kicks of -1 on noise component 1 and 2.  Every
+    # kick lowers the gap, so these two tie at the minimum, and every other
+    # path, its noise scaled by 1/8, stays above it.
+    kick = np.zeros((20, 2))
+    edited_noise(monkeypatch, {600: kick + [-1.0, 0.0], 3: kick + [0.0, -1.0]}, scale=0.125)
+    cfg = swap_config(("expr:0", "expr:0.1"), "expr:1 + 0.5*x_1", -0.1, 0.0)
+    report, code = dispatch("verify-comparison", json.loads(json.dumps(cfg)))
+    assert code == 0, report["results"]
+    min_gap, witness = whole_block_comparison(cfg)
+    assert (report["results"]["min_gap"], report["results"]["witness"]) == (min_gap, witness)
+    assert (witness["control_index"], witness["path_index"]) == (0, 600)
+
+    theta = config.theta_from_config(cfg)
+    coeffs_x, coeffs_y = config.coefficients_from_config(cfg)
+    times = np.linspace(0.0, 1.0, 21)
+    gaps = []
+    for index, path in ((0, 600), (1, 3)):
+        observer = MinGapObserver()
+        euler_march((coeffs_x, coeffs_y), ([-0.1], [0.0]), times,
+                    scenario.noise_block(5, 1.0, 20, 2, 1, first=path),
+                    scenario.VolatilityControl.constant(index, 20), theta, observe=observer)
+        gaps.append(observer.result(times)[0])
+    assert gaps == [min_gap, min_gap]
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("kicks", [{700: 2}, {100: 5, 1050: 2}],
+                         ids=["only-in-chunk-1", "earlier-in-chunk-2-than-in-chunk-0"])
+def test_a_blow_up_in_any_chunk_raises_the_whole_block_text(monkeypatch, kicks):
+    # x' = x^3 from 0.1 with the noise scaled by 1/8 blows up only where a
+    # kick of +3 on noise component 1 lands, at the step given
+    edits = {}
+    for path, step in kicks.items():
+        edits[path] = np.zeros((20, 2))
+        edits[path][step, 0] = 3.0
+    edited_noise(monkeypatch, edits, scale=0.125)
+    cfg = swap_config(("expr:x_1^3", "expr:x_1^3"), 1.0, 0.1, 0.1)
+    report, code = dispatch("verify-comparison", json.loads(json.dumps(cfg)))
+    assert (code, report["status"]) == (5, "numerical-error")
+    with pytest.raises(NonFiniteError) as err:
+        whole_block_comparison(cfg)
+    assert report["results"]["error"] == str(err.value)
+    path = int(str(err.value).split("batch index (")[1].split(",")[0])
+    assert path == max(kicks)  # the chunk 2 kick fails at an earlier step
 
 
 def test_verify_comparison_checks_the_scenario_before_searching(tmp_path, monkeypatch):

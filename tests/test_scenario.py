@@ -7,18 +7,27 @@ from gdiffusion.coefficients import build_coefficients
 from gdiffusion.errors import DimensionMismatchError, EvaluationError, NonFiniteError
 from gdiffusion.functions import TestFunction
 from gdiffusion.gfunction import CovarianceSet
-from gdiffusion.config import controls_from_config
+from gdiffusion import scenario
+from gdiffusion.config import controls_from_config, theta_from_config
 from gdiffusion.sde import CoefficientSet, SDETerminalFunctional, euler_march
 from gdiffusion.scenario import (
     VolatilityControl,
     apply_control,
     control_schedules,
     estimate_sublinear_expectation,
+    lockstep_shape,
     noise_block,
     seeded_streams,
 )
 
+from test_acceptance import COMPARISON_CONFIG, FEYNMAN_CONFIG
+from test_crosscheck import MATRIX_UNCERTAINTY
+
 INTERVAL = CovarianceSet.from_interval(0.25, 1.0)
+# the scenario of the d = 2 matrix rows of test_crosscheck.py
+MATRIX_CONFIG = {"seed": 424242, **MATRIX_UNCERTAINTY,
+                 "scenario": {"T": 0.5, "n_steps": 100, "n_paths": 20000,
+                              "controls": {"constants": True, "random_switching": 16, "seed": 9}}}
 
 
 def one_path(seed, T, n_steps, d, path_index=0):
@@ -391,8 +400,15 @@ def test_chunked_lockstep_estimate_has_the_bits_of_the_per_control_loop(n_contro
                                           1100, 6, 0.5, 12)
     assert (est, se, best.label) == expected
     assert [call[:2] for call in functional.calls] == (
-        [(1, 1100)] if n_controls == 1 else [(70, 512), (70, 512), (70, 76)])
-    values = np.concatenate([call[2] for call in functional.calls], axis=1)
+        [(1, 1100)] if n_controls == 1 else [(70, 512), (70, 512), (70, 76)] if d == 1
+        else [(39, 512), (31, 512), (39, 512), (31, 512), (39, 76), (31, 76)])
+    # the calls go chunk by chunk, each in control order
+    values, first, k = np.empty_like(rows), 0, 0
+    for count, paths, batch in functional.calls:
+        values[k:k + count, first:first + paths] = batch
+        k += count
+        if k == n_controls:
+            first, k = first + paths, 0
     assert values.tobytes() == rows.tobytes()
 
 
@@ -439,6 +455,45 @@ def test_lockstep_blow_up_raises_what_the_first_failing_control_raises_alone():
                                        n_paths=1100, seed=3, T=1.0, n_steps=16)
     assert str(err.value) == str(alone.value) != str(lockstep.value)
     assert str(err.value).startswith("non-finite state at step 15 ")
+
+
+@pytest.mark.filterwarnings("ignore:overflow")
+def test_the_blow_up_fallback_draws_one_chunk_at_a_time(monkeypatch):
+    # the x^3 blow-up above: every draw, the lockstep ones and the fallback's,
+    # covers at most one chunk of the 1100 paths, so the error path holds no
+    # more noise than the memory refusal counts
+    coeffs = CoefficientSet(n=1, d=1, b=lambda t, x: x ** 3,
+                            sigma=lambda t, x: np.ones(x.shape + (1,)))
+    f = TestFunction(f=lambda x: x[..., 0], dim=1)
+    functional = SDETerminalFunctional(coeffs, f, np.array([0.6]), INTERVAL)
+    controls = family(INTERVAL, 70, 16)
+    drawn = []
+
+    def recording_draw(seed, T, n_steps, d, n_paths, first=0):
+        drawn.append(n_paths)
+        return noise_block(seed, T, n_steps, d, n_paths, first=first)
+
+    monkeypatch.setattr(scenario, "noise_block", recording_draw)
+    with pytest.raises(NonFiniteError, match=r"^non-finite state at step 15 "):
+        estimate_sublinear_expectation(functional, INTERVAL, controls,
+                                       n_paths=1100, seed=3, T=1.0, n_steps=16)
+    chunk, _ = lockstep_shape(70, 1100, 1)
+    assert chunk == 512 and len(drawn) > 3 and max(drawn) <= chunk
+
+
+@pytest.mark.parametrize("cfg, width, shape, marches", [
+    (COMPARISON_CONFIG, 2 * 2, (500, 20), 10),
+    (FEYNMAN_CONFIG, 1, (512, 66), 40),
+    (MATRIX_CONFIG, 2, (1024, 18), 20),
+], ids=["comparison", "crosscheck", "matrix"])
+def test_lockstep_shape_of_the_benchmark_configs(cfg, width, shape, marches):
+    # width: two systems of n = 2 states for verify-comparison, d for the estimator
+    scen = cfg["scenario"]
+    theta = theta_from_config(cfg)
+    n_controls = len(controls_from_config(scen["controls"], theta, scen["n_steps"], cfg["seed"]))
+    paths, batch = lockstep_shape(n_controls, scen["n_paths"], width)
+    assert (paths, batch) == shape
+    assert -(-scen["n_paths"] // paths) * -(-n_controls // batch) == marches
 
 
 def test_interval_qv_envelope_exact():
