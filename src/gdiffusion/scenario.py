@@ -6,9 +6,9 @@ increments ``dB_k = gamma_{m(k)} dW_k`` and accumulates quadratic covariation
 ``d<B^i,B^j>_k = (gamma gamma^T)_{ij} dt``, which only the loadings of
 ``sde.euler_march`` read.  Scenarios are plain arrays with time as the
 leading axis: ``noise_block`` gives the reference increments ``dW (n_steps,
-n_paths, d)``, shared by every control, and ``apply_control`` maps a one-step
-slice of them to that step's ``dB`` for a batch of K controls (one control
-is the batch K = 1); ``sde.euler_march`` makes that call at every step.
+n_paths, d)``, shared by every control, and ``apply_control`` maps one step
+``dW[m]`` to its ``dB`` under generator indices that broadcast against its
+batch axes, (K, 1, ..) for K controls; ``sde.euler_march`` calls it per step.
 ``march_chunks`` is the one Monte Carlo loop: it draws the noise of one
 chunk of paths at a time, marches the controls on it in lockstep batches
 through the caller's march and hands each result to the caller's reducer;
@@ -242,21 +242,17 @@ def control_schedules(controls, theta: CovarianceSet) -> np.ndarray:
     return schedules
 
 
-def apply_control(dw: np.ndarray, schedules: np.ndarray, theta: CovarianceSet) -> np.ndarray:
-    """Map reference increments to dB = gamma dW under a batch of K controls.
-
-    dw is time-major and may carry batch axes after time: (n_steps, ..., d).
-    schedules are the generator indices (n_steps, K) of ``control_schedules``
-    for the same steps.  The controls lead the batch axes: dB (n_steps, K,
-    ..., d).
+def apply_control(dw_m: np.ndarray, index: np.ndarray, theta: CovarianceSet) -> np.ndarray:
+    """One step's dB = gamma dW: dw_m (..., d) are the step's reference
+    increments, index the generator indices of the step, which broadcast
+    against the batch axes of dw_m, so dB has their broadcast batch shape.
+    A scalar index is one control; K controls lead the batch axes as (K, 1,
+    .., 1); an index per control and path fills those axes.
     """
-    if dw.shape[0] != len(schedules):
+    if dw_m.shape[-1] != theta.dim:
         raise DimensionMismatchError(
-            f"controls cover {len(schedules)} steps but noise has {dw.shape[0]}")
-    if dw.shape[-1] != theta.dim:
-        raise DimensionMismatchError(
-            f"noise dim {dw.shape[-1]} does not match covariance set dim {theta.dim}")
-    return np.einsum("kcij,k...j->kc...i", theta.generators[schedules], dw)
+            f"noise dim {dw_m.shape[-1]} does not match covariance set dim {theta.dim}")
+    return np.einsum("...ij,...j->...i", theta.generators[index], dw_m)
 
 
 def march_chunks(controls: list[VolatilityControl], n_paths: int, march, reduce, *,

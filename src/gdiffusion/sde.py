@@ -9,11 +9,12 @@ State dynamics on a scenario (dB, dQV):
 Coefficients are evaluated at the left endpoint (non-anticipative), matching
 the Ito integrals being discretized.  ``euler_march`` steps a whole batch of
 scenarios, and systems coupled on the same noise and controls, in lockstep:
-it forms each step's dB from the shared reference increments with one
-``scenario.apply_control`` call, so no whole-horizon dB is stored, and
-returns every level or, when an observer reduces each level as it is made,
-only the last.  ``MinGapObserver`` streams the exact minimum gap between two
-coupled systems with its first witness.
+per step it reads one generator index array shaped like its batch, forms dB
+from it and the shared reference increments with one
+``scenario.apply_control`` call (no whole-horizon dB is stored) and dQV from
+the same indices, and returns every level or, when an observer reduces each
+level as it is made, only the last.  ``MinGapObserver`` streams the exact
+minimum gap between two coupled systems with its first witness.
 """
 
 from __future__ import annotations
@@ -175,8 +176,9 @@ def euler_march(coeffs, x0, times: np.ndarray, dw: np.ndarray, controls, theta,
     controls : one VolatilityControl, or a sequence of K of them, which then
         lead the batch axes of dw: one control per leading batch slot.
         theta is their CovarianceSet.  Step m's dB is ``apply_control`` of
-        dw[m], its dQV the covariances of its generators times the uniform
-        step; one control goes in as K = 1 and its control axis is dropped.
+        dw[m] and the step's generator indices, built once shaped like the
+        batch ((K, 1, ..) for K controls, a scalar for one, with no control
+        axis); its dQV the covariances at those indices times the uniform step.
     observe : optional ``observe(m, x)``, called with the states x (..., n)
         at every level m = 0 .. n_steps; x must not be written to.
 
@@ -224,10 +226,11 @@ def euler_march(coeffs, x0, times: np.ndarray, dw: np.ndarray, controls, theta,
             f"db has {n_steps} steps, but times has {len(times)} levels "
             f"and the controls {len(schedules)} steps")
     qv_dt = float(times[-1] - times[0]) / n_steps
-    lead = () if one else schedules.shape[1:]  # the control axis leads the batch axes of dw
-    batch = np.broadcast_shapes(*(start.shape[:-1] for start in starts), lead + dw.shape[1:-1])
-    qv_shape = lead + (1,) * (dw.ndim - 2) + (theta.dim,) * 2  # one step's dQV
-    step = (0, 0) if one else 0  # step m of apply_control's output, no control axis for one
+    # each step's generator indices, shaped like the batch: the control axis
+    # leads the batch axes of dw, and one control has none
+    index = schedules[:, 0] if one else schedules.reshape(schedules.shape + (1,) * (dw.ndim - 2))
+    batch = np.broadcast_shapes(*(start.shape[:-1] for start in starts), index.shape[1:],
+                                dw.shape[1:-1])
     # component-major: (n, ...) memory read as (..., n), so that each
     # x[s, ..., k] is one contiguous block of the batch
     to_state = (*range(1, 1 + len(batch)), 0)
@@ -244,7 +247,7 @@ def euler_march(coeffs, x0, times: np.ndarray, dw: np.ndarray, controls, theta,
     for m in range(n_steps):
         t = float(times[m])
         dt = float(times[m + 1] - times[m])
-        db_m = apply_control(dw[m:m + 1], schedules[m:m + 1], theta)[step]
+        db_m = apply_control(dw[m], index[m], theta)
         nxt = np.empty_like(x)
         for system, x_s, nxt_s in zip(systems, x, nxt):
             b, h, s = system.fields(t, x_s)
@@ -252,8 +255,7 @@ def euler_march(coeffs, x0, times: np.ndarray, dw: np.ndarray, controls, theta,
             # without a drift from +0.0 (see above)
             incr = np.multiply(b, dt, out=nxt_s) if b is not None else 0.0 if m == 0 else None
             if h is not None:
-                dqv_m = (theta.covariances[schedules[m]] * qv_dt).reshape(qv_shape)
-                loading = np.einsum("...lki,...lk->...i", h, dqv_m)
+                loading = np.einsum("...lki,...lk->...i", h, theta.covariances[index[m]] * qv_dt)
                 if incr is None:
                     incr = loading
                 else:

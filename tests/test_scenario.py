@@ -35,9 +35,16 @@ def one_path(seed, T, n_steps, d, path_index=0):
     return noise_block(seed, T, n_steps, d, 1, first=path_index)[:, 0]
 
 
+def horizon_db(dw, schedules, theta):
+    """dB (n_steps, K, ..., d) of dW (n_steps, ..., d) on the whole horizon
+    under the generator indices (n_steps, K) of K controls: the oracle of the
+    march's one-step ``apply_control``."""
+    return np.einsum("kcij,k...j->kc...i", theta.generators[schedules], dw)
+
+
 def one_control(dw, control, theta):
     """dB (n_steps, ..., d) of one control."""
-    return apply_control(dw, control_schedules([control], theta), theta)[:, 0]
+    return horizon_db(dw, control_schedules([control], theta), theta)[:, 0]
 
 
 def marched_qv(seed, T, n_steps, control, theta=INTERVAL):
@@ -59,7 +66,7 @@ class ScalarTerminal:
         self.phi = phi
 
     def evaluate_batch(self, times, dw, controls):
-        db = apply_control(dw, control_schedules(controls, INTERVAL), INTERVAL)
+        db = horizon_db(dw, control_schedules(controls, INTERVAL), INTERVAL)
         return self.phi(np.sum(db, axis=0)[..., 0])
 
 
@@ -234,19 +241,43 @@ def test_path_construction_is_pure():
 
 @pytest.mark.parametrize("paths", [(), (3,), (2, 3)])
 def test_stacked_controls_per_step_match_whole_array_apply_control(paths):
-    # each step's dB of a batch of K controls, formed on the one-step slice,
-    # has the bits of each control's whole-horizon apply_control
+    # each step's dB of a batch of K controls, formed by the one-step
+    # apply_control on the (K, 1, ..) index the march builds, has the bits of
+    # each control's whole-horizon dB
     rng = np.random.default_rng(6)
     theta = CovarianceSet(generators=tuple(rng.uniform(-1, 1, size=(3, 2, 2))))
     controls = [VolatilityControl.random_switching(3, 12, seed=s) for s in range(5)]
     dw = rng.standard_normal((12,) + paths + (2,))
     schedules = control_schedules(controls, theta)
     assert schedules.shape == (12, 5)
+    index = schedules.reshape((12, 5) + (1,) * len(paths))
+    whole = horizon_db(dw, schedules, theta)
     for m in range(12):
-        db_m = apply_control(dw[m:m + 1], schedules[m:m + 1], theta)
-        assert db_m.shape == (1, 5) + paths + (2,)
+        db_m = apply_control(dw[m], index[m], theta)
+        assert db_m.shape == (5,) + paths + (2,)
+        assert db_m.tobytes() == whole[m].tobytes()
         for j, control in enumerate(controls):
-            assert db_m[0, j].tobytes() == one_control(dw, control, theta)[m].tobytes()
+            assert db_m[j].tobytes() == one_control(dw, control, theta)[m].tobytes()
+            alone = apply_control(dw[m], schedules[m, j], theta)
+            assert alone.tobytes() == db_m[j].tobytes()
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_a_per_path_index_gives_each_slot_the_bits_of_its_constant_index(d):
+    # an index per control and path (K, P) gives slot (k, p) the bits that
+    # the constant (K, 1) index of that slot's generator gives it
+    rng = np.random.default_rng(11 + d)
+    theta = CovarianceSet(generators=tuple(rng.uniform(-1, 1, size=(4, d, d))))
+    n_controls, n_paths = 5, 7
+    dw_m = rng.standard_normal((n_paths, d))
+    index = rng.integers(0, 4, size=(n_controls, n_paths))
+    db_m = apply_control(dw_m, index, theta)
+    assert db_m.shape == (n_controls, n_paths, d)
+    for g in range(4):
+        constant = apply_control(dw_m, np.full((n_controls, 1), g), theta)
+        assert constant.shape == (n_controls, n_paths, d)
+        slots = index == g
+        assert db_m[slots].tobytes() == constant[slots].tobytes()
 
 
 def test_control_schedules_are_checked_once_against_theta():
@@ -262,13 +293,6 @@ def test_control_schedules_are_checked_once_against_theta():
 
 
 def test_control_coverage_mismatch():
-    dw = one_path(5, 1.0, 16, 1)
-    short = control_schedules([VolatilityControl.constant(0, 8)] * 2, INTERVAL)
-    with pytest.raises(DimensionMismatchError, match="cover 8 steps but noise has 16"):
-        apply_control(dw, short, INTERVAL)
-    with pytest.raises(DimensionMismatchError, match="cover 16 steps but noise has 8"):
-        apply_control(dw[:8], control_schedules([VolatilityControl.constant(0, 16)], INTERVAL),
-                      INTERVAL)
     with pytest.raises(DimensionMismatchError, match="generator 5"):
         control_schedules([VolatilityControl.constant(5, 16)], INTERVAL)
 

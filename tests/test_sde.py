@@ -7,10 +7,12 @@ from gdiffusion.coefficients import build_coefficients, remark_counterexample_pa
 from gdiffusion.errors import ConfigError, DimensionMismatchError, NonFiniteError
 from gdiffusion.expressions import Expression, parse_expression
 from gdiffusion.gfunction import CovarianceSet
-from gdiffusion.scenario import VolatilityControl, apply_control, control_schedules, noise_block
+from gdiffusion.scenario import VolatilityControl, control_schedules, noise_block
 from gdiffusion.functions import TestFunction
 from gdiffusion.sde import (CoefficientSet, MinGapObserver, SDETerminalFunctional, euler_march,
                             lipschitz_audit)
+
+from test_scenario import horizon_db
 
 INTERVAL = CovarianceSet.from_interval(0.25, 1.0)
 UNIT = CovarianceSet.from_interval(1.0, 1.0)
@@ -68,9 +70,9 @@ def unit_path(T=1.0, n_steps=64, seed=3, theta=UNIT, generator=0):
 
 def one_control(dw, control, theta, dt):
     """(dB, dQV) of one control on the whole horizon: dB (n_steps, ..., d)
-    from ``apply_control``, and the path-independent dQV (n_steps, d, d), the
-    covariance of each step's generator times dt."""
-    db = apply_control(dw, control_schedules([control], theta), theta)
+    from the whole-horizon ``horizon_db``, and the path-independent dQV
+    (n_steps, d, d), the covariance of each step's generator times dt."""
+    db = horizon_db(dw, control_schedules([control], theta), theta)
     return db[:, 0], theta.covariances[control.schedule] * dt
 
 
@@ -333,7 +335,7 @@ def stacked_scenarios(theta, n_paths=3, n_steps=16):
 
 def stored_drivers(times, dw, controls, theta):
     """dB (n_steps, K, n_paths, d) and per-control dQV (n_steps, K, 1, d, d),
-    each control's whole-horizon apply_control stacked on a batch axis."""
+    each control's whole-horizon dB stacked on a batch axis."""
     n_steps = len(times) - 1
     db = np.empty((n_steps, len(controls)) + dw.shape[1:])
     dqv = np.empty((n_steps, len(controls), 1, theta.dim, theta.dim))
@@ -422,7 +424,7 @@ def test_the_loading_term_forms_sigma_dt_with_the_bits_of_a_per_step_reference(c
     one = controls == "one"
     controls = CHUNK_CONTROLS[0] if one else list(CHUNK_CONTROLS[:controls])
     schedules = control_schedules([controls] if one else controls, theta)
-    db = apply_control(dw, schedules, theta)
+    db = horizon_db(dw, schedules, theta)
     dqv = np.stack([theta.covariances[schedules[m]] * dt for m in range(n_steps)])
     dqv = dqv.reshape((n_steps, len(schedules[0]), 1, 1, 2, 2))
     if one:
