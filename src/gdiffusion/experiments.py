@@ -9,6 +9,7 @@ field.
 
 from __future__ import annotations
 
+import dataclasses
 import datetime
 import json
 import os
@@ -81,10 +82,13 @@ def _hypotheses(experiment: str, cfg: dict, results: dict, reports: dict,
             EXIT_HYPOTHESIS)
 
 
-def _per_function(experiment: str, cfg: dict, results: dict, functions, check
-                  ) -> tuple[dict, int]:
+def _per_function(experiment: str, cfg: dict, results: dict, functions, check, checks,
+                  dom, grid) -> tuple[dict, int]:
     """One row per test function from ``check(f) -> (holds, row keys)``; the
-    run fails when a function declared monotone does not hold."""
+    run fails when a function declared monotone does not hold.  Before it
+    fails, ``checks(region)``, the run's hypothesis checks, run again on
+    grid.bounds, where the solve read the coefficients: a check violated
+    there makes the run hypothesis-violated, naming where its witness lies."""
     rows = []
     failed = False
     for f in functions:
@@ -92,7 +96,24 @@ def _per_function(experiment: str, cfg: dict, results: dict, functions, check
         rows.append({"name": f.name, "declared_monotone": f.monotone, **row})
         failed = failed or (f.monotone and not holds)
     results["functions"] = rows
+    if failed:
+        on_grid = checks(dataclasses.replace(dom, box=grid.bounds))
+        violated = {name: rep for name, rep in on_grid.items() if rep.verdict == "violated"}
+        if violated:
+            results["violated"] = list(violated)
+            results["violated_on_grid"] = {name: {**rep.to_dict(), "note": (
+                f"{name} is violated on grid.bounds, where the solve reads the coefficients; "
+                f"its witness lies {'outside' if _outside(rep.witness, dom.box) else 'inside'} "
+                "domain.box")} for name, rep in violated.items()}
+            return (_report(experiment, cfg, results, "hypothesis-violated", EXIT_HYPOTHESIS),
+                    EXIT_HYPOTHESIS)
     return _verdict(experiment, cfg, results, not failed)
+
+
+def _outside(witness: dict, box: np.ndarray) -> bool:
+    """Whether a point of a check's witness lies outside box."""
+    points = [np.asarray(witness[key]) for key in ("x", "y", "x_prime") if key in witness]
+    return any(np.any((p < box[:, 0]) | (p > box[:, 1])) for p in points)
 
 
 def _one_function(cfg: dict, dim: int):
@@ -187,9 +208,11 @@ def run_verify_comparison(cfg: dict) -> tuple[dict, int]:
         return violated
 
     def march(times, dw, batch, s=None):
-        """X and Y in lockstep, reduced to their first minimum gap; or system s alone."""
+        """X and Y in lockstep, reduced to their first minimum gap; or system s
+        alone, storing no states."""
         if s is not None:
-            return euler_march((coeffs_x, coeffs_y)[s], (x0, y0)[s], times, dw, batch[0], theta)
+            return euler_march((coeffs_x, coeffs_y)[s], (x0, y0)[s], times, dw, batch[0], theta,
+                               observe=lambda m, x: None)
         gaps = MinGapObserver()
         euler_march((coeffs_x, coeffs_y), (x0, y0), times, dw, batch, theta, observe=gaps)
         return gaps.result(times)
@@ -274,9 +297,11 @@ def run_verify_monotone(cfg: dict) -> tuple[dict, int]:
     grid = cfgmod.grid_from_config(cfg)
     functions = cfgmod.functions_from_config(cfg, coeffs.n)
 
-    reports = {name: run_check(name, coeffs, None, theta, dom) for name in ("C1", "C2")}
+    def checks(region):
+        return {name: run_check(name, coeffs, None, theta, region) for name in ("C1", "C2")}
+
     results: dict = {}
-    if violated := _hypotheses("verify-monotone", cfg, results, reports, []):
+    if violated := _hypotheses("verify-monotone", cfg, results, checks(dom), []):
         return violated
 
     def check(f):
@@ -289,7 +314,7 @@ def run_verify_monotone(cfg: dict) -> tuple[dict, int]:
             "tolerance": rep.tolerance,
         }
 
-    return _per_function("verify-monotone", cfg, results, functions, check)
+    return _per_function("verify-monotone", cfg, results, functions, check, checks, dom, grid)
 
 
 def run_verify_order(cfg: dict) -> tuple[dict, int]:
@@ -317,12 +342,15 @@ def run_verify_order(cfg: dict) -> tuple[dict, int]:
     results["uniform_pd_beta"] = beta
     results["nondegeneracy_bound"] = h3
 
-    reports = {name: run_check(name, side, None, theta, dom) for name in ("C1", "C2")}
-    reports.update((name, run_check(name, coeffs_x, coeffs_y, theta, dom))
-                   for name in ("D1", "D5"))
+    def checks(region):
+        reports = {name: run_check(name, side, None, theta, region) for name in ("C1", "C2")}
+        reports.update((name, run_check(name, coeffs_x, coeffs_y, theta, region))
+                       for name in ("D1", "D5"))
+        return reports
+
     side_conditions = [name for name, failed in (("uniform-positive-definiteness", beta <= 1e-10),
                                                  ("nondegeneracy", h3 <= 0.0)) if failed]
-    if violated := _hypotheses("verify-order", cfg, results, reports, side_conditions):
+    if violated := _hypotheses("verify-order", cfg, results, checks(dom), side_conditions):
         return violated
 
     def check(f):
@@ -335,7 +363,7 @@ def run_verify_order(cfg: dict) -> tuple[dict, int]:
             "tolerance": rep.tolerance,
         }
 
-    return _per_function("verify-order", cfg, results, functions, check)
+    return _per_function("verify-order", cfg, results, functions, check, checks, dom, grid)
 
 
 def run_generator_limit(cfg: dict) -> tuple[dict, int]:

@@ -130,15 +130,30 @@ def test_layers_keep_each_sides_exact_per_layer_values():
                                             "sde.euler_march.path_steps": (None, "count")}),
         traced_run("pde-2d", "change", {"pde.stored_bytes": (119, "B")}),
     ]
-    assert bench_pairs.layers(runs) == {
+    layer = bench_pairs.layers(runs)
+    assert layer == {
         "crosscheck (seed 0)": {
-            "pde.stored_bytes": {"unit": "B", "parent": 9026909, "change": 3609},
-            "pde.node_levels": {"unit": "count", "parent": 1002500, "change": 0},
-            "pde.trusted_node_share": {"unit": "ratio", "parent": 0.5, "change": 0.5},
-            "sde.euler_march.path_steps": {"unit": "count", "parent": None, "change": None},
+            "pde.stored_bytes": {"unit": "B", "parent": 9026909, "change": 3609,
+                                 "equal": False},
+            "pde.node_levels": {"unit": "count", "parent": 1002500, "change": 0,
+                                "equal": False},
+            "pde.trusted_node_share": {"unit": "ratio", "parent": 0.5, "change": 0.5,
+                                       "equal": True},
+            "sde.euler_march.path_steps": {"unit": "count", "parent": None, "change": None,
+                                           "equal": True},
         },
-        "pde-2d (seed 0)": {"pde.stored_bytes": {"unit": "B", "parent": None, "change": 119}},
+        "pde-2d (seed 0)": {"pde.stored_bytes": {"unit": "B", "parent": None, "change": 119,
+                                                 "equal": False}},
     }
+    assert bench_pairs.layers_differ(layer) == {
+        "crosscheck (seed 0)": ["pde.stored_bytes", "pde.node_levels"],
+        "pde-2d (seed 0)": ["pde.stored_bytes"],
+    }
+    # equal counts on both sides, as a change that claims no gain shows them
+    same = [traced_run("comparison", side, {"scenario.apply_control.calls": (2000, "count"),
+                                            "sde.euler_march.calls": (10, "count")})
+            for side in bench_pairs.SIDES]
+    assert bench_pairs.layers_differ(bench_pairs.layers(same)) == {"comparison (seed 0)": []}
 
 
 def test_the_exact_units_are_those_the_benchmark_repeats_exactly():

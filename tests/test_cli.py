@@ -12,7 +12,7 @@ from gdiffusion.errors import (ConfigError, DimensionMismatchError, EvaluationEr
                                NonFiniteError, StabilityError)
 from gdiffusion.experiments import dispatch
 from gdiffusion.scenario import noise_block
-from gdiffusion.sde import MinGapObserver, euler_march
+from gdiffusion.sde import CoefficientSet, MinGapObserver, euler_march
 
 
 def run_cli(args, capsys):
@@ -164,6 +164,70 @@ def test_verify_monotone_hypothesis_violated(tmp_path, capsys):
     code, report = run_cli(["verify-monotone", "--config", str(path)], capsys)
     assert code == 3
     assert "C2" in report["results"]["violated"]
+
+
+def outside_domain_config(experiment, drift):
+    """A 2-D system whose drift b_2 = drift may fall with x_1 only beyond
+    x_1 = 1.5: on domain.box C1 and C2 hold, on grid.bounds they need not.
+    verify-order compares it, as the monotone side, with b_2 + 0.5."""
+    sigma = {"family": "diag-sigma", "values": [1.0, 1.0]}
+    cfg = {
+        "seed": 5,
+        "theta": {"generators": [[[0.5, 0.0], [0.0, 0.5]], [[1.0, 0.0], [0.0, 1.0]]]},
+        "coefficients": {"n": 2, "d": 2, "b": ["expr:0", drift], "sigma": sigma},
+        "domain": {"box": [[-1.5, 1.5], [-1.5, 1.5]], "n_samples": 48, "n_refine": 4,
+                   "seed": 11},
+        "grid": {"bounds": [[-8.0, 8.0], [-8.0, 8.0]], "counts": [161, 161],
+                 "T": 0.5, "n_levels": 400},
+        "functions": [{"expr": "x_2", "monotone": True, "name": "x2"}],
+    }
+    if experiment == "verify-order":
+        cfg["coefficients_bar"] = cfg["coefficients"]
+        cfg["coefficients"] = {"n": 2, "d": 2, "b": ["expr:0", f"{drift} + 0.5"],
+                               "sigma": sigma}
+    return cfg
+
+
+@pytest.mark.parametrize("experiment, names", [("verify-monotone", ["C1", "C2"]),
+                                               ("verify-order", ["C1", "C2", "D1", "D5"])],
+                         ids=["verify-monotone", "verify-order"])
+def test_a_hypothesis_violated_only_outside_the_domain_is_named_not_a_broken_theorem(
+        monkeypatch, experiment, names):
+    # b_2 = -3(1 + tanh(40(x_1 - 2.5))) falls with x_1 near x_1 = 2.5, outside
+    # domain.box: every check holds there, but the solve reads the whole grid
+    # and fails (verify-monotone: -0.411 at the node (2.4, 1.9)).  The run
+    # re-checks on grid.bounds before failing, and names C2 with its witness.
+    boxes = []
+
+    def recording(name, *args):
+        boxes.append((name, args[-1].box.tolist()))
+        return run_check(name, *args)
+
+    run_check = experiments.run_check
+    monkeypatch.setattr(experiments, "run_check", recording)
+    report, code = dispatch(experiment, outside_domain_config(
+        experiment, "expr:-3*(1 + tanh(40*(x_1 - 2.5)))"))
+    assert (code, report["status"]) == (3, "hypothesis-violated")
+    results = report["results"]
+    assert list(results["checks"]) == names
+    assert {rep["verdict"] for rep in results["checks"].values()} == {"satisfied-on-domain"}
+    assert min(results["functions"][0].get(key, 0.0)
+               for key in ("min_forward_difference", "min_gap")) < -0.4
+    assert results["violated"] == ["C2"]
+    on_grid = results["violated_on_grid"]["C2"]
+    assert on_grid["box"] == [[-8.0, 8.0], [-8.0, 8.0]]
+    assert on_grid["max_violation"] == 6.0
+    assert on_grid["note"].endswith("its witness lies outside domain.box")
+    assert max(abs(v) for v in on_grid["witness"]["x"] + on_grid["witness"]["y"]) > 1.5
+    domain, grid = [[-1.5, 1.5]] * 2, [[-8.0, 8.0]] * 2
+    assert boxes == [(name, domain) for name in names] + [(name, grid) for name in names]
+
+    # the twin with b = 0 reaches its conclusion and checks the domain alone
+    boxes.clear()
+    report, code = dispatch(experiment, outside_domain_config(experiment, "expr:0"))
+    assert (code, report["status"]) == (0, "ok")
+    assert "violated_on_grid" not in report["results"]
+    assert boxes == [(name, domain) for name in names]
 
 
 def order_config(tmp_path, shift=-0.5):
@@ -1311,8 +1375,18 @@ def test_a_blow_up_in_any_chunk_raises_the_whole_block_text(monkeypatch, kicks):
         edits[path][step, 0] = 3.0
     edited_noise(monkeypatch, edits, scale=0.125)
     cfg = swap_config(("expr:x_1^3", "expr:x_1^3"), 1.0, 0.1, 0.1)
+    alone = []  # the observer of each march of one system, the fallback's
+
+    def recording(coeffs, *args, observe=None):
+        if isinstance(coeffs, CoefficientSet):
+            alone.append(observe)
+        return euler_march(coeffs, *args, observe=observe)
+
+    monkeypatch.setattr(experiments, "euler_march", recording)
     report, code = dispatch("verify-comparison", json.loads(json.dumps(cfg)))
     assert (code, report["status"]) == (5, "numerical-error")
+    # the fallback stores no (paths, levels, n) states that nothing reads
+    assert alone and None not in alone
     with pytest.raises(NonFiniteError) as err:
         whole_block_comparison(cfg)
     assert report["results"]["error"] == str(err.value)

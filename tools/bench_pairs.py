@@ -27,8 +27,10 @@ neither side, and its median is better than the parent's by more than the
 parent's interquartile range (q3 - q1); otherwise it is unresolved (false).
 Under ``layers``, per workload and seed, every per-layer metric whose unit
 is exact (``count``, ``B`` or ``ratio``: work counts, which repeat exactly at
-one seed) gets its unit and the value of each side's traced run, so that the
-file shows in which layer a change does less or stores less.  Each
+one seed) gets its unit, the value of each side's traced run and ``equal``,
+whether the two are the same, so that the file shows in which layer a change
+does less or stores less; ``layers_differ`` lists, per workload and seed, the
+metrics that are not equal.  Each
 end-to-end metric also gets ``regression``, the no-regression verdict,
 with the allowed loss taken as ``bound`` times the parent's median:
 
@@ -179,8 +181,8 @@ def summarize(runs: list, better: dict, bounds=None) -> dict:
 
 def layers(traced: list) -> dict:
     """Per workload and seed: each per-layer metric with an exact unit, with
-    its unit and the value of each side's traced run (None where a side did
-    not report it)."""
+    its unit, the value of each side's traced run (None where a side did
+    not report it) and ``equal``, whether the two values are the same."""
     out = {}
     for r in traced:
         entry = out.setdefault(f"{r['workload']} (seed {r['seed']})", {})
@@ -188,7 +190,17 @@ def layers(traced: list) -> dict:
             if metric["unit"] in EXACT_UNITS:
                 entry.setdefault(name, {"unit": metric["unit"], **dict.fromkeys(SIDES)})
                 entry[name][r["side"]] = metric["value"]
+    for entry in out.values():
+        for metric in entry.values():
+            metric["equal"] = metric["parent"] == metric["change"]
     return out
+
+
+def layers_differ(layer: dict) -> dict:
+    """Per workload and seed of ``layers``: the names of the metrics whose two
+    values differ, in its order."""
+    return {key: [name for name, metric in entry.items() if not metric["equal"]]
+            for key, entry in layer.items()}
 
 
 def main(argv=None) -> int:
@@ -231,6 +243,7 @@ def main(argv=None) -> int:
                              "result": result, "seed": seed, "trace": 1})
                 print(f"traced {workload} {side}: done", flush=True)
 
+    layer = layers([r for r in runs if r["trace"] == 1])
     out = {
         "what": args.what,
         "command": "python3 perfbench/run.py --workload W --seed N "
@@ -247,7 +260,8 @@ def main(argv=None) -> int:
         "src_lines": lines,
         "summary": summarize([r for r in runs if r["trace"] == 0], load_better(),
                              declared("bound")),
-        "layers": layers([r for r in runs if r["trace"] == 1]),
+        "layers": layer,
+        "layers_differ": layers_differ(layer),
         "runs": runs,
     }
     with open(args.out, "w", encoding="utf-8") as fh:
