@@ -198,12 +198,12 @@ def test_a_hypothesis_violated_only_outside_the_domain_is_named_not_a_broken_the
     # and fails (verify-monotone: -0.411 at the node (2.4, 1.9)).  The run
     # re-checks on grid.bounds before failing, and names C2 with its witness.
     boxes = []
+    run_check = experiments.run_check
 
     def recording(name, *args):
         boxes.append((name, args[-1].box.tolist()))
         return run_check(name, *args)
 
-    run_check = experiments.run_check
     monkeypatch.setattr(experiments, "run_check", recording)
     report, code = dispatch(experiment, outside_domain_config(
         experiment, "expr:-3*(1 + tanh(40*(x_1 - 2.5)))"))
